@@ -11,7 +11,7 @@ import sys
 
 from .complexes import covolume, cutpoints, h1_z2, reduce_complex
 from .dot import bw_to_dot, cutpoint_tree_to_dot, gog_to_dot, resolution_to_dot
-from .errors import PassdownError
+from .errors import FixtureError, PassdownError
 from .fixtures import parse_fixtures, serialize_complex, serialize_resolution
 from .hierarchy import make_tree_level, passdown_full, structure_covolume
 from .pipeline import run_pipeline
@@ -86,9 +86,16 @@ def _dot_write(args, filename, text):
             fh.write(text)
 
 
+def _named(fx, kind, name):
+    table = {"complex": fx.complexes, "tree": fx.trees, "structure": fx.structures}[kind]
+    if name not in table:
+        raise FixtureError(f"unknown {kind} {name!r}")
+    return table[name]
+
+
 def _resolution_for(fx, args):
-    x = fx.complexes[args.complex]
-    t = fx.trees[args.tree]
+    x = _named(fx, "complex", args.complex)
+    t = _named(fx, "tree", args.tree)
     return x, t, build_resolution(x, t, fx.action_table(args.tree))
 
 
@@ -97,12 +104,12 @@ def main(argv=None) -> int:
     try:
         fx = parse_fixtures(args.fixtures)
         if args.command == "reduce":
-            out = reduce_complex(fx.complexes[args.complex], fx.groups)
+            out = reduce_complex(_named(fx, "complex", args.complex), fx.groups)
             sys.stdout.write(serialize_complex(args.complex + ".reduced", out))
         elif args.command == "h1":
-            print(h1_z2(fx.complexes[args.complex]))
+            print(h1_z2(_named(fx, "complex", args.complex)))
         elif args.command == "cutpoints":
-            x = fx.complexes[args.complex]
+            x = _named(fx, "complex", args.complex)
             cuts = cutpoints(x)
             print("cutpoints:", " ".join(sorted(cuts)) if cuts else "(none)")
             if not cuts:
@@ -113,8 +120,8 @@ def main(argv=None) -> int:
             print(f"reduced cutpoint tree: {len(ct.comp_nodes)} pieces, {len(ct.cut_nodes)} cut vertices")
             _dot_write(args, f"{args.complex}.cutpoints.dot", cutpoint_tree_to_dot(ct))
         elif args.command == "classify":
-            table = fx.action_table(args.tree)
-            kind = table.classification(args.group)
+            _named(fx, "tree", args.tree)
+            kind = fx.action_table(args.tree).classification(args.group)
             print(f"{args.group} acts {kind} on {args.tree}")
         elif args.command == "resolve":
             x, t, res = _resolution_for(fx, args)
@@ -146,9 +153,9 @@ def main(argv=None) -> int:
             print(f"covolume {covolume(x)} -> {covolume(xc)}; descended kind {descended.kind}")
             sys.stdout.write(serialize_complex(args.complex + ".contracted", xc))
         elif args.command == "passdown":
-            ks = fx.structures[args.structure]
+            ks = _named(fx, "structure", args.structure)
             tl = make_tree_level(
-                args.tree, fx.trees[args.tree], fx.action_table(args.tree), fx.groups,
+                args.tree, _named(fx, "tree", args.tree), fx.action_table(args.tree), fx.groups,
                 jsj=args.tree in fx.jsj_trees,
             )
             result = passdown_full(ks, tl, groups=fx.groups, no_dinfty=fx.config.no_dinfty)
@@ -176,11 +183,11 @@ def main(argv=None) -> int:
                 if n is not None:
                     from .stability import equivalence_classes
 
-                    classes = equivalence_classes(report.run, n, None, fx.groups)
+                    classes = equivalence_classes(report.run, n, None, report.run.groups)
                     for cid in sorted(report.run.levels[n].complexes):
                         x = report.run.levels[n].complexes[cid]
                         cls = [c for c in classes if c.cid == cid]
-                        bw, _ = _bw(x, cls, fx.groups)
+                        bw, _ = _bw(x, cls, report.run.groups)
                         safe = cid.replace("/", "_")
                         _dot_write(args, f"{safe}.bw.dot", bw_to_dot(bw, name=cid))
             return report.exit_code

@@ -16,6 +16,7 @@ import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from . import graphs
 from .errors import ConsistencyError, EngineError, FixtureError
 from .groups import TRIVIAL, GroupTable
 
@@ -36,9 +37,6 @@ class Complex2:
 
     def edge_ends(self, eid):
         return self.edges[eid]
-
-    def face_edges(self, fid):
-        return self.faces[fid]
 
     def face_vertices(self, fid):
         verts = set()
@@ -71,13 +69,6 @@ class Complex2:
 
     def edge_stab_plus(self, eid):
         return self.stab_plus.get(eid, self.stab[eid])
-
-    def adjacency(self):
-        adj = defaultdict(set)
-        for eid, (u, v) in self.edges.items():
-            adj[u].add((v, eid))
-            adj[v].add((u, eid))
-        return adj
 
     def cells(self):
         out = list(self.vertices)
@@ -193,22 +184,7 @@ def _validate_labels(x, groups: GroupTable):
 
 def components(x: Complex2):
     """Connected components of the complex, as lists of vertex sets."""
-    adj = x.adjacency()
-    seen = set()
-    comps = []
-    for start in sorted(x.vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        todo = [start]
-        while todo:
-            for w, _ in adj[todo.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    todo.append(w)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    return graphs.components(x.vertices, x.edges.values())
 
 
 def is_connected(x: Complex2) -> bool:
@@ -236,7 +212,8 @@ def h1_z2(x: Complex2) -> int:
     cell complexes that appear between a collapse and its reduction.
     Disconnected input is summed per component, with a warning.
     """
-    if not is_connected(x):
+    n_comp = len(components(x))
+    if n_comp > 1:
         warnings.warn("h1_z2 on a disconnected complex; summing components", DisconnectedComplexWarning)
     edge_index = {eid: i for i, eid in enumerate(sorted(x.edges))}
     rows = []
@@ -246,7 +223,6 @@ def h1_z2(x: Complex2) -> int:
             row |= 1 << edge_index[eid]
         rows.append(row)
     rank_d2 = _gf2_rank(rows)
-    n_comp = len(components(x))
     value = len(x.edges) - len(x.vertices) + n_comp - rank_d2
     if value < 0:
         raise EngineError("negative h1 rank: boundary bookkeeping is broken")
@@ -366,24 +342,12 @@ def quotient_labels(x: Complex2, cell_map, groups: GroupTable, prefix: str, extr
             preimages[img].append(src)
 
     # merge source orbits that share an image anywhere
-    parent = {}
-
-    def find(o):
-        parent.setdefault(o, o)
-        while parent[o] != o:
-            parent[o] = parent[parent[o]]
-            o = parent[o]
-        return o
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    uf = graphs.UnionFind()
+    find = uf.find
     for srcs in preimages.values():
         first = x.orbit[srcs[0]]
         for src in srcs[1:]:
-            union(first, x.orbit[src])
+            uf.union(first, x.orbit[src])
 
     class_labels = defaultdict(set)
     for src, img in cell_map.items():
@@ -425,114 +389,25 @@ def quotient_labels(x: Complex2, cell_map, groups: GroupTable, prefix: str, extr
 def cutpoints(x: Complex2):
     """Vertices whose removal (with open star) disconnects the complex.
 
-    For a 2-complex this coincides with the articulation vertices of the
-    1-skeleton; computed with an iterative lowpoint DFS.
+    For a 2-complex these are the articulation vertices of the 1-skeleton:
+    the vertices lying in two or more of its blocks.
     """
-    adj = {v: sorted(w for w, _ in nbrs) for v, nbrs in x.adjacency().items()}
-    for v in x.vertices:
-        adj.setdefault(v, [])
-    visited, depth, low = set(), {}, {}
-    points = set()
-    for root in sorted(x.vertices):
-        if root in visited:
-            continue
-        visited.add(root)
-        depth[root] = low[root] = 0
-        root_children = 0
-        stack = [(root, None, iter(adj[root]))]
-        while stack:
-            v, parent, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w == parent:
-                    parent = None  # skip one copy of the tree edge only
-                    continue
-                if w in visited:
-                    low[v] = min(low[v], depth[w])
-                else:
-                    visited.add(w)
-                    depth[w] = low[w] = depth[v] + 1
-                    if v == root:
-                        root_children += 1
-                    stack.append((w, v, iter(adj[w])))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if pv != root and low[v] >= depth[pv]:
-                        points.add(pv)
-        if root_children > 1:
-            points.add(root)
-    return points
+    return graphs.cut_vertices(graphs.blocks(x.vertices, x.edges))
 
 
-def _blocks(x: Complex2):
-    """Blocks of the 1-skeleton (maximal cutpoint-free subcomplexes), each
-    as a set of cell ids closed under subcells; isolated vertices form
-    their own blocks."""
-    cuts = cutpoints(x)
-    # union-find on edges: two edges in one block iff connected avoiding cuts
-    # through a shared non-cut vertex, or they lie on a common cycle.  Use the
-    # standard trick: edges sharing a non-cut vertex unite; edges sharing a cut
-    # vertex unite iff some cycle joins them, detected via DFS block stacking.
-    blocks = []
-    visited_edges = set()
-    adj = x.adjacency()
-    depth, low = {}, {}
-    for root in sorted(x.vertices):
-        if root in depth:
-            continue
-        depth[root] = low[root] = 0
-        edge_stack = []
-        stack = [(root, None, iter(sorted(adj[root], key=str)))]
-        while stack:
-            v, in_edge, it = stack[-1]
-            advanced = False
-            for w, eid in it:
-                if eid == in_edge or eid in visited_edges:
-                    continue
-                visited_edges.add(eid)
-                edge_stack.append(eid)
-                if w in depth:
-                    low[v] = min(low[v], depth[w])
-                else:
-                    depth[w] = low[w] = depth[v] + 1
-                    stack.append((w, eid, iter(sorted(adj[w], key=str))))
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                if stack:
-                    pv = stack[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                    if low[v] >= depth[pv]:
-                        # cut here: everything above in_edge is one block
-                        idx = edge_stack.index(in_edge)
-                        blocks.append(set(edge_stack[idx:]))
-                        del edge_stack[idx:]
-        if edge_stack:
-            blocks.append(set(edge_stack))
-    out = []
-    for edge_ids in blocks:
-        cells = set(edge_ids)
-        for eid in edge_ids:
-            cells.update(x.edges[eid])
-        out.append(cells)
-    for v in sorted(x.vertices):
-        if not adj[v]:
-            out.append({v})
-    # faces belong to the block holding their edges (triangles are 2-connected)
-    for fid in x.faces:
-        es = set(x.faces[fid])
-        for cells in out:
-            if es <= cells:
-                cells.add(fid)
-                break
-        else:
+def _block_cells(x: Complex2, blocks):
+    """Cell sets of the blocks of the 1-skeleton (maximal cutpoint-free
+    subcomplexes), closed under subcells: each face joins the block of its
+    edges, which a triangle or bigon never straddles."""
+    out, block_of = [], {}
+    for i, (verts, eids) in enumerate(blocks):
+        out.append(verts | eids)
+        block_of.update(dict.fromkeys(eids, i))
+    for fid, es in x.faces.items():
+        i = block_of[es[0]]
+        if any(block_of[e] != i for e in es[1:]):
             raise EngineError(f"face {fid!r} straddles blocks")
+        out[i].add(fid)
     return out
 
 
@@ -549,22 +424,7 @@ class CutpointTree:
     comp_cells: dict  # comp node id -> frozenset of cell ids
 
     def is_tree(self):
-        nodes = set(self.comp_nodes) | set(self.cut_nodes)
-        if not nodes:
-            return True
-        adj = defaultdict(set)
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        start = next(iter(sorted(nodes)))
-        seen = {start}
-        todo = [start]
-        while todo:
-            for w in adj[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen == nodes and len(self.edges) == len(nodes) - 1
+        return graphs.is_tree(self.comp_nodes + self.cut_nodes, self.edges)
 
 
 def _block_orbit_signature(x, cells):
@@ -584,8 +444,9 @@ def cutpoint_tree(x: Complex2, groups: GroupTable = None) -> CutpointTree:
         raise FixtureError("cutpoint tree needs a connected complex")
     if h1_z2(x) != 0:
         raise FixtureError("cutpoint tree needs h1_z2 = 0")
-    cuts = sorted(cutpoints(x))
-    blocks = _blocks(x)
+    blks = graphs.blocks(x.vertices, x.edges)
+    cuts = sorted(graphs.cut_vertices(blks))
+    blocks = _block_cells(x, blks)
     comp_nodes, comp_cells, node_stab, node_orbit, edges = [], {}, {}, {}, []
     sig_orbit = {}
     for i, cells in enumerate(sorted(blocks, key=lambda c: sorted(map(str, c)))):
@@ -623,22 +484,13 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable = None) -> CutpointTre
     """
     groups = groups or GroupTable()
     bx = cutpoint_tree(x, groups)
-    parent = {}
-
-    def find(n):
-        parent.setdefault(n, n)
-        while parent[n] != n:
-            parent[n] = parent[parent[n]]
-            n = parent[n]
-        return n
-
+    uf = graphs.UnionFind()
+    find = uf.find
     collapsed_cuts = set()
     for comp, cut in bx.edges:
         if not groups.slender(x.stab[cut]):
             collapsed_cuts.add(cut)
-            a, b = find(comp), find(cut)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+            uf.union(comp, cut)
 
     merged_cells = defaultdict(set)
     merged_members = defaultdict(set)

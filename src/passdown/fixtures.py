@@ -66,9 +66,8 @@ class FixtureSet:
     pipelines: dict = field(default_factory=dict)
 
     def action_table(self, tree_name) -> ActionTable:
-        if tree_name not in self.actions:
-            self.actions[tree_name] = ActionTable(self.trees[tree_name], self.groups)
-        return self.actions[tree_name]
+        table = self.actions.get(tree_name)
+        return table if table is not None else ActionTable(self.trees[tree_name], self.groups)
 
 
 def _tokens(line):
@@ -117,6 +116,8 @@ def parse_text(text, fixture: FixtureSet = None) -> FixtureSet:
             i += 1
             continue
         words, kwargs = _tokens(raw)
+        if not words:
+            raise FixtureError(f"expected a block header, got {raw!r}", line=i + 1)
         head = words[0]
         try:
             if head == "groups":

@@ -66,8 +66,17 @@ class GroupTable:
         self[sub], self[sup]
         self._extra_leq.add((sub, sup))
 
+    def copy(self) -> "GroupTable":
+        """An independent table with the same refs, containments and mint
+        counter: minting into the copy leaves this table unchanged."""
+        out = GroupTable()
+        out._refs = dict(self._refs)
+        out._extra_leq = set(self._extra_leq)
+        out._mint_counter = self._mint_counter
+        return out
+
     def _parents(self, gid):
-        out = set(self._refs[gid].declared_supergroups)
+        out = set(self[gid].declared_supergroups)
         out.update(sup for sub, sup in self._extra_leq if sub == gid)
         return out
 

@@ -14,6 +14,7 @@ passdown derives all it needs from the tree actions of the cell labels.
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from . import graphs
 from .complexes import covolume, cutpoints, h1_z2, is_connected, reduced_cutpoint_tree, subcomplex
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError
 from .groups import GroupTable
@@ -449,6 +450,46 @@ def _elliptic_claim(gid, actions: ActionTable):
     return min(act.fixed)
 
 
+def _distribute(h: Hierarchy, gog: GraphOfGroups, claims, complexes, groups: GroupTable):
+    """Every vertex orbit of the quotient receives the terminals it claims.
+
+    A single claim whose group equals the vertex group becomes the new
+    root; otherwise the claims hang one level below the root.  ``claims``
+    maps terminal id -> vertex orbit and ``complexes`` terminal id ->
+    complex or None.  Returns (structures by vertex orbit, placements
+    {terminal id: {face id: (vertex orbit, new node id)}}).
+    """
+    structures, placements = {}, {}
+    for v in sorted(gog.vertices):
+        gv = gog.vertices[v]
+        claimed = sorted(nid for nid, tv in claims.items() if tv == v)
+        root = HNode(id=f"{v}.root", group=gv)
+        nodes = {root.id: root}
+        homes = []  # (claimed terminal id, node id receiving its complex)
+        if len(claimed) == 1 and groups.equal(h.nodes[claimed[0]].group, gv):
+            root.origin = (h.name, claimed[0])
+            homes.append((claimed[0], root.id))
+        elif claimed:
+            verts = {f"w{i}": h.nodes[nid].group for i, nid in enumerate(claimed)}
+            root.action = make_gog(f"{h.name}@{v}.claims", verts, {}, groups=groups)
+            for i, nid in enumerate(claimed):
+                child = HNode(
+                    id=f"{v}.t{i}", group=h.nodes[nid].group, parent=root.id, origin=(h.name, nid)
+                )
+                nodes[child.id] = child
+                root.children[f"w{i}"] = child.id
+                homes.append((nid, child.id))
+        term_complexes = {}
+        for nid, home in homes:
+            x = term_complexes[home] = complexes.get(nid)
+            placements[nid] = {fid: (v, home) for fid in (x.faces if x is not None else ())}
+        structures[v] = HStructure(
+            hierarchy=Hierarchy(name=f"{h.name}@{v}", root=root.id, nodes=nodes),
+            terminal_complexes=term_complexes,
+        )
+    return structures, placements
+
+
 def passdown_structure(k: HStructure, tl, tables: RestrictionTable = None, groups: GroupTable = None) -> PassdownResult:
     """Pass an H-structure down over a tree whose terminal groups are
     slender or elliptic: covolume is preserved exactly.
@@ -480,11 +521,9 @@ def passdown_structure(k: HStructure, tl, tables: RestrictionTable = None, group
             )
         claims[node.id] = tl.tree.orbit[target]
 
-    gog = tl.gog
-    structures = {}
-    placements = defaultdict(dict)
     if tables is not None:
-        kv_map = passdown_hierarchy(gog, h, tables, groups)
+        structures, placements = {}, {}
+        kv_map = passdown_hierarchy(tl.gog, h, tables, groups)
         for v, kv in kv_map.items():
             complexes = {}
             for node in kv.terminals():
@@ -514,45 +553,10 @@ def passdown_structure(k: HStructure, tl, tables: RestrictionTable = None, group
                 }
             structures[v] = HStructure(hierarchy=kv, terminal_complexes=complexes)
     else:
-        for v in sorted(gog.vertices):
-            gv = gog.vertices[v]
-            claimed = sorted(nid for nid, tv in claims.items() if tv == v)
-            nodes = {}
-            root = HNode(id=f"{v}.root", group=gv)
-            nodes[root.id] = root
-            complexes = {}
-            merged = [nid for nid in claimed if groups.equal(h.nodes[nid].group, gv)]
-            if merged and len(claimed) == 1:
-                root.origin = (h.name, merged[0])
-                complexes[root.id] = k.terminal_complexes.get(merged[0])
-                placements[merged[0]] = {
-                    fid: (v, root.id, fid)
-                    for fid in (complexes[root.id].faces if complexes[root.id] else ())
-                }
-            elif claimed:
-                verts = {}
-                for i, nid in enumerate(claimed):
-                    verts[f"w{i}"] = h.nodes[nid].group
-                action = make_gog(f"{h.name}@{v}.claims", verts, {}, groups=groups)
-                root.action = action
-                for i, nid in enumerate(claimed):
-                    child = HNode(
-                        id=f"{v}.t{i}",
-                        group=h.nodes[nid].group,
-                        parent=root.id,
-                        origin=(h.name, nid),
-                    )
-                    nodes[child.id] = child
-                    root.children[f"w{i}"] = child.id
-                    complexes[child.id] = k.terminal_complexes.get(nid)
-                    placements[nid] = {
-                        fid: (v, child.id, fid)
-                        for fid in (complexes[child.id].faces if complexes[child.id] else ())
-                    }
-            structures[v] = HStructure(
-                hierarchy=Hierarchy(name=f"{h.name}@{v}", root=root.id, nodes=nodes),
-                terminal_complexes=complexes,
-            )
+        structures, homes = _distribute(h, tl.gog, claims, k.terminal_complexes, groups)
+        placements = {
+            nid: {fid: home + (fid,) for fid, home in per_face.items()} for nid, per_face in homes.items()
+        }
 
     total = sum(structure_covolume(s) for s in structures.values())
     if total != structure_covolume(k):
@@ -567,7 +571,7 @@ def passdown_structure(k: HStructure, tl, tables: RestrictionTable = None, group
         structures=structures,
         ledger={"input": structure_covolume(k), "output": total},
         fragments=fragments,
-        placements=dict(placements),
+        placements=placements,
     )
 
 
@@ -582,22 +586,14 @@ class TreeLevel:
     actions: ActionTable
     gog: GraphOfGroups
     jsj: bool = False
-    stabplus_overrides: dict = field(default_factory=dict)  # edge orbit -> group id
 
 
-def make_tree_level(name, tree, actions, groups, jsj=False, flags=None, overrides=None) -> TreeLevel:
+def make_tree_level(name, tree, actions, groups, jsj=False, flags=None) -> TreeLevel:
     orbit_flags = None
     if flags:
         orbit_flags = {tree.orbit.get(v, v): f for v, f in flags.items()}
     gog = _quotient_tree_gog(name, tree, flags=orbit_flags, jsj=jsj, groups=groups)
-    return TreeLevel(
-        name=name,
-        tree=tree,
-        actions=actions,
-        gog=gog,
-        jsj=jsj,
-        stabplus_overrides=dict(overrides or {}),
-    )
+    return TreeLevel(name=name, tree=tree, actions=actions, gog=gog, jsj=jsj)
 
 
 def _copy_hierarchy(h: Hierarchy) -> Hierarchy:
@@ -755,21 +751,9 @@ def passdown_full(k: HStructure, tl: TreeLevel, groups: GroupTable = None, no_di
                     img = res.vertex_image[v]
                     if img in tl.tree.vertices:
                         anchors.add(img)
-            comps = []
-            seen = set()
-            adj = tl.tree.adjacency()
-            for start in sorted(tl.tree.vertices):
-                if start in seen:
-                    continue
-                comp = {start}
-                todo = [start]
-                while todo:
-                    for w, eid in adj[todo.pop()].items():
-                        if eid not in cut and w not in comp:
-                            comp.add(w)
-                            todo.append(w)
-                seen |= comp
-                comps.append(comp)
+            comps = graphs.components(
+                tl.tree.vertices, (ends for eid, ends in tl.tree.edges.items() if eid not in cut)
+            )
             holding = [c for c in comps if c & anchors]
             if len(holding) > 1:
                 raise EngineError("a collapsed piece maps across a collapsed midpoint")
@@ -799,39 +783,7 @@ def passdown_full(k: HStructure, tl: TreeLevel, groups: GroupTable = None, no_di
     if ledger["collapsed"] > ledger["cutpoint-split"]:
         raise EngineError("covolume grew during the track collapse")
 
-    # distribute: every vertex orbit receives the terminals it claims
-    structures = {}
-    placements = defaultdict(dict)
-    for v in sorted(tl.gog.vertices):
-        gv = tl.gog.vertices[v]
-        claimed = sorted(nid for nid, tv in claims.items() if tv == v and complexes.get(nid) is not None)
-        nodes = {}
-        root = HNode(id=f"{v}.root", group=gv)
-        nodes[root.id] = root
-        term_complexes = {}
-        if len(claimed) == 1 and groups.equal(h.nodes[claimed[0]].group, gv):
-            nid = claimed[0]
-            root.origin = (h.name, nid)
-            term_complexes[root.id] = complexes[nid]
-            for fid in complexes[nid].faces:
-                placements[nid][fid] = (v, root.id)
-        elif claimed:
-            verts = {f"w{i}": h.nodes[nid].group for i, nid in enumerate(claimed)}
-            root.action = make_gog(f"{h.name}@{v}.claims", verts, {}, groups=groups)
-            for i, nid in enumerate(claimed):
-                child = HNode(
-                    id=f"{v}.t{i}", group=h.nodes[nid].group, parent=root.id, origin=(h.name, nid)
-                )
-                nodes[child.id] = child
-                root.children[f"w{i}"] = child.id
-                term_complexes[child.id] = complexes[nid]
-                for fid in complexes[nid].faces:
-                    placements[nid][fid] = (v, child.id)
-        structures[v] = HStructure(
-            hierarchy=Hierarchy(name=f"{h.name}@{v}", root=root.id, nodes=nodes),
-            terminal_complexes=term_complexes,
-        )
-
+    structures, placements = _distribute(h, tl.gog, claims, complexes, groups)
     total = sum(structure_covolume(s) for s in structures.values())
     ledger["output"] = total
     if total > ledger["collapsed"]:

@@ -139,7 +139,8 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
     script = fx.pipelines[name]
     config = fx.config
     config.validate()
-    groups = fx.groups
+    groups = fx.groups.copy()  # the run mints into its own table; fx stays as parsed
+    tables = {}  # tree name -> action table over the run's groups
     diagnostics = []
 
     root_struct = fx.structures[script.root_structure]
@@ -164,10 +165,12 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                     f"script node {nid!r} has no tree but the horizon is not reached; "
                     "stall the branch with a point tree instead"
                 )
+            if node.tree not in tables:
+                tables[node.tree] = fx.action_table(node.tree).over(groups)
             tl = make_tree_level(
                 node.tree,
                 fx.trees[node.tree],
-                fx.action_table(node.tree),
+                tables[node.tree],
                 groups,
                 jsj=node.tree in fx.jsj_trees,
             )

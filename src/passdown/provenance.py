@@ -8,6 +8,7 @@ triangle maps of the stability analysis are compositions of these.
 
 from dataclasses import dataclass, field
 
+from .complexes import reduce_with_map, validate_complex, wire_incidence_declarations
 from .errors import EngineError
 
 
@@ -61,3 +62,23 @@ class TauFragment:
             img = self.triangle_map.get(t)
             if img is not None and fe not in target.faces[img]:
                 raise EngineError(f"provenance image side {fe!r} is not a side of {img!r}")
+
+
+def reduce_collapsed(collapsed, groups):
+    """Finish a collapse: record the incidence containments of the freshly
+    built complex, validate it and reduce it.  Returns (reduced complex,
+    fragment of the reduction step)."""
+    wire_incidence_declarations(collapsed, groups)
+    validate_complex(collapsed, groups)
+    reduced, red_map = reduce_with_map(collapsed, groups)
+    frag = TauFragment(
+        triangle_map={f: red_map[f] for f in collapsed.triangles()},
+        edge_map={
+            (f, e): red_map[e]
+            for f in collapsed.triangles()
+            if red_map[f] is not None
+            for e in collapsed.faces[f]
+        },
+        vertex_map={v: red_map[v] for v in collapsed.vertices},
+    )
+    return reduced, frag

@@ -12,20 +12,13 @@ comes with an action table mapping group ids to generator descriptors
 Group ids without an entry inherit the entry of a declared supergroup.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .complexes import (
-    Complex2,
-    covolume,
-    quotient_labels,
-    reduce_with_map,
-    validate_complex,
-    wire_incidence_declarations,
-)
+from . import graphs
+from .complexes import Complex2, covolume, quotient_labels
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError
 from .groups import TRIVIAL, GroupTable
-from .provenance import TauFragment
+from .provenance import TauFragment, reduce_collapsed
 from .trees import (
     DIHEDRAL,
     ELLIPTIC,
@@ -34,6 +27,7 @@ from .trees import (
     PARABOLIC,
     TreeHat,
     classify_subgroup_action,
+    _vertex_path,
     reduced_path,
 )
 
@@ -66,6 +60,13 @@ class ActionTable:
         if not self.tree.is_ideal(end):
             raise FixtureError(f"parabolic end {end!r} is not an ideal point")
         self._parabolic[gid] = end
+
+    def over(self, groups: GroupTable) -> "ActionTable":
+        """The same annotations read against another group table."""
+        out = ActionTable(self.tree, groups)
+        out._descriptors = {gid: list(ds) for gid, ds in self._descriptors.items()}
+        out._parabolic = dict(self._parabolic)
+        return out
 
     def has_entry(self, gid):
         return gid in self._descriptors or gid in self._parabolic or gid == TRIVIAL
@@ -157,29 +158,15 @@ def w_components(x: Complex2, t: TreeHat, actions: ActionTable, no_dinfty=True):
                         "a subgroup of an elliptic group cannot act linearly"
                     )
 
-    parent = {}
-
-    def find(c):
-        parent.setdefault(c, c)
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
+    uf = graphs.UnionFind(linear_cells)
     for eid in x.edges:
         if eid in linear_cells:
             u, v = x.edges[eid]
-            for a, b in ((eid, u), (eid, v)):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[max(ra, rb)] = min(ra, rb)
-    members = defaultdict(set)
-    for cell in linear_cells:
-        members[find(cell)].add(cell)
+            uf.union(eid, u)
+            uf.union(eid, v)
 
     out = []
-    for rep in sorted(members):
-        cells = members[rep]
+    for cells in uf.classes().values():
         axes = {tuple(sorted(actions.resolved(x.stab[c]).axis)) for c in cells}
         if len(axes) != 1:
             raise ConsistencyError(
@@ -216,21 +203,11 @@ class Resolution:
         return self.edge_path[eid].edge_ids(self.target)
 
 
-def smallest_id_choice(vertex, fixed):
-    return min(fixed)
-
-
-def build_resolution(
-    x: Complex2,
-    t: TreeHat,
-    actions: ActionTable,
-    fixed_vertex_choice=smallest_id_choice,
-    no_dinfty=True,
-) -> Resolution:
+def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable, no_dinfty=True) -> Resolution:
     """Dunwoody-Delzant-Potyagailo resolution of ``x`` over ``t``.
 
     Every cell stabilizer must fix a point of the tree-with-boundary:
-    elliptic cells go to a deterministically chosen fixed vertex, cells of
+    elliptic cells go to their least fixed vertex, cells of
     a linear subcomplex go to that subcomplex's chosen ideal endpoint,
     declared-parabolic cells go to their fixed end.  Edge images are the
     reduced paths between endpoint images; an edge whose endpoints share
@@ -260,7 +237,7 @@ def build_resolution(
         if act.kind == ELLIPTIC:
             if not act.fixed:
                 raise ConsistencyError(f"vertex {v!r} has an empty fixed subtree")
-            vertex_image[v] = fixed_vertex_choice(v, act.fixed)
+            vertex_image[v] = min(act.fixed)
         elif act.kind == PARABOLIC:
             vertex_image[v] = act.end
         else:
@@ -288,9 +265,9 @@ def build_resolution(
                     f"edge {eid!r} runs between two ends but its stabilizer does not "
                     "fix a tree vertex"
                 )
-            anchor = fixed_vertex_choice(eid, act.fixed)
+            anchor = min(act.fixed)
             core = path.vertices
-            dist = {w: len(_tree_walk(t, w, anchor)) for w in core}
+            dist = {w: len(_vertex_path(t, w, anchor)) for w in core}
             sym_through[eid] = min(core, key=lambda w: (dist[w], w))
 
     kind = CONTRACTING if any(p.constant_ideal is not None for p in edge_path.values()) else SPLITTING
@@ -306,12 +283,6 @@ def build_resolution(
     )
     validate_resolution(res)
     return res
-
-
-def _tree_walk(t, a, b):
-    from .trees import _vertex_path
-
-    return _vertex_path(t, a, b)
 
 
 def resolution_from_images(x: Complex2, t: TreeHat, vertex_image, actions=None) -> Resolution:
@@ -383,30 +354,16 @@ def contract(res: Resolution, groups: GroupTable = None):
         raise EngineError("contracting resolution without boundary edges")
     ideal_verts = res.ideal_vertices()
 
-    parent = {}
-
-    def find(c):
-        parent.setdefault(c, c)
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
+    uf = graphs.UnionFind()
+    find = uf.find
     for eid in boundary_edges:
-        u, v = x.edges[eid]
-        ra, rb = find(u), find(v)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    comps = defaultdict(set)
-    for v in ideal_verts:
-        comps[find(v)].add(v)
+        uf.union(*x.edges[eid])
 
     comp_vertex = {}
     image_override = {}
     extra_stab = {}
     ref_by_signature = {}
-    for rep in sorted(comps):
-        members = comps[rep]
+    for rep, members in uf.classes(ideal_verts).items():
         images = {res.vertex_image[v] for v in members}
         if len(images) != 1:
             raise EngineError("one collapsed component maps to several ideal points")
@@ -463,9 +420,7 @@ def contract(res: Resolution, groups: GroupTable = None):
         ),
         stab_plus=stab_plus,
     )
-    wire_incidence_declarations(collapsed, groups)
-    validate_complex(collapsed, groups)
-    xc, red_map = reduce_with_map(collapsed, groups)
+    xc, frag_reduce = reduce_collapsed(collapsed, groups)
 
     frag_collapse = TauFragment(
         triangle_map={f: face_map[f] if face_map[f] in collapsed.faces and len(collapsed.faces.get(face_map[f], ())) == 3 else None for f in x.triangles()},
@@ -477,16 +432,6 @@ def contract(res: Resolution, groups: GroupTable = None):
             if edge_map[e] is not None
         },
         vertex_map=vertex_map,
-    )
-    frag_reduce = TauFragment(
-        triangle_map={f: red_map[f] for f in collapsed.triangles()},
-        edge_map={
-            (f, e): red_map[e]
-            for f in collapsed.triangles()
-            if red_map[f] is not None
-            for e in collapsed.faces[f]
-        },
-        vertex_map={v: red_map[v] for v in collapsed.vertices},
     )
     frag = frag_collapse.compose(frag_reduce)
     frag.check_consistency(x, xc)

@@ -9,7 +9,8 @@ Everything here is horizon-relative: a finite run can only certify
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .complexes import Complex2, covolume, cutpoints, subcomplex
+from . import graphs
+from .complexes import Complex2, components, covolume, cutpoints, subcomplex
 from .errors import EngineError, FixtureError, HypothesisError, LinkCapError
 from .groups import GroupTable
 
@@ -184,28 +185,12 @@ def equivalence_classes(run: RunView, n: int, ps: PairSet = None, groups=None):
     """Classes of the relation generated by stable pairs, one per triangle
     at least; each class induces a connected, cutpoint-free subcomplex."""
     ps = ps if ps is not None else stable_pairs(run, n)
-    parent = {}
-
-    def find(k):
-        parent.setdefault(k, k)
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for key in run.levels[n].triangles():
-        find(key)
+    triangles = run.levels[n].triangles()
+    uf = graphs.UnionFind(triangles)
     for pair in ps.pairs:
-        a, b = find((pair.cid, pair.t1)), find((pair.cid, pair.t2))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-
-    members = defaultdict(set)
-    for key in run.levels[n].triangles():
-        members[find(key)].add(key)
+        uf.union((pair.cid, pair.t1), (pair.cid, pair.t2))
     out = []
-    for i, rep in enumerate(sorted(members)):
-        keys = members[rep]
+    for i, keys in enumerate(uf.classes(triangles).values()):
         cids = {cid for cid, _ in keys}
         if len(cids) != 1:
             raise EngineError("an equivalence class straddles complexes")
@@ -233,48 +218,11 @@ class BipartiteBW:
     edges: tuple  # (class id, edge id)
 
     def is_tree(self):
-        nodes = set(self.class_nodes) | set(self.edge_nodes)
-        if len(nodes) <= 1:
-            return True
-        adj = defaultdict(set)
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        start = sorted(nodes)[0]
-        seen = {start}
-        todo = [start]
-        while todo:
-            for w in adj[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen == nodes and len(set(self.edges)) == len(nodes) - 1
+        return graphs.is_tree(self.class_nodes + self.edge_nodes, self.edges)
 
     def has_cycle(self):
         nodes = set(self.class_nodes) | set(self.edge_nodes)
-        return len(set(self.edges)) > len(nodes) - _component_count(nodes, self.edges)
-
-
-def _component_count(nodes, edges):
-    adj = defaultdict(set)
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = set()
-    count = 0
-    for start in sorted(nodes):
-        if start in seen:
-            continue
-        count += 1
-        comp = {start}
-        todo = [start]
-        while todo:
-            for w in adj[todo.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    todo.append(w)
-        seen |= comp
-    return count
+        return len(set(self.edges)) > len(nodes) - len(graphs.components(nodes, self.edges))
 
 
 def build_bw(x: Complex2, classes, groups: GroupTable = None):
@@ -297,24 +245,15 @@ def build_bw(x: Complex2, classes, groups: GroupTable = None):
     if groups is None:
         return bw, bw
     # collapse: merge the classes around each non-slender shared edge
-    parent = {}
-
-    def find(k):
-        parent.setdefault(k, k)
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
+    uf = graphs.UnionFind()
+    find = uf.find
     dropped = set()
     for e in shared:
         if not groups.slender(x.stab[e]):
             dropped.add(e)
             cids = sorted(edge_classes[e])
             for c in cids[1:]:
-                a, b = find(cids[0]), find(c)
-                if a != b:
-                    parent[max(a, b)] = min(a, b)
+                uf.union(cids[0], c)
     merged_nodes = sorted({find(c.id) for c in classes})
     edges = []
     for e in shared:
@@ -534,7 +473,7 @@ def cone_pushforward(cone: Cone, res, ts_star, frag, xt: Complex2) -> Pushforwar
             )
     images = [frag.triangle_map.get(f) for f in cone.fan]
     # keep only triangles in the component of the new center
-    comp = _component_of(xt, new_center)
+    comp = next(c for c in components(xt) if new_center in c)
     kept = [img for img in images if img is not None and xt.face_vertices(img) <= comp]
     dedup = []
     for img in kept:
@@ -559,18 +498,6 @@ def cone_pushforward(cone: Cone, res, ts_star, frag, xt: Complex2) -> Pushforwar
         used_track=used,
         new_adjacencies=tuple(sorted(set(new_adj))),
     )
-
-
-def _component_of(x: Complex2, v):
-    adj = x.adjacency()
-    comp = {v}
-    todo = [v]
-    while todo:
-        for w, _ in adj[todo.pop()]:
-            if w not in comp:
-                comp.add(w)
-                todo.append(w)
-    return comp
 
 
 def _sources_adjacent(x: Complex2, src, dst):
@@ -647,7 +574,6 @@ class StabilizationReport:
     n_dprime: int
     class_counts: tuple
     acc_alerts: tuple
-    notes: tuple = ()
 
 
 def _sigma(run, n, classes_n, classes_n1):
@@ -677,7 +603,6 @@ def stabilization_report(run: RunView, link_cap=DEFAULT_LINK_CAP) -> Stabilizati
     ledger = [lvl.covolume() for lvl in run.levels]
     n_delta = detect_n_delta(ledger)
     horizon = run.horizon
-    notes = []
 
     classes = {}
     pair_sets = {}
@@ -766,7 +691,6 @@ def stabilization_report(run: RunView, link_cap=DEFAULT_LINK_CAP) -> Stabilizati
         n_dprime=n_dprime,
         class_counts=counts,
         acc_alerts=tuple(alerts),
-        notes=tuple(notes),
     )
 
 

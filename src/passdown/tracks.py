@@ -12,18 +12,11 @@ analysis.
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .complexes import (
-    Complex2,
-    covolume,
-    h1_z2,
-    is_connected,
-    reduce_with_map,
-    validate_complex,
-    wire_incidence_declarations,
-)
+from . import graphs
+from .complexes import Complex2, covolume, h1_z2, is_connected
 from .errors import EngineError, FixtureError, HypothesisError, TruncationError
 from .groups import GroupTable
-from .provenance import TauFragment
+from .provenance import TauFragment, reduce_collapsed
 from .resolution import SPLITTING, Resolution
 
 
@@ -50,12 +43,6 @@ class TrackSystem:
     resolution: Resolution
     tracks: tuple
 
-    def by_id(self, tid):
-        for tr in self.tracks:
-            if tr.id == tid:
-                return tr
-        raise KeyError(tid)
-
     def track_at(self, eid, f):
         for tr in self.tracks:
             if tr.tree_edge == f and eid in tr.points:
@@ -64,29 +51,6 @@ class TrackSystem:
 
     def crossing_indicator(self, eid, f):
         return self.track_at(eid, f) is not None
-
-
-def _complement_sides(x: Complex2, cut_edges):
-    adj = defaultdict(set)
-    for eid, (u, v) in x.edges.items():
-        if eid not in cut_edges:
-            adj[u].add(v)
-            adj[v].add(u)
-    seen = set()
-    sides = []
-    for start in sorted(x.vertices):
-        if start in seen:
-            continue
-        comp = {start}
-        todo = [start]
-        while todo:
-            for w in adj[todo.pop()]:
-                if w not in comp:
-                    comp.add(w)
-                    todo.append(w)
-        seen |= comp
-        sides.append(frozenset(comp))
-    return tuple(sides)
 
 
 def tracks_from_resolution(res: Resolution) -> TrackSystem:
@@ -115,39 +79,31 @@ def tracks_from_resolution(res: Resolution) -> TrackSystem:
                 )
             arcs[f][fid] = tuple(sorted(crossed))
 
-    parent = {}
-
-    def find(p):
-        parent.setdefault(p, p)
-        while parent[p] != p:
-            parent[p] = parent[parent[p]]
-            p = parent[p]
-        return p
-
+    uf = graphs.UnionFind()
     points = defaultdict(set)  # tree edge -> point keys (eid)
     for eid, fs in crossings.items():
         for f in fs:
             points[f].add(eid)
     for f, per_face in arcs.items():
         for fid, (e1, e2) in per_face.items():
-            a, b = find((f, e1)), find((f, e2))
-            if a != b:
-                parent[max(a, b)] = min(a, b)
+            uf.union((f, e1), (f, e2))
 
     ideal = res.ideal_vertices()
     marked = set(x.boundary_marked)
     tracks = []
     counter = 0
     for f in sorted(points):
-        comps = defaultdict(set)
-        for eid in sorted(points[f]):
-            comps[find((f, eid))].add(eid)
-        for rep in sorted(comps):
-            eids = comps[rep]
+        for keys in uf.classes((f, eid) for eid in points[f]).values():
+            eids = {eid for _f, eid in keys}
             track_arcs = {
                 fid: pair for fid, pair in arcs.get(f, {}).items() if pair[0] in eids or pair[1] in eids
             }
-            sides = _complement_sides(x, eids)
+            sides = tuple(
+                frozenset(c)
+                for c in graphs.components(
+                    x.vertices, (ends for eid, ends in x.edges.items() if eid not in eids)
+                )
+            )
             infinite = tuple(bool(s & marked) or bool(s & ideal) for s in sides)
             tracks.append(
                 Track(
@@ -383,10 +339,7 @@ def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: G
         boundary_marked=frozenset((x.boundary_marked & new_vertices) | marked_points),
         stab_plus=seg_plus,
     )
-    wire_incidence_declarations(collapsed, groups)
-    validate_complex(collapsed, groups)
-
-    xt, red_map = reduce_with_map(collapsed, groups)
+    xt, frag_reduce = reduce_collapsed(collapsed, groups)
 
     frag_collapse = TauFragment(
         triangle_map=dict(tri_map),
@@ -394,18 +347,8 @@ def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: G
         vertex_map={v: (None if v in removed else v) for v in x.vertices},
         track_point=dict(point_vertex),
     )
-    frag_reduce = TauFragment(
-        triangle_map={f: red_map[f] for f in collapsed.triangles()},
-        edge_map={
-            (f, e): red_map[e]
-            for f in collapsed.triangles()
-            if red_map[f] is not None
-            for e in collapsed.faces[f]
-        },
-        vertex_map={v: red_map[v] for v in collapsed.vertices},
-    )
     frag = frag_collapse.compose(frag_reduce)
-    frag.track_point = {tid: red_map.get(vid, vid) for tid, vid in point_vertex.items()}
+    frag.track_point = {tid: frag_reduce.vertex_map.get(vid, vid) for tid, vid in point_vertex.items()}
     frag.check_consistency(x, xt)
 
     if covolume(xt) > covolume(x):

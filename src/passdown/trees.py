@@ -12,6 +12,7 @@ ideal points plus the finite geodesic core between their leaves, so the
 from collections import defaultdict
 from dataclasses import dataclass
 
+from . import graphs
 from .errors import ConsistencyError, FixtureError, HypothesisError
 from .groups import GroupTable
 
@@ -33,12 +34,6 @@ class TreeHat:
             adj[u][v] = eid
             adj[v][u] = eid
         return adj
-
-    def edge_between(self, u, v):
-        for eid, ends in self.edges.items():
-            if set(ends) == {u, v}:
-                return eid
-        raise FixtureError(f"no tree edge between {u!r} and {v!r}")
 
     def is_ideal(self, point):
         return point in self.ideal_points
@@ -74,16 +69,9 @@ def validate_tree(t: TreeHat, groups: GroupTable = None):
             raise FixtureError(f"tree edge {eid!r} is malformed")
     if len(t.edges) != len(t.vertices) - 1:
         raise FixtureError("tree must satisfy |E| = |V| - 1")
-    adj = t.adjacency()
-    seen = {next(iter(sorted(t.vertices)))}
-    todo = list(seen)
-    while todo:
-        for w in adj[todo.pop()]:
-            if w not in seen:
-                seen.add(w)
-                todo.append(w)
-    if seen != t.vertices:
+    if len(graphs.components(t.vertices, t.edges.values())) != 1:
         raise FixtureError("tree is disconnected")
+    adj = t.adjacency()
     used_leaves = {}
     for pid, ray in t.ideal_points.items():
         if pid in t.vertices or pid in t.edges:
@@ -213,7 +201,7 @@ def _check_descriptor(d: ActionDescriptor, t: TreeHat):
         missing = set(d.fixed) - t.vertices
         if missing:
             raise FixtureError(f"elliptic fixed set mentions missing vertices {sorted(missing)}")
-        if not _is_subtree(t, d.fixed):
+        if len(graphs.components(d.fixed, t.edges.values())) != 1:
             raise FixtureError("elliptic fixed set is not a connected subtree")
     elif d.kind == HYPERBOLIC:
         if len(set(d.ends)) != 2:
@@ -225,20 +213,6 @@ def _check_descriptor(d: ActionDescriptor, t: TreeHat):
             raise FixtureError("translation length must be positive")
     else:
         raise FixtureError(f"unknown descriptor kind {d.kind!r}")
-
-
-def _is_subtree(t, verts):
-    verts = set(verts)
-    adj = t.adjacency()
-    start = next(iter(sorted(verts)))
-    seen = {start}
-    todo = [start]
-    while todo:
-        for w in adj[todo.pop()]:
-            if w in verts and w not in seen:
-                seen.add(w)
-                todo.append(w)
-    return seen == verts
 
 
 def axis_core(t: TreeHat, ends) -> tuple:

@@ -157,8 +157,24 @@ class TestCommands:
 
     def test_malformed_fixture_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
-        bad.write_text("complex X\n  triangle t a b c\nend\n")
-        assert main(["h1", str(bad), "--complex", "X"]) == 2
+        for text in ("complex X\n  triangle t a b c\nend\n", "a=b\n"):
+            bad.write_text(text)
+            assert main(["h1", str(bad), "--complex", "X"]) == 2
+        assert "line 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["h1", "--complex", "NOPE"],
+            ["classify", "--tree", "NOPE", "--group", "Gab"],
+            ["classify", "--tree", "T0", "--group", "NOPE"],
+            ["passdown", "--structure", "NOPE", "--tree", "T0"],
+        ],
+    )
+    def test_unknown_name_exit_code(self, argv, capsys):
+        argv = argv[:1] + [fixture("worked_terminating.txt")] + argv[1:]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_dot_export(self, tmp_path, capsys):
         rc = main(
@@ -208,6 +224,11 @@ class TestPipelines:
         r1 = run_pipeline(fx1, "worked").render()
         r2 = run_pipeline(fx2, "worked").render()
         assert r1 == r2
+        # runs are isolated: a second run on the same fixture set mints
+        # into its own group table and reports the same
+        ids = fx1.groups.ids()
+        assert run_pipeline(fx1, "worked").render() == r1
+        assert fx1.groups.ids() == ids
 
 
 class TestExports:
