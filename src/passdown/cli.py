@@ -181,9 +181,7 @@ def main(argv=None) -> int:
 
                 n = report.certificate_level
                 if n is not None:
-                    from .stability import equivalence_classes
-
-                    classes = equivalence_classes(report.run, n, None, report.run.groups)
+                    classes = report.classes[n]
                     for cid in sorted(report.run.levels[n].complexes):
                         x = report.run.levels[n].complexes[cid]
                         cls = [c for c in classes if c.cid == cid]

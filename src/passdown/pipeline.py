@@ -15,7 +15,6 @@ from .stability import (
     TauMap,
     build_bw,
     cone_criterion_check,
-    equivalence_classes,
     stabilization_report,
 )
 
@@ -44,6 +43,7 @@ class RunReport:
     acc_alerts: tuple
     diagnostics: tuple
     run: RunView = None
+    classes: dict = None  # level -> equivalence classes, shared with the stabilization report
 
     @property
     def exit_code(self):
@@ -53,7 +53,7 @@ class RunReport:
         out = [
             f"pipeline {self.pipeline} (seed {self.seed}, horizon {self.horizon})",
             "covolume ledger: " + " ".join(str(c) for c in self.ledger),
-            f"N_delta={self.n_delta} N'={self._fmt(self.n_prime)} N''={self._fmt(self.n_dprime)}"
+            f"N_delta={self.n_delta} N'={self.n_prime} N''={self.n_dprime}"
             f" (horizon-relative)",
         ]
         for line in self.certificates:
@@ -76,10 +76,6 @@ class RunReport:
             out.append(f"note: {d}")
         out.append(f"exit {self.exit_code}")
         return "\n".join(out) + "\n"
-
-    @staticmethod
-    def _fmt(v):
-        return "-" if v is None else str(v)
 
 
 def _effective(script: PipelineScript, nid):
@@ -211,20 +207,14 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
         active = next_active
 
     run = RunView(levels=levels, taus=taus, groups=groups)
-    report = stabilization_report(run, link_cap=config.link_cap)
+    report = stabilization_report(run)
     ledger = tuple(lvl.covolume() for lvl in levels)
 
     certificates = []
     certificate_level = None
-    floor = max(
-        report.n_delta,
-        report.n_prime if report.n_prime is not None else config.horizon + 1,
-        report.n_dprime if report.n_dprime is not None else config.horizon + 1,
-    )
-    for n in range(floor, config.horizon + 1):
-        classes = equivalence_classes(run, n, None, groups)
+    for n in range(report.n_dprime, config.horizon + 1):  # N_delta <= N' <= N''
         per_complex = defaultdict(list)
-        for cls in classes:
+        for cls in report.classes[n]:
             per_complex[cls.cid].append(cls)
         all_ok = True
         lines = []
@@ -254,10 +244,6 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
             if not report.acc_alerts:
                 certificate_level = n
             break
-    if report.n_prime is None:
-        diagnostics.append("class structure did not stabilize within the horizon")
-    if report.n_dprime is None and report.n_prime is not None:
-        diagnostics.append("stable pairs did not pull back within the horizon")
     if report.acc_alerts:
         diagnostics.append(
             "ascending stabilizer chain still growing at the horizon; "
@@ -277,4 +263,5 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
         acc_alerts=report.acc_alerts,
         diagnostics=tuple(diagnostics),
         run=run,
+        classes=report.classes,
     )

@@ -152,10 +152,11 @@ def descends_to_pair(pair: Pair, tri, edge):
     return e1 is not None and e1 == e2
 
 
-def stable_pairs(run: RunView, n: int, horizon: int = None) -> PairSet:
+def stable_pairs(run: RunView, n: int) -> PairSet:
     """Pairs at level n that stay pairs under every computed map up to the
-    horizon."""
-    horizon = run.horizon if horizon is None else horizon
+    horizon, by composing tau from n to each later level.  This is the
+    definition; ``stable_pair_sets`` computes the same sets in one sweep."""
+    horizon = run.horizon
     stable = []
     composed = {}
     for m in range(n + 1, horizon + 1):
@@ -164,6 +165,44 @@ def stable_pairs(run: RunView, n: int, horizon: int = None) -> PairSet:
         if all(descends_to_pair(pair, *composed[m]) for m in composed):
             stable.append(pair)
     return PairSet(level=n, horizon=horizon, pairs=frozenset(stable))
+
+
+def _check_side_images(tau: TauMap, target: LevelData, n: int):
+    """Every side image of tau_n must be a side of the image triangle."""
+    for (key, eid), img_eid in tau.edge.items():
+        img = tau.triangle.get(key)
+        if img is None:
+            continue
+        x = target.complexes.get(img[0])
+        if x is None or img_eid not in x.faces.get(img[1], ()):
+            raise EngineError(f"tau_{n} sends side {eid!r} of {key!r} to {img_eid!r}, not a side of {img!r}")
+
+
+def stable_pair_sets(run: RunView, start: int) -> dict:
+    """The stable-pair sets of levels start..horizon, in one sweep down
+    from the horizon, where every pair is stable.  Below it a pair is
+    stable exactly when tau_n sends both triangles to distinct triangles
+    of one complex and both sides to one edge, and that image pair is
+    stable at n+1; this is exact because every side image is a side of
+    the image triangle, which is checked here."""
+    horizon = run.horizon
+    out = {horizon: PairSet(level=horizon, horizon=horizon, pairs=frozenset(pairs_at(run, horizon)))}
+    for n in range(horizon - 1, start - 1, -1):
+        tau = run.taus[n]
+        _check_side_images(tau, run.levels[n + 1], n)
+        above = out[n + 1].pairs
+        stable = []
+        for pair in pairs_at(run, n):
+            k1, k2 = (pair.cid, pair.t1), (pair.cid, pair.t2)
+            i1, i2 = tau.image(k1), tau.image(k2)
+            if i1 is None or i2 is None or i1 == i2 or i1[0] != i2[0]:
+                continue
+            e = tau.edge_image(k1, pair.edge)
+            if e is not None and e == tau.edge_image(k2, pair.edge):
+                if Pair(cid=i1[0], t1=min(i1[1], i2[1]), t2=max(i1[1], i2[1]), edge=e) in above:
+                    stable.append(pair)
+        out[n] = PairSet(level=n, horizon=horizon, pairs=frozenset(stable))
+    return out
 
 
 @dataclass(frozen=True)
@@ -570,10 +609,11 @@ class AccAlert:
 class StabilizationReport:
     horizon: int
     n_delta: int
-    n_prime: int  # None when not certified within the horizon
-    n_dprime: int
+    n_prime: int  # lowest level from which every step keeps the class structure
+    n_dprime: int  # lowest level >= N' from which every stable pair pulls back
     class_counts: tuple
     acc_alerts: tuple
+    classes: dict  # level -> equivalence classes, for levels N_delta..horizon
 
 
 def _sigma(run, n, classes_n, classes_n1):
@@ -597,91 +637,74 @@ def _sigma(run, n, classes_n, classes_n1):
     return sigma
 
 
-def stabilization_report(run: RunView, link_cap=DEFAULT_LINK_CAP) -> StabilizationReport:
+def _pulls_back(run, n, ps: PairSet):
+    """Each stable pair at n+1 has exactly one preimage triangle on each
+    side, in one complex, sharing a side that tau_n sends to the pair's
+    edge."""
+    tau = run.taus[n]
+    back = defaultdict(list)
+    for key in run.levels[n].triangles():
+        img = tau.image(key)
+        if img is not None:
+            back[img].append(key)
+    for pair in ps.pairs:
+        p1 = back.get((pair.cid, pair.t1), [])
+        p2 = back.get((pair.cid, pair.t2), [])
+        if len(p1) != 1 or len(p2) != 1:
+            return False
+        (k1,), (k2,) = p1, p2
+        if k1[0] != k2[0]:
+            return False
+        x = run.levels[n].complexes[k1[0]]
+        shared = set(x.faces[k1[1]]) & set(x.faces[k2[1]])
+        if not any(tau.edge_image(k1, e) == pair.edge and tau.edge_image(k2, e) == pair.edge for e in shared):
+            return False
+    return True
+
+
+def _first_stable(start, passes):
+    """Lowest n0 >= start with passes[n - start] true for every n >= n0;
+    the horizon, where no step is left, always qualifies."""
+    n0 = start + len(passes)
+    while n0 > start and passes[n0 - 1 - start]:
+        n0 -= 1
+    return n0
+
+
+def stabilization_report(run: RunView) -> StabilizationReport:
     """Horizon-relative N-delta / N' / N'' detection plus the ascending
-    chain monitor on oriented-edge labels along class edges."""
+    chain monitor on oriented-edge labels along class edges.  Pairs,
+    classes and the per-step tests are computed once per level."""
     ledger = [lvl.covolume() for lvl in run.levels]
     n_delta = detect_n_delta(ledger)
     horizon = run.horizon
+    levels = range(n_delta, horizon + 1)
 
-    classes = {}
-    pair_sets = {}
-    for n in range(n_delta, horizon + 1):
-        pair_sets[n] = stable_pairs(run, n)
-        classes[n] = equivalence_classes(run, n, pair_sets[n], run.groups)
+    pair_sets = stable_pair_sets(run, n_delta)
+    classes = {n: equivalence_classes(run, n, pair_sets[n], run.groups) for n in levels}
 
     # Claim-1 and Claim-2 bookkeeping plus sigma bijectivity
-    def class_count(n):
-        sigs = defaultdict(int)
-        for cls in classes[n]:
-            sigs[class_orbit_signature(cls, run.levels[n].complexes[cls.cid])] += 1
-        return len(sigs)
+    counts, edge_orbits = {}, {}
+    for n in levels:
+        x = run.levels[n].complexes
+        counts[n] = len({class_orbit_signature(cls, x[cls.cid]) for cls in classes[n]})
+        edge_orbits[n] = {
+            cls.id: len({x[cls.cid].orbit[e] for f in cls.triangles for e in x[cls.cid].faces[f]})
+            for cls in classes[n]
+        }
 
-    counts = tuple(class_count(n) for n in range(n_delta, horizon + 1))
-    n_prime = None
-    for n0 in range(n_delta, horizon + 1):
-        ok = True
-        for n in range(n0, horizon):
-            sigma = _sigma(run, n, classes[n], classes[n + 1])
-            values = [v for v in sigma.values() if v is not None]
-            if len(values) != len(classes[n]) or len(set(values)) != len(classes[n + 1]):
-                ok = False
-                break
-            if class_count(n) != class_count(n + 1):
-                ok = False
-                break
-            for cls in classes[n]:
-                x_n = run.levels[n].complexes[cls.cid]
-                img_id = sigma[cls.id]
-                img_cls = next(c for c in classes[n + 1] if c.id == img_id)
-                x_n1 = run.levels[n + 1].complexes[img_cls.cid]
-                edges_n = {x_n.orbit[e] for f in cls.triangles for e in x_n.faces[f]}
-                edges_n1 = {x_n1.orbit[e] for f in img_cls.triangles for e in x_n1.faces[f]}
-                if len(edges_n) != len(edges_n1):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            n_prime = n0
-            break
+    def class_step(n):
+        sigma = _sigma(run, n, classes[n], classes[n + 1])
+        values = [v for v in sigma.values() if v is not None]
+        if len(values) != len(classes[n]) or len(set(values)) != len(classes[n + 1]):
+            return False
+        if counts[n] != counts[n + 1]:
+            return False
+        return all(edge_orbits[n][cid] == edge_orbits[n + 1][img] for cid, img in sigma.items())
 
+    n_prime = _first_stable(n_delta, [class_step(n) for n in range(n_delta, horizon)])
     # Claim-3 style pullback: stable pairs pull back to pairs
-    n_dprime = None
-    if n_prime is not None:
-        for n0 in range(n_prime, horizon + 1):
-            ok = True
-            for n in range(n0, horizon):
-                tau = run.taus[n]
-                back = defaultdict(list)
-                for key in run.levels[n].triangles():
-                    img = tau.image(key)
-                    if img is not None:
-                        back[img].append(key)
-                for pair in stable_pairs(run, n + 1).pairs:
-                    p1 = back.get((pair.cid, pair.t1), [])
-                    p2 = back.get((pair.cid, pair.t2), [])
-                    if len(p1) != 1 or len(p2) != 1:
-                        ok = False
-                        break
-                    (k1,), (k2,) = p1, p2
-                    if k1[0] != k2[0]:
-                        ok = False
-                        break
-                    x = run.levels[n].complexes[k1[0]]
-                    shared = set(x.faces[k1[1]]) & set(x.faces[k2[1]])
-                    good = False
-                    for e in shared:
-                        if tau.edge_image(k1, e) == pair.edge and tau.edge_image(k2, e) == pair.edge:
-                            good = True
-                    if not good:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                n_dprime = n0
-                break
+    n_dprime = _first_stable(n_prime, [_pulls_back(run, n, pair_sets[n + 1]) for n in range(n_prime, horizon)])
 
     alerts = acc_monitor(run, n_delta, classes)
     return StabilizationReport(
@@ -689,19 +712,19 @@ def stabilization_report(run: RunView, link_cap=DEFAULT_LINK_CAP) -> Stabilizati
         n_delta=n_delta,
         n_prime=n_prime,
         n_dprime=n_dprime,
-        class_counts=counts,
+        class_counts=tuple(counts[n] for n in levels),
         acc_alerts=tuple(alerts),
+        classes=classes,
     )
 
 
-def acc_monitor(run: RunView, start: int, classes=None):
+def acc_monitor(run: RunView, start: int, classes):
     """Follow each class edge through the levels and compare its
     oriented-edge label with the declared subgroup order; a chain still
-    strictly growing at the final step is an alert."""
+    strictly growing at the final step is an alert.  ``classes`` maps each
+    level from ``start`` to the horizon to its equivalence classes."""
     groups = run.groups
     horizon = run.horizon
-    if classes is None:
-        classes = {n: equivalence_classes(run, n, None, groups) for n in range(start, horizon + 1)}
     chains = {}
     consumed = set()
     for n in range(start, horizon):

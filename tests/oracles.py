@@ -140,3 +140,86 @@ def classification_oracle(descriptors, groups=None):
     if len(shared) == 1:
         return "parabolic"
     return "hyperbolic"
+
+
+def n_prime_oracle(run, n_delta, classes):
+    """N' by its definition: the lowest n0 >= N_delta such that every step
+    from n0 to the horizon is a class bijection keeping the count of class
+    orbit signatures and each class's count of edge orbits.  Re-walks every
+    step for every candidate n0."""
+
+    def sigma(n):
+        tau = run.taus[n]
+        owner = {(c.cid, f): c.id for c in classes[n + 1] for f in c.triangles}
+        out = {}
+        for cls in classes[n]:
+            targets = {owner.get(tau.image((cls.cid, f))) for f in cls.triangles} - {None}
+            if len(targets) > 1:
+                raise ValueError(f"class {cls.id!r} maps into several classes")
+            out[cls.id] = targets.pop() if targets else None
+        return out
+
+    def signatures(n):
+        return len({tuple(sorted(run.levels[n].complexes[c.cid].orbit[f] for f in c.triangles)) for c in classes[n]})
+
+    def edge_orbits(n, cls):
+        x = run.levels[n].complexes[cls.cid]
+        return len({x.orbit[e] for f in cls.triangles for e in x.faces[f]})
+
+    horizon = run.horizon
+    for n0 in range(n_delta, horizon + 1):
+        ok = True
+        for n in range(n0, horizon):
+            s = sigma(n)
+            values = [v for v in s.values() if v is not None]
+            if len(values) != len(classes[n]) or len(set(values)) != len(classes[n + 1]):
+                ok = False
+            elif signatures(n) != signatures(n + 1):
+                ok = False
+            else:
+                for cls in classes[n]:
+                    img = next(c for c in classes[n + 1] if c.id == s[cls.id])
+                    if edge_orbits(n, cls) != edge_orbits(n + 1, img):
+                        ok = False
+                        break
+            if not ok:
+                break
+        if ok:
+            return n0
+    return None
+
+
+def n_dprime_oracle(run, n_prime):
+    """N'' by its definition: the lowest n0 >= N' such that, at every step
+    from n0 to the horizon, each stable pair at n+1 (recomposed by
+    ``stable_pairs``) has exactly one preimage triangle on each side, in
+    one complex, sharing a side that tau_n sends to the pair's edge."""
+    from passdown.stability import stable_pairs
+
+    horizon = run.horizon
+    for n0 in range(n_prime, horizon + 1):
+        ok = True
+        for n in range(n0, horizon):
+            tau = run.taus[n]
+            back = {}
+            for key in run.levels[n].triangles():
+                img = tau.image(key)
+                if img is not None:
+                    back.setdefault(img, []).append(key)
+            for pair in stable_pairs(run, n + 1).pairs:
+                p1 = back.get((pair.cid, pair.t1), [])
+                p2 = back.get((pair.cid, pair.t2), [])
+                if len(p1) != 1 or len(p2) != 1 or p1[0][0] != p2[0][0]:
+                    ok = False
+                    break
+                (k1,), (k2,) = p1, p2
+                x = run.levels[n].complexes[k1[0]]
+                shared = set(x.faces[k1[1]]) & set(x.faces[k2[1]])
+                if not any(tau.edge_image(k1, e) == pair.edge == tau.edge_image(k2, e) for e in shared):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return n0
+    return None

@@ -4,14 +4,18 @@ the committed fixtures.
 Each file in ``tests/golden/`` starts with one ``exit=<code>`` line,
 followed by the command's stdout verbatim.  A refactor that claims to
 keep reports byte-identical must keep these files passing unchanged.
-To regenerate after a deliberate output change, run
+``dot_pipeline_worked/`` holds the DOT files that
+``passdown --dot DIR pipeline`` writes for the worked fixture, byte for
+byte.  To regenerate after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
 import contextlib
 import io
 import os
+import shutil
 import sys
+import tempfile
 
 import pytest
 
@@ -39,11 +43,28 @@ CASES = {
 }
 
 
+DOT_GOLDEN = os.path.join(GOLDEN, "dot_pipeline_worked")
+
+
 def run_case(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = main(argv)
     return f"exit={rc}\n" + out.getvalue()
+
+
+def write_dot(directory):
+    """Run the worked pipeline with ``--dot directory``; returns the exit code."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["--dot", directory, "pipeline", WORKED, "--name", "worked"])
+
+
+def read_dir(directory):
+    out = {}
+    for name in sorted(os.listdir(directory)):
+        with open(os.path.join(directory, name), "rb") as fh:
+            out[name] = fh.read()
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -53,9 +74,18 @@ def test_golden_report(name):
     assert run_case(CASES[name]) == expected
 
 
+def test_golden_dot_export(tmp_path):
+    assert write_dot(str(tmp_path)) == 0
+    assert read_dir(tmp_path) == read_dir(DOT_GOLDEN)
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     for name, argv in sorted(CASES.items()):
         with open(os.path.join(GOLDEN, name + ".txt"), "w") as fh:
             fh.write(run_case(argv))
+    shutil.rmtree(DOT_GOLDEN, ignore_errors=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dot(tmp)
+        shutil.copytree(tmp, DOT_GOLDEN)
     sys.exit(0)

@@ -1,6 +1,15 @@
 import itertools
+import os
+import random
 
 import pytest
+
+from generators import random_edge_glued_complex, random_simplicial_complex
+from oracles import n_dprime_oracle, n_prime_oracle
+from passdown import stability
+from passdown.cli import main
+from passdown.fixtures import parse_fixtures
+from passdown.pipeline import run_pipeline
 
 from passdown.complexes import make_complex
 from passdown.errors import EngineError, HypothesisError, LinkCapError
@@ -20,6 +29,7 @@ from passdown.stability import (
     make_cone,
     pairs_at,
     simple_subcone,
+    stable_pair_sets,
     stable_pairs,
     stabilization_report,
 )
@@ -472,3 +482,193 @@ class TestStabilizationAndAcc:
         run = self.growing_run(levels=5)  # caps at S3 two levels before the horizon
         report = stabilization_report(run)
         assert not report.acc_alerts
+
+
+# ---------------------------------------------------------------------------
+# the one-sweep run analysis against the recomposition definitions
+
+
+def random_fragment(rng, x, y, same, calm=False):
+    """A TauFragment from x to y.  When ``same`` (y is x), a triangle
+    survives, survives with two side images swapped, or merges onto a
+    neighbour; otherwise it merges onto a random triangle of y, each side
+    going to some side of the image.  Any triangle may drop.  Sometimes a
+    second step of drops on y follows.  A ``calm`` step between equal
+    complexes only keeps triangles, some with two side images swapped."""
+    tri, edge = {}, {}
+    targets = sorted(y.triangles())
+    for f in sorted(x.triangles()):
+        r = rng.uniform(0.1, 0.8) if calm else rng.random()
+        sides = x.faces[f]
+        neighbours = [t for t in targets if t != f and set(y.faces[t]) & set(sides)] if same else []
+        if r < 0.1:
+            tri[f] = None
+        elif same and r < 0.8:
+            tri[f] = f
+            images = list(sides)
+            if r >= 0.7:  # swap the images of two sides
+                i, j = rng.sample(range(len(sides)), 2)
+                images[i], images[j] = images[j], images[i]
+            edge.update(((f, e), img) for e, img in zip(sides, images))
+        else:
+            tri[f] = rng.choice(neighbours if neighbours and r < 0.9 else targets)
+            edge.update(((f, e), rng.choice(y.faces[tri[f]])) for e in sides)
+    frag = TauFragment(triangle_map=tri, edge_map=edge, vertex_map={v: None for v in x.vertices})
+    if not calm and rng.random() < 0.3:
+        drops = TauFragment.identity(y)
+        for f in targets:
+            if rng.random() < 0.2:
+                drops.triangle_map[f] = None
+        frag = frag.compose(drops)
+    frag.check_consistency(x, y)
+    return frag
+
+
+def random_run(rng):
+    """Two random complexes carried to a random horizon by random
+    fragments, plus a third one that splits into the other two at a random
+    level, so that N_delta varies; steps from a random level on are calm,
+    so that N' and N'' vary."""
+    fixed = {"A": random_edge_glued_complex(rng, rng.randint(2, 7)), "B": random_simplicial_complex(rng)}
+    extra = random_edge_glued_complex(rng, rng.randint(1, 4))
+    horizon = rng.randint(1, 6)
+    extra_until = rng.randint(0, horizon)
+    calm_from = rng.randint(extra_until, horizon)
+    levels = [
+        LevelData(complexes={**fixed, **({"C": extra} if n < extra_until else {})})
+        for n in range(horizon + 1)
+    ]
+    taus = []
+    for n in range(horizon):
+        tri, edge = {}, {}
+        for cid, x in levels[n].complexes.items():
+            if cid in levels[n + 1].complexes:
+                dsts = [cid]
+            else:  # the vanishing complex splits between the others
+                dsts = [d for d in ("A", "B") if levels[n + 1].complexes[d].triangles()]
+            options = [
+                tau_from_fragment(cid, d, random_fragment(rng, x, levels[n + 1].complexes[d], d == cid, n >= calm_from))
+                for d in dsts
+            ]
+            for f in sorted(x.triangles()):
+                tau = rng.choice(options)
+                tri[(cid, f)] = tau.triangle[(cid, f)]
+                edge.update({(key, e): img for (key, e), img in tau.edge.items() if key == (cid, f)})
+        taus.append(TauMap(triangle=tri, edge=edge))
+    return RunView(levels=levels, taus=taus, groups=GroupTable())
+
+
+class TestRunAnalysisOracles:
+    def test_sweep_and_indices_match_recomposition(self):
+        rng = random.Random(20261017)
+        levels = kept = deeper_prime = deeper_dprime = 0
+        for _ in range(150):
+            run = random_run(rng)
+            sweep = stable_pair_sets(run, 0)
+            assert sorted(sweep) == list(range(run.horizon + 1))
+            for n, ps in sweep.items():
+                assert ps.pairs == stable_pairs(run, n).pairs
+                levels += 1
+                kept += len(ps.pairs)
+            report = stabilization_report(run)
+            for n, classes in report.classes.items():
+                assert classes == equivalence_classes(run, n, None, run.groups)
+            assert report.n_prime == n_prime_oracle(run, report.n_delta, report.classes)
+            assert report.n_dprime == n_dprime_oracle(run, report.n_prime)
+            deeper_prime += report.n_prime > report.n_delta
+            deeper_dprime += report.n_dprime > report.n_prime
+        # the generated runs exercise every branch: kept pairs, N' above
+        # N_delta and N'' above N'
+        assert levels > 400 and kept > 0 and deeper_prime > 0 and deeper_dprime > 0
+
+    def test_swapped_sides_in_a_wheel_delay_n_dprime(self):
+        # three triangles around c; tau_0 swaps the images of t1's sides
+        # ca and ab, which breaks the pair t1|t3 on ca at level 0 only
+        x = make_complex(
+            ["c", "a", "b", "d"],
+            {"ca": ("c", "a"), "cb": ("c", "b"), "cd": ("c", "d"), "ab": ("a", "b"), "bd": ("b", "d"), "da": ("d", "a")},
+            {"t1": ("ca", "ab", "cb"), "t2": ("cb", "bd", "cd"), "t3": ("cd", "da", "ca")},
+        )
+        run = identity_run(x, levels=3)
+        run.taus[0] = tau_from_fragment("X", "X", TauFragment.identity(x))
+        run.taus[0].edge[(("X", "t1"), "ca")] = "ab"
+        run.taus[0].edge[(("X", "t1"), "ab")] = "ca"
+        sweep = stable_pair_sets(run, 0)
+        assert {(p.t1, p.t2) for p in sweep[0].pairs} == {("t1", "t2"), ("t2", "t3")}
+        assert len(sweep[1].pairs) == 3
+        report = stabilization_report(run)
+        assert [len(report.classes[n]) for n in range(3)] == [1, 1, 1]
+        assert (report.n_delta, report.n_prime, report.n_dprime) == (0, 0, 1)
+        assert report.n_prime == n_prime_oracle(run, 0, report.classes)
+        assert report.n_dprime == n_dprime_oracle(run, 0)
+
+    def test_pair_split_between_complexes_is_not_stable(self):
+        # t1 and t2 go to equally named triangles of two different complexes
+        x = strip2()
+        tau = tau_from_fragment("X", "P", TauFragment.identity(x))
+        tau.triangle[("X", "t2")] = ("Q", "t2")
+        run = RunView(
+            levels=[LevelData(complexes={"X": x}), LevelData(complexes={"P": x, "Q": x})],
+            taus=[tau],
+            groups=GroupTable(),
+        )
+        assert stable_pairs(run, 0).pairs == frozenset()
+        assert stable_pair_sets(run, 0)[0].pairs == frozenset()
+
+    def test_side_image_off_the_image_triangle_is_an_engine_error(self):
+        x = strip2()
+        tau = tau_from_fragment("X", "X", TauFragment.identity(x))
+        tau.edge[(("X", "t1"), "ab")] = "cd"  # cd is a side of t2, not of t1
+        run = RunView(levels=[LevelData(complexes={"X": x})] * 2, taus=[tau], groups=GroupTable())
+        with pytest.raises(EngineError, match="not a side"):
+            stable_pair_sets(run, 0)
+        with pytest.raises(EngineError, match="not a side"):
+            stabilization_report(run)
+
+
+WORKED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures", "worked_terminating.txt")
+
+
+class TestRunAnalysisWork:
+    """The run analysis is computed once: call counts, not timings."""
+
+    H = 64
+
+    @pytest.fixture
+    def worked64(self, tmp_path):
+        with open(WORKED) as fh:
+            text = fh.read()
+        assert "horizon=4 " in text
+        path = tmp_path / "worked64.txt"
+        path.write_text(text.replace("horizon=4 ", f"horizon={self.H} "))
+        return str(path)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"compose": [], "stable_pairs": [], "equivalence_classes": [], "_sigma": []}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args[1])  # the level
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(RunView, "compose", counted("compose", RunView.compose))
+        for name in ("stable_pairs", "equivalence_classes", "_sigma"):
+            monkeypatch.setattr(stability, name, counted(name, getattr(stability, name)))
+        return calls
+
+    def test_pipeline_computes_each_level_once(self, worked64, calls):
+        rep = run_pipeline(parse_fixtures([worked64]), "worked")
+        assert rep.horizon == self.H and rep.certificate_level == 1
+        assert calls["compose"] == [] and calls["stable_pairs"] == []
+        assert calls["equivalence_classes"] == list(range(rep.n_delta, self.H + 1))
+        assert calls["_sigma"] == list(range(rep.n_delta, self.H))
+
+    def test_dot_export_reuses_the_classes(self, worked64, calls, tmp_path, capsys):
+        assert main(["--dot", str(tmp_path / "dot"), "pipeline", worked64, "--name", "worked"]) == 0
+        assert sorted(os.listdir(tmp_path / "dot")) == ["w0.a0_o0.t0.bw.dot", "w0.a1_o1.t0.bw.dot"]
+        n_delta = int(capsys.readouterr().out.split("N_delta=")[1].split()[0])
+        assert calls["equivalence_classes"] == list(range(n_delta, self.H + 1))
+        assert calls["compose"] == [] and calls["stable_pairs"] == []
