@@ -20,7 +20,6 @@ from .trees import ActionDescriptor, make_gog, make_tree
 @dataclass
 class PipelineConfig:
     horizon: int = 6
-    link_cap: int = 16
     seed: int = 0
     no_dinfty: bool = True
     relative_class: frozenset = frozenset()
@@ -28,8 +27,6 @@ class PipelineConfig:
     def validate(self):
         if self.horizon < 1:
             raise FixtureError("config: horizon must be at least 1")
-        if self.link_cap < 3:
-            raise FixtureError("config: link-cap must be at least 3")
 
 
 @dataclass
@@ -413,10 +410,14 @@ def _parse_config(fx, parsed):
             fx.config.no_dinfty = True
         if flags.get("allow-dinfty"):
             fx.config.no_dinfty = False
+        unknown = sorted(set(kwargs) - {"horizon", "link-cap", "seed", "relative"})
+        if unknown:
+            raise FixtureError(f"unknown config key {unknown[0]!r}", line=ln)
         if "horizon" in kwargs:
             fx.config.horizon = int(kwargs["horizon"])
-        if "link-cap" in kwargs:
-            fx.config.link_cap = int(kwargs["link-cap"])
+        # link-cap is still accepted and checked, but nothing reads it
+        if "link-cap" in kwargs and int(kwargs["link-cap"]) < 3:
+            raise FixtureError("config: link-cap must be at least 3", line=ln)
         if "seed" in kwargs:
             fx.config.seed = int(kwargs["seed"])
         if "relative" in kwargs:

@@ -63,6 +63,28 @@ def components(nodes, edges):
     return comps
 
 
+def path(edges, a, b):
+    """A shortest vertex tuple from ``a`` to ``b`` along the (u, v) pairs in
+    ``edges``, by breadth-first search; None when no path joins them."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    prev = {a: None}
+    queue = [a]
+    for v in queue:  # the list grows while it is walked
+        for w in adj.get(v, ()):
+            if w not in prev:
+                prev[w] = v
+                queue.append(w)
+    if b not in prev:
+        return None
+    out = [b]
+    while out[-1] != a:
+        out.append(prev[out[-1]])
+    return tuple(out[::-1])
+
+
 def is_tree(nodes, edges):
     """Is the graph a tree?  Edges count as a set of (u, v) pairs; the
     empty graph is a tree and an edge leaving ``nodes`` is never part of

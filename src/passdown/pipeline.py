@@ -6,14 +6,13 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .complexes import Complex2
-from .errors import FixtureError, HypothesisError, LinkCapError
+from .errors import FixtureError, HypothesisError
 from .fixtures import FixtureSet, PipelineScript
 from .hierarchy import HStructure, make_tree_level, passdown_full
 from .stability import (
     LevelData,
     RunView,
     TauMap,
-    build_bw,
     cone_criterion_check,
     stabilization_report,
 )
@@ -26,7 +25,6 @@ class CertificateLine:
     certified: bool
     bw_tree: bool
     bpw_tree: bool
-    detail: str = ""
 
 
 @dataclass
@@ -61,7 +59,6 @@ class RunReport:
             out.append(
                 f"level {line.level} complex {line.cid}: {status}; "
                 f"B_w tree={line.bw_tree} B'_w tree={line.bpw_tree}"
-                + (f"; {line.detail}" if line.detail else "")
             )
         if self.certificate_level is not None:
             out.append(f"certified: every B'_w is a tree at level {self.certificate_level}")
@@ -217,29 +214,20 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
         for cls in report.classes[n]:
             per_complex[cls.cid].append(cls)
         all_ok = True
-        lines = []
         for cid in sorted(run.levels[n].complexes):
             x = run.levels[n].complexes[cid]
             if not x.triangles():
                 continue
-            try:
-                result = cone_criterion_check(x, per_complex[cid], groups, config.link_cap)
-            except LinkCapError as exc:
-                lines.append(CertificateLine(n, cid, False, False, False, detail=str(exc)))
-                all_ok = False
-                continue
-            _bw, bpw = build_bw(x, per_complex[cid], groups)
+            result = cone_criterion_check(x, per_complex[cid], groups)
             line = CertificateLine(
                 level=n,
                 cid=cid,
-                certified=result.certified and bpw.is_tree(),
+                certified=result.certified and result.bpw_tree,
                 bw_tree=result.bw_tree,
-                bpw_tree=bpw.is_tree(),
-                detail="cap reached at " + ",".join(result.cap_hit) if result.cap_hit else "",
+                bpw_tree=result.bpw_tree,
             )
-            lines.append(line)
+            certificates.append(line)
             all_ok = all_ok and line.certified
-        certificates.extend(lines)
         if all_ok:
             if not report.acc_alerts:
                 certificate_level = n

@@ -556,42 +556,48 @@ class ConeCriterionResult:
     certified: bool
     counterexample: Cone
     bw_tree: bool
-    cap_hit: tuple
+    bpw_tree: bool
 
 
-def cone_criterion_check(x: Complex2, classes, groups: GroupTable = None, link_cap=DEFAULT_LINK_CAP) -> ConeCriterionResult:
+def cone_criterion_check(x: Complex2, classes, groups: GroupTable = None) -> ConeCriterionResult:
     """If every simple cone lies inside one class, certify that B_w is a
     tree; otherwise return a violating cone.  The certificate is checked
     against the direct acyclicity test and a disagreement is an engine
     bug."""
-    class_of = {}
-    for cls in classes:
-        for fid in cls.triangles:
-            class_of[fid] = cls.id
-    counterexample = None
-    cap_hit = []
-    for v in sorted(x.vertices):
-        try:
-            cones = enumerate_simple_cones(x, v, link_cap)
-        except LinkCapError:
-            cap_hit.append(v)
-            continue
-        for cone in cones:
-            if len({class_of.get(f) for f in cone.fan}) > 1:
-                counterexample = cone
-                break
-        if counterexample:
-            break
-    bw, _bpw = build_bw(x, classes, groups)
-    certified = counterexample is None and not cap_hit
+    if not x.is_simplicial():
+        raise FixtureError("the cone criterion needs a simplicial complex")
+    counterexample = _straddling_cone(x, {fid: cls.id for cls in classes for fid in cls.triangles})
+    bw, bpw = build_bw(x, classes, groups)
+    certified = counterexample is None
     if certified and bw.has_cycle():
         raise EngineError("certified complex has a cyclic B_w")
-    return ConeCriterionResult(
-        certified=certified,
-        counterexample=counterexample,
-        bw_tree=bw.is_tree(),
-        cap_hit=tuple(cap_hit),
-    )
+    return ConeCriterionResult(certified, counterexample, bw.is_tree(), bpw.is_tree())
+
+
+def _straddling_cone(x: Complex2, class_of):
+    """A simple cone meeting two classes, or None.  Simple cones at v are
+    the simple cycles of v's link, and two link edges lie on one exactly
+    when they share a block (Whitney).  In a block holding two classes,
+    two edges of different classes meet at some u, and the block minus u
+    joins their far ends."""
+    links = defaultdict(dict)  # vertex -> {face id: ends of its link edge}
+    for fid in x.triangles():
+        verts = x.face_vertices(fid)
+        for v in verts:
+            links[v][fid] = tuple(sorted(verts - {v}))
+    for v in sorted(links):
+        link = links[v]
+        for _verts, fids in graphs.blocks({w for ends in link.values() for w in ends}, link):
+            fids = sorted(fids)
+            first = {}  # link vertex -> the first block edge at it
+            for f in fids:
+                for u in link[f]:
+                    f1 = first.setdefault(u, f)
+                    if class_of.get(f1) != class_of.get(f):
+                        (a,), (b,) = set(link[f1]) - {u}, set(link[f]) - {u}
+                        rest = [link[g] for g in fids if u not in link[g]]
+                        return make_cone(x, v, (u,) + graphs.path(rest, a, b))
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -122,23 +122,10 @@ class TreePath:
 
 
 def _vertex_path(t: TreeHat, a, b):
-    adj = t.adjacency()
-    prev = {a: None}
-    todo = [a]
-    while todo:
-        nxt = []
-        for v in todo:
-            if v == b:
-                path = [b]
-                while path[-1] != a:
-                    path.append(prev[path[-1]])
-                return tuple(path[::-1])
-            for w in adj[v]:
-                if w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        todo = nxt
-    raise FixtureError(f"no path between {a!r} and {b!r}")
+    verts = graphs.path(t.edges.values(), a, b)
+    if verts is None:
+        raise FixtureError(f"no path between {a!r} and {b!r}")
+    return verts
 
 
 def reduced_path(t: TreeHat, a, b) -> TreePath:

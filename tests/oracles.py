@@ -223,3 +223,18 @@ def n_dprime_oracle(run, n_prime):
         if ok:
             return n0
     return None
+
+
+def cone_criterion_oracle(x, classes):
+    """The simple cones whose fan meets two or more classes, by
+    enumerating every simple cycle of every vertex link with the link cap
+    lifted; the cone criterion certifies exactly when there are none."""
+    from passdown.stability import enumerate_simple_cones
+
+    class_of = {f: cls.id for cls in classes for f in cls.triangles}
+    return [
+        cone
+        for v in sorted(x.vertices)
+        for cone in enumerate_simple_cones(x, v, link_cap=len(x.vertices))
+        if len({class_of.get(f) for f in cone.fan}) > 1
+    ]

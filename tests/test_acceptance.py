@@ -35,7 +35,7 @@ from passdown.hierarchy import (
 )
 from passdown.pipeline import run_pipeline
 from passdown.resolution import ActionTable
-from passdown.stability import TriangleClass, build_bw, cone_criterion_check
+from passdown.stability import TriangleClass, build_bw, cone_criterion_check, make_cone
 from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolution
 from passdown.trees import ActionDescriptor, classify_subgroup_action, make_tree
 
@@ -45,9 +45,10 @@ from generators import (
     random_edge_glued_complex,
     random_simplicial_complex,
     random_triangle_partition,
+    random_triangle_tree_complex,
     splitting_fixture,
 )
-from oracles import classification_oracle, h1_rank_oracle
+from oracles import classification_oracle, cone_criterion_oracle, h1_rank_oracle
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -291,10 +292,27 @@ def _wheel(n):
     return make_complex(verts, edges, faces)
 
 
+def _check_cone_verdict(x, classes, result):
+    """The verdict matches the enumeration oracle, and a counterexample is
+    a simple cone of x with at least three boundary vertices whose fan
+    meets two or more classes."""
+    violating = cone_criterion_oracle(x, classes)
+    assert result.certified == (not violating)
+    cone = result.counterexample
+    if cone is None:
+        return
+    class_of = {f: cls.id for cls in classes for f in cls.triangles}
+    assert cone.simple and len(cone.boundary) >= 3
+    assert len({class_of.get(f) for f in cone.fan}) >= 2
+    assert make_cone(x, cone.center, cone.boundary) == cone
+    assert (cone.center, set(cone.fan)) in [(c.center, set(c.fan)) for c in violating]
+
+
 def test_cone_criterion_crosscheck():
     """Certificate/counterexample verdict coincides with the direct
-    connectivity-and-acyclicity test of B_w; no certified instance has a
-    cyclic B_w."""
+    connectivity-and-acyclicity test of B_w and with cone enumeration; no
+    certified instance has a cyclic B_w.  Triangle trees, whose B_w need
+    not be connected, are checked against the enumeration only."""
     rng = random.Random(31337)
     groups = GroupTable()
     agreements = 0
@@ -312,6 +330,7 @@ def test_cone_criterion_crosscheck():
             TriangleClass(id=f"Y{i}", cid="X", triangles=part) for i, part in enumerate(parts)
         ]
         result = cone_criterion_check(x, classes, groups)
+        _check_cone_verdict(x, classes, result)
         bw, _ = build_bw(x, classes, groups)
         assert result.certified == bw.is_tree()
         if result.certified:
@@ -321,11 +340,32 @@ def test_cone_criterion_crosscheck():
             assert result.counterexample is not None
             counterexamples += 1
         agreements += 1
-    assert certified and counterexamples  # both verdicts exercised
+    tree_counterexamples = 0
+    for _ in range(200):
+        x = random_triangle_tree_complex(rng, n_triangles=rng.randint(3, 14))
+        parts = random_triangle_partition(rng, x)
+        classes = [TriangleClass(id=f"Y{i}", cid="X", triangles=part) for i, part in enumerate(parts)]
+        result = cone_criterion_check(x, classes, groups)
+        _check_cone_verdict(x, classes, result)
+        tree_counterexamples += not result.certified
+    assert certified and counterexamples and tree_counterexamples  # both verdicts exercised
     report(
         f"cone criterion cross-check ({agreements} fixtures: {certified} certified, "
-        f"{counterexamples} counterexamples; exact)"
+        f"{counterexamples} counterexamples; 200 triangle trees against enumeration, "
+        f"{tree_counterexamples} counterexamples; exact)"
     )
+
+
+def test_wide_grid_certifies():
+    """A 3 x 18 grid over a path tree certifies at level 1: every link of a
+    track point is a path of 18 vertices, wider than any link cap."""
+    fx = parse_fixtures([os.path.join(FIX, "wide_grid.txt")])
+    (name,) = fx.pipelines
+    rep = run_pipeline(fx, name)
+    assert rep.certificate_level == 1
+    assert rep.exit_code == 0
+    assert all(line.certified for line in rep.certificates)
+    report("wide grid (3 x 18) certified at level 1")
 
 
 def test_pipeline_end_to_end():

@@ -157,10 +157,18 @@ class TestCommands:
 
     def test_malformed_fixture_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
-        for text in ("complex X\n  triangle t a b c\nend\n", "a=b\n"):
+        for text in (
+            "complex X\n  triangle t a b c\nend\n",
+            "a=b\n",
+            "config\n  horizn=9\nend\n",
+            "config\n  link-cap=2\nend\n",
+        ):
             bad.write_text(text)
             assert main(["h1", str(bad), "--complex", "X"]) == 2
-        assert "line 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "line 1" in err
+        assert "line 2: unknown config key 'horizn'" in err
+        assert "line 2: config: link-cap must be at least 3" in err
 
     @pytest.mark.parametrize(
         "argv",

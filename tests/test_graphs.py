@@ -4,9 +4,9 @@ random multigraphs with parallel edges and isolated nodes."""
 import random
 from types import SimpleNamespace
 
-from passdown.graphs import UnionFind, blocks, components, cut_vertices, is_tree
+from passdown.graphs import UnionFind, blocks, components, cut_vertices, is_tree, path
 
-from oracles import brute_components, brute_cutpoints
+from oracles import bfs_path, brute_components, brute_cutpoints
 
 
 def random_multigraph(rng):
@@ -100,3 +100,22 @@ def test_blocks_keep_parallel_edges_together():
     blks = blocks(["a", "b", "c"], {"e1": ("a", "b"), "e2": ("b", "a"), "e3": ("b", "c")})
     assert sorted(sorted(eids) for _v, eids in blks) == [["e1", "e2"], ["e3"]]
     assert cut_vertices(blks) == {"b"}
+
+
+def test_path_is_a_shortest_path_or_none_across_components():
+    for nodes, edges in graphs(5, count=100):
+        adjacency = {}
+        for u, v in edges.values():
+            adjacency.setdefault(u, set()).add(v)
+            adjacency.setdefault(v, set()).add(u)
+        comp_of = {v: i for i, comp in enumerate(brute_components(nodes, edges.values())) for v in comp}
+        pairs = {frozenset(p) for p in edges.values()}
+        for a in nodes:
+            for b in nodes:
+                found = path(edges.values(), a, b)
+                if comp_of[a] != comp_of[b]:
+                    assert found is None
+                    continue
+                assert found[0] == a and found[-1] == b
+                assert all(frozenset(step) in pairs for step in zip(found, found[1:]))
+                assert len(found) == len(bfs_path(adjacency, a, b))

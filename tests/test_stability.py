@@ -12,7 +12,7 @@ from passdown.fixtures import parse_fixtures
 from passdown.pipeline import run_pipeline
 
 from passdown.complexes import make_complex
-from passdown.errors import EngineError, HypothesisError, LinkCapError
+from passdown.errors import EngineError, FixtureError, HypothesisError, LinkCapError
 from passdown.groups import GroupRef, GroupTable
 from passdown.provenance import TauFragment
 from passdown.resolution import resolution_from_images
@@ -431,6 +431,30 @@ class TestConeCriterion:
         x = strip2()
         result = cone_criterion_check(x, self.classes_for(x, [("t1",), ("t2",)]))
         assert result.certified and result.bw_tree
+
+    def test_wide_wheel_one_class_certifies(self):
+        x = wheel(20)  # the link of v is a 20-cycle
+        result = cone_criterion_check(x, self.classes_for(x, [tuple(f"t{i}" for i in range(20))]))
+        assert result.certified and result.bw_tree and result.bpw_tree
+        assert result.counterexample is None
+
+    def test_wide_wheel_split_gives_a_counterexample(self):
+        x = wheel(20)
+        classes = self.classes_for(x, [tuple(f"t{i}" for i in range(k, k + 10)) for k in (0, 10)])
+        result = cone_criterion_check(x, classes)
+        assert not result.certified and not result.bw_tree
+        cone = result.counterexample
+        assert cone.center == "v" and cone.simple and cone.area == 20
+        assert make_cone(x, cone.center, cone.boundary) == cone
+
+    def test_non_simplicial_complex_is_rejected(self):
+        x = make_complex(
+            ["a", "b", "c"],
+            {"ab": ("a", "b"), "bc": ("b", "c"), "ca": ("c", "a"), "ca2": ("c", "a")},
+            {"t1": ("ab", "bc", "ca"), "t2": ("ab", "bc", "ca2")},
+        )
+        with pytest.raises(FixtureError):
+            cone_criterion_check(x, self.classes_for(x, [("t1", "t2")]))
 
 
 def override_labels(x, eid, gid):
