@@ -15,6 +15,7 @@ tree used to split a complex into cutpoint-free pieces.
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import graphs
 from .errors import ConsistencyError, EngineError, FixtureError
@@ -27,6 +28,14 @@ class DisconnectedComplexWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Complex2:
+    """Cell data (``vertices``, ``edges``, ``faces``) and cell labels.
+
+    Face vertex sets, the incidence maps, components, 1-skeleton blocks
+    and the Z2 boundary rank are derived from the cell data alone, each on
+    first use, and kept.  No code writes a cell dict after construction
+    (``make_complex`` fills in only labels).  Map values are id tuples.
+    """
+
     vertices: frozenset
     edges: dict  # edge id -> (u, v), u != v
     faces: dict  # face id -> tuple of edge ids (3 = triangle, 2 = bigon)
@@ -35,14 +44,50 @@ class Complex2:
     boundary_marked: frozenset = frozenset()
     stab_plus: dict = field(default_factory=dict)  # edge id -> oriented stabilizer label
 
-    def edge_ends(self, eid):
-        return self.edges[eid]
+    @cached_property
+    def _face_vertices(self):
+        edges = self.edges
+        return {fid: frozenset(w for eid in es for w in edges[eid]) for fid, es in self.faces.items()}
 
     def face_vertices(self, fid):
-        verts = set()
-        for eid in self.faces[fid]:
-            verts.update(self.edges[eid])
-        return verts
+        return self._face_vertices[fid]
+
+    @cached_property
+    def edges_by_pair(self):
+        """frozenset of two vertices -> the edges joining them, in id order."""
+        return _grouped((frozenset(self.edges[eid]), eid) for eid in sorted(self.edges))
+
+    @cached_property
+    def triangles_by_vertex(self):
+        """vertex -> the triangles at it, in face order."""
+        return _grouped((v, fid) for fid in self.triangles() for v in self._face_vertices[fid])
+
+    @cached_property
+    def triangles_by_edge(self):
+        """edge id -> the triangles on it, in id order (keys first met
+        along the triangles in id order)."""
+        return _grouped((eid, fid) for fid in sorted(self.triangles()) for eid in self.faces[fid])
+
+    @cached_property
+    def triangles_by_triple(self):
+        """frozenset of three vertices -> the triangles spanning them, in id order."""
+        return _grouped((self._face_vertices[fid], fid) for fid in sorted(self.triangles()))
+
+    @cached_property
+    def vertex_components(self):
+        """Vertex sets of the connected components, by least vertex."""
+        return tuple(map(frozenset, graphs.components(self.vertices, self.edges.values())))
+
+    @cached_property
+    def skeleton_blocks(self):
+        """(vertex set, edge id set) of each block of the 1-skeleton."""
+        return tuple((frozenset(vs), frozenset(es)) for vs, es in graphs.blocks(self.vertices, self.edges))
+
+    @cached_property
+    def boundary_rank(self):
+        """Rank over Z2 of the face-to-edge boundary matrix."""
+        bit = {eid: 1 << i for i, eid in enumerate(self.edges)}
+        return _gf2_rank(sum(bit[eid] for eid in es) for es in self.faces.values())
 
     def triangles(self):
         return [fid for fid, es in self.faces.items() if len(es) == 3]
@@ -51,21 +96,9 @@ class Complex2:
         return [fid for fid, es in self.faces.items() if len(es) == 2]
 
     def is_simplicial(self):
-        if self.bigons():
-            return False
-        seen_pairs = set()
-        for u, v in self.edges.values():
-            key = frozenset((u, v))
-            if key in seen_pairs:
-                return False
-            seen_pairs.add(key)
-        seen_faces = set()
-        for fid in self.triangles():
-            key = frozenset(self.face_vertices(fid))
-            if key in seen_faces:
-                return False
-            seen_faces.add(key)
-        return True
+        """No bigons, one edge per vertex pair and one triangle per vertex
+        triple: only then does every face count as a distinct triple."""
+        return len(self.edges_by_pair) == len(self.edges) and len(self.triangles_by_triple) == len(self.faces)
 
     def edge_stab_plus(self, eid):
         return self.stab_plus.get(eid, self.stab[eid])
@@ -75,6 +108,14 @@ class Complex2:
         out.extend(self.edges)
         out.extend(self.faces)
         return out
+
+
+def _grouped(pairs):
+    """{key: tuple of ids} from (key, id) pairs, keeping their order."""
+    out = defaultdict(list)
+    for key, cid in pairs:
+        out[key].append(cid)
+    return {key: tuple(ids) for key, ids in out.items()}
 
 
 def make_complex(vertices, edges, faces, stab=None, orbit=None, boundary_marked=(), stab_plus=None, groups=None):
@@ -118,6 +159,8 @@ def validate_complex(x, groups=None, require_simplicial=False):
                 raise FixtureError(f"face {fid!r} references missing edge {eid!r}")
         if len(es) != len(set(es)):
             raise FixtureError(f"face {fid!r} repeats an edge")
+    # every face's references hold before the face vertex sets are first built
+    for fid, es in x.faces.items():
         if len(es) == 2:
             if frozenset(x.edges[es[0]]) != frozenset(x.edges[es[1]]):
                 raise FixtureError(f"bigon {fid!r} edges do not share both endpoints")
@@ -125,11 +168,8 @@ def validate_complex(x, groups=None, require_simplicial=False):
             verts = x.face_vertices(fid)
             if len(verts) != 3:
                 raise FixtureError(f"triangle {fid!r} does not close up on 3 vertices")
-            degree = defaultdict(int)
-            for eid in es:
-                for w in x.edges[eid]:
-                    degree[w] += 1
-            if any(d != 2 for d in degree.values()):
+            # on three vertices, the sides close up when they join three distinct pairs
+            if len({frozenset(x.edges[eid]) for eid in es}) != 3:
                 raise FixtureError(f"triangle {fid!r} edges do not close up combinatorially")
     for w in x.boundary_marked:
         if w not in x.vertices:
@@ -183,26 +223,26 @@ def _validate_labels(x, groups: GroupTable):
 
 
 def components(x: Complex2):
-    """Connected components of the complex, as lists of vertex sets."""
-    return graphs.components(x.vertices, x.edges.values())
+    """Connected components of the complex, as a list of vertex sets."""
+    return list(x.vertex_components)
 
 
 def is_connected(x: Complex2) -> bool:
-    return len(components(x)) <= 1
+    return len(x.vertex_components) <= 1
 
 
 def _gf2_rank(rows):
-    """Rank over Z2 of a list of bitmask rows."""
-    rank = 0
-    pivots = []
+    """Rank over Z2 of bitmask rows: each row is reduced against a basis
+    keyed by leading bit until it is zero or brings a new leading bit."""
+    basis = {}
     for row in rows:
-        for p in pivots:
-            row = min(row, row ^ p)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
+        while row:
+            top = row.bit_length() - 1
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
 
 
 def h1_z2(x: Complex2) -> int:
@@ -212,18 +252,10 @@ def h1_z2(x: Complex2) -> int:
     cell complexes that appear between a collapse and its reduction.
     Disconnected input is summed per component, with a warning.
     """
-    n_comp = len(components(x))
+    n_comp = len(x.vertex_components)
     if n_comp > 1:
         warnings.warn("h1_z2 on a disconnected complex; summing components", DisconnectedComplexWarning)
-    edge_index = {eid: i for i, eid in enumerate(sorted(x.edges))}
-    rows = []
-    for fid in sorted(x.faces):
-        row = 0
-        for eid in x.faces[fid]:
-            row |= 1 << edge_index[eid]
-        rows.append(row)
-    rank_d2 = _gf2_rank(rows)
-    value = len(x.edges) - len(x.vertices) + n_comp - rank_d2
+    value = len(x.edges) - len(x.vertices) + n_comp - x.boundary_rank
     if value < 0:
         raise EngineError("negative h1 rank: boundary bookkeeping is broken")
     return value
@@ -253,12 +285,7 @@ def reduce_complex(x: Complex2, groups: GroupTable = None) -> Complex2:
 def reduce_with_map(x: Complex2, groups: GroupTable = None):
     """reduce_complex plus the cell map (collapsed bigons map to None)."""
     groups = groups or GroupTable()
-    edge_groups = defaultdict(list)
-    for eid in sorted(x.edges):
-        edge_groups[frozenset(x.edges[eid])].append(eid)
-    tri_groups = defaultdict(list)
-    for fid in sorted(x.triangles()):
-        tri_groups[frozenset(x.face_vertices(fid))].append(fid)
+    edge_groups, tri_groups = x.edges_by_pair, x.triangles_by_triple
 
     new_edges, edge_image = {}, {}
     for key in sorted(edge_groups, key=sorted):
@@ -268,7 +295,6 @@ def reduce_with_map(x: Complex2, groups: GroupTable = None):
         new_edges[rep] = (u, v)
         for src in sources:
             edge_image[src] = rep
-    pair_to_edge = {frozenset(ends): eid for eid, ends in new_edges.items()}
 
     new_faces, face_image = {}, {}
     for key in sorted(tri_groups, key=sorted):
@@ -276,7 +302,7 @@ def reduce_with_map(x: Complex2, groups: GroupTable = None):
         rep = sources[0]
         vs = sorted(key)
         es = tuple(
-            pair_to_edge[frozenset(p)] for p in ((vs[0], vs[1]), (vs[1], vs[2]), (vs[0], vs[2]))
+            edge_groups[frozenset(p)][0] for p in ((vs[0], vs[1]), (vs[1], vs[2]), (vs[0], vs[2]))
         )
         new_faces[rep] = es
         for src in sources:
@@ -392,16 +418,16 @@ def cutpoints(x: Complex2):
     For a 2-complex these are the articulation vertices of the 1-skeleton:
     the vertices lying in two or more of its blocks.
     """
-    return graphs.cut_vertices(graphs.blocks(x.vertices, x.edges))
+    return graphs.cut_vertices(x.skeleton_blocks)
 
 
-def _block_cells(x: Complex2, blocks):
+def _block_cells(x: Complex2):
     """Cell sets of the blocks of the 1-skeleton (maximal cutpoint-free
     subcomplexes), closed under subcells: each face joins the block of its
     edges, which a triangle or bigon never straddles."""
     out, block_of = [], {}
-    for i, (verts, eids) in enumerate(blocks):
-        out.append(verts | eids)
+    for i, (verts, eids) in enumerate(x.skeleton_blocks):
+        out.append(set(verts | eids))
         block_of.update(dict.fromkeys(eids, i))
     for fid, es in x.faces.items():
         i = block_of[es[0]]
@@ -444,9 +470,8 @@ def cutpoint_tree(x: Complex2, groups: GroupTable = None) -> CutpointTree:
         raise FixtureError("cutpoint tree needs a connected complex")
     if h1_z2(x) != 0:
         raise FixtureError("cutpoint tree needs h1_z2 = 0")
-    blks = graphs.blocks(x.vertices, x.edges)
-    cuts = sorted(graphs.cut_vertices(blks))
-    blocks = _block_cells(x, blks)
+    cuts = sorted(graphs.cut_vertices(x.skeleton_blocks))
+    blocks = _block_cells(x)
     comp_nodes, comp_cells, node_stab, node_orbit, edges = [], {}, {}, {}, []
     sig_orbit = {}
     for i, cells in enumerate(sorted(blocks, key=lambda c: sorted(map(str, c)))):

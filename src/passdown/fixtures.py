@@ -20,7 +20,6 @@ from .trees import ActionDescriptor, make_gog, make_tree
 @dataclass
 class PipelineConfig:
     horizon: int = 6
-    seed: int = 0
     no_dinfty: bool = True
     relative_class: frozenset = frozenset()
 
@@ -415,11 +414,11 @@ def _parse_config(fx, parsed):
             raise FixtureError(f"unknown config key {unknown[0]!r}", line=ln)
         if "horizon" in kwargs:
             fx.config.horizon = int(kwargs["horizon"])
-        # link-cap is still accepted and checked, but nothing reads it
+        # link-cap and seed are still accepted and checked, but nothing reads them
         if "link-cap" in kwargs and int(kwargs["link-cap"]) < 3:
             raise FixtureError("config: link-cap must be at least 3", line=ln)
         if "seed" in kwargs:
-            fx.config.seed = int(kwargs["seed"])
+            int(kwargs["seed"])
         if "relative" in kwargs:
             fx.config.relative_class = frozenset(kwargs["relative"].split(",")) - {""}
         if words:

@@ -30,7 +30,6 @@ class CertificateLine:
 @dataclass
 class RunReport:
     pipeline: str
-    seed: int
     horizon: int
     ledger: tuple
     n_delta: int
@@ -49,7 +48,7 @@ class RunReport:
 
     def render(self) -> str:
         out = [
-            f"pipeline {self.pipeline} (seed {self.seed}, horizon {self.horizon})",
+            f"pipeline {self.pipeline} (horizon {self.horizon})",
             "covolume ledger: " + " ".join(str(c) for c in self.ledger),
             f"N_delta={self.n_delta} N'={self.n_prime} N''={self.n_dprime}"
             f" (horizon-relative)",
@@ -240,7 +239,6 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
 
     return RunReport(
         pipeline=name,
-        seed=config.seed,
         horizon=config.horizon,
         ledger=ledger,
         n_delta=report.n_delta,

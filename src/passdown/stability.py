@@ -10,7 +10,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import Complex2, components, covolume, cutpoints, subcomplex
+from .complexes import Complex2, components, covolume, cutpoints, h1_z2, subcomplex
 from .errors import EngineError, FixtureError, HypothesisError, LinkCapError
 from .groups import GroupTable
 
@@ -120,12 +120,8 @@ class PairSet:
 
 
 def pairs_of_complex(x: Complex2, cid):
-    per_edge = defaultdict(list)
-    for fid in sorted(x.triangles()):
-        for eid in x.faces[fid]:
-            per_edge[eid].append(fid)
     out = []
-    for eid, fids in per_edge.items():
+    for eid, fids in x.triangles_by_edge.items():
         for i, a in enumerate(fids):
             for b in fids[i + 1 :]:
                 out.append(Pair(cid=cid, t1=min(a, b), t2=max(a, b), edge=eid))
@@ -270,11 +266,9 @@ def build_bw(x: Complex2, classes, groups: GroupTable = None):
     non-slender labels are collapsed into their classes."""
     edge_classes = defaultdict(set)
     for cls in classes:
-        cells = set()
         for fid in cls.triangles:
-            cells.update(x.faces[fid])
-        for eid in cells:
-            edge_classes[eid].add(cls.id)
+            for eid in x.faces[fid]:
+                edge_classes[eid].add(cls.id)
     shared = sorted(e for e, cs in edge_classes.items() if len(cs) > 1)
     bw = BipartiteBW(
         class_nodes=tuple(sorted(c.id for c in classes)),
@@ -336,7 +330,6 @@ class Cone:
 
 
 def make_cone(x: Complex2, center, boundary) -> Cone:
-    lookup = {frozenset(x.face_vertices(f)): f for f in x.triangles()}
     fan = []
     k = len(boundary)
     if k < 2:
@@ -345,21 +338,19 @@ def make_cone(x: Complex2, center, boundary) -> Cone:
         a, b = boundary[i], boundary[(i + 1) % k]
         if a == b or center in (a, b):
             raise FixtureError("degenerate cone boundary")
-        fid = lookup.get(frozenset((center, a, b)))
-        if fid is None:
+        fids = x.triangles_by_triple.get(frozenset((center, a, b)))
+        if fids is None:
             raise FixtureError(f"no triangle on {center!r}, {a!r}, {b!r}")
-        fan.append(fid)
+        fan.append(fids[0])
     return Cone(center=center, boundary=tuple(boundary), fan=tuple(fan))
 
 
 def link_graph(x: Complex2, v):
     adj = defaultdict(set)
-    for fid in x.triangles():
-        verts = x.face_vertices(fid)
-        if v in verts:
-            a, b = sorted(verts - {v})
-            adj[a].add(b)
-            adj[b].add(a)
+    for fid in x.triangles_by_vertex.get(v, ()):
+        a, b = sorted(x.face_vertices(fid) - {v})
+        adj[a].add(b)
+        adj[b].add(a)
     return adj
 
 
@@ -479,11 +470,8 @@ def cone_pushforward(cone: Cone, res, ts_star, frag, xt: Complex2) -> Pushforwar
     push through the center vertex.  The circumference never increases; a
     strict drop creates a new adjacency."""
     x = res.source
-    spokes = {}
     k = len(cone.boundary)
-    pair_to_edge = {frozenset(ends): eid for eid, ends in x.edges.items()}
-    for i, b in enumerate(cone.boundary):
-        spokes[i] = pair_to_edge[frozenset((cone.center, b))]
+    spokes = [x.edges_by_pair[frozenset((cone.center, b))][0] for b in cone.boundary]
 
     def is_circle(tr):
         for i, fid in enumerate(cone.fan):
@@ -562,14 +550,16 @@ class ConeCriterionResult:
 def cone_criterion_check(x: Complex2, classes, groups: GroupTable = None) -> ConeCriterionResult:
     """If every simple cone lies inside one class, certify that B_w is a
     tree; otherwise return a violating cone.  The certificate is checked
-    against the direct acyclicity test and a disagreement is an engine
-    bug."""
+    against the direct acyclicity test: a disagreement means the input
+    breaks the criterion's hypothesis h1 = 0, or else an engine bug."""
     if not x.is_simplicial():
         raise FixtureError("the cone criterion needs a simplicial complex")
     counterexample = _straddling_cone(x, {fid: cls.id for cls in classes for fid in cls.triangles})
     bw, bpw = build_bw(x, classes, groups)
     certified = counterexample is None
     if certified and bw.has_cycle():
+        if h1_z2(x) != 0:
+            raise HypothesisError("the cone criterion needs h1 = 0", lemma="cone-criterion")
         raise EngineError("certified complex has a cyclic B_w")
     return ConeCriterionResult(certified, counterexample, bw.is_tree(), bpw.is_tree())
 
@@ -580,13 +570,8 @@ def _straddling_cone(x: Complex2, class_of):
     when they share a block (Whitney).  In a block holding two classes,
     two edges of different classes meet at some u, and the block minus u
     joins their far ends."""
-    links = defaultdict(dict)  # vertex -> {face id: ends of its link edge}
-    for fid in x.triangles():
-        verts = x.face_vertices(fid)
-        for v in verts:
-            links[v][fid] = tuple(sorted(verts - {v}))
-    for v in sorted(links):
-        link = links[v]
+    for v in sorted(x.triangles_by_vertex):
+        link = {fid: tuple(sorted(x.face_vertices(fid) - {v})) for fid in x.triangles_by_vertex[v]}
         for _verts, fids in graphs.blocks({w for ends in link.values() for w in ends}, link):
             fids = sorted(fids)
             first = {}  # link vertex -> the first block edge at it

@@ -248,17 +248,9 @@ def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: G
     tri_map = {}
     edge_map = {}
     for fid in sorted(x.triangles()):
-        e_ab, e_bc, e_ca = x.faces[fid]
-        verts = sorted(x.face_vertices(fid))
-        side_of = {}
-        for eid in x.faces[fid]:
-            side_of[frozenset(x.edges[eid])] = eid
-        a, b, c = verts
-        sides = {
-            (a, b): side_of[frozenset((a, b))],
-            (b, c): side_of[frozenset((b, c))],
-            (a, c): side_of[frozenset((a, c))],
-        }
+        # x is simplicial (track extraction checks it): one edge per side
+        a, b, c = sorted(x.face_vertices(fid))
+        sides = {pair: x.edges_by_pair[frozenset(pair)][0] for pair in ((a, b), (b, c), (a, c))}
         crossed = {
             pair: [f for f in res.crossings(eid) if (eid, f) in track_of]
             for pair, eid in sides.items()

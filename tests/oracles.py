@@ -238,3 +238,58 @@ def cone_criterion_oracle(x, classes):
         for cone in enumerate_simple_cones(x, v, link_cap=len(x.vertices))
         if len({class_of.get(f) for f in cone.fan}) > 1
     ]
+
+
+def is_simplicial_oracle(x):
+    """No bigon, no two edges on one vertex pair and no two triangles on
+    one vertex triple, checked by scanning the cell dicts."""
+    if any(len(es) == 2 for es in x.faces.values()):
+        return False
+    seen_pairs = set()
+    for u, v in x.edges.values():
+        key = frozenset((u, v))
+        if key in seen_pairs:
+            return False
+        seen_pairs.add(key)
+    seen_faces = set()
+    for es in x.faces.values():
+        key = frozenset(w for eid in es for w in x.edges[eid])
+        if key in seen_faces:
+            return False
+        seen_faces.add(key)
+    return True
+
+
+def boundary_rank_oracle(x):
+    """Rank over Z2 of the face-to-edge boundary matrix, reduced with numpy."""
+    ei = {e: i for i, e in enumerate(sorted(x.edges))}
+    d1 = np.zeros((len(x.faces), len(x.edges)), dtype=np.int64)
+    for r, f in enumerate(sorted(x.faces)):
+        for e in x.faces[f]:
+            d1[r, ei[e]] ^= 1
+    return _rank_mod2(d1)
+
+
+def brute_blocks(x):
+    """The edge sets of the blocks of the 1-skeleton: two edges share a
+    block exactly when they lie in one component and no single vertex
+    separates them (an edge at the removed vertex goes with its other
+    end)."""
+    def side(comps, eid, w):
+        u, v = x.edges[eid]
+        end = v if u == w else u
+        return next(i for i, c in enumerate(comps) if end in c)
+
+    removals = []
+    for w in sorted(x.vertices):
+        rest = [ends for ends in x.edges.values() if w not in ends]
+        removals.append((w, brute_components(set(x.vertices) - {w}, rest)))
+    whole = brute_components(x.vertices, x.edges.values())
+    key = {
+        eid: (side(whole, eid, None),) + tuple(side(comps, eid, w) for w, comps in removals)
+        for eid in x.edges
+    }
+    out = {}
+    for eid in sorted(x.edges):
+        out.setdefault(key[eid], set()).add(eid)
+    return sorted(out.values(), key=sorted)

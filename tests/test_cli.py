@@ -162,6 +162,8 @@ class TestCommands:
             "a=b\n",
             "config\n  horizn=9\nend\n",
             "config\n  link-cap=2\nend\n",
+            "complex X\n  vertex a\n  vertex b\n  vertex c\n  edge ab a b\n  edge bc b c\n  edge ac a c\n"
+            "  triangle t1 ab bc ac\n  triangle t2 ab bc cd\nend\n",
         ):
             bad.write_text(text)
             assert main(["h1", str(bad), "--complex", "X"]) == 2
@@ -169,6 +171,7 @@ class TestCommands:
         assert "line 1" in err
         assert "line 2: unknown config key 'horizn'" in err
         assert "line 2: config: link-cap must be at least 3" in err
+        assert "face 't2' references missing edge 'cd'" in err
 
     @pytest.mark.parametrize(
         "argv",

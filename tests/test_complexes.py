@@ -1,12 +1,18 @@
+import os
 import random
+import sys
 import warnings
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from passdown import complexes, graphs
 from passdown.complexes import (
+    Complex2,
     DisconnectedComplexWarning,
+    components,
     covolume,
     cutpoint_tree,
     cutpoints,
@@ -17,10 +23,19 @@ from passdown.complexes import (
     reduced_cutpoint_tree,
 )
 from passdown.errors import FixtureError
+from passdown.fixtures import parse_fixtures
 from passdown.groups import GroupRef, GroupTable
+from passdown.pipeline import run_pipeline
 
 from generators import random_cell_complex, random_simplicial_complex
-from oracles import brute_cutpoints, h1_rank_oracle
+from oracles import (
+    boundary_rank_oracle,
+    brute_blocks,
+    brute_components,
+    brute_cutpoints,
+    h1_rank_oracle,
+    is_simplicial_oracle,
+)
 
 
 def triangle(marked=()):
@@ -243,3 +258,94 @@ class TestReductionProperties:
                 assert is_connected(r)
                 if h1_z2(x) == 0:
                     assert h1_z2(r) == 0
+
+
+class TestDerivedIncidence:
+    """The incidence kept on Complex2 against recomputation from the cell
+    dicts, in the orders the callers rely on."""
+
+    def cases(self):
+        for seed in range(120):
+            yield random_simplicial_complex(random.Random(seed))
+            yield random_cell_complex(random.Random(seed))
+
+    def test_maps_match_recomputation(self):
+        for x in self.cases():
+            fv = {f: {w for e in es for w in x.edges[e]} for f, es in x.faces.items()}
+            tris = [f for f, es in x.faces.items() if len(es) == 3]
+            assert all(x.face_vertices(f) == fv[f] for f in x.faces)
+            assert x.edges_by_pair == {
+                key: tuple(sorted(e for e in x.edges if frozenset(x.edges[e]) == key))
+                for key in map(frozenset, x.edges.values())
+            }
+            assert x.triangles_by_vertex == {
+                v: tuple(f for f in tris if v in fv[f]) for v in x.vertices if any(v in fv[f] for f in tris)
+            }
+            first_met = dict.fromkeys(e for f in sorted(tris) for e in x.faces[f])
+            assert list(x.triangles_by_edge.items()) == [
+                (e, tuple(sorted(f for f in tris if e in x.faces[f]))) for e in first_met
+            ]
+            assert x.triangles_by_triple == {
+                key: tuple(sorted(f for f in tris if fv[f] == key)) for key in (frozenset(fv[f]) for f in tris)
+            }
+            assert x.is_simplicial() == is_simplicial_oracle(x)
+
+    def test_components_blocks_and_rank_match_recomputation(self):
+        for x in self.cases():
+            assert components(x) == brute_components(x.vertices, x.edges.values())
+            assert is_connected(x) == (len(brute_components(x.vertices, x.edges.values())) <= 1)
+            assert sorted((set(es) for _vs, es in x.skeleton_blocks if es), key=sorted) == brute_blocks(x)
+            for verts, eids in x.skeleton_blocks:
+                if eids:
+                    assert verts == {w for e in eids for w in x.edges[e]}
+            isolated = {v for v in x.vertices if not any(v in ends for ends in x.edges.values())}
+            assert {v for verts, eids in x.skeleton_blocks if not eids for v in verts} == isolated
+            assert cutpoints(x) == brute_cutpoints(x)
+            assert x.boundary_rank == boundary_rank_oracle(x)
+
+    def test_returned_collections_do_not_write_through(self):
+        x = random_simplicial_complex(random.Random(3))
+        comps = components(x)
+        comps.append({"stray"})
+        assert components(x) == brute_components(x.vertices, x.edges.values())
+        cuts = cutpoints(x)
+        cuts.add("stray")
+        assert cutpoints(x) == brute_cutpoints(x)
+        assert isinstance(x.face_vertices(next(iter(x.faces))), frozenset)
+
+
+WORKED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures", "worked_terminating.txt")
+
+
+def test_components_blocks_and_rank_computed_once_per_complex(tmp_path, monkeypatch):
+    """A pipeline run at horizon 16 computes the components, the 1-skeleton
+    blocks and the boundary rank of each complex at most once, however
+    often its connectivity, h1 and cutpoints are checked."""
+    with open(WORKED) as fh:
+        text = fh.read()
+    assert "horizon=4 " in text
+    path = tmp_path / "worked16.txt"
+    path.write_text(text.replace("horizon=4 ", "horizon=16 "))
+    counts = {"components": Counter(), "blocks": Counter(), "rank": Counter()}
+    kept = []  # every counted complex stays alive, so no id is reused
+
+    def counted(kind, fn):
+        def wrapper(*args, **kwargs):
+            caller = sys._getframe(1)
+            if caller.f_globals["__name__"] == "passdown.complexes":
+                # the complex whose data is being derived: the caller's x or self
+                (x,) = {id(v): v for v in caller.f_locals.values() if isinstance(v, Complex2)}.values()
+                kept.append(x)
+                counts[kind][id(x)] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(graphs, "components", counted("components", graphs.components))
+    monkeypatch.setattr(graphs, "blocks", counted("blocks", graphs.blocks))
+    monkeypatch.setattr(complexes, "_gf2_rank", counted("rank", complexes._gf2_rank))
+    rep = run_pipeline(parse_fixtures([str(path)]), "worked")
+    assert rep.horizon == 16 and rep.certificate_level == 1
+    for kind, per_complex in counts.items():
+        assert len(per_complex) >= 16, kind
+        assert max(per_complex.values()) == 1, (kind, max(per_complex.values()))

@@ -228,6 +228,24 @@ def wheel(n=3, center="v"):
     return make_complex(verts, edges, faces, boundary_marked=[center, "u0"])
 
 
+def annulus():
+    """Inner triangle a0 a1 a2 and outer triangle b0 b1 b2 joined by six
+    triangles: a simplicial annulus, h1 = 1."""
+    verts = [f"{r}{i}" for r in "ab" for i in range(3)]
+    edges, faces = {}, {}
+    for i in range(3):
+        j = (i + 1) % 3
+        edges[f"a{i}a{j}"] = (f"a{i}", f"a{j}")
+        edges[f"b{i}b{j}"] = (f"b{i}", f"b{j}")
+        edges[f"a{i}b{i}"] = (f"a{i}", f"b{i}")
+        edges[f"a{j}b{i}"] = (f"a{j}", f"b{i}")
+    for i in range(3):
+        j = (i + 1) % 3
+        faces[f"s{i}"] = (f"a{i}a{j}", f"a{j}b{i}", f"a{i}b{i}")
+        faces[f"t{i}"] = (f"a{j}b{i}", f"b{i}b{j}", f"a{j}b{j}")
+    return make_complex(verts, edges, faces)
+
+
 class TestCones:
     def test_closed_fan_found(self):
         x = wheel(3)
@@ -446,6 +464,12 @@ class TestConeCriterion:
         cone = result.counterexample
         assert cone.center == "v" and cone.simple and cone.area == 20
         assert make_cone(x, cone.center, cone.boundary) == cone
+
+    def test_annulus_breaks_the_h1_hypothesis(self):
+        # every link is a path, so there is no simple cone, yet B_w is a 12-cycle
+        x = annulus()
+        with pytest.raises(HypothesisError, match="cone-criterion"):
+            cone_criterion_check(x, self.classes_for(x, [(f,) for f in sorted(x.faces)]))
 
     def test_non_simplicial_complex_is_rejected(self):
         x = make_complex(
