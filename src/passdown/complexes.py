@@ -89,6 +89,34 @@ class Complex2:
         bit = {eid: 1 << i for i, eid in enumerate(self.edges)}
         return _gf2_rank(sum(bit[eid] for eid in es) for es in self.faces.values())
 
+    @cached_property
+    def is_reduced(self):
+        """True when ``reduce_with_map`` would give back an equal complex
+        under the identity cell map: simplicial, edges and triangles stored
+        in canonical order (by sorted vertex pair, resp. triple) with their
+        canonical ends and sides, one label per orbit, an oriented label on
+        every edge and labels on the cells only."""
+        if not self.is_simplicial():
+            return False
+        by_pair, by_triple = self.edges_by_pair, self.triangles_by_triple
+
+        def edge(u, v):
+            return by_pair[frozenset((u, v))][0]
+
+        cells = self.cells()
+        label = {}
+        return (
+            list(self.edges.items()) == [(edge(u, v), (u, v)) for u, v in sorted(map(sorted, by_pair))]
+            and list(self.faces.items())
+            == [
+                (by_triple[frozenset((a, b, c))][0], (edge(a, b), edge(b, c), edge(a, c)))
+                for a, b, c in sorted(map(sorted, by_triple))
+            ]
+            and self.stab_plus.keys() == self.edges.keys()
+            and self.stab.keys() == self.orbit.keys() == set(cells)
+            and all(label.setdefault(self.orbit[c], self.stab[c]) == self.stab[c] for c in cells)
+        )
+
     def triangles(self):
         return [fid for fid, es in self.faces.items() if len(es) == 3]
 
@@ -140,6 +168,14 @@ def make_complex(vertices, edges, faces, stab=None, orbit=None, boundary_marked=
 
 
 def validate_complex(x, groups=None, require_simplicial=False):
+    _validate_cells(x, require_simplicial)
+    if groups is not None:
+        _validate_label_refs(x, groups)
+        _validate_containments(x, groups)
+        _validate_orbit_labels(x)
+
+
+def _validate_cells(x, require_simplicial=False):
     ids = set()
     for cell in x.cells():
         if cell in ids:
@@ -176,17 +212,18 @@ def validate_complex(x, groups=None, require_simplicial=False):
             raise FixtureError(f"boundary mark on missing vertex {w!r}")
     if require_simplicial and not x.is_simplicial():
         raise FixtureError("complex is not simplicial")
-    if groups is not None:
-        _validate_labels(x, groups)
 
 
-def _validate_labels(x, groups: GroupTable):
+def _validate_label_refs(x, groups: GroupTable):
     for cell in x.cells():
         groups[x.stab.get(cell, TRIVIAL)]
     for eid in x.stab_plus:
         if eid not in x.edges:
             raise FixtureError(f"stab+ label on missing edge {eid!r}")
         groups[x.stab_plus[eid]]
+
+
+def _validate_containments(x, groups: GroupTable):
     # faces sit below their edges and vertices in the declared order
     for fid, es in x.faces.items():
         fg = x.stab[fid]
@@ -207,6 +244,9 @@ def _validate_labels(x, groups: GroupTable):
                 raise ConsistencyError(
                     f"edge {eid!r} stabilizer {eg!r} not declared inside vertex {w!r} stabilizer"
                 )
+
+
+def _validate_orbit_labels(x):
     # quotient-scale consistency: one label per orbit, matching incidence shape
     per_orbit = defaultdict(set)
     for cell in x.cells():
@@ -324,17 +364,19 @@ def reduce_with_map(x: Complex2, groups: GroupTable = None):
         boundary_marked=x.boundary_marked,
         stab_plus=stab_plus,
     )
-    wire_incidence_declarations(out, groups)
-    validate_complex(out, groups)
+    wire_and_validate(out, groups)
     return out, cell_map
 
 
-def wire_incidence_declarations(x: Complex2, groups: GroupTable):
-    """Record the face<=edge<=vertex containments of a synthesized complex.
+def wire_and_validate(x: Complex2, groups: GroupTable):
+    """Record the face<=edge<=vertex containments of a synthesized complex,
+    then validate it.
 
-    Surgery constructions guarantee these geometrically (a stabilizer of a
-    cell fixes the cells it collapses onto), but freshly minted labels do
-    not carry them yet.
+    Surgery constructions guarantee these containments geometrically (a
+    stabilizer of a cell fixes the cells it collapses onto), but freshly
+    minted labels do not carry them yet.  Once declared they hold, so the
+    validation walks them no more; every other check of
+    ``validate_complex`` runs.
     """
     for eid, (u, v) in x.edges.items():
         for w in (u, v):
@@ -348,6 +390,9 @@ def wire_incidence_declarations(x: Complex2, groups: GroupTable):
         for w in x.face_vertices(fid):
             if not groups.leq(fg, x.stab[w]):
                 groups.declare_leq(fg, x.stab[w])
+    _validate_cells(x)
+    _validate_label_refs(x, groups)
+    _validate_orbit_labels(x)
 
 
 def quotient_labels(x: Complex2, cell_map, groups: GroupTable, prefix: str, extra_stab=None, extra_sups=None):
@@ -561,11 +606,12 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable = None) -> CutpointTre
 
 
 def subcomplex(x: Complex2, cells, groups: GroupTable = None) -> Complex2:
-    """The full subcomplex on a downward-closed cell set."""
+    """The full subcomplex on a downward-closed cell set, keeping the
+    order of ``x``'s cell dicts (so a piece of a reduced complex is reduced)."""
     cells = set(cells)
     verts = {c for c in cells if c in x.vertices}
-    edges = {eid: x.edges[eid] for eid in cells if eid in x.edges}
-    faces = {fid: x.faces[fid] for fid in cells if fid in x.faces}
+    edges = {eid: ends for eid, ends in x.edges.items() if eid in cells}
+    faces = {fid: es for fid, es in x.faces.items() if fid in cells}
     for eid, (u, v) in edges.items():
         if u not in verts or v not in verts:
             raise FixtureError(f"subcomplex cell set not closed under subcells at edge {eid!r}")

@@ -38,15 +38,25 @@ class GroupTable:
 
     def __init__(self, refs=()):
         self._refs = {TRIVIAL: GroupRef(TRIVIAL, is_slender=True, is_h_elliptic=True, is_finite=True)}
-        self._extra_leq = set()
+        self._up = {TRIVIAL: set()}  # id -> declared supergroups, from the ref and from declare_leq
+        self._leq = {}  # (a, b) -> leq(a, b), cleared by every insertion
+        self.version = 0  # counts insertions: a change of the order or of the ref set
         self._mint_counter = 0
         for ref in refs:
             self.add(ref)
 
+    def _inserted(self):
+        self._leq.clear()
+        self.version += 1
+
     def add(self, ref: GroupRef) -> GroupRef:
-        if ref.id in self._refs and self._refs[ref.id] != ref:
-            raise FixtureError(f"group {ref.id!r} declared twice with different data")
+        if ref.id in self._refs:
+            if self._refs[ref.id] != ref:
+                raise FixtureError(f"group {ref.id!r} declared twice with different data")
+            return ref
         self._refs[ref.id] = ref
+        self._up[ref.id] = set(ref.declared_supergroups)
+        self._inserted()
         return ref
 
     def __contains__(self, gid):
@@ -64,26 +74,42 @@ class GroupTable:
     def declare_leq(self, sub: str, sup: str):
         """Record a containment discovered after the refs were frozen."""
         self[sub], self[sup]
-        self._extra_leq.add((sub, sup))
+        up = self._up[sub]
+        if sup not in up:
+            up.add(sup)
+            self._inserted()
 
     def copy(self) -> "GroupTable":
         """An independent table with the same refs, containments and mint
         counter: minting into the copy leaves this table unchanged."""
         out = GroupTable()
         out._refs = dict(self._refs)
-        out._extra_leq = set(self._extra_leq)
+        out._up = {gid: set(sups) for gid, sups in self._up.items()}
         out._mint_counter = self._mint_counter
         return out
 
     def _parents(self, gid):
-        out = set(self[gid].declared_supergroups)
-        out.update(sup for sub, sup in self._extra_leq if sub == gid)
-        return out
+        """The declared supergroups of gid (read-only)."""
+        try:
+            return self._up[gid]
+        except KeyError:
+            raise FixtureError(f"unknown group id {gid!r}") from None
 
     def leq(self, a: str, b: str) -> bool:
-        """Reflexive-transitive declared order: is a a subgroup of b?"""
+        """Reflexive-transitive declared order: is a a subgroup of b?
+
+        Answers are kept until the next insertion: the table only ever
+        gains refs and containments, and a walk of the parent index is
+        repeated only after one of them."""
         if a == b or a == TRIVIAL:
             return True
+        key = (a, b)
+        hit = self._leq.get(key)
+        if hit is None:
+            hit = self._leq[key] = self._walk_leq(a, b)
+        return hit
+
+    def _walk_leq(self, a, b):
         seen, todo = {a}, [a]
         while todo:
             for parent in self._parents(todo.pop()):

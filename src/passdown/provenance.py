@@ -8,7 +8,7 @@ triangle maps of the stability analysis are compositions of these.
 
 from dataclasses import dataclass, field
 
-from .complexes import reduce_with_map, validate_complex, wire_incidence_declarations
+from .complexes import reduce_with_map, wire_and_validate
 from .errors import EngineError
 
 
@@ -68,8 +68,7 @@ def reduce_collapsed(collapsed, groups):
     """Finish a collapse: record the incidence containments of the freshly
     built complex, validate it and reduce it.  Returns (reduced complex,
     fragment of the reduction step)."""
-    wire_incidence_declarations(collapsed, groups)
-    validate_complex(collapsed, groups)
+    wire_and_validate(collapsed, groups)
     reduced, red_map = reduce_with_map(collapsed, groups)
     frag = TauFragment(
         triangle_map={f: red_map[f] for f in collapsed.triangles()},

@@ -51,15 +51,19 @@ class ActionTable:
         self.groups = groups
         self._descriptors = {}
         self._parabolic = {}
+        self._resolved = {}  # gid -> ResolvedAction, for one version of the group table
+        self._resolved_at = None
 
     def declare_descriptors(self, gid, descriptors):
         self.groups[gid]
         self._descriptors.setdefault(gid, []).extend(descriptors)
+        self._resolved.clear()
 
     def declare_parabolic(self, gid, end):
         if not self.tree.is_ideal(end):
             raise FixtureError(f"parabolic end {end!r} is not an ideal point")
         self._parabolic[gid] = end
+        self._resolved.clear()
 
     def over(self, groups: GroupTable) -> "ActionTable":
         """The same annotations read against another group table."""
@@ -93,6 +97,16 @@ class ActionTable:
         raise ConsistencyError(f"no action annotation for group {gid!r} on this tree")
 
     def resolved(self, gid) -> ResolvedAction:
+        """How gid acts, kept until the group table or an annotation changes."""
+        if self._resolved_at != self.groups.version:
+            self._resolved.clear()
+            self._resolved_at = self.groups.version
+        hit = self._resolved.get(gid)
+        if hit is None:
+            hit = self._resolved[gid] = self._resolve(gid)
+        return hit
+
+    def _resolve(self, gid) -> ResolvedAction:
         owner = self._owner(gid)
         if owner is None or (
             owner == TRIVIAL and owner not in self._descriptors and owner not in self._parabolic

@@ -83,6 +83,49 @@ def random_simplicial_complex(rng: random.Random, max_vertices=8):
     return make_complex(verts, edges, faces)
 
 
+def random_labelled_complex(rng: random.Random, shape="simplicial"):
+    """A random complex of one of the shapes in this module (``shape`` is
+    "simplicial", "cell" without bigons, "tree" or "glued"), relabelled over a small
+    declared order: vertices in V1 or V2, edges in E (below both) or the
+    trivial group, triangles in F (below E) when every side is in E, some
+    triangles sharing an orbit with a like-labelled one, some edges with an
+    oriented label P, some vertices boundary-marked.  Returns (complex,
+    group table)."""
+    from passdown.groups import GroupRef, GroupTable
+
+    groups = GroupTable(
+        [
+            GroupRef("V1"),
+            GroupRef("V2"),
+            GroupRef("E", declared_supergroups=frozenset({"V1", "V2"})),
+            GroupRef("F", declared_supergroups=frozenset({"E"})),
+            GroupRef("P"),
+        ]
+    )
+    shape = {
+        "simplicial": lambda: random_simplicial_complex(rng),
+        "cell": lambda: random_cell_complex(rng, allow_bigons=False),
+        "tree": lambda: random_triangle_tree_complex(rng, n_triangles=rng.randint(1, 9)),
+        "glued": lambda: random_edge_glued_complex(rng, n_triangles=rng.randint(1, 9)),
+    }[shape]()
+    stab = {v: rng.choice(("V1", "V2")) for v in sorted(shape.vertices)}
+    stab.update({eid: rng.choice(("E", "1")) for eid in sorted(shape.edges)})
+    orbit, stab_plus = {}, {}
+    for fid in sorted(shape.faces):
+        stab[fid] = "F" if all(stab[e] == "E" for e in shape.faces[fid]) else "1"
+        if rng.random() < 0.4:
+            orbit[fid] = f"o.{stab[fid]}.{rng.randint(0, 1)}"
+    for eid in sorted(shape.edges):
+        if rng.random() < 0.3:
+            stab_plus[eid] = "P"
+    marked = [v for v in sorted(shape.vertices) if rng.random() < 0.3]
+    x = make_complex(
+        shape.vertices, shape.edges, shape.faces, stab=stab, orbit=orbit,
+        boundary_marked=marked, stab_plus=stab_plus, groups=groups,
+    )
+    return x, groups
+
+
 def random_triangle_tree_complex(rng: random.Random, n_triangles=5, marked=2):
     """Connected simplicial complex with h1 = 0, grown triangle by triangle.
 

@@ -293,3 +293,52 @@ def brute_blocks(x):
     for eid in sorted(x.edges):
         out.setdefault(key[eid], set()).add(eid)
     return sorted(out.values(), key=sorted)
+
+
+def leq_oracle(groups, extra, a, b):
+    """The declared order by a fresh parent walk: the supergroups each ref
+    declares plus the ``extra`` (sub, sup) containments, followed
+    transitively.  Raises like ``GroupTable.leq`` when the walk meets an
+    unknown id."""
+    if a == b or a == "1":
+        return True
+    seen, todo = {a}, [a]
+    while todo:
+        gid = todo.pop()
+        parents = set(groups[gid].declared_supergroups)
+        parents.update(sup for sub, sup in extra if sub == gid)
+        for parent in parents:
+            if parent == b:
+                return True
+            if parent not in seen:
+                seen.add(parent)
+                todo.append(parent)
+    return False
+
+
+def identity_collapse_oracle(x, res, ts_star, groups):
+    """``split_collapse`` along its full path, whatever ``x`` is: every cell
+    rebuilt, the incidence wired and validated, then reduced."""
+    from passdown.complexes import Complex2
+    from passdown.tracks import split_collapse
+
+    shortcut = Complex2.__dict__["is_reduced"]
+    Complex2.is_reduced = property(lambda self: False)
+    try:
+        return split_collapse(x, res, ts_star, groups)
+    finally:
+        Complex2.is_reduced = shortcut
+
+
+def is_reduced_oracle(x, groups):
+    """Does ``reduce_with_map`` give back x itself: the identity cell map
+    and an equal complex, with edges and faces in the same order?"""
+    from passdown.complexes import reduce_with_map
+
+    out, cell_map = reduce_with_map(x, groups)
+    return (
+        all(cell_map[c] == c for c in x.cells())
+        and out == x
+        and list(out.edges.items()) == list(x.edges.items())
+        and list(out.faces.items()) == list(x.faces.items())
+    )

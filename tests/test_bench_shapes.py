@@ -7,19 +7,11 @@ generator derives from the construction: exit code, covolume ledger,
 certificate level and whether an ACC alert appears.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from passdown.cli import main
 
-_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-_SPEC = importlib.util.spec_from_file_location("bench_workloads", _PATH)
-workloads = importlib.util.module_from_spec(_SPEC)
-sys.modules[_SPEC.name] = workloads
-_SPEC.loader.exec_module(workloads)
+from bench_ops import workloads
 
 
 def _picked():

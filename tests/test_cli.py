@@ -173,6 +173,49 @@ class TestCommands:
         assert "line 2: config: link-cap must be at least 3" in err
         assert "face 't2' references missing edge 'cd'" in err
 
+    _AB = "groups\n  group A\n  group B\nend\n"
+    _TRI = (
+        "  vertex a stab=A\n  vertex b stab=A\n  vertex c stab={c}\n  edge ab a b stab=A\n"
+        "  edge bc b c stab=A\n  edge ac a c stab=A\n  triangle t ab bc ac stab={t}\nend\n"
+    )
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("complex X\n  vertex a stab=NOPE\nend\n", "line 1: unknown group id 'NOPE'"),
+            (
+                "complex X\n  vertex a\n  vertex b\n  edge ab a b stabplus=NOPE\nend\n",
+                "line 1: unknown group id 'NOPE'",
+            ),
+            (
+                _AB + "complex X\n" + _TRI.format(c="A", t="B"),
+                "line 5: face 't' stabilizer 'B' not declared inside edge 'ab' stabilizer",
+            ),
+            (
+                _AB + "complex X\n" + _TRI.format(c="B", t="A"),
+                "line 5: face 't' stabilizer 'A' not declared inside vertex 'c' stabilizer",
+            ),
+            (
+                _AB + "complex X\n  vertex a stab=A\n  vertex b stab=B\n  edge ab a b stab=A\nend\n",
+                "line 5: edge 'ab' stabilizer 'A' not declared inside vertex 'b' stabilizer",
+            ),
+            (
+                _AB + "complex X\n  vertex a stab=A orbit=o\n  vertex b stab=B orbit=o\nend\n",
+                "line 5: orbit 'o' carries several stabilizer labels: ['A', 'B']",
+            ),
+            (
+                "complex X\n  vertex a\n  vertex b\n  vertex c\n  vertex d\n"
+                "  edge ab a b orbit=e\n  edge cd c d orbit=e\nend\n",
+                "line 1: edges of orbit 'e' have mismatched endpoint orbits",
+            ),
+        ],
+    )
+    def test_bad_label_exit_code_and_message(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["h1", str(bad), "--complex", "X"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,4 +1,4 @@
-import os
+import dataclasses
 import random
 import sys
 import warnings
@@ -21,19 +21,23 @@ from passdown.complexes import (
     make_complex,
     reduce_complex,
     reduced_cutpoint_tree,
+    validate_complex,
+    wire_and_validate,
 )
-from passdown.errors import FixtureError
+from passdown.errors import ConsistencyError, FixtureError
 from passdown.fixtures import parse_fixtures
-from passdown.groups import GroupRef, GroupTable
+from passdown.groups import TRIVIAL, GroupRef, GroupTable
 from passdown.pipeline import run_pipeline
 
-from generators import random_cell_complex, random_simplicial_complex
+from bench_ops import workloads
+from generators import random_cell_complex, random_labelled_complex, random_simplicial_complex
 from oracles import (
     boundary_rank_oracle,
     brute_blocks,
     brute_components,
     brute_cutpoints,
     h1_rank_oracle,
+    is_reduced_oracle,
     is_simplicial_oracle,
 )
 
@@ -314,18 +318,96 @@ class TestDerivedIncidence:
         assert isinstance(x.face_vertices(next(iter(x.faces))), frozenset)
 
 
-WORKED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures", "worked_terminating.txt")
+def _labelled_triangle(**changes):
+    """A triangle over the order C < A (cells labelled A, the face C),
+    built without validation and then changed."""
+    fields = dict(
+        vertices=frozenset("abc"),
+        edges={"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")},
+        faces={"t": ("ab", "bc", "ac")},
+        stab={c: "A" for c in ("a", "b", "c", "ab", "bc", "ac")} | {"t": "C"},
+        orbit={c: c for c in ("a", "b", "c", "ab", "bc", "ac", "t")},
+    )
+    fields.update(changes)
+    return Complex2(**fields)
+
+
+def _order():
+    return GroupTable([GroupRef("A"), GroupRef("B"), GroupRef("C", declared_supergroups=frozenset({"A"}))])
+
+
+class TestWireAndValidate:
+    """``wire_and_validate`` skips only the containments its wiring has just
+    declared: every other bad label fails as in ``validate_complex``."""
+
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            ({"orbit": {c: c for c in ("a", "b", "c", "ab", "bc", "ac")} | {"t": "a"}},
+             ConsistencyError, "orbit 'a' carries several stabilizer labels: ['A', 'C']"),
+            ({"orbit": {c: c for c in ("a", "b", "c", "bc", "t")} | {"ab": "e", "ac": "e"}},
+             ConsistencyError, "edges of orbit 'e' have mismatched endpoint orbits"),
+            ({"stab_plus": {"cd": "A"}}, FixtureError, "stab+ label on missing edge 'cd'"),
+            ({"stab_plus": {"ab": "NOPE"}}, FixtureError, "unknown group id 'NOPE'"),
+            ({"edges": {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "a")}}, FixtureError, "edge 'ac' is a loop"),
+        ],
+    )
+    def test_other_checks_fail_alike(self, changes, error, message):
+        x = _labelled_triangle(**changes)
+        for check in (validate_complex, wire_and_validate):
+            with pytest.raises(error) as info:
+                check(x, _order())
+            assert type(info.value) is error and str(info.value) == message
+
+    def test_the_skipped_containments_are_the_declared_ones(self):
+        x = _labelled_triangle(stab={c: "A" for c in ("a", "b", "ab", "bc", "ac")} | {"c": "B", "t": "B"})
+        groups = _order()
+        with pytest.raises(ConsistencyError, match="face 't' stabilizer 'B' not declared inside edge"):
+            validate_complex(x, groups)
+        wire_and_validate(x, groups)
+        validate_complex(x, groups)
+        assert groups.leq("B", "A") and groups.leq("A", "B")
+
+
+def _perturbed(x, rng):
+    """Copies of a reduced complex that each break one part of being reduced."""
+    out = [dataclasses.replace(x, edges=dict(reversed(x.edges.items())))]
+    out.append(dataclasses.replace(x, faces=dict(reversed(x.faces.items()))))
+    out.append(dataclasses.replace(x, stab={**x.stab, "stray": TRIVIAL}))
+    if x.edges:
+        eid = rng.choice(sorted(x.edges))
+        out.append(dataclasses.replace(x, stab_plus={e: g for e, g in x.stab_plus.items() if e != eid}))
+        out.append(dataclasses.replace(x, edges={**x.edges, eid: x.edges[eid][::-1]}))
+    if x.faces:
+        fid = rng.choice(sorted(x.faces))
+        es = x.faces[fid]
+        out.append(dataclasses.replace(x, faces={**x.faces, fid: es[1:] + es[:1]}))
+        other = next((c for c in x.cells() if x.stab[c] != x.stab[fid]), None)
+        if other is not None:
+            out.append(dataclasses.replace(x, orbit={**x.orbit, fid: x.orbit[other]}))
+    return out
+
+
+class TestIsReduced:
+    @pytest.mark.parametrize("shape", ["simplicial", "cell", "tree", "glued"])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_matches_reduce_giving_back_the_complex(self, seed, shape):
+        rng = random.Random(seed)
+        x, groups = random_labelled_complex(rng, shape)
+        reduced = reduce_complex(x, groups)
+        assert reduced.is_reduced and is_reduced_oracle(reduced, groups.copy())
+        for y in [x] + _perturbed(reduced, rng):
+            assert y.is_reduced == is_reduced_oracle(y, groups.copy())
 
 
 def test_components_blocks_and_rank_computed_once_per_complex(tmp_path, monkeypatch):
-    """A pipeline run at horizon 16 computes the components, the 1-skeleton
-    blocks and the boundary rank of each complex at most once, however
-    often its connectivity, h1 and cutpoints are checked."""
-    with open(WORKED) as fh:
-        text = fh.read()
-    assert "horizon=4 " in text
-    path = tmp_path / "worked16.txt"
-    path.write_text(text.replace("horizon=4 ", "horizon=16 "))
+    """A benchmark chain run computes the components, the 1-skeleton blocks
+    and the boundary rank of each complex at most once, however often its
+    connectivity, h1 and cutpoints are checked.  The chain overrides an
+    oriented stabilizer at every level, so every level builds new complexes."""
+    op = workloads.chain(random.Random(1), 30)
+    path = tmp_path / "chain.txt"
+    path.write_text(op.text)
     counts = {"components": Counter(), "blocks": Counter(), "rank": Counter()}
     kept = []  # every counted complex stays alive, so no id is reused
 
@@ -344,8 +426,9 @@ def test_components_blocks_and_rank_computed_once_per_complex(tmp_path, monkeypa
     monkeypatch.setattr(graphs, "components", counted("components", graphs.components))
     monkeypatch.setattr(graphs, "blocks", counted("blocks", graphs.blocks))
     monkeypatch.setattr(complexes, "_gf2_rank", counted("rank", complexes._gf2_rank))
-    rep = run_pipeline(parse_fixtures([str(path)]), "worked")
-    assert rep.horizon == 16 and rep.certificate_level == 1
+    rep = run_pipeline(parse_fixtures([str(path)]), op.pipeline)
+    assert rep.horizon == 30 and rep.certificate_level == op.expected.cert_level
+    assert rep.ledger == op.expected.ledger
     for kind, per_complex in counts.items():
         assert len(per_complex) >= 16, kind
         assert max(per_complex.values()) == 1, (kind, max(per_complex.values()))

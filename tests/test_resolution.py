@@ -282,3 +282,48 @@ class TestContract:
         res = build_resolution(x, t, actions_for(t, groups))
         with pytest.raises(HypothesisError):
             contract(res, groups)
+
+
+class TestActionTableMemo:
+    """``ActionTable.resolved`` is kept per group id, and follows every
+    change of the group table or of the annotations."""
+
+    def setup_table(self):
+        t = line_tree(ideals=False)
+        groups = GroupTable(
+            [GroupRef("A"), GroupRef("Z"), GroupRef("C", declared_supergroups=frozenset({"Z"}))]
+        )
+        table = ActionTable(t, groups)
+        table.declare_descriptors("A", [ActionDescriptor(kind="elliptic", fixed=frozenset({"x0"}))])
+        table.declare_descriptors("Z", [ActionDescriptor(kind="elliptic", fixed=frozenset({"x3"}))])
+        return groups, table
+
+    def test_a_later_containment_changes_the_owner(self):
+        groups, table = self.setup_table()
+        assert table.resolved("C").fixed == frozenset({"x3"})  # inherited from Z
+        assert table.resolved("C") is table.resolved("C")
+        # A is now a parent too, and the smaller id wins among nearest owners
+        groups.declare_leq("C", "A")
+        assert table.resolved("C").fixed == frozenset({"x0"})
+
+    def test_a_later_annotation_takes_over(self):
+        groups, table = self.setup_table()
+        assert table.resolved("C").fixed == frozenset({"x3"})
+        table.declare_descriptors("C", [ActionDescriptor(kind="elliptic", fixed=frozenset({"x1", "x2"}))])
+        assert table.resolved("C").fixed == frozenset({"x1", "x2"})
+
+    def test_a_later_parabolic_end_takes_over(self):
+        t = line_tree()
+        table = ActionTable(t, GroupTable([GroupRef("P")]))
+        table.declare_descriptors("P", [ActionDescriptor(kind="elliptic", fixed=frozenset({"x1"}))])
+        assert table.classification("P") == "elliptic"
+        table.declare_parabolic("P", "p")
+        assert table.resolved("P").kind == "parabolic" and table.resolved("P").end == "p"
+
+    def test_a_copy_of_the_group_table_is_a_separate_table(self):
+        groups, table = self.setup_table()
+        assert table.resolved("C").fixed == frozenset({"x3"})
+        copy = groups.copy()
+        copy.declare_leq("C", "A")
+        assert table.resolved("C").fixed == frozenset({"x3"})
+        assert table.over(copy).resolved("C").fixed == frozenset({"x0"})

@@ -1,12 +1,22 @@
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from passdown.complexes import covolume, h1_z2, is_connected, make_complex
+from passdown import hierarchy, resolution, tracks
+from passdown.complexes import covolume, h1_z2, is_connected, make_complex, reduce_complex
 from passdown.errors import TruncationError
+from passdown.fixtures import parse_fixtures
 from passdown.groups import GroupTable
+from passdown.pipeline import run_pipeline
 from passdown.provenance import TauFragment
 from passdown.resolution import resolution_from_images
 from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolution
 from passdown.trees import make_tree
+
+from generators import random_labelled_complex
+from oracles import identity_collapse_oracle
 
 
 def line_tree(n=2, ideals=()):
@@ -272,3 +282,125 @@ def test_fragment_composition_associative():
     assert left.triangle_map == right.triangle_map
     assert left.edge_map == right.edge_map
     assert left.vertex_map == right.vertex_map
+
+
+class TestIdentityCollapse:
+    """Over a point tree there is no track and no ideal vertex: a reduced
+    complex is its own collapse.  The full rebuild, wire and reduce path of
+    ``split_collapse`` is the oracle."""
+
+    @staticmethod
+    def over_point_tree(x):
+        res = resolution_from_images(x, make_tree(["p"], {}, {}), {v: "p" for v in x.vertices})
+        return res, tracks_from_resolution(res)
+
+    def assert_matches_oracle(self, x, groups):
+        res, ts = self.over_point_tree(x)
+        assert ts.tracks == ()
+        fast_groups, full_groups = groups.copy(), groups.copy()
+        xt, frag = split_collapse(x, res, ts, fast_groups)
+        xo, fo = identity_collapse_oracle(x, res, ts, full_groups)
+        assert (xt is x) == x.is_reduced
+        assert xt.vertices == xo.vertices
+        assert list(xt.edges.items()) == list(xo.edges.items())
+        assert list(xt.faces.items()) == list(xo.faces.items())
+        assert xt.stab == xo.stab and xt.orbit == xo.orbit
+        assert xt.boundary_marked == xo.boundary_marked
+        assert {e: xt.edge_stab_plus(e) for e in xt.edges} == {e: xo.edge_stab_plus(e) for e in xo.edges}
+        for name in ("triangle_map", "edge_map", "vertex_map", "track_point"):
+            assert getattr(frag, name) == getattr(fo, name), name
+        # no ref minted and no containment declared that the shortcut skips
+        assert fast_groups._mint_counter == full_groups._mint_counter
+        assert fast_groups._up == full_groups._up
+        return xt
+
+    @pytest.mark.parametrize("shape", ["simplicial", "cell", "tree", "glued"])
+    @pytest.mark.parametrize("seed", range(15))
+    def test_shortcut_matches_the_full_path(self, seed, shape):
+        x, groups = random_labelled_complex(random.Random(seed), shape)
+        reduced = reduce_complex(x, groups)
+        assert reduced.is_reduced
+        # the generated complex itself, usually not reduced, then its reduction
+        for y in (x, reduced) if x.is_simplicial() else (reduced,):
+            self.assert_matches_oracle(y, groups)
+
+    def test_a_complex_out_of_canonical_order_takes_the_full_path(self, monkeypatch):
+        groups = GroupTable()
+        x = make_complex(
+            ["a", "b", "c", "d"],
+            {"bc": ("c", "b"), "ab": ("a", "b"), "ac": ("a", "c"), "bd": ("b", "d"), "cd": ("c", "d")},
+            {"t2": ("bc", "cd", "bd"), "t1": ("ab", "bc", "ac")},
+            stab_plus={"bc": "1"},
+            groups=groups,
+        )
+        assert not x.is_reduced
+        xt = self.assert_matches_oracle(x, groups)
+        assert xt is not x and xt.is_reduced
+        assert list(xt.edges.items()) == [
+            ("ab", ("a", "b")), ("ac", ("a", "c")), ("bc", ("b", "c")), ("bd", ("b", "d")), ("cd", ("c", "d"))
+        ]
+        assert list(xt.faces.items()) == [("t1", ("ab", "bc", "ac")), ("t2", ("bc", "cd", "bd"))]
+        assert self.assert_matches_oracle(xt, groups) is xt
+        rebuilt = []
+        full = tracks.reduce_collapsed
+        monkeypatch.setattr(tracks, "reduce_collapsed", lambda *a: rebuilt.append(a[0]) or full(*a))
+        for y in (x, xt):
+            split_collapse(y, *self.over_point_tree(y), groups.copy())
+        assert len(rebuilt) == 1 and rebuilt[0].faces.keys() == x.faces.keys()
+
+    def test_an_ideal_vertex_takes_the_full_path(self):
+        # a reduced triangle with one vertex at the truncated end and no
+        # track to cut it off: the rebuild reports the truncation
+        x = reduce_complex(
+            make_complex(
+                ["a", "b", "c"],
+                {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")},
+                {"f": ("ab", "bc", "ac")},
+                boundary_marked=["b"],
+            )
+        )
+        assert x.is_reduced
+        res = resolution_from_images(x, line_tree(2, ideals=("p",)), {"a": "p", "b": "x0", "c": "x0"})
+        ts = tracks_from_resolution(res)
+        assert ts.tracks == () and res.ideal_vertices() == {"a"}
+        with pytest.raises(TruncationError, match="reaches a truncated end"):
+            split_collapse(x, res, ts, GroupTable())
+
+
+WORKED = Path(__file__).resolve().parents[1] / "fixtures" / "worked_terminating.txt"
+
+
+def test_worked_run_rebuilds_only_levels_with_tracks(tmp_path, monkeypatch):
+    """At horizon 64 the worked run collapses tracks only at its first
+    level; every later level is a point tree.  The collapse is rebuilt and
+    reduced only where tracks are, and each action table resolves a group
+    id at most once per version of its group table."""
+    text = WORKED.read_text()
+    assert "horizon=4 " in text
+    path = tmp_path / "worked64.txt"
+    path.write_text(text.replace("horizon=4 ", "horizon=64 "))
+
+    collapses = Counter()
+    split = hierarchy.split_collapse
+
+    def counted_split(x, res, ts, groups=None):
+        collapses["with tracks" if ts.tracks else "without"] += 1
+        return split(x, res, ts, groups)
+
+    rebuilt = []
+    full = tracks.reduce_collapsed
+    resolves = Counter()
+    owner = resolution.ActionTable._owner
+
+    def counted_owner(self, gid):
+        resolves[(id(self), gid, getattr(self.groups, "version", None))] += 1
+        return owner(self, gid)
+
+    monkeypatch.setattr(hierarchy, "split_collapse", counted_split)
+    monkeypatch.setattr(tracks, "reduce_collapsed", lambda *a: rebuilt.append(a) or full(*a))
+    monkeypatch.setattr(resolution.ActionTable, "_owner", counted_owner)
+    rep = run_pipeline(parse_fixtures([str(path)]), "worked")
+    assert rep.horizon == 64 and rep.certificate_level == 1
+    assert collapses["without"] >= 64
+    assert len(rebuilt) == collapses["with tracks"] >= 1
+    assert resolves and max(resolves.values()) == 1
