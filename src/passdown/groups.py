@@ -110,15 +110,19 @@ class GroupTable:
         return hit
 
     def _walk_leq(self, a, b):
-        seen, todo = {a}, [a]
+        """Walk every id above ``a`` short of ``b`` (whose own parents do
+        not matter) and say whether ``b`` was met.  The walk does not stop
+        at ``b``, so an unknown id above ``a`` raises whatever order the
+        parent sets iterate in."""
+        seen, todo, found = {a}, [a], False
         while todo:
             for parent in self._parents(todo.pop()):
                 if parent == b:
-                    return True
-                if parent not in seen:
+                    found = True
+                elif parent not in seen:
                     seen.add(parent)
                     todo.append(parent)
-        return False
+        return found
 
     def equal(self, a: str, b: str) -> bool:
         return self.leq(a, b) and self.leq(b, a)

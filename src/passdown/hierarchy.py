@@ -576,16 +576,57 @@ def passdown_structure(k: HStructure, tl, tables: RestrictionTable = None, group
 
 
 @dataclass
+class _KeptResolution:
+    complex: object  # held, so its id is not reused while the entry lives
+    no_dinfty: bool
+    version: int  # of the group table the resolution was built against
+    res: object
+    tracks: object = None  # its essential track system, once asked for
+
+
+@dataclass
 class TreeLevel:
     """One splitting step of the ambient hierarchy: the tree acted on,
     with its quotient view and the action annotations of the group
-    labels."""
+    labels.
+
+    A tree level also keeps, per complex object, the resolution built
+    over its tree and that resolution's essential tracks: a level over a
+    point tree hands its complexes on unchanged, and the next level over
+    the same tree gets both back instead of rebuilding them.  An entry
+    serves only the very object it was built for, and only while the
+    group table is at the version it was built against."""
 
     name: str
     tree: TreeHat
     actions: ActionTable
     gog: GraphOfGroups
     jsj: bool = False
+    _kept: dict = field(default_factory=dict, repr=False, compare=False)  # id(complex) -> _KeptResolution
+
+    def resolution(self, x, no_dinfty=True):
+        """``build_resolution`` of ``x`` over this tree, or the one kept for x."""
+        version = self.actions.groups.version
+        kept = self._kept.get(id(x))
+        if kept is None or kept.no_dinfty != no_dinfty or kept.version != version:
+            res = build_resolution(x, self.tree, self.actions, no_dinfty=no_dinfty)
+            kept = self._kept[id(x)] = _KeptResolution(x, no_dinfty, version, res)
+        return kept.res
+
+    def essential_tracks(self, x, res):
+        """The essential tracks of ``res``, kept with it when ``res`` is
+        the resolution kept for ``x``."""
+        kept = self._kept.get(id(x))
+        if kept is None or kept.res is not res:
+            return essential_tracks(tracks_from_resolution(res), x)
+        if kept.tracks is None:
+            kept.tracks = essential_tracks(tracks_from_resolution(res), x)
+        return kept.tracks
+
+    def keep_only(self, complexes):
+        """Drop what is kept for every complex object not among ``complexes``."""
+        live = {id(x) for x in complexes}
+        self._kept = {key: kept for key, kept in self._kept.items() if key in live}
 
 
 def make_tree_level(name, tree, actions, groups, jsj=False, flags=None) -> TreeLevel:
@@ -681,7 +722,7 @@ def passdown_full(k: HStructure, tl: TreeLevel, groups: GroupTable = None, no_di
     for nid, x in sorted(complexes.items()):
         if x is None:
             continue
-        res = build_resolution(x, tl.tree, tl.actions, no_dinfty=no_dinfty)
+        res = tl.resolution(x, no_dinfty)
         if res.kind == CONTRACTING:
             xc, res, frag = contract(res, groups)
             complexes[nid] = xc
@@ -732,7 +773,7 @@ def passdown_full(k: HStructure, tl: TreeLevel, groups: GroupTable = None, no_di
                     f"cutpoint {cut!r} of the complex at {nid!r} does not act elliptically",
                     lemma="splitting-resolution",
                 )
-        ts = essential_tracks(tracks_from_resolution(res), x)
+        ts = tl.essential_tracks(x, res)
         xt, frag = split_collapse(x, res, ts, groups)
         split_frags[nid] = frag
 

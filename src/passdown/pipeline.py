@@ -132,7 +132,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
     config = fx.config
     config.validate()
     groups = fx.groups.copy()  # the run mints into its own table; fx stays as parsed
-    tables = {}  # tree name -> action table over the run's groups
+    tree_levels = {}  # tree name -> its TreeLevel over the run's groups, kept for the run
     diagnostics = []
 
     root_struct = fx.structures[script.root_structure]
@@ -145,6 +145,8 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
             for tid, x in ks.complexes().items():
                 level_complexes[f"{inst}/{tid}"] = x
         levels.append(LevelData(complexes=level_complexes))
+        for tl in tree_levels.values():  # only this level's complexes are passed down next
+            tl.keep_only(level_complexes.values())
         if n == config.horizon:
             break
         tau_tri = {}
@@ -157,15 +159,15 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                     f"script node {nid!r} has no tree but the horizon is not reached; "
                     "stall the branch with a point tree instead"
                 )
-            if node.tree not in tables:
-                tables[node.tree] = fx.action_table(node.tree).over(groups)
-            tl = make_tree_level(
-                node.tree,
-                fx.trees[node.tree],
-                tables[node.tree],
-                groups,
-                jsj=node.tree in fx.jsj_trees,
-            )
+            tl = tree_levels.get(node.tree)
+            if tl is None:
+                tl = tree_levels[node.tree] = make_tree_level(
+                    node.tree,
+                    fx.trees[node.tree],
+                    fx.action_table(node.tree).over(groups),
+                    groups,
+                    jsj=node.tree in fx.jsj_trees,
+                )
             for gid in sorted(config.relative_class):
                 if tl.actions.has_entry(gid) and tl.actions.classification(gid) != "elliptic":
                     raise HypothesisError(

@@ -10,7 +10,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import Complex2, components, covolume, cutpoints, h1_z2, subcomplex
+from .complexes import Complex2, components, covolume, h1_z2
 from .errors import EngineError, FixtureError, HypothesisError, LinkCapError
 from .groups import GroupTable
 
@@ -207,16 +207,16 @@ class TriangleClass:
     cid: str
     triangles: frozenset
 
-    def subcomplex_of(self, x: Complex2, groups=None):
-        cells = set(self.triangles)
-        for fid in self.triangles:
-            for eid in x.faces[fid]:
-                cells.add(eid)
-                cells.update(x.edges[eid])
-        return subcomplex(x, cells, groups)
+
+def class_cutpoints(x: Complex2, triangles):
+    """Cutpoints of the subcomplex that a set of triangles of ``x`` spans
+    with their sides and corners, read off ``x`` without building it: the
+    articulation vertices of the graph on the triangles' sides."""
+    edges = {eid: x.edges[eid] for fid in triangles for eid in x.faces[fid]}
+    return graphs.cut_vertices(graphs.blocks({w for ends in edges.values() for w in ends}, edges))
 
 
-def equivalence_classes(run: RunView, n: int, ps: PairSet = None, groups=None):
+def equivalence_classes(run: RunView, n: int, ps: PairSet = None):
     """Classes of the relation generated by stable pairs, one per triangle
     at least; each class induces a connected, cutpoint-free subcomplex."""
     ps = ps if ps is not None else stable_pairs(run, n)
@@ -231,8 +231,7 @@ def equivalence_classes(run: RunView, n: int, ps: PairSet = None, groups=None):
             raise EngineError("an equivalence class straddles complexes")
         cid = cids.pop()
         cls = TriangleClass(id=f"Y{n}.{i}", cid=cid, triangles=frozenset(f for _, f in keys))
-        sub = cls.subcomplex_of(run.levels[n].complexes[cid], groups)
-        if cutpoints(sub):
+        if class_cutpoints(run.levels[n].complexes[cid], cls.triangles):
             raise EngineError(f"class {cls.id!r} subcomplex has a cutpoint")
         out.append(cls)
     return out
@@ -672,7 +671,7 @@ def stabilization_report(run: RunView) -> StabilizationReport:
     levels = range(n_delta, horizon + 1)
 
     pair_sets = stable_pair_sets(run, n_delta)
-    classes = {n: equivalence_classes(run, n, pair_sets[n], run.groups) for n in levels}
+    classes = {n: equivalence_classes(run, n, pair_sets[n]) for n in levels}
 
     # Claim-1 and Claim-2 bookkeeping plus sigma bijectivity
     counts, edge_orbits = {}, {}

@@ -342,3 +342,17 @@ def is_reduced_oracle(x, groups):
         and list(out.edges.items()) == list(x.edges.items())
         and list(out.faces.items()) == list(x.faces.items())
     )
+
+
+def subcomplex_of(cls, x, groups=None):
+    """The subcomplex a triangle class spans in x, built and validated:
+    its triangles with their sides and corners.  Its cutpoints define the
+    class check that ``stability.class_cutpoints`` reads off x directly."""
+    from passdown.complexes import subcomplex
+
+    cells = set(cls.triangles)
+    for fid in cls.triangles:
+        for eid in x.faces[fid]:
+            cells.add(eid)
+            cells.update(x.edges[eid])
+    return subcomplex(x, cells, groups)

@@ -1,5 +1,7 @@
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -399,3 +401,37 @@ end
 """
     )
     assert main(["pipeline", str(bad), "--name", "rel"]) == 1
+
+
+
+COMMITTED_PIPELINES = [
+    ("acc_stable.txt", "stable"),
+    ("f2_style.txt", "f2"),
+    ("wide_grid.txt", "P37058b"),
+    ("worked_terminating.txt", "worked"),
+]
+RUN_PIPELINES = """
+import sys
+from passdown.cli import main
+for path, name in zip(sys.argv[1::2], sys.argv[2::2]):
+    code = main(["pipeline", path, "--name", name])
+    print(f"=== {name}: exit code {code}")
+"""
+
+
+def test_pipeline_output_does_not_depend_on_the_hash_seed():
+    """`passdown pipeline` on the committed fixtures, in fresh
+    interpreters with different string hashing: stdout and exit codes are
+    the same."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    args = [a for name, pipeline in COMMITTED_PIPELINES for a in (fixture(name), pipeline)]
+    outputs = set()
+    for hashseed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", RUN_PIPELINES, *args], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+    codes = [line.rsplit(" ", 1)[1] for line in outputs.pop().splitlines() if line.startswith("=== ")]
+    assert codes == ["0", "1", "0", "0"]

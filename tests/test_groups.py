@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,8 @@ from passdown.errors import FixtureError
 from passdown.groups import TRIVIAL, GroupRef, GroupTable
 
 from oracles import leq_oracle
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _ids(table):
@@ -83,3 +89,31 @@ class TestDeclaredOrder:
         with pytest.raises(FixtureError, match="unknown group id 'nope'"):
             table.declare_leq("nope", "A")
         assert table.leq(TRIVIAL, "nope")
+
+
+UNKNOWN_ABOVE = """
+import sys
+from passdown.errors import FixtureError
+from passdown.groups import GroupRef, GroupTable
+
+table = GroupTable([
+    GroupRef("A", declared_supergroups=frozenset({"ghost", "C"})),
+    GroupRef("C", declared_supergroups=frozenset({"B"})),
+    GroupRef("B"),
+])
+try:
+    print(table.leq("A", "B"))
+except FixtureError as exc:
+    print(f"FixtureError: {exc}")
+"""
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1", "2", "3", "4", "5"])
+def test_an_unknown_id_above_raises_under_every_hash_seed(hashseed):
+    """The walk from A meets both B (through C) and the unknown 'ghost';
+    the answer must not depend on the iteration order of string sets."""
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", UNKNOWN_ABOVE], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "FixtureError: unknown group id 'ghost'\n"

@@ -5,13 +5,13 @@ import random
 import pytest
 
 from generators import random_edge_glued_complex, random_simplicial_complex
-from oracles import n_dprime_oracle, n_prime_oracle
+from oracles import n_dprime_oracle, n_prime_oracle, subcomplex_of
 from passdown import stability
 from passdown.cli import main
 from passdown.fixtures import parse_fixtures
 from passdown.pipeline import run_pipeline
 
-from passdown.complexes import make_complex
+from passdown.complexes import cutpoints, make_complex
 from passdown.errors import EngineError, FixtureError, HypothesisError, LinkCapError
 from passdown.groups import GroupRef, GroupTable
 from passdown.provenance import TauFragment
@@ -20,7 +20,11 @@ from passdown.stability import (
     LevelData,
     RunView,
     TauMap,
+    Pair,
+    PairSet,
+    TriangleClass,
     build_bw,
+    class_cutpoints,
     cone_criterion_check,
     cone_pushforward,
     detect_n_delta,
@@ -620,7 +624,7 @@ class TestRunAnalysisOracles:
                 kept += len(ps.pairs)
             report = stabilization_report(run)
             for n, classes in report.classes.items():
-                assert classes == equivalence_classes(run, n, None, run.groups)
+                assert classes == equivalence_classes(run, n)
             assert report.n_prime == n_prime_oracle(run, report.n_delta, report.classes)
             assert report.n_dprime == n_dprime_oracle(run, report.n_prime)
             deeper_prime += report.n_prime > report.n_delta
@@ -628,6 +632,43 @@ class TestRunAnalysisOracles:
         # the generated runs exercise every branch: kept pairs, N' above
         # N_delta and N'' above N'
         assert levels > 400 and kept > 0 and deeper_prime > 0 and deeper_dprime > 0
+
+    def test_class_check_matches_the_built_subcomplex(self):
+        """``class_cutpoints`` against the cutpoints of the validated class
+        subcomplex: on every class of the generated runs, and on random
+        triangle sets of their complexes, where cutpoints do occur."""
+        rng = random.Random(20261018)
+        classes = with_cuts = 0
+        for _ in range(150):
+            run = random_run(rng)
+            for n, level_classes in stabilization_report(run).classes.items():
+                for cls in level_classes:
+                    x = run.levels[n].complexes[cls.cid]
+                    assert class_cutpoints(x, cls.triangles) == cutpoints(subcomplex_of(cls, x, run.groups)) == set()
+                    classes += 1
+                for cid, x in run.levels[n].complexes.items():
+                    fids = sorted(x.triangles())
+                    if not fids:
+                        continue
+                    cls = TriangleClass(id="Z", cid=cid, triangles=frozenset(rng.sample(fids, rng.randint(1, len(fids)))))
+                    cuts = class_cutpoints(x, cls.triangles)
+                    assert cuts == cutpoints(subcomplex_of(cls, x, run.groups))
+                    with_cuts += bool(cuts)
+        assert classes > 400 and with_cuts > 0
+
+    def test_a_bowtie_class_is_an_engine_error(self):
+        # two triangles meeting only at c: a class holding both has a cutpoint
+        x = make_complex(
+            ["a", "b", "c", "d", "e"],
+            {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c"), "cd": ("c", "d"), "de": ("d", "e"), "ce": ("c", "e")},
+            {"t1": ("ab", "bc", "ac"), "t2": ("cd", "de", "ce")},
+        )
+        assert class_cutpoints(x, {"t1", "t2"}) == {"c"}
+        assert class_cutpoints(x, {"t1"}) == set()
+        run = identity_run(x, levels=1)
+        joined = PairSet(level=0, horizon=0, pairs=frozenset({Pair(cid="X", t1="t1", t2="t2", edge="ac")}))
+        with pytest.raises(EngineError, match="'Y0.0' subcomplex has a cutpoint"):
+            equivalence_classes(run, 0, joined)
 
     def test_swapped_sides_in_a_wheel_delay_n_dprime(self):
         # three triangles around c; tau_0 swaps the images of t1's sides

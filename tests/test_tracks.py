@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from passdown import hierarchy, resolution, tracks
+from passdown import complexes, hierarchy, pipeline, resolution, stability, tracks
 from passdown.complexes import covolume, h1_z2, is_connected, make_complex, reduce_complex
 from passdown.errors import TruncationError
 from passdown.fixtures import parse_fixtures
@@ -404,3 +404,60 @@ def test_worked_run_rebuilds_only_levels_with_tracks(tmp_path, monkeypatch):
     assert collapses["without"] >= 64
     assert len(rebuilt) == collapses["with tracks"] >= 1
     assert resolves and max(resolves.values()) == 1
+
+
+def test_worked_run_resolves_each_complex_once_per_tree(tmp_path, monkeypatch):
+    """At horizon 64 the worked run hands its complexes on unchanged,
+    level after level.  Each complex object is resolved, and its tracks
+    drawn, at most once per tree; each tree gets one tree level for the
+    run; and the class check reads the level complex without building
+    class subcomplexes."""
+    path = tmp_path / "worked64.txt"
+    path.write_text(WORKED.read_text().replace("horizon=4 ", "horizon=64 "))
+
+    held = []  # every counted object stays alive, so no id is reused
+    resolved, drawn, tree_levels = Counter(), Counter(), Counter()
+    build, draw, make = hierarchy.build_resolution, hierarchy.tracks_from_resolution, pipeline.make_tree_level
+
+    def counted_build(x, t, actions, no_dinfty=True):
+        held.append((x, t))
+        resolved[(id(x), id(t))] += 1
+        return build(x, t, actions, no_dinfty=no_dinfty)
+
+    def counted_draw(res):
+        held.append(res)
+        drawn[(id(res.source), id(res.target))] += 1
+        return draw(res)
+
+    def counted_make(name, *args, **kwargs):
+        tree_levels[name] += 1
+        return make(name, *args, **kwargs)
+
+    classing = []  # non-empty while equivalence_classes runs
+    classes, sub = stability.equivalence_classes, complexes.subcomplex
+    built_in_classes = []
+
+    def counted_classes(*args, **kwargs):
+        classing.append(True)
+        try:
+            return classes(*args, **kwargs)
+        finally:
+            classing.pop()
+
+    def counted_sub(*args, **kwargs):
+        if classing:
+            built_in_classes.append(args[1])
+        return sub(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "build_resolution", counted_build)
+    monkeypatch.setattr(hierarchy, "tracks_from_resolution", counted_draw)
+    monkeypatch.setattr(pipeline, "make_tree_level", counted_make)
+    monkeypatch.setattr(stability, "equivalence_classes", counted_classes)
+    monkeypatch.setattr(complexes, "subcomplex", counted_sub)
+    monkeypatch.setattr(stability, "subcomplex", counted_sub, raising=False)
+    rep = run_pipeline(parse_fixtures([str(path)]), "worked")
+    assert rep.horizon == 64 and rep.certificate_level == 1
+    assert resolved and max(resolved.values()) == 1
+    assert drawn and max(drawn.values()) == 1
+    assert tree_levels and max(tree_levels.values()) == 1
+    assert built_in_classes == [] and len(rep.classes) > 1
