@@ -605,9 +605,11 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable = None) -> CutpointTre
     return tree
 
 
-def subcomplex(x: Complex2, cells, groups: GroupTable = None) -> Complex2:
+def subcomplex(x: Complex2, cells) -> Complex2:
     """The full subcomplex on a downward-closed cell set, keeping the
-    order of ``x``'s cell dicts (so a piece of a reduced complex is reduced)."""
+    order of ``x``'s cell dicts (so a piece of a reduced complex is reduced).
+    Its labels are copied from ``x``, which is valid, so only its cells are
+    checked."""
     cells = set(cells)
     verts = {c for c in cells if c in x.vertices}
     edges = {eid: ends for eid, ends in x.edges.items() if eid in cells}
@@ -627,5 +629,5 @@ def subcomplex(x: Complex2, cells, groups: GroupTable = None) -> Complex2:
         boundary_marked=x.boundary_marked & verts,
         stab_plus={eid: x.stab_plus[eid] for eid in edges if eid in x.stab_plus},
     )
-    validate_complex(out, groups)
+    _validate_cells(out)
     return out

@@ -44,7 +44,8 @@ class HypothesisError(PassdownError):
 
 
 class LinkCapError(HypothesisError):
-    """Simple-cone enumeration hit the configured link-size cap."""
+    """The link-size cap of the former simple-cone enumeration.  Nothing
+    raises it any more; the benchmark's span recorder still imports it."""
 
 
 class EngineError(PassdownError):

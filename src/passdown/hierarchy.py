@@ -689,7 +689,7 @@ def _append_cutpoint_level(h, node_id, x, bpx, groups, suffix):
         h.nodes[cid] = child
         node.children[rep] = cid
         if rep in bpx.comp_cells:
-            sub = subcomplex(x, bpx.comp_cells[rep], groups)
+            sub = subcomplex(x, bpx.comp_cells[rep])
             if not is_connected(sub) or h1_z2(sub) != 0:
                 raise EngineError("cutpoint-free piece is not connected with h1 = 0")
             out[cid] = (sub, bpx.comp_cells[rep])

@@ -44,12 +44,6 @@ class TauFragment:
             verts[v] = None if img is None else nxt.vertex_map.get(img)
         return TauFragment(triangle_map=tri, edge_map=edges, vertex_map=verts)
 
-    def total_and_bijective(self):
-        images = [img for img in self.triangle_map.values()]
-        if any(img is None for img in images):
-            return False
-        return len(set(images)) == len(images)
-
     def check_consistency(self, source, target):
         for t, img in self.triangle_map.items():
             if t not in source.faces:

@@ -10,12 +10,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import Complex2, components, covolume, h1_z2
-from .errors import EngineError, FixtureError, HypothesisError, LinkCapError
+from .complexes import Complex2, covolume, h1_z2
+from .errors import EngineError, FixtureError, HypothesisError
 from .groups import GroupTable
-
-DEFAULT_LINK_CAP = 16
-
 
 # ---------------------------------------------------------------------------
 # run data
@@ -59,33 +56,6 @@ class RunView:
     @property
     def horizon(self):
         return len(self.levels) - 1
-
-    def compose(self, n, m):
-        """tau_{n,m} on triangles with the side correspondence."""
-        if not n <= m <= self.horizon:
-            raise FixtureError("bad level range")
-        tri = {key: key for key in self.levels[n].triangles()}
-        edge = {}
-        for cid in self.levels[n].complexes:
-            x = self.levels[n].complexes[cid]
-            for fid in x.triangles():
-                for eid in x.faces[fid]:
-                    edge[((cid, fid), eid)] = eid
-        for step in range(n, m):
-            tau = self.taus[step]
-            tri2, edge2 = {}, {}
-            for key, img in tri.items():
-                nxt = tau.image(img) if img is not None else None
-                tri2[key] = nxt
-            for (key, eid), img_eid in edge.items():
-                img = tri[key]
-                if img is None or tri2[key] is None:
-                    continue
-                nxt_eid = tau.edge_image(img, img_eid)
-                if nxt_eid is not None:
-                    edge2[(key, eid)] = nxt_eid
-            tri, edge = tri2, edge2
-        return tri, edge
 
 
 def detect_n_delta(ledger) -> int:
@@ -133,34 +103,6 @@ def pairs_at(run: RunView, n: int):
     for cid in sorted(run.levels[n].complexes):
         out.extend(pairs_of_complex(run.levels[n].complexes[cid], cid))
     return out
-
-
-def descends_to_pair(pair: Pair, tri, edge):
-    """Does the pair stay a pair under a composed triangle map?"""
-    k1, k2 = (pair.cid, pair.t1), (pair.cid, pair.t2)
-    i1, i2 = tri.get(k1), tri.get(k2)
-    if i1 is None or i2 is None or i1 == i2:
-        return False
-    if i1[0] != i2[0]:
-        return False
-    e1 = edge.get((k1, pair.edge))
-    e2 = edge.get((k2, pair.edge))
-    return e1 is not None and e1 == e2
-
-
-def stable_pairs(run: RunView, n: int) -> PairSet:
-    """Pairs at level n that stay pairs under every computed map up to the
-    horizon, by composing tau from n to each later level.  This is the
-    definition; ``stable_pair_sets`` computes the same sets in one sweep."""
-    horizon = run.horizon
-    stable = []
-    composed = {}
-    for m in range(n + 1, horizon + 1):
-        composed[m] = run.compose(n, m)
-    for pair in pairs_at(run, n):
-        if all(descends_to_pair(pair, *composed[m]) for m in composed):
-            stable.append(pair)
-    return PairSet(level=n, horizon=horizon, pairs=frozenset(stable))
 
 
 def _check_side_images(tau: TauMap, target: LevelData, n: int):
@@ -216,10 +158,10 @@ def class_cutpoints(x: Complex2, triangles):
     return graphs.cut_vertices(graphs.blocks({w for ends in edges.values() for w in ends}, edges))
 
 
-def equivalence_classes(run: RunView, n: int, ps: PairSet = None):
-    """Classes of the relation generated by stable pairs, one per triangle
-    at least; each class induces a connected, cutpoint-free subcomplex."""
-    ps = ps if ps is not None else stable_pairs(run, n)
+def equivalence_classes(run: RunView, n: int, ps: PairSet):
+    """Classes of the relation generated by the stable pairs ``ps`` of
+    level n, one per triangle at least; each class induces a connected,
+    cutpoint-free subcomplex."""
     triangles = run.levels[n].triangles()
     uf = graphs.UnionFind(triangles)
     for pair in ps.pairs:
@@ -315,18 +257,6 @@ class Cone:
     boundary: tuple
     fan: tuple  # face ids; fan[i] spans boundary[i], boundary[i+1]
 
-    @property
-    def simple(self):
-        return len(set(self.boundary)) == len(self.boundary)
-
-    @property
-    def area(self):
-        return len(self.fan)
-
-    def boundary_edges(self):
-        k = len(self.boundary)
-        return tuple((self.boundary[i], self.boundary[(i + 1) % k]) for i in range(k))
-
 
 def make_cone(x: Complex2, center, boundary) -> Cone:
     fan = []
@@ -342,196 +272,6 @@ def make_cone(x: Complex2, center, boundary) -> Cone:
             raise FixtureError(f"no triangle on {center!r}, {a!r}, {b!r}")
         fan.append(fids[0])
     return Cone(center=center, boundary=tuple(boundary), fan=tuple(fan))
-
-
-def link_graph(x: Complex2, v):
-    adj = defaultdict(set)
-    for fid in x.triangles_by_vertex.get(v, ()):
-        a, b = sorted(x.face_vertices(fid) - {v})
-        adj[a].add(b)
-        adj[b].add(a)
-    return adj
-
-
-def enumerate_simple_cones(x: Complex2, v, link_cap=DEFAULT_LINK_CAP):
-    """All embedded closed triangle fans around one vertex, as the simple
-    cycles of its link graph.  Bounded by the link-size cap."""
-    if not x.is_simplicial():
-        raise FixtureError("cone enumeration needs a simplicial complex")
-    adj = link_graph(x, v)
-    if len(adj) > link_cap:
-        raise LinkCapError(
-            f"link of {v!r} has {len(adj)} vertices, over the cap {link_cap}",
-            lemma="cone-enumeration",
-        )
-    cones = []
-    nodes = sorted(adj)
-    for start in nodes:
-        # simple cycles with minimal vertex = start, canonical direction
-        stack = [(start, [start])]
-        while stack:
-            cur, path = stack.pop()
-            for nxt in sorted(adj[cur]):
-                if nxt == start and len(path) >= 3:
-                    if path[1] < path[-1]:
-                        cones.append(make_cone(x, v, tuple(path)))
-                    continue
-                if nxt <= start or nxt in path:
-                    continue
-                stack.append((nxt, path + [nxt]))
-    return sorted(cones, key=lambda c: c.boundary)
-
-
-def simple_subcone(cone: Cone, e, e2) -> Cone:
-    """A simple subcone containing two consecutive boundary edges, found
-    by repeatedly cutting at a repeated boundary vertex; the area strictly
-    decreases at every step."""
-    u, v = e
-    v2, w = e2
-    if v != v2:
-        raise FixtureError("the two edges must be consecutive")
-    if u == w:
-        raise HypothesisError(
-            "boundary is not locally injective at the shared vertex", lemma="simple-subcone"
-        )
-    current = cone
-    while not current.simple:
-        k = len(current.boundary)
-        pos = None
-        for i in range(k):
-            if (
-                current.boundary[i] == u
-                and current.boundary[(i + 1) % k] == v
-                and current.boundary[(i + 2) % k] == w
-            ):
-                pos = i
-                break
-        if pos is None:
-            raise EngineError("lost the marked edges while cutting")
-        occurrences = defaultdict(list)
-        for i, b in enumerate(current.boundary):
-            occurrences[b].append(i)
-        marked_fans = {pos, (pos + 1) % k}
-        cut = None
-        for b in sorted(occurrences):
-            idxs = occurrences[b]
-            if len(idxs) < 2:
-                continue
-            for ai in range(len(idxs)):
-                for bi in range(ai + 1, len(idxs)):
-                    i, j = idxs[ai], idxs[bi]
-                    fans_ij = set()
-                    cur = i
-                    while cur != j:
-                        fans_ij.add(cur)
-                        cur = (cur + 1) % k
-                    if marked_fans <= fans_ij:
-                        cut = (i, j)
-                        break
-                    if marked_fans <= set(range(k)) - fans_ij:
-                        cut = (j, i)
-                        break
-                if cut:
-                    break
-            if cut:
-                break
-        if cut is None:
-            raise HypothesisError(
-                "no cut at a repeated vertex keeps both marked edges", lemma="simple-subcone"
-            )
-        i, j = cut
-        boundary = []
-        fan = []
-        cur = i
-        while cur != j:
-            boundary.append(current.boundary[cur])
-            fan.append(current.fan[cur])
-            cur = (cur + 1) % len(current.boundary)
-        nxt = Cone(center=current.center, boundary=tuple(boundary), fan=tuple(fan))
-        if nxt.area >= current.area:
-            raise EngineError("cutting did not decrease the area")
-        current = nxt
-    return current
-
-
-@dataclass
-class PushforwardResult:
-    center: str
-    fan: tuple
-    circumference: int
-    used_track: str
-    new_adjacencies: tuple
-
-
-def cone_pushforward(cone: Cone, res, ts_star, frag, xt: Complex2) -> PushforwardResult:
-    """Push a cone through one collapse: if essential tracks meet the cone
-    in circles around its center, collapse at the outermost one; otherwise
-    push through the center vertex.  The circumference never increases; a
-    strict drop creates a new adjacency."""
-    x = res.source
-    k = len(cone.boundary)
-    spokes = [x.edges_by_pair[frozenset((cone.center, b))][0] for b in cone.boundary]
-
-    def is_circle(tr):
-        for i, fid in enumerate(cone.fan):
-            pair = tr.arcs.get(fid)
-            if pair is None or set(pair) != {spokes[i], spokes[(i + 1) % k]}:
-                return False
-        return True
-
-    circles = [tr for tr in ts_star.tracks if is_circle(tr)]
-    if circles:
-        spoke0 = spokes[0]
-        order = [f for f in res.crossings(spoke0)]
-        u, w = x.edges[spoke0]
-        if w == cone.center:
-            order = list(reversed(order))
-        pos = {tr.id: order.index(tr.tree_edge) for tr in circles}
-        outer = max(circles, key=lambda tr: pos[tr.id])
-        new_center = frag.track_point[outer.id]
-        used = outer.id
-    else:
-        new_center = frag.vertex_map.get(cone.center)
-        used = ""
-        if new_center is None:
-            raise HypothesisError(
-                "cone center vanished and no circle track encloses it", lemma="cone-pushforward"
-            )
-    images = [frag.triangle_map.get(f) for f in cone.fan]
-    # keep only triangles in the component of the new center
-    comp = next(c for c in components(xt) if new_center in c)
-    kept = [img for img in images if img is not None and xt.face_vertices(img) <= comp]
-    dedup = []
-    for img in kept:
-        if not dedup or dedup[-1] != img:
-            dedup.append(img)
-    while len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    new_adj = []
-    if len(dedup) < k:
-        for a, b in zip(dedup, dedup[1:] + dedup[:1]):
-            if a != b:
-                src = [f for f in cone.fan if frag.triangle_map.get(f) == a]
-                dst = [f for f in cone.fan if frag.triangle_map.get(f) == b]
-                if src and dst and not _sources_adjacent(x, src, dst):
-                    new_adj.append((a, b))
-    if len(dedup) > k:
-        raise EngineError("pushforward increased the circumference")
-    return PushforwardResult(
-        center=new_center,
-        fan=tuple(dedup),
-        circumference=len(dedup),
-        used_track=used,
-        new_adjacencies=tuple(sorted(set(new_adj))),
-    )
-
-
-def _sources_adjacent(x: Complex2, src, dst):
-    for a in src:
-        for b in dst:
-            if set(x.faces[a]) & set(x.faces[b]):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +426,8 @@ def stabilization_report(run: RunView) -> StabilizationReport:
     def class_step(n):
         sigma = _sigma(run, n, classes[n], classes[n + 1])
         values = [v for v in sigma.values() if v is not None]
-        if len(values) != len(classes[n]) or len(set(values)) != len(classes[n + 1]):
-            return False
+        if not len(classes[n]) == len(values) == len(set(values)) == len(classes[n + 1]):
+            return False  # sigma is not total, injective and onto
         if counts[n] != counts[n + 1]:
             return False
         return all(edge_orbits[n][cid] == edge_orbits[n + 1][img] for cid, img in sigma.items())

@@ -33,24 +33,11 @@ class Track:
     def separates(self):
         return len(self.sides) == 2
 
-    def is_vertex_parallel(self):
-        """True when one side is the star of a single vertex."""
-        return any(len(s) == 1 for s in self.sides)
-
 
 @dataclass(frozen=True)
 class TrackSystem:
     resolution: Resolution
     tracks: tuple
-
-    def track_at(self, eid, f):
-        for tr in self.tracks:
-            if tr.tree_edge == f and eid in tr.points:
-                return tr
-        return None
-
-    def crossing_indicator(self, eid, f):
-        return self.track_at(eid, f) is not None
 
 
 def tracks_from_resolution(res: Resolution) -> TrackSystem:

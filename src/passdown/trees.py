@@ -115,11 +115,6 @@ class TreePath:
         adj = t.adjacency()
         return tuple(adj[a][b] for a, b in zip(self.vertices, self.vertices[1:]))
 
-    def is_constant(self):
-        return self.constant_ideal is not None or (
-            len(self.vertices) <= 1 and self.start_ideal is None and self.end_ideal is None
-        )
-
 
 def _vertex_path(t: TreeHat, a, b):
     verts = graphs.path(t.edges.values(), a, b)

@@ -144,7 +144,8 @@ def classification_oracle(descriptors, groups=None):
 
 def n_prime_oracle(run, n_delta, classes):
     """N' by its definition: the lowest n0 >= N_delta such that every step
-    from n0 to the horizon is a class bijection keeping the count of class
+    from n0 to the horizon is a class bijection (total, injective and onto)
+    keeping the count of class
     orbit signatures and each class's count of edge orbits.  Re-walks every
     step for every candidate n0."""
 
@@ -172,7 +173,9 @@ def n_prime_oracle(run, n_delta, classes):
         for n in range(n0, horizon):
             s = sigma(n)
             values = [v for v in s.values() if v is not None]
-            if len(values) != len(classes[n]) or len(set(values)) != len(classes[n + 1]):
+            if len(values) != len(classes[n]) or len(set(values)) != len(values):
+                ok = False
+            elif len(set(values)) != len(classes[n + 1]):
                 ok = False
             elif signatures(n) != signatures(n + 1):
                 ok = False
@@ -194,8 +197,6 @@ def n_dprime_oracle(run, n_prime):
     from n0 to the horizon, each stable pair at n+1 (recomposed by
     ``stable_pairs``) has exactly one preimage triangle on each side, in
     one complex, sharing a side that tau_n sends to the pair's edge."""
-    from passdown.stability import stable_pairs
-
     horizon = run.horizon
     for n0 in range(n_prime, horizon + 1):
         ok = True
@@ -227,17 +228,102 @@ def n_dprime_oracle(run, n_prime):
 
 def cone_criterion_oracle(x, classes):
     """The simple cones whose fan meets two or more classes, by
-    enumerating every simple cycle of every vertex link with the link cap
-    lifted; the cone criterion certifies exactly when there are none."""
-    from passdown.stability import enumerate_simple_cones
-
+    enumerating every simple cycle of every vertex link; the cone
+    criterion certifies exactly when there are none."""
     class_of = {f: cls.id for cls in classes for f in cls.triangles}
     return [
         cone
         for v in sorted(x.vertices)
-        for cone in enumerate_simple_cones(x, v, link_cap=len(x.vertices))
+        for cone in enumerate_simple_cones(x, v)
         if len({class_of.get(f) for f in cone.fan}) > 1
     ]
+
+
+def link_graph(x, v):
+    """The link of v as an adjacency dict: one link edge per triangle at v."""
+    adj = {}
+    for fid in x.triangles_by_vertex.get(v, ()):
+        a, b = sorted(x.face_vertices(fid) - {v})
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
+def enumerate_simple_cones(x, v):
+    """All embedded closed triangle fans around one vertex, as the simple
+    cycles of its link graph; exponential in the link size."""
+    from passdown.errors import FixtureError
+    from passdown.stability import make_cone
+
+    if not x.is_simplicial():
+        raise FixtureError("cone enumeration needs a simplicial complex")
+    adj = link_graph(x, v)
+    cones = []
+    for start in sorted(adj):
+        # simple cycles with minimal vertex = start, canonical direction
+        stack = [(start, [start])]
+        while stack:
+            cur, path = stack.pop()
+            for nxt in sorted(adj[cur]):
+                if nxt == start and len(path) >= 3:
+                    if path[1] < path[-1]:
+                        cones.append(make_cone(x, v, tuple(path)))
+                    continue
+                if nxt <= start or nxt in path:
+                    continue
+                stack.append((nxt, path + [nxt]))
+    return sorted(cones, key=lambda c: c.boundary)
+
+
+def compose(run, n, m):
+    """tau_{n,m} on triangles with the side correspondence, by composing
+    the one-step maps of ``run`` from level n to level m."""
+    from passdown.errors import FixtureError
+
+    if not n <= m <= run.horizon:
+        raise FixtureError("bad level range")
+    tri = {key: key for key in run.levels[n].triangles()}
+    edge = {}
+    for cid, x in run.levels[n].complexes.items():
+        for fid in x.triangles():
+            for eid in x.faces[fid]:
+                edge[((cid, fid), eid)] = eid
+    for step in range(n, m):
+        tau = run.taus[step]
+        tri2 = {key: tau.image(img) if img is not None else None for key, img in tri.items()}
+        edge2 = {}
+        for (key, eid), img_eid in edge.items():
+            if tri[key] is None or tri2[key] is None:
+                continue
+            nxt_eid = tau.edge_image(tri[key], img_eid)
+            if nxt_eid is not None:
+                edge2[(key, eid)] = nxt_eid
+        tri, edge = tri2, edge2
+    return tri, edge
+
+
+def descends_to_pair(pair, tri, edge):
+    """Does the pair stay a pair under a composed triangle map?"""
+    k1, k2 = (pair.cid, pair.t1), (pair.cid, pair.t2)
+    i1, i2 = tri.get(k1), tri.get(k2)
+    if i1 is None or i2 is None or i1 == i2:
+        return False
+    if i1[0] != i2[0]:
+        return False
+    e1 = edge.get((k1, pair.edge))
+    e2 = edge.get((k2, pair.edge))
+    return e1 is not None and e1 == e2
+
+
+def stable_pairs(run, n):
+    """Pairs at level n that stay pairs under every computed map up to the
+    horizon, by composing tau from n to each later level: the definition
+    that ``stability.stable_pair_sets`` computes in one sweep."""
+    from passdown.stability import PairSet, pairs_at
+
+    composed = [compose(run, n, m) for m in range(n + 1, run.horizon + 1)]
+    stable = [pair for pair in pairs_at(run, n) if all(descends_to_pair(pair, *c) for c in composed)]
+    return PairSet(level=n, horizon=run.horizon, pairs=frozenset(stable))
 
 
 def is_simplicial_oracle(x):
@@ -298,22 +384,23 @@ def brute_blocks(x):
 def leq_oracle(groups, extra, a, b):
     """The declared order by a fresh parent walk: the supergroups each ref
     declares plus the ``extra`` (sub, sup) containments, followed
-    transitively.  Raises like ``GroupTable.leq`` when the walk meets an
-    unknown id."""
+    transitively.  The walk visits every id above ``a`` short of ``b``
+    before it answers, so it raises like ``GroupTable.leq`` when it meets
+    an unknown id, whatever order the sets iterate in."""
     if a == b or a == "1":
         return True
-    seen, todo = {a}, [a]
+    seen, todo, found = {a}, [a], False
     while todo:
         gid = todo.pop()
         parents = set(groups[gid].declared_supergroups)
         parents.update(sup for sub, sup in extra if sub == gid)
         for parent in parents:
             if parent == b:
-                return True
-            if parent not in seen:
+                found = True
+            elif parent not in seen:
                 seen.add(parent)
                 todo.append(parent)
-    return False
+    return found
 
 
 def identity_collapse_oracle(x, res, ts_star, groups):
@@ -344,8 +431,8 @@ def is_reduced_oracle(x, groups):
     )
 
 
-def subcomplex_of(cls, x, groups=None):
-    """The subcomplex a triangle class spans in x, built and validated:
+def subcomplex_of(cls, x):
+    """The subcomplex a triangle class spans in x, built and checked:
     its triangles with their sides and corners.  Its cutpoints define the
     class check that ``stability.class_cutpoints`` reads off x directly."""
     from passdown.complexes import subcomplex
@@ -355,4 +442,4 @@ def subcomplex_of(cls, x, groups=None):
         for eid in x.faces[fid]:
             cells.add(eid)
             cells.update(x.edges[eid])
-    return subcomplex(x, cells, groups)
+    return subcomplex(x, cells)

@@ -48,6 +48,7 @@ from generators import (
     random_triangle_tree_complex,
     splitting_fixture,
 )
+from lemmas import is_simple
 from oracles import classification_oracle, cone_criterion_oracle, h1_rank_oracle
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -302,7 +303,7 @@ def _check_cone_verdict(x, classes, result):
     if cone is None:
         return
     class_of = {f: cls.id for cls in classes for f in cls.triangles}
-    assert cone.simple and len(cone.boundary) >= 3
+    assert is_simple(cone) and len(cone.boundary) >= 3
     assert len({class_of.get(f) for f in cone.fan}) >= 2
     assert make_cone(x, cone.center, cone.boundary) == cone
     assert (cone.center, set(cone.fan)) in [(c.center, set(c.fan)) for c in violating]

@@ -4,15 +4,17 @@ import random
 
 import pytest
 
+import oracles
 from generators import random_edge_glued_complex, random_simplicial_complex
-from oracles import n_dprime_oracle, n_prime_oracle, subcomplex_of
+from lemmas import area, boundary_edges, cone_pushforward, is_simple, simple_subcone
+from oracles import enumerate_simple_cones, n_dprime_oracle, n_prime_oracle, stable_pairs, subcomplex_of
 from passdown import stability
 from passdown.cli import main
 from passdown.fixtures import parse_fixtures
 from passdown.pipeline import run_pipeline
 
 from passdown.complexes import cutpoints, make_complex
-from passdown.errors import EngineError, FixtureError, HypothesisError, LinkCapError
+from passdown.errors import EngineError, FixtureError, HypothesisError
 from passdown.groups import GroupRef, GroupTable
 from passdown.provenance import TauFragment
 from passdown.resolution import resolution_from_images
@@ -26,15 +28,11 @@ from passdown.stability import (
     build_bw,
     class_cutpoints,
     cone_criterion_check,
-    cone_pushforward,
     detect_n_delta,
-    enumerate_simple_cones,
     equivalence_classes,
     make_cone,
     pairs_at,
-    simple_subcone,
     stable_pair_sets,
-    stable_pairs,
     stabilization_report,
 )
 from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolution
@@ -143,14 +141,14 @@ class TestClasses:
             faces[f"t{i}"] = (f"r{i}", f"s{i}", f"r{i+1}")
         x = make_complex(verts, edges, faces)
         run = identity_run(x, levels=2)
-        classes = equivalence_classes(run, 0)
+        classes = equivalence_classes(run, 0, stable_pairs(run, 0))
         assert len(classes) == 1
         assert classes[0].triangles == frozenset({"t0", "t1", "t2", "t3"})
 
     def test_no_stable_pairs_gives_singletons(self):
         x = strip2()
         run = identity_run(x, levels=1)
-        classes = equivalence_classes(run, 0, ps=type(stable_pairs(run, 0))(0, 0, frozenset()))
+        classes = equivalence_classes(run, 0, ps=PairSet(0, 0, frozenset()))
         assert len(classes) == 2
 
 
@@ -256,7 +254,7 @@ class TestCones:
         cones = enumerate_simple_cones(x, "v")
         assert len(cones) == 1
         assert set(cones[0].boundary) == {"u0", "u1", "u2"}
-        assert cones[0].simple
+        assert is_simple(cones[0])
 
     def test_open_fan_has_no_simple_cone(self):
         x = make_complex(
@@ -314,11 +312,6 @@ class TestCones:
                 found.add(frozenset(perm))
         assert found == boundaries
 
-    def test_link_cap(self):
-        x = wheel(6)
-        with pytest.raises(LinkCapError):
-            enumerate_simple_cones(x, "v", link_cap=3)
-
 
 class TestSimpleSubcone:
     def test_already_simple_unchanged(self):
@@ -330,11 +323,11 @@ class TestSimpleSubcone:
     def test_double_wrap_halves(self):
         x = wheel(3)
         cone = make_cone(x, "v", ("u0", "u1", "u2", "u0", "u1", "u2"))
-        assert not cone.simple and cone.area == 6
+        assert not is_simple(cone) and area(cone) == 6
         out = simple_subcone(cone, ("u0", "u1"), ("u1", "u2"))
-        assert out.simple and out.area == 3
-        assert ("u0", "u1") in out.boundary_edges()
-        assert ("u1", "u2") in out.boundary_edges()
+        assert is_simple(out) and area(out) == 3
+        assert ("u0", "u1") in boundary_edges(out)
+        assert ("u1", "u2") in boundary_edges(out)
 
     def test_pinched_fan_cuts_to_smaller(self):
         # boundary revisits u0 once: wheel of 4 with an extra wrap step
@@ -360,11 +353,11 @@ class TestSimpleSubcone:
             },
         )
         cone = make_cone(x, "v", ("u0", "u1", "u2", "u0", "u3"))
-        assert not cone.simple
+        assert not is_simple(cone)
         out = simple_subcone(cone, ("u0", "u1"), ("u1", "u2"))
-        assert out.simple
-        assert out.area < cone.area
-        assert ("u0", "u1") in out.boundary_edges() and ("u1", "u2") in out.boundary_edges()
+        assert is_simple(out)
+        assert area(out) < area(cone)
+        assert ("u0", "u1") in boundary_edges(out) and ("u1", "u2") in boundary_edges(out)
 
     def test_local_injectivity_required(self):
         x = wheel(4)
@@ -425,7 +418,7 @@ class TestPushforward:
         xt, frag = split_collapse(x, res, ts, groups)
         cone = make_cone(x, "a", ("b", "c", "d"))
         out = cone_pushforward(cone, res, ts, frag, xt)
-        assert out.circumference == 2 < cone.area
+        assert out.circumference == 2 < area(cone)
 
 
 class TestConeCriterion:
@@ -466,7 +459,7 @@ class TestConeCriterion:
         result = cone_criterion_check(x, classes)
         assert not result.certified and not result.bw_tree
         cone = result.counterexample
-        assert cone.center == "v" and cone.simple and cone.area == 20
+        assert cone.center == "v" and is_simple(cone) and area(cone) == 20
         assert make_cone(x, cone.center, cone.boundary) == cone
 
     def test_annulus_breaks_the_h1_hypothesis(self):
@@ -624,7 +617,7 @@ class TestRunAnalysisOracles:
                 kept += len(ps.pairs)
             report = stabilization_report(run)
             for n, classes in report.classes.items():
-                assert classes == equivalence_classes(run, n)
+                assert classes == equivalence_classes(run, n, stable_pairs(run, n))
             assert report.n_prime == n_prime_oracle(run, report.n_delta, report.classes)
             assert report.n_dprime == n_dprime_oracle(run, report.n_prime)
             deeper_prime += report.n_prime > report.n_delta
@@ -644,7 +637,7 @@ class TestRunAnalysisOracles:
             for n, level_classes in stabilization_report(run).classes.items():
                 for cls in level_classes:
                     x = run.levels[n].complexes[cls.cid]
-                    assert class_cutpoints(x, cls.triangles) == cutpoints(subcomplex_of(cls, x, run.groups)) == set()
+                    assert class_cutpoints(x, cls.triangles) == cutpoints(subcomplex_of(cls, x)) == set()
                     classes += 1
                 for cid, x in run.levels[n].complexes.items():
                     fids = sorted(x.triangles())
@@ -652,7 +645,7 @@ class TestRunAnalysisOracles:
                         continue
                     cls = TriangleClass(id="Z", cid=cid, triangles=frozenset(rng.sample(fids, rng.randint(1, len(fids)))))
                     cuts = class_cutpoints(x, cls.triangles)
-                    assert cuts == cutpoints(subcomplex_of(cls, x, run.groups))
+                    assert cuts == cutpoints(subcomplex_of(cls, x))
                     with_cuts += bool(cuts)
         assert classes > 400 and with_cuts > 0
 
@@ -690,6 +683,54 @@ class TestRunAnalysisOracles:
         assert (report.n_delta, report.n_prime, report.n_dprime) == (0, 0, 1)
         assert report.n_prime == n_prime_oracle(run, 0, report.classes)
         assert report.n_dprime == n_dprime_oracle(run, 0)
+
+    def test_a_two_to_one_class_merge_is_not_a_bijection(self):
+        # level 0: two disjoint triangles of orbit o; level 1: two triangles
+        # of orbit o glued along an E0 edge, one image each.  Sigma is total
+        # and onto but sends both classes to one, so step 0 does not count.
+        orbit0 = {"t1": "o", "t2": "o"}
+        edges0 = {}
+        for i in (1, 2):
+            edges0.update({f"p{i}": (f"a{i}", f"b{i}"), f"q{i}": (f"b{i}", f"c{i}"), f"r{i}": (f"c{i}", f"a{i}")})
+            orbit0.update({f"p{i}": "E0", f"q{i}": "E1", f"r{i}": "E2"})
+        x0 = make_complex(
+            [f"{v}{i}" for v in "abc" for i in (1, 2)], edges0, {"t1": ("p1", "q1", "r1"), "t2": ("p2", "q2", "r2")}, orbit=orbit0
+        )
+        x1 = make_complex(
+            ["a", "b", "c", "d"],
+            {"ab": ("a", "b"), "bc": ("b", "c"), "ca": ("c", "a"), "bd": ("b", "d"), "da": ("d", "a")},
+            {"A": ("ab", "bc", "ca"), "B": ("ab", "bd", "da")},
+            orbit={"A": "o", "B": "o", "ab": "E0", "bc": "E1", "ca": "E2", "bd": "E1", "da": "E2"},
+        )
+        sides = {"t1": ("A", {"p1": "ab", "q1": "bc", "r1": "ca"}), "t2": ("B", {"p2": "ab", "q2": "bd", "r2": "da"})}
+        tau = TauMap(
+            triangle={("X", t): ("X", img) for t, (img, _) in sides.items()},
+            edge={(("X", t), e): img_e for t, (_, es) in sides.items() for e, img_e in es.items()},
+        )
+        run = RunView(levels=[LevelData(complexes={"X": x0}), LevelData(complexes={"X": x1})], taus=[tau], groups=GroupTable())
+        report = stabilization_report(run)
+        assert {n: [sorted(c.triangles) for c in cs] for n, cs in report.classes.items()} == {
+            0: [["t1"], ["t2"]],
+            1: [["A", "B"]],
+        }
+        assert (report.n_delta, report.n_prime) == (0, 1)
+        assert n_prime_oracle(run, 0, report.classes) == 1
+
+    def test_a_pair_pulled_back_into_two_complexes_does_not_pull_back(self):
+        # P and Q use the same face and edge ids; the stable pair t1|t2 of
+        # level 1 has one preimage in each, so the step fails the pullback
+        x = strip2()
+        tau = TauMap(
+            triangle={("P", "t1"): ("X", "t1"), ("P", "t2"): None, ("Q", "t1"): None, ("Q", "t2"): ("X", "t2")},
+            edge={(("P", "t1"), e): e for e in x.faces["t1"]} | {(("Q", "t2"), e): e for e in x.faces["t2"]},
+        )
+        run = RunView(
+            levels=[LevelData(complexes={"P": x, "Q": x}), LevelData(complexes={"X": x})], taus=[tau], groups=GroupTable()
+        )
+        above = stable_pair_sets(run, 0)[1]
+        assert above.pairs == frozenset({Pair(cid="X", t1="t1", t2="t2", edge="bc")})
+        assert stability._pulls_back(run, 0, above) is False
+        assert n_dprime_oracle(run, 0) == 1
 
     def test_pair_split_between_complexes_is_not_stable(self):
         # t1 and t2 go to equally named triangles of two different complexes
@@ -743,9 +784,9 @@ class TestRunAnalysisWork:
 
             return wrapper
 
-        monkeypatch.setattr(RunView, "compose", counted("compose", RunView.compose))
-        for name in ("stable_pairs", "equivalence_classes", "_sigma"):
-            monkeypatch.setattr(stability, name, counted(name, getattr(stability, name)))
+        for module, names in ((oracles, ("compose", "stable_pairs")), (stability, ("equivalence_classes", "_sigma"))):
+            for name in names:
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         return calls
 
     def test_pipeline_computes_each_level_once(self, worked64, calls):
