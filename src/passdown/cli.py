@@ -154,11 +154,8 @@ def main(argv=None) -> int:
             sys.stdout.write(serialize_complex(args.complex + ".contracted", xc))
         elif args.command == "passdown":
             ks = _named(fx, "structure", args.structure)
-            tl = make_tree_level(
-                args.tree, _named(fx, "tree", args.tree), fx.action_table(args.tree), fx.groups,
-                jsj=args.tree in fx.jsj_trees,
-            )
-            result = passdown_full(ks, tl, groups=fx.groups, no_dinfty=fx.config.no_dinfty)
+            tl = make_tree_level(args.tree, _named(fx, "tree", args.tree), fx.action_table(args.tree))
+            result = passdown_full(ks, tl, no_dinfty=fx.config.no_dinfty)
             for stage, value in result.ledger.items():
                 print(f"covolume[{stage}] = {value}")
             for v in sorted(result.structures):

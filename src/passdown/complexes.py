@@ -167,15 +167,15 @@ def make_complex(vertices, edges, faces, stab=None, orbit=None, boundary_marked=
     return x
 
 
-def validate_complex(x, groups=None, require_simplicial=False):
-    _validate_cells(x, require_simplicial)
+def validate_complex(x, groups=None):
+    _validate_cells(x)
     if groups is not None:
         _validate_label_refs(x, groups)
         _validate_containments(x, groups)
         _validate_orbit_labels(x)
 
 
-def _validate_cells(x, require_simplicial=False):
+def _validate_cells(x):
     ids = set()
     for cell in x.cells():
         if cell in ids:
@@ -210,8 +210,6 @@ def _validate_cells(x, require_simplicial=False):
     for w in x.boundary_marked:
         if w not in x.vertices:
             raise FixtureError(f"boundary mark on missing vertex {w!r}")
-    if require_simplicial and not x.is_simplicial():
-        raise FixtureError("complex is not simplicial")
 
 
 def _validate_label_refs(x, groups: GroupTable):
@@ -395,14 +393,14 @@ def wire_and_validate(x: Complex2, groups: GroupTable):
     _validate_orbit_labels(x)
 
 
-def quotient_labels(x: Complex2, cell_map, groups: GroupTable, prefix: str, extra_stab=None, extra_sups=None):
+def quotient_labels(x: Complex2, cell_map, groups: GroupTable, prefix: str, extra_stab=None):
     """Induce stabilizer/orbit labels along a surjective cell map.
 
     ``cell_map`` sends source cells to image cells (or None for collapsed
     cells).  Source orbits whose cells land on a common image are merged
     (the quotient of an equivariant collapse); a merged class keeps its
-    shared label when it has one and otherwise gets a fresh ref declared
-    below the labels it merged, with slenderness closed downward.
+    shared label when it has one and otherwise gets a fresh ref with no
+    declared supergroups.
     ``extra_stab`` pre-assigns labels for image cells that have no source
     (collapsed-track points, contracted-component vertices).
     """
@@ -431,8 +429,7 @@ def quotient_labels(x: Complex2, cell_map, groups: GroupTable, prefix: str, extr
         if len(labels) == 1:
             class_ref[cls] = labels[0]
         else:
-            sups = set(extra_sups.get(cls, ())) if extra_sups else set()
-            class_ref[cls] = groups.mint(prefix, supergroups=sups).id
+            class_ref[cls] = groups.mint(prefix).id
 
     stab, orbit, stab_plus = dict(extra_stab or {}), {}, {}
     for img, srcs in preimages.items():

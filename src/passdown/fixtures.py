@@ -52,7 +52,6 @@ class FixtureSet:
     complexes: dict = field(default_factory=dict)
     trees: dict = field(default_factory=dict)
     actions: dict = field(default_factory=dict)  # tree name -> ActionTable
-    jsj_trees: set = field(default_factory=set)
     gogs: dict = field(default_factory=dict)
     hierarchies: dict = field(default_factory=dict)
     structures: dict = field(default_factory=dict)
@@ -225,12 +224,10 @@ def _parse_complex(fx, header, parsed):
 
 def _parse_tree(fx, header, parsed):
     body, end = parsed
-    header, flags = _bool_flags(header, {"jsj"})
+    header, _flags = _bool_flags(header, {"jsj"})  # jsj is still accepted, but nothing reads it
     if len(header) != 2:
         raise FixtureError("expected: tree <name> [jsj]")
     name = header[1]
-    if flags.get("jsj"):
-        fx.jsj_trees.add(name)
     vertices, edges, ideal = [], {}, {}
     stab, orbit = {}, {}
     for ln, line in body:

@@ -6,9 +6,13 @@ or nothing (terminal).  Children correspond one-to-one to the action's
 vertices with unchanged groups.  An H-structure additionally attaches a
 complex to each terminal node (``None`` stands for a point).
 
-Ellipticity of abstract subgroups is never decided.  The hierarchy-level
-passdown replays fixture-supplied restriction tables; the structure-level
-passdown derives all it needs from the tree actions of the cell labels.
+Ellipticity of abstract subgroups is never decided.  ``passdown_full`` is
+the one passdown of an H-structure: it derives all it needs from the tree
+actions of the cell labels, and its stages carry terminal ids with their
+groups and complexes, leaving the input structure as it found it.  The
+depth-bound replay (``passdown_hierarchy``, ``jsj_depth_bound``) replays
+fixture-supplied restriction tables instead; it is the paper's depth
+bound, and no command runs it.
 """
 
 from collections import defaultdict
@@ -19,7 +23,7 @@ from .complexes import covolume, cutpoints, h1_z2, is_connected, reduced_cutpoin
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError
 from .groups import GroupTable
 from .provenance import TauFragment
-from .resolution import CONTRACTING, ActionTable, build_resolution, contract
+from .resolution import CONTRACTING, ActionTable, build_resolution, contract, resolution_from_images
 from .tracks import essential_tracks, split_collapse, tracks_from_resolution
 from .trees import ELLIPTIC, FLEXIBLE, RIGID, GraphOfGroups, TreeHat, make_gog
 
@@ -199,7 +203,7 @@ class RestrictionTable:
         return self._entries.get((gid, gog_name))
 
 
-def _quotient_tree_gog(name, tree: TreeHat, flags=None, jsj=False, groups=None) -> GraphOfGroups:
+def _quotient_tree_gog(name, tree: TreeHat, groups) -> GraphOfGroups:
     """Quotient view of a tree: one vertex per vertex orbit, one edge per
     edge orbit."""
     verts = {}
@@ -211,7 +215,7 @@ def _quotient_tree_gog(name, tree: TreeHat, flags=None, jsj=False, groups=None) 
         if o not in edges:
             u, w = tree.edges[eid]
             edges[o] = (tree.orbit[u], tree.orbit[w], tree.stab[eid])
-    return make_gog(name, verts, edges, flags=flags, jsj=jsj, groups=groups)
+    return make_gog(name, verts, edges, groups=groups)
 
 
 def passdown_hierarchy(tree_gog: GraphOfGroups, k: Hierarchy, tables: RestrictionTable, groups: GroupTable, vertices=None):
@@ -440,24 +444,18 @@ class PassdownResult:
     structures: dict  # tree vertex orbit id -> HStructure
     ledger: dict  # stage -> total covolume
     fragments: dict  # original terminal node id -> TauFragment
-    placements: dict  # original terminal node id -> {face id -> (orbit, node id)}
+    placements: dict  # original terminal node id -> {face id -> (orbit, node id, image face id)}
 
 
-def _elliptic_claim(gid, actions: ActionTable):
-    act = actions.resolved(gid)
-    if act.kind != ELLIPTIC or not act.fixed:
-        return None
-    return min(act.fixed)
-
-
-def _distribute(h: Hierarchy, gog: GraphOfGroups, claims, complexes, groups: GroupTable):
+def _distribute(name, gog: GraphOfGroups, claims, terminal_groups, complexes, groups: GroupTable):
     """Every vertex orbit of the quotient receives the terminals it claims.
 
     A single claim whose group equals the vertex group becomes the new
     root; otherwise the claims hang one level below the root.  ``claims``
-    maps terminal id -> vertex orbit and ``complexes`` terminal id ->
-    complex or None.  Returns (structures by vertex orbit, placements
-    {terminal id: {face id: (vertex orbit, new node id)}}).
+    maps terminal id -> vertex orbit, ``terminal_groups`` terminal id ->
+    group and ``complexes`` terminal id -> complex or None; ``name`` is
+    the input hierarchy's.  Returns (structures by vertex orbit,
+    placements {terminal id: {face id: (vertex orbit, new node id)}}).
     """
     structures, placements = {}, {}
     for v in sorted(gog.vertices):
@@ -466,16 +464,14 @@ def _distribute(h: Hierarchy, gog: GraphOfGroups, claims, complexes, groups: Gro
         root = HNode(id=f"{v}.root", group=gv)
         nodes = {root.id: root}
         homes = []  # (claimed terminal id, node id receiving its complex)
-        if len(claimed) == 1 and groups.equal(h.nodes[claimed[0]].group, gv):
-            root.origin = (h.name, claimed[0])
+        if len(claimed) == 1 and groups.equal(terminal_groups[claimed[0]], gv):
+            root.origin = (name, claimed[0])
             homes.append((claimed[0], root.id))
         elif claimed:
-            verts = {f"w{i}": h.nodes[nid].group for i, nid in enumerate(claimed)}
-            root.action = make_gog(f"{h.name}@{v}.claims", verts, {}, groups=groups)
+            verts = {f"w{i}": terminal_groups[nid] for i, nid in enumerate(claimed)}
+            root.action = make_gog(f"{name}@{v}.claims", verts, {}, groups=groups)
             for i, nid in enumerate(claimed):
-                child = HNode(
-                    id=f"{v}.t{i}", group=h.nodes[nid].group, parent=root.id, origin=(h.name, nid)
-                )
+                child = HNode(id=f"{v}.t{i}", group=terminal_groups[nid], parent=root.id, origin=(name, nid))
                 nodes[child.id] = child
                 root.children[f"w{i}"] = child.id
                 homes.append((nid, child.id))
@@ -484,95 +480,10 @@ def _distribute(h: Hierarchy, gog: GraphOfGroups, claims, complexes, groups: Gro
             x = term_complexes[home] = complexes.get(nid)
             placements[nid] = {fid: (v, home) for fid in (x.faces if x is not None else ())}
         structures[v] = HStructure(
-            hierarchy=Hierarchy(name=f"{h.name}@{v}", root=root.id, nodes=nodes),
+            hierarchy=Hierarchy(name=f"{name}@{v}", root=root.id, nodes=nodes),
             terminal_complexes=term_complexes,
         )
     return structures, placements
-
-
-def passdown_structure(k: HStructure, tl, tables: RestrictionTable = None, groups: GroupTable = None) -> PassdownResult:
-    """Pass an H-structure down over a tree whose terminal groups are
-    slender or elliptic: covolume is preserved exactly.
-
-    With a restriction table the hierarchies are replayed through it;
-    without one, each vertex receives the terminals it claims (the
-    elliptic fixed vertex of the terminal's group), one level below its
-    root.  Each non-slender terminal is claimed exactly once.
-    """
-    groups = groups or tl.actions.groups
-    validate_hstructure(k, groups)
-    h = k.hierarchy
-    claims = {}
-    for node in h.terminals():
-        x = k.terminal_complexes.get(node.id)
-        if groups.slender(node.group):
-            if x is not None and covolume(x) > 0:
-                raise HypothesisError(
-                    f"slender terminal {node.id!r} carries triangles; it must act on a point",
-                    lemma="covolume-equality",
-                )
-            continue
-        target = _elliptic_claim(node.group, tl.actions)
-        if target is None:
-            raise HypothesisError(
-                f"terminal {node.id!r} is neither slender nor elliptic in the tree; "
-                "use the full passdown",
-                lemma="elliptic-terminals",
-            )
-        claims[node.id] = tl.tree.orbit[target]
-
-    if tables is not None:
-        structures, placements = {}, {}
-        kv_map = passdown_hierarchy(tl.gog, h, tables, groups)
-        for v, kv in kv_map.items():
-            complexes = {}
-            for node in kv.terminals():
-                _, knid = node.origin
-                if groups.slender(node.group):
-                    complexes[node.id] = None
-                    continue
-                origin = h.nodes[knid]
-                if not origin.is_terminal():
-                    raise ConsistencyError(
-                        f"non-slender terminal {node.id!r} originates at a non-terminal node"
-                    )
-                if not groups.equal(node.group, origin.group):
-                    raise ConsistencyError(
-                        f"non-slender terminal {node.id!r} must equal its originating "
-                        f"terminal group {origin.group!r}"
-                    )
-                if claims.get(knid) != v:
-                    raise ConsistencyError(
-                        f"terminal {knid!r} is claimed by {claims.get(knid)!r} but its group "
-                        f"reappears under {v!r}"
-                    )
-                complexes[node.id] = k.terminal_complexes.get(knid)
-                placements[knid] = {
-                    fid: (v, node.id, fid)
-                    for fid in (complexes[node.id].faces if complexes[node.id] else ())
-                }
-            structures[v] = HStructure(hierarchy=kv, terminal_complexes=complexes)
-    else:
-        structures, homes = _distribute(h, tl.gog, claims, k.terminal_complexes, groups)
-        placements = {
-            nid: {fid: home + (fid,) for fid, home in per_face.items()} for nid, per_face in homes.items()
-        }
-
-    total = sum(structure_covolume(s) for s in structures.values())
-    if total != structure_covolume(k):
-        raise EngineError(
-            f"covolume changed across an elliptic-terminal passdown: {structure_covolume(k)} "
-            f"-> {total}"
-        )
-    fragments = {
-        nid: TauFragment.identity(x) for nid, x in k.complexes().items()
-    }
-    return PassdownResult(
-        structures=structures,
-        ledger={"input": structure_covolume(k), "output": total},
-        fragments=fragments,
-        placements=placements,
-    )
 
 
 @dataclass
@@ -601,7 +512,6 @@ class TreeLevel:
     tree: TreeHat
     actions: ActionTable
     gog: GraphOfGroups
-    jsj: bool = False
     _kept: dict = field(default_factory=dict, repr=False, compare=False)  # id(complex) -> _KeptResolution
 
     def resolution(self, x, no_dinfty=True):
@@ -629,32 +539,12 @@ class TreeLevel:
         self._kept = {key: kept for key, kept in self._kept.items() if key in live}
 
 
-def make_tree_level(name, tree, actions, groups, jsj=False, flags=None) -> TreeLevel:
-    orbit_flags = None
-    if flags:
-        orbit_flags = {tree.orbit.get(v, v): f for v, f in flags.items()}
-    gog = _quotient_tree_gog(name, tree, flags=orbit_flags, jsj=jsj, groups=groups)
-    return TreeLevel(name=name, tree=tree, actions=actions, gog=gog, jsj=jsj)
-
-
-def _copy_hierarchy(h: Hierarchy) -> Hierarchy:
-    nodes = {
-        nid: HNode(
-            id=n.id,
-            group=n.group,
-            action=n.action,
-            children=dict(n.children),
-            parent=n.parent,
-            origin=n.origin,
-        )
-        for nid, n in h.nodes.items()
-    }
-    return Hierarchy(name=h.name, root=h.root, nodes=nodes, jsj=h.jsj)
+def make_tree_level(name, tree, actions) -> TreeLevel:
+    gog = _quotient_tree_gog(name, tree, actions.groups)
+    return TreeLevel(name=name, tree=tree, actions=actions, gog=gog)
 
 
 def _restrict_resolution(res, sub_x):
-    from .resolution import resolution_from_images
-
     return resolution_from_images(
         sub_x,
         res.target,
@@ -663,42 +553,31 @@ def _restrict_resolution(res, sub_x):
     )
 
 
-def _append_cutpoint_level(h, node_id, x, bpx, groups, suffix):
-    """Replace a terminal by the depth-1 structure of its reduced cutpoint
-    tree; returns {new terminal node id: (complex or None, block cells)}."""
-    reps = sorted({bpx.node_orbit[n] for n in bpx.comp_nodes + bpx.cut_nodes})
-    verts = {}
-    for rep in reps:
-        verts[rep] = bpx.node_stab[rep]
-    edges = {}
-    seen = {}
-    for comp, cut in bpx.edges:
-        key = (bpx.node_orbit[comp], bpx.node_orbit[cut])
-        if key in seen:
-            continue
-        ref = groups.mint("bedge", supergroups={bpx.node_stab[comp], x.stab[cut]})
-        seen[key] = True
-        edges[f"{suffix}.e{len(edges)}"] = (key[0], key[1], ref.id)
-    action = make_gog(f"{suffix}.split", verts, edges, groups=groups)
-    node = h.nodes[node_id]
-    node.action = action
+def _cutpoint_pieces(nid, x, groups):
+    """Split the complex of terminal ``nid`` through its reduced cutpoint
+    tree: {f"{nid}.b{i}": (node group, piece or None)}, one entry per node
+    orbit, the piece None for a cut vertex.  None when x does not split."""
+    if not cutpoints(x):
+        return None
+    bpx = reduced_cutpoint_tree(x, groups)
+    if len(bpx.comp_nodes) + len(bpx.cut_nodes) <= 1:
+        return None
     out = {}
-    for i, rep in enumerate(reps):
-        cid = f"{node_id}.b{i}"
-        child = HNode(id=cid, group=bpx.node_stab[rep], parent=node_id, origin=(h.name, node_id))
-        h.nodes[cid] = child
-        node.children[rep] = cid
+    for i, rep in enumerate(sorted({bpx.node_orbit[n] for n in bpx.comp_nodes + bpx.cut_nodes})):
+        sub = None
         if rep in bpx.comp_cells:
             sub = subcomplex(x, bpx.comp_cells[rep])
             if not is_connected(sub) or h1_z2(sub) != 0:
                 raise EngineError("cutpoint-free piece is not connected with h1 = 0")
-            out[cid] = (sub, bpx.comp_cells[rep])
-        else:
-            out[cid] = (None, frozenset())
+        out[f"{nid}.b{i}"] = (bpx.node_stab[rep], sub)
     return out
 
 
-def passdown_full(k: HStructure, tl: TreeLevel, groups: GroupTable = None, no_dinfty=True) -> PassdownResult:
+def _covolume_sum(complexes):
+    return sum(covolume(x) for x in complexes.values() if x is not None)
+
+
+def passdown_full(k: HStructure, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
     """The full three-stage passdown of an H-structure over a tree.
 
     Stage one replaces complexes with contracting resolutions by their
@@ -706,15 +585,17 @@ def passdown_full(k: HStructure, tl: TreeLevel, groups: GroupTable = None, no_di
     reduced cutpoint tree; stage three collapses essential tracks and
     splits the result at cutpoints again, leaving terminal groups that are
     slender or elliptic.  Each output vertex then receives the terminals
-    it claims.  Covolume never increases, stage by stage.
+    it claims.  Covolume never increases, stage by stage.  The stages
+    carry terminal ids with their groups and complexes; the input
+    structure is left as it was.
     """
-    groups = groups or tl.actions.groups
+    groups = tl.actions.groups
     validate_hstructure(k, groups)
-    h = _copy_hierarchy(k.hierarchy)
+    terminal_groups = {node.id: node.group for node in k.hierarchy.terminals()}
     complexes = dict(k.terminal_complexes)
-    for node in h.terminals():
-        complexes.setdefault(node.id, None)
-    ledger = {"input": sum(covolume(x) for x in complexes.values() if x is not None)}
+    for nid in terminal_groups:
+        complexes.setdefault(nid, None)
+    ledger = {"input": _covolume_sum(complexes)}
 
     # stage one: repair contracting resolutions
     resolutions = {}
@@ -730,32 +611,27 @@ def passdown_full(k: HStructure, tl: TreeLevel, groups: GroupTable = None, no_di
             frag = TauFragment.identity(x)
         resolutions[nid] = res
         fragments[nid] = frag
-    ledger["contracted"] = sum(covolume(x) for x in complexes.values() if x is not None)
+    ledger["contracted"] = _covolume_sum(complexes)
     if ledger["contracted"] > ledger["input"]:
         raise EngineError("covolume grew during contraction")
 
     # stage two: split at cutpoints (the reduced cutpoint tree keeps the
     # non-slender ones inside merged pieces)
-    holders = {}  # terminal node id -> original terminal it descends from
-    for nid in sorted(complexes):
-        holders[nid] = nid
+    holders = {nid: nid for nid in complexes}  # terminal id -> original terminal it descends from
     for nid, x in sorted(complexes.items()):
-        if x is None or not cutpoints(x):
-            continue
-        bpx = reduced_cutpoint_tree(x, groups)
-        if len(bpx.comp_nodes) + len(bpx.cut_nodes) <= 1:
+        pieces = None if x is None else _cutpoint_pieces(nid, x, groups)
+        if pieces is None:
             continue
         res = resolutions.pop(nid)
-        frag = fragments[nid]
-        pieces = _append_cutpoint_level(h, nid, x, bpx, groups, suffix=nid)
         del complexes[nid]
         del holders[nid]
-        for cid, (sub, _cells) in pieces.items():
+        for cid, (gid, sub) in pieces.items():
+            terminal_groups[cid] = gid
             complexes[cid] = sub
             holders[cid] = nid
             if sub is not None:
                 resolutions[cid] = _restrict_resolution(res, sub)
-    ledger["cutpoint-split"] = sum(covolume(x) for x in complexes.values() if x is not None)
+    ledger["cutpoint-split"] = _covolume_sum(complexes)
     if ledger["cutpoint-split"] > ledger["contracted"]:
         raise EngineError("covolume grew during the cutpoint split")
 
@@ -807,24 +683,24 @@ def passdown_full(k: HStructure, tl: TreeLevel, groups: GroupTable = None, no_di
                 raise EngineError("empty image region for a collapsed piece")
             return tl.tree.orbit[min(candidates)]
 
-        bpx = reduced_cutpoint_tree(xt, groups) if cutpoints(xt) else None
-        if bpx is None or len(bpx.comp_nodes) + len(bpx.cut_nodes) <= 1:
+        pieces = _cutpoint_pieces(nid, xt, groups)
+        if pieces is None:
             complexes[nid] = xt
             claims[nid] = claim_for(xt)
         else:
-            pieces = _append_cutpoint_level(h, nid, xt, bpx, groups, suffix=nid)
             original = holders.pop(nid)
             del complexes[nid]
-            for cid, (sub, _cells) in pieces.items():
+            for cid, (gid, sub) in pieces.items():
+                terminal_groups[cid] = gid
                 complexes[cid] = sub
                 holders[cid] = original
                 if sub is not None:
                     claims[cid] = claim_for(sub)
-    ledger["collapsed"] = sum(covolume(x) for x in complexes.values() if x is not None)
+    ledger["collapsed"] = _covolume_sum(complexes)
     if ledger["collapsed"] > ledger["cutpoint-split"]:
         raise EngineError("covolume grew during the track collapse")
 
-    structures, placements = _distribute(h, tl.gog, claims, complexes, groups)
+    structures, placements = _distribute(k.hierarchy.name, tl.gog, claims, terminal_groups, complexes, groups)
     total = sum(structure_covolume(s) for s in structures.values())
     ledger["output"] = total
     if total > ledger["collapsed"]:

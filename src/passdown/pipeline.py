@@ -162,11 +162,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
             tl = tree_levels.get(node.tree)
             if tl is None:
                 tl = tree_levels[node.tree] = make_tree_level(
-                    node.tree,
-                    fx.trees[node.tree],
-                    fx.action_table(node.tree).over(groups),
-                    groups,
-                    jsj=node.tree in fx.jsj_trees,
+                    node.tree, fx.trees[node.tree], fx.action_table(node.tree).over(groups)
                 )
             for gid in sorted(config.relative_class):
                 if tl.actions.has_entry(gid) and tl.actions.classification(gid) != "elliptic":
@@ -175,7 +171,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                         f"tree {node.tree!r}",
                         lemma="relative-class",
                     )
-            result = passdown_full(ks, tl, groups=groups, no_dinfty=config.no_dinfty)
+            result = passdown_full(ks, tl, no_dinfty=config.no_dinfty)
             children = _children_by_orbit(script, node.id)
             for orbit in sorted(tl.gog.vertices):
                 if orbit not in children:

@@ -12,7 +12,7 @@ comes with an action table mapping group ids to generator descriptors
 Group ids without an entry inherit the entry of a declared supergroup.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import graphs
 from .complexes import Complex2, covolume, quotient_labels
@@ -27,7 +27,6 @@ from .trees import (
     PARABOLIC,
     TreeHat,
     classify_subgroup_action,
-    _vertex_path,
     reduced_path,
 )
 
@@ -198,7 +197,6 @@ class Resolution:
     vertex_image: dict  # vertex -> tree vertex or ideal point id
     edge_path: dict  # edge id -> TreePath
     kind: str
-    sym_through: dict = field(default_factory=dict)  # edge -> midpoint-symmetry vertex
     actions: ActionTable = None
 
     def image_is_ideal(self, v):
@@ -259,7 +257,6 @@ def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable, no_dinfty=Tr
             vertex_image[v] = min(act.axis)
 
     edge_path = {}
-    sym_through = {}
     for eid in sorted(x.edges):
         u, v = x.edges[eid]
         pu, pv = vertex_image[u], vertex_image[v]
@@ -279,10 +276,6 @@ def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable, no_dinfty=Tr
                     f"edge {eid!r} runs between two ends but its stabilizer does not "
                     "fix a tree vertex"
                 )
-            anchor = min(act.fixed)
-            core = path.vertices
-            dist = {w: len(_vertex_path(t, w, anchor)) for w in core}
-            sym_through[eid] = min(core, key=lambda w: (dist[w], w))
 
     kind = CONTRACTING if any(p.constant_ideal is not None for p in edge_path.values()) else SPLITTING
 
@@ -292,7 +285,6 @@ def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable, no_dinfty=Tr
         vertex_image=vertex_image,
         edge_path=edge_path,
         kind=kind,
-        sym_through=sym_through,
         actions=actions,
     )
     validate_resolution(res)
@@ -318,7 +310,6 @@ def resolution_from_images(x: Complex2, t: TreeHat, vertex_image, actions=None) 
         vertex_image=dict(vertex_image),
         edge_path=edge_path,
         kind=kind,
-        sym_through={},
         actions=actions,
     )
     validate_resolution(res)
@@ -463,7 +454,6 @@ def contract(res: Resolution, groups: GroupTable = None):
         vertex_image=new_image,
         edge_path=new_paths,
         kind=SPLITTING,
-        sym_through={},
         actions=res.actions,
     )
     if descended.boundary_edges():

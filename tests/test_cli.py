@@ -1,7 +1,10 @@
+import contextlib
+import io
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -435,3 +438,64 @@ def test_pipeline_output_does_not_depend_on_the_hash_seed():
     assert len(outputs) == 1
     codes = [line.rsplit(" ", 1)[1] for line in outputs.pop().splitlines() if line.startswith("=== ")]
     assert codes == ["0", "1", "0", "0"]
+
+
+FUZZED = [  # fixture, pipeline, structure, tree
+    ("acc_stable.txt", "stable", "SS", "PT"),
+    ("f2_style.txt", "f2", "SF", "PT"),
+    ("worked_terminating.txt", "worked", "S0", "T0"),
+]
+JUNK = ["=", "end", "stab=", "x=1", "0", "-1", "sub-of=", "fix=", "orbit=", "parent=", "repeat=w0"]
+
+
+def mutate(rng, lines, pool):
+    """One line mutation: delete, duplicate or swap lines, or replace or
+    insert a token."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    kind = rng.choice(("delete", "duplicate", "swap", "replace", "insert"))
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "swap":
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        words = lines[i].split()
+        indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+        if kind == "replace" and words:
+            words[rng.randrange(len(words))] = rng.choice(pool)
+        else:
+            words.insert(rng.randrange(len(words) + 1), rng.choice(pool))
+        lines[i] = indent + " ".join(words)
+    return lines
+
+
+def test_line_mutations_exit_0_1_or_2(tmp_path):
+    """1,000 seeded line mutations of three committed fixtures, run in
+    turn through ``pipeline`` and ``passdown``: every run exits 0, 1 or 2
+    and raises nothing."""
+    rng = random.Random(20261018)
+    cases = []
+    for name, pipeline, structure, tree in FUZZED:
+        with open(fixture(name)) as fh:
+            cases.append((fh.read().splitlines(), pipeline, structure, tree))
+    pool = sorted({w for lines, *_ in cases for line in lines for w in line.split()} | set(JUNK))
+    path = tmp_path / "mutated.txt"
+    codes = Counter()
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        for case in range(1000):
+            lines, pipeline, structure, tree = cases[case % len(cases)]
+            path.write_text("\n".join(mutate(rng, lines, pool)) + "\n")
+            if case % 2:
+                argv = ["passdown", str(path), "--structure", structure, "--tree", tree]
+            else:
+                argv = ["pipeline", str(path), "--name", pipeline]
+            code = main(argv)
+            assert code in (0, 1, 2), (case, argv[0], code, path.read_text())
+            codes[code] += 1
+            sink.seek(0)
+            sink.truncate()
+    assert set(codes) == {0, 1, 2}

@@ -1,7 +1,10 @@
+import os
+
 import pytest
 
 from passdown.complexes import make_complex
 from passdown.errors import ConsistencyError, HypothesisError
+from passdown.fixtures import parse_fixtures
 from passdown.groups import GroupRef, GroupTable
 from passdown.hierarchy import (
     HNode,
@@ -16,12 +19,13 @@ from passdown.hierarchy import (
     make_tree_level,
     passdown_full,
     passdown_hierarchy,
-    passdown_structure,
     structure_covolume,
     validate_hierarchy,
 )
 from passdown.resolution import ActionTable
 from passdown.trees import ActionDescriptor, make_gog, make_tree
+
+FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def base_groups():
@@ -293,7 +297,7 @@ def point_tree_level(groups, name="T"):
     actions = ActionTable(tree, groups)
     actions.declare_descriptors("A", [ActionDescriptor(kind="elliptic", fixed=frozenset({"x"}))])
     actions.declare_descriptors("B", [ActionDescriptor(kind="elliptic", fixed=frozenset({"y"}))])
-    return make_tree_level(name, tree, actions, groups)
+    return make_tree_level(name, tree, actions)
 
 
 def structure_for(groups, covol=3):
@@ -307,61 +311,6 @@ def structure_for(groups, covol=3):
         faces[f"t{i}"] = ("pq", f"pz{i}", f"qz{i}")
     x = make_complex(verts, edges, faces)
     return k, HStructure(hierarchy=k, terminal_complexes={"nA": x, "nB": None})
-
-
-class TestPassdownStructure:
-    def test_covolume_equality_without_tables(self):
-        groups = base_groups()
-        k, ks = structure_for(groups)
-        tl = point_tree_level(groups)
-        result = passdown_structure(ks, tl, groups=groups)
-        totals = {v: structure_covolume(s) for v, s in result.structures.items()}
-        assert sum(totals.values()) == 3
-        assert totals["ox"] == 3 and totals["oy"] == 0
-
-    def test_covolume_equality_with_tables(self):
-        groups = base_groups()
-        k, ks = structure_for(groups)
-        tl = point_tree_level(groups)
-        tables = RestrictionTable()
-        tables.declare("A", "QK", Restriction(kind="elliptic", child="a"))
-        tables.declare("B", "QK", Restriction(kind="elliptic", child="b"))
-        result = passdown_structure(ks, tl, tables=tables, groups=groups)
-        assert sum(structure_covolume(s) for s in result.structures.values()) == 3
-
-    def test_slender_terminal_with_triangles_rejected(self):
-        groups = base_groups()
-        k = hierarchy_k(groups)
-        x = make_complex(
-            ["a", "b", "c"],
-            {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")},
-            {"t": ("ab", "bc", "ac")},
-        )
-        # move the complex to a slender terminal
-        k.nodes["nA"].group = "E"
-        k.nodes["r"].action = make_gog("QKs", {"a": "E", "b": "B"}, {"e": ("a", "b", "E")}, groups=groups)
-        ks = HStructure(hierarchy=k, terminal_complexes={"nA": x})
-        with pytest.raises(HypothesisError):
-            passdown_structure(ks, point_tree_level(groups), groups=groups)
-
-    def test_nonelliptic_terminal_rejected(self):
-        groups = base_groups()
-        k, ks = structure_for(groups)
-        tree = make_tree(
-            ["x", "y"],
-            {"f": ("x", "y")},
-            {"pp": ("x",), "qq": ("y",)},
-            stab={"x": "V1", "y": "V2", "f": "E"},
-            groups=groups,
-        )
-        actions = ActionTable(tree, groups)
-        actions.declare_descriptors(
-            "A", [ActionDescriptor(kind="hyperbolic", ends=("pp", "qq"))]
-        )
-        actions.declare_descriptors("B", [ActionDescriptor(kind="elliptic", fixed=frozenset({"y"}))])
-        tl = make_tree_level("T", tree, actions, groups)
-        with pytest.raises(HypothesisError):
-            passdown_structure(ks, tl, groups=groups)
 
 
 class TestPassdownFull:
@@ -433,13 +382,13 @@ class TestPassdownFull:
             ("G", {"x0", "x1"}),
         ):
             actions.declare_descriptors(gid, [ActionDescriptor(kind="elliptic", fixed=frozenset(fix))])
-        return make_tree_level("TP", tree, actions, groups)
+        return make_tree_level("TP", tree, actions)
 
     def test_pinch_strictly_drops_covolume(self):
         groups = base_groups()
         ks = self.pinch_structure(groups)
         tl = self.pinch_level(groups)
-        result = passdown_full(ks, tl, groups=groups)
+        result = passdown_full(ks, tl)
         assert result.ledger["input"] == 3
         assert result.ledger["output"] == 2
         totals = {v: structure_covolume(s) for v, s in result.structures.items()}
@@ -452,8 +401,11 @@ class TestPassdownFull:
         groups = base_groups()
         k, ks = structure_for(groups)
         tl = point_tree_level(groups)
-        result = passdown_full(ks, tl, groups=groups)
+        result = passdown_full(ks, tl)
         assert result.ledger["input"] == result.ledger["output"] == 3
+        # the complex's labels fix x only, so its vertex orbit gets all of it
+        totals = {v: structure_covolume(s) for v, s in result.structures.items()}
+        assert totals == {"ox": 3, "oy": 0}
 
     def test_contracting_stage_non_increasing(self):
         groups = base_groups()
@@ -472,7 +424,7 @@ class TestPassdownFull:
         actions.declare_descriptors("L", [ActionDescriptor(kind="hyperbolic", ends=("pp", "qq"))])
         actions.declare_descriptors("A", [ActionDescriptor(kind="elliptic", fixed=frozenset({"x1"}))])
         actions.declare_descriptors("EL", [ActionDescriptor(kind="elliptic", fixed=frozenset({"x1"}))])
-        tl = make_tree_level("TC", tree, actions, groups)
+        tl = make_tree_level("TC", tree, actions)
         # a linear edge hanging off an elliptic triangle by one edge
         x = make_complex(
             ["u", "v", "a", "b", "w"],
@@ -505,6 +457,25 @@ class TestPassdownFull:
             hierarchy=Hierarchy(name="KC", root="r", nodes=nodes),
             terminal_complexes={"r": x},
         )
-        result = passdown_full(ks, tl, groups=groups)
+        result = passdown_full(ks, tl)
         assert result.ledger["contracted"] <= result.ledger["input"]
         assert result.ledger["output"] == 1
+
+    def test_input_structure_is_left_as_it_was(self):
+        # the worked fixture's collapse leaves a cutpoint, so the third
+        # stage splits its one terminal in two
+        fx = parse_fixtures([os.path.join(FIX, "worked_terminating.txt")])
+        ks = fx.structures["S0"]
+        nodes = {
+            nid: (n.id, n.group, n.action, dict(n.children), n.parent, n.origin)
+            for nid, n in ks.hierarchy.nodes.items()
+        }
+        attached = dict(ks.terminal_complexes)
+        result = passdown_full(ks, make_tree_level("T0", fx.trees["T0"], fx.action_table("T0")))
+        assert {v: structure_covolume(s) for v, s in result.structures.items()} == {"o0": 1, "o1": 1}
+        assert {
+            nid: (n.id, n.group, n.action, n.children, n.parent, n.origin)
+            for nid, n in ks.hierarchy.nodes.items()
+        } == nodes
+        assert ks.terminal_complexes.keys() == attached.keys()
+        assert all(ks.terminal_complexes[nid] is x for nid, x in attached.items())

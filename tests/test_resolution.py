@@ -189,7 +189,26 @@ class TestBuildResolution:
         res = build_resolution(x, t2, table)
         assert res.kind == SPLITTING
         # a maps to an end of (p,q), b to an end of (p,r); both ideal
-        assert res.sym_through["ab"] in set(res.edge_path["ab"].vertices)
+        assert res.image_is_ideal("a") and res.image_is_ideal("b")
+        assert res.edge_path["ab"].constant_ideal is None
+
+    def test_edge_between_two_ends_must_fix_a_tree_vertex(self):
+        groups = std_groups()
+        groups.add(GroupRef("L2", is_slender=True))
+        groups.add(GroupRef("Epar", is_slender=True, declared_supergroups=frozenset({"L", "L2"})))
+        verts = ["x0", "x1", "x2", "x3", "y"]
+        edges = {"f0": ("x0", "x1"), "f1": ("x1", "x2"), "f2": ("x2", "x3"), "g": ("x1", "y")}
+        ideal = {"p": ("x1", "x0"), "q": ("x2", "x3"), "r": ("x1", "y")}
+        t = make_tree(verts, edges, ideal)
+        table = ActionTable(t, groups)
+        table.declare_descriptors("L", [ActionDescriptor(kind="hyperbolic", ends=("p", "q"))])
+        table.declare_descriptors("L2", [ActionDescriptor(kind="hyperbolic", ends=("q", "r"))])
+        table.declare_parabolic("Epar", "q")
+        x = make_complex(
+            ["a", "b"], {"ab": ("a", "b")}, {}, stab={"a": "L", "b": "L2", "ab": "Epar"}, groups=groups
+        )
+        with pytest.raises(ConsistencyError, match="runs between two ends"):
+            build_resolution(x, t, table)
 
     def test_hyperbolic_cell_rejected(self):
         verts = ["c", "a", "b", "u", "v"]
