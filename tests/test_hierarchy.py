@@ -313,6 +313,18 @@ def structure_for(groups, covol=3):
     return k, HStructure(hierarchy=k, terminal_complexes={"nA": x, "nB": None})
 
 
+class TestPassdownStructure:
+    def test_covolume_equality_without_tables(self):
+        groups = base_groups()
+        k, ks = structure_for(groups)
+        tl = point_tree_level(groups)
+        result = passdown_full(ks, tl)
+        totals = {v: structure_covolume(s) for v, s in result.structures.items()}
+        assert sum(totals.values()) == 3
+        # the complex's labels fix x only, so its vertex orbit gets all of it
+        assert totals["ox"] == 3 and totals["oy"] == 0
+
+
 class TestPassdownFull:
     def pinch_structure(self, groups):
         for gid, sups in (
@@ -403,9 +415,6 @@ class TestPassdownFull:
         tl = point_tree_level(groups)
         result = passdown_full(ks, tl)
         assert result.ledger["input"] == result.ledger["output"] == 3
-        # the complex's labels fix x only, so its vertex orbit gets all of it
-        totals = {v: structure_covolume(s) for v, s in result.structures.items()}
-        assert totals == {"ox": 3, "oy": 0}
 
     def test_contracting_stage_non_increasing(self):
         groups = base_groups()
