@@ -6,6 +6,7 @@ writes a report to standard output.  Exit codes: 0 success/certified,
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -13,12 +14,13 @@ from .complexes import covolume, cutpoints, h1_z2, reduce_complex
 from .dot import bw_to_dot, cutpoint_tree_to_dot, gog_to_dot, resolution_to_dot
 from .errors import FixtureError, PassdownError
 from .fixtures import parse_fixtures, serialize_complex, serialize_resolution
-from .hierarchy import make_tree_level, passdown_full, structure_covolume
+from .hierarchy import make_tree_level, passdown_full
 from .pipeline import run_pipeline
 from .resolution import CONTRACTING, build_resolution, contract
 from .tracks import essential_tracks, split_collapse, tracks_from_resolution
 
 
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(
         prog="passdown",
@@ -155,11 +157,11 @@ def main(argv=None) -> int:
         elif args.command == "passdown":
             ks = _named(fx, "structure", args.structure)
             tl = make_tree_level(args.tree, _named(fx, "tree", args.tree), fx.action_table(args.tree))
-            result = passdown_full(ks, tl, no_dinfty=fx.config.no_dinfty)
+            result = passdown_full(ks.terminals(), tl, no_dinfty=fx.config.no_dinfty)
             for stage, value in result.ledger.items():
                 print(f"covolume[{stage}] = {value}")
-            for v in sorted(result.structures):
-                print(f"vertex {v}: covolume {structure_covolume(result.structures[v])}")
+            for v, received in sorted(result.terminals.items()):
+                print(f"vertex {v}: covolume {sum(covolume(x) for _gid, x in received.values())}")
             _dot_write(args, f"{args.tree}.quotient.dot", gog_to_dot(tl.gog))
         elif args.command in ("pipeline", "certify"):
             report = run_pipeline(fx, args.name)

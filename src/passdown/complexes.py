@@ -8,7 +8,7 @@ their label.  "Infinite directions" of the desk-scale complex are modeled
 by the ``boundary_marked`` vertex set.
 
 Operations here: reduction to simplicial form, Z2 first cohomology,
-covolume (triangle-orbit count), cutpoints, and the (reduced) cutpoint
+covolume (triangle-orbit count), cutpoints, and the reduced cutpoint
 tree used to split a complex into cutpoint-free pieces.
 """
 
@@ -499,100 +499,54 @@ def _block_orbit_signature(x, cells):
     return tuple(sorted((("f" if c in x.faces else "e" if c in x.edges else "v"), x.orbit[c]) for c in cells))
 
 
-def cutpoint_tree(x: Complex2, groups: GroupTable = None) -> CutpointTree:
-    """The bipartite tree B_X of cutpoint-free components and cut vertices.
+def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
+    """B'_X: the bipartite tree of cutpoint-free pieces and cut vertices,
+    with every non-slender cut vertex merged into the blocks it joins.
 
-    Requires a connected complex with h1_z2 = 0.  Cut-vertex nodes keep
-    the vertex stabilizer; component nodes get fresh refs.  Each B_X edge
-    is labeled by its cut vertex (the stabilizer of the matching link
-    component sits inside it).
+    Requires a connected complex with h1_z2 = 0.  The blocks of the
+    1-skeleton are named ``C<i>`` in order; a piece is the union of the
+    blocks joined through non-slender cut vertices, named by its least
+    member (block or merged cut vertex).  Every piece gets one fresh ref,
+    H-elliptic when it merged cut vertices and all their labels are.
+    Slender cut vertices stay nodes with their own label, joined to each
+    piece that contains them.
     """
-    groups = groups or GroupTable()
     if not is_connected(x):
         raise FixtureError("cutpoint tree needs a connected complex")
     if h1_z2(x) != 0:
         raise FixtureError("cutpoint tree needs h1_z2 = 0")
     cuts = sorted(graphs.cut_vertices(x.skeleton_blocks))
-    blocks = _block_cells(x)
-    comp_nodes, comp_cells, node_stab, node_orbit, edges = [], {}, {}, {}, []
-    sig_orbit = {}
-    for i, cells in enumerate(sorted(blocks, key=lambda c: sorted(map(str, c)))):
-        cid = f"C{i}"
-        comp_nodes.append(cid)
-        comp_cells[cid] = frozenset(cells)
-        node_stab[cid] = groups.mint("blk").id
-        sig = _block_orbit_signature(x, cells)
-        node_orbit[cid] = sig_orbit.setdefault(sig, cid)
-        for v in cuts:
-            if v in cells:
-                edges.append((cid, v))
-    for v in cuts:
-        node_stab[v] = x.stab[v]
-        node_orbit[v] = x.orbit[v]
-    tree = CutpointTree(
-        comp_nodes=tuple(comp_nodes),
-        cut_nodes=tuple(cuts),
-        edges=tuple(edges),
-        node_stab=node_stab,
-        node_orbit=node_orbit,
-        comp_cells=comp_cells,
-    )
-    if not tree.is_tree():
-        raise FixtureError("cutpoint tree is cyclic or disconnected (input violated h1 = 0?)")
-    return tree
-
-
-def reduced_cutpoint_tree(x: Complex2, groups: GroupTable = None) -> CutpointTree:
-    """B'_X: collapse B_X edges whose stabilizer label is not slender.
-
-    A B_X edge carries its cut vertex's label; collapsing merges the cut
-    vertex with every adjacent component node into one node whose cells
-    are the union.
-    """
-    groups = groups or GroupTable()
-    bx = cutpoint_tree(x, groups)
+    slender = {v for v in cuts if groups.slender(x.stab[v])}
     uf = graphs.UnionFind()
-    find = uf.find
-    collapsed_cuts = set()
-    for comp, cut in bx.edges:
-        if not groups.slender(x.stab[cut]):
-            collapsed_cuts.add(cut)
-            uf.union(comp, cut)
+    blocks, incidences = {}, []
+    for i, cells in enumerate(sorted(_block_cells(x), key=lambda c: sorted(map(str, c)))):
+        bid = f"C{i}"
+        blocks[bid] = cells
+        uf.find(bid)
+        for v in cells.intersection(cuts):
+            if v in slender:
+                incidences.append((bid, v))
+            else:
+                uf.union(bid, v)
+    clash = blocks.keys() & set(cuts)
+    if clash:
+        # blocks and cut vertices share one node namespace
+        raise FixtureError(f"cut vertex {min(clash)!r} has the name of a cutpoint tree block")
 
-    merged_cells = defaultdict(set)
-    merged_members = defaultdict(set)
-    for cid in bx.comp_nodes:
-        merged_cells[find(cid)].update(bx.comp_cells[cid])
-        merged_members[find(cid)].add(cid)
-    for cut in collapsed_cuts:
-        merged_cells[find(cut)].add(cut)
-        merged_members[find(cut)].add(cut)
-
-    comp_nodes, comp_cells, node_stab, node_orbit, edges = [], {}, {}, {}, []
-    sig_orbit = {}
-    for rep in sorted(merged_cells):
-        comp_nodes.append(rep)
-        comp_cells[rep] = frozenset(merged_cells[rep])
-        if merged_members[rep] == {rep} and rep in bx.comp_nodes:
-            node_stab[rep] = bx.node_stab[rep]
-        else:
-            hub = next((c for c in merged_members[rep] if c in collapsed_cuts), None)
-            node_stab[rep] = groups.mint(
-                "blk", h_elliptic=hub is not None and groups.h_elliptic(x.stab[hub])
-            ).id
+    comp_cells, node_stab, node_orbit, sig_orbit = {}, {}, {}, {}
+    for rep, members in uf.classes().items():
+        merged = [x.stab[m] for m in members if m not in blocks]
+        comp_cells[rep] = frozenset().union(*(blocks[m] for m in members if m in blocks))
+        node_stab[rep] = groups.mint("blk", h_elliptic=bool(merged) and all(map(groups.h_elliptic, merged))).id
         sig = _block_orbit_signature(x, comp_cells[rep])
         node_orbit[rep] = sig_orbit.setdefault(sig, rep)
-    cut_nodes = [v for v in bx.cut_nodes if v not in collapsed_cuts]
-    for v in cut_nodes:
+    for v in sorted(slender):
         node_stab[v] = x.stab[v]
         node_orbit[v] = x.orbit[v]
-    for comp, cut in bx.edges:
-        if cut not in collapsed_cuts:
-            edges.append((find(comp), cut))
     tree = CutpointTree(
-        comp_nodes=tuple(comp_nodes),
-        cut_nodes=tuple(cut_nodes),
-        edges=tuple(sorted(set(edges))),
+        comp_nodes=tuple(comp_cells),
+        cut_nodes=tuple(sorted(slender)),
+        edges=tuple(sorted({(uf.find(bid), v) for bid, v in incidences})),
         node_stab=node_stab,
         node_orbit=node_orbit,
         comp_cells=comp_cells,

@@ -7,12 +7,14 @@ vertices with unchanged groups.  An H-structure additionally attaches a
 complex to each terminal node (``None`` stands for a point).
 
 Ellipticity of abstract subgroups is never decided.  ``passdown_full`` is
-the one passdown of an H-structure: it derives all it needs from the tree
-actions of the cell labels, and its stages carry terminal ids with their
-groups and complexes, leaving the input structure as it found it.  The
-depth-bound replay (``passdown_hierarchy``, ``jsj_depth_bound``) replays
-fixture-supplied restriction tables instead; it is the paper's depth
-bound, and no command runs it.
+the one passdown of an H-structure.  It speaks one shape, terminals
+``{terminal id: (group, complex)}``: it takes them in (a fixture
+structure gives them by ``HStructure.terminals``), derives all it needs
+from the tree actions of the cell labels, and hands on per vertex orbit
+only the terminals the next level reads, with one triangle map from the
+input terminals to them.  The depth-bound replay (``passdown_hierarchy``,
+``jsj_depth_bound``) replays fixture-supplied restriction tables
+instead; it is the paper's depth bound, and no command runs it.
 """
 
 from collections import defaultdict
@@ -83,10 +85,6 @@ def depth(h: Hierarchy) -> int:
     return max(h.depth_of(nid) for nid in h.nodes)
 
 
-def level(h: Hierarchy, n: int):
-    return {nid for nid in h.nodes if h.depth_of(nid) == n}
-
-
 def validate_hierarchy(h: Hierarchy, groups: GroupTable):
     if h.root not in h.nodes:
         raise FixtureError(f"hierarchy {h.name!r}: missing root node")
@@ -127,53 +125,6 @@ def validate_slender_edges(h: Hierarchy, groups: GroupTable):
                     "non-slender label",
                     lemma="slender-hierarchy",
                 )
-
-
-@dataclass(frozen=True)
-class HEllipticity:
-    value: bool
-    horizon_relative: bool
-    witness: tuple  # node ids, one per level, containing the group
-
-
-def is_h_elliptic(gid: str, h: Hierarchy, groups: GroupTable) -> HEllipticity:
-    """Is the group inside a terminal node's group, or inside one node on
-    every level down to the run's horizon?
-
-    A non-slender group may sit in at most one node per level; more is an
-    inconsistent fixture.
-    """
-    per_level = defaultdict(list)
-    max_depth = depth(h)
-    for nid, node in h.nodes.items():
-        if groups.leq(gid, node.group):
-            per_level[h.depth_of(nid)].append(nid)
-    if not groups.slender(gid):
-        for lvl, nids in per_level.items():
-            if len(nids) > 1:
-                raise ConsistencyError(
-                    f"non-slender group {gid!r} sits in several nodes at level {lvl}: {sorted(nids)}"
-                )
-    for nid, node in h.nodes.items():
-        if node.is_terminal() and groups.leq(gid, node.group):
-            chain = []
-            cur = node
-            while cur is not None:
-                chain.append(cur.id)
-                cur = h.nodes[cur.parent] if cur.parent else None
-            return HEllipticity(True, False, tuple(reversed(chain)))
-    # descending chain through every level to the horizon
-    chain = []
-    node = h.nodes[h.root]
-    while groups.leq(gid, node.group):
-        chain.append(node.id)
-        nxt = [c for c in h.children_of(node.id) if groups.leq(gid, c.group)]
-        if not nxt:
-            break
-        node = nxt[0]
-    if len(chain) == max_depth + 1 and h.nodes[chain[-1]].is_frontier():
-        return HEllipticity(True, True, tuple(chain))
-    return HEllipticity(False, False, ())
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +360,27 @@ class HStructure:
     hierarchy: Hierarchy
     terminal_complexes: dict  # terminal node id -> Complex2, or None for a point
 
-    def complexes(self):
-        return {nid: x for nid, x in self.terminal_complexes.items() if x is not None}
+    def terminals(self):
+        """{terminal node id: (group, complex)} for the complex-bearing
+        terminals, in id order: what ``passdown_full`` takes."""
+        nodes = self.hierarchy.nodes
+        return {nid: (nodes[nid].group, x) for nid, x in sorted(self.terminal_complexes.items()) if x is not None}
 
 
-def structure_covolume(k: HStructure) -> int:
-    return sum(covolume(x) for x in k.complexes().values())
+def _check_terminal_complex(nid, x, groups: GroupTable):
+    """A terminal complex is connected with h1 = 0, and every cell label is
+    slender or elliptic on every level."""
+    if not is_connected(x):
+        raise FixtureError(f"terminal complex at {nid!r} is disconnected")
+    if h1_z2(x) != 0:
+        raise FixtureError(f"terminal complex at {nid!r} has h1 != 0")
+    for cell in x.cells():
+        ref = groups[x.stab[cell]]
+        if not (ref.is_slender or ref.is_h_elliptic):
+            raise ConsistencyError(
+                f"cell {cell!r} of the complex at {nid!r} is neither slender nor "
+                "elliptic on every level"
+            )
 
 
 def validate_hstructure(k: HStructure, groups: GroupTable):
@@ -424,66 +390,40 @@ def validate_hstructure(k: HStructure, groups: GroupTable):
     for nid, x in k.terminal_complexes.items():
         if nid not in terminal_ids:
             raise FixtureError(f"complex attached to non-terminal node {nid!r}")
-        if x is None:
-            continue
-        if not is_connected(x):
-            raise FixtureError(f"terminal complex at {nid!r} is disconnected")
-        if h1_z2(x) != 0:
-            raise FixtureError(f"terminal complex at {nid!r} has h1 != 0")
-        for cell in x.cells():
-            ref = groups[x.stab[cell]]
-            if not (ref.is_slender or ref.is_h_elliptic):
-                raise ConsistencyError(
-                    f"cell {cell!r} of the complex at {nid!r} is neither slender nor "
-                    "elliptic on every level"
-                )
+        if x is not None:
+            _check_terminal_complex(nid, x, groups)
 
 
 @dataclass
 class PassdownResult:
-    structures: dict  # tree vertex orbit id -> HStructure
+    terminals: dict  # tree vertex orbit id -> {terminal id: (group, complex)}
     ledger: dict  # stage -> total covolume
-    fragments: dict  # original terminal node id -> TauFragment
-    placements: dict  # original terminal node id -> {face id -> (orbit, node id, image face id)}
+    # input terminal id -> {face id: (vertex orbit, terminal id, image face id, {side: image side})}
+    tau: dict
 
 
-def _distribute(name, gog: GraphOfGroups, claims, terminal_groups, complexes, groups: GroupTable):
+def _distribute(gog: GraphOfGroups, claims, pieces, groups: GroupTable):
     """Every vertex orbit of the quotient receives the terminals it claims.
 
-    A single claim whose group equals the vertex group becomes the new
-    root; otherwise the claims hang one level below the root.  ``claims``
-    maps terminal id -> vertex orbit, ``terminal_groups`` terminal id ->
-    group and ``complexes`` terminal id -> complex or None; ``name`` is
-    the input hierarchy's.  Returns (structures by vertex orbit,
-    placements {terminal id: {face id: (vertex orbit, new node id)}}).
+    ``claims`` maps piece id -> vertex orbit and ``pieces`` piece id ->
+    (group, complex).  A single claim whose group equals the vertex group
+    becomes terminal ``{v}.root``; otherwise the claims become
+    ``{v}.t<i>``, in piece id order.  Returns (terminals by vertex orbit,
+    {piece id: (vertex orbit, terminal id)}).
     """
-    structures, placements = {}, {}
+    by_orbit = defaultdict(list)
+    for nid in sorted(claims):
+        by_orbit[claims[nid]].append(nid)
+    out, home = {}, {}
     for v in sorted(gog.vertices):
-        gv = gog.vertices[v]
-        claimed = sorted(nid for nid, tv in claims.items() if tv == v)
-        root = HNode(id=f"{v}.root", group=gv)
-        nodes = {root.id: root}
-        homes = []  # (claimed terminal id, node id receiving its complex)
-        if len(claimed) == 1 and groups.equal(terminal_groups[claimed[0]], gv):
-            root.origin = (name, claimed[0])
-            homes.append((claimed[0], root.id))
-        elif claimed:
-            verts = {f"w{i}": terminal_groups[nid] for i, nid in enumerate(claimed)}
-            root.action = make_gog(f"{name}@{v}.claims", verts, {}, groups=groups)
-            for i, nid in enumerate(claimed):
-                child = HNode(id=f"{v}.t{i}", group=terminal_groups[nid], parent=root.id, origin=(name, nid))
-                nodes[child.id] = child
-                root.children[f"w{i}"] = child.id
-                homes.append((nid, child.id))
-        term_complexes = {}
-        for nid, home in homes:
-            x = term_complexes[home] = complexes.get(nid)
-            placements[nid] = {fid: (v, home) for fid in (x.faces if x is not None else ())}
-        structures[v] = HStructure(
-            hierarchy=Hierarchy(name=f"{name}@{v}", root=root.id, nodes=nodes),
-            terminal_complexes=term_complexes,
-        )
-    return structures, placements
+        claimed = by_orbit[v]
+        if len(claimed) == 1 and groups.equal(pieces[claimed[0]][0], gog.vertices[v]):
+            names = {claimed[0]: f"{v}.root"}
+        else:
+            names = {nid: f"{v}.t{i}" for i, nid in enumerate(claimed)}
+        out[v] = {tid: pieces[nid] for nid, tid in names.items()}
+        home.update((nid, (v, tid)) for nid, tid in names.items())
+    return out, home
 
 
 @dataclass
@@ -555,8 +495,9 @@ def _restrict_resolution(res, sub_x):
 
 def _cutpoint_pieces(nid, x, groups):
     """Split the complex of terminal ``nid`` through its reduced cutpoint
-    tree: {f"{nid}.b{i}": (node group, piece or None)}, one entry per node
-    orbit, the piece None for a cut vertex.  None when x does not split."""
+    tree: {f"{nid}.b{i}": (node group, piece)}, numbering every node
+    orbit, with an entry for each piece (cut vertices carry no complex).
+    None when x does not split."""
     if not cutpoints(x):
         return None
     bpx = reduced_cutpoint_tree(x, groups)
@@ -564,84 +505,74 @@ def _cutpoint_pieces(nid, x, groups):
         return None
     out = {}
     for i, rep in enumerate(sorted({bpx.node_orbit[n] for n in bpx.comp_nodes + bpx.cut_nodes})):
-        sub = None
         if rep in bpx.comp_cells:
             sub = subcomplex(x, bpx.comp_cells[rep])
             if not is_connected(sub) or h1_z2(sub) != 0:
                 raise EngineError("cutpoint-free piece is not connected with h1 = 0")
-        out[f"{nid}.b{i}"] = (bpx.node_stab[rep], sub)
+            out[f"{nid}.b{i}"] = (bpx.node_stab[rep], sub)
     return out
 
 
-def _covolume_sum(complexes):
-    return sum(covolume(x) for x in complexes.values() if x is not None)
+def _covolume_sum(pieces):
+    return sum(covolume(x) for _gid, x in pieces.values())
 
 
-def passdown_full(k: HStructure, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
-    """The full three-stage passdown of an H-structure over a tree.
+def passdown_full(terminals, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
+    """The full three-stage passdown of terminals over a tree.
 
-    Stage one replaces complexes with contracting resolutions by their
-    boundary collapse; stage two splits complexes at cutpoints through the
-    reduced cutpoint tree; stage three collapses essential tracks and
-    splits the result at cutpoints again, leaving terminal groups that are
-    slender or elliptic.  Each output vertex then receives the terminals
-    it claims.  Covolume never increases, stage by stage.  The stages
-    carry terminal ids with their groups and complexes; the input
-    structure is left as it was.
+    ``terminals`` maps terminal id -> (group, complex), as
+    ``HStructure.terminals`` gives it.  Stage one replaces complexes with
+    contracting resolutions by their boundary collapse; stage two splits
+    complexes at cutpoints through the reduced cutpoint tree; stage three
+    collapses essential tracks and splits the result at cutpoints again,
+    leaving terminal groups that are slender or elliptic.  Each output
+    vertex orbit then receives the terminals it claims.  Covolume never
+    increases, stage by stage.  The input is left as it was.
     """
     groups = tl.actions.groups
-    validate_hstructure(k, groups)
-    terminal_groups = {node.id: node.group for node in k.hierarchy.terminals()}
-    complexes = dict(k.terminal_complexes)
-    for nid in terminal_groups:
-        complexes.setdefault(nid, None)
-    ledger = {"input": _covolume_sum(complexes)}
+    for nid, (_gid, x) in terminals.items():
+        _check_terminal_complex(nid, x, groups)
+    pieces = dict(terminals)  # terminal id -> (group, complex), stage by stage
+    origin = {nid: nid for nid in terminals}  # terminal id -> input terminal it descends from
+    ledger = {"input": _covolume_sum(pieces)}
 
     # stage one: repair contracting resolutions
     resolutions = {}
     fragments = {}
-    for nid, x in sorted(complexes.items()):
-        if x is None:
-            continue
+    for nid, (gid, x) in sorted(pieces.items()):
         res = tl.resolution(x, no_dinfty)
         if res.kind == CONTRACTING:
             xc, res, frag = contract(res, groups)
-            complexes[nid] = xc
+            pieces[nid] = (gid, xc)
         else:
             frag = TauFragment.identity(x)
         resolutions[nid] = res
         fragments[nid] = frag
-    ledger["contracted"] = _covolume_sum(complexes)
+    ledger["contracted"] = _covolume_sum(pieces)
     if ledger["contracted"] > ledger["input"]:
         raise EngineError("covolume grew during contraction")
 
     # stage two: split at cutpoints (the reduced cutpoint tree keeps the
     # non-slender ones inside merged pieces)
-    holders = {nid: nid for nid in complexes}  # terminal id -> original terminal it descends from
-    for nid, x in sorted(complexes.items()):
-        pieces = None if x is None else _cutpoint_pieces(nid, x, groups)
-        if pieces is None:
+    for nid, (_gid, x) in sorted(pieces.items()):
+        split = _cutpoint_pieces(nid, x, groups)
+        if split is None:
             continue
         res = resolutions.pop(nid)
-        del complexes[nid]
-        del holders[nid]
-        for cid, (gid, sub) in pieces.items():
-            terminal_groups[cid] = gid
-            complexes[cid] = sub
-            holders[cid] = nid
-            if sub is not None:
-                resolutions[cid] = _restrict_resolution(res, sub)
-    ledger["cutpoint-split"] = _covolume_sum(complexes)
+        del pieces[nid], origin[nid]
+        pieces.update(split)
+        for cid, (_gid, sub) in split.items():
+            origin[cid] = nid
+            resolutions[cid] = _restrict_resolution(res, sub)
+    ledger["cutpoint-split"] = _covolume_sum(pieces)
     if ledger["cutpoint-split"] > ledger["contracted"]:
         raise EngineError("covolume grew during the cutpoint split")
 
-    # stage three: collapse essential tracks, then split at cutpoints again
-    stage2_of = dict(holders)  # stage-two terminal id -> original terminal id
+    # stage three: collapse essential tracks, then split at cutpoints again;
+    # the collapse fragments merge per input terminal (face ids stay disjoint)
     claims = {}
-    split_frags = {}
-    for nid, x in sorted(complexes.items()):
-        if x is None:
-            continue
+    merged = defaultdict(lambda: TauFragment(triangle_map={}, edge_map={}, vertex_map={}))
+    for nid, (gid, x) in sorted(pieces.items()):
         res = resolutions[nid]
         for cut in cutpoints(x):
             if tl.actions.classification(x.stab[cut]) != ELLIPTIC:
@@ -651,11 +582,15 @@ def passdown_full(k: HStructure, tl: TreeLevel, no_dinfty=True) -> PassdownResul
                 )
         ts = tl.essential_tracks(x, res)
         xt, frag = split_collapse(x, res, ts, groups)
-        split_frags[nid] = frag
+        nid0 = origin[nid]
+        merged[nid0].triangle_map.update(frag.triangle_map)
+        merged[nid0].edge_map.update(frag.edge_map)
+        merged[nid0].vertex_map.update(frag.vertex_map)
 
         def claim_for(cx):
             # the piece maps into one component of the tree minus the
-            # midpoints of its collapsed edges; claim that component
+            # midpoints of its collapsed edges; claim that component at
+            # the least image of the piece's own vertices
             rev = {vid: tid for tid, vid in frag.track_point.items()}
             cut = set()
             anchors = set()
@@ -675,7 +610,7 @@ def passdown_full(k: HStructure, tl: TreeLevel, no_dinfty=True) -> PassdownResul
             if len(holding) > 1:
                 raise EngineError("a collapsed piece maps across a collapsed midpoint")
             if holding:
-                return tl.tree.orbit[min(holding[0])]
+                return tl.tree.orbit[min(holding[0] & anchors)]
             # piece made of track points only: take the smallest vertex
             # adjacent to its collapsed edges
             candidates = {w for eid in cut for w in tl.tree.edges[eid]}
@@ -683,59 +618,43 @@ def passdown_full(k: HStructure, tl: TreeLevel, no_dinfty=True) -> PassdownResul
                 raise EngineError("empty image region for a collapsed piece")
             return tl.tree.orbit[min(candidates)]
 
-        pieces = _cutpoint_pieces(nid, xt, groups)
-        if pieces is None:
-            complexes[nid] = xt
+        split = _cutpoint_pieces(nid, xt, groups)
+        if split is None:
+            pieces[nid] = (gid, xt)
             claims[nid] = claim_for(xt)
         else:
-            original = holders.pop(nid)
-            del complexes[nid]
-            for cid, (gid, sub) in pieces.items():
-                terminal_groups[cid] = gid
-                complexes[cid] = sub
-                holders[cid] = original
-                if sub is not None:
-                    claims[cid] = claim_for(sub)
-    ledger["collapsed"] = _covolume_sum(complexes)
+            del pieces[nid], origin[nid]
+            pieces.update(split)
+            for cid, (_gid, sub) in split.items():
+                origin[cid] = nid0
+                claims[cid] = claim_for(sub)
+    ledger["collapsed"] = _covolume_sum(pieces)
     if ledger["collapsed"] > ledger["cutpoint-split"]:
         raise EngineError("covolume grew during the track collapse")
 
-    structures, placements = _distribute(k.hierarchy.name, tl.gog, claims, terminal_groups, complexes, groups)
-    total = sum(structure_covolume(s) for s in structures.values())
+    out, home = _distribute(tl.gog, claims, pieces, groups)
+    total = sum(_covolume_sum(received) for received in out.values())
     ledger["output"] = total
     if total > ledger["collapsed"]:
         raise EngineError("distribution increased covolume")
     if total < ledger["collapsed"]:
         raise EngineError("a collapsed terminal went unclaimed")
 
-    # provenance per original terminal: contraction fragment, then the
-    # merged per-piece collapse fragments (face ids stay disjoint)
-    out_frags = {}
-    out_places = {}
-    for nid0 in sorted(k.terminal_complexes):
-        x0 = k.terminal_complexes[nid0]
-        if x0 is None:
-            continue
-        merged = TauFragment(triangle_map={}, edge_map={}, vertex_map={}, track_point={})
-        for snid, fr in split_frags.items():
-            if stage2_of.get(snid) != nid0:
-                continue
-            merged.triangle_map.update(fr.triangle_map)
-            merged.edge_map.update(fr.edge_map)
-            merged.vertex_map.update(fr.vertex_map)
-            merged.track_point.update(fr.track_point)
-        composed = fragments[nid0].compose(merged)
-        composed.track_point = dict(merged.track_point)
-        out_frags[nid0] = composed
-        location = {}
-        for final_nid, per_face in placements.items():
-            if holders.get(final_nid) == nid0:
-                location.update({fid: loc for fid, loc in per_face.items()})
-        out_places[nid0] = {}
+    # the triangle map per input terminal: its contraction fragment, then
+    # the merged collapse fragments, each image face found in the
+    # terminal that received it
+    located = defaultdict(dict)  # input terminal -> {face id: (vertex orbit, terminal id)}
+    for nid, (_gid, x) in pieces.items():
+        located[origin[nid]].update(dict.fromkeys(x.faces, home[nid]))
+    tau = {}
+    for nid0, (_gid, x0) in terminals.items():
+        composed = fragments[nid0].compose(merged[nid0])
+        sides = defaultdict(dict)
+        for (fid, eid), img_eid in composed.edge_map.items():
+            sides[fid][eid] = img_eid
+        tau[nid0] = {}
         for fid in x0.faces:
             img = composed.triangle_map.get(fid)
-            if img is not None and img in location:
-                out_places[nid0][fid] = location[img] + (img,)
-    return PassdownResult(
-        structures=structures, ledger=ledger, fragments=out_frags, placements=out_places
-    )
+            if img in located[nid0]:
+                tau[nid0][fid] = located[nid0][img] + (img, sides[fid])
+    return PassdownResult(terminals=out, ledger=ledger, tau=tau)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from .complexes import Complex2
 from .errors import FixtureError, HypothesisError
 from .fixtures import FixtureSet, PipelineScript
-from .hierarchy import HStructure, make_tree_level, passdown_full
+from .hierarchy import make_tree_level, passdown_full
 from .stability import (
     LevelData,
     RunView,
@@ -94,14 +94,11 @@ def _children_by_orbit(script: PipelineScript, effective_id):
     return out
 
 
-def _apply_overrides(structure: HStructure, overrides, groups):
+def _apply_overrides(terminals, overrides, groups):
     if not overrides:
-        return structure
-    new_complexes = {}
-    for nid, x in structure.terminal_complexes.items():
-        if x is None:
-            new_complexes[nid] = None
-            continue
+        return terminals
+    out = {}
+    for tid, (gid, x) in terminals.items():
         plus = dict(x.stab_plus)
         touched = False
         for eid in x.edges:
@@ -120,8 +117,8 @@ def _apply_overrides(structure: HStructure, overrides, groups):
                 boundary_marked=x.boundary_marked,
                 stab_plus=plus,
             )
-        new_complexes[nid] = x
-    return HStructure(hierarchy=structure.hierarchy, terminal_complexes=new_complexes)
+        out[tid] = (gid, x)
+    return out
 
 
 def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
@@ -135,14 +132,14 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
     tree_levels = {}  # tree name -> its TreeLevel over the run's groups, kept for the run
     diagnostics = []
 
-    root_struct = fx.structures[script.root_structure]
-    active = [(script.root_node, script.root_node, root_struct)]
+    # (instance id, script node id, {terminal id: (group, complex)})
+    active = [(script.root_node, script.root_node, fx.structures[script.root_structure].terminals())]
     levels = []
     taus = []
     for n in range(config.horizon + 1):
         level_complexes = {}
-        for inst, _nid, ks in active:
-            for tid, x in ks.complexes().items():
+        for inst, _nid, terminals in active:
+            for tid, (_gid, x) in terminals.items():
                 level_complexes[f"{inst}/{tid}"] = x
         levels.append(LevelData(complexes=level_complexes))
         for tl in tree_levels.values():  # only this level's complexes are passed down next
@@ -152,7 +149,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
         tau_tri = {}
         tau_edge = {}
         next_active = []
-        for inst, nid, ks in active:
+        for inst, nid, terminals in active:
             node = _effective(script, nid)
             if node.tree is None:
                 raise FixtureError(
@@ -171,7 +168,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                         f"tree {node.tree!r}",
                         lemma="relative-class",
                     )
-            result = passdown_full(ks, tl, no_dinfty=config.no_dinfty)
+            result = passdown_full(terminals, tl, no_dinfty=config.no_dinfty)
             children = _children_by_orbit(script, node.id)
             for orbit in sorted(tl.gog.vertices):
                 if orbit not in children:
@@ -181,22 +178,22 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                     )
             child_inst = {}
             for orbit, cnid in sorted(children.items()):
-                structure = _apply_overrides(
-                    result.structures.get(orbit), script.nodes[cnid].overrides, groups
-                )
+                if orbit not in result.terminals:
+                    raise FixtureError(
+                        f"script node {cnid!r}: orbit {orbit!r} names no vertex orbit "
+                        f"of tree {node.tree!r}"
+                    )
+                received = _apply_overrides(result.terminals[orbit], script.nodes[cnid].overrides, groups)
                 inst_id = f"{inst}.{cnid}"
                 child_inst[orbit] = inst_id
-                next_active.append((inst_id, cnid, structure))
-            for tid, places in result.placements.items():
+                next_active.append((inst_id, cnid, received))
+            for tid, faces in result.tau.items():
                 src_cid = f"{inst}/{tid}"
-                for fid, (orbit, out_node, img_fid) in places.items():
-                    dst_cid = f"{child_inst[orbit]}/{out_node}"
-                    tau_tri[(src_cid, fid)] = (dst_cid, img_fid)
-            for tid, frag in result.fragments.items():
-                src_cid = f"{inst}/{tid}"
-                for (fid, eid), img_eid in frag.edge_map.items():
-                    if (src_cid, fid) in tau_tri:
-                        tau_edge[((src_cid, fid), eid)] = img_eid
+                for fid, (orbit, out_tid, img_fid, sides) in faces.items():
+                    key = (src_cid, fid)
+                    tau_tri[key] = (f"{child_inst[orbit]}/{out_tid}", img_fid)
+                    for eid, img_eid in sides.items():
+                        tau_edge[(key, eid)] = img_eid
         taus.append(TauMap(triangle=tau_tri, edge=tau_edge))
         active = next_active
 

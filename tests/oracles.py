@@ -1,6 +1,10 @@
 """Independent oracles, written against the definitions and kept free of
 the library's own code paths.  These were frozen before the main
-implementations and must stay that way."""
+implementations and must stay that way.  The hierarchy helpers at the
+end (``level``, ``is_h_elliptic``) are definitions only the tests use."""
+
+from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -443,3 +447,136 @@ def subcomplex_of(cls, x):
             cells.add(eid)
             cells.update(x.edges[eid])
     return subcomplex(x, cells)
+
+
+def cutpoint_tree(x, groups):
+    """The bipartite tree B_X of cutpoint-free components and cut vertices.
+
+    Requires a connected complex with h1_z2 = 0.  Cut-vertex nodes keep
+    the vertex stabilizer; component nodes get fresh refs.  Each B_X edge
+    is labeled by its cut vertex (the stabilizer of the matching link
+    component sits inside it).
+    """
+    from passdown import graphs
+    from passdown.complexes import CutpointTree, _block_cells, _block_orbit_signature, h1_z2, is_connected
+    from passdown.errors import FixtureError
+
+    if not is_connected(x):
+        raise FixtureError("cutpoint tree needs a connected complex")
+    if h1_z2(x) != 0:
+        raise FixtureError("cutpoint tree needs h1_z2 = 0")
+    cuts = sorted(graphs.cut_vertices(x.skeleton_blocks))
+    blocks = _block_cells(x)
+    comp_nodes, comp_cells, node_stab, node_orbit, edges = [], {}, {}, {}, []
+    sig_orbit = {}
+    for i, cells in enumerate(sorted(blocks, key=lambda c: sorted(map(str, c)))):
+        cid = f"C{i}"
+        comp_nodes.append(cid)
+        comp_cells[cid] = frozenset(cells)
+        node_stab[cid] = groups.mint("blk").id
+        sig = _block_orbit_signature(x, cells)
+        node_orbit[cid] = sig_orbit.setdefault(sig, cid)
+        for v in cuts:
+            if v in cells:
+                edges.append((cid, v))
+    for v in cuts:
+        node_stab[v] = x.stab[v]
+        node_orbit[v] = x.orbit[v]
+    tree = CutpointTree(
+        comp_nodes=tuple(comp_nodes),
+        cut_nodes=tuple(cuts),
+        edges=tuple(edges),
+        node_stab=node_stab,
+        node_orbit=node_orbit,
+        comp_cells=comp_cells,
+    )
+    if not tree.is_tree():
+        raise FixtureError("cutpoint tree is cyclic or disconnected (input violated h1 = 0?)")
+    return tree
+
+
+def contracted_cutpoint_tree(x, groups):
+    """B'_X by its definition: B_X from ``cutpoint_tree``, with every edge
+    whose cut vertex label is not slender contracted, checked edge by
+    edge on a hand-written union of node sets.  Returns (comp nodes, comp
+    cells, cut nodes, edges, node orbits, {comp node: H-elliptic flag});
+    a merged piece is H-elliptic when every cut vertex merged into it is."""
+    from passdown.complexes import _block_orbit_signature
+
+    bx = cutpoint_tree(x, groups)
+    part = {n: {n} for n in bx.comp_nodes + bx.cut_nodes}
+    for comp, cut in bx.edges:
+        if not groups.slender(x.stab[cut]) and part[comp] is not part[cut]:
+            joined = part[comp] | part[cut]
+            for n in joined:
+                part[n] = joined
+    pieces = sorted({frozenset(s) for n, s in part.items() if n in bx.comp_nodes}, key=min)
+    name = {n: min(s) for s in pieces for n in s}
+    cells = {min(s): frozenset().union(*(bx.comp_cells[n] for n in s if n in bx.comp_cells)) for s in pieces}
+    orbit, first = {}, {}
+    for rep in sorted(cells):
+        orbit[rep] = first.setdefault(_block_orbit_signature(x, cells[rep]), rep)
+    cut_nodes = tuple(v for v in bx.cut_nodes if v not in name)
+    for v in cut_nodes:
+        orbit[v] = x.orbit[v]
+    edges = tuple(sorted({(name[c], v) for c, v in bx.edges if v in cut_nodes}))
+    flags = {}
+    for s in pieces:
+        merged = [n for n in s if n in bx.cut_nodes]
+        flags[min(s)] = bool(merged) and all(groups.h_elliptic(x.stab[v]) for v in merged)
+    return tuple(sorted(cells)), cells, cut_nodes, edges, orbit, flags
+
+
+def level(h, n):
+    """The node ids of a hierarchy at depth n."""
+    return {nid for nid in h.nodes if h.depth_of(nid) == n}
+
+
+@dataclass(frozen=True)
+class HEllipticity:
+    value: bool
+    horizon_relative: bool
+    witness: tuple  # node ids, one per level, containing the group
+
+
+def is_h_elliptic(gid, h, groups) -> HEllipticity:
+    """Is the group inside a terminal node's group, or inside one node on
+    every level down to the run's horizon?
+
+    A non-slender group may sit in at most one node per level; more is an
+    inconsistent fixture.
+    """
+    from passdown.errors import ConsistencyError
+    from passdown.hierarchy import depth
+
+    per_level = defaultdict(list)
+    max_depth = depth(h)
+    for nid, node in h.nodes.items():
+        if groups.leq(gid, node.group):
+            per_level[h.depth_of(nid)].append(nid)
+    if not groups.slender(gid):
+        for lvl, nids in per_level.items():
+            if len(nids) > 1:
+                raise ConsistencyError(
+                    f"non-slender group {gid!r} sits in several nodes at level {lvl}: {sorted(nids)}"
+                )
+    for nid, node in h.nodes.items():
+        if node.is_terminal() and groups.leq(gid, node.group):
+            chain = []
+            cur = node
+            while cur is not None:
+                chain.append(cur.id)
+                cur = h.nodes[cur.parent] if cur.parent else None
+            return HEllipticity(True, False, tuple(reversed(chain)))
+    # descending chain through every level to the horizon
+    chain = []
+    node = h.nodes[h.root]
+    while groups.leq(gid, node.group):
+        chain.append(node.id)
+        nxt = [c for c in h.children_of(node.id) if groups.leq(gid, c.group)]
+        if not nxt:
+            break
+        node = nxt[0]
+    if len(chain) == max_depth + 1 and h.nodes[chain[-1]].is_frontier():
+        return HEllipticity(True, True, tuple(chain))
+    return HEllipticity(False, False, ())

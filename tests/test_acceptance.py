@@ -5,6 +5,7 @@ they go.  Everything is seeded and desk-scale; the whole module is meant
 to finish well under a minute.
 """
 
+import dataclasses
 import itertools
 import os
 import random
@@ -30,7 +31,6 @@ from passdown.hierarchy import (
     jsj_depth_bound,
     make_tree_level,
     passdown_full,
-    structure_covolume,
 )
 from passdown.pipeline import run_pipeline
 from passdown.resolution import ActionTable
@@ -184,6 +184,10 @@ def _random_elliptic_structure(rng, groups, idx):
     return ks, tl, sum(covols)
 
 
+def _covolumes(result):
+    return {v: sum(covolume(x) for _gid, x in terms.values()) for v, terms in result.terminals.items()}
+
+
 def test_covolume_accounting():
     """Equality through a passdown of elliptic terminals, in total and
     per vertex orbit; never an increase; a strict drop on the pinched
@@ -192,18 +196,26 @@ def test_covolume_accounting():
     groups = GroupTable()
     for idx in range(12):
         ks, tl, total = _random_elliptic_structure(rng, groups, idx)
-        full = passdown_full(ks, tl)
-        assert full.ledger["output"] == total == structure_covolume(ks)  # degenerate case: equality
+        terminals = ks.terminals()
+        full = passdown_full(terminals, tl)
+        assert full.ledger["output"] == total == sum(covolume(x) for _gid, x in terminals.values())
         # trivially labelled complexes map to the least tree vertex, whose orbit gets them all
-        totals = {v: structure_covolume(s) for v, s in full.structures.items()}
         first = tl.tree.orbit[min(tl.tree.vertices)]
-        assert totals == {v: total if v == first else 0 for v in tl.gog.vertices}
+        assert _covolumes(full) == {v: total if v == first else 0 for v in tl.gog.vertices}
+        # labelled with its terminal's group, a complex goes to the tree vertex that group fixes
+        labelled = {
+            nid: (gid, dataclasses.replace(x, stab=dict.fromkeys(x.stab, gid))) for nid, (gid, x) in terminals.items()
+        }
+        expected = dict.fromkeys(tl.gog.vertices, 0)
+        for nid, (_gid, x) in labelled.items():
+            expected[tl.tree.orbit["y" + nid[1:]]] += covolume(x)  # terminal n<i> fixes y<i>
+        assert _covolumes(passdown_full(labelled, tl)) == expected
     fx = parse_fixtures([os.path.join(FIX, "worked_terminating.txt")])
     tl = make_tree_level("T0", fx.trees["T0"], fx.action_table("T0"))
-    result = passdown_full(fx.structures["S0"], tl)
+    result = passdown_full(fx.structures["S0"].terminals(), tl)
     assert result.ledger["input"] == 3
     assert result.ledger["output"] == 2  # strict drop on the pinched fixture
-    assert {v: structure_covolume(s) for v, s in result.structures.items()} == {"o0": 1, "o1": 1}
+    assert _covolumes(result) == {"o0": 1, "o1": 1}
     report("covolume accounting (equality, monotonicity, strict pinch drop; exact)")
 
 

@@ -277,6 +277,18 @@ class TestPipelines:
         assert main(["certify", fixture("worked_terminating.txt"), "--name", "worked"]) == 0
         assert "certified at level 1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("override", ["", "  override zz edge-orbit=ab stabplus=Gab\n"])
+    def test_child_orbit_outside_the_tree_exit_code(self, override, tmp_path, capsys):
+        last = "  node b1 parent=a1 orbit=op repeat=a1\n"
+        with open(fixture("worked_terminating.txt")) as fh:
+            text = fh.read()
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(last, last + "  node zz parent=w0 orbit=nowhere tree=PT\n" + override))
+        assert main(["pipeline", str(bad), "--name", "worked"]) == 2
+        assert capsys.readouterr().err == (
+            "error: script node 'zz': orbit 'nowhere' names no vertex orbit of tree 'T0'\n"
+        )
+
     def test_reports_deterministic(self):
         fx1 = parse_fixtures([fixture("worked_terminating.txt")])
         fx2 = parse_fixtures([fixture("worked_terminating.txt")])
@@ -337,8 +349,10 @@ end
 class TestHorizonEllipticity:
     def test_frontier_chain_is_horizon_relative(self):
         from passdown.groups import GroupRef, GroupTable
-        from passdown.hierarchy import HNode, Hierarchy, is_h_elliptic
+        from passdown.hierarchy import HNode, Hierarchy
         from passdown.trees import make_gog
+
+        from oracles import is_h_elliptic
 
         groups = GroupTable(
             [

@@ -14,7 +14,6 @@ from passdown.complexes import (
     DisconnectedComplexWarning,
     components,
     covolume,
-    cutpoint_tree,
     cutpoints,
     h1_z2,
     is_connected,
@@ -30,12 +29,19 @@ from passdown.groups import TRIVIAL, GroupRef, GroupTable
 from passdown.pipeline import run_pipeline
 
 from bench_ops import workloads
-from generators import random_cell_complex, random_labelled_complex, random_simplicial_complex
+from generators import (
+    random_cell_complex,
+    random_labelled_complex,
+    random_simplicial_complex,
+    random_triangle_tree_complex,
+)
 from oracles import (
     boundary_rank_oracle,
     brute_blocks,
     brute_components,
     brute_cutpoints,
+    contracted_cutpoint_tree,
+    cutpoint_tree,
     h1_rank_oracle,
     is_reduced_oracle,
     is_simplicial_oracle,
@@ -210,11 +216,11 @@ class TestCutpoints:
 
 class TestCutpointTree:
     def test_cutpoint_free_is_single_vertex(self):
-        bx = cutpoint_tree(triangle())
+        bx = cutpoint_tree(triangle(), GroupTable())
         assert len(bx.comp_nodes) == 1 and not bx.cut_nodes and not bx.edges
 
     def test_wedge_is_path(self):
-        bx = cutpoint_tree(TestCutpoints().wedge())
+        bx = cutpoint_tree(TestCutpoints().wedge(), GroupTable())
         assert len(bx.comp_nodes) == 2
         assert bx.cut_nodes == ("v",)
         assert len(bx.edges) == 2
@@ -238,9 +244,71 @@ class TestCutpointTree:
 
     def test_slender_cut_vertex_survives_reduction(self):
         x = TestCutpoints().wedge()
-        bpx = reduced_cutpoint_tree(x)
+        bpx = reduced_cutpoint_tree(x, GroupTable())
         assert bpx.cut_nodes == ("v",)
         assert len(bpx.comp_nodes) == 2
+
+    def test_cut_vertex_named_like_a_block_is_rejected(self):
+        # the wedge, its cut vertex named like its second block
+        x = make_complex(
+            ["a", "b", "C1", "c", "d"],
+            {
+                "av": ("a", "C1"),
+                "ab": ("a", "b"),
+                "bv": ("b", "C1"),
+                "vc": ("C1", "c"),
+                "cd": ("c", "d"),
+                "vd": ("C1", "d"),
+            },
+            {"t1": ("av", "ab", "bv"), "t2": ("vc", "cd", "vd")},
+        )
+        with pytest.raises(FixtureError, match="cut vertex 'C1' has the name of a cutpoint tree block"):
+            reduced_cutpoint_tree(x, GroupTable())
+
+    def test_matches_contracted_oracle(self):
+        # cut vertices labelled at random: slender (S), non-slender and
+        # H-elliptic (U), or neither (V)
+        groups = GroupTable([GroupRef("S", is_slender=True), GroupRef("U", is_h_elliptic=True), GroupRef("V")])
+        merged = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            x = random_triangle_tree_complex(rng, n_triangles=rng.randint(2, 9))
+            x = dataclasses.replace(x, stab={**x.stab, **{v: rng.choice("SUV") for v in sorted(cutpoints(x))}})
+            bpx = reduced_cutpoint_tree(x, groups)
+            comp_nodes, cells, cut_nodes, edges, orbit, flags = contracted_cutpoint_tree(x, groups)
+            assert bpx.comp_nodes == comp_nodes
+            assert bpx.comp_cells == cells
+            assert bpx.cut_nodes == cut_nodes
+            assert bpx.edges == edges
+            assert bpx.node_orbit == orbit
+            assert {n: groups.h_elliptic(bpx.node_stab[n]) for n in comp_nodes} == flags
+            merged += len(comp_nodes) < len(cutpoint_tree(x, groups).comp_nodes)
+        assert merged
+
+    def test_merged_piece_is_h_elliptic_only_if_every_merged_cut_vertex_is(self):
+        # three triangles in a chain through the non-slender cut vertices
+        # u (H-elliptic) and w (not): one merged piece, not H-elliptic
+        groups = GroupTable([GroupRef("U", is_h_elliptic=True), GroupRef("V")])
+        x = make_complex(
+            ["a", "b", "u", "c", "w", "d", "e"],
+            {
+                "ab": ("a", "b"),
+                "au": ("a", "u"),
+                "bu": ("b", "u"),
+                "uc": ("u", "c"),
+                "cw": ("c", "w"),
+                "uw": ("u", "w"),
+                "wd": ("w", "d"),
+                "de": ("d", "e"),
+                "we": ("w", "e"),
+            },
+            {"t1": ("ab", "bu", "au"), "t2": ("uc", "cw", "uw"), "t3": ("wd", "de", "we")},
+            stab={"u": "U", "w": "V"},
+            groups=groups,
+        )
+        bpx = reduced_cutpoint_tree(x, groups)
+        assert bpx.comp_nodes == ("C0",) and not bpx.cut_nodes
+        assert not groups.h_elliptic(bpx.node_stab["C0"])
 
 
 class TestReductionProperties:

@@ -19,6 +19,7 @@ import tempfile
 
 import pytest
 
+from passdown import cli
 from passdown.cli import main
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -89,3 +90,10 @@ if __name__ == "__main__":
         write_dot(tmp)
         shutil.copytree(tmp, DOT_GOLDEN)
     sys.exit(0)
+
+
+def test_one_parser_serves_consecutive_commands():
+    assert cli._parser() is cli._parser()
+    for name in ("h1_XP", "passdown_S0_T0", "pipeline_worked", "h1_XP"):
+        with open(os.path.join(GOLDEN, name + ".txt")) as fh:
+            assert run_case(CASES[name]) == fh.read()

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from passdown.complexes import make_complex
+from passdown.complexes import covolume, make_complex
 from passdown.errors import ConsistencyError, HypothesisError
 from passdown.fixtures import parse_fixtures
 from passdown.groups import GroupRef, GroupTable
@@ -13,19 +13,23 @@ from passdown.hierarchy import (
     Restriction,
     RestrictionTable,
     depth,
-    is_h_elliptic,
     jsj_depth_bound,
-    level,
     make_tree_level,
     passdown_full,
     passdown_hierarchy,
-    structure_covolume,
     validate_hierarchy,
 )
 from passdown.resolution import ActionTable
 from passdown.trees import ActionDescriptor, make_gog, make_tree
 
+from oracles import is_h_elliptic, level
+
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def covolumes(result):
+    """Covolume received by each vertex orbit of a passdown."""
+    return {v: sum(covolume(x) for _gid, x in terms.values()) for v, terms in result.terminals.items()}
 
 
 def base_groups():
@@ -318,8 +322,8 @@ class TestPassdownStructure:
         groups = base_groups()
         k, ks = structure_for(groups)
         tl = point_tree_level(groups)
-        result = passdown_full(ks, tl)
-        totals = {v: structure_covolume(s) for v, s in result.structures.items()}
+        result = passdown_full(ks.terminals(), tl)
+        totals = covolumes(result)
         assert sum(totals.values()) == 3
         # the complex's labels fix x only, so its vertex orbit gets all of it
         assert totals["ox"] == 3 and totals["oy"] == 0
@@ -400,20 +404,19 @@ class TestPassdownFull:
         groups = base_groups()
         ks = self.pinch_structure(groups)
         tl = self.pinch_level(groups)
-        result = passdown_full(ks, tl)
+        result = passdown_full(ks.terminals(), tl)
         assert result.ledger["input"] == 3
         assert result.ledger["output"] == 2
-        totals = {v: structure_covolume(s) for v, s in result.structures.items()}
-        assert totals == {"o0": 1, "o1": 1}
+        assert covolumes(result) == {"o0": 1, "o1": 1}
         # provenance: t1 and t2 merged, map not bijective
-        frag = result.fragments["r"]
-        assert frag.triangle_map["t1"] == frag.triangle_map["t2"]
+        tau = result.tau["r"]
+        assert tau["t1"][:3] == tau["t2"][:3]
 
     def test_elliptic_terminals_degenerate_to_equality(self):
         groups = base_groups()
         k, ks = structure_for(groups)
         tl = point_tree_level(groups)
-        result = passdown_full(ks, tl)
+        result = passdown_full(ks.terminals(), tl)
         assert result.ledger["input"] == result.ledger["output"] == 3
 
     def test_contracting_stage_non_increasing(self):
@@ -466,7 +469,7 @@ class TestPassdownFull:
             hierarchy=Hierarchy(name="KC", root="r", nodes=nodes),
             terminal_complexes={"r": x},
         )
-        result = passdown_full(ks, tl)
+        result = passdown_full(ks.terminals(), tl)
         assert result.ledger["contracted"] <= result.ledger["input"]
         assert result.ledger["output"] == 1
 
@@ -480,8 +483,11 @@ class TestPassdownFull:
             for nid, n in ks.hierarchy.nodes.items()
         }
         attached = dict(ks.terminal_complexes)
-        result = passdown_full(ks, make_tree_level("T0", fx.trees["T0"], fx.action_table("T0")))
-        assert {v: structure_covolume(s) for v, s in result.structures.items()} == {"o0": 1, "o1": 1}
+        terminals = ks.terminals()
+        given = dict(terminals)
+        result = passdown_full(terminals, make_tree_level("T0", fx.trees["T0"], fx.action_table("T0")))
+        assert covolumes(result) == {"o0": 1, "o1": 1}
+        assert terminals == given and all(terminals[nid] is pair for nid, pair in given.items())
         assert {
             nid: (n.id, n.group, n.action, n.children, n.parent, n.origin)
             for nid, n in ks.hierarchy.nodes.items()

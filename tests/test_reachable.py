@@ -3,15 +3,21 @@ class of the package is reachable from ``cli.main``, except the names in
 ``KEPT``, each kept for a stated reason.
 
 Reachability is read off the source by name: starting from ``cli.main``,
-every identifier a reached definition uses (a name or an attribute)
-reaches each top-level definition of that name in any module of the
-package.  Import statements reach nothing.  Code that only tests call
-belongs under ``tests/``."""
+every identifier a reached definition uses reaches each top-level
+definition of that name in any module of the package.  A name counts
+where it is read and not bound in its own function (so a local variable
+or a parameter reaches nothing); an attribute counts only when it is
+qualified by a module of the package, as in ``graphs.path`` (so a
+dataclass field or a method of the same name reaches nothing).  Import
+statements reach nothing.  Code that only tests call belongs under
+``tests/``."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "passdown"
+MODULES = {path.stem for path in SRC.glob("*.py")}
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 DEPTH_BOUND = "the paper's depth bound, replayed over restriction tables; no command runs it"
 SERIALIZER = "writes the fixture format back out; the fixture round-trip tests use it"
@@ -19,6 +25,7 @@ KEPT = {
     ("hierarchy", "passdown_hierarchy"): DEPTH_BOUND,
     ("hierarchy", "jsj_depth_bound"): DEPTH_BOUND,
     ("hierarchy", "DepthBoundReport"): DEPTH_BOUND,
+    ("hierarchy", "depth"): DEPTH_BOUND,
     ("fixtures", "serialize_tree"): SERIALIZER,
     ("fixtures", "serialize_groups"): SERIALIZER,
     ("fixtures", "serialize_gog"): SERIALIZER,
@@ -46,11 +53,41 @@ def top_level_definitions():
     return defs
 
 
-def identifiers(node):
-    for n in ast.walk(node):
-        if isinstance(n, ast.Name):
+def _own_nodes(scope):
+    """The nodes of a function body, not descending into nested functions."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _bound(scope):
+    """The names a function binds locally: its parameters, assigned names
+    and the names of functions and classes defined in it."""
+    args = scope.args
+    out = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    out.update(a.arg for a in (args.vararg, args.kwarg) if a is not None)
+    for node in _own_nodes(scope):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+    return out
+
+
+def identifiers(node, bound=frozenset()):
+    """The names ``node`` reads that no enclosing function binds, and the
+    attributes it reads off a module of the package."""
+    if isinstance(node, SCOPES):
+        bound = bound | _bound(node)
+    for n in _own_nodes(node):
+        if isinstance(n, SCOPES):
+            yield from identifiers(n, bound)
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in bound:
             yield n.id
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in MODULES:
             yield n.attr
 
 
