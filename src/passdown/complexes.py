@@ -504,7 +504,8 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
     with every non-slender cut vertex merged into the blocks it joins.
 
     Requires a connected complex with h1_z2 = 0.  The blocks of the
-    1-skeleton are named ``C<i>`` in order; a piece is the union of the
+    1-skeleton are named ``C<i>`` in order (``CC<i>``, and so on, when
+    that is a vertex id); a piece is the union of the
     blocks joined through non-slender cut vertices, named by its least
     member (block or merged cut vertex).  Every piece gets one fresh ref,
     H-elliptic when it merged cut vertices and all their labels are.
@@ -519,8 +520,14 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
     slender = {v for v in cuts if groups.slender(x.stab[v])}
     uf = graphs.UnionFind()
     blocks, incidences = {}, []
-    for i, cells in enumerate(sorted(_block_cells(x), key=lambda c: sorted(map(str, c)))):
-        bid = f"C{i}"
+    ordered = sorted(_block_cells(x), key=lambda c: sorted(map(str, c)))
+    # blocks and vertices share one node namespace: lengthen the prefix
+    # until no block id is a vertex id
+    prefix = "C"
+    while any(f"{prefix}{i}" in x.vertices for i in range(len(ordered))):
+        prefix += "C"
+    for i, cells in enumerate(ordered):
+        bid = f"{prefix}{i}"
         blocks[bid] = cells
         uf.find(bid)
         for v in cells.intersection(cuts):
@@ -528,10 +535,6 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
                 incidences.append((bid, v))
             else:
                 uf.union(bid, v)
-    clash = blocks.keys() & set(cuts)
-    if clash:
-        # blocks and cut vertices share one node namespace
-        raise FixtureError(f"cut vertex {min(clash)!r} has the name of a cutpoint tree block")
 
     comp_cells, node_stab, node_orbit, sig_orbit = {}, {}, {}, {}
     for rep, members in uf.classes().items():

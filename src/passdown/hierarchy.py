@@ -427,56 +427,15 @@ def _distribute(gog: GraphOfGroups, claims, pieces, groups: GroupTable):
 
 
 @dataclass
-class _KeptResolution:
-    complex: object  # held, so its id is not reused while the entry lives
-    no_dinfty: bool
-    version: int  # of the group table the resolution was built against
-    res: object
-    tracks: object = None  # its essential track system, once asked for
-
-
-@dataclass
 class TreeLevel:
     """One splitting step of the ambient hierarchy: the tree acted on,
     with its quotient view and the action annotations of the group
-    labels.
-
-    A tree level also keeps, per complex object, the resolution built
-    over its tree and that resolution's essential tracks: a level over a
-    point tree hands its complexes on unchanged, and the next level over
-    the same tree gets both back instead of rebuilding them.  An entry
-    serves only the very object it was built for, and only while the
-    group table is at the version it was built against."""
+    labels."""
 
     name: str
     tree: TreeHat
     actions: ActionTable
     gog: GraphOfGroups
-    _kept: dict = field(default_factory=dict, repr=False, compare=False)  # id(complex) -> _KeptResolution
-
-    def resolution(self, x, no_dinfty=True):
-        """``build_resolution`` of ``x`` over this tree, or the one kept for x."""
-        version = self.actions.groups.version
-        kept = self._kept.get(id(x))
-        if kept is None or kept.no_dinfty != no_dinfty or kept.version != version:
-            res = build_resolution(x, self.tree, self.actions, no_dinfty=no_dinfty)
-            kept = self._kept[id(x)] = _KeptResolution(x, no_dinfty, version, res)
-        return kept.res
-
-    def essential_tracks(self, x, res):
-        """The essential tracks of ``res``, kept with it when ``res`` is
-        the resolution kept for ``x``."""
-        kept = self._kept.get(id(x))
-        if kept is None or kept.res is not res:
-            return essential_tracks(tracks_from_resolution(res), x)
-        if kept.tracks is None:
-            kept.tracks = essential_tracks(tracks_from_resolution(res), x)
-        return kept.tracks
-
-    def keep_only(self, complexes):
-        """Drop what is kept for every complex object not among ``complexes``."""
-        live = {id(x) for x in complexes}
-        self._kept = {key: kept for key, kept in self._kept.items() if key in live}
 
 
 def make_tree_level(name, tree, actions) -> TreeLevel:
@@ -517,6 +476,41 @@ def _covolume_sum(pieces):
     return sum(covolume(x) for _gid, x in pieces.values())
 
 
+def _is_identity_step(terminals, tl: TreeLevel):
+    """Is the level over ``tl`` the identity on ``terminals``?
+
+    It is when the tree is one vertex, every complex is reduced and
+    cutpoint-free and every cell label acts elliptically: every vertex
+    goes to the one tree vertex, none to an ideal point, so there is no
+    track, nothing contracts, splits or collapses and nothing is minted.
+    Labels are classified in sorted terminal order and cell order, as
+    ``build_resolution`` reads them, so a label it would refuse raises
+    the same error here first."""
+    if len(tl.tree.vertices) != 1:
+        return False
+    if not all(x.is_reduced and not cutpoints(x) for _gid, x in terminals.values()):
+        return False
+    return all(
+        tl.actions.classification(x.stab[cell]) == ELLIPTIC
+        for _nid, (_gid, x) in sorted(terminals.items())
+        for cell in x.cells()
+    )
+
+
+def _identity_step(terminals, tl: TreeLevel) -> PassdownResult:
+    """The passdown of an identity step: the one vertex orbit receives
+    every terminal as it is, every stage keeps the covolume and tau is
+    the identity on faces and sides."""
+    (orbit,) = tl.gog.vertices
+    out, home = _distribute(tl.gog, dict.fromkeys(terminals, orbit), terminals, tl.actions.groups)
+    ledger = dict.fromkeys(("input", "contracted", "cutpoint-split", "collapsed", "output"), _covolume_sum(terminals))
+    tau = {
+        nid: {fid: home[nid] + (fid, {eid: eid for eid in x.faces[fid]}) for fid in x.faces}
+        for nid, (_gid, x) in terminals.items()
+    }
+    return PassdownResult(terminals=out, ledger=ledger, tau=tau)
+
+
 def passdown_full(terminals, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
     """The full three-stage passdown of terminals over a tree.
 
@@ -527,11 +521,14 @@ def passdown_full(terminals, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
     collapses essential tracks and splits the result at cutpoints again,
     leaving terminal groups that are slender or elliptic.  Each output
     vertex orbit then receives the terminals it claims.  Covolume never
-    increases, stage by stage.  The input is left as it was.
+    increases, stage by stage.  The input is left as it was; an identity
+    step hands its complexes on as they are.
     """
     groups = tl.actions.groups
     for nid, (_gid, x) in terminals.items():
         _check_terminal_complex(nid, x, groups)
+    if _is_identity_step(terminals, tl):
+        return _identity_step(terminals, tl)
     pieces = dict(terminals)  # terminal id -> (group, complex), stage by stage
     origin = {nid: nid for nid in terminals}  # terminal id -> input terminal it descends from
     ledger = {"input": _covolume_sum(pieces)}
@@ -540,7 +537,7 @@ def passdown_full(terminals, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
     resolutions = {}
     fragments = {}
     for nid, (gid, x) in sorted(pieces.items()):
-        res = tl.resolution(x, no_dinfty)
+        res = build_resolution(x, tl.tree, tl.actions, no_dinfty=no_dinfty)
         if res.kind == CONTRACTING:
             xc, res, frag = contract(res, groups)
             pieces[nid] = (gid, xc)
@@ -580,7 +577,7 @@ def passdown_full(terminals, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
                     f"cutpoint {cut!r} of the complex at {nid!r} does not act elliptically",
                     lemma="splitting-resolution",
                 )
-        ts = tl.essential_tracks(x, res)
+        ts = essential_tracks(tracks_from_resolution(res), x)
         xt, frag = split_collapse(x, res, ts, groups)
         nid0 = origin[nid]
         merged[nid0].triangle_map.update(frag.triangle_map)

@@ -129,7 +129,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
     config = fx.config
     config.validate()
     groups = fx.groups.copy()  # the run mints into its own table; fx stays as parsed
-    tree_levels = {}  # tree name -> its TreeLevel over the run's groups, kept for the run
+    tree_levels = {}  # tree name -> its TreeLevel over the run's groups, one per run
     diagnostics = []
 
     # (instance id, script node id, {terminal id: (group, complex)})
@@ -142,8 +142,6 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
             for tid, (_gid, x) in terminals.items():
                 level_complexes[f"{inst}/{tid}"] = x
         levels.append(LevelData(complexes=level_complexes))
-        for tl in tree_levels.values():  # only this level's complexes are passed down next
-            tl.keep_only(level_complexes.values())
         if n == config.horizon:
             break
         tau_tri = {}

@@ -201,7 +201,7 @@ class BipartiteBW:
         return len(set(self.edges)) > len(nodes) - len(graphs.components(nodes, self.edges))
 
 
-def build_bw(x: Complex2, classes, groups: GroupTable = None):
+def build_bw(x: Complex2, classes, groups: GroupTable):
     """B_w for one complex: class subcomplexes on one side, edges lying in
     more than one of them on the other; and B'_w, where shared edges with
     non-slender labels are collapsed into their classes."""
@@ -216,8 +216,6 @@ def build_bw(x: Complex2, classes, groups: GroupTable = None):
         edge_nodes=tuple(shared),
         edges=tuple(sorted((cid, e) for e in shared for cid in edge_classes[e])),
     )
-    if groups is None:
-        return bw, bw
     # collapse: merge the classes around each non-slender shared edge
     uf = graphs.UnionFind()
     find = uf.find
@@ -286,7 +284,7 @@ class ConeCriterionResult:
     bpw_tree: bool
 
 
-def cone_criterion_check(x: Complex2, classes, groups: GroupTable = None) -> ConeCriterionResult:
+def cone_criterion_check(x: Complex2, classes, groups: GroupTable) -> ConeCriterionResult:
     """If every simple cone lies inside one class, certify that B_w is a
     tree; otherwise return a violating cone.  The certificate is checked
     against the direct acyclicity test: a disagreement means the input

@@ -148,18 +148,12 @@ def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: G
     region); images of distinct triangles may coincide, which is exactly
     when covolume drops.  The fragment records, per surviving triangle,
     the side-to-side edge correspondence.
-
-    With no essential track and no ideal vertex to remove, the collapse
-    rebuilds ``x`` cell for cell, so a reduced ``x`` (valid over
-    ``groups``) is its own X_T under the identity fragment.
     """
     if res.source is not x:
         raise FixtureError("track system and complex belong to different resolutions")
     if res.kind != SPLITTING:
         raise HypothesisError("split_collapse needs a splitting resolution")
     removed = res.ideal_vertices()
-    if not ts_star.tracks and not removed and x.is_reduced:
-        return x, TauFragment.identity(x)
     groups = groups or (res.actions.groups if res.actions else GroupTable())
 
     track_of = {}  # (eid, tree edge) -> track

@@ -9,8 +9,8 @@ ideal points plus the finite geodesic core between their leaves, so the
 "compact intersection" tests of the classification become finite checks.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import graphs
 from .errors import ConsistencyError, FixtureError, HypothesisError
@@ -19,6 +19,10 @@ from .groups import GroupTable
 
 @dataclass(frozen=True)
 class TreeHat:
+    """A tree with its truncated ideal points.  The adjacency is derived
+    from the cell data on first use and kept; no code writes a cell dict
+    after construction."""
+
     vertices: frozenset
     edges: dict  # edge id -> (u, v)
     ideal_points: dict  # ideal id -> ray (vertex tuple, last = truncated leaf)
@@ -28,8 +32,10 @@ class TreeHat:
     def leaf_of(self, ideal_id):
         return self.ideal_points[ideal_id][-1]
 
+    @cached_property
     def adjacency(self):
-        adj = defaultdict(dict)
+        """vertex -> {neighbour: edge id}, for every vertex."""
+        adj = {v: {} for v in self.vertices}
         for eid, (u, v) in self.edges.items():
             adj[u][v] = eid
             adj[v][u] = eid
@@ -39,7 +45,7 @@ class TreeHat:
         return point in self.ideal_points
 
     def degree(self, v):
-        return sum(1 for ends in self.edges.values() if v in ends)
+        return len(self.adjacency.get(v, ()))
 
 
 def make_tree(vertices, edges, ideal_points=None, stab=None, orbit=None, groups=None) -> TreeHat:
@@ -71,7 +77,7 @@ def validate_tree(t: TreeHat, groups: GroupTable = None):
         raise FixtureError("tree must satisfy |E| = |V| - 1")
     if len(graphs.components(t.vertices, t.edges.values())) != 1:
         raise FixtureError("tree is disconnected")
-    adj = t.adjacency()
+    adj = t.adjacency
     used_leaves = {}
     for pid, ray in t.ideal_points.items():
         if pid in t.vertices or pid in t.edges:
@@ -79,7 +85,7 @@ def validate_tree(t: TreeHat, groups: GroupTable = None):
         if not ray or len(set(ray)) != len(ray):
             raise FixtureError(f"ideal point {pid!r} needs a simple ray")
         for a, b in zip(ray, ray[1:]):
-            if b not in adj[a]:
+            if b not in adj.get(a, ()):
                 raise FixtureError(f"ray of ideal point {pid!r} is not a path")
         leaf = ray[-1]
         if t.degree(leaf) > 1:
@@ -112,7 +118,7 @@ class TreePath:
     constant_ideal: str = None
 
     def edge_ids(self, t: TreeHat):
-        adj = t.adjacency()
+        adj = t.adjacency
         return tuple(adj[a][b] for a, b in zip(self.vertices, self.vertices[1:]))
 
 

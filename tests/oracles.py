@@ -407,16 +407,18 @@ def leq_oracle(groups, extra, a, b):
     return found
 
 
-def identity_collapse_oracle(x, res, ts_star, groups):
-    """``split_collapse`` along its full path, whatever ``x`` is: every cell
-    rebuilt, the incidence wired and validated, then reduced."""
+def identity_step_oracle(terminals, tl, no_dinfty=True):
+    """``passdown_full`` along its general path, whatever the level is: no
+    complex reads as reduced, so no level is an identity step, and every
+    complex is resolved, its tracks drawn, collapsed cell for cell,
+    validated and reduced."""
     from passdown.complexes import Complex2
-    from passdown.tracks import split_collapse
+    from passdown.hierarchy import passdown_full
 
     shortcut = Complex2.__dict__["is_reduced"]
     Complex2.is_reduced = property(lambda self: False)
     try:
-        return split_collapse(x, res, ts_star, groups)
+        return passdown_full(terminals, tl, no_dinfty=no_dinfty)
     finally:
         Complex2.is_reduced = shortcut
 

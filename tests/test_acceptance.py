@@ -244,7 +244,7 @@ def _classification_pool(tree, rng):
         pool.append(ActionDescriptor(kind="hyperbolic", ends=(p, q)))
         pool.append(ActionDescriptor(kind="hyperbolic", ends=(p, q), swaps_ends=True))
     verts = sorted(tree.vertices)
-    adj = tree.adjacency()
+    adj = tree.adjacency
     for v in verts:
         pool.append(ActionDescriptor(kind="elliptic", fixed=frozenset({v})))
     for v in verts:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passdown import complexes, graphs
+from passdown.cli import main
 from passdown.complexes import (
     Complex2,
     DisconnectedComplexWarning,
@@ -26,7 +27,10 @@ from passdown.complexes import (
 from passdown.errors import ConsistencyError, FixtureError
 from passdown.fixtures import parse_fixtures
 from passdown.groups import TRIVIAL, GroupRef, GroupTable
+from passdown.hierarchy import make_tree_level, passdown_full
 from passdown.pipeline import run_pipeline
+from passdown.resolution import ActionTable
+from passdown.trees import make_tree
 
 from bench_ops import workloads
 from generators import (
@@ -248,22 +252,28 @@ class TestCutpointTree:
         assert bpx.cut_nodes == ("v",)
         assert len(bpx.comp_nodes) == 2
 
-    def test_cut_vertex_named_like_a_block_is_rejected(self):
-        # the wedge, its cut vertex named like its second block
-        x = make_complex(
-            ["a", "b", "C1", "c", "d"],
-            {
-                "av": ("a", "C1"),
-                "ab": ("a", "b"),
-                "bv": ("b", "C1"),
-                "vc": ("C1", "c"),
-                "cd": ("c", "d"),
-                "vd": ("C1", "d"),
-            },
-            {"t1": ("av", "ab", "bv"), "t2": ("vc", "cd", "vd")},
+    def test_cut_vertex_named_like_a_block_splits(self, tmp_path, capsys):
+        # the wedge, its cut vertex named like its second block: the blocks
+        # take ids that no vertex has, and the complex splits in two
+        path = tmp_path / "wedge.txt"
+        path.write_text(
+            "complex W\n"
+            + "".join(f"  vertex {v}\n" for v in ("a", "b", "C1", "c", "d"))
+            + "  edge av a C1\n  edge ab a b\n  edge bv b C1\n"
+            + "  edge vc C1 c\n  edge cd c d\n  edge vd C1 d\n"
+            + "  triangle t1 av ab bv\n  triangle t2 vc cd vd\nend\n"
         )
-        with pytest.raises(FixtureError, match="cut vertex 'C1' has the name of a cutpoint tree block"):
-            reduced_cutpoint_tree(x, GroupTable())
+        assert main(["cutpoints", str(path), "--complex", "W"]) == 0
+        assert capsys.readouterr().out == "cutpoints: C1\nreduced cutpoint tree: 2 pieces, 1 cut vertices\n"
+        x = parse_fixtures([str(path)]).complexes["W"]
+        bpx = reduced_cutpoint_tree(x, GroupTable())
+        assert bpx.comp_nodes == ("CC0", "CC1") and bpx.cut_nodes == ("C1",) and bpx.is_tree()
+        tree = make_tree(["p"], {})
+        result = passdown_full({"r": (TRIVIAL, x)}, make_tree_level("P", tree, ActionTable(tree, GroupTable())))
+        assert {tid: sorted(y.faces) for tid, (_gid, y) in result.terminals["p"].items()} == {
+            "p.t0": ["t1"],
+            "p.t1": ["t2"],
+        }
 
     def test_matches_contracted_oracle(self):
         # cut vertices labelled at random: slender (S), non-slender and

@@ -185,20 +185,20 @@ class TestBW:
 
     def test_single_class_single_node(self):
         x = self.fan3()
-        bw, _ = build_bw(x, self.classes_for(x, [("t1", "t2", "t3")]))
+        bw, _ = build_bw(x, self.classes_for(x, [("t1", "t2", "t3")]), GroupTable())
         assert bw.class_nodes == ("Y0",) and not bw.edge_nodes
         assert bw.is_tree()
 
     def test_two_classes_sharing_edge_make_a_path(self):
         x = strip2()
-        bw, _ = build_bw(x, self.classes_for(x, [("t1",), ("t2",)]))
+        bw, _ = build_bw(x, self.classes_for(x, [("t1",), ("t2",)]), GroupTable())
         assert len(bw.class_nodes) == 2 and bw.edge_nodes == ("bc",)
         assert len(bw.edges) == 2
         assert bw.is_tree()
 
     def test_three_classes_around_one_edge_is_a_star(self):
         x = self.fan3()
-        bw, _ = build_bw(x, self.classes_for(x, [("t1",), ("t2",), ("t3",)]))
+        bw, _ = build_bw(x, self.classes_for(x, [("t1",), ("t2",), ("t3",)]), GroupTable())
         assert bw.edge_nodes == ("uv",)
         assert len(bw.edges) == 3
         assert bw.is_tree() and not bw.has_cycle()
@@ -432,31 +432,31 @@ class TestConeCriterion:
 
     def test_one_class_certifies(self):
         x = wheel(3)
-        result = cone_criterion_check(x, self.classes_for(x, [("t0", "t1", "t2")]))
+        result = cone_criterion_check(x, self.classes_for(x, [("t0", "t1", "t2")]), GroupTable())
         assert result.certified and result.bw_tree
 
     def test_straddling_cone_reported(self):
         x = wheel(3)
-        result = cone_criterion_check(x, self.classes_for(x, [("t0", "t1"), ("t2",)]))
+        result = cone_criterion_check(x, self.classes_for(x, [("t0", "t1"), ("t2",)]), GroupTable())
         assert not result.certified
         assert result.counterexample is not None
         assert not result.bw_tree  # the 4-cycle through the two shared spokes
 
     def test_no_cones_is_vacuous(self):
         x = strip2()
-        result = cone_criterion_check(x, self.classes_for(x, [("t1",), ("t2",)]))
+        result = cone_criterion_check(x, self.classes_for(x, [("t1",), ("t2",)]), GroupTable())
         assert result.certified and result.bw_tree
 
     def test_wide_wheel_one_class_certifies(self):
         x = wheel(20)  # the link of v is a 20-cycle
-        result = cone_criterion_check(x, self.classes_for(x, [tuple(f"t{i}" for i in range(20))]))
+        result = cone_criterion_check(x, self.classes_for(x, [tuple(f"t{i}" for i in range(20))]), GroupTable())
         assert result.certified and result.bw_tree and result.bpw_tree
         assert result.counterexample is None
 
     def test_wide_wheel_split_gives_a_counterexample(self):
         x = wheel(20)
         classes = self.classes_for(x, [tuple(f"t{i}" for i in range(k, k + 10)) for k in (0, 10)])
-        result = cone_criterion_check(x, classes)
+        result = cone_criterion_check(x, classes, GroupTable())
         assert not result.certified and not result.bw_tree
         cone = result.counterexample
         assert cone.center == "v" and is_simple(cone) and area(cone) == 20
@@ -466,7 +466,7 @@ class TestConeCriterion:
         # every link is a path, so there is no simple cone, yet B_w is a 12-cycle
         x = annulus()
         with pytest.raises(HypothesisError, match="cone-criterion"):
-            cone_criterion_check(x, self.classes_for(x, [(f,) for f in sorted(x.faces)]))
+            cone_criterion_check(x, self.classes_for(x, [(f,) for f in sorted(x.faces)]), GroupTable())
 
     def test_non_simplicial_complex_is_rejected(self):
         x = make_complex(
@@ -475,7 +475,7 @@ class TestConeCriterion:
             {"t1": ("ab", "bc", "ca"), "t2": ("ab", "bc", "ca2")},
         )
         with pytest.raises(FixtureError):
-            cone_criterion_check(x, self.classes_for(x, [("t1", "t2")]))
+            cone_criterion_check(x, self.classes_for(x, [("t1", "t2")]), GroupTable())
 
 
 def override_labels(x, eid, gid):

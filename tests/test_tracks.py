@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from pathlib import Path
@@ -5,18 +6,19 @@ from pathlib import Path
 import pytest
 
 from passdown import complexes, hierarchy, pipeline, resolution, stability, tracks
-from passdown.complexes import covolume, h1_z2, is_connected, make_complex, reduce_complex
-from passdown.errors import TruncationError
+from passdown.complexes import Complex2, covolume, cutpoints, h1_z2, is_connected, make_complex, reduce_complex
+from passdown.errors import FixtureError, TruncationError
 from passdown.fixtures import parse_fixtures
-from passdown.groups import GroupTable
+from passdown.groups import GroupRef, GroupTable
+from passdown.hierarchy import make_tree_level, passdown_full
 from passdown.pipeline import run_pipeline
 from passdown.provenance import TauFragment
-from passdown.resolution import resolution_from_images
+from passdown.resolution import ActionTable, resolution_from_images
 from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolution
 from passdown.trees import make_tree
 
 from generators import random_labelled_complex
-from oracles import identity_collapse_oracle
+from oracles import identity_step_oracle
 
 
 def line_tree(n=2, ideals=()):
@@ -300,45 +302,78 @@ def test_fragment_composition_associative():
     assert left.vertex_map == right.vertex_map
 
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
 class TestIdentityCollapse:
-    """Over a point tree there is no track and no ideal vertex: a reduced
-    complex is its own collapse.  The full rebuild, wire and reduce path of
-    ``split_collapse`` is the oracle."""
+    """A level over a one-vertex tree hands reduced, cutpoint-free
+    complexes whose labels all act elliptically on as they are: the
+    identity step of ``passdown_full``.  Its general path, forced by
+    reading no complex as reduced, is the oracle."""
 
     @staticmethod
-    def over_point_tree(x):
-        res = resolution_from_images(x, make_tree(["p"], {}, {}), {v: "p" for v in x.vertices})
-        return res, tracks_from_resolution(res)
+    def point_level(groups, ideal_points=None):
+        tree = make_tree(["p"], {}, ideal_points)
+        return make_tree_level("P", tree, ActionTable(tree, groups))
 
-    def assert_matches_oracle(self, x, groups):
-        res, ts = self.over_point_tree(x)
-        assert ts.tracks == ()
+    @staticmethod
+    def elliptic_labels(groups):
+        """The same order with every group H-elliptic, so that every cell
+        label passes the terminal check."""
+        return GroupTable(dataclasses.replace(groups[gid], is_h_elliptic=True) for gid in sorted(groups.ids()))
+
+    @staticmethod
+    def handed_on(result):
+        """Everything a passdown hands on, with cell dicts in stored order."""
+
+        def cells(x):
+            plus = {eid: x.edge_stab_plus(eid) for eid in x.edges}
+            return sorted(x.vertices), list(x.edges.items()), list(x.faces.items()), x.stab, x.orbit, x.boundary_marked, plus
+
+        received = [(v, [(tid, gid, cells(x)) for tid, (gid, x) in got.items()]) for v, got in result.terminals.items()]
+        tau = [(nid, [(fid, img[:3], list(img[3].items())) for fid, img in faces.items()]) for nid, faces in result.tau.items()]
+        return received, list(result.ledger.items()), tau
+
+    def assert_matches_oracle(self, terminals, groups, ideal_points=None):
         fast_groups, full_groups = groups.copy(), groups.copy()
-        xt, frag = split_collapse(x, res, ts, fast_groups)
-        xo, fo = identity_collapse_oracle(x, res, ts, full_groups)
-        assert (xt is x) == x.is_reduced
-        assert xt.vertices == xo.vertices
-        assert list(xt.edges.items()) == list(xo.edges.items())
-        assert list(xt.faces.items()) == list(xo.faces.items())
-        assert xt.stab == xo.stab and xt.orbit == xo.orbit
-        assert xt.boundary_marked == xo.boundary_marked
-        assert {e: xt.edge_stab_plus(e) for e in xt.edges} == {e: xo.edge_stab_plus(e) for e in xo.edges}
-        for name in ("triangle_map", "edge_map", "vertex_map", "track_point"):
-            assert getattr(frag, name) == getattr(fo, name), name
-        # no ref minted and no containment declared that the shortcut skips
+        fast = passdown_full(terminals, self.point_level(fast_groups, ideal_points))
+        full = identity_step_oracle(terminals, self.point_level(full_groups, ideal_points))
+        assert self.handed_on(fast) == self.handed_on(full)
+        # no ref minted and no containment declared that the identity step skips
         assert fast_groups._mint_counter == full_groups._mint_counter
         assert fast_groups._up == full_groups._up
-        return xt
+        # the identity step hands on the very input complexes; the general
+        # path hands on none of them
+        inputs = {id(x) for _gid, x in terminals.values()}
+        outputs = {id(x) for got in fast.terminals.values() for _gid, x in got.values()}
+        if all(x.is_reduced and not cutpoints(x) for _gid, x in terminals.values()):
+            assert outputs == inputs
+        else:
+            assert not outputs & inputs
+        return fast
 
     @pytest.mark.parametrize("shape", ["simplicial", "cell", "tree", "glued"])
     @pytest.mark.parametrize("seed", range(15))
     def test_shortcut_matches_the_full_path(self, seed, shape):
         x, groups = random_labelled_complex(random.Random(seed), shape)
+        groups = self.elliptic_labels(groups)
         reduced = reduce_complex(x, groups)
         assert reduced.is_reduced
-        # the generated complex itself, usually not reduced, then its reduction
-        for y in (x, reduced) if x.is_simplicial() else (reduced,):
-            self.assert_matches_oracle(y, groups)
+        # the generated complex itself, usually not reduced, then its
+        # reduction, then both at once; a disconnected complex or one with
+        # h1 != 0 fails the terminal check on both paths alike
+        ys = (x, reduced) if x.is_simplicial() else (reduced,)
+        valid = []
+        for y in ys:
+            if is_connected(y) and h1_z2(y) == 0:
+                valid.append(y)
+                self.assert_matches_oracle({"r": ("1", y)}, groups)
+                continue
+            for passdown in (passdown_full, identity_step_oracle):
+                with pytest.raises(FixtureError, match="is disconnected|has h1 != 0"):
+                    passdown({"r": ("1", y)}, self.point_level(groups.copy()))
+        if len(valid) == 2:
+            self.assert_matches_oracle({"r0": ("V1", valid[0]), "r1": ("1", valid[1])}, groups)
 
     def test_a_complex_out_of_canonical_order_takes_the_full_path(self, monkeypatch):
         groups = GroupTable()
@@ -350,37 +385,56 @@ class TestIdentityCollapse:
             groups=groups,
         )
         assert not x.is_reduced
-        xt = self.assert_matches_oracle(x, groups)
+        ((_gid, xt),) = self.assert_matches_oracle({"r": ("1", x)}, groups).terminals["p"].values()
         assert xt is not x and xt.is_reduced
         assert list(xt.edges.items()) == [
             ("ab", ("a", "b")), ("ac", ("a", "c")), ("bc", ("b", "c")), ("bd", ("b", "d")), ("cd", ("c", "d"))
         ]
         assert list(xt.faces.items()) == [("t1", ("ab", "bc", "ac")), ("t2", ("bc", "cd", "bd"))]
-        assert self.assert_matches_oracle(xt, groups) is xt
+        assert self.assert_matches_oracle({"r": ("1", xt)}, groups).terminals["p"]["p.root"][1] is xt
         rebuilt = []
         full = tracks.reduce_collapsed
         monkeypatch.setattr(tracks, "reduce_collapsed", lambda *a: rebuilt.append(a[0]) or full(*a))
         for y in (x, xt):
-            split_collapse(y, *self.over_point_tree(y), groups.copy())
+            passdown_full({"r": ("1", y)}, self.point_level(groups.copy()))
         assert len(rebuilt) == 1 and rebuilt[0].faces.keys() == x.faces.keys()
 
     def test_an_ideal_vertex_takes_the_full_path(self):
-        # a reduced triangle with one vertex at the truncated end and no
-        # track to cut it off: the rebuild reports the truncation
+        # a reduced triangle over a point tree with one ideal point: with
+        # every label fixing the tree vertex, no vertex reaches the ideal
+        # point and the level is an identity step
+        triangle = make_complex(
+            ["a", "b", "c"], {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")}, {"f": ("ab", "bc", "ac")}
+        )
+        x = reduce_complex(triangle)
+        result = self.assert_matches_oracle({"r": ("1", x)}, GroupTable(), ideal_points={"q": ("p",)})
+        assert result.terminals["p"]["p.root"][1] is x
+        # with vertex a's label fixing the ideal point and no track to cut
+        # a off, the general path runs, and its collapse reports the
+        # truncation
+        groups = GroupTable([GroupRef("Pa", is_slender=True)])
         x = reduce_complex(
             make_complex(
                 ["a", "b", "c"],
                 {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")},
                 {"f": ("ab", "bc", "ac")},
-                boundary_marked=["b"],
-            )
+                stab={"a": "Pa"},
+                groups=groups,
+            ),
+            groups,
         )
-        assert x.is_reduced
-        res = resolution_from_images(x, line_tree(2, ideals=("p",)), {"a": "p", "b": "x0", "c": "x0"})
-        ts = tracks_from_resolution(res)
-        assert ts.tracks == () and res.ideal_vertices() == {"a"}
+        assert x.is_reduced and not cutpoints(x)
+        tl = self.point_level(groups, ideal_points={"q": ("p",)})
+        tl.actions.declare_parabolic("Pa", "q")
         with pytest.raises(TruncationError, match="reaches a truncated end"):
-            split_collapse(x, res, ts, GroupTable())
+            passdown_full({"r": ("1", x)}, tl)
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.txt")), ids=lambda path: path.stem)
+    def test_fixture_reports_match_the_full_path(self, path, monkeypatch):
+        fx = parse_fixtures([str(path)])
+        fast = [run_pipeline(fx, name).render() for name in sorted(fx.pipelines)]
+        monkeypatch.setattr(Complex2, "is_reduced", property(lambda self: False))
+        assert [run_pipeline(fx, name).render() for name in sorted(fx.pipelines)] == fast
 
 
 WORKED = Path(__file__).resolve().parents[1] / "fixtures" / "worked_terminating.txt"
@@ -388,14 +442,17 @@ WORKED = Path(__file__).resolve().parents[1] / "fixtures" / "worked_terminating.
 
 def test_worked_run_rebuilds_only_levels_with_tracks(tmp_path, monkeypatch):
     """At horizon 64 the worked run collapses tracks only at its first
-    level; every later level is a point tree.  The collapse is rebuilt and
-    reduced only where tracks are, and each action table resolves a group
-    id at most once per version of its group table."""
+    level; every later level is a point tree and an identity step.  Only
+    the first level resolves, collapses and rebuilds its complexes, and
+    each action table resolves a group id at most once per version of its
+    group table."""
     text = WORKED.read_text()
     assert "horizon=4 " in text
     path = tmp_path / "worked64.txt"
     path.write_text(text.replace("horizon=4 ", "horizon=64 "))
 
+    resolved = []
+    build = hierarchy.build_resolution
     collapses = Counter()
     split = hierarchy.split_collapse
 
@@ -412,12 +469,15 @@ def test_worked_run_rebuilds_only_levels_with_tracks(tmp_path, monkeypatch):
         resolves[(id(self), gid, getattr(self.groups, "version", None))] += 1
         return owner(self, gid)
 
+    monkeypatch.setattr(hierarchy, "build_resolution", lambda x, *a, **kw: resolved.append(x) or build(x, *a, **kw))
     monkeypatch.setattr(hierarchy, "split_collapse", counted_split)
     monkeypatch.setattr(tracks, "reduce_collapsed", lambda *a: rebuilt.append(a) or full(*a))
     monkeypatch.setattr(resolution.ActionTable, "_owner", counted_owner)
     rep = run_pipeline(parse_fixtures([str(path)]), "worked")
     assert rep.horizon == 64 and rep.certificate_level == 1
-    assert collapses["without"] >= 64
+    first = {id(x) for x in rep.run.levels[0].complexes.values()}
+    assert resolved and {id(x) for x in resolved} <= first
+    assert collapses["without"] == 0
     assert len(rebuilt) == collapses["with tracks"] >= 1
     assert resolves and max(resolves.values()) == 1
 

@@ -68,7 +68,7 @@ class TestReducedPath:
         rng = random.Random(7)
         for _ in range(30):
             t = random_treehat(rng)
-            adj = {v: sorted(t.adjacency()[v]) for v in t.vertices}
+            adj = {v: sorted(t.adjacency[v]) for v in t.vertices}
             a, b = rng.sample(sorted(t.vertices), 2) if len(t.vertices) > 1 else (None, None)
             if a is None:
                 continue
