@@ -415,12 +415,12 @@ def identity_step_oracle(terminals, tl, no_dinfty=True):
     from passdown.complexes import Complex2
     from passdown.hierarchy import passdown_full
 
-    shortcut = Complex2.__dict__["is_reduced"]
+    original = Complex2.__dict__["is_reduced"]
     Complex2.is_reduced = property(lambda self: False)
     try:
         return passdown_full(terminals, tl, no_dinfty=no_dinfty)
     finally:
-        Complex2.is_reduced = shortcut
+        Complex2.is_reduced = original
 
 
 def is_reduced_oracle(x, groups):
