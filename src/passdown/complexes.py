@@ -26,31 +26,24 @@ class DisconnectedComplexWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
-class Complex2:
-    """Cell data (``vertices``, ``edges``, ``faces``) and cell labels.
+class CellData:
+    """What the cells of a complex determine, whatever their labels: face
+    vertex sets, the incidence maps, components, 1-skeleton blocks, the
+    cutpoint set, the Z2 boundary rank and whether the cells are stored in
+    canonical order.  Each is derived on first use and kept.  Every
+    relabelling of a complex shares this object, so a label-only change
+    derives none of it again; ``class_cuts`` keeps the cutpoints of each
+    triangle class checked on it (see ``stability.class_cutpoints``).
+    Map values are id tuples."""
 
-    Face vertex sets, the incidence maps, components, 1-skeleton blocks
-    and the Z2 boundary rank are derived from the cell data alone, each on
-    first use, and kept.  No code writes a cell dict after construction
-    (``make_complex`` fills in only labels).  Map values are id tuples.
-    """
-
-    vertices: frozenset
-    edges: dict  # edge id -> (u, v), u != v
-    faces: dict  # face id -> tuple of edge ids (3 = triangle, 2 = bigon)
-    stab: dict  # cell id -> group id
-    orbit: dict  # cell id -> orbit id
-    boundary_marked: frozenset = frozenset()
-    stab_plus: dict = field(default_factory=dict)  # edge id -> oriented stabilizer label
+    def __init__(self, vertices, edges, faces):
+        self.vertices, self.edges, self.faces = vertices, edges, faces
+        self.class_cuts = {}  # frozenset of face ids -> frozenset of cutpoints
 
     @cached_property
-    def _face_vertices(self):
+    def face_vertices(self):
         edges = self.edges
         return {fid: frozenset(w for eid in es for w in edges[eid]) for fid, es in self.faces.items()}
-
-    def face_vertices(self, fid):
-        return self._face_vertices[fid]
 
     @cached_property
     def edges_by_pair(self):
@@ -60,18 +53,18 @@ class Complex2:
     @cached_property
     def triangles_by_vertex(self):
         """vertex -> the triangles at it, in face order."""
-        return _grouped((v, fid) for fid in self.triangles() for v in self._face_vertices[fid])
+        return _grouped((v, fid) for fid in self.triangles for v in self.face_vertices[fid])
 
     @cached_property
     def triangles_by_edge(self):
         """edge id -> the triangles on it, in id order (keys first met
         along the triangles in id order)."""
-        return _grouped((eid, fid) for fid in sorted(self.triangles()) for eid in self.faces[fid])
+        return _grouped((eid, fid) for fid in sorted(self.triangles) for eid in self.faces[fid])
 
     @cached_property
     def triangles_by_triple(self):
         """frozenset of three vertices -> the triangles spanning them, in id order."""
-        return _grouped((self._face_vertices[fid], fid) for fid in sorted(self.triangles()))
+        return _grouped((self.face_vertices[fid], fid) for fid in sorted(self.triangles))
 
     @cached_property
     def vertex_components(self):
@@ -84,18 +77,21 @@ class Complex2:
         return tuple((frozenset(vs), frozenset(es)) for vs, es in graphs.blocks(self.vertices, self.edges))
 
     @cached_property
+    def cutpoints(self):
+        """The vertices lying in two or more blocks of the 1-skeleton."""
+        return frozenset(graphs.cut_vertices(self.skeleton_blocks))
+
+    @cached_property
     def boundary_rank(self):
         """Rank over Z2 of the face-to-edge boundary matrix."""
         bit = {eid: 1 << i for i, eid in enumerate(self.edges)}
         return _gf2_rank(sum(bit[eid] for eid in es) for es in self.faces.values())
 
     @cached_property
-    def is_reduced(self):
-        """True when ``reduce_with_map`` would give back an equal complex
-        under the identity cell map: simplicial, edges and triangles stored
-        in canonical order (by sorted vertex pair, resp. triple) with their
-        canonical ends and sides, one label per orbit, an oriented label on
-        every edge and labels on the cells only."""
+    def is_canonical(self):
+        """Simplicial, with edges and triangles stored in canonical order
+        (by sorted vertex pair, resp. triple) with their canonical ends and
+        sides: the cell part of ``Complex2.is_reduced``."""
         if not self.is_simplicial():
             return False
         by_pair, by_triple = self.edges_by_pair, self.triangles_by_triple
@@ -103,8 +99,6 @@ class Complex2:
         def edge(u, v):
             return by_pair[frozenset((u, v))][0]
 
-        cells = self.cells()
-        label = {}
         return (
             list(self.edges.items()) == [(edge(u, v), (u, v)) for u, v in sorted(map(sorted, by_pair))]
             and list(self.faces.items())
@@ -112,21 +106,130 @@ class Complex2:
                 (by_triple[frozenset((a, b, c))][0], (edge(a, b), edge(b, c), edge(a, c)))
                 for a, b, c in sorted(map(sorted, by_triple))
             ]
-            and self.stab_plus.keys() == self.edges.keys()
-            and self.stab.keys() == self.orbit.keys() == set(cells)
-            and all(label.setdefault(self.orbit[c], self.stab[c]) == self.stab[c] for c in cells)
         )
 
+    @cached_property
     def triangles(self):
-        return [fid for fid, es in self.faces.items() if len(es) == 3]
-
-    def bigons(self):
-        return [fid for fid, es in self.faces.items() if len(es) == 2]
+        """The triangle ids, in face order."""
+        return tuple(fid for fid, es in self.faces.items() if len(es) == 3)
 
     def is_simplicial(self):
         """No bigons, one edge per vertex pair and one triangle per vertex
         triple: only then does every face count as a distinct triple."""
         return len(self.edges_by_pair) == len(self.edges) and len(self.triangles_by_triple) == len(self.faces)
+
+
+@dataclass(frozen=True)
+class Complex2:
+    """Cell data (``vertices``, ``edges``, ``faces``) and cell labels.
+
+    Cell-derived values (face vertex sets, the incidence maps, components,
+    1-skeleton blocks, cutpoints, the Z2 boundary rank and the canonical
+    order of the cells) live in ``cell_data``, derived on first use and
+    kept.  Label-reading values are kept per complex: ``is_reduced``,
+    whose label part checks the ``stab_plus`` keys and one label per
+    orbit, and ``first_cell_by_label``.  No code writes a cell dict after
+    construction (``make_complex`` fills in only labels).  ``relabel``
+    changes only ``stab_plus`` and shares the rest, cell data included.
+    """
+
+    vertices: frozenset
+    edges: dict  # edge id -> (u, v), u != v
+    faces: dict  # face id -> tuple of edge ids (3 = triangle, 2 = bigon)
+    stab: dict  # cell id -> group id
+    orbit: dict  # cell id -> orbit id
+    boundary_marked: frozenset = frozenset()
+    stab_plus: dict = field(default_factory=dict)  # edge id -> oriented stabilizer label
+
+    @cached_property
+    def cell_data(self):
+        return CellData(self.vertices, self.edges, self.faces)
+
+    def relabel(self, stab_plus):
+        """This complex with the oriented labels ``stab_plus``.  Every other
+        field is the same object, and the copy shares the cell data and
+        ``first_cell_by_label``, so nothing the cells or ``stab`` determine
+        is derived again."""
+        out = Complex2(
+            vertices=self.vertices,
+            edges=self.edges,
+            faces=self.faces,
+            stab=self.stab,
+            orbit=self.orbit,
+            boundary_marked=self.boundary_marked,
+            stab_plus=stab_plus,
+        )
+        out.__dict__.update(cell_data=self.cell_data, first_cell_by_label=self.first_cell_by_label)
+        return out
+
+    def face_vertices(self, fid):
+        return self.cell_data.face_vertices[fid]
+
+    # the cell-derived values, read off the shared cell data
+    @property
+    def edges_by_pair(self):
+        return self.cell_data.edges_by_pair
+
+    @property
+    def triangles_by_vertex(self):
+        return self.cell_data.triangles_by_vertex
+
+    @property
+    def triangles_by_edge(self):
+        return self.cell_data.triangles_by_edge
+
+    @property
+    def triangles_by_triple(self):
+        return self.cell_data.triangles_by_triple
+
+    @property
+    def vertex_components(self):
+        return self.cell_data.vertex_components
+
+    @property
+    def skeleton_blocks(self):
+        return self.cell_data.skeleton_blocks
+
+    @property
+    def boundary_rank(self):
+        return self.cell_data.boundary_rank
+
+    @cached_property
+    def is_reduced(self):
+        """True when ``reduce_with_map`` would give back an equal complex
+        under the identity cell map: the cells are canonical (simplicial,
+        edges and triangles stored in canonical order with their canonical
+        ends and sides; kept in the cell data), and the labels give one
+        label per orbit, an oriented label on every edge and labels on the
+        cells only."""
+        if not self.cell_data.is_canonical:
+            return False
+        cells = self.cells()
+        label = {}
+        return (
+            self.stab_plus.keys() == self.edges.keys()
+            and self.stab.keys() == self.orbit.keys() == set(cells)
+            and all(label.setdefault(self.orbit[c], self.stab[c]) == self.stab[c] for c in cells)
+        )
+
+    @cached_property
+    def first_cell_by_label(self):
+        """Each distinct cell label -> the first cell carrying it, in
+        ``cells()`` order: a check of every cell label that stops at the
+        first failing cell needs to look at these cells only."""
+        out = {}
+        for cell in self.cells():
+            out.setdefault(self.stab[cell], cell)
+        return out
+
+    def triangles(self):
+        return self.cell_data.triangles
+
+    def bigons(self):
+        return [fid for fid, es in self.faces.items() if len(es) == 2]
+
+    def is_simplicial(self):
+        return self.cell_data.is_simplicial()
 
     def edge_stab_plus(self, eid):
         return self.stab_plus.get(eid, self.stab[eid])
@@ -460,7 +563,7 @@ def cutpoints(x: Complex2):
     For a 2-complex these are the articulation vertices of the 1-skeleton:
     the vertices lying in two or more of its blocks.
     """
-    return graphs.cut_vertices(x.skeleton_blocks)
+    return set(x.cell_data.cutpoints)
 
 
 def _block_cells(x: Complex2):
@@ -516,7 +619,7 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
         raise FixtureError("cutpoint tree needs a connected complex")
     if h1_z2(x) != 0:
         raise FixtureError("cutpoint tree needs h1_z2 = 0")
-    cuts = sorted(graphs.cut_vertices(x.skeleton_blocks))
+    cuts = sorted(x.cell_data.cutpoints)
     slender = {v for v in cuts if groups.slender(x.stab[v])}
     uf = graphs.UnionFind()
     blocks, incidences = {}, []

@@ -369,13 +369,15 @@ class HStructure:
 
 def _check_terminal_complex(nid, x, groups: GroupTable):
     """A terminal complex is connected with h1 = 0, and every cell label is
-    slender or elliptic on every level."""
+    slender or elliptic on every level.  Each distinct label is checked
+    once, at its first cell, so the first failing cell is the one a check
+    of every cell in order would name."""
     if not is_connected(x):
         raise FixtureError(f"terminal complex at {nid!r} is disconnected")
     if h1_z2(x) != 0:
         raise FixtureError(f"terminal complex at {nid!r} has h1 != 0")
-    for cell in x.cells():
-        ref = groups[x.stab[cell]]
+    for label, cell in x.first_cell_by_label.items():
+        ref = groups[label]
         if not (ref.is_slender or ref.is_h_elliptic):
             raise ConsistencyError(
                 f"cell {cell!r} of the complex at {nid!r} is neither slender nor "
@@ -483,17 +485,17 @@ def _is_identity_step(terminals, tl: TreeLevel):
     cutpoint-free and every cell label acts elliptically: every vertex
     goes to the one tree vertex, none to an ideal point, so there is no
     track, nothing contracts, splits or collapses and nothing is minted.
-    Labels are classified in sorted terminal order and cell order, as
-    ``build_resolution`` reads them, so a label it would refuse raises
-    the same error here first."""
+    Labels are classified in sorted terminal order and, per complex, in
+    the order of their first cells, as ``build_resolution`` meets them,
+    so a label it would refuse raises the same error here first."""
     if len(tl.tree.vertices) != 1:
         return False
     if not all(x.is_reduced and not cutpoints(x) for _gid, x in terminals.values()):
         return False
     return all(
-        tl.actions.classification(x.stab[cell]) == ELLIPTIC
+        tl.actions.classification(label) == ELLIPTIC
         for _nid, (_gid, x) in sorted(terminals.items())
-        for cell in x.cells()
+        for label in x.first_cell_by_label
     )
 
 

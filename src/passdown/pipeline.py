@@ -5,7 +5,6 @@ certificates and ascending-chain alerts."""
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .complexes import Complex2
 from .errors import FixtureError, HypothesisError
 from .fixtures import FixtureSet, PipelineScript
 from .hierarchy import make_tree_level, passdown_full
@@ -84,13 +83,23 @@ def _effective(script: PipelineScript, nid):
     return script.nodes[nid]
 
 
-def _children_by_orbit(script: PipelineScript, effective_id):
+def _children_index(script: PipelineScript):
+    """Script node id -> the ids of its children, in script order."""
     out = {}
     for nid, node in script.nodes.items():
-        if node.parent == effective_id:
-            if node.orbit is None:
-                raise FixtureError(f"script node {nid!r} needs orbit=<vertex orbit>")
-            out[node.orbit] = nid
+        out.setdefault(node.parent, []).append(nid)
+    return out
+
+
+def _children_by_orbit(script: PipelineScript, child_ids):
+    """Vertex orbit -> child node id; a child without an orbit is an error
+    only once its parent is expanded."""
+    out = {}
+    for nid in child_ids:
+        node = script.nodes[nid]
+        if node.orbit is None:
+            raise FixtureError(f"script node {nid!r} needs orbit=<vertex orbit>")
+        out[node.orbit] = nid
     return out
 
 
@@ -108,15 +117,7 @@ def _apply_overrides(terminals, overrides, groups):
                 plus[eid] = target
                 touched = True
         if touched:
-            x = Complex2(
-                vertices=x.vertices,
-                edges=x.edges,
-                faces=x.faces,
-                stab=x.stab,
-                orbit=x.orbit,
-                boundary_marked=x.boundary_marked,
-                stab_plus=plus,
-            )
+            x = x.relabel(stab_plus=plus)
         out[tid] = (gid, x)
     return out
 
@@ -130,6 +131,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
     config.validate()
     groups = fx.groups.copy()  # the run mints into its own table; fx stays as parsed
     tree_levels = {}  # tree name -> its TreeLevel over the run's groups, one per run
+    children_of = _children_index(script)
     diagnostics = []
 
     # (instance id, script node id, {terminal id: (group, complex)})
@@ -167,7 +169,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                         lemma="relative-class",
                     )
             result = passdown_full(terminals, tl, no_dinfty=config.no_dinfty)
-            children = _children_by_orbit(script, node.id)
+            children = _children_by_orbit(script, children_of.get(node.id, ()))
             for orbit in sorted(tl.gog.vertices):
                 if orbit not in children:
                     raise FixtureError(

@@ -153,9 +153,16 @@ class TriangleClass:
 def class_cutpoints(x: Complex2, triangles):
     """Cutpoints of the subcomplex that a set of triangles of ``x`` spans
     with their sides and corners, read off ``x`` without building it: the
-    articulation vertices of the graph on the triangles' sides."""
-    edges = {eid: x.edges[eid] for fid in triangles for eid in x.faces[fid]}
-    return graphs.cut_vertices(graphs.blocks({w for ends in edges.values() for w in ends}, edges))
+    articulation vertices of the graph on the triangles' sides.  The
+    verdict depends on the cells only, so it is kept in ``x``'s cell data
+    under the triangle set, for ``x`` and every relabelling of it."""
+    triangles = frozenset(triangles)
+    kept = x.cell_data.class_cuts
+    if triangles not in kept:
+        edges = {eid: x.edges[eid] for fid in triangles for eid in x.faces[fid]}
+        blocks = graphs.blocks({w for ends in edges.values() for w in ends}, edges)
+        kept[triangles] = frozenset(graphs.cut_vertices(blocks))
+    return kept[triangles]
 
 
 def equivalence_classes(run: RunView, n: int, ps: PairSet):

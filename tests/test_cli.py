@@ -289,6 +289,22 @@ class TestPipelines:
             "error: script node 'zz': orbit 'nowhere' names no vertex orbit of tree 'T0'\n"
         )
 
+    @pytest.mark.parametrize("parent, code", [("b0", 0), ("a0", 2)])
+    def test_a_child_without_orbit_fails_only_when_its_parent_is_expanded(self, parent, code, tmp_path, capsys):
+        # b0 repeats a0, so its own children are never read; a0 is expanded
+        # at every level from 1 on
+        last = "  node b1 parent=a1 orbit=op repeat=a1\n"
+        with open(fixture("worked_terminating.txt")) as fh:
+            text = fh.read()
+        path = tmp_path / "script.txt"
+        path.write_text(text.replace(last, last + f"  node zz parent={parent} tree=PT\n"))
+        assert main(["pipeline", str(path), "--name", "worked"]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert err == "" and out == run_pipeline(parse_fixtures([fixture("worked_terminating.txt")]), "worked").render()
+        else:
+            assert err == "error: script node 'zz' needs orbit=<vertex orbit>\n"
+
     def test_reports_deterministic(self):
         fx1 = parse_fixtures([fixture("worked_terminating.txt")])
         fx2 = parse_fixtures([fixture("worked_terminating.txt")])

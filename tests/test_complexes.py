@@ -30,6 +30,7 @@ from passdown.groups import TRIVIAL, GroupRef, GroupTable
 from passdown.hierarchy import make_tree_level, passdown_full
 from passdown.pipeline import run_pipeline
 from passdown.resolution import ActionTable
+from passdown.stability import class_cutpoints
 from passdown.trees import make_tree
 
 from bench_ops import workloads
@@ -478,35 +479,112 @@ class TestIsReduced:
             assert y.is_reduced == is_reduced_oracle(y, groups.copy())
 
 
+class TestRelabel:
+    """``relabel`` against a complex built from scratch with the same
+    fields: every derived value agrees, and every cell-derived one is the
+    original's own object."""
+
+    SHARED = (
+        "cell_data", "edges_by_pair", "triangles_by_vertex", "triangles_by_edge", "triangles_by_triple",
+        "vertex_components", "skeleton_blocks", "first_cell_by_label",
+    )
+    FIELDS = ("vertices", "edges", "faces", "stab", "orbit", "boundary_marked")
+
+    @staticmethod
+    def derived(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DisconnectedComplexWarning)
+            h1 = h1_z2(x)
+        return {
+            "face_vertices": {fid: x.face_vertices(fid) for fid in x.faces},
+            **{name: getattr(x, name) for name in TestRelabel.SHARED[1:]},
+            "boundary_rank": x.boundary_rank,
+            "triangles": x.triangles(),
+            "is_simplicial": x.is_simplicial(),
+            "cutpoints": cutpoints(x),
+            "is_reduced": x.is_reduced,
+            "h1_z2": h1,
+        }
+
+    def assert_matches_fresh_build(self, x, stab_plus):
+        y = x.relabel(stab_plus=stab_plus)
+        fresh = Complex2(**{name: getattr(x, name) for name in self.FIELDS}, stab_plus=dict(stab_plus))
+        assert y == fresh and y.stab_plus == stab_plus
+        # y is derived first, so x reads what y derived on the shared data
+        assert self.derived(y) == self.derived(fresh)
+        for name in self.FIELDS:
+            assert getattr(y, name) is getattr(x, name), name
+        for name in self.SHARED:
+            assert getattr(y, name) is getattr(x, name), name
+        assert all(y.face_vertices(fid) is x.face_vertices(fid) for fid in x.faces)
+        assert y.cell_data.cutpoints is x.cell_data.cutpoints
+        assert y.cell_data.triangles is x.cell_data.triangles
+        return y
+
+    @pytest.mark.parametrize("shape", ["simplicial", "cell", "tree", "glued"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_a_relabelled_complex_matches_a_fresh_build(self, seed, shape):
+        rng = random.Random(seed)
+        x, groups = random_labelled_complex(rng, shape)
+        for y in (x, reduce_complex(x, groups)):
+            plus = {eid: rng.choice(("P", "E", "1", "V1")) for eid in sorted(y.edges) if rng.random() < 0.6}
+            self.assert_matches_fresh_build(y, plus)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_an_added_oriented_label_makes_a_complex_reduced(self, seed):
+        rng = random.Random(seed)
+        x, groups = random_labelled_complex(rng, "tree")
+        reduced = reduce_complex(x, groups)
+        eid = rng.choice(sorted(reduced.edges))
+        missing = {e: g for e, g in reduced.stab_plus.items() if e != eid}
+        unreduced = dataclasses.replace(reduced, stab_plus=missing)
+        assert reduced.is_reduced and not unreduced.is_reduced
+        assert self.assert_matches_fresh_build(unreduced, {**missing, eid: "P"}).is_reduced
+        assert not self.assert_matches_fresh_build(reduced, missing).is_reduced
+
+    def test_a_relabelling_keeps_the_class_cutpoint_verdicts(self):
+        x = random_triangle_tree_complex(random.Random(4), n_triangles=6)
+        kept = class_cutpoints(x, x.faces)
+        y = x.relabel(stab_plus=dict.fromkeys(x.edges, "P"))
+        assert class_cutpoints(y, list(x.faces)) is kept
+
+
 def test_components_blocks_and_rank_computed_once_per_complex(tmp_path, monkeypatch):
-    """A benchmark chain run computes the components, the 1-skeleton blocks
-    and the boundary rank of each complex at most once, however often its
-    connectivity, h1 and cutpoints are checked.  The chain overrides an
-    oriented stabilizer at every level, so every level builds new complexes."""
-    op = workloads.chain(random.Random(1), 30)
-    path = tmp_path / "chain.txt"
-    path.write_text(op.text)
-    counts = {"components": Counter(), "blocks": Counter(), "rank": Counter()}
-    kept = []  # every counted complex stays alive, so no id is reused
+    """A benchmark chain run overrides an oriented stabilizer at every
+    level, and each relabelled complex shares the cell data of the one it
+    relabels.  So the run computes the components, the 1-skeleton blocks
+    and the boundary rank at most once per cell data, however often
+    connectivity, h1 and cutpoints are checked, and as often at horizon 8
+    as at horizon 64."""
 
-    def counted(kind, fn):
-        def wrapper(*args, **kwargs):
-            caller = sys._getframe(1)
-            if caller.f_globals["__name__"] == "passdown.complexes":
-                # the complex whose data is being derived: the caller's x or self
-                (x,) = {id(v): v for v in caller.f_locals.values() if isinstance(v, Complex2)}.values()
-                kept.append(x)
-                counts[kind][id(x)] += 1
-            return fn(*args, **kwargs)
+    def derivations(horizon):
+        op = workloads.chain(random.Random(1), horizon)
+        path = tmp_path / f"chain{horizon}.txt"
+        path.write_text(op.text)
+        counts = {"components": Counter(), "blocks": Counter(), "rank": Counter()}
+        kept = []  # every counted cell data stays alive, so no id is reused
 
-        return wrapper
+        def counted(kind, fn):
+            def wrapper(*args, **kwargs):
+                caller = sys._getframe(1)
+                if caller.f_globals["__name__"] == "passdown.complexes":
+                    cells = caller.f_locals["self"]  # the cell data being derived
+                    assert isinstance(cells, complexes.CellData)
+                    kept.append(cells)
+                    counts[kind][id(cells)] += 1
+                return fn(*args, **kwargs)
 
-    monkeypatch.setattr(graphs, "components", counted("components", graphs.components))
-    monkeypatch.setattr(graphs, "blocks", counted("blocks", graphs.blocks))
-    monkeypatch.setattr(complexes, "_gf2_rank", counted("rank", complexes._gf2_rank))
-    rep = run_pipeline(parse_fixtures([str(path)]), op.pipeline)
-    assert rep.horizon == 30 and rep.certificate_level == op.expected.cert_level
-    assert rep.ledger == op.expected.ledger
-    for kind, per_complex in counts.items():
-        assert len(per_complex) >= 16, kind
-        assert max(per_complex.values()) == 1, (kind, max(per_complex.values()))
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "components", counted("components", graphs.components))
+            m.setattr(graphs, "blocks", counted("blocks", graphs.blocks))
+            m.setattr(complexes, "_gf2_rank", counted("rank", complexes._gf2_rank))
+            rep = run_pipeline(parse_fixtures([str(path)]), op.pipeline)
+        assert rep.horizon == horizon and rep.certificate_level == op.expected.cert_level
+        assert rep.ledger == op.expected.ledger
+        for kind, per_cells in counts.items():
+            assert max(per_cells.values()) == 1, (kind, max(per_cells.values()))
+        return {kind: sum(per_cells.values()) for kind, per_cells in counts.items()}
+
+    assert derivations(8) == derivations(64)

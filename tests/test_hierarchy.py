@@ -1,11 +1,14 @@
+import dataclasses
 import os
+import random
+import re
 
 import pytest
 
 from passdown.complexes import covolume, make_complex
 from passdown.errors import ConsistencyError, HypothesisError
 from passdown.fixtures import parse_fixtures
-from passdown.groups import GroupRef, GroupTable
+from passdown.groups import TRIVIAL, GroupRef, GroupTable
 from passdown.hierarchy import (
     HNode,
     Hierarchy,
@@ -22,6 +25,7 @@ from passdown.hierarchy import (
 from passdown.resolution import ActionTable
 from passdown.trees import ActionDescriptor, make_gog, make_tree
 
+from generators import random_labelled_complex
 from oracles import is_h_elliptic, level
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -494,3 +498,26 @@ class TestPassdownFull:
         } == nodes
         assert ks.terminal_complexes.keys() == attached.keys()
         assert all(ks.terminal_complexes[nid] is x for nid, x in attached.items())
+
+
+class TestTerminalCheck:
+    """The terminal check reads each distinct cell label once, at its first
+    cell, and still names the first failing cell in ``cells()`` order."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_names_the_first_failing_cell(self, seed):
+        rng = random.Random(seed)
+        x, groups = random_labelled_complex(rng, "tree")
+        # every vertex carries a non-trivial label; at least one such label fails
+        used = sorted(set(x.stab.values()) - {TRIVIAL})
+        passing = {gid for gid in used if rng.random() < 0.4} - {rng.choice(used)} | {TRIVIAL}
+        flagged = GroupTable(
+            dataclasses.replace(groups[gid], is_slender=gid in passing)
+            for gid in sorted(groups.ids() - {TRIVIAL})
+        )
+        failing = [c for c in x.cells() if x.stab[c] not in passing]
+        tree = make_tree(["p"], {})
+        tl = make_tree_level("P", tree, ActionTable(tree, flagged))
+        message = f"cell {failing[0]!r} of the complex at 'r' is neither slender nor elliptic on every level"
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            passdown_full({"r": ("1", x)}, tl)

@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import sys
 
 import pytest
 
@@ -8,7 +9,8 @@ import oracles
 from generators import random_edge_glued_complex, random_simplicial_complex
 from lemmas import area, boundary_edges, cone_pushforward, is_simple, simple_subcone
 from oracles import enumerate_simple_cones, n_dprime_oracle, n_prime_oracle, stable_pairs, subcomplex_of
-from passdown import stability
+from bench_ops import workloads
+from passdown import graphs, stability
 from passdown.cli import main
 from passdown.fixtures import parse_fixtures
 from passdown.pipeline import run_pipeline
@@ -658,6 +660,10 @@ class TestRunAnalysisOracles:
         )
         assert class_cutpoints(x, {"t1", "t2"}) == {"c"}
         assert class_cutpoints(x, {"t1"}) == set()
+        # any iterable of triangles will do, and the kept verdict cannot be
+        # changed through the returned set
+        assert class_cutpoints(x, iter(["t2", "t1"])) == {"c"} == class_cutpoints(x, ["t1", "t2", "t1"])
+        assert isinstance(class_cutpoints(x, ("t1", "t2")), frozenset)
         run = identity_run(x, levels=1)
         joined = PairSet(level=0, horizon=0, pairs=frozenset({Pair(cid="X", t1="t1", t2="t2", edge="ac")}))
         with pytest.raises(EngineError, match="'Y0.0' subcomplex has a cutpoint"):
@@ -795,6 +801,31 @@ class TestRunAnalysisWork:
         assert calls["compose"] == [] and calls["stable_pairs"] == []
         assert calls["equivalence_classes"] == list(range(rep.n_delta, self.H + 1))
         assert calls["_sigma"] == list(range(rep.n_delta, self.H))
+
+    def test_class_cutpoint_checks_do_not_grow_with_the_horizon(self, tmp_path, monkeypatch):
+        """An unchanged class on an unchanged complex is checked for
+        cutpoints once per run: ``class_cutpoints`` computes as many blocks
+        on a benchmark worked run at horizon 8 as at horizon 64."""
+
+        def blocks_calls(horizon):
+            op = workloads.worked(random.Random(1), horizon)
+            path = tmp_path / f"worked{horizon}.txt"
+            path.write_text(op.text)
+            calls = []
+            blocks = graphs.blocks
+
+            def counted(*args):
+                if sys._getframe(1).f_code is stability.class_cutpoints.__code__:
+                    calls.append(args)
+                return blocks(*args)
+
+            with monkeypatch.context() as m:
+                m.setattr(graphs, "blocks", counted)
+                rep = run_pipeline(parse_fixtures([str(path)]), op.pipeline)
+            assert rep.horizon == horizon and rep.certificate_level == op.expected.cert_level
+            return len(calls)
+
+        assert blocks_calls(8) == blocks_calls(64) > 0
 
     def test_dot_export_reuses_the_classes(self, worked64, calls, tmp_path, capsys):
         assert main(["--dot", str(tmp_path / "dot"), "pipeline", worked64, "--name", "worked"]) == 0
