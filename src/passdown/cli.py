@@ -157,7 +157,7 @@ def main(argv=None) -> int:
         elif args.command == "passdown":
             ks = _named(fx, "structure", args.structure)
             tl = make_tree_level(args.tree, _named(fx, "tree", args.tree), fx.action_table(args.tree))
-            result = passdown_full(ks.terminals(), tl, no_dinfty=fx.config.no_dinfty)
+            result = passdown_full(ks.terminals(), tl)
             for stage, value in result.ledger.items():
                 print(f"covolume[{stage}] = {value}")
             for v, received in sorted(result.terminals.items()):

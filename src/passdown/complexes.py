@@ -411,7 +411,7 @@ def covolume(x: Complex2) -> int:
 # reduction
 
 
-def reduce_complex(x: Complex2, groups: GroupTable = None) -> Complex2:
+def reduce_complex(x: Complex2, groups: GroupTable) -> Complex2:
     """Simplicial reduction: keep the vertex set, one edge per vertex pair,
     one triangle per vertex triple; bigons disappear.
 
@@ -423,9 +423,8 @@ def reduce_complex(x: Complex2, groups: GroupTable = None) -> Complex2:
     return out
 
 
-def reduce_with_map(x: Complex2, groups: GroupTable = None):
+def reduce_with_map(x: Complex2, groups: GroupTable):
     """reduce_complex plus the cell map (collapsed bigons map to None)."""
-    groups = groups or GroupTable()
     edge_groups, tri_groups = x.edges_by_pair, x.triangles_by_triple
 
     new_edges, edge_image = {}, {}
@@ -613,7 +612,8 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
     member (block or merged cut vertex).  Every piece gets one fresh ref,
     H-elliptic when it merged cut vertices and all their labels are.
     Slender cut vertices stay nodes with their own label, joined to each
-    piece that contains them.
+    piece that contains them.  The triangles of one orbit must lie in
+    pieces of one orbit: anything else is malformed quotient data.
     """
     if not is_connected(x):
         raise FixtureError("cutpoint tree needs a connected complex")
@@ -659,6 +659,12 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
     )
     if not tree.is_tree():
         raise EngineError("reduced cutpoint tree failed the tree check")
+    # the split counts a triangle orbit once per orbit of pieces holding it
+    piece_orbit = {fid: node_orbit[rep] for rep, cells in comp_cells.items() for fid in cells if fid in x.faces}
+    held = {}
+    for fid in x.triangles():
+        if held.setdefault(x.orbit[fid], piece_orbit[fid]) != piece_orbit[fid]:
+            raise ConsistencyError(f"triangle orbit {x.orbit[fid]!r} lies in cutpoint-free pieces of different orbits")
     return tree
 
 

@@ -20,7 +20,6 @@ from .trees import ActionDescriptor, make_gog, make_tree
 @dataclass
 class PipelineConfig:
     horizon: int = 6
-    no_dinfty: bool = True
     relative_class: frozenset = frozenset()
 
     def validate(self):
@@ -401,11 +400,8 @@ def _parse_config(fx, parsed):
     body, end = parsed
     for ln, line in body:
         words, kwargs = _tokens(line)
-        words, flags = _bool_flags(words, {"no-dinfty", "allow-dinfty"})
-        if flags.get("no-dinfty"):
-            fx.config.no_dinfty = True
-        if flags.get("allow-dinfty"):
-            fx.config.no_dinfty = False
+        # no D-infinity action is always assumed; the flag that says so stays accepted
+        words = [w for w in words if w != "no-dinfty"]
         unknown = sorted(set(kwargs) - {"horizon", "link-cap", "seed", "relative"})
         if unknown:
             raise FixtureError(f"unknown config key {unknown[0]!r}", line=ln)
@@ -472,6 +468,10 @@ def _parse_restrict(fx, words, ln):
     if len(words) < 5:
         raise FixtureError("bad restrict line", line=ln)
     _, gid, gog_name, kind = words[:4]
+    if gid not in fx.groups:
+        raise FixtureError(f"unknown group id {gid!r}", line=ln)
+    if gog_name not in fx.gogs:
+        raise FixtureError(f"unknown gog {gog_name!r}", line=ln)
     if kind == "elliptic":
         fx.restrictions.declare(gid, gog_name, Restriction(kind="elliptic", child=words[4]))
     elif kind == "split":

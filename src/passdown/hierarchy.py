@@ -400,8 +400,7 @@ def validate_hstructure(k: HStructure, groups: GroupTable):
 class PassdownResult:
     terminals: dict  # tree vertex orbit id -> {terminal id: (group, complex)}
     ledger: dict  # stage -> total covolume
-    # input terminal id -> {face id: (vertex orbit, terminal id, image face id, {side: image side})}
-    tau: dict
+    tau: dict  # input terminal id -> TauFragment, image faces (vertex orbit, terminal id, face id)
 
 
 def _distribute(gog: GraphOfGroups, claims, pieces, groups: GroupTable):
@@ -507,13 +506,16 @@ def _identity_step(terminals, tl: TreeLevel) -> PassdownResult:
     out, home = _distribute(tl.gog, dict.fromkeys(terminals, orbit), terminals, tl.actions.groups)
     ledger = dict.fromkeys(("input", "contracted", "cutpoint-split", "collapsed", "output"), _covolume_sum(terminals))
     tau = {
-        nid: {fid: home[nid] + (fid, {eid: eid for eid in x.faces[fid]}) for fid in x.faces}
+        nid: TauFragment(
+            triangle_map={fid: home[nid] + (fid,) for fid in x.faces},
+            edge_map={(fid, eid): eid for fid in x.faces for eid in x.faces[fid]},
+        )
         for nid, (_gid, x) in terminals.items()
     }
     return PassdownResult(terminals=out, ledger=ledger, tau=tau)
 
 
-def passdown_full(terminals, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
+def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
     """The full three-stage passdown of terminals over a tree.
 
     ``terminals`` maps terminal id -> (group, complex), as
@@ -539,7 +541,7 @@ def passdown_full(terminals, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
     resolutions = {}
     fragments = {}
     for nid, (gid, x) in sorted(pieces.items()):
-        res = build_resolution(x, tl.tree, tl.actions, no_dinfty=no_dinfty)
+        res = build_resolution(x, tl.tree, tl.actions)
         if res.kind == CONTRACTING:
             xc, res, frag = contract(res, groups)
             pieces[nid] = (gid, xc)
@@ -570,7 +572,7 @@ def passdown_full(terminals, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
     # stage three: collapse essential tracks, then split at cutpoints again;
     # the collapse fragments merge per input terminal (face ids stay disjoint)
     claims = {}
-    merged = defaultdict(lambda: TauFragment(triangle_map={}, edge_map={}, vertex_map={}))
+    merged = defaultdict(lambda: TauFragment(triangle_map={}, edge_map={}))
     for nid, (gid, x) in sorted(pieces.items()):
         res = resolutions[nid]
         for cut in cutpoints(x):
@@ -582,9 +584,7 @@ def passdown_full(terminals, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
         ts = essential_tracks(tracks_from_resolution(res), x)
         xt, frag = split_collapse(x, res, ts, groups)
         nid0 = origin[nid]
-        merged[nid0].triangle_map.update(frag.triangle_map)
-        merged[nid0].edge_map.update(frag.edge_map)
-        merged[nid0].vertex_map.update(frag.vertex_map)
+        merged[nid0].update(frag)
 
         def claim_for(cx):
             # the piece maps into one component of the tree minus the
@@ -640,20 +640,16 @@ def passdown_full(terminals, tl: TreeLevel, no_dinfty=True) -> PassdownResult:
         raise EngineError("a collapsed terminal went unclaimed")
 
     # the triangle map per input terminal: its contraction fragment, then
-    # the merged collapse fragments, each image face found in the
+    # the merged collapse fragments, each image face located in the
     # terminal that received it
-    located = defaultdict(dict)  # input terminal -> {face id: (vertex orbit, terminal id)}
+    located = defaultdict(dict)  # input terminal -> {face id: (vertex orbit, terminal id, face id)}
     for nid, (_gid, x) in pieces.items():
-        located[origin[nid]].update(dict.fromkeys(x.faces, home[nid]))
+        located[origin[nid]].update((fid, home[nid] + (fid,)) for fid in x.faces)
     tau = {}
-    for nid0, (_gid, x0) in terminals.items():
+    for nid0 in terminals:
         composed = fragments[nid0].compose(merged[nid0])
-        sides = defaultdict(dict)
-        for (fid, eid), img_eid in composed.edge_map.items():
-            sides[fid][eid] = img_eid
-        tau[nid0] = {}
-        for fid in x0.faces:
-            img = composed.triangle_map.get(fid)
-            if img in located[nid0]:
-                tau[nid0][fid] = located[nid0][img] + (img, sides[fid])
+        tau[nid0] = TauFragment(
+            triangle_map={fid: located[nid0].get(img) for fid, img in composed.triangle_map.items()},
+            edge_map=composed.edge_map,
+        )
     return PassdownResult(terminals=out, ledger=ledger, tau=tau)

@@ -8,13 +8,8 @@ from dataclasses import dataclass
 from .errors import FixtureError, HypothesisError
 from .fixtures import FixtureSet, PipelineScript
 from .hierarchy import make_tree_level, passdown_full
-from .stability import (
-    LevelData,
-    RunView,
-    TauMap,
-    cone_criterion_check,
-    stabilization_report,
-)
+from .provenance import TauFragment
+from .stability import LevelData, RunView, cone_criterion_check, stabilization_report
 
 
 @dataclass
@@ -146,8 +141,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
         levels.append(LevelData(complexes=level_complexes))
         if n == config.horizon:
             break
-        tau_tri = {}
-        tau_edge = {}
+        tau = TauFragment(triangle_map={}, edge_map={})  # keyed (complex id, face id)
         next_active = []
         for inst, nid, terminals in active:
             node = _effective(script, nid)
@@ -168,7 +162,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                         f"tree {node.tree!r}",
                         lemma="relative-class",
                     )
-            result = passdown_full(terminals, tl, no_dinfty=config.no_dinfty)
+            result = passdown_full(terminals, tl)
             children = _children_by_orbit(script, children_of.get(node.id, ()))
             for orbit in sorted(tl.gog.vertices):
                 if orbit not in children:
@@ -187,19 +181,13 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                 inst_id = f"{inst}.{cnid}"
                 child_inst[orbit] = inst_id
                 next_active.append((inst_id, cnid, received))
-            for tid, faces in result.tau.items():
-                src_cid = f"{inst}/{tid}"
-                for fid, (orbit, out_tid, img_fid, sides) in faces.items():
-                    key = (src_cid, fid)
-                    tau_tri[key] = (f"{child_inst[orbit]}/{out_tid}", img_fid)
-                    for eid, img_eid in sides.items():
-                        tau_edge[(key, eid)] = img_eid
-        taus.append(TauMap(triangle=tau_tri, edge=tau_edge))
+            for tid, frag in result.tau.items():
+                tau.update(frag.keyed(f"{inst}/{tid}", lambda img: (f"{child_inst[img[0]]}/{img[1]}", img[2])))
+        taus.append(tau)
         active = next_active
 
     run = RunView(levels=levels, taus=taus, groups=groups)
     report = stabilization_report(run)
-    ledger = tuple(lvl.covolume() for lvl in levels)
 
     certificates = []
     certificate_level = None
@@ -235,7 +223,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
     return RunReport(
         pipeline=name,
         horizon=config.horizon,
-        ledger=ledger,
+        ledger=report.ledger,
         n_delta=report.n_delta,
         n_prime=report.n_prime,
         n_dprime=report.n_dprime,

@@ -1,14 +1,16 @@
 """Triangle provenance across surgery steps.
 
-Each collapse/reduction step yields a TauFragment: a partial map on
+A TauFragment is the one triangle map of the package: a partial map on
 triangles, the per-triangle side correspondence for surviving triangles,
-and the vertex fate.  Fragments compose associatively; the cross-level
-triangle maps of the stability analysis are compositions of these.
+and the vertex fate.  Each collapse and reduction step yields one;
+``passdown_full`` hands on one per input terminal, with every image face
+located as (vertex orbit, terminal id, face id); the run analysis reads
+them keyed (complex id, face id).  Fragments compose associatively.
 """
 
 from dataclasses import dataclass, field
 
-from .complexes import reduce_with_map, wire_and_validate
+from .complexes import covolume, reduce_with_map, wire_and_validate
 from .errors import EngineError
 
 
@@ -16,7 +18,7 @@ from .errors import EngineError
 class TauFragment:
     triangle_map: dict  # source face -> image face or None
     edge_map: dict  # (source face, source edge) -> image edge
-    vertex_map: dict  # source vertex -> image vertex or None
+    vertex_map: dict = field(default_factory=dict)  # source vertex -> image vertex or None
     track_point: dict = field(default_factory=dict)  # track id -> new vertex
 
     @staticmethod
@@ -44,6 +46,21 @@ class TauFragment:
             verts[v] = None if img is None else nxt.vertex_map.get(img)
         return TauFragment(triangle_map=tri, edge_map=edges, vertex_map=verts)
 
+    def keyed(self, cid, image_key) -> "TauFragment":
+        """The triangle and side maps with triangles keyed (complex id,
+        face id): the sources lie in complex ``cid``, and ``image_key``
+        gives the key of each image."""
+        return TauFragment(
+            triangle_map={(cid, f): None if img is None else image_key(img) for f, img in self.triangle_map.items()},
+            edge_map={((cid, f), e): fe for (f, e), fe in self.edge_map.items()},
+        )
+
+    def update(self, other: "TauFragment"):
+        """Take in the maps of a fragment on other sources."""
+        self.triangle_map.update(other.triangle_map)
+        self.edge_map.update(other.edge_map)
+        self.vertex_map.update(other.vertex_map)
+
     def check_consistency(self, source, target):
         for t, img in self.triangle_map.items():
             if t not in source.faces:
@@ -58,20 +75,30 @@ class TauFragment:
                 raise EngineError(f"provenance image side {fe!r} is not a side of {img!r}")
 
 
-def reduce_collapsed(collapsed, groups):
-    """Finish a collapse: record the incidence containments of the freshly
-    built complex, validate it and reduce it.  Returns (reduced complex,
-    fragment of the reduction step)."""
+def finish_collapse(x, collapsed, frag: TauFragment, groups, step: str):
+    """Finish a collapse of ``x`` onto the freshly built ``collapsed``,
+    whose cells ``frag`` follows: record the incidence containments of
+    ``collapsed``, validate and reduce it, and follow ``frag`` with the
+    reduction.  The result must be consistent and no larger in covolume
+    than ``x``.  Returns (reduced complex, fragment from ``x``); the
+    reduction keeps every vertex, so track points stay where ``frag`` put
+    them."""
     wire_and_validate(collapsed, groups)
     reduced, red_map = reduce_with_map(collapsed, groups)
-    frag = TauFragment(
-        triangle_map={f: red_map[f] for f in collapsed.triangles()},
-        edge_map={
-            (f, e): red_map[e]
-            for f in collapsed.triangles()
-            if red_map[f] is not None
-            for e in collapsed.faces[f]
-        },
-        vertex_map={v: red_map[v] for v in collapsed.vertices},
+    out = frag.compose(
+        TauFragment(
+            triangle_map={f: red_map[f] for f in collapsed.triangles()},
+            edge_map={
+                (f, e): red_map[e]
+                for f in collapsed.triangles()
+                if red_map[f] is not None
+                for e in collapsed.faces[f]
+            },
+            vertex_map={v: red_map[v] for v in collapsed.vertices},
+        )
     )
-    return reduced, frag
+    out.track_point = frag.track_point
+    out.check_consistency(x, reduced)
+    if covolume(reduced) > covolume(x):
+        raise EngineError(f"{step} increased covolume")
+    return reduced, out

@@ -15,10 +15,10 @@ Group ids without an entry inherit the entry of a declared supergroup.
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import Complex2, covolume, quotient_labels
+from .complexes import Complex2, quotient_labels
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError
 from .groups import TRIVIAL, GroupTable
-from .provenance import TauFragment, reduce_collapsed
+from .provenance import TauFragment, finish_collapse
 from .trees import (
     DIHEDRAL,
     ELLIPTIC,
@@ -139,26 +139,20 @@ class WComponent:
     end: str  # the equivariantly chosen ideal endpoint
 
 
-def w_components(x: Complex2, t: TreeHat, actions: ActionTable, no_dinfty=True):
+def w_components(x: Complex2, t: TreeHat, actions: ActionTable):
     """Maximal connected subcomplexes of the 1-skeleton all of whose cells
     have linearly-acting stabilizers, each with its fixed line and chosen
     ideal endpoint (smallest id; same line, same choice).
 
-    Dihedral cells contradict the no-D-infinity flag when it is set and
-    block the construction when it is not.
+    The input is declared free of D-infinity actions (the ``no-dinfty``
+    config flag is the only setting): a dihedral cell contradicts it.
     """
     linear_cells = set()
     for cell in sorted(x.vertices) + sorted(x.edges):
         kind = actions.classification(x.stab[cell])
         if kind == DIHEDRAL:
-            if no_dinfty:
-                raise ConsistencyError(
-                    f"cell {cell!r} classified dihedral although the no-D-infinity flag is set"
-                )
-            raise HypothesisError(
-                f"cell {cell!r} acts dihedrally; the construction needs the "
-                "no-D-infinity hypothesis",
-                lemma="linear-subcomplex",
+            raise ConsistencyError(
+                f"cell {cell!r} classified dihedral although the no-D-infinity flag is set"
             )
         if kind == LINEAR:
             linear_cells.add(cell)
@@ -215,7 +209,7 @@ class Resolution:
         return self.edge_path[eid].edge_ids(self.target)
 
 
-def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable, no_dinfty=True) -> Resolution:
+def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable) -> Resolution:
     """Dunwoody-Delzant-Potyagailo resolution of ``x`` over ``t``.
 
     Every cell stabilizer must fix a point of the tree-with-boundary:
@@ -234,7 +228,7 @@ def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable, no_dinfty=Tr
                 lemma="resolution",
             )
 
-    ws = w_components(x, t, actions, no_dinfty=no_dinfty)
+    ws = w_components(x, t, actions)
     in_w = {}
     for w in ws:
         for cell in w.cells:
@@ -342,7 +336,7 @@ def validate_resolution(res: Resolution):
 # contracting resolutions
 
 
-def contract(res: Resolution, groups: GroupTable = None):
+def contract(res: Resolution, groups: GroupTable):
     """Collapse each component of the boundary preimage to a point.
 
     Returns (X_C, descended resolution, provenance).  New vertices take
@@ -352,7 +346,6 @@ def contract(res: Resolution, groups: GroupTable = None):
     """
     if res.kind != CONTRACTING:
         raise HypothesisError("contract applies to contracting (type II) resolutions only")
-    groups = groups or (res.actions.groups if res.actions else GroupTable())
     x = res.source
     boundary_edges = res.boundary_edges()
     if not boundary_edges:
@@ -425,40 +418,16 @@ def contract(res: Resolution, groups: GroupTable = None):
         ),
         stab_plus=stab_plus,
     )
-    xc, frag_reduce = reduce_collapsed(collapsed, groups)
-
-    frag_collapse = TauFragment(
-        triangle_map={f: face_map[f] if face_map[f] in collapsed.faces and len(collapsed.faces.get(face_map[f], ())) == 3 else None for f in x.triangles()},
-        edge_map={
-            (f, e): edge_map[e]
-            for f in x.triangles()
-            if face_map[f] in collapsed.faces and len(collapsed.faces[face_map[f]]) == 3
-            for e in x.faces[f]
-            if edge_map[e] is not None
-        },
+    # a triangle survives when it keeps all three sides
+    tri_map = {f: f if len(new_faces.get(f, ())) == 3 else None for f in x.triangles()}
+    frag = TauFragment(
+        triangle_map=tri_map,
+        edge_map={(f, e): e for f, img in tri_map.items() if img is not None for e in x.faces[f]},
         vertex_map=vertex_map,
     )
-    frag = frag_collapse.compose(frag_reduce)
-    frag.check_consistency(x, xc)
-
-    new_image = {}
-    for v in xc.vertices:
-        new_image[v] = image_override[v] if v in image_override else res.vertex_image[v]
-    new_paths = {
-        eid: reduced_path(res.target, new_image[u], new_image[v])
-        for eid, (u, v) in xc.edges.items()
-    }
-    descended = Resolution(
-        source=xc,
-        target=res.target,
-        vertex_image=new_image,
-        edge_path=new_paths,
-        kind=SPLITTING,
-        actions=res.actions,
-    )
-    if descended.boundary_edges():
+    xc, frag = finish_collapse(x, collapsed, frag, groups, "contraction")
+    new_image = {v: image_override[v] if v in image_override else res.vertex_image[v] for v in xc.vertices}
+    descended = resolution_from_images(xc, res.target, new_image, actions=res.actions)
+    if descended.kind != SPLITTING:
         raise EngineError("descended resolution still has boundary edges")
-    validate_resolution(descended)
-    if covolume(xc) > covolume(x):
-        raise EngineError("contraction increased covolume")
     return xc, descended, frag

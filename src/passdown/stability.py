@@ -19,24 +19,6 @@ from .groups import GroupTable
 
 
 @dataclass
-class TauMap:
-    """Triangle and side correspondence between two consecutive levels.
-
-    Triangles are keyed (complex id, face id); the edge map gives, per
-    surviving triangle, the image of each of its sides.
-    """
-
-    triangle: dict
-    edge: dict  # ((cid, fid), eid) -> image edge id
-
-    def image(self, key):
-        return self.triangle.get(key)
-
-    def edge_image(self, key, eid):
-        return self.edge.get((key, eid))
-
-
-@dataclass
 class LevelData:
     complexes: dict  # cid -> Complex2
 
@@ -50,7 +32,7 @@ class LevelData:
 @dataclass
 class RunView:
     levels: list
-    taus: list  # taus[n]: level n -> level n+1
+    taus: list  # taus[n]: level n -> level n+1, a TauFragment on (complex id, face id) keys
     groups: GroupTable
 
     @property
@@ -105,10 +87,10 @@ def pairs_at(run: RunView, n: int):
     return out
 
 
-def _check_side_images(tau: TauMap, target: LevelData, n: int):
+def _check_side_images(tau, target: LevelData, n: int):
     """Every side image of tau_n must be a side of the image triangle."""
-    for (key, eid), img_eid in tau.edge.items():
-        img = tau.triangle.get(key)
+    for (key, eid), img_eid in tau.edge_map.items():
+        img = tau.triangle_map.get(key)
         if img is None:
             continue
         x = target.complexes.get(img[0])
@@ -128,15 +110,16 @@ def stable_pair_sets(run: RunView, start: int) -> dict:
     for n in range(horizon - 1, start - 1, -1):
         tau = run.taus[n]
         _check_side_images(tau, run.levels[n + 1], n)
+        tri, edge = tau.triangle_map, tau.edge_map
         above = out[n + 1].pairs
         stable = []
         for pair in pairs_at(run, n):
             k1, k2 = (pair.cid, pair.t1), (pair.cid, pair.t2)
-            i1, i2 = tau.image(k1), tau.image(k2)
+            i1, i2 = tri.get(k1), tri.get(k2)
             if i1 is None or i2 is None or i1 == i2 or i1[0] != i2[0]:
                 continue
-            e = tau.edge_image(k1, pair.edge)
-            if e is not None and e == tau.edge_image(k2, pair.edge):
+            e = edge.get((k1, pair.edge))
+            if e is not None and e == edge.get((k2, pair.edge)):
                 if Pair(cid=i1[0], t1=min(i1[1], i2[1]), t2=max(i1[1], i2[1]), edge=e) in above:
                     stable.append(pair)
         out[n] = PairSet(level=n, horizon=horizon, pairs=frozenset(stable))
@@ -346,7 +329,7 @@ class StabilizationReport:
     n_delta: int
     n_prime: int  # lowest level from which every step keeps the class structure
     n_dprime: int  # lowest level >= N' from which every stable pair pulls back
-    class_counts: tuple
+    ledger: tuple  # covolume per level
     acc_alerts: tuple
     classes: dict  # level -> equivalence classes, for levels N_delta..horizon
 
@@ -362,7 +345,7 @@ def _sigma(run, n, classes_n, classes_n1):
     for cls in classes_n:
         targets = set()
         for fid in cls.triangles:
-            img = tau.image((cls.cid, fid))
+            img = tau.triangle_map.get((cls.cid, fid))
             if img is not None:
                 targets.add(cls_of_n1.get(img))
         targets.discard(None)
@@ -376,10 +359,10 @@ def _pulls_back(run, n, ps: PairSet):
     """Each stable pair at n+1 has exactly one preimage triangle on each
     side, in one complex, sharing a side that tau_n sends to the pair's
     edge."""
-    tau = run.taus[n]
+    tri, edge = run.taus[n].triangle_map, run.taus[n].edge_map
     back = defaultdict(list)
     for key in run.levels[n].triangles():
-        img = tau.image(key)
+        img = tri.get(key)
         if img is not None:
             back[img].append(key)
     for pair in ps.pairs:
@@ -392,7 +375,7 @@ def _pulls_back(run, n, ps: PairSet):
             return False
         x = run.levels[n].complexes[k1[0]]
         shared = set(x.faces[k1[1]]) & set(x.faces[k2[1]])
-        if not any(tau.edge_image(k1, e) == pair.edge and tau.edge_image(k2, e) == pair.edge for e in shared):
+        if not any(edge.get((k1, e)) == pair.edge and edge.get((k2, e)) == pair.edge for e in shared):
             return False
     return True
 
@@ -447,7 +430,7 @@ def stabilization_report(run: RunView) -> StabilizationReport:
         n_delta=n_delta,
         n_prime=n_prime,
         n_dprime=n_dprime,
-        class_counts=tuple(counts[n] for n in levels),
+        ledger=tuple(ledger),
         acc_alerts=tuple(alerts),
         classes=classes,
     )
@@ -477,8 +460,8 @@ def acc_monitor(run: RunView, start: int, classes):
                     m = n
                     while m < horizon:
                         tau = run.taus[m]
-                        img = tau.image(cur_key)
-                        img_eid = tau.edge_image(cur_key, cur_eid)
+                        img = tau.triangle_map.get(cur_key)
+                        img_eid = tau.edge_map.get((cur_key, cur_eid))
                         if img is None or img_eid is None:
                             break
                         m += 1

@@ -13,10 +13,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import Complex2, covolume, h1_z2, is_connected
+from .complexes import Complex2, h1_z2, is_connected
 from .errors import EngineError, FixtureError, HypothesisError, TruncationError
 from .groups import GroupTable
-from .provenance import TauFragment, reduce_collapsed
+from .provenance import TauFragment, finish_collapse
 from .resolution import SPLITTING, Resolution
 
 
@@ -140,7 +140,7 @@ def _oriented_crossings(res, eid, start_vertex):
     raise EngineError(f"{start_vertex!r} is not an endpoint of {eid!r}")
 
 
-def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: GroupTable = None):
+def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: GroupTable):
     """Remove the boundary preimage, collapse each essential track to a
     point, and reduce.  Returns (X_T, provenance fragment).
 
@@ -154,7 +154,6 @@ def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: G
     if res.kind != SPLITTING:
         raise HypothesisError("split_collapse needs a splitting resolution")
     removed = res.ideal_vertices()
-    groups = groups or (res.actions.groups if res.actions else GroupTable())
 
     track_of = {}  # (eid, tree edge) -> track
     for tr in ts_star.tracks:
@@ -318,18 +317,10 @@ def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: G
         boundary_marked=frozenset((x.boundary_marked & new_vertices) | marked_points),
         stab_plus=seg_plus,
     )
-    xt, frag_reduce = reduce_collapsed(collapsed, groups)
-
-    frag_collapse = TauFragment(
-        triangle_map=dict(tri_map),
-        edge_map=dict(edge_map),
+    frag = TauFragment(
+        triangle_map=tri_map,
+        edge_map=edge_map,
         vertex_map={v: (None if v in removed else v) for v in x.vertices},
-        track_point=dict(point_vertex),
+        track_point=point_vertex,
     )
-    frag = frag_collapse.compose(frag_reduce)
-    frag.track_point = {tid: frag_reduce.vertex_map.get(vid, vid) for tid, vid in point_vertex.items()}
-    frag.check_consistency(x, xt)
-
-    if covolume(xt) > covolume(x):
-        raise EngineError("collapse increased covolume")
-    return xt, frag
+    return finish_collapse(x, collapsed, frag, groups, "collapse")

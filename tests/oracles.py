@@ -158,7 +158,7 @@ def n_prime_oracle(run, n_delta, classes):
         owner = {(c.cid, f): c.id for c in classes[n + 1] for f in c.triangles}
         out = {}
         for cls in classes[n]:
-            targets = {owner.get(tau.image((cls.cid, f))) for f in cls.triangles} - {None}
+            targets = {owner.get(tau.triangle_map.get((cls.cid, f))) for f in cls.triangles} - {None}
             if len(targets) > 1:
                 raise ValueError(f"class {cls.id!r} maps into several classes")
             out[cls.id] = targets.pop() if targets else None
@@ -208,7 +208,7 @@ def n_dprime_oracle(run, n_prime):
             tau = run.taus[n]
             back = {}
             for key in run.levels[n].triangles():
-                img = tau.image(key)
+                img = tau.triangle_map.get(key)
                 if img is not None:
                     back.setdefault(img, []).append(key)
             for pair in stable_pairs(run, n + 1).pairs:
@@ -220,7 +220,7 @@ def n_dprime_oracle(run, n_prime):
                 (k1,), (k2,) = p1, p2
                 x = run.levels[n].complexes[k1[0]]
                 shared = set(x.faces[k1[1]]) & set(x.faces[k2[1]])
-                if not any(tau.edge_image(k1, e) == pair.edge == tau.edge_image(k2, e) for e in shared):
+                if not any(tau.edge_map.get((k1, e)) == pair.edge == tau.edge_map.get((k2, e)) for e in shared):
                     ok = False
                     break
             if not ok:
@@ -294,12 +294,12 @@ def compose(run, n, m):
                 edge[((cid, fid), eid)] = eid
     for step in range(n, m):
         tau = run.taus[step]
-        tri2 = {key: tau.image(img) if img is not None else None for key, img in tri.items()}
+        tri2 = {key: tau.triangle_map.get(img) if img is not None else None for key, img in tri.items()}
         edge2 = {}
         for (key, eid), img_eid in edge.items():
             if tri[key] is None or tri2[key] is None:
                 continue
-            nxt_eid = tau.edge_image(tri[key], img_eid)
+            nxt_eid = tau.edge_map.get((tri[key], img_eid))
             if nxt_eid is not None:
                 edge2[(key, eid)] = nxt_eid
         tri, edge = tri2, edge2
@@ -407,7 +407,7 @@ def leq_oracle(groups, extra, a, b):
     return found
 
 
-def identity_step_oracle(terminals, tl, no_dinfty=True):
+def identity_step_oracle(terminals, tl):
     """``passdown_full`` along its general path, whatever the level is: no
     complex reads as reduced, so no level is an identity step, and every
     complex is resolved, its tracks drawn, collapsed cell for cell,
@@ -418,7 +418,7 @@ def identity_step_oracle(terminals, tl, no_dinfty=True):
     original = Complex2.__dict__["is_reduced"]
     Complex2.is_reduced = property(lambda self: False)
     try:
-        return passdown_full(terminals, tl, no_dinfty=no_dinfty)
+        return passdown_full(terminals, tl)
     finally:
         Complex2.is_reduced = original
 

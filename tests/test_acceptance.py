@@ -66,10 +66,10 @@ def test_reduction_suite():
         warnings.simplefilter("ignore", DisconnectedComplexWarning)
         for _ in range(200):
             x = random_cell_complex(rng, max_vertices=12)
-            r = reduce_complex(x)
+            r = reduce_complex(x, GroupTable())
             validate_complex(r)
             assert r.is_simplicial()
-            r2 = reduce_complex(r)
+            r2 = reduce_complex(r, GroupTable())
             assert r2.vertices == r.vertices
             assert set(map(frozenset, r2.edges.values())) == set(map(frozenset, r.edges.values()))
             assert {frozenset(r2.face_vertices(f)) for f in r2.faces} == {

@@ -18,6 +18,7 @@ from passdown.fixtures import (
     serialize_groups,
     serialize_tree,
 )
+from passdown.hierarchy import Restriction
 from passdown.pipeline import run_pipeline
 
 from generators import random_cell_complex, random_treehat
@@ -114,6 +115,37 @@ groups
 end
 """
             )
+
+
+    def test_dinfty_config_flags(self):
+        # no D-infinity action is always assumed: the flag saying so parses,
+        # the one that would lift it is malformed
+        assert parse_text("config\n  horizon=3 no-dinfty\nend\n").config.horizon == 3
+        with pytest.raises(FixtureError, match="line 2: bad config line: 'allow-dinfty'"):
+            parse_text("config\n  allow-dinfty\nend\n")
+
+    _GOGS = "groups\n  group A\n  group B sub-of=A\nend\ngog G\n  vertex v0 A\nend\ngog H\n  vertex s0 B\nend\n"
+
+    def test_restrict_lines_parse(self):
+        fx = parse_text(self._GOGS + "restrict B G elliptic v0\nrestrict A G split H s0:v0\n")
+        assert fx.restrictions.get("B", "G") == Restriction(kind="elliptic", child="v0")
+        assert fx.restrictions.get("A", "G") == Restriction(kind="split", sub=fx.gogs["H"], origins={"s0": "v0"})
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("restrict NOPE G elliptic v0", "line 11: unknown group id 'NOPE'"),
+            ("restrict B NOGOG elliptic v0", "line 11: unknown gog 'NOGOG'"),
+            ("restrict NOPE NOGOG elliptic v0", "line 11: unknown group id 'NOPE'"),
+            ("restrict A NOGOG split H s0:v0", "line 11: unknown gog 'NOGOG'"),
+            ("restrict A G split NOGOG s0:v0", "line 11: unknown gog 'NOGOG'"),
+        ],
+    )
+    def test_restrict_with_an_unknown_name_exit_code(self, line, message, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(self._GOGS + line + "\n")
+        assert main(["h1", str(bad), "--complex", "X"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestCommands:
@@ -434,6 +466,52 @@ end
 """
     )
     assert main(["pipeline", str(bad), "--name", "rel"]) == 1
+
+
+BOWTIE = """
+complex X
+  vertex a
+  vertex b
+  vertex c
+  vertex d
+  vertex e
+  edge ab a b
+  edge bc b c
+  edge ac a c
+  edge cd c d
+  edge de d e
+  edge ce c e
+  triangle t1 ab bc ac orbit=o
+  triangle t2 cd de ce orbit=o
+end
+tree PT
+  vertex p0 orbit=op
+end
+hierarchy K
+  node r 1
+end
+structure S hierarchy=K
+  attach r complex=X
+end
+config
+  horizon=2
+end
+pipeline bow root=S
+  node w0 tree=PT
+  node w1 parent=w0 orbit=op repeat=w0
+end
+"""
+
+
+@pytest.mark.parametrize("argv", [["pipeline", "--name", "bow"], ["passdown", "--structure", "S", "--tree", "PT"]])
+def test_a_triangle_orbit_in_pieces_of_two_orbits_is_malformed(argv, tmp_path, capsys):
+    """A bowtie: two triangles of one orbit meeting only at a cut vertex.
+    Its cutpoint-free pieces lie in different orbits, so the split would
+    count the triangle orbit twice; the quotient data is refused."""
+    path = tmp_path / "bowtie.txt"
+    path.write_text(BOWTIE)
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+    assert capsys.readouterr().err == "error: triangle orbit 'o' lies in cutpoint-free pieces of different orbits\n"
 
 
 

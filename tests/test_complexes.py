@@ -83,14 +83,14 @@ class TestReduce:
             {"e1": ("u", "v"), "e2": ("u", "v")},
             {"b": ("e1", "e2")},
         )
-        r = reduce_complex(x)
+        r = reduce_complex(x, GroupTable())
         assert r.vertices == frozenset({"u", "v"})
         assert len(r.edges) == 1
         assert not r.faces
 
     def test_simplicial_input_unchanged(self):
         x = triangle()
-        r = reduce_complex(x)
+        r = reduce_complex(x, GroupTable())
         assert r.vertices == x.vertices
         assert set(map(frozenset, r.edges.values())) == set(map(frozenset, x.edges.values()))
         assert len(r.faces) == 1
@@ -104,7 +104,7 @@ class TestReduce:
             {"ab": ("a", "b"), "ab2": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")},
             {"t": ("ab", "bc", "ac")},
         )
-        r = reduce_complex(x)
+        r = reduce_complex(x, GroupTable())
         assert len(r.edges) == 3
         assert len(r.faces) == 1
         assert set(r.face_vertices(next(iter(r.faces)))) == {"a", "b", "c"}
@@ -117,7 +117,7 @@ class TestReduce:
             orbit={"t1": "o1", "t2": "o2"},
         )
         assert covolume(x) == 2
-        r = reduce_complex(x)
+        r = reduce_complex(x, GroupTable())
         assert covolume(r) == 1
 
 
@@ -276,6 +276,20 @@ class TestCutpointTree:
             "p.t1": ["t2"],
         }
 
+    def test_a_triangle_orbit_across_two_piece_orbits_is_malformed(self):
+        # a generated triangle tree, every label slender so that every cut
+        # vertex stays a node: the triangles of orbit o.1.1 lie in pieces of
+        # different orbits, and over a point tree the cutpoint split would
+        # count that orbit more than once
+        x, groups = random_labelled_complex(random.Random(12), "tree")
+        groups = GroupTable(dataclasses.replace(groups[gid], is_slender=True) for gid in sorted(groups.ids()))
+        tree = make_tree(["p"], {})
+        tl = make_tree_level("P", tree, ActionTable(tree, groups))
+        with pytest.raises(ConsistencyError, match="triangle orbit 'o.1.1' lies in cutpoint-free pieces of different orbits"):
+            passdown_full({"r": (TRIVIAL, x)}, tl)
+        with pytest.raises(ConsistencyError, match="lies in cutpoint-free pieces of different orbits"):
+            reduced_cutpoint_tree(x, groups)
+
     def test_matches_contracted_oracle(self):
         # cut vertices labelled at random: slender (S), non-slender and
         # H-elliptic (U), or neither (V)
@@ -327,8 +341,8 @@ class TestReductionProperties:
     @given(st.integers(0, 10**9))
     def test_idempotent_monotone_and_h1_preserving(self, seed):
         x = random_cell_complex(random.Random(seed))
-        r = reduce_complex(x)
-        r2 = reduce_complex(r)
+        r = reduce_complex(x, GroupTable())
+        r2 = reduce_complex(r, GroupTable())
         assert r2.vertices == r.vertices
         assert set(map(frozenset, r2.edges.values())) == set(map(frozenset, r.edges.values()))
         assert {frozenset(r2.face_vertices(f)) for f in r2.faces} == {

@@ -93,6 +93,23 @@ class TestWComponents:
         with pytest.raises(ConsistencyError):
             w_components(x, t, table)
 
+    def test_dihedral_cell_contradicts_the_no_dinfty_assumption(self):
+        # an edge label with a swapping axis acts dihedrally; the input is
+        # always declared free of D-infinity actions, so this is malformed
+        t = line_tree()
+        groups = std_groups()
+        groups.add(GroupRef("D", is_slender=True, declared_supergroups=frozenset({"L"})))
+        table = actions_for(t, groups)
+        table.declare_descriptors(
+            "D",
+            [ActionDescriptor(kind="hyperbolic", ends=("p", "q")), ActionDescriptor(kind="hyperbolic", ends=("p", "q"), swaps_ends=True)],
+        )
+        assert table.classification("D") == "dihedral"
+        x = make_complex(["a", "b"], {"ab": ("a", "b")}, {}, stab={"a": "L", "b": "L", "ab": "D"}, groups=groups)
+        for build in (w_components, build_resolution):
+            with pytest.raises(ConsistencyError, match="cell 'ab' classified dihedral although the no-D-infinity flag is set"):
+                build(x, t, table)
+
 
 class TestBuildResolution:
     def test_single_edge_maps_to_tree_edge(self):

@@ -1,3 +1,4 @@
+import glob
 import itertools
 import os
 import random
@@ -23,7 +24,6 @@ from passdown.resolution import resolution_from_images
 from passdown.stability import (
     LevelData,
     RunView,
-    TauMap,
     Pair,
     PairSet,
     TriangleClass,
@@ -51,13 +51,7 @@ def line_tree(n=2, ideals=()):
 
 
 def tau_from_fragment(cid_src, cid_dst, frag):
-    tri = {}
-    edge = {}
-    for f, img in frag.triangle_map.items():
-        tri[(cid_src, f)] = (cid_dst, img) if img is not None else None
-    for (f, e), img_e in frag.edge_map.items():
-        edge[((cid_src, f), e)] = img_e
-    return TauMap(triangle=tri, edge=edge)
+    return frag.keyed(cid_src, lambda img: (cid_dst, img))
 
 
 def identity_run(x, levels=3, groups=None):
@@ -599,9 +593,9 @@ def random_run(rng):
             ]
             for f in sorted(x.triangles()):
                 tau = rng.choice(options)
-                tri[(cid, f)] = tau.triangle[(cid, f)]
-                edge.update({(key, e): img for (key, e), img in tau.edge.items() if key == (cid, f)})
-        taus.append(TauMap(triangle=tri, edge=edge))
+                tri[(cid, f)] = tau.triangle_map[(cid, f)]
+                edge.update({(key, e): img for (key, e), img in tau.edge_map.items() if key == (cid, f)})
+        taus.append(TauFragment(triangle_map=tri, edge_map=edge))
     return RunView(levels=levels, taus=taus, groups=GroupTable())
 
 
@@ -627,6 +621,27 @@ class TestRunAnalysisOracles:
         # the generated runs exercise every branch: kept pairs, N' above
         # N_delta and N'' above N'
         assert levels > 400 and kept > 0 and deeper_prime > 0 and deeper_dprime > 0
+
+    def test_composed_fragments_match_the_recomposition(self):
+        """A run's one-step maps are TauFragments: composed with
+        ``TauFragment.compose`` from level n to every m > n they equal
+        ``oracles.compose``, on the generated runs and on the runs of the
+        committed fixtures."""
+        rng = random.Random(20261019)
+        runs = [random_run(rng) for _ in range(60)]
+        for path in sorted(glob.glob(os.path.join(os.path.dirname(WORKED), "*.txt"))):
+            fx = parse_fixtures([path])
+            runs += [run_pipeline(fx, name).run for name in sorted(fx.pipelines)]
+        checked = 0
+        for run in runs:
+            for n in range(run.horizon):
+                composed = run.taus[n]
+                for m in range(n + 1, run.horizon + 1):
+                    if m > n + 1:
+                        composed = composed.compose(run.taus[m - 1])
+                    assert (composed.triangle_map, composed.edge_map) == oracles.compose(run, n, m)
+                    checked += 1
+        assert checked > 200
 
     def test_class_check_matches_the_built_subcomplex(self):
         """``class_cutpoints`` against the cutpoints of the validated class
@@ -679,8 +694,8 @@ class TestRunAnalysisOracles:
         )
         run = identity_run(x, levels=3)
         run.taus[0] = tau_from_fragment("X", "X", TauFragment.identity(x))
-        run.taus[0].edge[(("X", "t1"), "ca")] = "ab"
-        run.taus[0].edge[(("X", "t1"), "ab")] = "ca"
+        run.taus[0].edge_map[(("X", "t1"), "ca")] = "ab"
+        run.taus[0].edge_map[(("X", "t1"), "ab")] = "ca"
         sweep = stable_pair_sets(run, 0)
         assert {(p.t1, p.t2) for p in sweep[0].pairs} == {("t1", "t2"), ("t2", "t3")}
         assert len(sweep[1].pairs) == 3
@@ -709,9 +724,9 @@ class TestRunAnalysisOracles:
             orbit={"A": "o", "B": "o", "ab": "E0", "bc": "E1", "ca": "E2", "bd": "E1", "da": "E2"},
         )
         sides = {"t1": ("A", {"p1": "ab", "q1": "bc", "r1": "ca"}), "t2": ("B", {"p2": "ab", "q2": "bd", "r2": "da"})}
-        tau = TauMap(
-            triangle={("X", t): ("X", img) for t, (img, _) in sides.items()},
-            edge={(("X", t), e): img_e for t, (_, es) in sides.items() for e, img_e in es.items()},
+        tau = TauFragment(
+            triangle_map={("X", t): ("X", img) for t, (img, _) in sides.items()},
+            edge_map={(("X", t), e): img_e for t, (_, es) in sides.items() for e, img_e in es.items()},
         )
         run = RunView(levels=[LevelData(complexes={"X": x0}), LevelData(complexes={"X": x1})], taus=[tau], groups=GroupTable())
         report = stabilization_report(run)
@@ -726,9 +741,9 @@ class TestRunAnalysisOracles:
         # P and Q use the same face and edge ids; the stable pair t1|t2 of
         # level 1 has one preimage in each, so the step fails the pullback
         x = strip2()
-        tau = TauMap(
-            triangle={("P", "t1"): ("X", "t1"), ("P", "t2"): None, ("Q", "t1"): None, ("Q", "t2"): ("X", "t2")},
-            edge={(("P", "t1"), e): e for e in x.faces["t1"]} | {(("Q", "t2"), e): e for e in x.faces["t2"]},
+        tau = TauFragment(
+            triangle_map={("P", "t1"): ("X", "t1"), ("P", "t2"): None, ("Q", "t1"): None, ("Q", "t2"): ("X", "t2")},
+            edge_map={(("P", "t1"), e): e for e in x.faces["t1"]} | {(("Q", "t2"), e): e for e in x.faces["t2"]},
         )
         run = RunView(
             levels=[LevelData(complexes={"P": x, "Q": x}), LevelData(complexes={"X": x})], taus=[tau], groups=GroupTable()
@@ -742,7 +757,7 @@ class TestRunAnalysisOracles:
         # t1 and t2 go to equally named triangles of two different complexes
         x = strip2()
         tau = tau_from_fragment("X", "P", TauFragment.identity(x))
-        tau.triangle[("X", "t2")] = ("Q", "t2")
+        tau.triangle_map[("X", "t2")] = ("Q", "t2")
         run = RunView(
             levels=[LevelData(complexes={"X": x}), LevelData(complexes={"P": x, "Q": x})],
             taus=[tau],
@@ -754,7 +769,7 @@ class TestRunAnalysisOracles:
     def test_side_image_off_the_image_triangle_is_an_engine_error(self):
         x = strip2()
         tau = tau_from_fragment("X", "X", TauFragment.identity(x))
-        tau.edge[(("X", "t1"), "ab")] = "cd"  # cd is a side of t2, not of t1
+        tau.edge_map[(("X", "t1"), "ab")] = "cd"  # cd is a side of t2, not of t1
         run = RunView(levels=[LevelData(complexes={"X": x})] * 2, taus=[tau], groups=GroupTable())
         with pytest.raises(EngineError, match="not a side"):
             stable_pair_sets(run, 0)
@@ -795,9 +810,13 @@ class TestRunAnalysisWork:
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         return calls
 
-    def test_pipeline_computes_each_level_once(self, worked64, calls):
+    def test_pipeline_computes_each_level_once(self, worked64, calls, monkeypatch):
+        covolumes = []
+        level_covolume = stability.LevelData.covolume
+        monkeypatch.setattr(stability.LevelData, "covolume", lambda self: covolumes.append(self) or level_covolume(self))
         rep = run_pipeline(parse_fixtures([worked64]), "worked")
         assert rep.horizon == self.H and rep.certificate_level == 1
+        assert covolumes == rep.run.levels  # the ledger, once per level
         assert calls["compose"] == [] and calls["stable_pairs"] == []
         assert calls["equivalence_classes"] == list(range(rep.n_delta, self.H + 1))
         assert calls["_sigma"] == list(range(rep.n_delta, self.H))

@@ -331,7 +331,7 @@ class TestIdentityCollapse:
             return sorted(x.vertices), list(x.edges.items()), list(x.faces.items()), x.stab, x.orbit, x.boundary_marked, plus
 
         received = [(v, [(tid, gid, cells(x)) for tid, (gid, x) in got.items()]) for v, got in result.terminals.items()]
-        tau = [(nid, [(fid, img[:3], list(img[3].items())) for fid, img in faces.items()]) for nid, faces in result.tau.items()]
+        tau = [(nid, list(frag.triangle_map.items()), list(frag.edge_map.items())) for nid, frag in result.tau.items()]
         return received, list(result.ledger.items()), tau
 
     def assert_matches_oracle(self, terminals, groups, ideal_points=None):
@@ -393,8 +393,8 @@ class TestIdentityCollapse:
         assert list(xt.faces.items()) == [("t1", ("ab", "bc", "ac")), ("t2", ("bc", "cd", "bd"))]
         assert self.assert_matches_oracle({"r": ("1", xt)}, groups).terminals["p"]["p.root"][1] is xt
         rebuilt = []
-        full = tracks.reduce_collapsed
-        monkeypatch.setattr(tracks, "reduce_collapsed", lambda *a: rebuilt.append(a[0]) or full(*a))
+        full = tracks.finish_collapse
+        monkeypatch.setattr(tracks, "finish_collapse", lambda *a: rebuilt.append(a[1]) or full(*a))
         for y in (x, xt):
             passdown_full({"r": ("1", y)}, self.point_level(groups.copy()))
         assert len(rebuilt) == 1 and rebuilt[0].faces.keys() == x.faces.keys()
@@ -406,7 +406,7 @@ class TestIdentityCollapse:
         triangle = make_complex(
             ["a", "b", "c"], {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")}, {"f": ("ab", "bc", "ac")}
         )
-        x = reduce_complex(triangle)
+        x = reduce_complex(triangle, GroupTable())
         result = self.assert_matches_oracle({"r": ("1", x)}, GroupTable(), ideal_points={"q": ("p",)})
         assert result.terminals["p"]["p.root"][1] is x
         # with vertex a's label fixing the ideal point and no track to cut
@@ -456,12 +456,12 @@ def test_worked_run_rebuilds_only_levels_with_tracks(tmp_path, monkeypatch):
     collapses = Counter()
     split = hierarchy.split_collapse
 
-    def counted_split(x, res, ts, groups=None):
+    def counted_split(x, res, ts, groups):
         collapses["with tracks" if ts.tracks else "without"] += 1
         return split(x, res, ts, groups)
 
     rebuilt = []
-    full = tracks.reduce_collapsed
+    full = tracks.finish_collapse
     resolves = Counter()
     owner = resolution.ActionTable._owner
 
@@ -471,7 +471,7 @@ def test_worked_run_rebuilds_only_levels_with_tracks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hierarchy, "build_resolution", lambda x, *a, **kw: resolved.append(x) or build(x, *a, **kw))
     monkeypatch.setattr(hierarchy, "split_collapse", counted_split)
-    monkeypatch.setattr(tracks, "reduce_collapsed", lambda *a: rebuilt.append(a) or full(*a))
+    monkeypatch.setattr(tracks, "finish_collapse", lambda *a: rebuilt.append(a) or full(*a))
     monkeypatch.setattr(resolution.ActionTable, "_owner", counted_owner)
     rep = run_pipeline(parse_fixtures([str(path)]), "worked")
     assert rep.horizon == 64 and rep.certificate_level == 1
@@ -495,10 +495,10 @@ def test_worked_run_resolves_each_complex_once_per_tree(tmp_path, monkeypatch):
     resolved, drawn, tree_levels = Counter(), Counter(), Counter()
     build, draw, make = hierarchy.build_resolution, hierarchy.tracks_from_resolution, pipeline.make_tree_level
 
-    def counted_build(x, t, actions, no_dinfty=True):
+    def counted_build(x, t, actions):
         held.append((x, t))
         resolved[(id(x), id(t))] += 1
-        return build(x, t, actions, no_dinfty=no_dinfty)
+        return build(x, t, actions)
 
     def counted_draw(res):
         held.append(res)
