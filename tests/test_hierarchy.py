@@ -414,7 +414,8 @@ class TestPassdownFull:
         assert covolumes(result) == {"o0": 1, "o1": 1}
         # provenance: t1 and t2 merged, map not bijective
         tau = result.tau["r"].triangle_map
-        assert tau["t1"] == tau["t2"]
+        assert tau["t1"] is not None and tau["t1"] == tau["t2"]
+        assert tau["t1"][0] == "o0" and tau["t3"][0] == "o1"
 
     def test_elliptic_terminals_degenerate_to_equality(self):
         groups = base_groups()
