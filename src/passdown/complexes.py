@@ -130,7 +130,8 @@ class Complex2:
     whose label part checks the ``stab_plus`` keys and one label per
     orbit, and ``first_cell_by_label``.  No code writes a cell dict after
     construction (``make_complex`` fills in only labels).  ``relabel``
-    changes only ``stab_plus`` and shares the rest, cell data included.
+    changes only ``stab_plus`` and shares the rest: the cell data, and of
+    ``is_reduced`` the part that reads ``stab`` and ``orbit``.
     """
 
     vertices: frozenset
@@ -147,9 +148,9 @@ class Complex2:
 
     def relabel(self, stab_plus):
         """This complex with the oriented labels ``stab_plus``.  Every other
-        field is the same object, and the copy shares the cell data and
-        ``first_cell_by_label``, so nothing the cells or ``stab`` determine
-        is derived again."""
+        field is the same object, and the copy shares the cell data,
+        ``first_cell_by_label`` and ``cell_labels_reduced``, so nothing the
+        cells, ``stab`` or ``orbit`` determine is derived again."""
         out = Complex2(
             vertices=self.vertices,
             edges=self.edges,
@@ -159,7 +160,11 @@ class Complex2:
             boundary_marked=self.boundary_marked,
             stab_plus=stab_plus,
         )
-        out.__dict__.update(cell_data=self.cell_data, first_cell_by_label=self.first_cell_by_label)
+        out.__dict__.update(
+            cell_data=self.cell_data,
+            first_cell_by_label=self.first_cell_by_label,
+            cell_labels_reduced=self.cell_labels_reduced,
+        )
         return out
 
     def face_vertices(self, fid):
@@ -202,14 +207,16 @@ class Complex2:
         ends and sides; kept in the cell data), and the labels give one
         label per orbit, an oriented label on every edge and labels on the
         cells only."""
-        if not self.cell_data.is_canonical:
-            return False
+        return self.cell_data.is_canonical and self.stab_plus.keys() == self.edges.keys() and self.cell_labels_reduced
+
+    @cached_property
+    def cell_labels_reduced(self):
+        """The part of ``is_reduced`` that reads ``stab`` and ``orbit``:
+        labels and orbits on the cells only, one label per orbit."""
         cells = self.cells()
         label = {}
-        return (
-            self.stab_plus.keys() == self.edges.keys()
-            and self.stab.keys() == self.orbit.keys() == set(cells)
-            and all(label.setdefault(self.orbit[c], self.stab[c]) == self.stab[c] for c in cells)
+        return self.stab.keys() == self.orbit.keys() == set(cells) and all(
+            label.setdefault(self.orbit[c], self.stab[c]) == self.stab[c] for c in cells
         )
 
     @cached_property

@@ -472,8 +472,15 @@ def _parse_restrict(fx, words, ln):
         raise FixtureError(f"unknown group id {gid!r}", line=ln)
     if gog_name not in fx.gogs:
         raise FixtureError(f"unknown gog {gog_name!r}", line=ln)
+    gog = fx.gogs[gog_name]
+
+    def vertex_of(g, vid):
+        if vid not in g.vertices:
+            raise FixtureError(f"{vid!r} is no vertex of gog {g.name!r}", line=ln)
+        return vid
+
     if kind == "elliptic":
-        fx.restrictions.declare(gid, gog_name, Restriction(kind="elliptic", child=words[4]))
+        fx.restrictions.declare(gid, gog_name, Restriction(kind="elliptic", child=vertex_of(gog, words[4])))
     elif kind == "split":
         sub = fx.gogs.get(words[4])
         if sub is None:
@@ -482,7 +489,8 @@ def _parse_restrict(fx, words, ln):
         if len(words) > 5:
             for part in words[5].split(","):
                 sv, origin = part.split(":")
-                origins[sv] = origin
+                sv = vertex_of(sub, sv)
+                origins[sv] = vertex_of(gog, origin)
         fx.restrictions.declare(
             gid, gog_name, Restriction(kind="split", sub=sub, origins=origins)
         )

@@ -158,3 +158,43 @@ def cut_vertices(blks):
         cuts |= seen & verts
         seen |= verts
     return cuts
+
+
+def strong_components(succ):
+    """Strongly connected components of the directed graph whose node ->
+    successors map is ``succ`` (every successor is a key), by one
+    iterative Tarjan (1972) pass.  Returns node -> the index of its
+    component's root; two nodes share a component exactly when they
+    reach each other."""
+    index, low, comp = {}, {}, {}
+    stack, on_stack = [], set()
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    w = None
+                    while w != v:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp[w] = index[v]
+    return comp

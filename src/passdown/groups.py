@@ -9,6 +9,7 @@ inside, and a GroupTable closes that relation transitively.
 
 from dataclasses import dataclass
 
+from . import graphs
 from .errors import ConsistencyError, FixtureError
 
 TRIVIAL = "1"
@@ -148,9 +149,13 @@ class GroupTable:
                         f"group {gid!r} is declared inside {sup!r} (elliptic on every level) "
                         "but not flagged so itself"
                     )
+        # b above a is declared equal to a when b also lies below a: when
+        # both share a strongly connected component of the declared order,
+        # or b is the trivial group, which lies below everything
+        comp = graphs.strong_components(self._up)
         for a in self._refs:
             for b in self._parents(a):
-                if self.leq(b, a):
+                if b == TRIVIAL or comp[b] == comp[a]:
                     ra, rb = self._refs[a], self._refs[b]
                     if (ra.is_slender, ra.is_h_elliptic, ra.is_finite) != (
                         rb.is_slender,

@@ -431,12 +431,20 @@ def _distribute(gog: GraphOfGroups, claims, pieces, groups: GroupTable):
 class TreeLevel:
     """One splitting step of the ambient hierarchy: the tree acted on,
     with its quotient view and the action annotations of the group
-    labels."""
+    labels.
+
+    A run keeps one per tree, and with it what passdowns over the tree
+    find out about unchanged complexes: the complexes that passed the
+    terminal check, by key (see ``_signature``), and per terminal
+    signature, the distribution, ledger and fragments of an identity
+    step."""
 
     name: str
     tree: TreeHat
     actions: ActionTable
     gog: GraphOfGroups
+    checked: dict = field(default_factory=dict, repr=False)  # complex key -> its stab dict
+    identity_steps: dict = field(default_factory=dict, repr=False)  # terminal signature -> _IdentityStep
 
 
 def make_tree_level(name, tree, actions) -> TreeLevel:
@@ -477,6 +485,22 @@ def _covolume_sum(pieces):
     return sum(covolume(x) for _gid, x in pieces.values())
 
 
+def _signature(terminals, tl: TreeLevel):
+    """The terminal signature: (terminal id, group, complex key) per
+    terminal, in terminal order, where a complex's key is its cell data,
+    its ``stab`` dict and the group-table version, all that the terminal
+    check reads.  A complex whose key is new over ``tl`` takes the check."""
+    groups = tl.actions.groups
+    out = []
+    for nid, (gid, x) in terminals.items():
+        key = (x.cell_data, id(x.stab), groups.version)
+        if key not in tl.checked:
+            _check_terminal_complex(nid, x, groups)
+            tl.checked[key] = x.stab  # held, so that its id stays its own
+        out.append((nid, gid, key))
+    return tuple(out)
+
+
 def _is_identity_step(terminals, tl: TreeLevel):
     """Is the level over ``tl`` the identity on ``terminals``?
 
@@ -498,21 +522,36 @@ def _is_identity_step(terminals, tl: TreeLevel):
     )
 
 
-def _identity_step(terminals, tl: TreeLevel) -> PassdownResult:
-    """The passdown of an identity step: the one vertex orbit receives
-    every terminal as it is, every stage keeps the covolume and tau is
-    the identity on faces and sides."""
-    (orbit,) = tl.gog.vertices
-    out, home = _distribute(tl.gog, dict.fromkeys(terminals, orbit), terminals, tl.actions.groups)
-    ledger = dict.fromkeys(("input", "contracted", "cutpoint-split", "collapsed", "output"), _covolume_sum(terminals))
-    tau = {
-        nid: TauFragment(
-            triangle_map={fid: home[nid] + (fid,) for fid in x.faces},
-            edge_map={(fid, eid): eid for fid in x.faces for eid in x.faces[fid]},
+@dataclass
+class _IdentityStep:
+    """What an identity step hands on, but for the complexes themselves:
+    the distribution, the constant ledger and the identity fragments."""
+
+    orbit: str  # the one vertex orbit
+    names: tuple  # (input terminal id, terminal id it is handed on as), in distribution order
+    ledger: dict
+    tau: dict  # input terminal id -> identity TauFragment
+
+    @staticmethod
+    def of(terminals, tl: TreeLevel) -> "_IdentityStep":
+        (orbit,) = tl.gog.vertices
+        _out, home = _distribute(tl.gog, dict.fromkeys(terminals, orbit), terminals, tl.actions.groups)
+        return _IdentityStep(
+            orbit=orbit,
+            names=tuple((nid, home[nid][1]) for nid in sorted(terminals)),
+            ledger=dict.fromkeys(("input", "contracted", "cutpoint-split", "collapsed", "output"), _covolume_sum(terminals)),
+            tau={nid: TauFragment(home=home[nid]) for nid in terminals},
         )
-        for nid, (_gid, x) in terminals.items()
-    }
-    return PassdownResult(terminals=out, ledger=ledger, tau=tau)
+
+    def result(self, terminals) -> PassdownResult:
+        """The one vertex orbit receives every terminal as it is, every
+        stage keeps the covolume and tau is the identity on faces and
+        sides."""
+        return PassdownResult(
+            terminals={self.orbit: {tid: terminals[nid] for nid, tid in self.names}},
+            ledger=dict(self.ledger),
+            tau=dict(self.tau),
+        )
 
 
 def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
@@ -529,10 +568,14 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
     step hands its complexes on as they are.
     """
     groups = tl.actions.groups
-    for nid, (_gid, x) in terminals.items():
-        _check_terminal_complex(nid, x, groups)
-    if _is_identity_step(terminals, tl):
-        return _identity_step(terminals, tl)
+    # an identity step depends on the signature, but for the stab_plus
+    # part of is_reduced, so it is kept per signature
+    signature = _signature(terminals, tl)
+    step = tl.identity_steps.get(signature)
+    if step is None and _is_identity_step(terminals, tl):
+        step = tl.identity_steps[signature] = _IdentityStep.of(terminals, tl)
+    if step is not None and all(x.is_reduced for _gid, x in terminals.values()):
+        return step.result(terminals)
     pieces = dict(terminals)  # terminal id -> (group, complex), stage by stage
     origin = {nid: nid for nid in terminals}  # terminal id -> input terminal it descends from
     ledger = {"input": _covolume_sum(pieces)}
@@ -572,7 +615,7 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
     # stage three: collapse essential tracks, then split at cutpoints again;
     # the collapse fragments merge per input terminal (face ids stay disjoint)
     claims = {}
-    merged = defaultdict(lambda: TauFragment(triangle_map={}, edge_map={}))
+    merged = defaultdict(TauFragment)
     for nid, (gid, x) in sorted(pieces.items()):
         res = resolutions[nid]
         for cut in cutpoints(x):

@@ -127,7 +127,6 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
     groups = fx.groups.copy()  # the run mints into its own table; fx stays as parsed
     tree_levels = {}  # tree name -> its TreeLevel over the run's groups, one per run
     children_of = _children_index(script)
-    diagnostics = []
 
     # (instance id, script node id, {terminal id: (group, complex)})
     active = [(script.root_node, script.root_node, fx.structures[script.root_structure].terminals())]
@@ -141,7 +140,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
         levels.append(LevelData(complexes=level_complexes))
         if n == config.horizon:
             break
-        tau = TauFragment(triangle_map={}, edge_map={})  # keyed (complex id, face id)
+        tau = TauFragment()  # keyed (complex id, face id)
         next_active = []
         for inst, nid, terminals in active:
             node = _effective(script, nid)
@@ -182,16 +181,23 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                 child_inst[orbit] = inst_id
                 next_active.append((inst_id, cnid, received))
             for tid, frag in result.tau.items():
-                tau.update(frag.keyed(f"{inst}/{tid}", lambda img: (f"{child_inst[img[0]]}/{img[1]}", img[2])))
+                tau.update(frag.keyed(f"{inst}/{tid}", lambda orbit, home: f"{child_inst[orbit]}/{home}"))
         taus.append(tau)
         active = next_active
 
-    run = RunView(levels=levels, taus=taus, groups=groups)
+    return analyze_run(name, RunView(levels=levels, taus=taus, groups=groups))
+
+
+def analyze_run(name: str, run: RunView) -> RunReport:
+    """The report of pipeline ``name`` on a finished run: the stability
+    analysis, then the certificate loop from N'' up."""
+    groups = run.groups
+    diagnostics = []
     report = stabilization_report(run)
 
     certificates = []
     certificate_level = None
-    for n in range(report.n_dprime, config.horizon + 1):  # N_delta <= N' <= N''
+    for n in range(report.n_dprime, run.horizon + 1):  # N_delta <= N' <= N''
         per_complex = defaultdict(list)
         for cls in report.classes[n]:
             per_complex[cls.cid].append(cls)
@@ -222,7 +228,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
 
     return RunReport(
         pipeline=name,
-        horizon=config.horizon,
+        horizon=run.horizon,
         ledger=report.ledger,
         n_delta=report.n_delta,
         n_prime=report.n_prime,

@@ -6,6 +6,11 @@ and the vertex fate.  Each collapse and reduction step yields one;
 ``passdown_full`` hands on one per input terminal, with every image face
 located as (vertex orbit, terminal id, face id); the run analysis reads
 them keyed (complex id, face id).  Fragments compose associatively.
+
+A step that keeps a complex as it is needs no per-face maps: an identity
+fragment sends every face f to ``home + (f,)`` and fixes every side, and
+keyed it becomes a renaming of one complex id to another.  Readers look
+images up through ``image`` and ``side_image``, which see both kinds.
 """
 
 from dataclasses import dataclass, field
@@ -16,10 +21,28 @@ from .errors import EngineError
 
 @dataclass
 class TauFragment:
-    triangle_map: dict  # source face -> image face or None
-    edge_map: dict  # (source face, source edge) -> image edge
+    triangle_map: dict = field(default_factory=dict)  # source face -> image face or None
+    edge_map: dict = field(default_factory=dict)  # (source face, source edge) -> image edge
     vertex_map: dict = field(default_factory=dict)  # source vertex -> image vertex or None
     track_point: dict = field(default_factory=dict)  # track id -> new vertex
+    home: tuple = None  # identity fragment: face f -> home + (f,), every side fixed
+    renamed: dict = field(default_factory=dict)  # keyed: source complex id -> image complex id, faces and sides fixed
+
+    def image(self, key):
+        """The image face of source face ``key``, or None."""
+        if self.home is not None:
+            return self.home + (key,)
+        if self.renamed:
+            to = self.renamed.get(key[0])
+            if to is not None:
+                return to, key[1]
+        return self.triangle_map.get(key)
+
+    def side_image(self, key, eid):
+        """The image of side ``eid`` of source face ``key``, or None."""
+        if self.home is not None or (self.renamed and key[0] in self.renamed):
+            return eid
+        return self.edge_map.get((key, eid))
 
     @staticmethod
     def identity(x):
@@ -30,7 +53,9 @@ class TauFragment:
         )
 
     def compose(self, nxt: "TauFragment") -> "TauFragment":
-        """self followed by nxt."""
+        """self followed by nxt, both with per-face maps."""
+        if self.home is not None or self.renamed or nxt.home is not None or nxt.renamed:
+            raise EngineError("only fragments with per-face maps compose")
         tri = {}
         edges = {}
         for t, img in self.triangle_map.items():
@@ -46,20 +71,27 @@ class TauFragment:
             verts[v] = None if img is None else nxt.vertex_map.get(img)
         return TauFragment(triangle_map=tri, edge_map=edges, vertex_map=verts)
 
-    def keyed(self, cid, image_key) -> "TauFragment":
-        """The triangle and side maps with triangles keyed (complex id,
-        face id): the sources lie in complex ``cid``, and ``image_key``
-        gives the key of each image."""
+    def keyed(self, cid, locate) -> "TauFragment":
+        """This fragment of a passdown with triangles keyed (complex id,
+        face id): the sources lie in complex ``cid``, and ``locate(vertex
+        orbit, terminal id)`` gives the complex id of each located image.
+        An identity fragment becomes the renaming of ``cid``."""
+        if self.home is not None:
+            return TauFragment(renamed={cid: locate(*self.home)})
         return TauFragment(
-            triangle_map={(cid, f): None if img is None else image_key(img) for f, img in self.triangle_map.items()},
+            triangle_map={
+                (cid, f): None if img is None else (locate(img[0], img[1]), img[2])
+                for f, img in self.triangle_map.items()
+            },
             edge_map={((cid, f), e): fe for (f, e), fe in self.edge_map.items()},
         )
 
     def update(self, other: "TauFragment"):
-        """Take in the maps of a fragment on other sources."""
+        """Take in the maps and renamings of a fragment on other sources."""
         self.triangle_map.update(other.triangle_map)
         self.edge_map.update(other.edge_map)
         self.vertex_map.update(other.vertex_map)
+        self.renamed.update(other.renamed)
 
     def check_consistency(self, source, target):
         for t, img in self.triangle_map.items():

@@ -53,76 +53,17 @@ def detect_n_delta(ledger) -> int:
 
 
 # ---------------------------------------------------------------------------
-# pairs and stability
+# pairs, stability and classes
 
 
-@dataclass(frozen=True)
-class Pair:
-    cid: str
-    t1: str
-    t2: str
-    edge: str
-
-
-@dataclass
-class PairSet:
-    level: int
-    horizon: int
-    pairs: frozenset
-
-
-def pairs_of_complex(x: Complex2, cid):
+def pairs_of_complex(x: Complex2):
+    """The pairs of ``x``: (t1, t2, edge) for triangles t1 < t2 sharing
+    the edge."""
     out = []
     for eid, fids in x.triangles_by_edge.items():
         for i, a in enumerate(fids):
             for b in fids[i + 1 :]:
-                out.append(Pair(cid=cid, t1=min(a, b), t2=max(a, b), edge=eid))
-    return out
-
-
-def pairs_at(run: RunView, n: int):
-    out = []
-    for cid in sorted(run.levels[n].complexes):
-        out.extend(pairs_of_complex(run.levels[n].complexes[cid], cid))
-    return out
-
-
-def _check_side_images(tau, target: LevelData, n: int):
-    """Every side image of tau_n must be a side of the image triangle."""
-    for (key, eid), img_eid in tau.edge_map.items():
-        img = tau.triangle_map.get(key)
-        if img is None:
-            continue
-        x = target.complexes.get(img[0])
-        if x is None or img_eid not in x.faces.get(img[1], ()):
-            raise EngineError(f"tau_{n} sends side {eid!r} of {key!r} to {img_eid!r}, not a side of {img!r}")
-
-
-def stable_pair_sets(run: RunView, start: int) -> dict:
-    """The stable-pair sets of levels start..horizon, in one sweep down
-    from the horizon, where every pair is stable.  Below it a pair is
-    stable exactly when tau_n sends both triangles to distinct triangles
-    of one complex and both sides to one edge, and that image pair is
-    stable at n+1; this is exact because every side image is a side of
-    the image triangle, which is checked here."""
-    horizon = run.horizon
-    out = {horizon: PairSet(level=horizon, horizon=horizon, pairs=frozenset(pairs_at(run, horizon)))}
-    for n in range(horizon - 1, start - 1, -1):
-        tau = run.taus[n]
-        _check_side_images(tau, run.levels[n + 1], n)
-        tri, edge = tau.triangle_map, tau.edge_map
-        above = out[n + 1].pairs
-        stable = []
-        for pair in pairs_at(run, n):
-            k1, k2 = (pair.cid, pair.t1), (pair.cid, pair.t2)
-            i1, i2 = tri.get(k1), tri.get(k2)
-            if i1 is None or i2 is None or i1 == i2 or i1[0] != i2[0]:
-                continue
-            e = edge.get((k1, pair.edge))
-            if e is not None and e == edge.get((k2, pair.edge)):
-                if Pair(cid=i1[0], t1=min(i1[1], i2[1]), t2=max(i1[1], i2[1]), edge=e) in above:
-                    stable.append(pair)
-        out[n] = PairSet(level=n, horizon=horizon, pairs=frozenset(stable))
+                out.append((min(a, b), max(a, b), eid))
     return out
 
 
@@ -131,6 +72,21 @@ class TriangleClass:
     id: str
     cid: str
     triangles: frozenset
+
+
+@dataclass(frozen=True)
+class ComplexClasses:
+    """The stable pairs of one complex at one level, as (t1, t2, edge),
+    and the classes they generate: triangle sets by least face, with each
+    class's orbit signature and count of edge orbits, and the position of
+    the first class whose subcomplex has a cutpoint (None when none has).
+    A complex that the next step renames shares its image's record."""
+
+    pairs: frozenset
+    classes: tuple
+    signatures: tuple
+    edge_orbits: tuple
+    cut: int = None
 
 
 def class_cutpoints(x: Complex2, triangles):
@@ -148,29 +104,87 @@ def class_cutpoints(x: Complex2, triangles):
     return kept[triangles]
 
 
-def equivalence_classes(run: RunView, n: int, ps: PairSet):
-    """Classes of the relation generated by the stable pairs ``ps`` of
-    level n, one per triangle at least; each class induces a connected,
-    cutpoint-free subcomplex."""
-    triangles = run.levels[n].triangles()
-    uf = graphs.UnionFind(triangles)
-    for pair in ps.pairs:
-        uf.union((pair.cid, pair.t1), (pair.cid, pair.t2))
-    out = []
-    for i, keys in enumerate(uf.classes(triangles).values()):
-        cids = {cid for cid, _ in keys}
-        if len(cids) != 1:
-            raise EngineError("an equivalence class straddles complexes")
-        cid = cids.pop()
-        cls = TriangleClass(id=f"Y{n}.{i}", cid=cid, triangles=frozenset(f for _, f in keys))
-        if class_cutpoints(run.levels[n].complexes[cid], cls.triangles):
-            raise EngineError(f"class {cls.id!r} subcomplex has a cutpoint")
-        out.append(cls)
+def classes_of_complex(x: Complex2, pairs) -> ComplexClasses:
+    """The classes of the relation that the stable pairs ``pairs`` of
+    ``x`` generate, one per triangle at least, each checked to span a
+    cutpoint-free subcomplex up to the first that does not."""
+    uf = graphs.UnionFind(x.triangles())
+    for t1, t2, _eid in pairs:
+        uf.union(t1, t2)
+    classes = tuple(map(frozenset, uf.classes().values()))
+    cut = next((i for i, tris in enumerate(classes) if class_cutpoints(x, tris)), None)
+    return ComplexClasses(
+        pairs=frozenset(pairs),
+        classes=classes,
+        signatures=tuple(tuple(sorted(x.orbit[f] for f in tris)) for tris in classes),
+        edge_orbits=tuple(len({x.orbit[e] for f in tris for e in x.faces[f]}) for tris in classes),
+        cut=cut,
+    )
+
+
+def _check_side_images(tau, source: LevelData, target: LevelData, n: int):
+    """Every side image of tau_n must be a side of the image triangle, and
+    a renamed complex must share its cells and orbits with its image."""
+    for cid, to in tau.renamed.items():
+        x, y = source.complexes.get(cid), target.complexes.get(to)
+        if x is None or y is None or y.cell_data is not x.cell_data or y.orbit is not x.orbit:
+            raise EngineError(f"tau_{n} renames {cid!r} to {to!r}, which does not share its cells")
+    for (key, eid), img_eid in tau.edge_map.items():
+        img = tau.triangle_map.get(key)
+        if img is None:
+            continue
+        x = target.complexes.get(img[0])
+        if x is None or img_eid not in x.faces.get(img[1], ()):
+            raise EngineError(f"tau_{n} sends side {eid!r} of {key!r} to {img_eid!r}, not a side of {img!r}")
+
+
+def stable_classes(run: RunView, start: int) -> dict:
+    """The stable pairs and classes of levels start..horizon, per complex
+    ({level: {complex id: ComplexClasses}}), in one sweep down from the
+    horizon, where every pair is stable.  Below it a pair is stable
+    exactly when tau_n sends both triangles to distinct triangles of one
+    complex and both sides to one edge, and that image pair is stable at
+    n+1; this is exact because every side image is a side of the image
+    triangle, which is checked here.  A complex that tau_n renames has the
+    pairs, and so the classes, of its image, whose cells it shares."""
+    horizon = run.horizon
+    out = {horizon: {cid: classes_of_complex(x, pairs_of_complex(x)) for cid, x in run.levels[horizon].complexes.items()}}
+    for n in range(horizon - 1, start - 1, -1):
+        tau = run.taus[n]
+        _check_side_images(tau, run.levels[n], run.levels[n + 1], n)
+        above, level = out[n + 1], {}
+        for cid, x in run.levels[n].complexes.items():
+            to = tau.renamed.get(cid)
+            if to is not None:
+                level[cid] = above[to]
+                continue
+            stable = []
+            for t1, t2, eid in pairs_of_complex(x):
+                k1, k2 = (cid, t1), (cid, t2)
+                i1, i2 = tau.image(k1), tau.image(k2)
+                if i1 is None or i2 is None or i1 == i2 or i1[0] != i2[0]:
+                    continue
+                e = tau.side_image(k1, eid)
+                if e is not None and e == tau.side_image(k2, eid):
+                    if (min(i1[1], i2[1]), max(i1[1], i2[1]), e) in above[i1[0]].pairs:
+                        stable.append((t1, t2, eid))
+            level[cid] = classes_of_complex(x, stable)
+        out[n] = level
     return out
 
 
-def class_orbit_signature(cls: TriangleClass, x: Complex2):
-    return tuple(sorted(x.orbit[f] for f in cls.triangles))
+def level_classes(n: int, records) -> list:
+    """The classes of level n from the records of its complexes, numbered
+    ``Y{n}.{i}`` in (complex id, least face) order."""
+    out = []
+    for cid in sorted(records):
+        rec = records[cid]
+        for i, triangles in enumerate(rec.classes):
+            cls = TriangleClass(id=f"Y{n}.{len(out)}", cid=cid, triangles=triangles)
+            if i == rec.cut:
+                raise EngineError(f"class {cls.id!r} subcomplex has a cutpoint")
+            out.append(cls)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +348,17 @@ class StabilizationReport:
     classes: dict  # level -> equivalence classes, for levels N_delta..horizon
 
 
+def _renames_level(run, n):
+    """Is tau_n a bijective renaming of level n onto level n+1?  Then every
+    class goes to the class of the same triangles in the renamed complex,
+    with the same record, and every stable pair at n+1 has its renamed
+    preimage: sigma and the pullback hold without a walk."""
+    renamed = run.taus[n].renamed
+    return renamed.keys() == run.levels[n].complexes.keys() and sorted(renamed.values()) == sorted(
+        run.levels[n + 1].complexes
+    )
+
+
 def _sigma(run, n, classes_n, classes_n1):
     """Induced map on classes along tau_{n,n+1}; must be well defined."""
     tau = run.taus[n]
@@ -345,7 +370,7 @@ def _sigma(run, n, classes_n, classes_n1):
     for cls in classes_n:
         targets = set()
         for fid in cls.triangles:
-            img = tau.triangle_map.get((cls.cid, fid))
+            img = tau.image((cls.cid, fid))
             if img is not None:
                 targets.add(cls_of_n1.get(img))
         targets.discard(None)
@@ -355,28 +380,28 @@ def _sigma(run, n, classes_n, classes_n1):
     return sigma
 
 
-def _pulls_back(run, n, ps: PairSet):
-    """Each stable pair at n+1 has exactly one preimage triangle on each
-    side, in one complex, sharing a side that tau_n sends to the pair's
-    edge."""
-    tri, edge = run.taus[n].triangle_map, run.taus[n].edge_map
+def _pulls_back(run, n, above):
+    """Each stable pair at n+1 (``above``: complex id -> ComplexClasses)
+    has exactly one preimage triangle on each side, in one complex,
+    sharing a side that tau_n sends to the pair's edge."""
+    tau = run.taus[n]
     back = defaultdict(list)
     for key in run.levels[n].triangles():
-        img = tri.get(key)
+        img = tau.image(key)
         if img is not None:
             back[img].append(key)
-    for pair in ps.pairs:
-        p1 = back.get((pair.cid, pair.t1), [])
-        p2 = back.get((pair.cid, pair.t2), [])
-        if len(p1) != 1 or len(p2) != 1:
-            return False
-        (k1,), (k2,) = p1, p2
-        if k1[0] != k2[0]:
-            return False
-        x = run.levels[n].complexes[k1[0]]
-        shared = set(x.faces[k1[1]]) & set(x.faces[k2[1]])
-        if not any(edge.get((k1, e)) == pair.edge and edge.get((k2, e)) == pair.edge for e in shared):
-            return False
+    for cid, rec in above.items():
+        for t1, t2, eid in rec.pairs:
+            p1, p2 = back.get((cid, t1), []), back.get((cid, t2), [])
+            if len(p1) != 1 or len(p2) != 1:
+                return False
+            (k1,), (k2,) = p1, p2
+            if k1[0] != k2[0]:
+                return False
+            x = run.levels[n].complexes[k1[0]]
+            shared = set(x.faces[k1[1]]) & set(x.faces[k2[1]])
+            if not any(tau.side_image(k1, e) == eid and tau.side_image(k2, e) == eid for e in shared):
+                return False
     return True
 
 
@@ -391,38 +416,42 @@ def _first_stable(start, passes):
 
 def stabilization_report(run: RunView) -> StabilizationReport:
     """Horizon-relative N-delta / N' / N'' detection plus the ascending
-    chain monitor on oriented-edge labels along class edges.  Pairs,
-    classes and the per-step tests are computed once per level."""
+    chain monitor on oriented-edge labels along class edges.  Pairs and
+    classes are computed once per complex, and a step that renames the
+    whole level passes both per-step tests at once."""
     ledger = [lvl.covolume() for lvl in run.levels]
     n_delta = detect_n_delta(ledger)
     horizon = run.horizon
     levels = range(n_delta, horizon + 1)
 
-    pair_sets = stable_pair_sets(run, n_delta)
-    classes = {n: equivalence_classes(run, n, pair_sets[n]) for n in levels}
+    records = stable_classes(run, n_delta)
+    classes = {n: level_classes(n, records[n]) for n in levels}
 
     # Claim-1 and Claim-2 bookkeeping plus sigma bijectivity
-    counts, edge_orbits = {}, {}
-    for n in levels:
-        x = run.levels[n].complexes
-        counts[n] = len({class_orbit_signature(cls, x[cls.cid]) for cls in classes[n]})
-        edge_orbits[n] = {
-            cls.id: len({x[cls.cid].orbit[e] for f in cls.triangles for e in x[cls.cid].faces[f]})
-            for cls in classes[n]
-        }
+    renames = {n: _renames_level(run, n) for n in range(n_delta, horizon)}
+
+    def class_data(n):
+        """The count of class orbit signatures at level n, and each
+        class's count of edge orbits."""
+        recs = [records[n][cid] for cid in sorted(records[n])]
+        signatures = {sig for rec in recs for sig in rec.signatures}
+        return len(signatures), dict(zip((cls.id for cls in classes[n]), (k for rec in recs for k in rec.edge_orbits)))
 
     def class_step(n):
+        if renames[n]:
+            return True
         sigma = _sigma(run, n, classes[n], classes[n + 1])
         values = [v for v in sigma.values() if v is not None]
         if not len(classes[n]) == len(values) == len(set(values)) == len(classes[n + 1]):
             return False  # sigma is not total, injective and onto
-        if counts[n] != counts[n + 1]:
-            return False
-        return all(edge_orbits[n][cid] == edge_orbits[n + 1][img] for cid, img in sigma.items())
+        (count, orbits), (count1, orbits1) = class_data(n), class_data(n + 1)
+        return count == count1 and all(orbits[cid] == orbits1[img] for cid, img in sigma.items())
 
     n_prime = _first_stable(n_delta, [class_step(n) for n in range(n_delta, horizon)])
     # Claim-3 style pullback: stable pairs pull back to pairs
-    n_dprime = _first_stable(n_prime, [_pulls_back(run, n, pair_sets[n + 1]) for n in range(n_prime, horizon)])
+    n_dprime = _first_stable(
+        n_prime, [renames[n] or _pulls_back(run, n, records[n + 1]) for n in range(n_prime, horizon)]
+    )
 
     alerts = acc_monitor(run, n_delta, classes)
     return StabilizationReport(
@@ -460,8 +489,8 @@ def acc_monitor(run: RunView, start: int, classes):
                     m = n
                     while m < horizon:
                         tau = run.taus[m]
-                        img = tau.triangle_map.get(cur_key)
-                        img_eid = tau.edge_map.get((cur_key, cur_eid))
+                        img = tau.image(cur_key)
+                        img_eid = tau.side_image(cur_key, cur_eid)
                         if img is None or img_eid is None:
                             break
                         m += 1

@@ -322,12 +322,136 @@ def descends_to_pair(pair, tri, edge):
 def stable_pairs(run, n):
     """Pairs at level n that stay pairs under every computed map up to the
     horizon, by composing tau from n to each later level: the definition
-    that ``stability.stable_pair_sets`` computes in one sweep."""
-    from passdown.stability import PairSet, pairs_at
-
+    that ``stable_pair_sets`` and ``stability.stable_classes`` compute in
+    one sweep."""
     composed = [compose(run, n, m) for m in range(n + 1, run.horizon + 1)]
     stable = [pair for pair in pairs_at(run, n) if all(descends_to_pair(pair, *c) for c in composed)]
     return PairSet(level=n, horizon=run.horizon, pairs=frozenset(stable))
+
+
+# ---------------------------------------------------------------------------
+# the per-face run analysis: every triangle of every level walked, on runs
+# whose one-step maps are per-face (see ``expand_run``)
+
+
+@dataclass(frozen=True)
+class Pair:
+    cid: str
+    t1: str
+    t2: str
+    edge: str
+
+
+@dataclass
+class PairSet:
+    level: int
+    horizon: int
+    pairs: frozenset
+
+
+def pairs_at(run, n):
+    """Every pair of level n, by complex id."""
+    from passdown.stability import pairs_of_complex
+
+    return [
+        Pair(cid, *pair)
+        for cid in sorted(run.levels[n].complexes)
+        for pair in pairs_of_complex(run.levels[n].complexes[cid])
+    ]
+
+
+def pair_set(records):
+    """The stable pairs of one level's ``stability.ComplexClasses``
+    records, as Pairs."""
+    return frozenset(Pair(cid, *pair) for cid, rec in records.items() for pair in rec.pairs)
+
+
+def stable_pair_sets(run, start):
+    """The stable-pair sets of levels start..horizon in one sweep down from
+    the horizon, per face: a pair at n is stable exactly when tau_n sends
+    both triangles to distinct triangles of one complex and both sides to
+    one edge, and that image pair is stable at n+1.  Raises EngineError on
+    a side image off its image triangle, where this would not be exact."""
+    from passdown.errors import EngineError
+
+    horizon = run.horizon
+    out = {horizon: PairSet(level=horizon, horizon=horizon, pairs=frozenset(pairs_at(run, horizon)))}
+    for n in range(horizon - 1, start - 1, -1):
+        tri, edge = run.taus[n].triangle_map, run.taus[n].edge_map
+        for (key, eid), img_eid in edge.items():
+            img = tri.get(key)
+            if img is not None and img_eid not in run.levels[n + 1].complexes[img[0]].faces.get(img[1], ()):
+                raise EngineError(f"tau_{n} sends side {eid!r} of {key!r} to {img_eid!r}, not a side of {img!r}")
+        above = out[n + 1].pairs
+        stable = []
+        for pair in pairs_at(run, n):
+            k1, k2 = (pair.cid, pair.t1), (pair.cid, pair.t2)
+            i1, i2 = tri.get(k1), tri.get(k2)
+            if i1 is None or i2 is None or i1 == i2 or i1[0] != i2[0]:
+                continue
+            e = edge.get((k1, pair.edge))
+            if e is not None and e == edge.get((k2, pair.edge)):
+                if Pair(cid=i1[0], t1=min(i1[1], i2[1]), t2=max(i1[1], i2[1]), edge=e) in above:
+                    stable.append(pair)
+        out[n] = PairSet(level=n, horizon=horizon, pairs=frozenset(stable))
+    return out
+
+
+def equivalence_classes(run, n, ps):
+    """Classes of the relation generated by the stable pairs ``ps`` of
+    level n, over the whole level, numbered in (complex id, least face)
+    order; each class induces a connected, cutpoint-free subcomplex."""
+    from passdown import graphs
+    from passdown.errors import EngineError
+    from passdown.stability import TriangleClass, class_cutpoints
+
+    triangles = run.levels[n].triangles()
+    uf = graphs.UnionFind(triangles)
+    for pair in ps.pairs:
+        uf.union((pair.cid, pair.t1), (pair.cid, pair.t2))
+    out = []
+    for i, keys in enumerate(uf.classes(triangles).values()):
+        cids = {cid for cid, _ in keys}
+        if len(cids) != 1:
+            raise EngineError("an equivalence class straddles complexes")
+        cid = cids.pop()
+        cls = TriangleClass(id=f"Y{n}.{i}", cid=cid, triangles=frozenset(f for _, f in keys))
+        if class_cutpoints(run.levels[n].complexes[cid], cls.triangles):
+            raise EngineError(f"class {cls.id!r} subcomplex has a cutpoint")
+        out.append(cls)
+    return out
+
+
+def expand_fragment(frag, x):
+    """A passdown fragment on the faces of ``x`` with per-face maps: an
+    identity fragment sends each face f to ``home + (f,)`` and each of its
+    sides to itself; any other fragment is returned as it is."""
+    from passdown.provenance import TauFragment
+
+    if frag.home is None:
+        return frag
+    return TauFragment(
+        triangle_map={f: frag.home + (f,) for f in x.faces},
+        edge_map={(f, e): e for f in x.faces for e in x.faces[f]},
+    )
+
+
+def expand_run(run):
+    """The run with every renaming of its one-step maps written out per
+    face: each face of a renamed complex goes to the same face of the
+    image complex, each side to itself."""
+    from passdown.provenance import TauFragment
+    from passdown.stability import RunView
+
+    taus = []
+    for n, tau in enumerate(run.taus):
+        tri, edge = dict(tau.triangle_map), dict(tau.edge_map)
+        for cid, to in tau.renamed.items():
+            x = run.levels[n].complexes[cid]
+            tri.update(((cid, f), (to, f)) for f in x.faces)
+            edge.update((((cid, f), e), e) for f in x.faces for e in x.faces[f])
+        taus.append(TauFragment(triangle_map=tri, edge_map=edge))
+    return RunView(levels=run.levels, taus=taus, groups=run.groups)
 
 
 def is_simplicial_oracle(x):
@@ -405,6 +529,21 @@ def leq_oracle(groups, extra, a, b):
                 seen.add(parent)
                 todo.append(parent)
     return found
+
+
+def declared_equal_oracle(groups):
+    """The declared-equal check of ``GroupTable.validate`` by its
+    definition: b declared above a is equal to a when ``leq(b, a)``; the
+    first such pair, in ref order and then parent-set order, whose flags
+    differ raises.  Quadratic on a chain."""
+    from passdown.errors import ConsistencyError
+
+    for a in groups._refs:
+        for b in groups._parents(a):
+            if groups.leq(b, a):
+                ra, rb = groups[a], groups[b]
+                if (ra.is_slender, ra.is_h_elliptic, ra.is_finite) != (rb.is_slender, rb.is_h_elliptic, rb.is_finite):
+                    raise ConsistencyError(f"declared-equal groups {a!r}, {b!r} disagree on flags")
 
 
 def identity_step_oracle(terminals, tl):

@@ -139,6 +139,9 @@ end
             ("restrict NOPE NOGOG elliptic v0", "line 11: unknown group id 'NOPE'"),
             ("restrict A NOGOG split H s0:v0", "line 11: unknown gog 'NOGOG'"),
             ("restrict A G split NOGOG s0:v0", "line 11: unknown gog 'NOGOG'"),
+            ("restrict B G elliptic NOPE", "line 11: 'NOPE' is no vertex of gog 'G'"),
+            ("restrict A G split H zz:qq", "line 11: 'zz' is no vertex of gog 'H'"),
+            ("restrict A G split H s0:qq", "line 11: 'qq' is no vertex of gog 'G'"),
         ],
     )
     def test_restrict_with_an_unknown_name_exit_code(self, line, message, tmp_path, capsys):

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from passdown.errors import FixtureError
+from passdown.errors import ConsistencyError, FixtureError
 from passdown.groups import TRIVIAL, GroupRef, GroupTable
 
-from oracles import leq_oracle
+from oracles import declared_equal_oracle, leq_oracle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -93,7 +93,7 @@ class TestDeclaredOrder:
 
 UNKNOWN_ABOVE = """
 from oracles import leq_oracle
-from passdown.errors import FixtureError
+from passdown.errors import ConsistencyError, FixtureError
 from passdown.groups import GroupRef, GroupTable
 
 table = GroupTable([
@@ -119,3 +119,76 @@ def test_an_unknown_id_above_raises_under_every_hash_seed(hashseed):
     proc = subprocess.run([sys.executable, "-c", UNKNOWN_ABOVE], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "FixtureError: unknown group id 'ghost'\n" * 2
+
+
+class TestValidate:
+    """``GroupTable.validate`` compares flags of declared-equal groups
+    through the strongly connected components of the declared order, with
+    ``oracles.declared_equal_oracle`` (one ``leq`` per containment) as the
+    definition."""
+
+    def test_a_long_chain_validates_without_a_walk(self, monkeypatch):
+        n = 2000
+        table = GroupTable(
+            GroupRef(f"g{i}", is_slender=True, declared_supergroups=frozenset({f"g{i + 1}"}) if i + 1 < n else frozenset())
+            for i in range(n)
+        )
+
+        def no_walk(self, a, b):
+            raise AssertionError(f"walked from {a!r} to {b!r}")
+
+        monkeypatch.setattr(GroupTable, "_walk_leq", no_walk)
+        table.validate()
+
+    def test_a_flag_mismatch_on_a_cycle_names_the_first_pair(self):
+        # A < B < C < A, all slender; only A is finite, a flag closure does
+        # not pass down, so only the declared-equal check catches it
+        table = GroupTable(
+            [
+                GroupRef("A", is_slender=True, is_finite=True, declared_supergroups=frozenset({"B"})),
+                GroupRef("B", is_slender=True, declared_supergroups=frozenset({"C"})),
+                GroupRef("C", is_slender=True, declared_supergroups=frozenset({"A"})),
+            ]
+        )
+        message = "declared-equal groups 'A', 'B' disagree on flags"
+        with pytest.raises(ConsistencyError, match=message):
+            declared_equal_oracle(table)
+        with pytest.raises(ConsistencyError, match=message):
+            table.validate()
+
+    def test_an_unknown_supergroup_raises_first(self):
+        table = GroupTable(
+            [
+                GroupRef("A", is_slender=True, is_finite=True, declared_supergroups=frozenset({"B"})),
+                GroupRef("B", is_slender=True, declared_supergroups=frozenset({"A"})),
+                GroupRef("C", declared_supergroups=frozenset({"ghost"})),
+            ]
+        )
+        with pytest.raises(FixtureError, match="group 'C': unknown supergroup 'ghost'"):
+            table.validate()
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_orders_match_the_definition(self, seed):
+        # every group slender and elliptic on every level, so the flag
+        # closure holds and only the finite flag can tell declared-equal
+        # groups apart; about half the tables are refused
+        rng = random.Random(seed)
+        ids = [f"g{i}" for i in range(rng.randint(2, 12))]
+        table = GroupTable(
+            GroupRef(
+                gid,
+                is_slender=True,
+                is_h_elliptic=True,
+                is_finite=rng.random() < 0.2,
+                declared_supergroups=frozenset(rng.sample(ids + [TRIVIAL], rng.randint(0, 2))),
+            )
+            for gid in ids
+        )
+        outcomes = []
+        for check in (declared_equal_oracle, GroupTable.validate):
+            try:
+                check(table)
+                outcomes.append(None)
+            except ConsistencyError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import itertools
 import os
@@ -9,12 +10,24 @@ import pytest
 import oracles
 from generators import random_edge_glued_complex, random_simplicial_complex
 from lemmas import area, boundary_edges, cone_pushforward, is_simple, simple_subcone
-from oracles import enumerate_simple_cones, n_dprime_oracle, n_prime_oracle, stable_pairs, subcomplex_of
+from oracles import (
+    Pair,
+    PairSet,
+    enumerate_simple_cones,
+    equivalence_classes,
+    expand_run,
+    n_dprime_oracle,
+    n_prime_oracle,
+    pair_set,
+    pairs_at,
+    stable_pairs,
+    subcomplex_of,
+)
 from bench_ops import workloads
-from passdown import graphs, stability
+from passdown import graphs, hierarchy, pipeline, stability
 from passdown.cli import main
-from passdown.fixtures import parse_fixtures
-from passdown.pipeline import run_pipeline
+from passdown.fixtures import parse_fixtures, parse_text
+from passdown.pipeline import analyze_run, run_pipeline
 
 from passdown.complexes import cutpoints, make_complex
 from passdown.errors import EngineError, FixtureError, HypothesisError
@@ -24,17 +37,15 @@ from passdown.resolution import resolution_from_images
 from passdown.stability import (
     LevelData,
     RunView,
-    Pair,
-    PairSet,
     TriangleClass,
     build_bw,
     class_cutpoints,
+    classes_of_complex,
     cone_criterion_check,
     detect_n_delta,
-    equivalence_classes,
+    level_classes,
     make_cone,
-    pairs_at,
-    stable_pair_sets,
+    stable_classes,
     stabilization_report,
 )
 from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolution
@@ -51,7 +62,12 @@ def line_tree(n=2, ideals=()):
 
 
 def tau_from_fragment(cid_src, cid_dst, frag):
-    return frag.keyed(cid_src, lambda img: (cid_dst, img))
+    """A fragment from complex ``cid_src`` to ``cid_dst`` keyed (complex
+    id, face id)."""
+    return TauFragment(
+        triangle_map={(cid_src, f): None if img is None else (cid_dst, img) for f, img in frag.triangle_map.items()},
+        edge_map={((cid_src, f), e): img for (f, e), img in frag.edge_map.items()},
+    )
 
 
 def identity_run(x, levels=3, groups=None):
@@ -98,6 +114,7 @@ class TestStablePairs:
         run = identity_run(x, levels=1)
         ps = stable_pairs(run, 0)
         assert len(ps.pairs) == len(pairs_at(run, 0)) == 1
+        assert pair_set(stable_classes(run, 0)[0]) == ps.pairs
 
     def test_identity_run_pairs_stay(self):
         run = identity_run(strip2(), levels=4)
@@ -120,7 +137,10 @@ class TestStablePairs:
         )
         ps = stable_pairs(run, 0)
         assert ps.pairs == frozenset()
-        classes = equivalence_classes(run, 0, ps)
+        records = stable_classes(run, 0)[0]
+        assert pair_set(records) == frozenset()
+        classes = level_classes(0, records)
+        assert classes == equivalence_classes(run, 0, ps)
         assert len(classes) == 2  # singletons
 
 
@@ -137,14 +157,16 @@ class TestClasses:
             faces[f"t{i}"] = (f"r{i}", f"s{i}", f"r{i+1}")
         x = make_complex(verts, edges, faces)
         run = identity_run(x, levels=2)
-        classes = equivalence_classes(run, 0, stable_pairs(run, 0))
+        classes = level_classes(0, stable_classes(run, 0)[0])
+        assert classes == equivalence_classes(run, 0, stable_pairs(run, 0))
         assert len(classes) == 1
         assert classes[0].triangles == frozenset({"t0", "t1", "t2", "t3"})
 
     def test_no_stable_pairs_gives_singletons(self):
         x = strip2()
         run = identity_run(x, levels=1)
-        classes = equivalence_classes(run, 0, ps=PairSet(0, 0, frozenset()))
+        classes = level_classes(0, {"X": classes_of_complex(x, [])})
+        assert classes == equivalence_classes(run, 0, ps=PairSet(0, 0, frozenset()))
         assert len(classes) == 2
 
 
@@ -599,18 +621,85 @@ def random_run(rng):
     return RunView(levels=levels, taus=taus, groups=GroupTable())
 
 
+def renamed_run(rng, run):
+    """The run with a copy of a random level n inserted after it, its
+    complexes under new ids, reached by a step that renames all of them
+    or, per complex, either renames it or maps it face by face; the old
+    tau_n follows from the copy."""
+    n = rng.randint(0, run.horizon)
+    complexes = run.levels[n].complexes
+    whole = rng.random() < 0.5
+    step = TauFragment()
+    for cid, x in complexes.items():
+        if whole or rng.random() < 0.5:
+            step.renamed[cid] = cid + "'"
+        else:
+            step.update(tau_from_fragment(cid, cid + "'", TauFragment.identity(x)))
+    copy = LevelData(complexes={cid + "'": x for cid, x in complexes.items()})
+    taus = run.taus[:n] + [step]
+    if n < run.horizon:
+        old = run.taus[n]
+        taus.append(
+            TauFragment(
+                triangle_map={(cid + "'", f): img for (cid, f), img in old.triangle_map.items()},
+                edge_map={((cid + "'", f), e): img for ((cid, f), e), img in old.edge_map.items()},
+            )
+        )
+        taus += run.taus[n + 1 :]
+    return RunView(levels=run.levels[: n + 1] + [copy] + run.levels[n + 1 :], taus=taus, groups=run.groups)
+
+
+class TestRenamings:
+    """A renamed complex takes its stable pairs and classes from its image,
+    and a step renaming the whole level passes sigma and the pullback
+    without a walk; the oracle is the same run with every renaming written
+    out face by face (``oracles.expand_run``)."""
+
+    def test_generated_renamed_runs_match_their_expansion(self):
+        rng = random.Random(20261020)
+        whole = partial = 0
+        for _ in range(150):
+            run = renamed_run(rng, random_run(rng))
+            expanded = expand_run(run)
+            report = stabilization_report(run)
+            assert report == stabilization_report(expanded)
+            for n, records in stable_classes(run, 0).items():
+                assert pair_set(records) == stable_pairs(expanded, n).pairs
+                assert level_classes(n, records) == equivalence_classes(expanded, n, stable_pairs(expanded, n))
+            assert report.n_prime == n_prime_oracle(expanded, report.n_delta, report.classes)
+            assert report.n_dprime == n_dprime_oracle(expanded, report.n_prime)
+            for n, tau in enumerate(run.taus):
+                if tau.renamed:
+                    whole += stability._renames_level(run, n)
+                    partial += not stability._renames_level(run, n)
+        assert whole > 20 and partial > 20
+
+    def test_seed1_benchmark_reports_match_their_expansion(self):
+        ops = [op for name in sorted(workloads.WORKLOADS) for op in workloads.generate(name, 1)]
+        renamed = 0
+        for op in ops:
+            fx = parse_text(op.text)
+            rep = run_pipeline(fx, op.pipeline)
+            expanded = expand_run(rep.run)
+            renamed += sum(bool(tau.renamed) for tau in rep.run.taus)
+            assert stabilization_report(expanded) == stabilization_report(rep.run)
+            assert dataclasses.replace(analyze_run(op.pipeline, expanded), run=None) == dataclasses.replace(rep, run=None)
+        assert len(ops) > 50 and renamed > 1000
+
+
 class TestRunAnalysisOracles:
     def test_sweep_and_indices_match_recomposition(self):
         rng = random.Random(20261017)
         levels = kept = deeper_prime = deeper_dprime = 0
         for _ in range(150):
             run = random_run(rng)
-            sweep = stable_pair_sets(run, 0)
-            assert sorted(sweep) == list(range(run.horizon + 1))
-            for n, ps in sweep.items():
-                assert ps.pairs == stable_pairs(run, n).pairs
+            sweep = stable_classes(run, 0)
+            per_face = oracles.stable_pair_sets(run, 0)
+            assert sorted(sweep) == sorted(per_face) == list(range(run.horizon + 1))
+            for n, records in sweep.items():
+                assert pair_set(records) == per_face[n].pairs == stable_pairs(run, n).pairs
                 levels += 1
-                kept += len(ps.pairs)
+                kept += len(per_face[n].pairs)
             report = stabilization_report(run)
             for n, classes in report.classes.items():
                 assert classes == equivalence_classes(run, n, stable_pairs(run, n))
@@ -631,7 +720,7 @@ class TestRunAnalysisOracles:
         runs = [random_run(rng) for _ in range(60)]
         for path in sorted(glob.glob(os.path.join(os.path.dirname(WORKED), "*.txt"))):
             fx = parse_fixtures([path])
-            runs += [run_pipeline(fx, name).run for name in sorted(fx.pipelines)]
+            runs += [expand_run(run_pipeline(fx, name).run) for name in sorted(fx.pipelines)]
         checked = 0
         for run in runs:
             for n in range(run.horizon):
@@ -683,6 +772,10 @@ class TestRunAnalysisOracles:
         joined = PairSet(level=0, horizon=0, pairs=frozenset({Pair(cid="X", t1="t1", t2="t2", edge="ac")}))
         with pytest.raises(EngineError, match="'Y0.0' subcomplex has a cutpoint"):
             equivalence_classes(run, 0, joined)
+        record = classes_of_complex(x, [("t1", "t2", "ac")])
+        assert record.classes == (frozenset({"t1", "t2"}),) and record.cut == 0
+        with pytest.raises(EngineError, match="'Y0.2' subcomplex has a cutpoint"):
+            level_classes(0, {"W": classes_of_complex(strip2(), []), "X": record})
 
     def test_swapped_sides_in_a_wheel_delay_n_dprime(self):
         # three triangles around c; tau_0 swaps the images of t1's sides
@@ -696,9 +789,9 @@ class TestRunAnalysisOracles:
         run.taus[0] = tau_from_fragment("X", "X", TauFragment.identity(x))
         run.taus[0].edge_map[(("X", "t1"), "ca")] = "ab"
         run.taus[0].edge_map[(("X", "t1"), "ab")] = "ca"
-        sweep = stable_pair_sets(run, 0)
-        assert {(p.t1, p.t2) for p in sweep[0].pairs} == {("t1", "t2"), ("t2", "t3")}
-        assert len(sweep[1].pairs) == 3
+        sweep = stable_classes(run, 0)
+        assert {(p.t1, p.t2) for p in pair_set(sweep[0])} == {("t1", "t2"), ("t2", "t3")}
+        assert len(pair_set(sweep[1])) == 3
         report = stabilization_report(run)
         assert [len(report.classes[n]) for n in range(3)] == [1, 1, 1]
         assert (report.n_delta, report.n_prime, report.n_dprime) == (0, 0, 1)
@@ -748,8 +841,8 @@ class TestRunAnalysisOracles:
         run = RunView(
             levels=[LevelData(complexes={"P": x, "Q": x}), LevelData(complexes={"X": x})], taus=[tau], groups=GroupTable()
         )
-        above = stable_pair_sets(run, 0)[1]
-        assert above.pairs == frozenset({Pair(cid="X", t1="t1", t2="t2", edge="bc")})
+        above = stable_classes(run, 0)[1]
+        assert pair_set(above) == frozenset({Pair(cid="X", t1="t1", t2="t2", edge="bc")})
         assert stability._pulls_back(run, 0, above) is False
         assert n_dprime_oracle(run, 0) == 1
 
@@ -764,17 +857,40 @@ class TestRunAnalysisOracles:
             groups=GroupTable(),
         )
         assert stable_pairs(run, 0).pairs == frozenset()
-        assert stable_pair_sets(run, 0)[0].pairs == frozenset()
+        assert pair_set(stable_classes(run, 0)[0]) == frozenset()
 
     def test_side_image_off_the_image_triangle_is_an_engine_error(self):
         x = strip2()
         tau = tau_from_fragment("X", "X", TauFragment.identity(x))
         tau.edge_map[(("X", "t1"), "ab")] = "cd"  # cd is a side of t2, not of t1
         run = RunView(levels=[LevelData(complexes={"X": x})] * 2, taus=[tau], groups=GroupTable())
-        with pytest.raises(EngineError, match="not a side"):
-            stable_pair_sets(run, 0)
+        for sweep in (stable_classes, oracles.stable_pair_sets):
+            with pytest.raises(EngineError, match="not a side"):
+                sweep(run, 0)
         with pytest.raises(EngineError, match="not a side"):
             stabilization_report(run)
+
+    def test_a_renaming_onto_other_cells_is_an_engine_error(self):
+        # X is renamed to Y, an equal complex built apart (its own cell
+        # data), and to Z, a relabelling of X with orbits of its own
+        x = strip2()
+        y = strip2()
+        z = x.relabel({})
+        object.__setattr__(z, "orbit", dict(x.orbit))
+        for target in (y, z):
+            run = RunView(
+                levels=[LevelData(complexes={"X": x}), LevelData(complexes={"Y": target})],
+                taus=[TauFragment(renamed={"X": "Y"})],
+                groups=GroupTable(),
+            )
+            with pytest.raises(EngineError, match="tau_0 renames 'X' to 'Y', which does not share its cells"):
+                stabilization_report(run)
+        run = RunView(
+            levels=[LevelData(complexes={"X": x}), LevelData(complexes={"Y": x.relabel({})})],
+            taus=[TauFragment(renamed={"X": "Y"})],
+            groups=GroupTable(),
+        )
+        assert stabilization_report(run) == stabilization_report(expand_run(run))
 
 
 WORKED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures", "worked_terminating.txt")
@@ -796,19 +912,31 @@ class TestRunAnalysisWork:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        calls = {"compose": [], "stable_pairs": [], "equivalence_classes": [], "_sigma": []}
+        """The first argument of every call to the run-analysis steps
+        (a level, or the complex a class record is built for)."""
+        calls = {name: [] for name in ("compose", "stable_pairs", "classes_of_complex", "level_classes", "_sigma", "_pulls_back")}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
-                calls[name].append(args[1])  # the level
+                calls[name].append(args[0] if name in ("classes_of_complex", "level_classes") else args[1])
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        for module, names in ((oracles, ("compose", "stable_pairs")), (stability, ("equivalence_classes", "_sigma"))):
+        steps = (oracles, ("compose", "stable_pairs")), (stability, ("classes_of_complex", "level_classes", "_sigma", "_pulls_back"))
+        for module, names in steps:
             for name in names:
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         return calls
+
+    def assert_classes_built_once(self, calls, rep_levels, n_delta):
+        """Class records are built for the complexes of the horizon only,
+        every step from N_delta on renames its whole level, and each level
+        numbers its classes once."""
+        assert calls["classes_of_complex"] == [rep_levels[self.H].complexes[cid] for cid in rep_levels[self.H].complexes]
+        assert calls["level_classes"] == list(range(n_delta, self.H + 1))
+        assert calls["_sigma"] == calls["_pulls_back"] == []
+        assert calls["compose"] == [] and calls["stable_pairs"] == []
 
     def test_pipeline_computes_each_level_once(self, worked64, calls, monkeypatch):
         covolumes = []
@@ -817,9 +945,44 @@ class TestRunAnalysisWork:
         rep = run_pipeline(parse_fixtures([worked64]), "worked")
         assert rep.horizon == self.H and rep.certificate_level == 1
         assert covolumes == rep.run.levels  # the ledger, once per level
-        assert calls["compose"] == [] and calls["stable_pairs"] == []
-        assert calls["equivalence_classes"] == list(range(rep.n_delta, self.H + 1))
-        assert calls["_sigma"] == list(range(rep.n_delta, self.H))
+        assert len(rep.run.levels[self.H].complexes) == 2
+        self.assert_classes_built_once(calls, rep.run.levels, rep.n_delta)
+
+    @pytest.mark.parametrize("family", ["worked", "chain"])
+    def test_unchanged_levels_cost_no_rebuild(self, family, tmp_path, monkeypatch):
+        """A run of unchanged levels checks no terminal, distributes
+        nothing, lists no pair and builds no class again: on a benchmark
+        run these are called as often at horizon 8 as at horizon 64."""
+        counted = (
+            (hierarchy, "_check_terminal_complex"),
+            (hierarchy, "_distribute"),
+            (stability, "pairs_of_complex"),
+            (stability, "classes_of_complex"),
+            (stability, "class_cutpoints"),
+        )
+
+        def calls(horizon):
+            op = getattr(workloads, family)(random.Random(1), horizon)
+            path = tmp_path / f"{family}{horizon}.txt"
+            path.write_text(op.text)
+            out = dict.fromkeys((name for _module, name in counted), 0)
+
+            def wrap(name, fn):
+                def wrapper(*args, **kwargs):
+                    out[name] += 1
+                    return fn(*args, **kwargs)
+
+                return wrapper
+
+            with monkeypatch.context() as m:
+                for module, name in counted:
+                    m.setattr(module, name, wrap(name, getattr(module, name)))
+                rep = run_pipeline(parse_fixtures([str(path)]), op.pipeline)
+            assert rep.horizon == horizon and rep.certificate_level == op.expected.cert_level
+            return out
+
+        short, long = calls(8), calls(64)
+        assert short == long and all(short.values())
 
     def test_class_cutpoint_checks_do_not_grow_with_the_horizon(self, tmp_path, monkeypatch):
         """An unchanged class on an unchanged complex is checked for
@@ -846,9 +1009,12 @@ class TestRunAnalysisWork:
 
         assert blocks_calls(8) == blocks_calls(64) > 0
 
-    def test_dot_export_reuses_the_classes(self, worked64, calls, tmp_path, capsys):
+    def test_dot_export_reuses_the_classes(self, worked64, calls, tmp_path, capsys, monkeypatch):
+        runs = []
+        analyze = pipeline.analyze_run
+        monkeypatch.setattr(pipeline, "analyze_run", lambda name, run: runs.append(run) or analyze(name, run))
         assert main(["--dot", str(tmp_path / "dot"), "pipeline", worked64, "--name", "worked"]) == 0
         assert sorted(os.listdir(tmp_path / "dot")) == ["w0.a0_o0.t0.bw.dot", "w0.a1_o1.t0.bw.dot"]
         n_delta = int(capsys.readouterr().out.split("N_delta=")[1].split()[0])
-        assert calls["equivalence_classes"] == list(range(n_delta, self.H + 1))
-        assert calls["compose"] == [] and calls["stable_pairs"] == []
+        (run,) = runs
+        self.assert_classes_built_once(calls, run.levels, n_delta)

@@ -18,7 +18,7 @@ from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolu
 from passdown.trees import make_tree
 
 from generators import random_labelled_complex
-from oracles import identity_step_oracle
+from oracles import expand_fragment, identity_step_oracle
 
 
 def line_tree(n=2, ideals=()):
@@ -323,22 +323,27 @@ class TestIdentityCollapse:
         return GroupTable(dataclasses.replace(groups[gid], is_h_elliptic=True) for gid in sorted(groups.ids()))
 
     @staticmethod
-    def handed_on(result):
-        """Everything a passdown hands on, with cell dicts in stored order."""
+    def handed_on(result, terminals):
+        """Everything a passdown hands on, with cell dicts in stored order
+        and identity fragments written out face by face."""
 
         def cells(x):
             plus = {eid: x.edge_stab_plus(eid) for eid in x.edges}
             return sorted(x.vertices), list(x.edges.items()), list(x.faces.items()), x.stab, x.orbit, x.boundary_marked, plus
 
         received = [(v, [(tid, gid, cells(x)) for tid, (gid, x) in got.items()]) for v, got in result.terminals.items()]
-        tau = [(nid, list(frag.triangle_map.items()), list(frag.edge_map.items())) for nid, frag in result.tau.items()]
+        tau = []
+        for nid, frag in result.tau.items():
+            frag = expand_fragment(frag, terminals[nid][1])
+            tau.append((nid, list(frag.triangle_map.items()), list(frag.edge_map.items())))
         return received, list(result.ledger.items()), tau
 
     def assert_matches_oracle(self, terminals, groups, ideal_points=None):
         fast_groups, full_groups = groups.copy(), groups.copy()
         fast = passdown_full(terminals, self.point_level(fast_groups, ideal_points))
         full = identity_step_oracle(terminals, self.point_level(full_groups, ideal_points))
-        assert self.handed_on(fast) == self.handed_on(full)
+        assert all(frag.home is None for frag in full.tau.values())
+        assert self.handed_on(fast, terminals) == self.handed_on(full, terminals)
         # no ref minted and no containment declared that the identity step skips
         assert fast_groups._mint_counter == full_groups._mint_counter
         assert fast_groups._up == full_groups._up
@@ -348,6 +353,7 @@ class TestIdentityCollapse:
         outputs = {id(x) for got in fast.terminals.values() for _gid, x in got.values()}
         if all(x.is_reduced and not cutpoints(x) for _gid, x in terminals.values()):
             assert outputs == inputs
+            assert all(frag.home is not None for frag in fast.tau.values())
         else:
             assert not outputs & inputs
         return fast
@@ -398,6 +404,26 @@ class TestIdentityCollapse:
         for y in (x, xt):
             passdown_full({"r": ("1", y)}, self.point_level(groups.copy()))
         assert len(rebuilt) == 1 and rebuilt[0].faces.keys() == x.faces.keys()
+
+    def test_a_kept_identity_step_rechecks_the_oriented_labels(self):
+        # a relabelling shares the terminal signature of the complex it
+        # came from; with no oriented label on its edges it is not
+        # reduced, so the identity step kept for that signature does not
+        # apply and the general path runs, as on a fresh tree level
+        groups = GroupTable()
+        triangle = make_complex(
+            ["a", "b", "c"], {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")}, {"f": ("ab", "bc", "ac")}
+        )
+        x = reduce_complex(triangle, groups)
+        tl = self.point_level(groups)
+        assert passdown_full({"r": ("1", x)}, tl).terminals["p"]["p.root"][1] is x
+        y = x.relabel({})
+        assert not y.is_reduced
+        full = identity_step_oracle({"r": ("1", y)}, self.point_level(groups.copy()))
+        kept = passdown_full({"r": ("1", y)}, tl)
+        assert len(tl.identity_steps) == 1
+        assert kept.terminals["p"]["p.root"][1] is not y
+        assert self.handed_on(kept, {"r": ("1", y)}) == self.handed_on(full, {"r": ("1", y)})
 
     def test_an_ideal_vertex_takes_the_full_path(self):
         # a reduced triangle over a point tree with one ideal point: with
@@ -509,8 +535,8 @@ def test_worked_run_resolves_each_complex_once_per_tree(tmp_path, monkeypatch):
         tree_levels[name] += 1
         return make(name, *args, **kwargs)
 
-    classing = []  # non-empty while equivalence_classes runs
-    classes, sub = stability.equivalence_classes, complexes.subcomplex
+    classing = []  # non-empty while a class record is built
+    classes, sub = stability.classes_of_complex, complexes.subcomplex
     built_in_classes = []
 
     def counted_classes(*args, **kwargs):
@@ -528,7 +554,7 @@ def test_worked_run_resolves_each_complex_once_per_tree(tmp_path, monkeypatch):
     monkeypatch.setattr(hierarchy, "build_resolution", counted_build)
     monkeypatch.setattr(hierarchy, "tracks_from_resolution", counted_draw)
     monkeypatch.setattr(pipeline, "make_tree_level", counted_make)
-    monkeypatch.setattr(stability, "equivalence_classes", counted_classes)
+    monkeypatch.setattr(stability, "classes_of_complex", counted_classes)
     monkeypatch.setattr(complexes, "subcomplex", counted_sub)
     monkeypatch.setattr(stability, "subcomplex", counted_sub, raising=False)
     rep = run_pipeline(parse_fixtures([str(path)]), "worked")
