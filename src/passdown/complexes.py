@@ -128,10 +128,11 @@ class Complex2:
     order of the cells) live in ``cell_data``, derived on first use and
     kept.  Label-reading values are kept per complex: ``is_reduced``,
     whose label part checks the ``stab_plus`` keys and one label per
-    orbit, and ``first_cell_by_label``.  No code writes a cell dict after
-    construction (``make_complex`` fills in only labels).  ``relabel``
-    changes only ``stab_plus`` and shares the rest: the cell data, and of
-    ``is_reduced`` the part that reads ``stab`` and ``orbit``.
+    orbit, ``first_cell_by_label`` and ``covolume``.  No code writes a cell
+    dict after construction (``make_complex`` fills in only labels).
+    ``relabel`` changes only ``stab_plus`` and shares the rest: the cell
+    data, the covolume, and of ``is_reduced`` the part that reads ``stab``
+    and ``orbit``.
     """
 
     vertices: frozenset
@@ -149,8 +150,9 @@ class Complex2:
     def relabel(self, stab_plus):
         """This complex with the oriented labels ``stab_plus``.  Every other
         field is the same object, and the copy shares the cell data,
-        ``first_cell_by_label`` and ``cell_labels_reduced``, so nothing the
-        cells, ``stab`` or ``orbit`` determine is derived again."""
+        ``first_cell_by_label``, ``cell_labels_reduced`` and ``covolume``,
+        so nothing the cells, ``stab`` or ``orbit`` determine is derived
+        again."""
         out = Complex2(
             vertices=self.vertices,
             edges=self.edges,
@@ -164,6 +166,7 @@ class Complex2:
             cell_data=self.cell_data,
             first_cell_by_label=self.first_cell_by_label,
             cell_labels_reduced=self.cell_labels_reduced,
+            covolume=self.covolume,
         )
         return out
 
@@ -218,6 +221,11 @@ class Complex2:
         return self.stab.keys() == self.orbit.keys() == set(cells) and all(
             label.setdefault(self.orbit[c], self.stab[c]) == self.stab[c] for c in cells
         )
+
+    @cached_property
+    def covolume(self):
+        """Number of triangle orbits."""
+        return len({self.orbit[fid] for fid in self.triangles()})
 
     @cached_property
     def first_cell_by_label(self):
@@ -410,8 +418,8 @@ def h1_z2(x: Complex2) -> int:
 
 
 def covolume(x: Complex2) -> int:
-    """Number of triangle orbits."""
-    return len({x.orbit[fid] for fid in x.triangles()})
+    """Number of triangle orbits, kept on ``x``."""
+    return x.covolume
 
 
 # ---------------------------------------------------------------------------

@@ -449,6 +449,8 @@ def _parse_pipeline(fx, header, kwargs, parsed):
             nodes[nid].overrides[kw2["edge-orbit"]] = kw2["stabplus"]
         else:
             raise FixtureError(f"bad pipeline line: {line!r}", line=ln)
+    if root_node is None:
+        raise FixtureError(f"pipeline {name!r} needs at least one node")
     if kwargs["root"] not in fx.structures:
         raise FixtureError(f"pipeline root structure {kwargs['root']!r} not found")
     for nid, node in nodes.items():

@@ -11,10 +11,12 @@ the one passdown of an H-structure.  It speaks one shape, terminals
 ``{terminal id: (group, complex)}``: it takes them in (a fixture
 structure gives them by ``HStructure.terminals``), derives all it needs
 from the tree actions of the cell labels, and hands on per vertex orbit
-only the terminals the next level reads, with one triangle map from the
-input terminals to them.  The depth-bound replay (``passdown_hierarchy``,
-``jsj_depth_bound``) replays fixture-supplied restriction tables
-instead; it is the paper's depth bound, and no command runs it.
+only the terminals the next level reads, with one triangle map from faces
+(input terminal id, face id) to faces ((vertex orbit, terminal id), face
+id); an identity step's map only renames terminals.  The depth-bound
+replay (``passdown_hierarchy``, ``jsj_depth_bound``) replays
+fixture-supplied restriction tables instead; it is the paper's depth
+bound, and no command runs it.
 """
 
 from collections import defaultdict
@@ -400,7 +402,7 @@ def validate_hstructure(k: HStructure, groups: GroupTable):
 class PassdownResult:
     terminals: dict  # tree vertex orbit id -> {terminal id: (group, complex)}
     ledger: dict  # stage -> total covolume
-    tau: dict  # input terminal id -> TauFragment, image faces (vertex orbit, terminal id, face id)
+    tau: TauFragment  # (input terminal id, face id) -> ((vertex orbit, terminal id), face id), or renamings
 
 
 def _distribute(gog: GraphOfGroups, claims, pieces, groups: GroupTable):
@@ -436,15 +438,14 @@ class TreeLevel:
     A run keeps one per tree, and with it what passdowns over the tree
     find out about unchanged complexes: the complexes that passed the
     terminal check, by key (see ``_signature``), and per terminal
-    signature, the distribution, ledger and fragments of an identity
-    step."""
+    signature, the ledger and renaming of an identity step."""
 
     name: str
     tree: TreeHat
     actions: ActionTable
     gog: GraphOfGroups
     checked: dict = field(default_factory=dict, repr=False)  # complex key -> its stab dict
-    identity_steps: dict = field(default_factory=dict, repr=False)  # terminal signature -> _IdentityStep
+    identity_steps: dict = field(default_factory=dict, repr=False)  # terminal signature -> (ledger, renaming)
 
 
 def make_tree_level(name, tree, actions) -> TreeLevel:
@@ -522,38 +523,6 @@ def _is_identity_step(terminals, tl: TreeLevel):
     )
 
 
-@dataclass
-class _IdentityStep:
-    """What an identity step hands on, but for the complexes themselves:
-    the distribution, the constant ledger and the identity fragments."""
-
-    orbit: str  # the one vertex orbit
-    names: tuple  # (input terminal id, terminal id it is handed on as), in distribution order
-    ledger: dict
-    tau: dict  # input terminal id -> identity TauFragment
-
-    @staticmethod
-    def of(terminals, tl: TreeLevel) -> "_IdentityStep":
-        (orbit,) = tl.gog.vertices
-        _out, home = _distribute(tl.gog, dict.fromkeys(terminals, orbit), terminals, tl.actions.groups)
-        return _IdentityStep(
-            orbit=orbit,
-            names=tuple((nid, home[nid][1]) for nid in sorted(terminals)),
-            ledger=dict.fromkeys(("input", "contracted", "cutpoint-split", "collapsed", "output"), _covolume_sum(terminals)),
-            tau={nid: TauFragment(home=home[nid]) for nid in terminals},
-        )
-
-    def result(self, terminals) -> PassdownResult:
-        """The one vertex orbit receives every terminal as it is, every
-        stage keeps the covolume and tau is the identity on faces and
-        sides."""
-        return PassdownResult(
-            terminals={self.orbit: {tid: terminals[nid] for nid, tid in self.names}},
-            ledger=dict(self.ledger),
-            tau=dict(self.tau),
-        )
-
-
 def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
     """The full three-stage passdown of terminals over a tree.
 
@@ -573,25 +542,29 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
     signature = _signature(terminals, tl)
     step = tl.identity_steps.get(signature)
     if step is None and _is_identity_step(terminals, tl):
-        step = tl.identity_steps[signature] = _IdentityStep.of(terminals, tl)
+        (orbit,) = tl.gog.vertices
+        _out, home = _distribute(tl.gog, dict.fromkeys(terminals, orbit), terminals, groups)
+        stages = ("input", "contracted", "cutpoint-split", "collapsed", "output")
+        step = tl.identity_steps[signature] = dict.fromkeys(stages, _covolume_sum(terminals)), TauFragment(renamed=home)
     if step is not None and all(x.is_reduced for _gid, x in terminals.values()):
-        return step.result(terminals)
+        # the one vertex orbit receives every terminal as it is, every
+        # stage keeps the covolume and tau renames each terminal
+        ledger, tau = step
+        received = {tid: terminals[nid] for nid, (_orbit, tid) in tau.renamed.items()}
+        return PassdownResult(terminals=dict.fromkeys(tl.gog.vertices, received), ledger=dict(ledger), tau=tau)
     pieces = dict(terminals)  # terminal id -> (group, complex), stage by stage
     origin = {nid: nid for nid in terminals}  # terminal id -> input terminal it descends from
     ledger = {"input": _covolume_sum(pieces)}
 
     # stage one: repair contracting resolutions
     resolutions = {}
-    fragments = {}
+    fragments = {}  # contracted terminal id -> its contraction fragment
     for nid, (gid, x) in sorted(pieces.items()):
         res = build_resolution(x, tl.tree, tl.actions)
         if res.kind == CONTRACTING:
-            xc, res, frag = contract(res, groups)
+            xc, res, fragments[nid] = contract(res, groups)
             pieces[nid] = (gid, xc)
-        else:
-            frag = TauFragment.identity(x)
         resolutions[nid] = res
-        fragments[nid] = frag
     ledger["contracted"] = _covolume_sum(pieces)
     if ledger["contracted"] > ledger["input"]:
         raise EngineError("covolume grew during contraction")
@@ -682,17 +655,15 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
     if total < ledger["collapsed"]:
         raise EngineError("a collapsed terminal went unclaimed")
 
-    # the triangle map per input terminal: its contraction fragment, then
-    # the merged collapse fragments, each image face located in the
-    # terminal that received it
-    located = defaultdict(dict)  # input terminal -> {face id: (vertex orbit, terminal id, face id)}
+    # the triangle map of each input terminal: its contraction fragment,
+    # if any, then the merged collapse fragments, each image face located
+    # in the terminal that received it
+    located = defaultdict(dict)  # input terminal -> {face id: ((vertex orbit, terminal id), face id)}
     for nid, (_gid, x) in pieces.items():
-        located[origin[nid]].update((fid, home[nid] + (fid,)) for fid in x.faces)
-    tau = {}
+        located[origin[nid]].update((fid, (home[nid], fid)) for fid in x.faces)
+    tau = TauFragment()
     for nid0 in terminals:
-        composed = fragments[nid0].compose(merged[nid0])
-        tau[nid0] = TauFragment(
-            triangle_map={fid: located[nid0].get(img) for fid, img in composed.triangle_map.items()},
-            edge_map=composed.edge_map,
-        )
+        frag = fragments[nid0].compose(merged[nid0]) if nid0 in fragments else merged[nid0]
+        tau.triangle_map.update(((nid0, fid), located[nid0].get(img)) for fid, img in frag.triangle_map.items())
+        tau.edge_map.update((((nid0, fid), e), fe) for (fid, e), fe in frag.edge_map.items())
     return PassdownResult(terminals=out, ledger=ledger, tau=tau)

@@ -169,7 +169,7 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                         f"script node {nid!r}: no child declared for vertex orbit {orbit!r} "
                         f"of tree {node.tree!r}"
                     )
-            child_inst = {}
+            images = {}  # (vertex orbit, terminal id) -> complex id at level n+1
             for orbit, cnid in sorted(children.items()):
                 if orbit not in result.terminals:
                     raise FixtureError(
@@ -178,10 +178,9 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                     )
                 received = _apply_overrides(result.terminals[orbit], script.nodes[cnid].overrides, groups)
                 inst_id = f"{inst}.{cnid}"
-                child_inst[orbit] = inst_id
+                images.update(((orbit, tid), f"{inst_id}/{tid}") for tid in received)
                 next_active.append((inst_id, cnid, received))
-            for tid, frag in result.tau.items():
-                tau.update(frag.keyed(f"{inst}/{tid}", lambda orbit, home: f"{child_inst[orbit]}/{home}"))
+            tau.update(result.tau.located({tid: f"{inst}/{tid}" for tid in terminals}, images))
         taus.append(tau)
         active = next_active
 

@@ -2,15 +2,16 @@
 
 A TauFragment is the one triangle map of the package: a partial map on
 triangles, the per-triangle side correspondence for surviving triangles,
-and the vertex fate.  Each collapse and reduction step yields one;
-``passdown_full`` hands on one per input terminal, with every image face
-located as (vertex orbit, terminal id, face id); the run analysis reads
-them keyed (complex id, face id).  Fragments compose associatively.
+and the vertex fate.  Each collapse and reduction step yields one.  Above
+a complex, faces are keyed (complex id, face id): ``passdown_full`` hands
+on one fragment from (input terminal id, face id) to ((vertex orbit,
+terminal id), face id), and ``located`` renames both sides into the run's
+complex ids.  Fragments with per-face maps compose associatively.
 
-A step that keeps a complex as it is needs no per-face maps: an identity
-fragment sends every face f to ``home + (f,)`` and fixes every side, and
-keyed it becomes a renaming of one complex id to another.  Readers look
-images up through ``image`` and ``side_image``, which see both kinds.
+A step that keeps a complex as it is needs no per-face maps: it renames
+the complex, face f of complex c going to face f of ``renamed[c]`` with
+every side fixed.  Readers look images up through ``image`` and
+``side_image``, which see both kinds.
 """
 
 from dataclasses import dataclass, field
@@ -25,13 +26,10 @@ class TauFragment:
     edge_map: dict = field(default_factory=dict)  # (source face, source edge) -> image edge
     vertex_map: dict = field(default_factory=dict)  # source vertex -> image vertex or None
     track_point: dict = field(default_factory=dict)  # track id -> new vertex
-    home: tuple = None  # identity fragment: face f -> home + (f,), every side fixed
-    renamed: dict = field(default_factory=dict)  # keyed: source complex id -> image complex id, faces and sides fixed
+    renamed: dict = field(default_factory=dict)  # source complex id -> image complex id, faces and sides fixed
 
     def image(self, key):
         """The image face of source face ``key``, or None."""
-        if self.home is not None:
-            return self.home + (key,)
         if self.renamed:
             to = self.renamed.get(key[0])
             if to is not None:
@@ -40,7 +38,7 @@ class TauFragment:
 
     def side_image(self, key, eid):
         """The image of side ``eid`` of source face ``key``, or None."""
-        if self.home is not None or (self.renamed and key[0] in self.renamed):
+        if self.renamed and key[0] in self.renamed:
             return eid
         return self.edge_map.get((key, eid))
 
@@ -54,7 +52,7 @@ class TauFragment:
 
     def compose(self, nxt: "TauFragment") -> "TauFragment":
         """self followed by nxt, both with per-face maps."""
-        if self.home is not None or self.renamed or nxt.home is not None or nxt.renamed:
+        if self.renamed or nxt.renamed:
             raise EngineError("only fragments with per-face maps compose")
         tri = {}
         edges = {}
@@ -71,19 +69,17 @@ class TauFragment:
             verts[v] = None if img is None else nxt.vertex_map.get(img)
         return TauFragment(triangle_map=tri, edge_map=edges, vertex_map=verts)
 
-    def keyed(self, cid, locate) -> "TauFragment":
-        """This fragment of a passdown with triangles keyed (complex id,
-        face id): the sources lie in complex ``cid``, and ``locate(vertex
-        orbit, terminal id)`` gives the complex id of each located image.
-        An identity fragment becomes the renaming of ``cid``."""
-        if self.home is not None:
-            return TauFragment(renamed={cid: locate(*self.home)})
+    def located(self, sources, images) -> "TauFragment":
+        """This fragment on faces keyed (complex id, face id), with source
+        complex ids renamed through ``sources`` and image complex ids
+        through ``images``."""
         return TauFragment(
             triangle_map={
-                (cid, f): None if img is None else (locate(img[0], img[1]), img[2])
-                for f, img in self.triangle_map.items()
+                (sources[c], f): None if img is None else (images[img[0]], img[1])
+                for (c, f), img in self.triangle_map.items()
             },
-            edge_map={((cid, f), e): fe for (f, e), fe in self.edge_map.items()},
+            edge_map={((sources[c], f), e): fe for ((c, f), e), fe in self.edge_map.items()},
+            renamed={sources[c]: images[to] for c, to in self.renamed.items()},
         )
 
     def update(self, other: "TauFragment"):

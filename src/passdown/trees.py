@@ -1,6 +1,6 @@
 """Simplicial trees with truncated ideal boundary, reduced paths, the
-five-way classification of subgroup actions, minimal invariant subtrees,
-and quotient graphs of groups.
+five-way classification of subgroup actions, and quotient graphs of
+groups.
 
 An ideal point stands for an end of the (conceptually infinite) tree; it
 is attached to a designated ray whose last vertex is a leaf marked as the
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import graphs
-from .errors import ConsistencyError, FixtureError, HypothesisError
+from .errors import ConsistencyError, FixtureError
 from .groups import GroupTable
 
 
@@ -259,35 +259,6 @@ def classify_subgroup_action(descriptors, t: TreeHat, groups: GroupTable = None)
                 "elliptically, linearly or dihedrally"
             )
     return result
-
-
-@dataclass(frozen=True)
-class Subtree:
-    vertices: tuple
-    ideal_points: tuple
-
-
-def minimal_invariant_subtree(descriptors, t: TreeHat) -> Subtree:
-    """Geodesic hull of the axes of the hyperbolic descriptors, together
-    with their ideal points.  For a linear or dihedral family this is the
-    single shared line."""
-    hyps = [d for d in descriptors if d.kind == HYPERBOLIC]
-    if not hyps:
-        raise HypothesisError("minimal invariant subtree needs a hyperbolic descriptor")
-    verts = set()
-    ideals = set()
-    cores = []
-    for d in hyps:
-        core = axis_core(t, d.ends)
-        cores.append(core)
-        verts.update(core)
-        ideals.update(d.ends)
-    # hull closure: connect the cores pairwise
-    anchors = [c[0] for c in cores]
-    for a in anchors:
-        for b in anchors:
-            verts.update(_vertex_path(t, a, b))
-    return Subtree(vertices=tuple(sorted(verts)), ideal_points=tuple(sorted(ideals)))
 
 
 # ---------------------------------------------------------------------------

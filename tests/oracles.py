@@ -422,35 +422,26 @@ def equivalence_classes(run, n, ps):
     return out
 
 
-def expand_fragment(frag, x):
-    """A passdown fragment on the faces of ``x`` with per-face maps: an
-    identity fragment sends each face f to ``home + (f,)`` and each of its
-    sides to itself; any other fragment is returned as it is."""
+def expand_renamings(tau, complexes):
+    """``tau`` with every renaming written out per face, over the complexes
+    ``complexes`` (complex id -> complex) of its sources: each face of a
+    renamed complex goes to the same face of the image complex, each side
+    to itself."""
     from passdown.provenance import TauFragment
 
-    if frag.home is None:
-        return frag
-    return TauFragment(
-        triangle_map={f: frag.home + (f,) for f in x.faces},
-        edge_map={(f, e): e for f in x.faces for e in x.faces[f]},
-    )
+    tri, edge = dict(tau.triangle_map), dict(tau.edge_map)
+    for cid, to in tau.renamed.items():
+        x = complexes[cid]
+        tri.update(((cid, f), (to, f)) for f in x.faces)
+        edge.update((((cid, f), e), e) for f in x.faces for e in x.faces[f])
+    return TauFragment(triangle_map=tri, edge_map=edge)
 
 
 def expand_run(run):
-    """The run with every renaming of its one-step maps written out per
-    face: each face of a renamed complex goes to the same face of the
-    image complex, each side to itself."""
-    from passdown.provenance import TauFragment
+    """The run with the renamings of its one-step maps written out per face."""
     from passdown.stability import RunView
 
-    taus = []
-    for n, tau in enumerate(run.taus):
-        tri, edge = dict(tau.triangle_map), dict(tau.edge_map)
-        for cid, to in tau.renamed.items():
-            x = run.levels[n].complexes[cid]
-            tri.update(((cid, f), (to, f)) for f in x.faces)
-            edge.update((((cid, f), e), e) for f in x.faces for e in x.faces[f])
-        taus.append(TauFragment(triangle_map=tri, edge_map=edge))
+    taus = [expand_renamings(tau, run.levels[n].complexes) for n, tau in enumerate(run.taus)]
     return RunView(levels=run.levels, taus=taus, groups=run.groups)
 
 

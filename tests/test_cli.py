@@ -204,6 +204,7 @@ class TestCommands:
             "config\n  link-cap=2\nend\n",
             "complex X\n  vertex a\n  vertex b\n  vertex c\n  edge ab a b\n  edge bc b c\n  edge ac a c\n"
             "  triangle t1 ab bc ac\n  triangle t2 ab bc cd\nend\n",
+            "pipeline P root=S0\nend\n",
         ):
             bad.write_text(text)
             assert main(["h1", str(bad), "--complex", "X"]) == 2
@@ -212,6 +213,7 @@ class TestCommands:
         assert "line 2: unknown config key 'horizn'" in err
         assert "line 2: config: link-cap must be at least 3" in err
         assert "face 't2' references missing edge 'cd'" in err
+        assert "line 1: pipeline 'P' needs at least one node" in err
 
     _AB = "groups\n  group A\n  group B\nend\n"
     _TRI = (
@@ -555,6 +557,7 @@ FUZZED = [  # fixture, pipeline, structure, tree
     ("acc_stable.txt", "stable", "SS", "PT"),
     ("f2_style.txt", "f2", "SF", "PT"),
     ("worked_terminating.txt", "worked", "S0", "T0"),
+    ("contracting.txt", "contracting", "SC", "TL"),
 ]
 JUNK = ["=", "end", "stab=", "x=1", "0", "-1", "sub-of=", "fix=", "orbit=", "parent=", "repeat=w0"]
 
@@ -584,7 +587,7 @@ def mutate(rng, lines, pool):
 
 
 def test_line_mutations_exit_0_1_or_2(tmp_path):
-    """1,000 seeded line mutations of three committed fixtures, run in
+    """1,400 seeded line mutations of four committed fixtures, each run in
     turn through ``pipeline`` and ``passdown``: every run exits 0, 1 or 2
     and raises nothing."""
     rng = random.Random(20261018)
@@ -597,10 +600,10 @@ def test_line_mutations_exit_0_1_or_2(tmp_path):
     codes = Counter()
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        for case in range(1000):
+        for case in range(1400):
             lines, pipeline, structure, tree = cases[case % len(cases)]
             path.write_text("\n".join(mutate(rng, lines, pool)) + "\n")
-            if case % 2:
+            if case // len(cases) % 2:
                 argv = ["passdown", str(path), "--structure", structure, "--tree", tree]
             else:
                 argv = ["pipeline", str(path), "--name", pipeline]

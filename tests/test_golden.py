@@ -26,6 +26,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden")
 FIX = os.path.join(HERE, "..", "fixtures")
 WORKED = os.path.join(FIX, "worked_terminating.txt")
+CONTRACTING = os.path.join(FIX, "contracting.txt")
 
 CASES = {
     "pipeline_worked": ["pipeline", WORKED, "--name", "worked"],
@@ -41,6 +42,10 @@ CASES = {
     "contract_XP_T0": ["contract", WORKED, "--complex", "XP", "--tree", "T0"],
     "h1_XP": ["h1", WORKED, "--complex", "XP"],
     "reduce_XP": ["reduce", WORKED, "--complex", "XP"],
+    "pipeline_contracting": ["pipeline", CONTRACTING, "--name", "contracting"],
+    "certify_contracting": ["certify", CONTRACTING, "--name", "contracting"],
+    "passdown_SC_TL": ["passdown", CONTRACTING, "--structure", "SC", "--tree", "TL"],
+    "contract_XC_TL": ["contract", CONTRACTING, "--complex", "XC", "--tree", "TL"],
 }
 
 

@@ -29,8 +29,6 @@ KEPT = {
     ("fixtures", "serialize_tree"): SERIALIZER,
     ("fixtures", "serialize_groups"): SERIALIZER,
     ("fixtures", "serialize_gog"): SERIALIZER,
-    ("trees", "minimal_invariant_subtree"): "the tree toolkit's minimal invariant subtree of an action",
-    ("trees", "Subtree"): "what minimal_invariant_subtree returns",
     ("errors", "LinkCapError"): "perfbench/spans.py imports it; nothing raises it",
 }
 

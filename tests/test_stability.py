@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import glob
 import itertools
 import os
@@ -29,7 +30,7 @@ from passdown.cli import main
 from passdown.fixtures import parse_fixtures, parse_text
 from passdown.pipeline import analyze_run, run_pipeline
 
-from passdown.complexes import cutpoints, make_complex
+from passdown.complexes import Complex2, cutpoints, make_complex
 from passdown.errors import EngineError, FixtureError, HypothesisError
 from passdown.groups import GroupRef, GroupTable
 from passdown.provenance import TauFragment
@@ -951,8 +952,9 @@ class TestRunAnalysisWork:
     @pytest.mark.parametrize("family", ["worked", "chain"])
     def test_unchanged_levels_cost_no_rebuild(self, family, tmp_path, monkeypatch):
         """A run of unchanged levels checks no terminal, distributes
-        nothing, lists no pair and builds no class again: on a benchmark
-        run these are called as often at horizon 8 as at horizon 64."""
+        nothing, counts no covolume, lists no pair and builds no class
+        again: on a benchmark run these are called as often at horizon 8
+        as at horizon 64."""
         counted = (
             (hierarchy, "_check_terminal_complex"),
             (hierarchy, "_distribute"),
@@ -965,7 +967,7 @@ class TestRunAnalysisWork:
             op = getattr(workloads, family)(random.Random(1), horizon)
             path = tmp_path / f"{family}{horizon}.txt"
             path.write_text(op.text)
-            out = dict.fromkeys((name for _module, name in counted), 0)
+            out = dict.fromkeys([name for _module, name in counted] + ["covolume"], 0)
 
             def wrap(name, fn):
                 def wrapper(*args, **kwargs):
@@ -977,6 +979,9 @@ class TestRunAnalysisWork:
             with monkeypatch.context() as m:
                 for module, name in counted:
                     m.setattr(module, name, wrap(name, getattr(module, name)))
+                derive = functools.cached_property(wrap("covolume", Complex2.__dict__["covolume"].func))
+                derive.__set_name__(Complex2, "covolume")
+                m.setattr(Complex2, "covolume", derive)
                 rep = run_pipeline(parse_fixtures([str(path)]), op.pipeline)
             assert rep.horizon == horizon and rep.certificate_level == op.expected.cert_level
             return out

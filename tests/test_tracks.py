@@ -18,7 +18,7 @@ from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolu
 from passdown.trees import make_tree
 
 from generators import random_labelled_complex
-from oracles import expand_fragment, identity_step_oracle
+from oracles import expand_renamings, identity_step_oracle
 
 
 def line_tree(n=2, ideals=()):
@@ -325,24 +325,22 @@ class TestIdentityCollapse:
     @staticmethod
     def handed_on(result, terminals):
         """Everything a passdown hands on, with cell dicts in stored order
-        and identity fragments written out face by face."""
+        and the renamings of an identity step written out face by face
+        (tau as maps: the general path lists faces piece by piece)."""
 
         def cells(x):
             plus = {eid: x.edge_stab_plus(eid) for eid in x.edges}
             return sorted(x.vertices), list(x.edges.items()), list(x.faces.items()), x.stab, x.orbit, x.boundary_marked, plus
 
         received = [(v, [(tid, gid, cells(x)) for tid, (gid, x) in got.items()]) for v, got in result.terminals.items()]
-        tau = []
-        for nid, frag in result.tau.items():
-            frag = expand_fragment(frag, terminals[nid][1])
-            tau.append((nid, list(frag.triangle_map.items()), list(frag.edge_map.items())))
-        return received, list(result.ledger.items()), tau
+        tau = expand_renamings(result.tau, {nid: x for nid, (_gid, x) in terminals.items()})
+        return received, list(result.ledger.items()), tau.triangle_map, tau.edge_map
 
     def assert_matches_oracle(self, terminals, groups, ideal_points=None):
         fast_groups, full_groups = groups.copy(), groups.copy()
         fast = passdown_full(terminals, self.point_level(fast_groups, ideal_points))
         full = identity_step_oracle(terminals, self.point_level(full_groups, ideal_points))
-        assert all(frag.home is None for frag in full.tau.values())
+        assert not full.tau.renamed
         assert self.handed_on(fast, terminals) == self.handed_on(full, terminals)
         # no ref minted and no containment declared that the identity step skips
         assert fast_groups._mint_counter == full_groups._mint_counter
@@ -353,7 +351,7 @@ class TestIdentityCollapse:
         outputs = {id(x) for got in fast.terminals.values() for _gid, x in got.values()}
         if all(x.is_reduced and not cutpoints(x) for _gid, x in terminals.values()):
             assert outputs == inputs
-            assert all(frag.home is not None for frag in fast.tau.values())
+            assert fast.tau.renamed.keys() == terminals.keys() and not fast.tau.triangle_map
         else:
             assert not outputs & inputs
         return fast

@@ -3,16 +3,14 @@ import random
 
 import pytest
 
-from passdown.errors import ConsistencyError, FixtureError, HypothesisError
+from passdown.errors import ConsistencyError, FixtureError
 from passdown.groups import GroupRef, GroupTable
 from passdown.trees import (
     ActionDescriptor,
-    axis_core,
     check_reduced,
     classify_subgroup_action,
     make_gog,
     make_tree,
-    minimal_invariant_subtree,
     reduced_path,
 )
 
@@ -128,35 +126,6 @@ class TestClassification:
             for perm in itertools.permutations(descriptors)
         }
         assert results == {"dihedral"}
-
-
-class TestMinimalSubtree:
-    def test_single_axis(self):
-        t = path_tree(5)
-        sub = minimal_invariant_subtree([hyp("p", "q")], t)
-        assert sub.vertices == ("x0", "x1", "x2", "x3", "x4")
-        assert sub.ideal_points == ("p", "q")
-
-    def test_linear_pair_gives_shared_axis(self):
-        t = path_tree(4)
-        sub = minimal_invariant_subtree([hyp("p", "q"), hyp("p", "q")], t)
-        assert sub.vertices == tuple(sorted(axis_core(t, ("p", "q"))))
-
-    def test_hull_of_two_overlapping_axes(self):
-        # T: path x0..x3 plus a leg x2-y0; ideal points at x0, x3, y0
-        verts = ["x0", "x1", "x2", "x3", "y0"]
-        edges = {"f0": ("x0", "x1"), "f1": ("x1", "x2"), "f2": ("x2", "x3"), "g": ("x2", "y0")}
-        ideal = {"p": ("x1", "x0"), "q": ("x2", "x3"), "r": ("x2", "y0")}
-        t = make_tree(verts, edges, ideal)
-        sub = minimal_invariant_subtree([hyp("p", "q"), hyp("p", "r")], t)
-        # brute-force hull: union of pairwise paths between axis vertices
-        expect = set(axis_core(t, ("p", "q"))) | set(axis_core(t, ("p", "r")))
-        assert set(sub.vertices) == expect
-
-    def test_requires_hyperbolic(self):
-        t = path_tree()
-        with pytest.raises(HypothesisError):
-            minimal_invariant_subtree([ell("x0")], t)
 
 
 class TestCheckReduced:
