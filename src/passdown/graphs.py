@@ -63,13 +63,10 @@ def components(nodes, edges):
     return comps
 
 
-def path(edges, a, b):
-    """A shortest vertex tuple from ``a`` to ``b`` along the (u, v) pairs in
-    ``edges``, by breadth-first search; None when no path joins them."""
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+def path(adj, a, b):
+    """A shortest vertex tuple from ``a`` to ``b`` in the graph whose node ->
+    neighbours map is ``adj``, by breadth-first search that tries the
+    neighbours in their order; None when no path joins them."""
     prev = {a: None}
     queue = [a]
     for v in queue:  # the list grows while it is walked

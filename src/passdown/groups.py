@@ -136,7 +136,7 @@ class GroupTable:
         """
         for gid in self._refs:
             ref = self._refs[gid]
-            for sup in self._parents(gid):
+            for sup in sorted(self._parents(gid)):
                 if sup not in self._refs:
                     raise FixtureError(f"group {gid!r}: unknown supergroup {sup!r}")
                 sup_ref = self._refs[sup]
@@ -154,7 +154,7 @@ class GroupTable:
         # or b is the trivial group, which lies below everything
         comp = graphs.strong_components(self._up)
         for a in self._refs:
-            for b in self._parents(a):
+            for b in sorted(self._parents(a)):
                 if b == TRIVIAL or comp[b] == comp[a]:
                     ra, rb = self._refs[a], self._refs[b]
                     if (ra.is_slender, ra.is_h_elliptic, ra.is_finite) != (

@@ -27,7 +27,7 @@ from .complexes import covolume, cutpoints, h1_z2, is_connected, reduced_cutpoin
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError
 from .groups import GroupTable
 from .provenance import TauFragment
-from .resolution import CONTRACTING, ActionTable, build_resolution, contract, resolution_from_images
+from .resolution import CONTRACTING, ActionTable, Resolution, build_resolution, contract
 from .tracks import essential_tracks, split_collapse, tracks_from_resolution
 from .trees import ELLIPTIC, FLEXIBLE, RIGID, GraphOfGroups, TreeHat, make_gog
 
@@ -454,10 +454,14 @@ def make_tree_level(name, tree, actions) -> TreeLevel:
 
 
 def _restrict_resolution(res, sub_x):
-    return resolution_from_images(
-        sub_x,
-        res.target,
-        {v: res.vertex_image[v] for v in sub_x.vertices},
+    """``res`` on a subcomplex of its source, with the parent's edge paths.
+    A piece of a splitting resolution is splitting."""
+    return Resolution(
+        source=sub_x,
+        target=res.target,
+        vertex_image={v: res.vertex_image[v] for v in sub_x.vertices},
+        edge_path={eid: res.edge_path[eid] for eid in sub_x.edges},
+        kind=res.kind,
         actions=res.actions,
     )
 
@@ -601,19 +605,17 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
         xt, frag = split_collapse(x, res, ts, groups)
         nid0 = origin[nid]
         merged[nid0].update(frag)
+        tree_edge_of = {frag.track_point[tr.id]: tr.tree_edge for tr in ts.tracks}
 
         def claim_for(cx):
             # the piece maps into one component of the tree minus the
             # midpoints of its collapsed edges; claim that component at
             # the least image of the piece's own vertices
-            rev = {vid: tid for tid, vid in frag.track_point.items()}
             cut = set()
             anchors = set()
             for v in cx.vertices:
-                tid = rev.get(v)
-                if tid is not None:
-                    tr = next(t for t in ts.tracks if t.id == tid)
-                    cut.add(tr.tree_edge)
+                if v in tree_edge_of:
+                    cut.add(tree_edge_of[v])
                 elif v in x.vertices:
                     img = res.vertex_image[v]
                     if img in tl.tree.vertices:

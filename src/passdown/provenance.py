@@ -1,8 +1,8 @@
 """Triangle provenance across surgery steps.
 
 A TauFragment is the one triangle map of the package: a partial map on
-triangles, the per-triangle side correspondence for surviving triangles,
-and the vertex fate.  Each collapse and reduction step yields one.  Above
+triangles and the per-triangle side correspondence for surviving
+triangles.  Each collapse and reduction step yields one.  Above
 a complex, faces are keyed (complex id, face id): ``passdown_full`` hands
 on one fragment from (input terminal id, face id) to ((vertex orbit,
 terminal id), face id), and ``located`` renames both sides into the run's
@@ -24,7 +24,6 @@ from .errors import EngineError
 class TauFragment:
     triangle_map: dict = field(default_factory=dict)  # source face -> image face or None
     edge_map: dict = field(default_factory=dict)  # (source face, source edge) -> image edge
-    vertex_map: dict = field(default_factory=dict)  # source vertex -> image vertex or None
     track_point: dict = field(default_factory=dict)  # track id -> new vertex
     renamed: dict = field(default_factory=dict)  # source complex id -> image complex id, faces and sides fixed
 
@@ -42,14 +41,6 @@ class TauFragment:
             return eid
         return self.edge_map.get((key, eid))
 
-    @staticmethod
-    def identity(x):
-        return TauFragment(
-            triangle_map={f: f for f in x.triangles()},
-            edge_map={(f, e): e for f in x.triangles() for e in x.faces[f]},
-            vertex_map={v: v for v in x.vertices},
-        )
-
     def compose(self, nxt: "TauFragment") -> "TauFragment":
         """self followed by nxt, both with per-face maps."""
         if self.renamed or nxt.renamed:
@@ -64,10 +55,7 @@ class TauFragment:
                 continue
             if (ft, fe) in nxt.edge_map:
                 edges[(t, e)] = nxt.edge_map[(ft, fe)]
-        verts = {}
-        for v, img in self.vertex_map.items():
-            verts[v] = None if img is None else nxt.vertex_map.get(img)
-        return TauFragment(triangle_map=tri, edge_map=edges, vertex_map=verts)
+        return TauFragment(triangle_map=tri, edge_map=edges)
 
     def located(self, sources, images) -> "TauFragment":
         """This fragment on faces keyed (complex id, face id), with source
@@ -86,7 +74,6 @@ class TauFragment:
         """Take in the maps and renamings of a fragment on other sources."""
         self.triangle_map.update(other.triangle_map)
         self.edge_map.update(other.edge_map)
-        self.vertex_map.update(other.vertex_map)
         self.renamed.update(other.renamed)
 
     def check_consistency(self, source, target):
@@ -122,7 +109,6 @@ def finish_collapse(x, collapsed, frag: TauFragment, groups, step: str):
                 if red_map[f] is not None
                 for e in collapsed.faces[f]
             },
-            vertex_map={v: red_map[v] for v in collapsed.vertices},
         )
     )
     out.track_point = frag.track_point

@@ -219,7 +219,6 @@ def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable) -> Resolutio
     reduced paths between endpoint images; an edge whose endpoints share
     one ideal point is constant there and makes the resolution contracting.
     """
-    groups = actions.groups
     for cell in x.cells():
         kind = actions.classification(x.stab[cell])
         if kind == HYPERBOLIC:
@@ -250,38 +249,22 @@ def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable) -> Resolutio
             # linear vertex not grouped into a W: still maps to its line's end
             vertex_image[v] = min(act.axis)
 
-    edge_path = {}
+    res = resolution_from_images(x, t, vertex_image, actions=actions)
     for eid in sorted(x.edges):
         u, v = x.edges[eid]
-        pu, pv = vertex_image[u], vertex_image[v]
-        path = reduced_path(t, pu, pv)
-        edge_path[eid] = path
-        u_ideal, v_ideal = t.is_ideal(pu), t.is_ideal(pv)
-        flagged = x.edge_stab_plus(eid) != x.stab[eid]
-        if u_ideal != v_ideal and flagged:
+        u_ideal, v_ideal = t.is_ideal(vertex_image[u]), t.is_ideal(vertex_image[v])
+        if u_ideal != v_ideal and x.edge_stab_plus(eid) != x.stab[eid]:
             raise ConsistencyError(
                 f"edge {eid!r} has one ideal endpoint image, so its two orientations "
                 "are in different orbits and stab must equal stab+"
             )
-        if u_ideal and v_ideal and path.constant_ideal is None:
+        if u_ideal and v_ideal and res.edge_path[eid].constant_ideal is None:
             act = actions.resolved(x.stab[eid])
             if act.kind != ELLIPTIC or not act.fixed:
                 raise ConsistencyError(
                     f"edge {eid!r} runs between two ends but its stabilizer does not "
                     "fix a tree vertex"
                 )
-
-    kind = CONTRACTING if any(p.constant_ideal is not None for p in edge_path.values()) else SPLITTING
-
-    res = Resolution(
-        source=x,
-        target=t,
-        vertex_image=vertex_image,
-        edge_path=edge_path,
-        kind=kind,
-        actions=actions,
-    )
-    validate_resolution(res)
     return res
 
 
@@ -311,25 +294,17 @@ def resolution_from_images(x: Complex2, t: TreeHat, vertex_image, actions=None) 
 
 
 def validate_resolution(res: Resolution):
+    """Vertices of one orbit map to one target orbit (an ideal point is an
+    orbit of its own).  Paths and kind are built by
+    ``resolution_from_images`` and not checked again here."""
     x, t = res.source, res.target
-    for eid, (u, v) in x.edges.items():
-        path = res.edge_path[eid]
-        expect = reduced_path(t, res.vertex_image[u], res.vertex_image[v])
-        if path != expect and path != reduced_path(t, res.vertex_image[v], res.vertex_image[u]):
-            raise EngineError(f"edge {eid!r} path is not the reduced path between its images")
-        if len(set(path.vertices)) != len(path.vertices):
-            raise EngineError(f"edge {eid!r} path backtracks")
-    # quotient-level equivariance: same orbit, same image orbit
     img_orbit = {}
     for v in x.vertices:
         img = res.vertex_image[v]
-        key = t.orbit[img] if img in t.orbit else img  # ideal points are their own orbit
+        key = t.orbit[img] if img in t.orbit else img
         prev = img_orbit.setdefault(x.orbit[v], key)
         if prev != key:
             raise EngineError(f"vertices of orbit {x.orbit[v]!r} map to different target orbits")
-    want = CONTRACTING if res.boundary_edges() else SPLITTING
-    if res.kind != want:
-        raise EngineError("resolution kind flag disagrees with its boundary preimage")
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +398,6 @@ def contract(res: Resolution, groups: GroupTable):
     frag = TauFragment(
         triangle_map=tri_map,
         edge_map={(f, e): e for f, img in tri_map.items() if img is not None for e in x.faces[f]},
-        vertex_map=vertex_map,
     )
     xc, frag = finish_collapse(x, collapsed, frag, groups, "contraction")
     new_image = {v: image_override[v] if v in image_override else res.vertex_image[v] for v in xc.vertices}

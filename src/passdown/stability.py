@@ -321,7 +321,10 @@ def _straddling_cone(x: Complex2, class_of):
                     f1 = first.setdefault(u, f)
                     if class_of.get(f1) != class_of.get(f):
                         (a,), (b,) = set(link[f1]) - {u}, set(link[f]) - {u}
-                        rest = [link[g] for g in fids if u not in link[g]]
+                        rest = {}  # the block minus u, neighbours in block edge order
+                        for p, q in (link[g] for g in fids if u not in link[g]):
+                            rest.setdefault(p, []).append(q)
+                            rest.setdefault(q, []).append(p)
                         return make_cone(x, v, (u,) + graphs.path(rest, a, b))
     return None
 

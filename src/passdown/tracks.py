@@ -26,12 +26,11 @@ class Track:
     tree_edge: str
     points: frozenset  # edge ids of X carrying one point of this track
     arcs: dict  # face id -> pair of crossed side edge ids
-    sides: tuple = ()  # vertex sets of the complement components
-    side_infinite: tuple = ()
+    side_infinite: tuple = ()  # per component of the complement: is it infinite?
 
     @property
     def separates(self):
-        return len(self.sides) == 2
+        return len(self.side_infinite) == 2
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,8 @@ class TrackSystem:
 def tracks_from_resolution(res: Resolution) -> TrackSystem:
     """Assemble the track system from the edge paths of a splitting
     resolution: crossing indicators, in-triangle arc pairings, connected
-    tracks, and each track's complement sides with infiniteness marks."""
+    tracks, and for each track whether each side of its complement is
+    infinite."""
     if res.kind != SPLITTING:
         raise HypothesisError("tracks are extracted from splitting (type I) resolutions")
     x = res.source
@@ -85,20 +85,18 @@ def tracks_from_resolution(res: Resolution) -> TrackSystem:
             track_arcs = {
                 fid: pair for fid, pair in arcs.get(f, {}).items() if pair[0] in eids or pair[1] in eids
             }
-            sides = tuple(
-                frozenset(c)
-                for c in graphs.components(
+            infinite = tuple(
+                bool(s & marked) or bool(s & ideal)
+                for s in graphs.components(
                     x.vertices, (ends for eid, ends in x.edges.items() if eid not in eids)
                 )
             )
-            infinite = tuple(bool(s & marked) or bool(s & ideal) for s in sides)
             tracks.append(
                 Track(
                     id=f"s{counter}",
                     tree_edge=f,
                     points=frozenset(eids),
                     arcs=track_arcs,
-                    sides=sides,
                     side_infinite=infinite,
                 )
             )
@@ -320,7 +318,6 @@ def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: G
     frag = TauFragment(
         triangle_map=tri_map,
         edge_map=edge_map,
-        vertex_map={v: (None if v in removed else v) for v in x.vertices},
         track_point=point_vertex,
     )
     return finish_collapse(x, collapsed, frag, groups, "collapse")

@@ -123,7 +123,7 @@ class TreePath:
 
 
 def _vertex_path(t: TreeHat, a, b):
-    verts = graphs.path(t.edges.values(), a, b)
+    verts = graphs.path(t.adjacency, a, b)
     if verts is None:
         raise FixtureError(f"no path between {a!r} and {b!r}")
     return verts

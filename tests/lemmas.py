@@ -10,6 +10,8 @@ from passdown.complexes import Complex2, components
 from passdown.errors import EngineError, FixtureError, HypothesisError
 from passdown.stability import Cone
 
+from oracles import vertex_fate
+
 
 def is_simple(cone: Cone):
     """A cone is simple when its boundary has no repeated vertex."""
@@ -134,7 +136,7 @@ def cone_pushforward(cone: Cone, res, ts_star, frag, xt: Complex2) -> Pushforwar
         new_center = frag.track_point[outer.id]
         used = outer.id
     else:
-        new_center = frag.vertex_map.get(cone.center)
+        new_center = vertex_fate(res, cone.center)
         used = ""
         if new_center is None:
             raise HypothesisError(

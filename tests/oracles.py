@@ -422,6 +422,65 @@ def equivalence_classes(run, n, ps):
     return out
 
 
+def identity_fragment(x):
+    """The identity triangle map of x: each face to itself, each side to
+    itself."""
+    from passdown.provenance import TauFragment
+
+    return TauFragment(
+        triangle_map={f: f for f in x.triangles()},
+        edge_map={(f, e): e for f in x.triangles() for e in x.faces[f]},
+    )
+
+
+def check_resolution(res):
+    """What the resolution constructor builds, against the definitions:
+    every edge has a path, and it is the reduced path between its endpoint
+    images (either way round; the finite part by ``bfs_path`` between the
+    images or the truncated leaves of ideal ones), with no vertex twice;
+    the resolution is contracting exactly when some edge has both ends at
+    one ideal point."""
+    from passdown.resolution import CONTRACTING, SPLITTING
+
+    x, t = res.source, res.target
+    adjacency = defaultdict(set)
+    for u, v in t.edges.values():
+        adjacency[u].add(v)
+        adjacency[v].add(u)
+
+    def reduced(a, b):
+        """(vertices, start ideal, end ideal, constant ideal)."""
+        if a == b:
+            return ((), None, None, a) if t.is_ideal(a) else ((a,), None, None, None)
+        start, end = (t.ideal_points[p][-1] if t.is_ideal(p) else p for p in (a, b))
+        verts = tuple(bfs_path(adjacency, start, end))
+        return verts, a if t.is_ideal(a) else None, b if t.is_ideal(b) else None, None
+
+    assert set(res.edge_path) == set(x.edges), "edge paths and edges differ"
+    constant = False
+    for eid, (u, v) in x.edges.items():
+        path = res.edge_path[eid]
+        a, b = res.vertex_image[u], res.vertex_image[v]
+        got = (path.vertices, path.start_ideal, path.end_ideal, path.constant_ideal)
+        assert got in (reduced(a, b), reduced(b, a)), f"edge {eid!r} path is not the reduced path between its images"
+        assert len(set(path.vertices)) == len(path.vertices), f"edge {eid!r} path backtracks"
+        constant = constant or (a == b and t.is_ideal(a))
+    assert res.kind == (CONTRACTING if constant else SPLITTING), "resolution kind flag disagrees with its boundary preimage"
+
+
+def track_sides(x, track):
+    """The vertex sets of the components of x minus the edges that carry a
+    point of ``track``, ordered by least vertex."""
+    rest = (ends for eid, ends in x.edges.items() if eid not in track.points)
+    return tuple(frozenset(c) for c in brute_components(x.vertices, rest))
+
+
+def vertex_fate(res, v):
+    """Where a track collapse over ``res`` takes vertex v: nowhere (None)
+    when v maps to an ideal point, else to itself."""
+    return None if res.image_is_ideal(v) else v
+
+
 def expand_renamings(tau, complexes):
     """``tau`` with every renaming written out per face, over the complexes
     ``complexes`` (complex id -> complex) of its sources: each face of a

@@ -1,11 +1,12 @@
 """The benchmark's reports, pinned byte for byte.
 
-Every seed-1 operation of ``perfbench/workloads.py`` runs through
-``passdown pipeline``; the sha256 of its exit code and standard output
-must equal the digest recorded in ``tests/golden/bench_ops_seed1.sha256``
-(one ``<digest>  <workload>: <label>`` line per operation, sorted by
-key).  A change that keeps every benchmark report byte-identical keeps
-this file unchanged.
+Every operation of ``perfbench/workloads.py`` at seeds 1, 2 and 3 runs
+through ``passdown pipeline``; the sha256 of its exit code and standard
+output must equal the digest recorded in
+``tests/golden/bench_ops_seed<seed>.sha256`` (one
+``<digest>  <workload>: <label>`` line per operation, sorted by key).  A
+change that keeps every benchmark report byte-identical keeps these files
+unchanged.
 """
 
 import contextlib
@@ -13,11 +14,14 @@ import hashlib
 import io
 from pathlib import Path
 
+import pytest
+
 from passdown.cli import main
 
 from bench_ops import workloads
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "bench_ops_seed1.sha256"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SEEDS = (1, 2, 3)
 
 
 def _digest(op, tmp_path):
@@ -29,12 +33,12 @@ def _digest(op, tmp_path):
     return hashlib.sha256(f"exit {code}\n{out.getvalue()}".encode()).hexdigest()
 
 
-def digests(tmp_path):
-    """``{"<workload>: <label>": sha256}`` over every seed-1 operation."""
+def digests(tmp_path, seed):
+    """``{"<workload>: <label>": sha256}`` over every operation of ``seed``."""
     return {
         f"{name}: {op.label}": _digest(op, tmp_path)
         for name in sorted(workloads.WORKLOADS)
-        for op in workloads.generate(name, 1)
+        for op in workloads.generate(name, seed)
     }
 
 
@@ -42,5 +46,7 @@ def render(table):
     return "".join(f"{table[key]}  {key}\n" for key in sorted(table))
 
 
-def test_seed1_reports_match_the_golden_digests(tmp_path):
-    assert render(digests(tmp_path)) == GOLDEN.read_text()
+@pytest.mark.parametrize("seed", SEEDS)
+def test_reports_match_the_golden_digests(tmp_path, seed):
+    golden = GOLDEN / f"bench_ops_seed{seed}.sha256"
+    assert render(digests(tmp_path, seed)) == golden.read_text()

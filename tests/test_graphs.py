@@ -112,7 +112,7 @@ def test_path_is_a_shortest_path_or_none_across_components():
         pairs = {frozenset(p) for p in edges.values()}
         for a in nodes:
             for b in nodes:
-                found = path(edges.values(), a, b)
+                found = path(adjacency, a, b)
                 if comp_of[a] != comp_of[b]:
                     assert found is None
                     continue

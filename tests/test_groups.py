@@ -121,6 +121,38 @@ def test_an_unknown_id_above_raises_under_every_hash_seed(hashseed):
     assert proc.stdout == "FixtureError: unknown group id 'ghost'\n" * 2
 
 
+FLAG_MISMATCHES = """
+from passdown.errors import ConsistencyError
+from passdown.groups import GroupRef, GroupTable
+
+slender = [GroupRef("Gc", is_slender=True), GroupRef("Gd", is_slender=True)]
+equal = [GroupRef(g, is_slender=True, declared_supergroups=frozenset({"B"})) for g in ("A", "C")]
+for table in (
+    GroupTable(slender + [GroupRef("Gcd", declared_supergroups=frozenset({"Gc", "Gd"}))]),
+    GroupTable([GroupRef("B", is_slender=True, is_finite=True, declared_supergroups=frozenset({"A", "C"}))] + equal),
+):
+    try:
+        table.validate()
+    except ConsistencyError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("hashseed", ["1", "2", "3", "4"])
+def test_a_flag_mismatch_names_one_supergroup_under_every_hash_seed(hashseed):
+    """A group below two slender groups, and a group declared equal to two
+    others, each with a flag that does not match: the error names the
+    least supergroup whatever the iteration order of string sets."""
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FLAG_MISMATCHES], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "group 'Gcd' is declared inside slender 'Gc' but not flagged slender\n"
+        "declared-equal groups 'B', 'A' disagree on flags\n"
+    )
+
+
 class TestValidate:
     """``GroupTable.validate`` compares flags of declared-equal groups
     through the strongly connected components of the declared order, with

@@ -1,7 +1,14 @@
+import contextlib
+import io
+from pathlib import Path
+
 import pytest
 
+from passdown import hierarchy, resolution
+from passdown.cli import main
 from passdown.complexes import covolume, make_complex
 from passdown.errors import ConsistencyError, HypothesisError
+from passdown.fixtures import parse_fixtures
 from passdown.groups import GroupRef, GroupTable
 from passdown.resolution import (
     CONTRACTING,
@@ -9,11 +16,13 @@ from passdown.resolution import (
     ActionTable,
     build_resolution,
     contract,
+    resolution_from_images,
     w_components,
 )
 from passdown.trees import ActionDescriptor, make_tree, reduced_path
 
-from oracles import brute_components
+from bench_ops import workloads
+from oracles import brute_components, check_resolution, track_sides
 
 
 def line_tree(n=4, ideals=True):
@@ -363,3 +372,79 @@ class TestActionTableMemo:
         copy.declare_leq("C", "A")
         assert table.resolved("C").fixed == frozenset({"x3"})
         assert table.over(copy).resolved("C").fixed == frozenset({"x0"})
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def _commands(path):
+    """Every ``pipeline`` and ``passdown`` command of one fixture file."""
+    fx = parse_fixtures([str(path)])
+    return [["pipeline", str(path), "--name", name] for name in sorted(fx.pipelines)] + [
+        ["passdown", str(path), "--structure", s, "--tree", t] for s in sorted(fx.structures) for t in sorted(fx.trees)
+    ]
+
+
+class TestBuiltResolutions:
+    """Every resolution that ``passdown_full`` builds or restricts on the
+    committed fixtures, the seed-1 ``surgery`` operations and the seed-1
+    ``size`` bead chains (whose contracted complexes split at cutpoints),
+    checked against the definitions the constructor does not recheck."""
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        made, restricted, track_systems = [], [], []
+        construct, restrict = resolution.resolution_from_images, hierarchy._restrict_resolution
+        draw = hierarchy.tracks_from_resolution
+
+        def constructed(*args, **kwargs):
+            made.append(construct(*args, **kwargs))
+            return made[-1]
+
+        def restricted_to(res, sub_x):
+            restricted.append((res, sub_x, restrict(res, sub_x)))
+            return restricted[-1][2]
+
+        def drawn(res):
+            track_systems.append(draw(res))
+            return track_systems[-1]
+
+        paths = sorted(FIXTURES.glob("*.txt"))
+        beads = [op for op in workloads.generate("size", 1) if op.label.startswith("beads")]
+        ops = workloads.generate("surgery", 1) + beads
+        for i, op in enumerate(ops):
+            paths.append(tmp_path_factory.mktemp("ops") / f"op{i}.txt")
+            paths[-1].write_text(op.text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resolution, "resolution_from_images", constructed)
+            mp.setattr(hierarchy, "_restrict_resolution", restricted_to)
+            mp.setattr(hierarchy, "tracks_from_resolution", drawn)
+            for path in paths:
+                for argv in _commands(path):
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                        main(argv)
+        return made, restricted, track_systems
+
+    def test_each_resolution_is_reduced_and_of_its_kind(self, built):
+        made, restricted, _ = built
+        assert {res.kind for res in made} == {SPLITTING, CONTRACTING}
+        for res in made + [piece for _res, _sub, piece in restricted]:
+            check_resolution(res)
+
+    def test_a_restriction_is_the_resolution_of_the_piece_images(self, built):
+        _, restricted, _ = built
+        assert restricted
+        for res, sub_x, piece in restricted:
+            images = {v: res.vertex_image[v] for v in sub_x.vertices}
+            assert piece == resolution_from_images(sub_x, res.target, images, actions=res.actions)
+
+    def test_track_sides_are_the_complement_components(self, built):
+        _, _, track_systems = built
+        assert any(ts.tracks for ts in track_systems)
+        for ts in track_systems:
+            res = ts.resolution
+            infinite = res.ideal_vertices() | res.source.boundary_marked
+            for tr in ts.tracks:
+                sides = track_sides(res.source, tr)
+                assert tr.side_infinite == tuple(bool(side & infinite) for side in sides)
+                assert tr.separates == (len(sides) == 2)

@@ -17,6 +17,7 @@ from oracles import (
     enumerate_simple_cones,
     equivalence_classes,
     expand_run,
+    identity_fragment,
     n_dprime_oracle,
     n_prime_oracle,
     pair_set,
@@ -72,7 +73,7 @@ def tau_from_fragment(cid_src, cid_dst, frag):
 
 
 def identity_run(x, levels=3, groups=None):
-    frag = TauFragment.identity(x)
+    frag = identity_fragment(x)
     tau = tau_from_fragment("X", "X", frag)
     return RunView(
         levels=[LevelData(complexes={"X": x}) for _ in range(levels)],
@@ -522,7 +523,7 @@ class TestStabilizationAndAcc:
         groups.declare_leq("S2", "S3")
         base = strip2()
         xs = [override_labels(base, "bc", f"S{min(i + 1, 3)}") for i in range(levels)]
-        frag = TauFragment.identity(base)
+        frag = identity_fragment(base)
         taus = [tau_from_fragment("X", "X", frag) for _ in range(levels - 1)]
         return RunView(levels=[LevelData(complexes={"X": x}) for x in xs], taus=taus, groups=groups)
 
@@ -577,9 +578,9 @@ def random_fragment(rng, x, y, same, calm=False):
         else:
             tri[f] = rng.choice(neighbours if neighbours and r < 0.9 else targets)
             edge.update(((f, e), rng.choice(y.faces[tri[f]])) for e in sides)
-    frag = TauFragment(triangle_map=tri, edge_map=edge, vertex_map={v: None for v in x.vertices})
+    frag = TauFragment(triangle_map=tri, edge_map=edge)
     if not calm and rng.random() < 0.3:
-        drops = TauFragment.identity(y)
+        drops = identity_fragment(y)
         for f in targets:
             if rng.random() < 0.2:
                 drops.triangle_map[f] = None
@@ -635,7 +636,7 @@ def renamed_run(rng, run):
         if whole or rng.random() < 0.5:
             step.renamed[cid] = cid + "'"
         else:
-            step.update(tau_from_fragment(cid, cid + "'", TauFragment.identity(x)))
+            step.update(tau_from_fragment(cid, cid + "'", identity_fragment(x)))
     copy = LevelData(complexes={cid + "'": x for cid, x in complexes.items()})
     taus = run.taus[:n] + [step]
     if n < run.horizon:
@@ -787,7 +788,7 @@ class TestRunAnalysisOracles:
             {"t1": ("ca", "ab", "cb"), "t2": ("cb", "bd", "cd"), "t3": ("cd", "da", "ca")},
         )
         run = identity_run(x, levels=3)
-        run.taus[0] = tau_from_fragment("X", "X", TauFragment.identity(x))
+        run.taus[0] = tau_from_fragment("X", "X", identity_fragment(x))
         run.taus[0].edge_map[(("X", "t1"), "ca")] = "ab"
         run.taus[0].edge_map[(("X", "t1"), "ab")] = "ca"
         sweep = stable_classes(run, 0)
@@ -850,7 +851,7 @@ class TestRunAnalysisOracles:
     def test_pair_split_between_complexes_is_not_stable(self):
         # t1 and t2 go to equally named triangles of two different complexes
         x = strip2()
-        tau = tau_from_fragment("X", "P", TauFragment.identity(x))
+        tau = tau_from_fragment("X", "P", identity_fragment(x))
         tau.triangle_map[("X", "t2")] = ("Q", "t2")
         run = RunView(
             levels=[LevelData(complexes={"X": x}), LevelData(complexes={"P": x, "Q": x})],
@@ -862,7 +863,7 @@ class TestRunAnalysisOracles:
 
     def test_side_image_off_the_image_triangle_is_an_engine_error(self):
         x = strip2()
-        tau = tau_from_fragment("X", "X", TauFragment.identity(x))
+        tau = tau_from_fragment("X", "X", identity_fragment(x))
         tau.edge_map[(("X", "t1"), "ab")] = "cd"  # cd is a side of t2, not of t1
         run = RunView(levels=[LevelData(complexes={"X": x})] * 2, taus=[tau], groups=GroupTable())
         for sweep in (stable_classes, oracles.stable_pair_sets):

@@ -18,7 +18,7 @@ from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolu
 from passdown.trees import make_tree
 
 from generators import random_labelled_complex
-from oracles import expand_renamings, identity_step_oracle
+from oracles import expand_renamings, identity_fragment, identity_step_oracle, track_sides, vertex_fate
 
 
 def line_tree(n=2, ideals=()):
@@ -36,9 +36,9 @@ def crossing_indicator(ts, eid, f):
     return any(tr.tree_edge == f and eid in tr.points for tr in ts.tracks)
 
 
-def is_vertex_parallel(tr):
+def is_vertex_parallel(x, tr):
     """True when one side of the track is the star of a single vertex."""
-    return any(len(s) == 1 for s in tr.sides)
+    return any(len(s) == 1 for s in track_sides(x, tr))
 
 
 def total_and_bijective(frag):
@@ -112,7 +112,7 @@ class TestEssential:
     def test_vertex_parallel_unmarked_discarded(self):
         x, ts = self.fan(marked=["a"])
         assert len(ts.tracks) == 1
-        assert is_vertex_parallel(ts.tracks[0])
+        assert is_vertex_parallel(x, ts.tracks[0])
         assert essential_tracks(ts, x).tracks == ()
 
     def test_marked_on_both_sides_retained(self):
@@ -142,7 +142,7 @@ class TestEssential:
         star = essential_tracks(ts, x)
         assert 0 < len(star.tracks) < 3
         for tr in ts.tracks:
-            expect = all(bool(s & marked) for s in tr.sides)
+            expect = all(bool(s & marked) for s in track_sides(x, tr))
             assert (tr in star.tracks) == expect
 
 
@@ -257,7 +257,7 @@ class TestSplitCollapse:
         t = line_tree(2)
         res = resolution_from_images(x, t, {"v": "x0", "a": "x1", "b": "x1", "c": "x1"})
         ts = essential_tracks(tracks_from_resolution(res), x)
-        assert len(ts.tracks) == 1 and is_vertex_parallel(ts.tracks[0])
+        assert len(ts.tracks) == 1 and is_vertex_parallel(x, ts.tracks[0])
         xt, _ = split_collapse(x, res, ts, GroupTable())
         assert h1_z2(xt) == h1_z2(x) == 0
 
@@ -282,7 +282,8 @@ class TestSplitCollapse:
         ts = essential_tracks(tracks_from_resolution(res), x)
         xt, frag = split_collapse(x, res, ts, GroupTable())
         assert "a" not in xt.vertices
-        assert frag.vertex_map["a"] is None
+        assert vertex_fate(res, "a") is None
+        assert all((vertex_fate(res, v) is None) == (v not in xt.vertices) for v in x.vertices)
         assert covolume(xt) == 1  # central triangle survives
         assert is_connected(xt) and h1_z2(xt) == 0
 
@@ -293,13 +294,12 @@ def test_fragment_composition_associative():
         {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")},
         {"f": ("ab", "bc", "ac")},
     )
-    ident = TauFragment.identity(x)
-    drop = TauFragment(triangle_map={"f": None}, edge_map={}, vertex_map={v: v for v in x.vertices})
+    ident = identity_fragment(x)
+    drop = TauFragment(triangle_map={"f": None}, edge_map={})
     left = ident.compose(ident).compose(drop)
     right = ident.compose(ident.compose(drop))
     assert left.triangle_map == right.triangle_map
     assert left.edge_map == right.edge_map
-    assert left.vertex_map == right.vertex_map
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
