@@ -133,7 +133,7 @@ def main(argv=None) -> int:
         elif args.command == "tracks":
             x, t, res = _resolution_for(fx, args)
             ts = tracks_from_resolution(res)
-            star = essential_tracks(ts, x)
+            star = essential_tracks(ts)
             star_ids = {tr.id for tr in star.tracks}
             for tr in ts.tracks:
                 mark = "essential" if tr.id in star_ids else "inessential"
@@ -141,8 +141,7 @@ def main(argv=None) -> int:
                 print(f"track {tr.id} at {tr.tree_edge} [{mark}] edges=" + ",".join(sorted(tr.points)) + (f" arcs {arcs}" if arcs else ""))
         elif args.command == "split":
             x, t, res = _resolution_for(fx, args)
-            ts = essential_tracks(tracks_from_resolution(res), x)
-            xt, frag = split_collapse(x, res, ts, fx.groups)
+            xt, frag = split_collapse(essential_tracks(tracks_from_resolution(res)), fx.groups)
             survivors = sum(1 for v in frag.triangle_map.values() if v is not None)
             print(f"covolume {covolume(x)} -> {covolume(xt)}; {survivors} triangles survive")
             sys.stdout.write(serialize_complex(args.complex + ".split", xt))

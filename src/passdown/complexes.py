@@ -250,7 +250,9 @@ class Complex2:
         return self.stab_plus.get(eid, self.stab[eid])
 
     def cells(self):
-        out = list(self.vertices)
+        """Every cell id: the vertices in sorted order, then the edges and
+        the faces in stored order."""
+        out = sorted(self.vertices)
         out.extend(self.edges)
         out.extend(self.faces)
         return out
@@ -339,27 +341,32 @@ def _validate_label_refs(x, groups: GroupTable):
         groups[x.stab_plus[eid]]
 
 
-def _validate_containments(x, groups: GroupTable):
-    # faces sit below their edges and vertices in the declared order
+def _containments(x):
+    """(cell, label, cell above, its label) for each face below its sides
+    and its corners, corners in sorted order, then each edge below its ends."""
+    stab = x.stab
     for fid, es in x.faces.items():
-        fg = x.stab[fid]
-        for eid in es:
-            if not groups.leq(fg, x.stab[eid]):
-                raise ConsistencyError(
-                    f"face {fid!r} stabilizer {fg!r} not declared inside edge {eid!r} stabilizer"
-                )
-        for w in x.face_vertices(fid):
-            if not groups.leq(fg, x.stab[w]):
-                raise ConsistencyError(
-                    f"face {fid!r} stabilizer {fg!r} not declared inside vertex {w!r} stabilizer"
-                )
-    for eid, (u, v) in x.edges.items():
-        eg = x.stab[eid]
-        for w in (u, v):
-            if not groups.leq(eg, x.stab[w]):
-                raise ConsistencyError(
-                    f"edge {eid!r} stabilizer {eg!r} not declared inside vertex {w!r} stabilizer"
-                )
+        for above in (*es, *sorted(x.face_vertices(fid))):
+            yield fid, stab[fid], above, stab[above]
+    for eid, ends in x.edges.items():
+        for w in ends:
+            yield eid, stab[eid], w, stab[w]
+
+
+def _validate_containments(x, groups: GroupTable):
+    for cell, label, above, label_above in _containments(x):
+        if not groups.leq(label, label_above):
+            kind = "face" if cell in x.faces else "edge"
+            kind_above = "edge" if above in x.edges else "vertex"
+            raise ConsistencyError(
+                f"{kind} {cell!r} stabilizer {label!r} not declared inside {kind_above} {above!r} stabilizer"
+            )
+
+
+def _declare_containments(x, groups: GroupTable):
+    for _cell, label, _above, label_above in _containments(x):
+        if not groups.leq(label, label_above):
+            groups.declare_leq(label, label_above)
 
 
 def _validate_orbit_labels(x):
@@ -439,7 +446,12 @@ def reduce_complex(x: Complex2, groups: GroupTable) -> Complex2:
 
 
 def reduce_with_map(x: Complex2, groups: GroupTable):
-    """reduce_complex plus the cell map (collapsed bigons map to None)."""
+    """reduce_complex plus the cell map (collapsed bigons map to None).
+
+    The reduction of a valid complex is valid, so it is not validated: its
+    cells are canonical, its labels are labels of ``x`` or minted, one per
+    merged orbit class, and merged edge orbits join the same vertex orbits.
+    Only the containments that its minted labels need are recorded."""
     edge_groups, tri_groups = x.edges_by_pair, x.triangles_by_triple
 
     new_edges, edge_image = {}, {}
@@ -479,7 +491,7 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
         boundary_marked=x.boundary_marked,
         stab_plus=stab_plus,
     )
-    wire_and_validate(out, groups)
+    _declare_containments(out, groups)
     return out, cell_map
 
 
@@ -493,21 +505,20 @@ def wire_and_validate(x: Complex2, groups: GroupTable):
     validation walks them no more; every other check of
     ``validate_complex`` runs.
     """
-    for eid, (u, v) in x.edges.items():
-        for w in (u, v):
-            if not groups.leq(x.stab[eid], x.stab[w]):
-                groups.declare_leq(x.stab[eid], x.stab[w])
-    for fid in x.faces:
-        fg = x.stab[fid]
-        for eid in x.faces[fid]:
-            if not groups.leq(fg, x.stab[eid]):
-                groups.declare_leq(fg, x.stab[eid])
-        for w in x.face_vertices(fid):
-            if not groups.leq(fg, x.stab[w]):
-                groups.declare_leq(fg, x.stab[w])
+    _declare_containments(x, groups)
     _validate_cells(x)
     _validate_label_refs(x, groups)
     _validate_orbit_labels(x)
+
+
+def fresh_separator(x: Complex2, minted, sep):
+    """``sep`` repeated until no id that ``minted(sep)`` yields is a cell or
+    orbit id of ``x``, so that the cells and orbits a surgery step names
+    with it are new."""
+    taken = set(x.stab).union(x.orbit.values())
+    while not taken.isdisjoint(minted(sep)):
+        sep += sep[0]
+    return sep
 
 
 def quotient_labels(x: Complex2, cell_map, groups: GroupTable, prefix: str, extra_stab=None):
@@ -686,26 +697,17 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
 def subcomplex(x: Complex2, cells) -> Complex2:
     """The full subcomplex on a downward-closed cell set, keeping the
     order of ``x``'s cell dicts (so a piece of a reduced complex is reduced).
-    Its labels are copied from ``x``, which is valid, so only its cells are
-    checked."""
+    Cells and labels are copied from ``x``, which is valid, and nothing is
+    checked: the cell sets of ``_block_cells`` are closed under subcells."""
     cells = set(cells)
-    verts = {c for c in cells if c in x.vertices}
+    verts = x.vertices & cells
     edges = {eid: ends for eid, ends in x.edges.items() if eid in cells}
-    faces = {fid: es for fid, es in x.faces.items() if fid in cells}
-    for eid, (u, v) in edges.items():
-        if u not in verts or v not in verts:
-            raise FixtureError(f"subcomplex cell set not closed under subcells at edge {eid!r}")
-    for fid, es in faces.items():
-        if any(eid not in edges for eid in es):
-            raise FixtureError(f"subcomplex cell set not closed under subcells at face {fid!r}")
-    out = Complex2(
-        vertices=frozenset(verts),
+    return Complex2(
+        vertices=verts,
         edges=edges,
-        faces=faces,
+        faces={fid: es for fid, es in x.faces.items() if fid in cells},
         stab={c: x.stab[c] for c in cells},
         orbit={c: x.orbit[c] for c in cells},
         boundary_marked=x.boundary_marked & verts,
         stab_plus={eid: x.stab_plus[eid] for eid in edges if eid in x.stab_plus},
     )
-    _validate_cells(out)
-    return out

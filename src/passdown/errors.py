@@ -10,13 +10,11 @@ class FixtureError(PassdownError):
 
     exit_code = 2
 
-    def __init__(self, message, line=None, column=None):
+    def __init__(self, message, line=None):
         if line is not None:
-            loc = f"line {line}" + (f", col {column}" if column is not None else "")
-            message = f"{loc}: {message}"
+            message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-        self.column = column
 
 
 class ConsistencyError(FixtureError):

@@ -223,9 +223,8 @@ def _parse_complex(fx, header, parsed):
 
 def _parse_tree(fx, header, parsed):
     body, end = parsed
-    header, _flags = _bool_flags(header, {"jsj"})  # jsj is still accepted, but nothing reads it
     if len(header) != 2:
-        raise FixtureError("expected: tree <name> [jsj]")
+        raise FixtureError("expected: tree <name>")
     name = header[1]
     vertices, edges, ideal = [], {}, {}
     stab, orbit = {}, {}

@@ -193,7 +193,7 @@ def passdown_hierarchy(tree_gog: GraphOfGroups, k: Hierarchy, tables: Restrictio
         nodes = {}
         counter = [0]
 
-        def build(gid, knode: HNode, parent_id, via_elliptic_first):
+        def build(gid, knode: HNode, parent_id):
             # descend through elliptic steps until the group splits or lands
             # on a terminal originating node
             first_step_elliptic = None
@@ -255,11 +255,11 @@ def passdown_hierarchy(tree_gog: GraphOfGroups, k: Hierarchy, tables: Restrictio
                         f"vertex group {sub_gid!r} of {r.sub.name!r} not declared inside "
                         f"{child_knode.group!r}"
                     )
-                cid, _ = build(sub_gid, child_knode, nid, False)
+                cid, _ = build(sub_gid, child_knode, nid)
                 node.children[sv] = cid
             return nid, first_step_elliptic
 
-        root_id, root_elliptic = build(gv, k.nodes[k.root], None, None)
+        root_id, root_elliptic = build(gv, k.nodes[k.root], None)
         kv = Hierarchy(name=f"{k.name}@{v}", root=root_id, nodes=nodes)
         validate_hierarchy(kv, groups)
         # property 2 (and hence 1): origins at least as deep
@@ -601,8 +601,8 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
                     f"cutpoint {cut!r} of the complex at {nid!r} does not act elliptically",
                     lemma="splitting-resolution",
                 )
-        ts = essential_tracks(tracks_from_resolution(res), x)
-        xt, frag = split_collapse(x, res, ts, groups)
+        ts = essential_tracks(tracks_from_resolution(res))
+        xt, frag = split_collapse(ts, groups)
         nid0 = origin[nid]
         merged[nid0].update(frag)
         tree_edge_of = {frag.track_point[tr.id]: tr.tree_edge for tr in ts.tracks}

@@ -93,7 +93,8 @@ class TauFragment:
 def finish_collapse(x, collapsed, frag: TauFragment, groups, step: str):
     """Finish a collapse of ``x`` onto the freshly built ``collapsed``,
     whose cells ``frag`` follows: record the incidence containments of
-    ``collapsed``, validate and reduce it, and follow ``frag`` with the
+    ``collapsed``, validate it (its one validation: the reduction of a
+    valid complex is valid) and reduce it, and follow ``frag`` with the
     reduction.  The result must be consistent and no larger in covolume
     than ``x``.  Returns (reduced complex, fragment from ``x``); the
     reduction keeps every vertex, so track points stay where ``frag`` put

@@ -15,7 +15,7 @@ Group ids without an entry inherit the entry of a declared supergroup.
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import Complex2, quotient_labels
+from .complexes import Complex2, fresh_separator, quotient_labels
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError
 from .groups import TRIVIAL, GroupTable
 from .provenance import TauFragment, finish_collapse
@@ -139,7 +139,7 @@ class WComponent:
     end: str  # the equivariantly chosen ideal endpoint
 
 
-def w_components(x: Complex2, t: TreeHat, actions: ActionTable):
+def w_components(x: Complex2, actions: ActionTable):
     """Maximal connected subcomplexes of the 1-skeleton all of whose cells
     have linearly-acting stabilizers, each with its fixed line and chosen
     ideal endpoint (smallest id; same line, same choice).
@@ -227,7 +227,7 @@ def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable) -> Resolutio
                 lemma="resolution",
             )
 
-    ws = w_components(x, t, actions)
+    ws = w_components(x, actions)
     in_w = {}
     for w in ws:
         for cell in w.cells:
@@ -317,6 +317,9 @@ def contract(res: Resolution, groups: GroupTable):
     Returns (X_C, descended resolution, provenance).  New vertices take
     the collapsed component's stabilizer: the original one for a singleton
     component, otherwise a fresh slender ref (the component fixes a line).
+    A component of several vertices becomes vertex ``c<sep><v>`` for a
+    vertex v of it, where ``sep`` is the shortest run of colons that makes
+    every such id new.
     The descended resolution is splitting and covolume does not increase.
     """
     if res.kind != CONTRACTING:
@@ -332,18 +335,21 @@ def contract(res: Resolution, groups: GroupTable):
     for eid in boundary_edges:
         uf.union(*x.edges[eid])
 
+    classes = uf.classes(ideal_verts)
+    merged = [rep for rep, members in classes.items() if len(members) > 1]
+    sep = fresh_separator(x, lambda sep: (f"c{sep}{rep}" for rep in merged), ":")
     comp_vertex = {}
     image_override = {}
     extra_stab = {}
     ref_by_signature = {}
-    for rep, members in uf.classes(ideal_verts).items():
+    for rep, members in classes.items():
         images = {res.vertex_image[v] for v in members}
         if len(images) != 1:
             raise EngineError("one collapsed component maps to several ideal points")
         if len(members) == 1:
             comp_vertex[rep] = rep  # singleton: keep the vertex and its label
         else:
-            cid = f"c:{rep}"
+            cid = f"c{sep}{rep}"
             comp_vertex[rep] = cid
             # components in one orbit share one fresh slender label
             sig = frozenset(x.orbit[v] for v in members)

@@ -9,11 +9,11 @@ together with the triangle provenance that drives the cross-level
 analysis.
 """
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import Complex2, h1_z2, is_connected
+from .complexes import Complex2, fresh_separator, h1_z2, is_connected
 from .errors import EngineError, FixtureError, HypothesisError, TruncationError
 from .groups import GroupTable
 from .provenance import TauFragment, finish_collapse
@@ -104,11 +104,11 @@ def tracks_from_resolution(res: Resolution) -> TrackSystem:
     return TrackSystem(resolution=res, tracks=tuple(tracks))
 
 
-def essential_tracks(ts: TrackSystem, x: Complex2 = None) -> TrackSystem:
+def essential_tracks(ts: TrackSystem) -> TrackSystem:
     """The subfamily of tracks both of whose sides are infinite, where a
     side is infinite iff it holds a boundary-marked vertex or a vertex
     mapped to an ideal point."""
-    x = x or ts.resolution.source
+    x = ts.resolution.source
     if not is_connected(x):
         raise HypothesisError("essential-track selection needs a connected complex")
     if h1_z2(x) != 0:
@@ -129,108 +129,89 @@ def essential_tracks(ts: TrackSystem, x: Complex2 = None) -> TrackSystem:
 
 
 def _oriented_crossings(res, eid, start_vertex):
-    u, v = res.source.edges[eid]
-    fs = list(res.crossings(eid))
-    if start_vertex == u:
-        return fs
-    if start_vertex == v:
-        return list(reversed(fs))
-    raise EngineError(f"{start_vertex!r} is not an endpoint of {eid!r}")
+    fs = res.crossings(eid)
+    return fs if start_vertex == res.source.edges[eid][0] else fs[::-1]
 
 
-def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: GroupTable):
-    """Remove the boundary preimage, collapse each essential track to a
-    point, and reduce.  Returns (X_T, provenance fragment).
+def split_collapse(ts_star: TrackSystem, groups: GroupTable):
+    """Remove the boundary preimage of the source of ``ts_star``'s
+    resolution, collapse each track of ``ts_star`` to a point, and reduce.
+    Returns (X_T, provenance fragment).
 
     Every triangle contributes at most one image triangle (its central
     region); images of distinct triangles may coincide, which is exactly
     when covolume drops.  The fragment records, per surviving triangle,
-    the side-to-side edge correspondence.
+    the side-to-side edge correspondence.  New cells and orbits are named
+    ``w<sep><track>``, ``<edge><sep><k>``, ``<orbit><sep><k>`` and
+    ``<face><sep>mid``, where ``sep`` is the shortest run of dots that
+    makes every such id new.
     """
-    if res.source is not x:
-        raise FixtureError("track system and complex belong to different resolutions")
-    if res.kind != SPLITTING:
-        raise HypothesisError("split_collapse needs a splitting resolution")
+    res = ts_star.resolution
+    x, tree = res.source, res.target
     removed = res.ideal_vertices()
 
     track_of = {}  # (eid, tree edge) -> track
     for tr in ts_star.tracks:
         for eid in tr.points:
             track_of[(eid, tr.tree_edge)] = tr
+    points_on = Counter(eid for eid, _f in track_of)
 
-    point_vertex = {}
-    ref_by_sig = {}
-    orbit_by_sig = {}
-    extra_stab = {}
-    tree = res.target
+    def minted(sep):
+        # every id the collapse may mint: an edge with n points splits
+        # into at most n + 1 segments, and only a triangle on such an
+        # edge gets a central face of a new id
+        for tr in ts_star.tracks:
+            yield f"w{sep}{tr.id}"
+        for eid, n in points_on.items():
+            for k in range(n + 1):
+                yield f"{eid}{sep}{k}"
+                yield f"{x.orbit[eid]}{sep}{k}"
+            for fid in x.triangles_by_edge.get(eid, ()):
+                yield f"{fid}{sep}mid"
+
+    sep = fresh_separator(x, minted, ".")
+
+    # one point per track, with one fresh label and orbit per orbit of
+    # tracks; a point that faces a truncated end is marked: the complex
+    # continues beyond it at full scale
+    point_vertex, stab, orbit, marked_points, by_sig = {}, {}, {}, set(), {}
     for tr in sorted(ts_star.tracks, key=lambda t: t.id):
-        vid = f"w.{tr.id}"
-        if vid in x.vertices:
-            raise FixtureError(f"vertex id {vid!r} collides with a track point")
-        point_vertex[tr.id] = vid
-        sig = (
-            tree.orbit[tr.tree_edge],
-            tuple(sorted(x.orbit[e] for e in tr.points)),
-        )
-        if sig not in ref_by_sig:
-            ref_by_sig[sig] = groups.mint("trk", supergroups={tree.stab[tr.tree_edge]}, slender=True).id
-            orbit_by_sig[sig] = f"w.{tr.id}"
-        extra_stab[vid] = ref_by_sig[sig]
-
-    # mark track points that face a truncated end: the complex continues
-    # beyond them at full scale
-    marked_points = set()
-    for tr in ts_star.tracks:
+        vid = point_vertex[tr.id] = f"w{sep}{tr.id}"
+        sig = (tree.orbit[tr.tree_edge], tuple(sorted(x.orbit[e] for e in tr.points)))
+        if sig not in by_sig:
+            by_sig[sig] = groups.mint("trk", supergroups={tree.stab[tr.tree_edge]}, slender=True).id, vid
+        stab[vid], orbit[vid] = by_sig[sig]
         if any(w in removed for eid in tr.points for w in x.edges[eid]):
-            marked_points.add(point_vertex[tr.id])
+            marked_points.add(vid)
+    kept = x.vertices - removed
+    for v in kept:
+        stab[v], orbit[v] = x.stab[v], x.orbit[v]
 
-    def essential_nodes(eid, start):
-        """Ordered node ids along an edge: surviving endpoint, the points
-        of essential tracks in path order, surviving far endpoint."""
-        u, v = x.edges[eid]
-        a, b = (u, v) if start == u else (v, u)
-        nodes = []
-        if a not in removed:
-            nodes.append(a)
-        for f in _oriented_crossings(res, eid, a):
-            tr = track_of.get((eid, f))
-            if tr is not None:
-                nodes.append(point_vertex[tr.id])
-        if b not in removed:
-            nodes.append(b)
-        return nodes
-
-    # edges of the collapsed complex: one segment per consecutive node pair
-    seg_edges = {}
-    seg_labels = {}
-    seg_orbits = {}
-    seg_plus = {}
+    # edges of the collapsed complex: one segment per consecutive pair of
+    # nodes along an edge (surviving ends and track points in path order)
+    seg_edges, seg_plus = {}, {}
     seg_of = {}  # (eid, frozenset of node pair) -> segment id
-    point_ids = set(point_vertex.values())
     for eid in sorted(x.edges):
         u, v = x.edges[eid]
-        nodes = essential_nodes(eid, u)
-        if (u in removed or v in removed) and not any(n in point_ids for n in nodes):
+        untouched = not points_on[eid]
+        if untouched and (u in removed or v in removed):
             raise TruncationError(
                 f"edge {eid!r} reaches a truncated end without an essential crossing; "
                 "extend the tree's rays or the boundary marking"
             )
-        untouched = len(nodes) == 2 and set(nodes) == {u, v}
+        points = [point_vertex[track_of[(eid, f)].id] for f in res.crossings(eid) if (eid, f) in track_of]
+        nodes = ([u] if u in kept else []) + points + ([v] if v in kept else [])
         for k, (a, b) in enumerate(zip(nodes, nodes[1:])):
-            sid = eid if untouched else f"{eid}.{k}"
+            sid = eid if untouched else f"{eid}{sep}{k}"
             seg_edges[sid] = (a, b)
-            seg_labels[sid] = x.stab[eid]
-            seg_orbits[sid] = x.orbit[eid] if untouched else f"{x.orbit[eid]}.{k}"
+            stab[sid] = x.stab[eid]
+            orbit[sid] = x.orbit[eid] if untouched else f"{x.orbit[eid]}{sep}{k}"
             if eid in x.stab_plus:
                 seg_plus[sid] = x.stab_plus[eid]
             seg_of[(eid, frozenset((a, b)))] = sid
 
     # central triangle per face, via the tripod of its three branches
-    mid_faces = {}
-    mid_labels = {}
-    mid_orbits = {}
-    tri_map = {}
-    edge_map = {}
+    mid_faces, tri_map, edge_map = {}, {}, {}
     for fid in sorted(x.triangles()):
         # x is simplicial (track extraction checks it): one edge per side
         a, b, c = sorted(x.face_vertices(fid))
@@ -239,17 +220,14 @@ def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: G
             pair: [f for f in res.crossings(eid) if (eid, f) in track_of]
             for pair, eid in sides.items()
         }
+        # a tree edge crossing the triangle crosses two of its sides
+        # (track extraction checks it), so the branches at the corners
+        # partition the crossings
         branch = {
             a: set(crossed[(a, b)]) & set(crossed[(a, c)]),
             b: set(crossed[(a, b)]) & set(crossed[(b, c)]),
             c: set(crossed[(b, c)]) & set(crossed[(a, c)]),
         }
-        for (p, q), fs in crossed.items():
-            third = ({a, b, c} - {p, q}).pop()
-            if set(fs) != (branch[p] | branch[q]) or (branch[p] & branch[q]):
-                raise EngineError(f"branch partition failed on triangle {fid!r}")
-            if branch[third] & set(fs):
-                raise EngineError(f"branch partition failed on triangle {fid!r}")
 
         corner_node = {}
         for corner, other in ((a, b), (b, a), (c, a)):
@@ -273,7 +251,7 @@ def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: G
                 corner_node[corner] = corner
 
         untouched = all(corner_node[cn] == cn for cn in (a, b, c))
-        mid_id = fid if untouched else f"{fid}.mid"
+        mid_id = fid if untouched else f"{fid}{sep}mid"
         tri_sides = {}
         for p, q in ((a, b), (b, c), (a, c)):
             eid = sides[(p, q)]
@@ -283,41 +261,19 @@ def split_collapse(x: Complex2, res: Resolution, ts_star: TrackSystem, groups: G
                 raise EngineError(f"central region side missing on triangle {fid!r}")
             tri_sides[(p, q)] = sid
         mid_faces[mid_id] = (tri_sides[(a, b)], tri_sides[(b, c)], tri_sides[(a, c)])
-        mid_labels[mid_id] = x.stab[fid]
-        mid_orbits[mid_id] = x.orbit[fid]
+        stab[mid_id], orbit[mid_id] = x.stab[fid], x.orbit[fid]
         tri_map[fid] = mid_id
         for pair, eid in sides.items():
             edge_map[(fid, eid)] = tri_sides[pair]
 
-    new_vertices = {v for v in x.vertices if v not in removed}
-    new_vertices.update(point_vertex.values())
-    stab = dict(extra_stab)
-    orbit = {}
-    for tr in ts_star.tracks:
-        vid = point_vertex[tr.id]
-        sig = (tree.orbit[tr.tree_edge], tuple(sorted(x.orbit[e] for e in tr.points)))
-        orbit[vid] = orbit_by_sig[sig]
-    for v in new_vertices:
-        if v not in stab:
-            stab[v] = x.stab[v]
-            orbit[v] = x.orbit[v]
-    stab.update(seg_labels)
-    orbit.update(seg_orbits)
-    stab.update(mid_labels)
-    orbit.update(mid_orbits)
-
     collapsed = Complex2(
-        vertices=frozenset(new_vertices),
+        vertices=kept.union(point_vertex.values()),
         edges=seg_edges,
         faces=mid_faces,
         stab=stab,
         orbit=orbit,
-        boundary_marked=frozenset((x.boundary_marked & new_vertices) | marked_points),
+        boundary_marked=(x.boundary_marked & kept) | marked_points,
         stab_plus=seg_plus,
     )
-    frag = TauFragment(
-        triangle_map=tri_map,
-        edge_map=edge_map,
-        track_point=point_vertex,
-    )
+    frag = TauFragment(triangle_map=tri_map, edge_map=edge_map, track_point=point_vertex)
     return finish_collapse(x, collapsed, frag, groups, "collapse")

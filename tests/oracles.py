@@ -475,6 +475,32 @@ def track_sides(x, track):
     return tuple(frozenset(c) for c in brute_components(x.vertices, rest))
 
 
+def crossing_partition_holds(ts):
+    """Do the track points of ``ts`` on the sides of each triangle of its
+    source split into three corner branches?  A branch is the tree edges
+    whose points lie on both sides at a corner; the points on each side
+    must be those of the branches at its two ends, which are disjoint, and
+    none of the branch at the opposite corner."""
+    res = ts.resolution
+    x = res.source
+    points = {(eid, tr.tree_edge) for tr in ts.tracks for eid in tr.points}
+    for fid in x.triangles():
+        corners = set(x.face_vertices(fid))
+        crossed = {}
+        for eid in x.faces[fid]:
+            crossed[frozenset(x.edges[eid])] = {f for f in res.crossings(eid) if (eid, f) in points}
+        branch = {}
+        for v in corners:
+            p, q = (crossed[side] for side in crossed if v in side)
+            branch[v] = p & q
+        for side, fs in crossed.items():
+            u, v = side
+            (opposite,) = corners - side
+            if fs != branch[u] | branch[v] or branch[u] & branch[v] or branch[opposite] & fs:
+                return False
+    return True
+
+
 def vertex_fate(res, v):
     """Where a track collapse over ``res`` takes vertex v: nowhere (None)
     when v maps to an ideal point, else to itself."""

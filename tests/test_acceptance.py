@@ -112,8 +112,8 @@ def test_splitting_resolution_suite():
             continue
         x, t, res = made
         try:
-            ts = essential_tracks(tracks_from_resolution(res), x)
-            xt, frag = split_collapse(x, res, ts, groups)
+            ts = essential_tracks(tracks_from_resolution(res))
+            xt, frag = split_collapse(ts, groups)
         except TruncationError:
             continue
         assert is_connected(xt)

@@ -205,6 +205,7 @@ class TestCommands:
             "complex X\n  vertex a\n  vertex b\n  vertex c\n  edge ab a b\n  edge bc b c\n  edge ac a c\n"
             "  triangle t1 ab bc ac\n  triangle t2 ab bc cd\nend\n",
             "pipeline P root=S0\nend\n",
+            "tree T jsj\n  vertex x0\nend\n",
         ):
             bad.write_text(text)
             assert main(["h1", str(bad), "--complex", "X"]) == 2
@@ -214,6 +215,7 @@ class TestCommands:
         assert "line 2: config: link-cap must be at least 3" in err
         assert "face 't2' references missing edge 'cd'" in err
         assert "line 1: pipeline 'P' needs at least one node" in err
+        assert "line 1: expected: tree <name>" in err
 
     _AB = "groups\n  group A\n  group B\nend\n"
     _TRI = (
@@ -551,6 +553,46 @@ def test_pipeline_output_does_not_depend_on_the_hash_seed():
     assert len(outputs) == 1
     codes = [line.rsplit(" ", 1)[1] for line in outputs.pop().splitlines() if line.startswith("=== ")]
     assert codes == ["0", "1", "0", "0"]
+
+
+RUN_COMMANDS = """
+import sys
+from passdown.cli import main
+for argv in sys.argv[1:]:
+    main(argv.split())
+"""
+
+
+def test_a_failing_cell_is_named_alike_under_every_hash_seed(tmp_path):
+    """Two inputs whose first failing cell is one of several vertices: the
+    cells of ``contracting.txt`` labelled L, once L is not slender, and the
+    corners of a face whose label lies below its sides but not its corners.
+    Each error names the least such vertex, in fresh interpreters with
+    different string hashing."""
+    with open(fixture("contracting.txt")) as fh:
+        text = fh.read()
+    assert "  group L slender\n" in text
+    (tmp_path / "fat.txt").write_text(text.replace("  group L slender\n", "  group L\n"))
+    (tmp_path / "face.txt").write_text(
+        "groups\n  group A\n  group B\n  group F sub-of=A\nend\ncomplex X\n  vertex a stab=B\n  vertex b stab=B\n"
+        "  vertex c stab=B\n  edge ab a b stab=A\n  edge bc b c stab=A\n  edge ac a c stab=A\n"
+        "  triangle t ab bc ac stab=F\nend\n"
+    )
+    argv = [
+        f"passdown {tmp_path / 'fat.txt'} --structure SC --tree TL",
+        f"pipeline {tmp_path / 'fat.txt'} --name contracting",
+        f"h1 {tmp_path / 'face.txt'} --complex X",
+    ]
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    for hashseed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", RUN_COMMANDS, *argv], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0 and proc.stdout == "", proc.stderr
+        assert proc.stderr == (
+            "error: line 60: cell 'u' of the complex at 'r' is neither slender nor elliptic on every level\n" * 2
+            + "error: line 6: face 't' stabilizer 'F' not declared inside vertex 'a' stabilizer\n"
+        ), hashseed
 
 
 FUZZED = [  # fixture, pipeline, structure, tree

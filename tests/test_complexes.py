@@ -462,6 +462,26 @@ class TestWireAndValidate:
         assert groups.leq("B", "A") and groups.leq("A", "B")
 
 
+def test_a_reduction_declares_what_its_minted_labels_need():
+    """A bigon whose two edges carry labels A and B reduces to one edge with
+    a minted label.  The reduction declares that label inside the labels of
+    its ends and above the label of the triangle on it, so the reduced
+    complex is valid over the table."""
+    groups = GroupTable([GroupRef("G"), GroupRef("T", declared_supergroups=frozenset({"A"}))])
+    for g in ("A", "B"):
+        groups.add(GroupRef(g, declared_supergroups=frozenset({"G"})))
+    x = make_complex(
+        "abc",
+        {"ab": ("a", "b"), "ab2": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")},
+        {"g": ("ab", "ab2"), "t": ("ab", "bc", "ac")},
+        stab={"a": "G", "b": "G", "c": "G", "ab": "A", "ab2": "B", "bc": "A", "ac": "A", "t": "T"},
+        groups=groups,
+    )
+    out = reduce_complex(x, groups)
+    assert list(out.edges) == ["ab", "ac", "bc"] and out.stab["ab"].startswith("red")
+    validate_complex(out, groups)
+
+
 def _perturbed(x, rng):
     """Copies of a reduced complex that each break one part of being reduced."""
     out = [dataclasses.replace(x, edges=dict(reversed(x.edges.items())))]

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from passdown import hierarchy, resolution
+from passdown import hierarchy, provenance, resolution
 from passdown.cli import main
-from passdown.complexes import covolume, make_complex
+from passdown.complexes import covolume, make_complex, validate_complex
 from passdown.errors import ConsistencyError, HypothesisError
 from passdown.fixtures import parse_fixtures
 from passdown.groups import GroupRef, GroupTable
@@ -22,7 +22,7 @@ from passdown.resolution import (
 from passdown.trees import ActionDescriptor, make_tree, reduced_path
 
 from bench_ops import workloads
-from oracles import brute_components, check_resolution, track_sides
+from oracles import brute_components, check_resolution, crossing_partition_holds, track_sides
 
 
 def line_tree(n=4, ideals=True):
@@ -57,7 +57,7 @@ class TestWComponents:
         t = line_tree()
         groups = std_groups()
         x = make_complex(["a", "b"], {"ab": ("a", "b")}, {}, stab={"a": "E", "b": "E", "ab": "Esub"}, groups=groups)
-        assert w_components(x, t, actions_for(t, groups)) == []
+        assert w_components(x, actions_for(t, groups)) == []
 
     def test_single_linear_edge(self):
         t = line_tree()
@@ -65,7 +65,7 @@ class TestWComponents:
         x = make_complex(
             ["a", "b"], {"ab": ("a", "b")}, {}, stab={"a": "L", "b": "L", "ab": "L"}, groups=groups
         )
-        (w,) = w_components(x, t, actions_for(t, groups))
+        (w,) = w_components(x, actions_for(t, groups))
         assert w.cells == frozenset({"a", "b", "ab"})
         assert set(w.axis) == {"p", "q"}
         assert w.end == "p"
@@ -80,7 +80,7 @@ class TestWComponents:
             stab={"a": "L", "b": "L", "c": "L", "ab": "L", "bc": "L"},
             groups=groups,
         )
-        ws = w_components(x, t, actions_for(t, groups))
+        ws = w_components(x, actions_for(t, groups))
         assert len(ws) == 1
         # connected-components oracle on the linear subgraph
         comps = brute_components({"a", "b", "c"}, [("a", "b"), ("b", "c")])
@@ -100,7 +100,7 @@ class TestWComponents:
             ["a", "b"], {"ab": ("a", "b")}, {}, stab={"a": "E", "b": "E", "ab": "Lsub"}, groups=groups
         )
         with pytest.raises(ConsistencyError):
-            w_components(x, t, table)
+            w_components(x, table)
 
     def test_dihedral_cell_contradicts_the_no_dinfty_assumption(self):
         # an edge label with a swapping axis acts dihedrally; the input is
@@ -115,9 +115,9 @@ class TestWComponents:
         )
         assert table.classification("D") == "dihedral"
         x = make_complex(["a", "b"], {"ab": ("a", "b")}, {}, stab={"a": "L", "b": "L", "ab": "D"}, groups=groups)
-        for build in (w_components, build_resolution):
+        for build in (lambda: w_components(x, table), lambda: build_resolution(x, t, table)):
             with pytest.raises(ConsistencyError, match="cell 'ab' classified dihedral although the no-D-infinity flag is set"):
-                build(x, t, table)
+                build()
 
 
 class TestBuildResolution:
@@ -389,13 +389,17 @@ class TestBuiltResolutions:
     """Every resolution that ``passdown_full`` builds or restricts on the
     committed fixtures, the seed-1 ``surgery`` operations and the seed-1
     ``size`` bead chains (whose contracted complexes split at cutpoints),
-    checked against the definitions the constructor does not recheck."""
+    checked against the definitions the constructor does not recheck; with
+    them every collapsed complex, reduced complex and cutpoint piece built,
+    each with a copy of the group table as it was when it was built, and
+    every track system drawn and kept essential."""
 
     @pytest.fixture(scope="class")
     def built(self, tmp_path_factory):
-        made, restricted, track_systems = [], [], []
+        made, restricted, track_systems, complexes = [], [], [], []
         construct, restrict = resolution.resolution_from_images, hierarchy._restrict_resolution
-        draw = hierarchy.tracks_from_resolution
+        draw, collapse = hierarchy.tracks_from_resolution, hierarchy.split_collapse
+        wire, reduce, split = provenance.wire_and_validate, provenance.reduce_with_map, hierarchy._cutpoint_pieces
 
         def constructed(*args, **kwargs):
             made.append(construct(*args, **kwargs))
@@ -409,6 +413,24 @@ class TestBuiltResolutions:
             track_systems.append(draw(res))
             return track_systems[-1]
 
+        def collapsed(ts, groups):
+            track_systems.append(ts)
+            return collapse(ts, groups)
+
+        def wired(x, groups):
+            wire(x, groups)
+            complexes.append(("collapsed", x, groups.copy()))
+
+        def reduced(x, groups):
+            out = reduce(x, groups)
+            complexes.append(("reduced", out[0], groups.copy()))
+            return out
+
+        def pieces(nid, x, groups):
+            out = split(nid, x, groups)
+            complexes.extend(("piece", sub, groups.copy()) for _gid, sub in (out or {}).values())
+            return out
+
         paths = sorted(FIXTURES.glob("*.txt"))
         beads = [op for op in workloads.generate("size", 1) if op.label.startswith("beads")]
         ops = workloads.generate("surgery", 1) + beads
@@ -419,27 +441,31 @@ class TestBuiltResolutions:
             mp.setattr(resolution, "resolution_from_images", constructed)
             mp.setattr(hierarchy, "_restrict_resolution", restricted_to)
             mp.setattr(hierarchy, "tracks_from_resolution", drawn)
+            mp.setattr(hierarchy, "split_collapse", collapsed)
+            mp.setattr(provenance, "wire_and_validate", wired)
+            mp.setattr(provenance, "reduce_with_map", reduced)
+            mp.setattr(hierarchy, "_cutpoint_pieces", pieces)
             for path in paths:
                 for argv in _commands(path):
                     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                         main(argv)
-        return made, restricted, track_systems
+        return made, restricted, track_systems, complexes
 
     def test_each_resolution_is_reduced_and_of_its_kind(self, built):
-        made, restricted, _ = built
+        made, restricted, *_ = built
         assert {res.kind for res in made} == {SPLITTING, CONTRACTING}
         for res in made + [piece for _res, _sub, piece in restricted]:
             check_resolution(res)
 
     def test_a_restriction_is_the_resolution_of_the_piece_images(self, built):
-        _, restricted, _ = built
+        _, restricted, *_ = built
         assert restricted
         for res, sub_x, piece in restricted:
             images = {v: res.vertex_image[v] for v in sub_x.vertices}
             assert piece == resolution_from_images(sub_x, res.target, images, actions=res.actions)
 
     def test_track_sides_are_the_complement_components(self, built):
-        _, _, track_systems = built
+        _, _, track_systems, _ = built
         assert any(ts.tracks for ts in track_systems)
         for ts in track_systems:
             res = ts.resolution
@@ -448,3 +474,15 @@ class TestBuiltResolutions:
                 sides = track_sides(res.source, tr)
                 assert tr.side_infinite == tuple(bool(side & infinite) for side in sides)
                 assert tr.separates == (len(sides) == 2)
+
+    def test_each_built_complex_is_valid_over_the_run_table(self, built):
+        *_, complexes = built
+        assert {kind for kind, _x, _groups in complexes} == {"collapsed", "reduced", "piece"}
+        for _kind, x, groups in complexes:
+            validate_complex(x, groups)
+
+    def test_each_track_system_keeps_the_crossing_partition(self, built):
+        _, _, track_systems, _ = built
+        assert any(ts.tracks for ts in track_systems)
+        for ts in track_systems:
+            assert crossing_partition_holds(ts)

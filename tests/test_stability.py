@@ -128,10 +128,10 @@ class TestStablePairs:
         x = strip2()
         t = line_tree(2)
         res = resolution_from_images(x, t, {"a": "x0", "b": "x0", "c": "x1", "d": "x1"})
-        ts = essential_tracks(tracks_from_resolution(res), x)
+        ts = essential_tracks(tracks_from_resolution(res))
         assert len(ts.tracks) == 1
         groups = GroupTable()
-        xt, frag = split_collapse(x, res, ts, groups)
+        xt, frag = split_collapse(ts, groups)
         run = RunView(
             levels=[LevelData(complexes={"X": x}), LevelData(complexes={"X": xt})],
             taus=[tau_from_fragment("X", "X", frag)],
@@ -392,8 +392,8 @@ class TestPushforward:
         t = line_tree(2)
         res = resolution_from_images(x, t, {v: "x0" for v in x.vertices})
         groups = GroupTable()
-        ts = essential_tracks(tracks_from_resolution(res), x)
-        xt, frag = split_collapse(x, res, ts, groups)
+        ts = essential_tracks(tracks_from_resolution(res))
+        xt, frag = split_collapse(ts, groups)
         cone = make_cone(x, "v", ("u0", "u1", "u2"))
         out = cone_pushforward(cone, res, ts, frag, xt)
         assert out.circumference == 3
@@ -407,9 +407,9 @@ class TestPushforward:
             x, t, {"v": "x0", "u0": "x1", "u1": "x1", "u2": "x1"}
         )
         groups = GroupTable()
-        ts = essential_tracks(tracks_from_resolution(res), x)
+        ts = essential_tracks(tracks_from_resolution(res))
         assert len(ts.tracks) == 1
-        xt, frag = split_collapse(x, res, ts, groups)
+        xt, frag = split_collapse(ts, groups)
         cone = make_cone(x, "v", ("u0", "u1", "u2"))
         out = cone_pushforward(cone, res, ts, frag, xt)
         assert out.used_track == ts.tracks[0].id
@@ -434,8 +434,8 @@ class TestPushforward:
         t = line_tree(2)
         res = resolution_from_images(x, t, {"a": "x0", "b": "x0", "c": "x1", "d": "x1"})
         groups = GroupTable()
-        ts = essential_tracks(tracks_from_resolution(res), x)
-        xt, frag = split_collapse(x, res, ts, groups)
+        ts = essential_tracks(tracks_from_resolution(res))
+        xt, frag = split_collapse(ts, groups)
         cone = make_cone(x, "a", ("b", "c", "d"))
         out = cone_pushforward(cone, res, ts, frag, xt)
         assert out.circumference == 2 < area(cone)
