@@ -451,7 +451,9 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
     The reduction of a valid complex is valid, so it is not validated: its
     cells are canonical, its labels are labels of ``x`` or minted, one per
     merged orbit class, and merged edge orbits join the same vertex orbits.
-    Only the containments that its minted labels need are recorded."""
+    Its containments are recorded only when it mints a cell label: every
+    other label is the one label of its merged cells in ``x``, and so
+    every containment already holds between cells of ``x``."""
     edge_groups, tri_groups = x.edges_by_pair, x.triangles_by_triple
 
     new_edges, edge_image = {}, {}
@@ -491,7 +493,8 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
         boundary_marked=x.boundary_marked,
         stab_plus=stab_plus,
     )
-    _declare_containments(out, groups)
+    if not set(x.stab.values()).issuperset(stab.values()):
+        _declare_containments(out, groups)
     return out, cell_map
 
 
@@ -511,11 +514,11 @@ def wire_and_validate(x: Complex2, groups: GroupTable):
     _validate_orbit_labels(x)
 
 
-def fresh_separator(x: Complex2, minted, sep):
-    """``sep`` repeated until no id that ``minted(sep)`` yields is a cell or
-    orbit id of ``x``, so that the cells and orbits a surgery step names
-    with it are new."""
-    taken = set(x.stab).union(x.orbit.values())
+def fresh_separator(taken, minted, sep):
+    """``sep`` with its first character repeated until no id that
+    ``minted(sep)`` yields is in the set ``taken`` (for a surgery step on a
+    complex, its cell and orbit ids), so that the ids a step names with it
+    are new."""
     while not taken.isdisjoint(minted(sep)):
         sep += sep[0]
     return sep

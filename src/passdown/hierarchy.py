@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import graphs
-from .complexes import covolume, cutpoints, h1_z2, is_connected, reduced_cutpoint_tree, subcomplex
+from .complexes import covolume, cutpoints, fresh_separator, h1_z2, is_connected, reduced_cutpoint_tree, subcomplex
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError
 from .groups import GroupTable
 from .provenance import TauFragment
@@ -466,23 +466,29 @@ def _restrict_resolution(res, sub_x):
     )
 
 
-def _cutpoint_pieces(nid, x, groups):
+def _cutpoint_pieces(nid, x, groups, taken):
     """Split the complex of terminal ``nid`` through its reduced cutpoint
     tree: {f"{nid}.b{i}": (node group, piece)}, numbering every node
     orbit, with an entry for each piece (cut vertices carry no complex).
-    None when x does not split."""
+    The ``b`` is repeated until no piece id is in ``taken``, the terminal
+    and piece ids in use.  None when x does not split."""
     if not cutpoints(x):
         return None
     bpx = reduced_cutpoint_tree(x, groups)
     if len(bpx.comp_nodes) + len(bpx.cut_nodes) <= 1:
         return None
+    numbered = [
+        (i, rep)
+        for i, rep in enumerate(sorted({bpx.node_orbit[n] for n in bpx.comp_nodes + bpx.cut_nodes}))
+        if rep in bpx.comp_cells
+    ]
+    sep = fresh_separator(taken, lambda sep: (f"{nid}.{sep}{i}" for i, _rep in numbered), "b")
     out = {}
-    for i, rep in enumerate(sorted({bpx.node_orbit[n] for n in bpx.comp_nodes + bpx.cut_nodes})):
-        if rep in bpx.comp_cells:
-            sub = subcomplex(x, bpx.comp_cells[rep])
-            if not is_connected(sub) or h1_z2(sub) != 0:
-                raise EngineError("cutpoint-free piece is not connected with h1 = 0")
-            out[f"{nid}.b{i}"] = (bpx.node_stab[rep], sub)
+    for i, rep in numbered:
+        sub = subcomplex(x, bpx.comp_cells[rep])
+        if not is_connected(sub) or h1_z2(sub) != 0:
+            raise EngineError("cutpoint-free piece is not connected with h1 = 0")
+        out[f"{nid}.{sep}{i}"] = (bpx.node_stab[rep], sub)
     return out
 
 
@@ -576,7 +582,7 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
     # stage two: split at cutpoints (the reduced cutpoint tree keeps the
     # non-slender ones inside merged pieces)
     for nid, (_gid, x) in sorted(pieces.items()):
-        split = _cutpoint_pieces(nid, x, groups)
+        split = _cutpoint_pieces(nid, x, groups, pieces.keys() | terminals.keys())
         if split is None:
             continue
         res = resolutions.pop(nid)
@@ -635,7 +641,7 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
                 raise EngineError("empty image region for a collapsed piece")
             return tl.tree.orbit[min(candidates)]
 
-        split = _cutpoint_pieces(nid, xt, groups)
+        split = _cutpoint_pieces(nid, xt, groups, pieces.keys() | terminals.keys())
         if split is None:
             pieces[nid] = (gid, xt)
             claims[nid] = claim_for(xt)

@@ -337,7 +337,7 @@ def contract(res: Resolution, groups: GroupTable):
 
     classes = uf.classes(ideal_verts)
     merged = [rep for rep, members in classes.items() if len(members) > 1]
-    sep = fresh_separator(x, lambda sep: (f"c{sep}{rep}" for rep in merged), ":")
+    sep = fresh_separator(x.stab.keys() | x.orbit.values(), lambda sep: (f"c{sep}{rep}" for rep in merged), ":")
     comp_vertex = {}
     image_override = {}
     extra_stab = {}

@@ -310,9 +310,12 @@ def _straddling_cone(x: Complex2, class_of):
     the simple cycles of v's link, and two link edges lie on one exactly
     when they share a block (Whitney).  In a block holding two classes,
     two edges of different classes meet at some u, and the block minus u
-    joins their far ends."""
-    for v in sorted(x.triangles_by_vertex):
-        link = {fid: tuple(sorted(x.face_vertices(fid) - {v})) for fid in x.triangles_by_vertex[v]}
+    joins their far ends.  So only a vertex whose star meets two classes
+    (a triangle in no class counting as one more) can give a cone."""
+    for v, star in sorted(x.triangles_by_vertex.items()):
+        if len({class_of.get(fid) for fid in star}) < 2:
+            continue
+        link = {fid: tuple(sorted(x.face_vertices(fid) - {v})) for fid in star}
         for _verts, fids in graphs.blocks({w for ends in link.values() for w in ends}, link):
             fids = sorted(fids)
             first = {}  # link vertex -> the first block edge at it
@@ -468,11 +471,39 @@ def stabilization_report(run: RunView) -> StabilizationReport:
     )
 
 
+def _grows_into_horizon(run: RunView, start: int) -> bool:
+    """Does tau_{H-1}, for the horizon H with H-1 >= ``start``, send a side
+    of a level H-1 triangle to an edge with a strictly larger oriented-edge
+    label?  Every chain that the monitor walks into the horizon takes its
+    last step along one of these, so without one there is no alert."""
+    horizon = run.horizon
+    if horizon - 1 < start:
+        return False
+    groups, tau, above = run.groups, run.taus[horizon - 1], run.levels[horizon].complexes
+    for cid, x in run.levels[horizon - 1].complexes.items():
+        for fid in x.triangles():
+            key = (cid, fid)
+            img = tau.image(key)
+            if img is None:
+                continue
+            for eid in x.faces[fid]:
+                img_eid = tau.side_image(key, eid)
+                if img_eid is None:
+                    continue
+                a, b = x.edge_stab_plus(eid), above[img[0]].edge_stab_plus(img_eid)
+                if groups.leq(a, b) and not groups.leq(b, a):
+                    return True
+    return False
+
+
 def acc_monitor(run: RunView, start: int, classes):
     """Follow each class edge through the levels and compare its
     oriented-edge label with the declared subgroup order; a chain still
     strictly growing at the final step is an alert.  ``classes`` maps each
-    level from ``start`` to the horizon to its equivalence classes."""
+    level from ``start`` to the horizon to its equivalence classes.  The
+    chains are walked only when some last step grows."""
+    if not _grows_into_horizon(run, start):
+        return []
     groups = run.groups
     horizon = run.horizon
     chains = {}

@@ -169,7 +169,7 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
             for fid in x.triangles_by_edge.get(eid, ()):
                 yield f"{fid}{sep}mid"
 
-    sep = fresh_separator(x, minted, ".")
+    sep = fresh_separator(x.stab.keys() | x.orbit.values(), minted, ".")
 
     # one point per track, with one fresh label and orbit per orbit of
     # tracks; a point that faces a truncated end is marked: the complex

@@ -243,6 +243,31 @@ def cone_criterion_oracle(x, classes):
     ]
 
 
+def straddling_cone_every_vertex(x, class_of):
+    """The cone ``stability._straddling_cone`` returns, by building the
+    link blocks of every vertex, one-class stars included: a simple cone
+    meeting two classes, or None."""
+    from passdown import graphs
+    from passdown.stability import make_cone
+
+    for v in sorted(x.triangles_by_vertex):
+        link = {fid: tuple(sorted(x.face_vertices(fid) - {v})) for fid in x.triangles_by_vertex[v]}
+        for _verts, fids in graphs.blocks({w for ends in link.values() for w in ends}, link):
+            fids = sorted(fids)
+            first = {}  # link vertex -> the first block edge at it
+            for f in fids:
+                for u in link[f]:
+                    f1 = first.setdefault(u, f)
+                    if class_of.get(f1) != class_of.get(f):
+                        (a,), (b,) = set(link[f1]) - {u}, set(link[f]) - {u}
+                        rest = {}  # the block minus u, neighbours in block edge order
+                        for p, q in (link[g] for g in fids if u not in link[g]):
+                            rest.setdefault(p, []).append(q)
+                            rest.setdefault(q, []).append(p)
+                        return make_cone(x, v, (u,) + graphs.path(rest, a, b))
+    return None
+
+
 def link_graph(x, v):
     """The link of v as an adjacency dict: one link edge per triangle at v."""
     adj = {}
@@ -528,6 +553,54 @@ def expand_run(run):
 
     taus = [expand_renamings(tau, run.levels[n].complexes) for n, tau in enumerate(run.taus)]
     return RunView(levels=run.levels, taus=taus, groups=run.groups)
+
+
+def acc_monitor_full_walk(run, start, classes):
+    """The alerts of ``stability.acc_monitor`` by following every class
+    edge from every level from ``start`` on to the horizon, whether or not
+    any last step grows."""
+    from passdown.stability import AccAlert
+
+    groups = run.groups
+    horizon = run.horizon
+    chains = {}
+    consumed = set()
+    for n in range(start, horizon):
+        for cls in classes[n]:
+            x = run.levels[n].complexes[cls.cid]
+            for fid in sorted(cls.triangles):
+                for eid in x.faces[fid]:
+                    key = (n, cls.cid, eid)
+                    if key in consumed:
+                        continue
+                    chain_levels = [n]
+                    chain_labels = [x.edge_stab_plus(eid)]
+                    cur_key = (cls.cid, fid)
+                    cur_eid = eid
+                    m = n
+                    while m < horizon:
+                        tau = run.taus[m]
+                        img = tau.image(cur_key)
+                        img_eid = tau.side_image(cur_key, cur_eid)
+                        if img is None or img_eid is None:
+                            break
+                        m += 1
+                        xm = run.levels[m].complexes[img[0]]
+                        consumed.add((m, img[0], img_eid))
+                        chain_levels.append(m)
+                        chain_labels.append(xm.edge_stab_plus(img_eid))
+                        cur_key, cur_eid = img, img_eid
+                    consumed.add(key)
+                    if len(chain_levels) > 1:
+                        chains[f"{cls.cid}:{eid}@L{n}"] = (chain_levels, chain_labels)
+    alerts = []
+    for name, (levels, labels) in sorted(chains.items()):
+        if levels[-1] != horizon or len(labels) < 2:
+            continue
+        a, b = labels[-2], labels[-1]
+        if groups.leq(a, b) and not groups.leq(b, a):
+            alerts.append(AccAlert(chain=name, levels=tuple(levels), labels=tuple(labels)))
+    return alerts
 
 
 def is_simplicial_oracle(x):

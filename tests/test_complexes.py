@@ -480,6 +480,13 @@ def test_a_reduction_declares_what_its_minted_labels_need():
     out = reduce_complex(x, groups)
     assert list(out.edges) == ["ab", "ac", "bc"] and out.stab["ab"].startswith("red")
     validate_complex(out, groups)
+    # with one label on the bigon's edges nothing is minted, and every
+    # containment of the reduction is one of x: the table is left alone
+    same = make_complex(x.vertices, x.edges, x.faces, stab={**x.stab, "ab2": "A"}, groups=groups)
+    version = groups.version
+    out = reduce_complex(same, groups)
+    assert out.stab["ab"] == "A" and groups.version == version
+    validate_complex(out, groups)
 
 
 def _perturbed(x, rng):

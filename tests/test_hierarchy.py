@@ -501,6 +501,48 @@ class TestPassdownFull:
         assert all(ks.terminal_complexes[nid] is x for nid, x in attached.items())
 
 
+def _one_triangle(groups, label):
+    cells = {"pq": ("p", "q"), "qr": ("q", "r"), "pr": ("p", "r")}
+    stab = dict.fromkeys([*"pqr", *cells, "s"], label)
+    return make_complex("pqr", cells, {"s": tuple(cells)}, stab=stab, groups=groups)
+
+
+def _bowtie_over_a_point(groups):
+    """Two triangles of slender labels meeting at c, which the cutpoint
+    split of stage two cuts apart, over a one-vertex tree."""
+    groups.add(GroupRef("S", is_slender=True, is_h_elliptic=True))
+    edges = {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c"), "cd": ("c", "d"), "de": ("d", "e"), "ce": ("c", "e")}
+    faces = {"t1": ("ab", "bc", "ac"), "t2": ("cd", "de", "ce")}
+    x = make_complex("abcde", edges, faces, stab=dict.fromkeys([*"abcde", *edges, *faces], "S"), groups=groups)
+    tree = make_tree(["p0"], {}, orbit={"p0": "op"}, groups=groups)
+    return x, "S", make_tree_level("PT", tree, ActionTable(tree, groups))
+
+
+def _worked_over_t0(groups):
+    """The worked complex over T0, whose track collapse leaves a cutpoint
+    that stage three splits at."""
+    fx = parse_fixtures([os.path.join(FIX, "worked_terminating.txt")])
+    for gid in sorted(fx.groups.ids()):
+        groups.add(fx.groups[gid])
+    return fx.complexes["XP"], "Gf", make_tree_level("T0", fx.trees["T0"], fx.action_table("T0"))
+
+
+@pytest.mark.parametrize("build", [_bowtie_over_a_point, _worked_over_t0])
+def test_cutpoint_pieces_never_take_a_terminal_id(build):
+    """Terminal k splits at a cutpoint into pieces named k.b<i>.  A second
+    terminal that already holds such an id keeps it, and the ledger is the
+    one that any other name for it gives."""
+    ledgers = {}
+    for name in ("k.b0", "k.b1", "k.b2", "k.zz"):
+        groups = GroupTable()
+        x, label, tl = build(groups)
+        result = passdown_full({"k": ("G", x), name: ("G", _one_triangle(groups, label))}, tl)
+        ledgers[name] = result.ledger
+        assert sorted(result.tau.triangle_map) == [("k", f) for f in sorted(x.triangles())] + [(name, "s")]
+    assert ledgers["k.b0"] == ledgers["k.b1"] == ledgers["k.b2"] == ledgers["k.zz"]
+    assert ledgers["k.zz"]["output"] == 3
+
+
 class TestTerminalCheck:
     """The terminal check reads each distinct cell label once, at its first
     cell, and still names the first failing cell in ``cells()`` order."""

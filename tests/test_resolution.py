@@ -426,8 +426,8 @@ class TestBuiltResolutions:
             complexes.append(("reduced", out[0], groups.copy()))
             return out
 
-        def pieces(nid, x, groups):
-            out = split(nid, x, groups)
+        def pieces(nid, x, groups, taken):
+            out = split(nid, x, groups, taken)
             complexes.extend(("piece", sub, groups.copy()) for _gid, sub in (out or {}).values())
             return out
 

@@ -9,11 +9,12 @@ import sys
 import pytest
 
 import oracles
-from generators import random_edge_glued_complex, random_simplicial_complex
+from generators import random_edge_glued_complex, random_simplicial_complex, random_triangle_partition
 from lemmas import area, boundary_edges, cone_pushforward, is_simple, simple_subcone
 from oracles import (
     Pair,
     PairSet,
+    acc_monitor_full_walk,
     enumerate_simple_cones,
     equivalence_classes,
     expand_run,
@@ -497,6 +498,24 @@ class TestConeCriterion:
         with pytest.raises(FixtureError):
             cone_criterion_check(x, self.classes_for(x, [("t1", "t2")]), GroupTable())
 
+    def test_the_cone_search_matches_the_every_vertex_search(self):
+        """Stepping over the vertices whose star lies in one class leaves
+        the first cone found: on generated complexes cut into edge-connected
+        classes, every third with triangles left out of every class."""
+        rng = random.Random(20261021)
+        cones = in_no_class = 0
+        for i in range(300):
+            x = random_edge_glued_complex(rng, rng.randint(3, 14)) if i % 2 else random_simplicial_complex(rng)
+            class_of = {f: k for k, part in enumerate(random_triangle_partition(rng, x)) for f in part}
+            if i % 3 == 0 and class_of:
+                for f in rng.sample(sorted(class_of), rng.randint(1, len(class_of))):
+                    del class_of[f]
+            cone = stability._straddling_cone(x, class_of)
+            assert cone == oracles.straddling_cone_every_vertex(x, class_of)
+            cones += cone is not None
+            in_no_class += cone is not None and not class_of.keys() >= set(cone.fan)
+        assert cones > 20 and in_no_class > 5
+
 
 def override_labels(x, eid, gid):
     plus = dict(x.stab_plus)
@@ -651,6 +670,53 @@ def renamed_run(rng, run):
     return RunView(levels=run.levels[: n + 1] + [copy] + run.levels[n + 1 :], taus=taus, groups=run.groups)
 
 
+def chain_labelled_run(rng, run, mode):
+    """``run`` with oriented-edge labels from the chain S0 < S1 < ... <
+    S{horizon}: at level n an edge carries S{min(n, end)}.  ``end`` is the
+    horizon when ``mode`` is "grows", a level below it for the whole run
+    when "stops", and drawn per complex and edge id when "mixed".
+    Returns the run and the run-wide ``end``."""
+    horizon = run.horizon
+    groups = GroupTable(
+        [GroupRef(f"S{i}", declared_supergroups=frozenset({f"S{i + 1}"})) for i in range(horizon)] + [GroupRef(f"S{horizon}")]
+    )
+    end = horizon if mode == "grows" else rng.randint(0, horizon - 1)
+    ends = {}
+    levels = []
+    for n, level in enumerate(run.levels):
+        complexes = {}
+        for cid, x in level.complexes.items():
+            if mode == "mixed":
+                plus = {e: f"S{min(n, ends.setdefault((cid, e), rng.randint(0, horizon)))}" for e in x.edges}
+            else:
+                plus = dict.fromkeys(x.edges, f"S{min(n, end)}")
+            complexes[cid] = x.relabel(plus)
+        levels.append(LevelData(complexes=complexes))
+    return RunView(levels=levels, taus=run.taus, groups=groups), end
+
+
+class TestAccMonitor:
+    def test_chain_labelled_runs_match_the_full_walk(self):
+        """The monitor walks the chains only when some step into the
+        horizon grows; its alerts are those of the walk from every class
+        edge, on generated runs (every other one with renamings) whose
+        last step grows, whose growth stops earlier, or whose level H-1
+        lies below N_delta."""
+        rng = random.Random(20261022)
+        alerted = stopped_earlier = below_start = 0
+        for i in range(150):
+            run = random_run(rng) if i % 2 else renamed_run(rng, random_run(rng))
+            mode = ("grows", "stops", "mixed")[i % 3]
+            run, end = chain_labelled_run(rng, run, mode)
+            report = stabilization_report(run)
+            alerts = acc_monitor_full_walk(run, report.n_delta, report.classes)
+            assert list(report.acc_alerts) == alerts
+            alerted += bool(alerts)
+            stopped_earlier += mode == "stops" and report.n_delta < end
+            below_start += run.horizon - 1 < report.n_delta
+        assert alerted > 20 and stopped_earlier > 10 and below_start > 10
+
+
 class TestRenamings:
     """A renamed complex takes its stable pairs and classes from its image,
     and a step renaming the whole level passes sigma and the pullback
@@ -707,6 +773,7 @@ class TestRunAnalysisOracles:
                 assert classes == equivalence_classes(run, n, stable_pairs(run, n))
             assert report.n_prime == n_prime_oracle(run, report.n_delta, report.classes)
             assert report.n_dprime == n_dprime_oracle(run, report.n_prime)
+            assert list(report.acc_alerts) == acc_monitor_full_walk(run, report.n_delta, report.classes)
             deeper_prime += report.n_prime > report.n_delta
             deeper_dprime += report.n_dprime > report.n_prime
         # the generated runs exercise every branch: kept pairs, N' above
@@ -896,6 +963,7 @@ class TestRunAnalysisOracles:
 
 
 WORKED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures", "worked_terminating.txt")
+ACC_STABLE = os.path.join(os.path.dirname(WORKED), "acc_stable.txt")
 
 
 class TestRunAnalysisWork:
@@ -1014,6 +1082,63 @@ class TestRunAnalysisWork:
             return len(calls)
 
         assert blocks_calls(8) == blocks_calls(64) > 0
+
+    def test_the_chain_monitor_does_not_walk_a_run_that_stopped_growing(self, tmp_path, monkeypatch):
+        """A run whose chains stop growing before the horizon is not walked:
+        ``acc_monitor`` looks up as many images on the stabilizing chain
+        fixture at horizon 8 as at horizon 64."""
+
+        def image_calls(horizon):
+            with open(ACC_STABLE) as fh:
+                text = fh.read()
+            assert "horizon=4 " in text
+            path = tmp_path / f"acc{horizon}.txt"
+            path.write_text(text.replace("horizon=4 ", f"horizon={horizon} "))
+            calls = []
+            image = TauFragment.image
+            monitor = {stability.acc_monitor.__code__, stability._grows_into_horizon.__code__}
+
+            def counted(self, key):
+                if sys._getframe(1).f_code in monitor:
+                    calls.append(key)
+                return image(self, key)
+
+            with monkeypatch.context() as m:
+                m.setattr(TauFragment, "image", counted)
+                rep = run_pipeline(parse_fixtures([str(path)]), "stable")
+            assert rep.horizon == horizon and rep.acc_alerts == () and rep.exit_code == 0
+            return len(calls)
+
+        assert image_calls(8) == image_calls(64) > 0
+
+    def test_the_cone_check_builds_blocks_only_where_two_classes_meet(self, monkeypatch):
+        """``cone_criterion_check`` builds link blocks once per vertex whose
+        star meets two classes, and at no other vertex: on the seed-1 size
+        ops, which all certify, one ``graphs.blocks`` call inside the check
+        per such vertex."""
+        inside, calls, expected = [], [], []
+        blocks, check = graphs.blocks, stability.cone_criterion_check
+
+        def counted_blocks(*args):
+            if inside:
+                calls.append(args)
+            return blocks(*args)
+
+        def counted_check(x, classes, groups):
+            class_of = {f: cls.id for cls in classes for f in cls.triangles}
+            expected.extend(v for v, star in x.triangles_by_vertex.items() if len({class_of.get(f) for f in star}) > 1)
+            inside.append(x)
+            try:
+                return check(x, classes, groups)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(graphs, "blocks", counted_blocks)
+        monkeypatch.setattr(pipeline, "cone_criterion_check", counted_check)
+        for op in workloads.generate("size", 1):
+            rep = run_pipeline(parse_text(op.text), op.pipeline)
+            assert rep.certificate_level == op.expected.cert_level is not None
+        assert len(calls) == len(expected) > 0
 
     def test_dot_export_reuses_the_classes(self, worked64, calls, tmp_path, capsys, monkeypatch):
         runs = []
