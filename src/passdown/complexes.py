@@ -453,19 +453,26 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
     merged orbit class, and merged edge orbits join the same vertex orbits.
     Its containments are recorded only when it mints a cell label: every
     other label is the one label of its merged cells in ``x``, and so
-    every containment already holds between cells of ``x``."""
+    every containment already holds between cells of ``x``.
+
+    The reduction's cell data starts with what the reduction builds: its
+    incidence by vertex pair and triple, one id each, and its canonical
+    order.  It keeps every vertex and joins the same vertex pairs, so the
+    cutpoints and components of ``x`` are its own; they are handed on
+    when ``x`` holds them already."""
     edge_groups, tri_groups = x.edges_by_pair, x.triangles_by_triple
 
-    new_edges, edge_image = {}, {}
+    new_edges, edge_image, by_pair = {}, {}, {}
     for key in sorted(edge_groups, key=sorted):
         sources = edge_groups[key]
         rep = sources[0]
         u, v = sorted(key)
         new_edges[rep] = (u, v)
+        by_pair[key] = (rep,)
         for src in sources:
             edge_image[src] = rep
 
-    new_faces, face_image = {}, {}
+    new_faces, face_image, by_triple = {}, {}, {}
     for key in sorted(tri_groups, key=sorted):
         sources = tri_groups[key]
         rep = sources[0]
@@ -474,6 +481,7 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
             edge_groups[frozenset(p)][0] for p in ((vs[0], vs[1]), (vs[1], vs[2]), (vs[0], vs[2]))
         )
         new_faces[rep] = es
+        by_triple[key] = (rep,)
         for src in sources:
             face_image[src] = rep
 
@@ -493,6 +501,11 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
         boundary_marked=x.boundary_marked,
         stab_plus=stab_plus,
     )
+    cell_data = CellData(out.vertices, new_edges, new_faces)
+    cell_data.__dict__.update(edges_by_pair=by_pair, triangles_by_triple=by_triple, is_canonical=True)
+    held = x.cell_data.__dict__
+    cell_data.__dict__.update((name, held[name]) for name in ("cutpoints", "vertex_components") if name in held)
+    out.__dict__["cell_data"] = cell_data
     if not set(x.stab.values()).issuperset(stab.values()):
         _declare_containments(out, groups)
     return out, cell_map

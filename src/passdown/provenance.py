@@ -91,8 +91,9 @@ class TauFragment:
 
 
 def finish_collapse(x, collapsed, frag: TauFragment, groups, step: str):
-    """Finish a collapse of ``x`` onto the freshly built ``collapsed``,
-    whose cells ``frag`` follows: record the incidence containments of
+    """Finish a collapse of ``x`` onto ``collapsed`` (freshly built, or
+    ``x`` itself when nothing collapses), whose cells ``frag`` follows:
+    record the incidence containments of
     ``collapsed``, validate it (its one validation: the reduction of a
     valid complex is valid) and reduce it, and follow ``frag`` with the
     reduction.  The result must be consistent and no larger in covolume

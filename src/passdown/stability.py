@@ -475,12 +475,16 @@ def _grows_into_horizon(run: RunView, start: int) -> bool:
     """Does tau_{H-1}, for the horizon H with H-1 >= ``start``, send a side
     of a level H-1 triangle to an edge with a strictly larger oriented-edge
     label?  Every chain that the monitor walks into the horizon takes its
-    last step along one of these, so without one there is no alert."""
+    last step along one of these, so without one there is no alert.  A
+    complex that tau_{H-1} renames to the very same complex keeps every
+    label, so it is skipped."""
     horizon = run.horizon
     if horizon - 1 < start:
         return False
     groups, tau, above = run.groups, run.taus[horizon - 1], run.levels[horizon].complexes
     for cid, x in run.levels[horizon - 1].complexes.items():
+        if above.get(tau.renamed.get(cid)) is x:
+            continue
         for fid in x.triangles():
             key = (cid, fid)
             img = tau.image(key)

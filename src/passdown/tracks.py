@@ -49,6 +49,9 @@ def tracks_from_resolution(res: Resolution) -> TrackSystem:
     x = res.source
     if not x.is_simplicial():
         raise FixtureError("track extraction needs a simplicial complex")
+    if not res.target.edges:
+        # no tree edge, so no edge of X crosses one
+        return TrackSystem(resolution=res, tracks=())
 
     crossings = {eid: tuple(res.crossings(eid)) for eid in x.edges}
     arcs = defaultdict(dict)  # tree edge -> face -> (side, side)
@@ -133,6 +136,20 @@ def _oriented_crossings(res, eid, start_vertex):
     return fs if start_vertex == res.source.edges[eid][0] else fs[::-1]
 
 
+def _identity_fragment(x):
+    """The fragment of a collapse with nothing to collapse, in the order
+    the construction gives it: faces in id order, each with its sides in
+    the order of its sorted corners."""
+    tri_map, edge_map = {}, {}
+    for fid in sorted(x.triangles()):
+        a, b, c = sorted(x.face_vertices(fid))
+        tri_map[fid] = fid
+        for pair in ((a, b), (b, c), (a, c)):
+            eid = x.edges_by_pair[frozenset(pair)][0]
+            edge_map[(fid, eid)] = eid
+    return TauFragment(triangle_map=tri_map, edge_map=edge_map, track_point={})
+
+
 def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     """Remove the boundary preimage of the source of ``ts_star``'s
     resolution, collapse each track of ``ts_star`` to a point, and reduce.
@@ -145,10 +162,16 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     ``w<sep><track>``, ``<edge><sep><k>``, ``<orbit><sep><k>`` and
     ``<face><sep>mid``, where ``sep`` is the shortest run of dots that
     makes every such id new.
+
+    With no track and no vertex at an ideal point nothing collapses: the
+    collapsed complex would be ``x`` with its cells and labels, so ``x``
+    itself is reduced, under the identity fragment.
     """
     res = ts_star.resolution
     x, tree = res.source, res.target
     removed = res.ideal_vertices()
+    if not ts_star.tracks and not removed:
+        return finish_collapse(x, x, _identity_fragment(x), groups, "collapse")
 
     track_of = {}  # (eid, tree edge) -> track
     for tr in ts_star.tracks:

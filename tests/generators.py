@@ -83,9 +83,55 @@ def random_simplicial_complex(rng: random.Random, max_vertices=8):
     return make_complex(verts, edges, faces)
 
 
+def random_strip_chain(rng: random.Random, parallel=0.0):
+    """One to three triangulated strips glued end to end at a vertex: each
+    strip is a ladder of one to four squares, each cut by a random diagonal
+    into two triangles, so a draw has two triangles per square and its
+    glue vertices are cutpoints.  Ids, edge ends, side orders and the
+    order of the cells are random, so the complex is rarely stored in
+    canonical order.  With probability ``parallel`` an edge gets a parallel
+    copy; each triangle on it takes one of the two at random, the two
+    bound a bigon half the time, and a triangle all of whose sides have
+    copies is doubled on the same three vertices half the time."""
+    pairs, triples = [], []
+    verts = ["s0"]
+    for k in range(rng.randint(1, 3)):
+        u = [verts[-1]] + [f"u{k}.{i}" for i in range(1, rng.randint(1, 4) + 1)]
+        w = [f"w{k}.{i}" for i in range(len(u))]
+        verts += u[1:] + w
+        pairs += [(w[0], u[0])]
+        for i in range(len(u) - 1):
+            if rng.random() < 0.5:
+                diagonal, apexes = (u[i], w[i + 1]), (u[i + 1], w[i])
+            else:
+                diagonal, apexes = (u[i + 1], w[i]), (u[i], w[i + 1])
+            pairs += [(u[i], u[i + 1]), (w[i], w[i + 1]), (u[i + 1], w[i + 1]), diagonal]
+            triples += [(*diagonal, apex) for apex in apexes]
+        if rng.random() < 0.5:  # the next strip starts at the far end of the u rail
+            verts.append(verts.pop(verts.index(u[-1])))
+    edge_ids = [f"e{i}" for i in rng.sample(range(2 * len(pairs)), 2 * len(pairs))]
+    copies, edges = {}, []
+    for a, b in pairs:
+        ends = (a, b) if rng.random() < 0.5 else (b, a)
+        ids = [edge_ids.pop() for _ in range(2 if rng.random() < parallel else 1)]
+        copies[frozenset(ends)] = ids
+        edges += [(eid, ends) for eid in ids]
+    faces = []
+    for tri in triples:
+        sides = [copies[frozenset(p)] for p in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2]))]
+        for _ in range(2 if all(len(ids) == 2 for ids in sides) and rng.random() < 0.5 else 1):
+            faces.append(rng.sample([rng.choice(ids) for ids in sides], 3))
+    faces += [ids for ids in copies.values() if len(ids) == 2 and rng.random() < 0.5]
+    face_ids = [f"t{i}" for i in rng.sample(range(len(faces)), len(faces))]
+    rng.shuffle(edges)
+    rng.shuffle(faces)
+    return make_complex(verts, dict(edges), dict(zip(face_ids, faces)))
+
+
 def random_labelled_complex(rng: random.Random, shape="simplicial"):
     """A random complex of one of the shapes in this module (``shape`` is
-    "simplicial", "cell" without bigons, "tree" or "glued"), relabelled over a small
+    "simplicial", "cell" without bigons, "tree", "glued", "strip" or
+    "doubled", a strip chain with parallel edges and bigons), relabelled over a small
     declared order: vertices in V1 or V2, edges in E (below both) or the
     trivial group, triangles in F (below E) when every side is in E, some
     triangles sharing an orbit with a like-labelled one, some edges with an
@@ -107,6 +153,8 @@ def random_labelled_complex(rng: random.Random, shape="simplicial"):
         "cell": lambda: random_cell_complex(rng, allow_bigons=False),
         "tree": lambda: random_triangle_tree_complex(rng, n_triangles=rng.randint(1, 9)),
         "glued": lambda: random_edge_glued_complex(rng, n_triangles=rng.randint(1, 9)),
+        "strip": lambda: random_strip_chain(rng),
+        "doubled": lambda: random_strip_chain(rng, parallel=0.4),
     }[shape]()
     stab = {v: rng.choice(("V1", "V2")) for v in sorted(shape.vertices)}
     stab.update({eid: rng.choice(("E", "1")) for eid in sorted(shape.edges)})

@@ -526,6 +526,224 @@ def crossing_partition_holds(ts):
     return True
 
 
+def tracks_by_walk(res):
+    """``tracks.tracks_from_resolution`` by the crossing walk on every tree,
+    one with no edge included: crossing indicators, in-triangle arc
+    pairings, connected tracks, and for each track whether each side of its
+    complement is infinite."""
+    from passdown import graphs
+    from passdown.errors import EngineError, FixtureError, HypothesisError
+    from passdown.resolution import SPLITTING
+    from passdown.tracks import Track, TrackSystem
+
+    if res.kind != SPLITTING:
+        raise HypothesisError("tracks are extracted from splitting (type I) resolutions")
+    x = res.source
+    if not x.is_simplicial():
+        raise FixtureError("track extraction needs a simplicial complex")
+
+    crossings = {eid: tuple(res.crossings(eid)) for eid in x.edges}
+    arcs = defaultdict(dict)  # tree edge -> face -> (side, side)
+    for fid in sorted(x.triangles()):
+        sides = x.faces[fid]
+        per_f = defaultdict(list)
+        for eid in sides:
+            for f in crossings[eid]:
+                per_f[f].append(eid)
+        for f, crossed in per_f.items():
+            if len(crossed) != 2:
+                raise EngineError(
+                    f"tree edge {f!r} crosses {len(crossed)} side(s) of triangle {fid!r}; "
+                    "arcs must close up"
+                )
+            arcs[f][fid] = tuple(sorted(crossed))
+
+    uf = graphs.UnionFind()
+    points = defaultdict(set)  # tree edge -> point keys (eid)
+    for eid, fs in crossings.items():
+        for f in fs:
+            points[f].add(eid)
+    for f, per_face in arcs.items():
+        for fid, (e1, e2) in per_face.items():
+            uf.union((f, e1), (f, e2))
+
+    ideal = res.ideal_vertices()
+    marked = set(x.boundary_marked)
+    tracks = []
+    counter = 0
+    for f in sorted(points):
+        for keys in uf.classes((f, eid) for eid in points[f]).values():
+            eids = {eid for _f, eid in keys}
+            track_arcs = {
+                fid: pair for fid, pair in arcs.get(f, {}).items() if pair[0] in eids or pair[1] in eids
+            }
+            infinite = tuple(
+                bool(s & marked) or bool(s & ideal)
+                for s in graphs.components(
+                    x.vertices, (ends for eid, ends in x.edges.items() if eid not in eids)
+                )
+            )
+            tracks.append(
+                Track(
+                    id=f"s{counter}",
+                    tree_edge=f,
+                    points=frozenset(eids),
+                    arcs=track_arcs,
+                    side_infinite=infinite,
+                )
+            )
+            counter += 1
+    return TrackSystem(resolution=res, tracks=tuple(tracks))
+
+
+def collapse_by_construction(ts_star, groups):
+    """``tracks.split_collapse`` with the collapsed complex built cell by
+    cell in every case, no track and no ideal vertex included: one point
+    per track, one segment per consecutive pair of nodes along an edge and
+    one central triangle per face, then ``finish_collapse``."""
+    from collections import Counter
+
+    from passdown.complexes import Complex2, fresh_separator
+    from passdown.errors import EngineError, TruncationError
+    from passdown.provenance import TauFragment, finish_collapse
+
+    def _oriented_crossings(res, eid, start_vertex):
+        fs = res.crossings(eid)
+        return fs if start_vertex == res.source.edges[eid][0] else fs[::-1]
+
+    res = ts_star.resolution
+    x, tree = res.source, res.target
+    removed = res.ideal_vertices()
+
+    track_of = {}  # (eid, tree edge) -> track
+    for tr in ts_star.tracks:
+        for eid in tr.points:
+            track_of[(eid, tr.tree_edge)] = tr
+    points_on = Counter(eid for eid, _f in track_of)
+
+    def minted(sep):
+        # every id the collapse may mint: an edge with n points splits
+        # into at most n + 1 segments, and only a triangle on such an
+        # edge gets a central face of a new id
+        for tr in ts_star.tracks:
+            yield f"w{sep}{tr.id}"
+        for eid, n in points_on.items():
+            for k in range(n + 1):
+                yield f"{eid}{sep}{k}"
+                yield f"{x.orbit[eid]}{sep}{k}"
+            for fid in x.triangles_by_edge.get(eid, ()):
+                yield f"{fid}{sep}mid"
+
+    sep = fresh_separator(x.stab.keys() | x.orbit.values(), minted, ".")
+
+    # one point per track, with one fresh label and orbit per orbit of
+    # tracks; a point that faces a truncated end is marked: the complex
+    # continues beyond it at full scale
+    point_vertex, stab, orbit, marked_points, by_sig = {}, {}, {}, set(), {}
+    for tr in sorted(ts_star.tracks, key=lambda t: t.id):
+        vid = point_vertex[tr.id] = f"w{sep}{tr.id}"
+        sig = (tree.orbit[tr.tree_edge], tuple(sorted(x.orbit[e] for e in tr.points)))
+        if sig not in by_sig:
+            by_sig[sig] = groups.mint("trk", supergroups={tree.stab[tr.tree_edge]}, slender=True).id, vid
+        stab[vid], orbit[vid] = by_sig[sig]
+        if any(w in removed for eid in tr.points for w in x.edges[eid]):
+            marked_points.add(vid)
+    kept = x.vertices - removed
+    for v in kept:
+        stab[v], orbit[v] = x.stab[v], x.orbit[v]
+
+    # edges of the collapsed complex: one segment per consecutive pair of
+    # nodes along an edge (surviving ends and track points in path order)
+    seg_edges, seg_plus = {}, {}
+    seg_of = {}  # (eid, frozenset of node pair) -> segment id
+    for eid in sorted(x.edges):
+        u, v = x.edges[eid]
+        untouched = not points_on[eid]
+        if untouched and (u in removed or v in removed):
+            raise TruncationError(
+                f"edge {eid!r} reaches a truncated end without an essential crossing; "
+                "extend the tree's rays or the boundary marking"
+            )
+        points = [point_vertex[track_of[(eid, f)].id] for f in res.crossings(eid) if (eid, f) in track_of]
+        nodes = ([u] if u in kept else []) + points + ([v] if v in kept else [])
+        for k, (a, b) in enumerate(zip(nodes, nodes[1:])):
+            sid = eid if untouched else f"{eid}{sep}{k}"
+            seg_edges[sid] = (a, b)
+            stab[sid] = x.stab[eid]
+            orbit[sid] = x.orbit[eid] if untouched else f"{x.orbit[eid]}{sep}{k}"
+            if eid in x.stab_plus:
+                seg_plus[sid] = x.stab_plus[eid]
+            seg_of[(eid, frozenset((a, b)))] = sid
+
+    # central triangle per face, via the tripod of its three branches
+    mid_faces, tri_map, edge_map = {}, {}, {}
+    for fid in sorted(x.triangles()):
+        # x is simplicial (track extraction checks it): one edge per side
+        a, b, c = sorted(x.face_vertices(fid))
+        sides = {pair: x.edges_by_pair[frozenset(pair)][0] for pair in ((a, b), (b, c), (a, c))}
+        crossed = {
+            pair: [f for f in res.crossings(eid) if (eid, f) in track_of]
+            for pair, eid in sides.items()
+        }
+        # a tree edge crossing the triangle crosses two of its sides
+        # (track extraction checks it), so the branches at the corners
+        # partition the crossings
+        branch = {
+            a: set(crossed[(a, b)]) & set(crossed[(a, c)]),
+            b: set(crossed[(a, b)]) & set(crossed[(b, c)]),
+            c: set(crossed[(b, c)]) & set(crossed[(a, c)]),
+        }
+
+        corner_node = {}
+        for corner, other in ((a, b), (b, a), (c, a)):
+            if branch[corner]:
+                # arcs cutting this corner, ordered from the corner inward;
+                # the central region is bounded by the innermost one
+                eid = sides[tuple(sorted((corner, other)))]
+                ordered = [
+                    f
+                    for f in _oriented_crossings(res, eid, corner)
+                    if f in branch[corner] and (eid, f) in track_of
+                ]
+                innermost = ordered[-1]
+                corner_node[corner] = point_vertex[track_of[(eid, innermost)].id]
+            else:
+                if corner in removed:
+                    raise TruncationError(
+                        f"triangle {fid!r} reaches the truncated end at {corner!r} without an "
+                        "essential arc; extend the tree's rays or the boundary marking"
+                    )
+                corner_node[corner] = corner
+
+        untouched = all(corner_node[cn] == cn for cn in (a, b, c))
+        mid_id = fid if untouched else f"{fid}{sep}mid"
+        tri_sides = {}
+        for p, q in ((a, b), (b, c), (a, c)):
+            eid = sides[(p, q)]
+            key = frozenset((corner_node[p], corner_node[q]))
+            sid = seg_of.get((eid, key))
+            if sid is None:
+                raise EngineError(f"central region side missing on triangle {fid!r}")
+            tri_sides[(p, q)] = sid
+        mid_faces[mid_id] = (tri_sides[(a, b)], tri_sides[(b, c)], tri_sides[(a, c)])
+        stab[mid_id], orbit[mid_id] = x.stab[fid], x.orbit[fid]
+        tri_map[fid] = mid_id
+        for pair, eid in sides.items():
+            edge_map[(fid, eid)] = tri_sides[pair]
+
+    collapsed = Complex2(
+        vertices=kept.union(point_vertex.values()),
+        edges=seg_edges,
+        faces=mid_faces,
+        stab=stab,
+        orbit=orbit,
+        boundary_marked=(x.boundary_marked & kept) | marked_points,
+        stab_plus=seg_plus,
+    )
+    frag = TauFragment(triangle_map=tri_map, edge_map=edge_map, track_point=point_vertex)
+    return finish_collapse(x, collapsed, frag, groups, "collapse")
+
+
 def vertex_fate(res, v):
     """Where a track collapse over ``res`` takes vertex v: nowhere (None)
     when v maps to an ideal point, else to itself."""

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from passdown import complexes, graphs
 from passdown.cli import main
 from passdown.complexes import (
+    CellData,
     Complex2,
     DisconnectedComplexWarning,
     components,
@@ -20,6 +21,7 @@ from passdown.complexes import (
     is_connected,
     make_complex,
     reduce_complex,
+    reduce_with_map,
     reduced_cutpoint_tree,
     validate_complex,
     wire_and_validate,
@@ -409,6 +411,51 @@ class TestDerivedIncidence:
         cuts.add("stray")
         assert cutpoints(x) == brute_cutpoints(x)
         assert isinstance(x.face_vertices(next(iter(x.faces))), frozenset)
+
+
+class TestReductionCellData:
+    """What ``reduce_with_map`` hands on in the cell data of its output
+    against a fresh ``CellData`` of the same cells: the incidence by pair
+    and triple and the canonical order always, the cutpoints and
+    components only when the input holds them already."""
+
+    BUILT = {"edges_by_pair", "triangles_by_triple", "is_canonical"}
+    SKELETON = {"cutpoints", "vertex_components"}
+
+    @staticmethod
+    def handed_on(y):
+        # the values held right after the reduction: handed on, or derived
+        # by the declare step of a reduction that mints a label
+        data = y.cell_data.__dict__
+        fresh = CellData(y.vertices, y.edges, y.faces)
+        names = data.keys() - {"vertices", "edges", "faces", "class_cuts"}
+        for name in names:
+            assert data[name] == getattr(fresh, name), name
+        assert fresh.is_canonical and fresh.is_simplicial()
+        return names
+
+    @pytest.mark.parametrize("shape", ["doubled", "strip", "cell", "glued"])
+    def test_handed_on_values_match_a_fresh_derivation(self, shape):
+        rng = random.Random(20261023)
+        bigons = parallel = cuts = 0
+        for _ in range(60):
+            x, groups = random_labelled_complex(rng, shape)
+            bigons += len(x.bigons())
+            parallel += len(x.edges) - len(x.edges_by_pair)
+            before = self.SKELETON & x.cell_data.__dict__.keys()
+            reduced, _ = reduce_with_map(x, groups.copy())
+            names = self.handed_on(reduced)
+            assert self.BUILT <= names and names & self.SKELETON == before
+            cuts += bool(cutpoints(x))
+            components(x)
+            reduced, _ = reduce_with_map(x, groups.copy())
+            assert self.BUILT | self.SKELETON <= self.handed_on(reduced)
+            assert cutpoints(reduced) == brute_cutpoints(reduced)
+            assert components(reduced) == brute_components(reduced.vertices, reduced.edges.values())
+        if shape == "doubled":
+            assert bigons > 100 and parallel > 200
+        if shape in ("doubled", "strip"):
+            assert cuts > 20
 
 
 def _labelled_triangle(**changes):

@@ -39,6 +39,8 @@ CASES = {
     "resolve_XP_T0": ["resolve", WORKED, "--complex", "XP", "--tree", "T0"],
     "tracks_XP_T0": ["tracks", WORKED, "--complex", "XP", "--tree", "T0"],
     "split_XP_T0": ["split", WORKED, "--complex", "XP", "--tree", "T0"],
+    "split_XP_PT": ["split", WORKED, "--complex", "XP", "--tree", "PT"],
+    "tracks_XP_PT": ["tracks", WORKED, "--complex", "XP", "--tree", "PT"],
     "contract_XP_T0": ["contract", WORKED, "--complex", "XP", "--tree", "T0"],
     "h1_XP": ["h1", WORKED, "--complex", "XP"],
     "reduce_XP": ["reduce", WORKED, "--complex", "XP"],

@@ -716,6 +716,30 @@ class TestAccMonitor:
             below_start += run.horizon - 1 < report.n_delta
         assert alerted > 20 and stopped_earlier > 10 and below_start > 10
 
+    def test_a_complex_renamed_to_itself_is_not_scanned(self, monkeypatch):
+        """On the seed-1 size ops tau_{H-1} renames every complex to the
+        very same complex, so the scan into the horizon compares no label;
+        the alerts are those of the full walk."""
+        calls = []
+        leq, grows = GroupTable.leq, stability._grows_into_horizon
+
+        def counted(self, a, b):
+            if sys._getframe(1).f_code is grows.__code__:
+                calls.append((a, b))
+            return leq(self, a, b)
+
+        monkeypatch.setattr(GroupTable, "leq", counted)
+        scanned = 0
+        for op in workloads.generate("size", 1):
+            rep = run_pipeline(parse_text(op.text), op.pipeline)
+            run = rep.run
+            report = stabilization_report(run)
+            assert list(report.acc_alerts) == acc_monitor_full_walk(run, report.n_delta, report.classes)
+            tau, above = run.taus[-1], run.levels[-1].complexes
+            assert all(above[tau.renamed[cid]] is x for cid, x in run.levels[-2].complexes.items())
+            scanned += run.horizon - 1 >= report.n_delta
+        assert calls == [] and scanned > 0
+
 
 class TestRenamings:
     """A renamed complex takes its stable pairs and classes from its image,
@@ -736,6 +760,7 @@ class TestRenamings:
                 assert level_classes(n, records) == equivalence_classes(expanded, n, stable_pairs(expanded, n))
             assert report.n_prime == n_prime_oracle(expanded, report.n_delta, report.classes)
             assert report.n_dprime == n_dprime_oracle(expanded, report.n_prime)
+            assert list(report.acc_alerts) == acc_monitor_full_walk(expanded, report.n_delta, report.classes)
             for n, tau in enumerate(run.taus):
                 if tau.renamed:
                     whole += stability._renames_level(run, n)
@@ -1085,8 +1110,9 @@ class TestRunAnalysisWork:
 
     def test_the_chain_monitor_does_not_walk_a_run_that_stopped_growing(self, tmp_path, monkeypatch):
         """A run whose chains stop growing before the horizon is not walked:
-        ``acc_monitor`` looks up as many images on the stabilizing chain
-        fixture at horizon 8 as at horizon 64."""
+        ``acc_monitor`` scans the last step of the stabilizing chain fixture
+        once, at horizon 8 as at horizon 64, and looks up no image, since
+        that step renames every complex to the very same complex."""
 
         def image_calls(horizon):
             with open(ACC_STABLE) as fh:
@@ -1094,22 +1120,27 @@ class TestRunAnalysisWork:
             assert "horizon=4 " in text
             path = tmp_path / f"acc{horizon}.txt"
             path.write_text(text.replace("horizon=4 ", f"horizon={horizon} "))
-            calls = []
-            image = TauFragment.image
-            monitor = {stability.acc_monitor.__code__, stability._grows_into_horizon.__code__}
+            calls, scans = [], []
+            image, grows = TauFragment.image, stability._grows_into_horizon
+            monitor = {stability.acc_monitor.__code__, grows.__code__}
 
             def counted(self, key):
                 if sys._getframe(1).f_code in monitor:
                     calls.append(key)
                 return image(self, key)
 
+            def counted_scan(run, start):
+                scans.append(start)
+                return grows(run, start)
+
             with monkeypatch.context() as m:
                 m.setattr(TauFragment, "image", counted)
+                m.setattr(stability, "_grows_into_horizon", counted_scan)
                 rep = run_pipeline(parse_fixtures([str(path)]), "stable")
             assert rep.horizon == horizon and rep.acc_alerts == () and rep.exit_code == 0
-            return len(calls)
+            return len(calls), len(scans)
 
-        assert image_calls(8) == image_calls(64) > 0
+        assert image_calls(8) == image_calls(64) == (0, 1)
 
     def test_the_cone_check_builds_blocks_only_where_two_classes_meet(self, monkeypatch):
         """``cone_criterion_check`` builds link blocks once per vertex whose

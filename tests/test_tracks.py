@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from passdown import complexes, hierarchy, pipeline, resolution, stability, tracks
+from passdown import complexes, graphs, hierarchy, pipeline, resolution, stability, tracks
 from passdown.complexes import Complex2, covolume, cutpoints, h1_z2, is_connected, make_complex, reduce_complex
-from passdown.errors import FixtureError, TruncationError
+from passdown.errors import FixtureError, HypothesisError, TruncationError
 from passdown.fixtures import parse_fixtures, parse_text
 from passdown.groups import GroupRef, GroupTable
 from passdown.hierarchy import make_tree_level, passdown_full
@@ -18,8 +18,17 @@ from passdown.resolution import ActionTable, resolution_from_images
 from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolution
 from passdown.trees import make_tree
 
-from generators import random_labelled_complex
-from oracles import expand_renamings, identity_fragment, identity_step_oracle, track_sides, vertex_fate
+from bench_ops import workloads
+from generators import random_labelled_complex, random_strip_chain
+from oracles import (
+    collapse_by_construction,
+    expand_renamings,
+    identity_fragment,
+    identity_step_oracle,
+    track_sides,
+    tracks_by_walk,
+    vertex_fate,
+)
 
 
 def line_tree(n=2, ideals=()):
@@ -460,6 +469,108 @@ class TestIdentityCollapse:
         fast = [run_pipeline(fx, name).render() for name in sorted(fx.pipelines)]
         monkeypatch.setattr(Complex2, "is_reduced", property(lambda self: False))
         assert [run_pipeline(fx, name).render() for name in sorted(fx.pipelines)] == fast
+
+
+class TestCollapseWithNothingToCollapse:
+    """With no track and no vertex at an ideal point, ``split_collapse``
+    reduces its complex under the identity fragment and builds nothing
+    else.  The oracle is the collapse built cell by cell
+    (``oracles.collapse_by_construction``), and on a tree with no edge the
+    crossing walk (``oracles.tracks_by_walk``)."""
+
+    @staticmethod
+    def fields(x):
+        return (
+            x.vertices, list(x.edges.items()), list(x.faces.items()), list(x.stab.items()),
+            list(x.orbit.items()), x.boundary_marked, list(x.stab_plus.items()),
+        )
+
+    @staticmethod
+    def trees():
+        """A point tree, one with an ideal point no vertex reaches, and a
+        path that every vertex maps to one end of."""
+        yield make_tree(["p"], {}), "p"
+        yield make_tree(["p"], {}, {"q": ("p",)}), "p"
+        yield line_tree(3), "x0"
+
+    def assert_matches(self, x, groups):
+        for tree, vertex in self.trees():
+            res = resolution_from_images(x, tree, dict.fromkeys(x.vertices, vertex))
+            ts = tracks_from_resolution(res)
+            assert ts == tracks_by_walk(res) and not ts.tracks and not res.ideal_vertices()
+            fast_groups, full_groups = groups.copy(), groups.copy()
+            fast, fast_frag = split_collapse(ts, fast_groups)
+            full, full_frag = collapse_by_construction(ts, full_groups)
+            assert self.fields(fast) == self.fields(full)
+            for name in ("triangle_map", "edge_map", "track_point", "renamed"):
+                assert list(getattr(fast_frag, name).items()) == list(getattr(full_frag, name).items())
+            assert fast_groups.version == full_groups.version
+            assert fast_groups._mint_counter == full_groups._mint_counter and fast_groups._up == full_groups._up
+
+    @pytest.mark.parametrize("shape", ["strip", "doubled", "simplicial", "glued", "tree"])
+    def test_the_shortcut_matches_the_construction(self, shape):
+        rng = random.Random(20261025)
+        for _ in range(40):
+            x, groups = random_labelled_complex(rng, shape)
+            if not x.is_simplicial():
+                # a complex with parallel edges or bigons has no tracks, on
+                # either path; its reduction is collapsed in its place
+                res = resolution_from_images(x, make_tree(["p"], {}), dict.fromkeys(x.vertices, "p"))
+                for extract in (tracks_from_resolution, tracks_by_walk):
+                    with pytest.raises(FixtureError, match="needs a simplicial complex"):
+                        extract(res)
+                x = reduce_complex(x, groups)
+            self.assert_matches(x, groups)
+
+    def test_a_tree_with_no_edge_refuses_what_the_walk_refuses(self):
+        x = random_strip_chain(random.Random(5))
+        res = resolution_from_images(x, make_tree(["p"], {}), dict.fromkeys(x.vertices, "p"))
+        contracting = dataclasses.replace(res, kind=resolution.CONTRACTING)
+        for extract in (tracks_from_resolution, tracks_by_walk):
+            with pytest.raises(HypothesisError, match="splitting"):
+                extract(contracting)
+
+    def test_size_ops_collapse_over_point_trees_without_a_rebuild(self, monkeypatch):
+        """Every collapse of the seed-1 size ops is over a one-vertex tree
+        and builds one complex, its reduction; no edge crossing is looked
+        up, by the track extraction or the collapse; the reduction hands
+        on the incidence and cutpoints, so the ops call ``graphs.blocks``
+        and ``complexes._grouped`` no more than they need."""
+        calls = Counter()
+        inside = []
+        blocks, grouped, init, collapse = graphs.blocks, complexes._grouped, Complex2.__init__, hierarchy.split_collapse
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        def counted_init(self, *args, **kwargs):
+            if inside:
+                calls["built in a collapse"] += 1
+            return init(self, *args, **kwargs)
+
+        def counted_collapse(ts, groups):
+            assert not ts.resolution.target.edges
+            calls["collapses"] += 1
+            inside.append(ts)
+            try:
+                return collapse(ts, groups)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(resolution.Resolution, "crossings", counted("crossings", resolution.Resolution.crossings))
+        monkeypatch.setattr(graphs, "blocks", counted("blocks", blocks))
+        monkeypatch.setattr(complexes, "_grouped", counted("grouped", grouped))
+        monkeypatch.setattr(Complex2, "__init__", counted_init)
+        monkeypatch.setattr(hierarchy, "split_collapse", counted_collapse)
+        for op in workloads.generate("size", 1):
+            rep = run_pipeline(parse_text(op.text), op.pipeline)
+            assert rep.certificate_level == op.expected.cert_level is not None
+        assert calls["collapses"] == calls["built in a collapse"] == 45
+        assert calls["crossings"] == 0 and calls["blocks"] <= 180 and calls["grouped"] <= 240
 
 
 WORKED = Path(__file__).resolve().parents[1] / "fixtures" / "worked_terminating.txt"
