@@ -363,20 +363,28 @@ def _validate_containments(x, groups: GroupTable):
             )
 
 
-def _declare_containments(x, groups: GroupTable):
-    for _cell, label, _above, label_above in _containments(x):
+def _declare_containments(x, groups: GroupTable, pairs=None):
+    """Declare label <= label above wherever it does not hold yet, for
+    each (label, label above) of ``pairs``, by default of every
+    containment of ``x`` in ``_containments`` order."""
+    if pairs is None:
+        pairs = ((label, label_above) for _cell, label, _above, label_above in _containments(x))
+    for label, label_above in pairs:
         if not groups.leq(label, label_above):
             groups.declare_leq(label, label_above)
 
 
 def _validate_orbit_labels(x):
-    # quotient-scale consistency: one label per orbit, matching incidence shape
-    per_orbit = defaultdict(set)
-    for cell in x.cells():
-        per_orbit[x.orbit[cell]].add(x.stab[cell])
-    for oid, labels in per_orbit.items():
-        if len(labels) > 1:
-            raise ConsistencyError(f"orbit {oid!r} carries several stabilizer labels: {sorted(labels)}")
+    # quotient-scale consistency: one label per orbit, matching incidence shape;
+    # the one-pass check of ``cell_labels_reduced`` decides a valid complex, and
+    # the per-orbit label sets are built only to word an error
+    if not x.cell_labels_reduced:
+        per_orbit = defaultdict(set)
+        for cell in x.cells():
+            per_orbit[x.orbit[cell]].add(x.stab[cell])
+        for oid, labels in per_orbit.items():
+            if len(labels) > 1:
+                raise ConsistencyError(f"orbit {oid!r} carries several stabilizer labels: {sorted(labels)}")
     edge_orbit_shape = {}
     for eid, (u, v) in x.edges.items():
         shape = frozenset((x.orbit[u], x.orbit[v]))
@@ -453,7 +461,9 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
     merged orbit class, and merged edge orbits join the same vertex orbits.
     Its containments are recorded only when it mints a cell label: every
     other label is the one label of its merged cells in ``x``, and so
-    every containment already holds between cells of ``x``.
+    every containment already holds between cells of ``x``.  A simplicial
+    ``x`` with ``cell_labels_reduced`` merges and mints nothing: its cell
+    map is the identity and its labels are copied.
 
     The reduction's cell data starts with what the reduction builds: its
     incidence by vertex pair and triple, one id each, and its canonical
@@ -491,7 +501,17 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
     for fid in x.bigons():
         cell_map[fid] = None
 
-    stab, orbit, stab_plus = quotient_labels(x, cell_map, groups, prefix="red")
+    merge_free = x.is_simplicial() and x.cell_labels_reduced
+    if merge_free:
+        # the cell map is the identity and every orbit has one label, so
+        # ``quotient_labels`` would copy each label, in its order
+        order = sorted(cell_map, key=str)
+        x_stab, x_orbit, x_plus = x.stab, x.orbit, x.stab_plus
+        stab = {c: x_stab[c] for c in order}
+        orbit = {c: x_orbit[c] for c in order}
+        stab_plus = {c: x_plus.get(c, x_stab[c]) for c in order if c in new_edges}
+    else:
+        stab, orbit, stab_plus = quotient_labels(x, cell_map, groups, prefix="red")
     out = Complex2(
         vertices=x.vertices,
         edges=new_edges,
@@ -506,12 +526,12 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
     held = x.cell_data.__dict__
     cell_data.__dict__.update((name, held[name]) for name in ("cutpoints", "vertex_components") if name in held)
     out.__dict__["cell_data"] = cell_data
-    if not set(x.stab.values()).issuperset(stab.values()):
+    if not merge_free and not set(x.stab.values()).issuperset(stab.values()):
         _declare_containments(out, groups)
     return out, cell_map
 
 
-def wire_and_validate(x: Complex2, groups: GroupTable):
+def wire_and_validate(x: Complex2, groups: GroupTable, pairs=None):
     """Record the face<=edge<=vertex containments of a synthesized complex,
     then validate it.
 
@@ -519,9 +539,11 @@ def wire_and_validate(x: Complex2, groups: GroupTable):
     stabilizer of a cell fixes the cells it collapses onto), but freshly
     minted labels do not carry them yet.  Once declared they hold, so the
     validation walks them no more; every other check of
-    ``validate_complex`` runs.
+    ``validate_complex`` runs.  ``pairs``, when given, are the (label,
+    label above) pairs of the only containments that may not hold yet, in
+    ``_containments`` order; by default every containment is walked.
     """
-    _declare_containments(x, groups)
+    _declare_containments(x, groups, pairs)
     _validate_cells(x)
     _validate_label_refs(x, groups)
     _validate_orbit_labels(x)
@@ -531,7 +553,10 @@ def fresh_separator(taken, minted, sep):
     """``sep`` with its first character repeated until no id that
     ``minted(sep)`` yields is in the set ``taken`` (for a surgery step on a
     complex, its cell and orbit ids), so that the ids a step names with it
-    are new."""
+    are new.  Every minted id contains ``sep``, so when no taken id does,
+    ``sep`` is returned without minting any."""
+    if not any(sep in cid for cid in taken):
+        return sep
     while not taken.isdisjoint(minted(sep)):
         sep += sep[0]
     return sep
@@ -714,11 +739,17 @@ def subcomplex(x: Complex2, cells) -> Complex2:
     """The full subcomplex on a downward-closed cell set, keeping the
     order of ``x``'s cell dicts (so a piece of a reduced complex is reduced).
     Cells and labels are copied from ``x``, which is valid, and nothing is
-    checked: the cell sets of ``_block_cells`` are closed under subcells."""
+    checked: the cell sets of ``_block_cells`` are closed under subcells.
+
+    The piece's cell data starts with what ``x`` holds of it: the
+    canonical order, which every piece of canonical cells keeps, and the
+    blocks of ``x`` lying in the piece when they cover its edges and
+    vertices, as the pieces of ``reduced_cutpoint_tree`` are unions of
+    blocks; a union of whole blocks has those blocks for its own."""
     cells = set(cells)
     verts = x.vertices & cells
     edges = {eid: ends for eid, ends in x.edges.items() if eid in cells}
-    return Complex2(
+    out = Complex2(
         vertices=verts,
         edges=edges,
         faces={fid: es for fid, es in x.faces.items() if fid in cells},
@@ -727,3 +758,12 @@ def subcomplex(x: Complex2, cells) -> Complex2:
         boundary_marked=x.boundary_marked & verts,
         stab_plus={eid: x.stab_plus[eid] for eid in edges if eid in x.stab_plus},
     )
+    held, handed = x.cell_data.__dict__, out.cell_data.__dict__
+    if held.get("is_canonical"):
+        handed["is_canonical"] = True
+    if "skeleton_blocks" in held:
+        inside = tuple((vs, es) for vs, es in held["skeleton_blocks"] if vs <= verts and es <= cells)
+        covered = frozenset().union(*(vs for vs, _es in inside))
+        if covered == verts and sum(len(es) for _vs, es in inside) == len(edges):
+            handed["skeleton_blocks"] = inside
+    return out

@@ -90,30 +90,34 @@ class TauFragment:
                 raise EngineError(f"provenance image side {fe!r} is not a side of {img!r}")
 
 
-def finish_collapse(x, collapsed, frag: TauFragment, groups, step: str):
+def finish_collapse(x, collapsed, frag: TauFragment, groups, step: str, pairs=None):
     """Finish a collapse of ``x`` onto ``collapsed`` (freshly built, or
     ``x`` itself when nothing collapses), whose cells ``frag`` follows:
-    record the incidence containments of
-    ``collapsed``, validate it (its one validation: the reduction of a
-    valid complex is valid) and reduce it, and follow ``frag`` with the
-    reduction.  The result must be consistent and no larger in covolume
-    than ``x``.  Returns (reduced complex, fragment from ``x``); the
-    reduction keeps every vertex, so track points stay where ``frag`` put
-    them."""
-    wire_and_validate(collapsed, groups)
+    record the incidence containments of ``collapsed`` (only those of
+    ``pairs`` when given, see ``wire_and_validate``), validate it (its one
+    validation: the reduction of a valid complex is valid) and reduce it,
+    and follow ``frag`` with the reduction.  The result must be consistent
+    and no larger in covolume than ``x``.  Returns (reduced complex,
+    fragment from ``x``); the reduction keeps every vertex, so track
+    points stay where ``frag`` put them."""
+    wire_and_validate(collapsed, groups, pairs)
     reduced, red_map = reduce_with_map(collapsed, groups)
-    out = frag.compose(
-        TauFragment(
-            triangle_map={f: red_map[f] for f in collapsed.triangles()},
-            edge_map={
-                (f, e): red_map[e]
-                for f in collapsed.triangles()
-                if red_map[f] is not None
-                for e in collapsed.faces[f]
-            },
+    if len(reduced.edges) == len(collapsed.edges) and len(reduced.faces) == len(collapsed.faces):
+        # no cell merged and no bigon dropped: the cell map is the identity
+        out = frag
+    else:
+        out = frag.compose(
+            TauFragment(
+                triangle_map={f: red_map[f] for f in collapsed.triangles()},
+                edge_map={
+                    (f, e): red_map[e]
+                    for f in collapsed.triangles()
+                    if red_map[f] is not None
+                    for e in collapsed.faces[f]
+                },
+            )
         )
-    )
-    out.track_point = frag.track_point
+        out.track_point = frag.track_point
     out.check_consistency(x, reduced)
     if covolume(reduced) > covolume(x):
         raise EngineError(f"{step} increased covolume")

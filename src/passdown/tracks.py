@@ -9,7 +9,7 @@ together with the triangle provenance that drives the cross-level
 analysis.
 """
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 
 from . import graphs
@@ -37,6 +37,10 @@ class Track:
 class TrackSystem:
     resolution: Resolution
     tracks: tuple
+    # edge id -> the tree edges its path crosses, ordered from its first
+    # stored end: tabulated once by the extraction and read by the collapse
+    # (empty over a tree with no edge, which nothing crosses)
+    crossings: dict
 
 
 def tracks_from_resolution(res: Resolution) -> TrackSystem:
@@ -51,7 +55,7 @@ def tracks_from_resolution(res: Resolution) -> TrackSystem:
         raise FixtureError("track extraction needs a simplicial complex")
     if not res.target.edges:
         # no tree edge, so no edge of X crosses one
-        return TrackSystem(resolution=res, tracks=())
+        return TrackSystem(resolution=res, tracks=(), crossings={})
 
     crossings = {eid: tuple(res.crossings(eid)) for eid in x.edges}
     arcs = defaultdict(dict)  # tree edge -> face -> (side, side)
@@ -104,7 +108,7 @@ def tracks_from_resolution(res: Resolution) -> TrackSystem:
                 )
             )
             counter += 1
-    return TrackSystem(resolution=res, tracks=tuple(tracks))
+    return TrackSystem(resolution=res, tracks=tuple(tracks), crossings=crossings)
 
 
 def essential_tracks(ts: TrackSystem) -> TrackSystem:
@@ -124,16 +128,11 @@ def essential_tracks(ts: TrackSystem) -> TrackSystem:
             )
         if all(tr.side_infinite):
             keep.append(tr)
-    return TrackSystem(resolution=ts.resolution, tracks=tuple(keep))
+    return TrackSystem(resolution=ts.resolution, tracks=tuple(keep), crossings=ts.crossings)
 
 
 # ---------------------------------------------------------------------------
 # the collapse X* / Lambda* and its reduction X_T
-
-
-def _oriented_crossings(res, eid, start_vertex):
-    fs = res.crossings(eid)
-    return fs if start_vertex == res.source.edges[eid][0] else fs[::-1]
 
 
 def _identity_fragment(x):
@@ -166,18 +165,27 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     With no track and no vertex at an ideal point nothing collapses: the
     collapsed complex would be ``x`` with its cells and labels, so ``x``
     itself is reduced, under the identity fragment.
+
+    Every containment of the collapsed complex whose upper cell is not a
+    track point is one of ``x`` between the same labels, and holds; only
+    those under a track point are declared.
     """
     res = ts_star.resolution
     x, tree = res.source, res.target
     removed = res.ideal_vertices()
     if not ts_star.tracks and not removed:
-        return finish_collapse(x, x, _identity_fragment(x), groups, "collapse")
+        return finish_collapse(x, x, _identity_fragment(x), groups, "collapse", ())
 
     track_of = {}  # (eid, tree edge) -> track
     for tr in ts_star.tracks:
         for eid in tr.points:
             track_of[(eid, tr.tree_edge)] = tr
-    points_on = Counter(eid for eid, _f in track_of)
+    # per edge carrying points, the tree edges of its points in path order
+    # from its first stored end
+    on_track = {}
+    for eid, _f in track_of:
+        if eid not in on_track:
+            on_track[eid] = [f for f in ts_star.crossings[eid] if (eid, f) in track_of]
 
     def minted(sep):
         # every id the collapse may mint: an edge with n points splits
@@ -185,8 +193,8 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
         # edge gets a central face of a new id
         for tr in ts_star.tracks:
             yield f"w{sep}{tr.id}"
-        for eid, n in points_on.items():
-            for k in range(n + 1):
+        for eid, fs in on_track.items():
+            for k in range(len(fs) + 1):
                 yield f"{eid}{sep}{k}"
                 yield f"{x.orbit[eid]}{sep}{k}"
             for fid in x.triangles_by_edge.get(eid, ()):
@@ -211,18 +219,21 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
         stab[v], orbit[v] = x.stab[v], x.orbit[v]
 
     # edges of the collapsed complex: one segment per consecutive pair of
-    # nodes along an edge (surviving ends and track points in path order)
-    seg_edges, seg_plus = {}, {}
+    # nodes along an edge (surviving ends and track points in path order);
+    # with them, the (label, label above) of each segment below a track point
+    seg_edges, seg_plus, edge_pairs = {}, {}, []
     seg_of = {}  # (eid, frozenset of node pair) -> segment id
+    track_points = set(point_vertex.values())
     for eid in sorted(x.edges):
         u, v = x.edges[eid]
-        untouched = not points_on[eid]
+        fs = on_track.get(eid, ())
+        untouched = not fs
         if untouched and (u in removed or v in removed):
             raise TruncationError(
                 f"edge {eid!r} reaches a truncated end without an essential crossing; "
                 "extend the tree's rays or the boundary marking"
             )
-        points = [point_vertex[track_of[(eid, f)].id] for f in res.crossings(eid) if (eid, f) in track_of]
+        points = [point_vertex[track_of[(eid, f)].id] for f in fs]
         nodes = ([u] if u in kept else []) + points + ([v] if v in kept else [])
         for k, (a, b) in enumerate(zip(nodes, nodes[1:])):
             sid = eid if untouched else f"{eid}{sep}{k}"
@@ -232,17 +243,17 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
             if eid in x.stab_plus:
                 seg_plus[sid] = x.stab_plus[eid]
             seg_of[(eid, frozenset((a, b)))] = sid
+            if not untouched:
+                edge_pairs.extend((x.stab[eid], stab[w]) for w in (a, b) if w in track_points)
 
-    # central triangle per face, via the tripod of its three branches
-    mid_faces, tri_map, edge_map = {}, {}, {}
+    # central triangle per face, via the tripod of its three branches; with
+    # them, the (label, label above) of each face below a track point
+    mid_faces, tri_map, edge_map, face_pairs = {}, {}, {}, []
     for fid in sorted(x.triangles()):
         # x is simplicial (track extraction checks it): one edge per side
         a, b, c = sorted(x.face_vertices(fid))
         sides = {pair: x.edges_by_pair[frozenset(pair)][0] for pair in ((a, b), (b, c), (a, c))}
-        crossed = {
-            pair: [f for f in res.crossings(eid) if (eid, f) in track_of]
-            for pair, eid in sides.items()
-        }
+        crossed = {pair: on_track.get(eid, ()) for pair, eid in sides.items()}
         # a tree edge crossing the triangle crosses two of its sides
         # (track extraction checks it), so the branches at the corners
         # partition the crossings
@@ -256,14 +267,12 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
         for corner, other in ((a, b), (b, a), (c, a)):
             if branch[corner]:
                 # arcs cutting this corner, ordered from the corner inward;
-                # the central region is bounded by the innermost one
-                eid = sides[tuple(sorted((corner, other)))]
-                ordered = [
-                    f
-                    for f in _oriented_crossings(res, eid, corner)
-                    if f in branch[corner] and (eid, f) in track_of
-                ]
-                innermost = ordered[-1]
+                # the central region is bounded by the innermost one, the
+                # last from the corner
+                pair = tuple(sorted((corner, other)))
+                eid = sides[pair]
+                inward = crossed[pair] if corner == x.edges[eid][0] else crossed[pair][::-1]
+                innermost = [f for f in inward if f in branch[corner]][-1]
                 corner_node[corner] = point_vertex[track_of[(eid, innermost)].id]
             else:
                 if corner in removed:
@@ -274,6 +283,9 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
                 corner_node[corner] = corner
 
         untouched = all(corner_node[cn] == cn for cn in (a, b, c))
+        if not untouched:
+            above = {corner_node[cn] for cn in (a, b, c) if branch[cn]}
+            face_pairs.extend((x.stab[fid], stab[w]) for w in sorted(above))
         mid_id = fid if untouched else f"{fid}{sep}mid"
         tri_sides = {}
         for p, q in ((a, b), (b, c), (a, c)):
@@ -299,4 +311,4 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
         stab_plus=seg_plus,
     )
     frag = TauFragment(triangle_map=tri_map, edge_map=edge_map, track_point=point_vertex)
-    return finish_collapse(x, collapsed, frag, groups, "collapse")
+    return finish_collapse(x, collapsed, frag, groups, "collapse", face_pairs + edge_pairs)

@@ -4,7 +4,7 @@ implementations and must stay that way.  The hierarchy helpers at the
 end (``level``, ``is_h_elliptic``) are definitions only the tests use."""
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -593,7 +593,7 @@ def tracks_by_walk(res):
                 )
             )
             counter += 1
-    return TrackSystem(resolution=res, tracks=tuple(tracks))
+    return TrackSystem(resolution=res, tracks=tuple(tracks), crossings=crossings)
 
 
 def collapse_by_construction(ts_star, groups):
@@ -941,6 +941,25 @@ def is_reduced_oracle(x, groups):
         and list(out.edges.items()) == list(x.edges.items())
         and list(out.faces.items()) == list(x.faces.items())
     )
+
+
+def reduction_by_quotient(x, groups):
+    """``reduce_with_map`` with every label induced by ``quotient_labels``,
+    as for a complex that merges cells: the path a simplicial complex with
+    one label per orbit skips."""
+    from passdown.complexes import reduce_with_map
+
+    y = replace(x)
+    y.__dict__["cell_labels_reduced"] = False
+    return reduce_with_map(y, groups)
+
+
+def separator_by_minting(taken, minted, sep):
+    """``complexes.fresh_separator`` by its definition: lengthen ``sep``
+    until no id ``minted(sep)`` yields is taken."""
+    while not taken.isdisjoint(minted(sep)):
+        sep += sep[0]
+    return sep
 
 
 def subcomplex_of(cls, x):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -655,3 +656,51 @@ def test_line_mutations_exit_0_1_or_2(tmp_path):
             sink.seek(0)
             sink.truncate()
     assert set(codes) == {0, 1, 2}
+
+
+RUN_TRANSCRIPT = """
+import contextlib, io, json, sys
+from passdown.cli import main
+transcript = []
+with open(sys.argv[1]) as fh:
+    runs = json.load(fh)
+for argv in runs:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    transcript.append([out.getvalue(), err.getvalue(), code])
+print(json.dumps(transcript))
+"""
+
+
+def test_line_mutations_report_alike_under_two_hash_seeds(tmp_path):
+    """60 seeded line mutations of the four fuzzed fixtures, each run
+    through ``pipeline`` and ``passdown`` in one fresh interpreter per
+    string-hash seed: the two transcripts (stdout, stderr and exit code
+    of every run) are identical, malformed input included."""
+    rng = random.Random(20261030)
+    cases = []
+    for name, pipeline, structure, tree in FUZZED:
+        with open(fixture(name)) as fh:
+            cases.append((fh.read().splitlines(), pipeline, structure, tree))
+    pool = sorted({w for lines, *_ in cases for line in lines for w in line.split()} | set(JUNK))
+    runs = []
+    for case in range(60):
+        lines, pipeline, structure, tree = cases[case % len(cases)]
+        path = tmp_path / f"mutated{case}.txt"
+        path.write_text("\n".join(mutate(rng, lines, pool)) + "\n")
+        runs.append(["pipeline", str(path), "--name", pipeline])
+        runs.append(["passdown", str(path), "--structure", structure, "--tree", tree])
+    (tmp_path / "runs.json").write_text(json.dumps(runs))
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    transcripts = []
+    for hashseed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_TRANSCRIPT, str(tmp_path / "runs.json")], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+        transcripts.append(json.loads(proc.stdout))
+    assert transcripts[0] == transcripts[1]
+    assert {code for _out, _err, code in transcripts[0]} == {0, 1, 2}

@@ -23,6 +23,7 @@ from passdown.complexes import (
     reduce_complex,
     reduce_with_map,
     reduced_cutpoint_tree,
+    subcomplex,
     validate_complex,
     wire_and_validate,
 )
@@ -40,6 +41,7 @@ from generators import (
     random_cell_complex,
     random_labelled_complex,
     random_simplicial_complex,
+    random_strip_chain,
     random_triangle_tree_complex,
 )
 from oracles import (
@@ -52,6 +54,8 @@ from oracles import (
     h1_rank_oracle,
     is_reduced_oracle,
     is_simplicial_oracle,
+    reduction_by_quotient,
+    separator_by_minting,
 )
 
 
@@ -458,6 +462,147 @@ class TestReductionCellData:
             assert cuts > 20
 
 
+class TestMergeFreeReduction:
+    """A simplicial complex with one label per orbit merges and mints
+    nothing: ``reduce_with_map`` copies its labels instead of inducing
+    them.  The oracle is the ``quotient_labels`` path
+    (``oracles.reduction_by_quotient``), field by field and in dict order,
+    with the cell map and the group table."""
+
+    @staticmethod
+    def state(out, cell_map, groups):
+        return (
+            out.vertices, list(out.edges.items()), list(out.faces.items()), list(out.stab.items()),
+            list(out.orbit.items()), out.boundary_marked, list(out.stab_plus.items()), list(cell_map.items()),
+            groups.version, groups._mint_counter, groups._up,
+        )
+
+    @pytest.mark.parametrize("shape", ["strip", "doubled", "simplicial", "tree", "glued"])
+    def test_it_equals_the_quotient_path(self, shape):
+        rng = random.Random(20261026)
+        merge_free = 0
+        for _ in range(60):
+            x, groups = random_labelled_complex(rng, shape)
+            if not x.is_simplicial():
+                x = reduce_complex(x, groups)
+            if rng.random() < 0.5:
+                # a stray oriented label makes no difference to the path
+                x = x.relabel(stab_plus={eid: "P" for eid in x.edges if rng.random() < 0.5})
+            merge_free += x.is_simplicial() and x.cell_labels_reduced
+            fast_groups, full_groups = groups.copy(), groups.copy()
+            fast = reduce_with_map(x, fast_groups)
+            full = reduction_by_quotient(x, full_groups)
+            assert self.state(*fast, fast_groups) == self.state(*full, full_groups)
+            assert all(c == img for c, img in fast[1].items())
+        assert merge_free == 60
+
+    def test_a_complex_with_two_labels_in_an_orbit_takes_the_quotient_path(self):
+        x = make_complex(
+            "abcd", {"ab": "ab", "bc": "bc", "ac": "ac", "cd": "cd", "bd": "bd"},
+            {"t1": ("ab", "bc", "ac"), "t2": ("bc", "cd", "bd")},
+            stab={"t1": "F", "t2": "G"}, orbit={"t1": "o", "t2": "o"},
+        )
+        assert x.is_simplicial() and not x.cell_labels_reduced
+        groups = GroupTable([GroupRef("F"), GroupRef("G")])
+        out, cell_map = reduce_with_map(x, groups)
+        assert out.stab["t1"] == out.stab["t2"] == "red.0" and groups._mint_counter == 1
+
+
+class TestPieceCellData:
+    """What ``subcomplex`` hands on in the cell data of a piece, against a
+    fresh ``CellData`` of the same cells: the canonical order when the
+    parent holds it true, and the parent's blocks inside the piece when
+    they cover it, compared as a set.  Every cutpoint piece of
+    ``reduced_cutpoint_tree`` is such a union of blocks; the subcomplex of
+    a random triangle set mostly is not."""
+
+    @staticmethod
+    def handed_on(piece):
+        data = piece.cell_data.__dict__
+        fresh = CellData(piece.vertices, piece.edges, piece.faces)
+        names = data.keys() - {"vertices", "edges", "faces", "class_cuts"}
+        for name in names:
+            if name == "skeleton_blocks":
+                assert set(data[name]) == set(fresh.skeleton_blocks)
+            else:
+                assert data[name] == getattr(fresh, name), name
+        return names
+
+    @pytest.mark.parametrize("shape", ["strip", "doubled", "labelled strip", "labelled tree"])
+    def test_handed_on_values_match_a_fresh_derivation(self, shape):
+        rng = random.Random(20261027)
+        pieces = canonical = sets = with_blocks = 0
+        for _ in range(60):
+            if shape in ("strip", "doubled"):
+                # trivial labels: every cut vertex is slender, so each block is a piece
+                x, groups = random_strip_chain(rng, parallel=0.4 * (shape == "doubled")), GroupTable()
+            else:
+                x, groups = random_labelled_complex(rng, shape.split()[-1])
+            if not x.is_simplicial() or rng.random() < 0.5:
+                x = reduce_complex(x, groups)
+            # x holds no blocks yet, so the whole complex as a piece gets none
+            assert self.handed_on(subcomplex(x, x.cells())) <= {"is_canonical"}
+            cuts = cutpoints(x)
+            if cuts and is_connected(x) and h1_z2(x) == 0:
+                for cells in reduced_cutpoint_tree(x, groups.copy()).comp_cells.values():
+                    names = self.handed_on(subcomplex(x, cells))
+                    assert "skeleton_blocks" in names
+                    assert ("is_canonical" in names) == bool(x.cell_data.__dict__.get("is_canonical"))
+                    pieces += 1
+                    canonical += "is_canonical" in names
+            fids = sorted(x.triangles())
+            cells = set(rng.sample(fids, rng.randint(1, len(fids))))
+            cells.update(e for fid in list(cells) for e in x.faces[fid])
+            cells.update(w for eid in set(cells) & x.edges.keys() for w in x.edges[eid])
+            with_blocks += "skeleton_blocks" in self.handed_on(subcomplex(x, cells))
+            sets += 1
+        assert pieces > 30 and 0 < canonical <= pieces and 0 < with_blocks < sets
+        if shape == "strip":
+            assert pieces > 80 and canonical < pieces
+
+
+class TestFreshSeparator:
+    """``fresh_separator`` returns ``sep`` without minting when no taken
+    id contains it; otherwise it lengthens ``sep`` as its definition
+    (``oracles.separator_by_minting``) does."""
+
+    @staticmethod
+    def minting(calls):
+        def minted(sep):
+            calls.append(sep)
+            yield from (f"a{sep}0", f"b{sep}1", f"{sep}c")
+
+        return minted
+
+    @pytest.mark.parametrize(
+        "taken, sep, expected, mints",
+        [
+            ({"a", "b0", "c"}, ".", ".", 0),
+            (set(), ":", ":", 0),
+            ({"x.y", "a..0"}, ".", ".", 1),
+            ({"a.0", "z"}, ".", "..", 2),
+            ({"a.0", "a..0", ".c"}, ".", "...", 3),
+            ({"b:1", "q"}, ":", "::", 2),
+            ({"bb1", "abb0"}, "b", "bbb", 3),
+        ],
+    )
+    def test_taken_sets_with_and_without_dotted_ids(self, taken, sep, expected, mints):
+        calls, oracle_calls = [], []
+        assert complexes.fresh_separator(taken, self.minting(calls), sep) == expected
+        assert separator_by_minting(taken, self.minting(oracle_calls), sep) == expected
+        assert len(calls) == mints
+
+    def test_random_taken_sets_match_the_definition(self):
+        rng = random.Random(20261028)
+        alphabet = ["a", "b", "0", "1", ".", ":"]
+        for _ in range(400):
+            taken = {"".join(rng.choices(alphabet, k=rng.randint(1, 5))) for _ in range(rng.randint(0, 6))}
+            sep = rng.choice((".", ":", "b"))
+            assert complexes.fresh_separator(taken, self.minting([]), sep) == separator_by_minting(
+                taken, self.minting([]), sep
+            )
+
+
 def _labelled_triangle(**changes):
     """A triangle over the order C < A (cells labelled A, the face C),
     built without validation and then changed."""
@@ -498,6 +643,16 @@ class TestWireAndValidate:
             with pytest.raises(error) as info:
                 check(x, _order())
             assert type(info.value) is error and str(info.value) == message
+
+    def test_an_orbit_error_names_the_first_orbit_in_cell_order(self):
+        """The one-pass label check first fails at vertex c (orbit o2), but
+        the error names o1, the first orbit met in cell order with two
+        labels, as the per-orbit label sets word it."""
+        orbit = {c: c for c in ("bc", "ac", "t")} | {"a": "o1", "ab": "o1", "b": "o2", "c": "o2"}
+        stab = {c: "A" for c in ("a", "b", "bc", "ac")} | {"c": "B", "ab": "B", "t": "C"}
+        x = _labelled_triangle(orbit=orbit, stab=stab)
+        with pytest.raises(ConsistencyError, match=r"^orbit 'o1' carries several stabilizer labels: \['A', 'B'\]$"):
+            complexes._validate_orbit_labels(x)
 
     def test_the_skipped_containments_are_the_declared_ones(self):
         x = _labelled_triangle(stab={c: "A" for c in ("a", "b", "ab", "bc", "ac")} | {"c": "B", "t": "B"})

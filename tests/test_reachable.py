@@ -13,6 +13,7 @@ statements reach nothing.  Code that only tests call belongs under
 ``tests/``."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "passdown"
@@ -123,3 +124,29 @@ def test_every_public_analysis_definition_is_reachable_from_the_cli():
 
 def test_every_kept_name_is_unreachable():
     assert sorted(KEPT.keys() - unreachable_public()) == []
+
+
+def foreign_imports(paths):
+    """(file name, module) for each import in ``paths`` that names neither
+    a standard-library module nor the package itself; a relative import
+    stays inside the package."""
+    out = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "passdown" and top not in sys.stdlib_module_names:
+                    out.append((path.name, name))
+    return out
+
+
+def test_the_package_imports_only_the_standard_library():
+    paths = sorted(SRC.glob("*.py"))
+    assert len(paths) == len(MODULES) > 10
+    assert foreign_imports(paths) == []

@@ -417,8 +417,8 @@ class TestBuiltResolutions:
             track_systems.append(ts)
             return collapse(ts, groups)
 
-        def wired(x, groups):
-            wire(x, groups)
+        def wired(x, groups, *pairs):
+            wire(x, groups, *pairs)
             complexes.append(("collapsed", x, groups.copy()))
 
         def reduced(x, groups):

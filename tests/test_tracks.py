@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from passdown import complexes, graphs, hierarchy, pipeline, resolution, stability, tracks
+from passdown import complexes, graphs, hierarchy, pipeline, provenance, resolution, stability, tracks
 from passdown.complexes import Complex2, covolume, cutpoints, h1_z2, is_connected, make_complex, reduce_complex
 from passdown.errors import FixtureError, HypothesisError, TruncationError
 from passdown.fixtures import parse_fixtures, parse_text
@@ -245,7 +245,7 @@ class TestSplitCollapse:
         res = resolution_from_images(x, t, images)
         ts = essential_tracks(tracks_from_resolution(res))
         xt1, _ = split_collapse(ts, GroupTable())
-        reversed_ts = type(ts)(resolution=ts.resolution, tracks=tuple(reversed(ts.tracks)))
+        reversed_ts = dataclasses.replace(ts, tracks=tuple(reversed(ts.tracks)))
         xt2, _ = split_collapse(reversed_ts, GroupTable())
         assert xt1.vertices == xt2.vertices
         assert xt1.edges == xt2.edges
@@ -496,8 +496,11 @@ class TestCollapseWithNothingToCollapse:
     def assert_matches(self, x, groups):
         for tree, vertex in self.trees():
             res = resolution_from_images(x, tree, dict.fromkeys(x.vertices, vertex))
-            ts = tracks_from_resolution(res)
-            assert ts == tracks_by_walk(res) and not ts.tracks and not res.ideal_vertices()
+            ts, walk = tracks_from_resolution(res), tracks_by_walk(res)
+            assert (ts.resolution, ts.tracks) == (walk.resolution, walk.tracks) and not ts.tracks
+            # nothing crosses a tree edge, on a tree with or without one
+            assert not any(ts.crossings.values()) and not any(walk.crossings.values())
+            assert not res.ideal_vertices()
             fast_groups, full_groups = groups.copy(), groups.copy()
             fast, fast_frag = split_collapse(ts, fast_groups)
             full, full_frag = collapse_by_construction(ts, full_groups)
@@ -571,6 +574,146 @@ class TestCollapseWithNothingToCollapse:
             assert rep.certificate_level == op.expected.cert_level is not None
         assert calls["collapses"] == calls["built in a collapse"] == 45
         assert calls["crossings"] == 0 and calls["blocks"] <= 180 and calls["grouped"] <= 240
+
+
+class TestTrackPointDeclares:
+    """``split_collapse`` reads the crossing table of its track system and
+    declares only the containments under a track point; the oracle
+    (``oracles.collapse_by_construction``) looks crossings up on the
+    resolution, walks every containment and composes the reduction.
+    Both give the same complex and fragment in dict order and leave the
+    same group table: declared pairs in the same order, version and mint
+    counter."""
+
+    @pytest.fixture
+    def declared(self, monkeypatch):
+        log = []  # (table, sub, sup) per declare_leq call
+        declare = GroupTable.declare_leq
+
+        def logged(table, sub, sup):
+            log.append((table, sub, sup))
+            return declare(table, sub, sup)
+
+        monkeypatch.setattr(GroupTable, "declare_leq", logged)
+        return log
+
+    @staticmethod
+    def assert_matches(ts, groups, log):
+        """Both collapses of ``ts`` over copies of ``groups``; returns the
+        number of pairs declared."""
+        fast_groups, full_groups = groups.copy(), groups.copy()
+        fast, fast_frag = split_collapse(ts, fast_groups)
+        full, full_frag = collapse_by_construction(ts, full_groups)
+        assert TestCollapseWithNothingToCollapse.fields(fast) == TestCollapseWithNothingToCollapse.fields(full)
+        for name in ("triangle_map", "edge_map", "track_point", "renamed"):
+            assert list(getattr(fast_frag, name).items()) == list(getattr(full_frag, name).items())
+        pairs = {id(t): [(sub, sup) for table, sub, sup in log if table is t] for t in (fast_groups, full_groups)}
+        assert pairs[id(fast_groups)] == pairs[id(full_groups)]
+        assert (fast_groups.version, fast_groups._mint_counter) == (full_groups.version, full_groups._mint_counter)
+        assert fast_groups._up == full_groups._up
+        return len(pairs[id(fast_groups)])
+
+    @pytest.mark.parametrize("shape", ["chain", "doubled chain", "strip", "doubled", "simplicial", "tree", "glued"])
+    def test_generated_collapses_match_the_construction(self, shape, declared):
+        rng = random.Random(20261029)
+        tracks_seen = declares = 0
+        for _ in range(40):
+            if shape.endswith("chain"):
+                x, groups = random_strip_chain(rng, parallel=0.4 * (shape == "doubled chain")), GroupTable()
+            else:
+                x, groups = random_labelled_complex(rng, shape)
+            if not x.is_simplicial():
+                x = reduce_complex(x, groups)
+            tree = line_tree(rng.randint(2, 4))
+            res = resolution_from_images(x, tree, {v: rng.choice(sorted(tree.vertices)) for v in sorted(x.vertices)})
+            ts = tracks_from_resolution(res)
+            if rng.random() < 0.5 and is_connected(x) and h1_z2(x) == 0:
+                ts = essential_tracks(ts)
+            tracks_seen += len(ts.tracks)
+            declares += self.assert_matches(ts, groups, declared)
+        assert tracks_seen > 40
+        assert (declares > 0) == (not shape.endswith("chain"))  # a trivial label lies below every label
+
+    def test_the_worked_collapse_matches_the_construction(self, declared):
+        fx = parse_fixtures([str(WORKED)])
+        res = resolution.build_resolution(fx.complexes["XP"], fx.trees["T0"], fx.action_table("T0"))
+        ts = essential_tracks(tracks_from_resolution(res))
+        assert ts.tracks and self.assert_matches(ts, fx.groups, declared) > 0
+
+    @pytest.mark.parametrize("workload", ["surgery", "size"])
+    def test_benchmark_collapses_match_the_construction(self, workload, declared, monkeypatch):
+        collapse, checked = hierarchy.split_collapse, []
+
+        def compared(ts, groups):
+            checked.append(self.assert_matches(ts, groups, declared))
+            return collapse(ts, groups)
+
+        monkeypatch.setattr(hierarchy, "split_collapse", compared)
+        for op in workloads.generate(workload, 1):
+            run_pipeline(parse_text(op.text), op.pipeline)
+        # a surgery op collapses once, with tracks; a size op three times, with none
+        assert len(checked) == {"surgery": 15, "size": 45}[workload]
+        assert (sum(checked) > 0) == (workload == "surgery")
+
+
+def test_the_collapse_derives_each_table_once(monkeypatch):
+    """Count pins over the seed-1 ops.  On ``surgery`` the edge crossings
+    are looked up once per edge, by the track extraction (2,016 calls of
+    ``Resolution.crossings``), the collapse's declare step calls
+    ``GroupTable.leq`` only under track points (3,670 calls), and no
+    cutpoint piece (68) computes its blocks with ``graphs.blocks``: it
+    holds them from its parent.  On ``size``, where no collapse has a
+    track, the declare step calls ``leq`` not at all."""
+    counts = Counter()
+    inside, piece_edges = [], set()
+    crossings, leq, wire, blocks, split = (
+        resolution.Resolution.crossings, GroupTable.leq, provenance.wire_and_validate, graphs.blocks,
+        hierarchy._cutpoint_pieces,
+    )
+
+    def counted_crossings(res, eid):
+        counts["crossings"] += 1
+        return crossings(res, eid)
+
+    def counted_leq(table, a, b):
+        counts["leq"] += bool(inside)
+        return leq(table, a, b)
+
+    def counted_wire(*args):
+        inside.append(args)
+        try:
+            return wire(*args)
+        finally:
+            inside.pop()
+
+    def counted_blocks(nodes, edges):
+        counts["blocks on pieces"] += id(edges) in piece_edges
+        return blocks(nodes, edges)
+
+    kept = []  # the pieces, held so that their ids stay their own
+
+    def counted_pieces(*args):
+        out = split(*args)
+        for _gid, sub in (out or {}).values():
+            kept.append(sub)
+            piece_edges.add(id(sub.edges))
+        return out
+
+    monkeypatch.setattr(resolution.Resolution, "crossings", counted_crossings)
+    monkeypatch.setattr(GroupTable, "leq", counted_leq)
+    monkeypatch.setattr(provenance, "wire_and_validate", counted_wire)
+    monkeypatch.setattr(graphs, "blocks", counted_blocks)
+    monkeypatch.setattr(hierarchy, "_cutpoint_pieces", counted_pieces)
+    seen = {}
+    for workload in ("surgery", "size"):
+        counts.clear()
+        kept.clear()
+        piece_edges.clear()
+        for op in workloads.generate(workload, 1):
+            run_pipeline(parse_text(op.text), op.pipeline)
+        seen[workload] = (counts["crossings"], counts["leq"], counts["blocks on pieces"], len(kept))
+    assert seen["surgery"] == (2016, 3670, 0, 68)
+    assert seen["size"] == (0, 0, 0, 45)
 
 
 WORKED = Path(__file__).resolve().parents[1] / "fixtures" / "worked_terminating.txt"
