@@ -5,7 +5,75 @@ reproducible."""
 import random
 
 from passdown.complexes import make_complex
+from passdown.groups import GroupRef, GroupTable
+from passdown.provenance import TauFragment
+from passdown.stability import LevelData, RunView, TriangleClass
 from passdown.trees import make_tree
+
+from oracles import identity_fragment
+
+
+def line_tree(n=2, ideals=()):
+    """The path x0 - x1 - ... with tree edges f0, f1, ...; the first name in
+    ``ideals`` is an ideal point beyond x0, the second one beyond the far
+    end."""
+    verts = [f"x{i}" for i in range(n)]
+    edges = {f"f{i}": (f"x{i}", f"x{i+1}") for i in range(n - 1)}
+    rays = [("x1", "x0"), (f"x{n-2}", f"x{n-1}")]
+    return make_tree(verts, edges, dict(zip(ideals, rays)))
+
+
+def triangle(face="f", **labels):
+    """The triangle on a, b, c with sides ab, bc, ac; ``labels`` go to
+    ``make_complex``."""
+    return make_complex(["a", "b", "c"], {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")}, {face: ("ab", "bc", "ac")}, **labels)
+
+
+def star(*legs):
+    """The star tree on centre c with a leaf and an ideal point p<leg> per leg."""
+    return make_tree(["c", *legs], {f"e{leg}": ("c", leg) for leg in legs}, {f"p{leg}": ("c", leg) for leg in legs})
+
+
+def wheel(n=3, center="v", marked=("v", "u0")):
+    """The closed fan of n triangles around ``center``, rim u0 ... u{n-1}."""
+    edges, faces = {}, {}
+    for i in range(n):
+        edges[f"sp{i}"] = (center, f"u{i}")
+        edges[f"rim{i}"] = (f"u{i}", f"u{(i+1) % n}")
+        faces[f"t{i}"] = (f"sp{i}", f"rim{i}", f"sp{(i+1) % n}")
+    return make_complex([center] + [f"u{i}" for i in range(n)], edges, faces, boundary_marked=marked)
+
+
+def open_fan(marked=()):
+    """Triangles t1, t2 around v on the path a - b - c: a fan that does not close."""
+    edges = {"va": ("v", "a"), "vb": ("v", "b"), "vc": ("v", "c"), "ab": ("a", "b"), "bc": ("b", "c")}
+    return make_complex(["v", "a", "b", "c"], edges, {"t1": ("va", "ab", "vb"), "t2": ("vb", "bc", "vc")}, boundary_marked=marked)
+
+
+def pinch():
+    """Three faces of a tetrahedron, marked at a and c, over an edge x0 - x1
+    that a and b map to one end of and c and d to the other: one track
+    around the [a,b]|[c,d] split, whose collapse merges t1 and t2."""
+    from passdown.resolution import resolution_from_images
+
+    x = make_complex(
+        ["a", "b", "c", "d"],
+        {"ab": ("a", "b"), "ac": ("a", "c"), "bc": ("b", "c"), "ad": ("a", "d"), "bd": ("b", "d"), "cd": ("c", "d")},
+        {"t1": ("ab", "bc", "ac"), "t2": ("ab", "bd", "ad"), "t3": ("ac", "cd", "ad")},
+        boundary_marked=["a", "c"],
+    )
+    return x, resolution_from_images(x, line_tree(2), {"a": "x0", "b": "x0", "c": "x1", "d": "x1"})
+
+
+def spider(legs=4):
+    """A star tree on centre c with leaves l0 ..., an ideal point p<i> beyond each leaf."""
+    edges = {f"e{i}": ("c", f"l{i}") for i in range(legs)}
+    return make_tree(["c"] + [f"l{i}" for i in range(legs)], edges, {f"p{i}": ("c", f"l{i}") for i in range(legs)})
+
+
+def triangle_classes(partition):
+    """Triangle classes Y0, Y1, ... of one complex X, one per part."""
+    return [TriangleClass(id=f"Y{i}", cid="X", triangles=frozenset(p)) for i, p in enumerate(partition)]
 
 
 def random_cell_complex(rng: random.Random, max_vertices=12, allow_bigons=True):
@@ -137,8 +205,6 @@ def random_labelled_complex(rng: random.Random, shape="simplicial"):
     triangles sharing an orbit with a like-labelled one, some edges with an
     oriented label P, some vertices boundary-marked.  Returns (complex,
     group table)."""
-    from passdown.groups import GroupRef, GroupTable
-
     groups = GroupTable(
         [
             GroupRef("V1"),
@@ -181,50 +247,52 @@ def random_triangle_tree_complex(rng: random.Random, n_triangles=5, marked=2):
     existing vertex, or closes a fan corner (adding one new edge over two
     existing ones sharing a vertex); all three moves preserve h1 = 0.
     """
-    verts = ["v0", "v1", "v2"]
-    edges = {"e0": ("v0", "v1"), "e1": ("v1", "v2"), "e2": ("v0", "v2")}
+    verts, edges, faces = _grown_triangles(rng, n_triangles, "v", glue=0.5, hang=0.8)
+    boundary = rng.sample(verts, min(marked, len(verts)))
+    return make_complex(verts, edges, faces, boundary_marked=boundary)
+
+
+def _grown_triangles(rng, n_triangles, prefix, glue, hang):
+    """Triangles grown from one: while a draw is below ``glue`` a fresh apex
+    is glued along an existing edge, below ``hang`` a fresh triangle hangs
+    off an existing vertex, and otherwise a corner over two edges at a
+    shared vertex is closed by a new third side.  Returns the vertex list
+    and the edge and face dicts."""
+    verts = [f"{prefix}0", f"{prefix}1", f"{prefix}2"]
+    edges = {"e0": (verts[0], verts[1]), "e1": (verts[1], verts[2]), "e2": (verts[0], verts[2])}
     faces = {"t0": ("e0", "e1", "e2")}
-    vn, en, tn = 3, 3, 1
     by_pair = {frozenset(p): e for e, p in edges.items()}
+    tri_keys = {frozenset(verts)}
 
     def add_edge(a, b):
-        nonlocal en
         key = frozenset((a, b))
         if key in by_pair:
             return by_pair[key], False
-        eid = f"e{en}"
-        en += 1
+        eid = by_pair[key] = f"e{len(edges)}"
         edges[eid] = (a, b)
-        by_pair[key] = eid
         return eid, True
 
-    tri_keys = {frozenset(("v0", "v1", "v2"))}
-    while tn < n_triangles:
+    def add_face(a, b, c, sides):
+        faces[f"t{len(faces)}"] = sides
+        tri_keys.add(frozenset((a, b, c)))
+
+    def fresh():
+        verts.append(f"{prefix}{len(verts)}")
+        return verts[-1]
+
+    while len(faces) < n_triangles:
         move = rng.random()
-        if move < 0.5:
+        if move < glue:
             # glue along an existing edge with a fresh apex
             eid = rng.choice(sorted(edges))
             a, b = edges[eid]
-            c = f"v{vn}"
-            vn += 1
-            verts.append(c)
-            ea, _ = add_edge(a, c)
-            eb, _ = add_edge(b, c)
-            faces[f"t{tn}"] = (eid, ea, eb)
-            tri_keys.add(frozenset((a, b, c)))
-            tn += 1
-        elif move < 0.8:
+            c = fresh()
+            add_face(a, b, c, (eid, add_edge(a, c)[0], add_edge(b, c)[0]))
+        elif move < hang:
             # fresh triangle hanging off one existing vertex
             a = rng.choice(verts)
-            b, c = f"v{vn}", f"v{vn+1}"
-            vn += 2
-            verts.extend((b, c))
-            e1, _ = add_edge(a, b)
-            e2, _ = add_edge(b, c)
-            e3, _ = add_edge(a, c)
-            faces[f"t{tn}"] = (e1, e2, e3)
-            tri_keys.add(frozenset((a, b, c)))
-            tn += 1
+            b, c = fresh(), fresh()
+            add_face(a, b, c, (add_edge(a, b)[0], add_edge(b, c)[0], add_edge(a, c)[0]))
         else:
             # close a corner: two edges at a shared vertex, new third side
             v = rng.choice(verts)
@@ -234,14 +302,9 @@ def random_triangle_tree_complex(rng: random.Random, n_triangles=5, marked=2):
             a, b = rng.sample(nbrs, 2)
             if frozenset((v, a, b)) in tri_keys or frozenset((a, b)) in by_pair:
                 continue
-            e3, fresh = add_edge(a, b)
-            if not fresh:
-                continue
-            faces[f"t{tn}"] = (by_pair[frozenset((v, a))], e3, by_pair[frozenset((v, b))])
-            tri_keys.add(frozenset((v, a, b)))
-            tn += 1
-    boundary = rng.sample(verts, min(marked, len(verts)))
-    return make_complex(verts, edges, faces, boundary_marked=boundary)
+            e3, _ = add_edge(a, b)
+            add_face(v, a, b, (by_pair[frozenset((v, a))], e3, by_pair[frozenset((v, b))]))
+    return verts, edges, faces
 
 
 def random_treehat(rng: random.Random, max_vertices=8, n_ideal=2):
@@ -273,53 +336,7 @@ def random_treehat(rng: random.Random, max_vertices=8, n_ideal=2):
 def random_edge_glued_complex(rng: random.Random, n_triangles=6):
     """Edge-connected triangle mass with h1 = 0 and no cutpoints; every
     edge lies in a triangle."""
-    verts = ["a0", "a1", "a2"]
-    edges = {"e0": ("a0", "a1"), "e1": ("a1", "a2"), "e2": ("a0", "a2")}
-    faces = {"t0": ("e0", "e1", "e2")}
-    by_pair = {frozenset(p): e for e, p in edges.items()}
-    tri_keys = {frozenset(verts)}
-    en, vn, tn = 3, 3, 1
-
-    def add_edge(a, b):
-        nonlocal en
-        key = frozenset((a, b))
-        if key in by_pair:
-            return by_pair[key], False
-        eid = f"e{en}"
-        en += 1
-        edges[eid] = (a, b)
-        by_pair[key] = eid
-        return eid, True
-
-    while tn < n_triangles:
-        if rng.random() < 0.75:
-            # glue a fresh apex along an existing edge
-            eid = rng.choice(sorted(edges))
-            a, b = edges[eid]
-            c = f"a{vn}"
-            vn += 1
-            verts.append(c)
-            ea, _ = add_edge(a, c)
-            eb, _ = add_edge(b, c)
-            faces[f"t{tn}"] = (eid, ea, eb)
-            tri_keys.add(frozenset((a, b, c)))
-            tn += 1
-        else:
-            # close a corner over two edges at a shared vertex
-            v = rng.choice(verts)
-            nbrs = sorted({w for p in by_pair for w in p if v in p and w != v})
-            if len(nbrs) < 2:
-                continue
-            a, b = rng.sample(nbrs, 2)
-            if frozenset((v, a, b)) in tri_keys or frozenset((a, b)) in by_pair:
-                continue
-            e3, fresh = add_edge(a, b)
-            if not fresh:
-                continue
-            faces[f"t{tn}"] = (by_pair[frozenset((v, a))], e3, by_pair[frozenset((v, b))])
-            tri_keys.add(frozenset((v, a, b)))
-            tn += 1
-    return make_complex(verts, edges, faces)
+    return make_complex(*_grown_triangles(rng, n_triangles, "a", glue=0.75, hang=0.75))
 
 
 def random_triangle_partition(rng: random.Random, x, n_classes=None):
@@ -514,3 +531,135 @@ class DepthBoundGenerator:
         k = self.make_k(depth_k, f"K{self.counter}")
         h = self.make_h(self.groups[k.nodes[k.root].group].id, k, f"H{self.counter}")
         return h, k
+
+
+def tau_from_fragment(cid_src, cid_dst, frag):
+    """A fragment from complex ``cid_src`` to ``cid_dst`` keyed (complex
+    id, face id)."""
+    return TauFragment(
+        triangle_map={(cid_src, f): None if img is None else (cid_dst, img) for f, img in frag.triangle_map.items()},
+        edge_map={((cid_src, f), e): img for (f, e), img in frag.edge_map.items()},
+    )
+
+
+def random_fragment(rng, x, y, same, calm=False):
+    """A TauFragment from x to y.  When ``same`` (y is x), a triangle
+    survives, survives with two side images swapped, or merges onto a
+    neighbour; otherwise it merges onto a random triangle of y, each side
+    going to some side of the image.  Any triangle may drop.  Sometimes a
+    second step of drops on y follows.  A ``calm`` step between equal
+    complexes only keeps triangles, some with two side images swapped."""
+    tri, edge = {}, {}
+    targets = sorted(y.triangles())
+    for f in sorted(x.triangles()):
+        r = rng.uniform(0.1, 0.8) if calm else rng.random()
+        sides = x.faces[f]
+        neighbours = [t for t in targets if t != f and set(y.faces[t]) & set(sides)] if same else []
+        if r < 0.1:
+            tri[f] = None
+        elif same and r < 0.8:
+            tri[f] = f
+            images = list(sides)
+            if r >= 0.7:  # swap the images of two sides
+                i, j = rng.sample(range(len(sides)), 2)
+                images[i], images[j] = images[j], images[i]
+            edge.update(((f, e), img) for e, img in zip(sides, images))
+        else:
+            tri[f] = rng.choice(neighbours if neighbours and r < 0.9 else targets)
+            edge.update(((f, e), rng.choice(y.faces[tri[f]])) for e in sides)
+    frag = TauFragment(triangle_map=tri, edge_map=edge)
+    if not calm and rng.random() < 0.3:
+        drops = identity_fragment(y)
+        for f in targets:
+            if rng.random() < 0.2:
+                drops.triangle_map[f] = None
+        frag = frag.compose(drops)
+    frag.check_consistency(x, y)
+    return frag
+
+
+def random_run(rng):
+    """Two random complexes carried to a random horizon by random
+    fragments, plus a third one that splits into the other two at a random
+    level, so that N_delta varies; steps from a random level on are calm,
+    so that N' and N'' vary."""
+    fixed = {"A": random_edge_glued_complex(rng, rng.randint(2, 7)), "B": random_simplicial_complex(rng)}
+    extra = random_edge_glued_complex(rng, rng.randint(1, 4))
+    horizon = rng.randint(1, 6)
+    extra_until = rng.randint(0, horizon)
+    calm_from = rng.randint(extra_until, horizon)
+    levels = [
+        LevelData(complexes={**fixed, **({"C": extra} if n < extra_until else {})})
+        for n in range(horizon + 1)
+    ]
+    taus = []
+    for n in range(horizon):
+        tri, edge = {}, {}
+        for cid, x in levels[n].complexes.items():
+            if cid in levels[n + 1].complexes:
+                dsts = [cid]
+            else:  # the vanishing complex splits between the others
+                dsts = [d for d in ("A", "B") if levels[n + 1].complexes[d].triangles()]
+            options = [
+                tau_from_fragment(cid, d, random_fragment(rng, x, levels[n + 1].complexes[d], d == cid, n >= calm_from))
+                for d in dsts
+            ]
+            for f in sorted(x.triangles()):
+                tau = rng.choice(options)
+                tri[(cid, f)] = tau.triangle_map[(cid, f)]
+                edge.update({(key, e): img for (key, e), img in tau.edge_map.items() if key == (cid, f)})
+        taus.append(TauFragment(triangle_map=tri, edge_map=edge))
+    return RunView(levels=levels, taus=taus, groups=GroupTable())
+
+
+def renamed_run(rng, run):
+    """The run with a copy of a random level n inserted after it, its
+    complexes under new ids, reached by a step that renames all of them
+    or, per complex, either renames it or maps it face by face; the old
+    tau_n follows from the copy."""
+    n = rng.randint(0, run.horizon)
+    complexes = run.levels[n].complexes
+    whole = rng.random() < 0.5
+    step = TauFragment()
+    for cid, x in complexes.items():
+        if whole or rng.random() < 0.5:
+            step.renamed[cid] = cid + "'"
+        else:
+            step.update(tau_from_fragment(cid, cid + "'", identity_fragment(x)))
+    copy = LevelData(complexes={cid + "'": x for cid, x in complexes.items()})
+    taus = run.taus[:n] + [step]
+    if n < run.horizon:
+        old = run.taus[n]
+        taus.append(
+            TauFragment(
+                triangle_map={(cid + "'", f): img for (cid, f), img in old.triangle_map.items()},
+                edge_map={((cid + "'", f), e): img for ((cid, f), e), img in old.edge_map.items()},
+            )
+        )
+        taus += run.taus[n + 1 :]
+    return RunView(levels=run.levels[: n + 1] + [copy] + run.levels[n + 1 :], taus=taus, groups=run.groups)
+
+
+def chain_labelled_run(rng, run, mode):
+    """``run`` with oriented-edge labels from the chain S0 < S1 < ... <
+    S{horizon}: at level n an edge carries S{min(n, end)}.  ``end`` is the
+    horizon when ``mode`` is "grows", a level below it for the whole run
+    when "stops", and drawn per complex and edge id when "mixed".
+    Returns the run and the run-wide ``end``."""
+    horizon = run.horizon
+    groups = GroupTable(
+        [GroupRef(f"S{i}", declared_supergroups=frozenset({f"S{i + 1}"})) for i in range(horizon)] + [GroupRef(f"S{horizon}")]
+    )
+    end = horizon if mode == "grows" else rng.randint(0, horizon - 1)
+    ends = {}
+    levels = []
+    for n, level in enumerate(run.levels):
+        complexes = {}
+        for cid, x in level.complexes.items():
+            if mode == "mixed":
+                plus = {e: f"S{min(n, ends.setdefault((cid, e), rng.randint(0, horizon)))}" for e in x.edges}
+            else:
+                plus = dict.fromkeys(x.edges, f"S{min(n, end)}")
+            complexes[cid] = x.relabel(plus)
+        levels.append(LevelData(complexes=complexes))
+    return RunView(levels=levels, taus=run.taus, groups=groups), end

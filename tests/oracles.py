@@ -12,24 +12,16 @@ import numpy as np
 def h1_rank_oracle(x):
     """dim H^1 over Z2 from explicit cochain matrices, reduced with numpy.
 
-    Builds d0: C^0 -> C^1 and d1: C^1 -> C^2 as dense 0/1 matrices and
-    returns dim ker d1 - dim im d0.
+    Builds d0: C^0 -> C^1 as a dense 0/1 matrix and returns
+    dim ker d1 - dim im d0, with the rank of d1: C^1 -> C^2 from
+    ``boundary_rank_oracle``.
     """
-    verts = sorted(x.vertices)
-    edges = sorted(x.edges)
-    faces = sorted(x.faces)
-    vi = {v: i for i, v in enumerate(verts)}
-    ei = {e: i for i, e in enumerate(edges)}
-    d0 = np.zeros((len(edges), len(verts)), dtype=np.int64)
-    for e in edges:
-        u, v = x.edges[e]
-        d0[ei[e], vi[u]] ^= 1
-        d0[ei[e], vi[v]] ^= 1
-    d1 = np.zeros((len(faces), len(edges)), dtype=np.int64)
-    for r, f in enumerate(faces):
-        for e in x.faces[f]:
-            d1[r, ei[e]] ^= 1
-    return (len(edges) - _rank_mod2(d1)) - _rank_mod2(d0)
+    vi = {v: i for i, v in enumerate(sorted(x.vertices))}
+    d0 = np.zeros((len(x.edges), len(vi)), dtype=np.int64)
+    for r, e in enumerate(sorted(x.edges)):
+        for v in x.edges[e]:
+            d0[r, vi[v]] ^= 1
+    return (len(x.edges) - boundary_rank_oracle(x)) - _rank_mod2(d0)
 
 
 def _rank_mod2(m):
@@ -383,12 +375,6 @@ def pairs_at(run, n):
         for cid in sorted(run.levels[n].complexes)
         for pair in pairs_of_complex(run.levels[n].complexes[cid])
     ]
-
-
-def pair_set(records):
-    """The stable pairs of one level's ``stability.ComplexClasses``
-    records, as Pairs."""
-    return frozenset(Pair(cid, *pair) for cid, rec in records.items() for pair in rec.pairs)
 
 
 def stable_pair_sets(run, start):

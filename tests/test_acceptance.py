@@ -6,22 +6,17 @@ to finish well under a minute.
 """
 
 import dataclasses
-import itertools
 import os
 import random
 import warnings
-
-import pytest
 
 from passdown.complexes import (
     DisconnectedComplexWarning,
     covolume,
     h1_z2,
     is_connected,
-    reduce_complex,
-    validate_complex,
 )
-from passdown.errors import ConsistencyError, TruncationError
+from passdown.errors import TruncationError
 from passdown.fixtures import parse_fixtures
 from passdown.groups import GroupTable
 from passdown.hierarchy import (
@@ -34,21 +29,12 @@ from passdown.hierarchy import (
 )
 from passdown.pipeline import run_pipeline
 from passdown.resolution import ActionTable
-from passdown.stability import TriangleClass, build_bw, cone_criterion_check, make_cone
 from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolution
-from passdown.trees import ActionDescriptor, classify_subgroup_action, make_tree
+from passdown.trees import ActionDescriptor, make_tree
 
-from generators import (
-    DepthBoundGenerator,
-    random_cell_complex,
-    random_edge_glued_complex,
-    random_simplicial_complex,
-    random_triangle_partition,
-    random_triangle_tree_complex,
-    splitting_fixture,
-)
-from lemmas import is_simple
-from oracles import classification_oracle, cone_criterion_oracle, h1_rank_oracle
+from generators import DepthBoundGenerator, random_cell_complex, splitting_fixture
+from differential import compared
+from test_complexes import reduction_keeps
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -61,26 +47,7 @@ def test_reduction_suite():
     """200 randomized bigon/triangle complexes: reduce is idempotent,
     preserves connectivity and h1 = 0, never increases covolume."""
     rng = random.Random(20260809)
-    checked_h1 = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DisconnectedComplexWarning)
-        for _ in range(200):
-            x = random_cell_complex(rng, max_vertices=12)
-            r = reduce_complex(x, GroupTable())
-            validate_complex(r)
-            assert r.is_simplicial()
-            r2 = reduce_complex(r, GroupTable())
-            assert r2.vertices == r.vertices
-            assert set(map(frozenset, r2.edges.values())) == set(map(frozenset, r.edges.values()))
-            assert {frozenset(r2.face_vertices(f)) for f in r2.faces} == {
-                frozenset(r.face_vertices(f)) for f in r.faces
-            }
-            assert covolume(r) <= covolume(x)
-            if is_connected(x):
-                assert is_connected(r)
-                if h1_z2(x) == 0:
-                    assert h1_z2(r) == 0
-                    checked_h1 += 1
+    checked_h1 = sum(reduction_keeps(random_cell_complex(rng, max_vertices=12)) for _ in range(200))
     assert checked_h1 >= 20  # the sample genuinely exercises the h1 clause
     report("reduction suite (200 randomized complexes, exact)")
 
@@ -88,12 +55,7 @@ def test_reduction_suite():
 def test_h1_oracle_equivalence():
     """h1_z2 against the independent boundary-matrix-rank oracle on 500
     random complexes."""
-    rng = random.Random(77)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DisconnectedComplexWarning)
-        for _ in range(500):
-            x = random_simplicial_complex(rng, max_vertices=8)
-            assert h1_z2(x) == h1_rank_oracle(x)
+    compared("simplicial complex", "acceptance")
     report("h1 oracle equivalence (500 randomized complexes, exact)")
 
 
@@ -237,91 +199,11 @@ def test_depth_bound_replay():
     report(f"depth-bound replay ({count} scripted pairs, exact)")
 
 
-def _classification_pool(tree, rng):
-    ideals = sorted(tree.ideal_points)
-    pool = []
-    for p, q in itertools.combinations(ideals, 2):
-        pool.append(ActionDescriptor(kind="hyperbolic", ends=(p, q)))
-        pool.append(ActionDescriptor(kind="hyperbolic", ends=(p, q), swaps_ends=True))
-    verts = sorted(tree.vertices)
-    adj = tree.adjacency
-    for v in verts:
-        pool.append(ActionDescriptor(kind="elliptic", fixed=frozenset({v})))
-    for v in verts:
-        for w in sorted(adj[v]):
-            if v < w:
-                pool.append(ActionDescriptor(kind="elliptic", fixed=frozenset({v, w})))
-    return pool
-
-
 def test_classification_oracle():
     """classify_subgroup_action against direct evaluation of the defining
     conditions, over trees with up to 8 vertices and up to 3 descriptors."""
-    rng = random.Random(5150)
-    trees = []
-    for legs in (3, 4):
-        verts = ["c"] + [f"l{i}" for i in range(legs)]
-        edges = {f"e{i}": ("c", f"l{i}") for i in range(legs)}
-        ideal = {f"p{i}": ("c", f"l{i}") for i in range(legs)}
-        trees.append(make_tree(verts, edges, ideal))
-    verts = [f"x{i}" for i in range(7)]
-    edges = {f"f{i}": (f"x{i}", f"x{i+1}") for i in range(6)}
-    trees.append(make_tree(verts, edges, {"p": ("x1", "x0"), "q": ("x5", "x6")}))
-    checked = 0
-    for tree in trees:
-        pool = _classification_pool(tree, rng)
-        sets = [[d] for d in pool]
-        sets += [list(c) for c in itertools.combinations(pool, 2)]
-        sets += [rng.sample(pool, 3) for _ in range(400)]
-        for descriptors in sets:
-            try:
-                expect = classification_oracle(descriptors)
-            except ValueError:
-                with pytest.raises(ConsistencyError):
-                    classify_subgroup_action(descriptors, tree)
-                checked += 1
-                continue
-            try:
-                got = classify_subgroup_action(descriptors, tree)
-            except ConsistencyError:
-                # engine-only guard: elliptic descriptor off the shared axis
-                assert expect in ("linear", "dihedral")
-                checked += 1
-                continue
-            assert got == expect, (descriptors, got, expect)
-            checked += 1
-    assert checked > 1500  # singles, all pairs, sampled triples
+    checked = compared("descriptor set", "acceptance")["cases"]
     report(f"classification oracle ({checked} descriptor sets, exact)")
-
-
-def _wheel(n):
-    from passdown.complexes import make_complex
-
-    verts = ["hub"] + [f"u{i}" for i in range(n)]
-    edges = {}
-    faces = {}
-    for i in range(n):
-        edges[f"sp{i}"] = ("hub", f"u{i}")
-        edges[f"rim{i}"] = (f"u{i}", f"u{(i + 1) % n}")
-    for i in range(n):
-        faces[f"t{i}"] = (f"sp{i}", f"rim{i}", f"sp{(i + 1) % n}")
-    return make_complex(verts, edges, faces)
-
-
-def _check_cone_verdict(x, classes, result):
-    """The verdict matches the enumeration oracle, and a counterexample is
-    a simple cone of x with at least three boundary vertices whose fan
-    meets two or more classes."""
-    violating = cone_criterion_oracle(x, classes)
-    assert result.certified == (not violating)
-    cone = result.counterexample
-    if cone is None:
-        return
-    class_of = {f: cls.id for cls in classes for f in cls.triangles}
-    assert is_simple(cone) and len(cone.boundary) >= 3
-    assert len({class_of.get(f) for f in cone.fan}) >= 2
-    assert make_cone(x, cone.center, cone.boundary) == cone
-    assert (cone.center, set(cone.fan)) in [(c.center, set(c.fan)) for c in violating]
 
 
 def test_cone_criterion_crosscheck():
@@ -329,46 +211,11 @@ def test_cone_criterion_crosscheck():
     connectivity-and-acyclicity test of B_w and with cone enumeration; no
     certified instance has a cyclic B_w.  Triangle trees, whose B_w need
     not be connected, are checked against the enumeration only."""
-    rng = random.Random(31337)
-    groups = GroupTable()
-    agreements = 0
-    certified = 0
-    counterexamples = 0
-    while agreements < 34:
-        if agreements % 3 == 2:
-            # closed fans force a straddling cone whenever split
-            x = _wheel(rng.randint(3, 6))
-            parts = random_triangle_partition(rng, x, n_classes=rng.randint(1, 3))
-        else:
-            x = random_edge_glued_complex(rng, n_triangles=rng.randint(3, 8))
-            parts = random_triangle_partition(rng, x)
-        classes = [
-            TriangleClass(id=f"Y{i}", cid="X", triangles=part) for i, part in enumerate(parts)
-        ]
-        result = cone_criterion_check(x, classes, groups)
-        _check_cone_verdict(x, classes, result)
-        bw, _ = build_bw(x, classes, groups)
-        assert result.certified == bw.is_tree()
-        if result.certified:
-            assert not bw.has_cycle()
-            certified += 1
-        else:
-            assert result.counterexample is not None
-            counterexamples += 1
-        agreements += 1
-    tree_counterexamples = 0
-    for _ in range(200):
-        x = random_triangle_tree_complex(rng, n_triangles=rng.randint(3, 14))
-        parts = random_triangle_partition(rng, x)
-        classes = [TriangleClass(id=f"Y{i}", cid="X", triangles=part) for i, part in enumerate(parts)]
-        result = cone_criterion_check(x, classes, groups)
-        _check_cone_verdict(x, classes, result)
-        tree_counterexamples += not result.certified
-    assert certified and counterexamples and tree_counterexamples  # both verdicts exercised
+    c = compared("class partition", "acceptance")
     report(
-        f"cone criterion cross-check ({agreements} fixtures: {certified} certified, "
-        f"{counterexamples} counterexamples; 200 triangle trees against enumeration, "
-        f"{tree_counterexamples} counterexamples; exact)"
+        f"cone criterion cross-check (34 fixtures: {c['certified']} certified, "
+        f"{c['counterexamples']} counterexamples; 200 triangle trees against enumeration, "
+        f"{c['tree_counterexamples']} counterexamples; exact)"
     )
 
 

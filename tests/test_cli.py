@@ -605,6 +605,16 @@ FUZZED = [  # fixture, pipeline, structure, tree
 JUNK = ["=", "end", "stab=", "x=1", "0", "-1", "sub-of=", "fix=", "orbit=", "parent=", "repeat=w0"]
 
 
+def fuzzed_cases():
+    """(fixture lines, pipeline, structure, tree) per fuzzed fixture, and the
+    pool of tokens a mutation draws from."""
+    cases = []
+    for name, pipeline, structure, tree in FUZZED:
+        with open(fixture(name)) as fh:
+            cases.append((fh.read().splitlines(), pipeline, structure, tree))
+    return cases, sorted({w for lines, *_ in cases for line in lines for w in line.split()} | set(JUNK))
+
+
 def mutate(rng, lines, pool):
     """One line mutation: delete, duplicate or swap lines, or replace or
     insert a token."""
@@ -634,11 +644,7 @@ def test_line_mutations_exit_0_1_or_2(tmp_path):
     turn through ``pipeline`` and ``passdown``: every run exits 0, 1 or 2
     and raises nothing."""
     rng = random.Random(20261018)
-    cases = []
-    for name, pipeline, structure, tree in FUZZED:
-        with open(fixture(name)) as fh:
-            cases.append((fh.read().splitlines(), pipeline, structure, tree))
-    pool = sorted({w for lines, *_ in cases for line in lines for w in line.split()} | set(JUNK))
+    cases, pool = fuzzed_cases()
     path = tmp_path / "mutated.txt"
     codes = Counter()
     sink = io.StringIO()
@@ -679,11 +685,7 @@ def test_line_mutations_report_alike_under_two_hash_seeds(tmp_path):
     string-hash seed: the two transcripts (stdout, stderr and exit code
     of every run) are identical, malformed input included."""
     rng = random.Random(20261030)
-    cases = []
-    for name, pipeline, structure, tree in FUZZED:
-        with open(fixture(name)) as fh:
-            cases.append((fh.read().splitlines(), pipeline, structure, tree))
-    pool = sorted({w for lines, *_ in cases for line in lines for w in line.split()} | set(JUNK))
+    cases, pool = fuzzed_cases()
     runs = []
     for case in range(60):
         lines, pipeline, structure, tree = cases[case % len(cases)]

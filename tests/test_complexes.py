@@ -1,8 +1,7 @@
 import dataclasses
 import random
-import sys
 import warnings
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from passdown import complexes, graphs
 from passdown.cli import main
 from passdown.complexes import (
-    CellData,
     Complex2,
     DisconnectedComplexWarning,
     components,
@@ -23,12 +21,11 @@ from passdown.complexes import (
     reduce_complex,
     reduce_with_map,
     reduced_cutpoint_tree,
-    subcomplex,
     validate_complex,
     wire_and_validate,
 )
 from passdown.errors import ConsistencyError, FixtureError
-from passdown.fixtures import parse_fixtures
+from passdown.fixtures import parse_fixtures, parse_text
 from passdown.groups import TRIVIAL, GroupRef, GroupTable
 from passdown.hierarchy import make_tree_level, passdown_full
 from passdown.pipeline import run_pipeline
@@ -37,35 +34,9 @@ from passdown.stability import class_cutpoints
 from passdown.trees import make_tree
 
 from bench_ops import workloads
-from generators import (
-    random_cell_complex,
-    random_labelled_complex,
-    random_simplicial_complex,
-    random_strip_chain,
-    random_triangle_tree_complex,
-)
-from oracles import (
-    boundary_rank_oracle,
-    brute_blocks,
-    brute_components,
-    brute_cutpoints,
-    contracted_cutpoint_tree,
-    cutpoint_tree,
-    h1_rank_oracle,
-    is_reduced_oracle,
-    is_simplicial_oracle,
-    reduction_by_quotient,
-    separator_by_minting,
-)
-
-
-def triangle(marked=()):
-    return make_complex(
-        ["a", "b", "c"],
-        {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")},
-        {"t": ("ab", "bc", "ac")},
-        boundary_marked=marked,
-    )
+from differential import differential_test, h1, minting, record, relabelled
+from generators import random_cell_complex, random_labelled_complex, random_simplicial_complex, random_triangle_tree_complex, triangle
+from oracles import brute_components, brute_cutpoints, cutpoint_tree, separator_by_minting
 
 
 def test_validation_rejects_missing_edge():
@@ -95,7 +66,7 @@ class TestReduce:
         assert not r.faces
 
     def test_simplicial_input_unchanged(self):
-        x = triangle()
+        x = triangle("t")
         r = reduce_complex(x, GroupTable())
         assert r.vertices == x.vertices
         assert set(map(frozenset, r.edges.values())) == set(map(frozenset, x.edges.values()))
@@ -137,7 +108,7 @@ class TestH1:
         assert h1_z2(x) == 1
 
     def test_filled_triangle_is_disk(self):
-        assert h1_z2(triangle()) == 0
+        assert h1_z2(triangle("t")) == 0
 
     def test_disconnected_warns(self):
         x = make_complex(["a", "b"], {}, {})
@@ -147,10 +118,7 @@ class TestH1:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**9))
     def test_matches_rank_oracle(self, seed):
-        x = random_simplicial_complex(random.Random(seed))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DisconnectedComplexWarning)
-            assert h1_z2(x) == h1_rank_oracle(x)
+        h1(random_simplicial_complex(random.Random(seed)))
 
 
 class TestCovolume:
@@ -197,7 +165,7 @@ class TestCutpoints:
         assert cutpoints(self.wedge()) == {"v"}
 
     def test_single_triangle_has_none(self):
-        assert cutpoints(triangle()) == set()
+        assert cutpoints(triangle("t")) == set()
 
     def test_chain_of_three_triangles(self):
         # glued at two distinct vertices; brute-force deletion agrees
@@ -227,7 +195,7 @@ class TestCutpoints:
 
 class TestCutpointTree:
     def test_cutpoint_free_is_single_vertex(self):
-        bx = cutpoint_tree(triangle(), GroupTable())
+        bx = cutpoint_tree(triangle("t"), GroupTable())
         assert len(bx.comp_nodes) == 1 and not bx.cut_nodes and not bx.edges
 
     def test_wedge_is_path(self):
@@ -296,25 +264,7 @@ class TestCutpointTree:
         with pytest.raises(ConsistencyError, match="lies in cutpoint-free pieces of different orbits"):
             reduced_cutpoint_tree(x, groups)
 
-    def test_matches_contracted_oracle(self):
-        # cut vertices labelled at random: slender (S), non-slender and
-        # H-elliptic (U), or neither (V)
-        groups = GroupTable([GroupRef("S", is_slender=True), GroupRef("U", is_h_elliptic=True), GroupRef("V")])
-        merged = 0
-        for seed in range(60):
-            rng = random.Random(seed)
-            x = random_triangle_tree_complex(rng, n_triangles=rng.randint(2, 9))
-            x = dataclasses.replace(x, stab={**x.stab, **{v: rng.choice("SUV") for v in sorted(cutpoints(x))}})
-            bpx = reduced_cutpoint_tree(x, groups)
-            comp_nodes, cells, cut_nodes, edges, orbit, flags = contracted_cutpoint_tree(x, groups)
-            assert bpx.comp_nodes == comp_nodes
-            assert bpx.comp_cells == cells
-            assert bpx.cut_nodes == cut_nodes
-            assert bpx.edges == edges
-            assert bpx.node_orbit == orbit
-            assert {n: groups.h_elliptic(bpx.node_stab[n]) for n in comp_nodes} == flags
-            merged += len(comp_nodes) < len(cutpoint_tree(x, groups).comp_nodes)
-        assert merged
+    test_matches_contracted_oracle = differential_test("cut-labelled complex")
 
     def test_merged_piece_is_h_elliptic_only_if_every_merged_cut_vertex_is(self):
         # three triangles in a chain through the non-slender cut vertices
@@ -342,69 +292,38 @@ class TestCutpointTree:
         assert not groups.h_elliptic(bpx.node_stab["C0"])
 
 
+def reduction_keeps(x):
+    """Reducing x gives a valid simplicial complex that reduces to the same
+    cells again, with no more covolume, connected and with h1 = 0 when x
+    is.  Returns whether x is connected with h1 = 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DisconnectedComplexWarning)
+        r = reduce_complex(x, GroupTable())
+        validate_complex(r)
+        assert r.is_simplicial()
+        r2 = reduce_complex(r, GroupTable())
+        assert r2.vertices == r.vertices
+        assert set(map(frozenset, r2.edges.values())) == set(map(frozenset, r.edges.values()))
+        assert {frozenset(r2.face_vertices(f)) for f in r2.faces} == {frozenset(r.face_vertices(f)) for f in r.faces}
+        assert covolume(r) <= covolume(x)
+        if is_connected(x):
+            assert is_connected(r)
+        kept = is_connected(x) and h1_z2(x) == 0
+        if kept:
+            assert h1_z2(r) == 0
+    return kept
+
+
 class TestReductionProperties:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**9))
     def test_idempotent_monotone_and_h1_preserving(self, seed):
-        x = random_cell_complex(random.Random(seed))
-        r = reduce_complex(x, GroupTable())
-        r2 = reduce_complex(r, GroupTable())
-        assert r2.vertices == r.vertices
-        assert set(map(frozenset, r2.edges.values())) == set(map(frozenset, r.edges.values()))
-        assert {frozenset(r2.face_vertices(f)) for f in r2.faces} == {
-            frozenset(r.face_vertices(f)) for f in r.faces
-        }
-        assert covolume(r) <= covolume(x)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DisconnectedComplexWarning)
-            if is_connected(x):
-                assert is_connected(r)
-                if h1_z2(x) == 0:
-                    assert h1_z2(r) == 0
+        reduction_keeps(random_cell_complex(random.Random(seed)))
 
 
 class TestDerivedIncidence:
-    """The incidence kept on Complex2 against recomputation from the cell
-    dicts, in the orders the callers rely on."""
-
-    def cases(self):
-        for seed in range(120):
-            yield random_simplicial_complex(random.Random(seed))
-            yield random_cell_complex(random.Random(seed))
-
-    def test_maps_match_recomputation(self):
-        for x in self.cases():
-            fv = {f: {w for e in es for w in x.edges[e]} for f, es in x.faces.items()}
-            tris = [f for f, es in x.faces.items() if len(es) == 3]
-            assert all(x.face_vertices(f) == fv[f] for f in x.faces)
-            assert x.edges_by_pair == {
-                key: tuple(sorted(e for e in x.edges if frozenset(x.edges[e]) == key))
-                for key in map(frozenset, x.edges.values())
-            }
-            assert x.triangles_by_vertex == {
-                v: tuple(f for f in tris if v in fv[f]) for v in x.vertices if any(v in fv[f] for f in tris)
-            }
-            first_met = dict.fromkeys(e for f in sorted(tris) for e in x.faces[f])
-            assert list(x.triangles_by_edge.items()) == [
-                (e, tuple(sorted(f for f in tris if e in x.faces[f]))) for e in first_met
-            ]
-            assert x.triangles_by_triple == {
-                key: tuple(sorted(f for f in tris if fv[f] == key)) for key in (frozenset(fv[f]) for f in tris)
-            }
-            assert x.is_simplicial() == is_simplicial_oracle(x)
-
-    def test_components_blocks_and_rank_match_recomputation(self):
-        for x in self.cases():
-            assert components(x) == brute_components(x.vertices, x.edges.values())
-            assert is_connected(x) == (len(brute_components(x.vertices, x.edges.values())) <= 1)
-            assert sorted((set(es) for _vs, es in x.skeleton_blocks if es), key=sorted) == brute_blocks(x)
-            for verts, eids in x.skeleton_blocks:
-                if eids:
-                    assert verts == {w for e in eids for w in x.edges[e]}
-            isolated = {v for v in x.vertices if not any(v in ends for ends in x.edges.values())}
-            assert {v for verts, eids in x.skeleton_blocks if not eids for v in verts} == isolated
-            assert cutpoints(x) == brute_cutpoints(x)
-            assert x.boundary_rank == boundary_rank_oracle(x)
+    test_maps_match_recomputation = differential_test("incidence")
+    test_components_blocks_and_rank_match_recomputation = differential_test("skeleton")
 
     def test_returned_collections_do_not_write_through(self):
         x = random_simplicial_complex(random.Random(3))
@@ -418,83 +337,11 @@ class TestDerivedIncidence:
 
 
 class TestReductionCellData:
-    """What ``reduce_with_map`` hands on in the cell data of its output
-    against a fresh ``CellData`` of the same cells: the incidence by pair
-    and triple and the canonical order always, the cutpoints and
-    components only when the input holds them already."""
-
-    BUILT = {"edges_by_pair", "triangles_by_triple", "is_canonical"}
-    SKELETON = {"cutpoints", "vertex_components"}
-
-    @staticmethod
-    def handed_on(y):
-        # the values held right after the reduction: handed on, or derived
-        # by the declare step of a reduction that mints a label
-        data = y.cell_data.__dict__
-        fresh = CellData(y.vertices, y.edges, y.faces)
-        names = data.keys() - {"vertices", "edges", "faces", "class_cuts"}
-        for name in names:
-            assert data[name] == getattr(fresh, name), name
-        assert fresh.is_canonical and fresh.is_simplicial()
-        return names
-
-    @pytest.mark.parametrize("shape", ["doubled", "strip", "cell", "glued"])
-    def test_handed_on_values_match_a_fresh_derivation(self, shape):
-        rng = random.Random(20261023)
-        bigons = parallel = cuts = 0
-        for _ in range(60):
-            x, groups = random_labelled_complex(rng, shape)
-            bigons += len(x.bigons())
-            parallel += len(x.edges) - len(x.edges_by_pair)
-            before = self.SKELETON & x.cell_data.__dict__.keys()
-            reduced, _ = reduce_with_map(x, groups.copy())
-            names = self.handed_on(reduced)
-            assert self.BUILT <= names and names & self.SKELETON == before
-            cuts += bool(cutpoints(x))
-            components(x)
-            reduced, _ = reduce_with_map(x, groups.copy())
-            assert self.BUILT | self.SKELETON <= self.handed_on(reduced)
-            assert cutpoints(reduced) == brute_cutpoints(reduced)
-            assert components(reduced) == brute_components(reduced.vertices, reduced.edges.values())
-        if shape == "doubled":
-            assert bigons > 100 and parallel > 200
-        if shape in ("doubled", "strip"):
-            assert cuts > 20
+    test_handed_on_values_match_a_fresh_derivation = differential_test("reduction")
 
 
 class TestMergeFreeReduction:
-    """A simplicial complex with one label per orbit merges and mints
-    nothing: ``reduce_with_map`` copies its labels instead of inducing
-    them.  The oracle is the ``quotient_labels`` path
-    (``oracles.reduction_by_quotient``), field by field and in dict order,
-    with the cell map and the group table."""
-
-    @staticmethod
-    def state(out, cell_map, groups):
-        return (
-            out.vertices, list(out.edges.items()), list(out.faces.items()), list(out.stab.items()),
-            list(out.orbit.items()), out.boundary_marked, list(out.stab_plus.items()), list(cell_map.items()),
-            groups.version, groups._mint_counter, groups._up,
-        )
-
-    @pytest.mark.parametrize("shape", ["strip", "doubled", "simplicial", "tree", "glued"])
-    def test_it_equals_the_quotient_path(self, shape):
-        rng = random.Random(20261026)
-        merge_free = 0
-        for _ in range(60):
-            x, groups = random_labelled_complex(rng, shape)
-            if not x.is_simplicial():
-                x = reduce_complex(x, groups)
-            if rng.random() < 0.5:
-                # a stray oriented label makes no difference to the path
-                x = x.relabel(stab_plus={eid: "P" for eid in x.edges if rng.random() < 0.5})
-            merge_free += x.is_simplicial() and x.cell_labels_reduced
-            fast_groups, full_groups = groups.copy(), groups.copy()
-            fast = reduce_with_map(x, fast_groups)
-            full = reduction_by_quotient(x, full_groups)
-            assert self.state(*fast, fast_groups) == self.state(*full, full_groups)
-            assert all(c == img for c, img in fast[1].items())
-        assert merge_free == 60
+    test_it_equals_the_quotient_path = differential_test("merge-free reduction")
 
     def test_a_complex_with_two_labels_in_an_orbit_takes_the_quotient_path(self):
         x = make_complex(
@@ -509,70 +356,13 @@ class TestMergeFreeReduction:
 
 
 class TestPieceCellData:
-    """What ``subcomplex`` hands on in the cell data of a piece, against a
-    fresh ``CellData`` of the same cells: the canonical order when the
-    parent holds it true, and the parent's blocks inside the piece when
-    they cover it, compared as a set.  Every cutpoint piece of
-    ``reduced_cutpoint_tree`` is such a union of blocks; the subcomplex of
-    a random triangle set mostly is not."""
-
-    @staticmethod
-    def handed_on(piece):
-        data = piece.cell_data.__dict__
-        fresh = CellData(piece.vertices, piece.edges, piece.faces)
-        names = data.keys() - {"vertices", "edges", "faces", "class_cuts"}
-        for name in names:
-            if name == "skeleton_blocks":
-                assert set(data[name]) == set(fresh.skeleton_blocks)
-            else:
-                assert data[name] == getattr(fresh, name), name
-        return names
-
-    @pytest.mark.parametrize("shape", ["strip", "doubled", "labelled strip", "labelled tree"])
-    def test_handed_on_values_match_a_fresh_derivation(self, shape):
-        rng = random.Random(20261027)
-        pieces = canonical = sets = with_blocks = 0
-        for _ in range(60):
-            if shape in ("strip", "doubled"):
-                # trivial labels: every cut vertex is slender, so each block is a piece
-                x, groups = random_strip_chain(rng, parallel=0.4 * (shape == "doubled")), GroupTable()
-            else:
-                x, groups = random_labelled_complex(rng, shape.split()[-1])
-            if not x.is_simplicial() or rng.random() < 0.5:
-                x = reduce_complex(x, groups)
-            # x holds no blocks yet, so the whole complex as a piece gets none
-            assert self.handed_on(subcomplex(x, x.cells())) <= {"is_canonical"}
-            cuts = cutpoints(x)
-            if cuts and is_connected(x) and h1_z2(x) == 0:
-                for cells in reduced_cutpoint_tree(x, groups.copy()).comp_cells.values():
-                    names = self.handed_on(subcomplex(x, cells))
-                    assert "skeleton_blocks" in names
-                    assert ("is_canonical" in names) == bool(x.cell_data.__dict__.get("is_canonical"))
-                    pieces += 1
-                    canonical += "is_canonical" in names
-            fids = sorted(x.triangles())
-            cells = set(rng.sample(fids, rng.randint(1, len(fids))))
-            cells.update(e for fid in list(cells) for e in x.faces[fid])
-            cells.update(w for eid in set(cells) & x.edges.keys() for w in x.edges[eid])
-            with_blocks += "skeleton_blocks" in self.handed_on(subcomplex(x, cells))
-            sets += 1
-        assert pieces > 30 and 0 < canonical <= pieces and 0 < with_blocks < sets
-        if shape == "strip":
-            assert pieces > 80 and canonical < pieces
+    test_handed_on_values_match_a_fresh_derivation = differential_test("pieces")
 
 
 class TestFreshSeparator:
     """``fresh_separator`` returns ``sep`` without minting when no taken
     id contains it; otherwise it lengthens ``sep`` as its definition
     (``oracles.separator_by_minting``) does."""
-
-    @staticmethod
-    def minting(calls):
-        def minted(sep):
-            calls.append(sep)
-            yield from (f"a{sep}0", f"b{sep}1", f"{sep}c")
-
-        return minted
 
     @pytest.mark.parametrize(
         "taken, sep, expected, mints",
@@ -588,19 +378,11 @@ class TestFreshSeparator:
     )
     def test_taken_sets_with_and_without_dotted_ids(self, taken, sep, expected, mints):
         calls, oracle_calls = [], []
-        assert complexes.fresh_separator(taken, self.minting(calls), sep) == expected
-        assert separator_by_minting(taken, self.minting(oracle_calls), sep) == expected
+        assert complexes.fresh_separator(taken, minting(calls), sep) == expected
+        assert separator_by_minting(taken, minting(oracle_calls), sep) == expected
         assert len(calls) == mints
 
-    def test_random_taken_sets_match_the_definition(self):
-        rng = random.Random(20261028)
-        alphabet = ["a", "b", "0", "1", ".", ":"]
-        for _ in range(400):
-            taken = {"".join(rng.choices(alphabet, k=rng.randint(1, 5))) for _ in range(rng.randint(0, 6))}
-            sep = rng.choice((".", ":", "b"))
-            assert complexes.fresh_separator(taken, self.minting([]), sep) == separator_by_minting(
-                taken, self.minting([]), sep
-            )
+    test_random_taken_sets_match_the_definition = differential_test("taken ids")
 
 
 def _labelled_triangle(**changes):
@@ -691,87 +473,12 @@ def test_a_reduction_declares_what_its_minted_labels_need():
     validate_complex(out, groups)
 
 
-def _perturbed(x, rng):
-    """Copies of a reduced complex that each break one part of being reduced."""
-    out = [dataclasses.replace(x, edges=dict(reversed(x.edges.items())))]
-    out.append(dataclasses.replace(x, faces=dict(reversed(x.faces.items()))))
-    out.append(dataclasses.replace(x, stab={**x.stab, "stray": TRIVIAL}))
-    if x.edges:
-        eid = rng.choice(sorted(x.edges))
-        out.append(dataclasses.replace(x, stab_plus={e: g for e, g in x.stab_plus.items() if e != eid}))
-        out.append(dataclasses.replace(x, edges={**x.edges, eid: x.edges[eid][::-1]}))
-    if x.faces:
-        fid = rng.choice(sorted(x.faces))
-        es = x.faces[fid]
-        out.append(dataclasses.replace(x, faces={**x.faces, fid: es[1:] + es[:1]}))
-        other = next((c for c in x.cells() if x.stab[c] != x.stab[fid]), None)
-        if other is not None:
-            out.append(dataclasses.replace(x, orbit={**x.orbit, fid: x.orbit[other]}))
-    return out
-
-
 class TestIsReduced:
-    @pytest.mark.parametrize("shape", ["simplicial", "cell", "tree", "glued"])
-    @pytest.mark.parametrize("seed", range(15))
-    def test_matches_reduce_giving_back_the_complex(self, seed, shape):
-        rng = random.Random(seed)
-        x, groups = random_labelled_complex(rng, shape)
-        reduced = reduce_complex(x, groups)
-        assert reduced.is_reduced and is_reduced_oracle(reduced, groups.copy())
-        for y in [x] + _perturbed(reduced, rng):
-            assert y.is_reduced == is_reduced_oracle(y, groups.copy())
+    test_matches_reduce_giving_back_the_complex = differential_test("is reduced")
 
 
 class TestRelabel:
-    """``relabel`` against a complex built from scratch with the same
-    fields: every derived value agrees, and every cell-derived one is the
-    original's own object."""
-
-    SHARED = (
-        "cell_data", "edges_by_pair", "triangles_by_vertex", "triangles_by_edge", "triangles_by_triple",
-        "vertex_components", "skeleton_blocks", "first_cell_by_label",
-    )
-    FIELDS = ("vertices", "edges", "faces", "stab", "orbit", "boundary_marked")
-
-    @staticmethod
-    def derived(x):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DisconnectedComplexWarning)
-            h1 = h1_z2(x)
-        return {
-            "face_vertices": {fid: x.face_vertices(fid) for fid in x.faces},
-            **{name: getattr(x, name) for name in TestRelabel.SHARED[1:]},
-            "boundary_rank": x.boundary_rank,
-            "triangles": x.triangles(),
-            "is_simplicial": x.is_simplicial(),
-            "cutpoints": cutpoints(x),
-            "is_reduced": x.is_reduced,
-            "h1_z2": h1,
-        }
-
-    def assert_matches_fresh_build(self, x, stab_plus):
-        y = x.relabel(stab_plus=stab_plus)
-        fresh = Complex2(**{name: getattr(x, name) for name in self.FIELDS}, stab_plus=dict(stab_plus))
-        assert y == fresh and y.stab_plus == stab_plus
-        # y is derived first, so x reads what y derived on the shared data
-        assert self.derived(y) == self.derived(fresh)
-        for name in self.FIELDS:
-            assert getattr(y, name) is getattr(x, name), name
-        for name in self.SHARED:
-            assert getattr(y, name) is getattr(x, name), name
-        assert all(y.face_vertices(fid) is x.face_vertices(fid) for fid in x.faces)
-        assert y.cell_data.cutpoints is x.cell_data.cutpoints
-        assert y.cell_data.triangles is x.cell_data.triangles
-        return y
-
-    @pytest.mark.parametrize("shape", ["simplicial", "cell", "tree", "glued"])
-    @pytest.mark.parametrize("seed", range(10))
-    def test_a_relabelled_complex_matches_a_fresh_build(self, seed, shape):
-        rng = random.Random(seed)
-        x, groups = random_labelled_complex(rng, shape)
-        for y in (x, reduce_complex(x, groups)):
-            plus = {eid: rng.choice(("P", "E", "1", "V1")) for eid in sorted(y.edges) if rng.random() < 0.6}
-            self.assert_matches_fresh_build(y, plus)
+    test_a_relabelled_complex_matches_a_fresh_build = differential_test("relabel")
 
     @pytest.mark.parametrize("seed", range(10))
     def test_an_added_oriented_label_makes_a_complex_reduced(self, seed):
@@ -782,8 +489,8 @@ class TestRelabel:
         missing = {e: g for e, g in reduced.stab_plus.items() if e != eid}
         unreduced = dataclasses.replace(reduced, stab_plus=missing)
         assert reduced.is_reduced and not unreduced.is_reduced
-        assert self.assert_matches_fresh_build(unreduced, {**missing, eid: "P"}).is_reduced
-        assert not self.assert_matches_fresh_build(reduced, missing).is_reduced
+        assert relabelled(unreduced, {**missing, eid: "P"}).is_reduced
+        assert not relabelled(reduced, missing).is_reduced
 
     def test_a_relabelling_keeps_the_class_cutpoint_verdicts(self):
         x = random_triangle_tree_complex(random.Random(4), n_triangles=6)
@@ -792,7 +499,7 @@ class TestRelabel:
         assert class_cutpoints(y, list(x.faces)) is kept
 
 
-def test_components_blocks_and_rank_computed_once_per_complex(tmp_path, monkeypatch):
+def test_components_blocks_and_rank_computed_once_per_complex(monkeypatch):
     """A benchmark chain run overrides an oriented stabilizer at every
     level, and each relabelled complex shares the cell data of the one it
     relabels.  So the run computes the components, the 1-skeleton blocks
@@ -801,33 +508,21 @@ def test_components_blocks_and_rank_computed_once_per_complex(tmp_path, monkeypa
     as at horizon 64."""
 
     def derivations(horizon):
-        op = workloads.chain(random.Random(1), horizon)
-        path = tmp_path / f"chain{horizon}.txt"
-        path.write_text(op.text)
-        counts = {"components": Counter(), "blocks": Counter(), "rank": Counter()}
-        kept = []  # every counted cell data stays alive, so no id is reused
+        op, log, names = workloads.chain(random.Random(1), horizon), defaultdict(list), ("components", "blocks", "_gf2_rank")
 
-        def counted(kind, fn):
-            def wrapper(*args, **kwargs):
-                caller = sys._getframe(1)
-                if caller.f_globals["__name__"] == "passdown.complexes":
-                    cells = caller.f_locals["self"]  # the cell data being derived
-                    assert isinstance(cells, complexes.CellData)
-                    kept.append(cells)
-                    counts[kind][id(cells)] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
+        def cell_data(frame, *args):  # the cell data being derived, held so that no id is reused
+            if frame.f_globals["__name__"] == "passdown.complexes":
+                assert isinstance(frame.f_locals["self"], complexes.CellData)
+                return frame.f_locals["self"]
 
         with monkeypatch.context() as m:
-            m.setattr(graphs, "components", counted("components", graphs.components))
-            m.setattr(graphs, "blocks", counted("blocks", graphs.blocks))
-            m.setattr(complexes, "_gf2_rank", counted("rank", complexes._gf2_rank))
-            rep = run_pipeline(parse_fixtures([str(path)]), op.pipeline)
+            for name in names:
+                record(m, log, complexes if name == "_gf2_rank" else graphs, name, cell_data)
+            rep = run_pipeline(parse_text(op.text), op.pipeline)
         assert rep.horizon == horizon and rep.certificate_level == op.expected.cert_level
         assert rep.ledger == op.expected.ledger
-        for kind, per_cells in counts.items():
-            assert max(per_cells.values()) == 1, (kind, max(per_cells.values()))
-        return {kind: sum(per_cells.values()) for kind, per_cells in counts.items()}
+        for name in names:
+            assert max(Counter(map(id, log[name])).values()) == 1, name
+        return {name: len(log[name]) for name in names}
 
     assert derivations(8) == derivations(64)

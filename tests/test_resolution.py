@@ -22,14 +22,8 @@ from passdown.resolution import (
 from passdown.trees import ActionDescriptor, make_tree, reduced_path
 
 from bench_ops import workloads
+from generators import line_tree, star, triangle
 from oracles import brute_components, check_resolution, crossing_partition_holds, track_sides
-
-
-def line_tree(n=4, ideals=True):
-    verts = [f"x{i}" for i in range(n)]
-    edges = {f"f{i}": (f"x{i}", f"x{i+1}") for i in range(n - 1)}
-    ideal = {"p": ("x1", "x0"), "q": (f"x{n-2}", f"x{n-1}")} if ideals else {}
-    return make_tree(verts, edges, ideal)
 
 
 def std_groups():
@@ -40,6 +34,11 @@ def std_groups():
             GroupRef("Esub", is_slender=True, declared_supergroups=frozenset({"E", "L"})),
         ]
     )
+
+
+def linear_path(groups):
+    """The path a - b - c with every cell labelled L."""
+    return make_complex(["a", "b", "c"], {"ab": ("a", "b"), "bc": ("b", "c")}, {}, stab=dict.fromkeys(("a", "b", "c", "ab", "bc"), "L"), groups=groups)
 
 
 def actions_for(t, groups, elliptic_at=("x1",), axis=("p", "q")):
@@ -54,13 +53,13 @@ def actions_for(t, groups, elliptic_at=("x1",), axis=("p", "q")):
 
 class TestWComponents:
     def test_no_linear_cells(self):
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         x = make_complex(["a", "b"], {"ab": ("a", "b")}, {}, stab={"a": "E", "b": "E", "ab": "Esub"}, groups=groups)
         assert w_components(x, actions_for(t, groups)) == []
 
     def test_single_linear_edge(self):
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         x = make_complex(
             ["a", "b"], {"ab": ("a", "b")}, {}, stab={"a": "L", "b": "L", "ab": "L"}, groups=groups
@@ -71,15 +70,9 @@ class TestWComponents:
         assert w.end == "p"
 
     def test_two_linear_edges_same_axis_one_component(self):
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
-        x = make_complex(
-            ["a", "b", "c"],
-            {"ab": ("a", "b"), "bc": ("b", "c")},
-            {},
-            stab={"a": "L", "b": "L", "c": "L", "ab": "L", "bc": "L"},
-            groups=groups,
-        )
+        x = linear_path(groups)
         ws = w_components(x, actions_for(t, groups))
         assert len(ws) == 1
         # connected-components oracle on the linear subgraph
@@ -89,7 +82,7 @@ class TestWComponents:
     def test_linear_edge_under_elliptic_vertex_rejected(self):
         # declarations are fine (Lsub <= E) but the annotations say the edge
         # acts linearly under an elliptic vertex: annotation inconsistency
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         groups.add(GroupRef("Lsub", is_slender=True, declared_supergroups=frozenset({"E"})))
         table = actions_for(t, groups)
@@ -105,7 +98,7 @@ class TestWComponents:
     def test_dihedral_cell_contradicts_the_no_dinfty_assumption(self):
         # an edge label with a swapping axis acts dihedrally; the input is
         # always declared free of D-infinity actions, so this is malformed
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         groups.add(GroupRef("D", is_slender=True, declared_supergroups=frozenset({"L"})))
         table = actions_for(t, groups)
@@ -122,7 +115,7 @@ class TestWComponents:
 
 class TestBuildResolution:
     def test_single_edge_maps_to_tree_edge(self):
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         table = ActionTable(t, groups)
         table.declare_descriptors("E", [ActionDescriptor(kind="elliptic", fixed=frozenset({"x1"}))])
@@ -141,7 +134,7 @@ class TestBuildResolution:
         assert res.kind == SPLITTING
 
     def test_edge_inside_one_w_is_contracting(self):
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         x = make_complex(
             ["a", "b"], {"ab": ("a", "b")}, {}, stab={"a": "L", "b": "L", "ab": "L"}, groups=groups
@@ -151,7 +144,7 @@ class TestBuildResolution:
         assert res.edge_path["ab"].constant_ideal == "p"
 
     def test_triangle_edge_paths_match_reduced_path_oracle(self):
-        t = line_tree(4)
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         table = ActionTable(t, groups)
         for gid, fix in (("Ga", "x0"), ("Gb", "x1"), ("Gc", "x3")):
@@ -163,10 +156,7 @@ class TestBuildResolution:
         table.declare_descriptors(
             "Gall", [ActionDescriptor(kind="elliptic", fixed=frozenset({"x0", "x1", "x2", "x3"}))]
         )
-        x = make_complex(
-            ["a", "b", "c"],
-            {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c")},
-            {"f": ("ab", "bc", "ac")},
+        x = triangle(
             stab={
                 "a": "Ga",
                 "b": "Gb",
@@ -183,7 +173,7 @@ class TestBuildResolution:
             assert res.edge_path[eid] == reduced_path(t, res.vertex_image[u], res.vertex_image[v])
 
     def test_determinism(self):
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         x = make_complex(
             ["a", "b"], {"ab": ("a", "b")}, {}, stab={"a": "L", "b": "E", "ab": "Esub"}, groups=groups
@@ -194,7 +184,7 @@ class TestBuildResolution:
         assert r1.edge_path == r2.edge_path
 
     def test_sym_through_vertex_for_double_ideal_edge(self):
-        t = line_tree(4)
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         groups.add(GroupRef("L2", is_slender=True))
         table = actions_for(t, groups, elliptic_at=("x2",))
@@ -237,10 +227,7 @@ class TestBuildResolution:
             build_resolution(x, t, table)
 
     def test_hyperbolic_cell_rejected(self):
-        verts = ["c", "a", "b", "u", "v"]
-        edges = {"ea": ("c", "a"), "eb": ("c", "b"), "eu": ("c", "u"), "ev": ("c", "v")}
-        ideal = {"pa": ("c", "a"), "pb": ("c", "b"), "pu": ("c", "u"), "pv": ("c", "v")}
-        t = make_tree(verts, edges, ideal)
+        t = star("a", "b", "u", "v")
         groups = GroupTable([GroupRef("H")])
         table = ActionTable(t, groups)
         table.declare_descriptors(
@@ -273,7 +260,7 @@ class TestContract:
         )
 
     def test_two_triangle_collapse(self):
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         x = self.strip(groups)
         res = build_resolution(x, t, actions_for(t, groups))
@@ -289,7 +276,7 @@ class TestContract:
     def test_singleton_components_relabel_identity(self):
         # one linear vertex (isolated in the boundary preimage) plus a
         # genuine contracted edge elsewhere
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         x = make_complex(
             ["w", "u", "v"],
@@ -305,15 +292,9 @@ class TestContract:
         assert descended.vertex_image["w"] == "p"
 
     def test_component_of_three_vertices_two_edges(self):
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
-        x = make_complex(
-            ["a", "b", "c"],
-            {"ab": ("a", "b"), "bc": ("b", "c")},
-            {},
-            stab={"a": "L", "b": "L", "c": "L", "ab": "L", "bc": "L"},
-            groups=groups,
-        )
+        x = linear_path(groups)
         res = build_resolution(x, t, actions_for(t, groups))
         xc, _, _ = contract(res, groups)
         assert len(xc.vertices) == 1
@@ -321,7 +302,7 @@ class TestContract:
         assert groups.slender(xc.stab[v])
 
     def test_rejects_splitting_input(self):
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         groups = std_groups()
         x = make_complex(["a"], {}, {}, stab={"a": "E"}, groups=groups)
         res = build_resolution(x, t, actions_for(t, groups))
@@ -334,7 +315,7 @@ class TestActionTableMemo:
     change of the group table or of the annotations."""
 
     def setup_table(self):
-        t = line_tree(ideals=False)
+        t = line_tree(4)
         groups = GroupTable(
             [GroupRef("A"), GroupRef("Z"), GroupRef("C", declared_supergroups=frozenset({"Z"}))]
         )
@@ -358,7 +339,7 @@ class TestActionTableMemo:
         assert table.resolved("C").fixed == frozenset({"x1", "x2"})
 
     def test_a_later_parabolic_end_takes_over(self):
-        t = line_tree()
+        t = line_tree(4, ("p", "q"))
         table = ActionTable(t, GroupTable([GroupRef("P")]))
         table.declare_descriptors("P", [ActionDescriptor(kind="elliptic", fixed=frozenset({"x1"}))])
         assert table.classification("P") == "elliptic"

@@ -1,38 +1,34 @@
-import dataclasses
 import functools
-import glob
 import itertools
 import os
 import random
-import sys
+from collections import Counter, defaultdict
 
 import pytest
 
 import oracles
-from generators import random_edge_glued_complex, random_simplicial_complex, random_triangle_partition
+from bench_ops import workloads
+from differential import differential_test, pair_set, record, seed1, spy, worked64
+from generators import line_tree, open_fan, pinch, tau_from_fragment, triangle_classes, wheel
 from lemmas import area, boundary_edges, cone_pushforward, is_simple, simple_subcone
 from oracles import (
     Pair,
     PairSet,
-    acc_monitor_full_walk,
     enumerate_simple_cones,
     equivalence_classes,
     expand_run,
     identity_fragment,
     n_dprime_oracle,
     n_prime_oracle,
-    pair_set,
     pairs_at,
     stable_pairs,
-    subcomplex_of,
 )
-from bench_ops import workloads
 from passdown import graphs, hierarchy, pipeline, stability
 from passdown.cli import main
-from passdown.fixtures import parse_fixtures, parse_text
-from passdown.pipeline import analyze_run, run_pipeline
+from passdown.fixtures import parse_text
+from passdown.pipeline import run_pipeline
 
-from passdown.complexes import Complex2, cutpoints, make_complex
+from passdown.complexes import Complex2, make_complex
 from passdown.errors import EngineError, FixtureError, HypothesisError
 from passdown.groups import GroupRef, GroupTable
 from passdown.provenance import TauFragment
@@ -40,7 +36,6 @@ from passdown.resolution import resolution_from_images
 from passdown.stability import (
     LevelData,
     RunView,
-    TriangleClass,
     build_bw,
     class_cutpoints,
     classes_of_complex,
@@ -52,25 +47,6 @@ from passdown.stability import (
     stabilization_report,
 )
 from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolution
-from passdown.trees import make_tree
-
-
-def line_tree(n=2, ideals=()):
-    verts = [f"x{i}" for i in range(n)]
-    edges = {f"f{i}": (f"x{i}", f"x{i+1}") for i in range(n - 1)}
-    ideal = {}
-    for k, name in enumerate(ideals):
-        ideal[name] = ("x1", "x0") if k == 0 else (f"x{n-2}", f"x{n-1}")
-    return make_tree(verts, edges, ideal)
-
-
-def tau_from_fragment(cid_src, cid_dst, frag):
-    """A fragment from complex ``cid_src`` to ``cid_dst`` keyed (complex
-    id, face id)."""
-    return TauFragment(
-        triangle_map={(cid_src, f): None if img is None else (cid_dst, img) for f, img in frag.triangle_map.items()},
-        edge_map={((cid_src, f), e): img for (f, e), img in frag.edge_map.items()},
-    )
 
 
 def identity_run(x, levels=3, groups=None):
@@ -195,31 +171,22 @@ class TestBW:
             },
         )
 
-    def classes_for(self, x, partition):
-        run = identity_run(x, levels=1)
-        from passdown.stability import TriangleClass
-
-        return [
-            TriangleClass(id=f"Y{i}", cid="X", triangles=frozenset(p))
-            for i, p in enumerate(partition)
-        ]
-
     def test_single_class_single_node(self):
         x = self.fan3()
-        bw, _ = build_bw(x, self.classes_for(x, [("t1", "t2", "t3")]), GroupTable())
+        bw, _ = build_bw(x, triangle_classes([("t1", "t2", "t3")]), GroupTable())
         assert bw.class_nodes == ("Y0",) and not bw.edge_nodes
         assert bw.is_tree()
 
     def test_two_classes_sharing_edge_make_a_path(self):
         x = strip2()
-        bw, _ = build_bw(x, self.classes_for(x, [("t1",), ("t2",)]), GroupTable())
+        bw, _ = build_bw(x, triangle_classes([("t1",), ("t2",)]), GroupTable())
         assert len(bw.class_nodes) == 2 and bw.edge_nodes == ("bc",)
         assert len(bw.edges) == 2
         assert bw.is_tree()
 
     def test_three_classes_around_one_edge_is_a_star(self):
         x = self.fan3()
-        bw, _ = build_bw(x, self.classes_for(x, [("t1",), ("t2",), ("t3",)]), GroupTable())
+        bw, _ = build_bw(x, triangle_classes([("t1",), ("t2",), ("t3",)]), GroupTable())
         assert bw.edge_nodes == ("uv",)
         assert len(bw.edges) == 3
         assert bw.is_tree() and not bw.has_cycle()
@@ -234,21 +201,9 @@ class TestBW:
             boundary_marked=["a", "d"],
             groups=groups,
         )
-        bw, bpw = build_bw(x, self.classes_for(x, [("t1",), ("t2",)]), groups)
+        bw, bpw = build_bw(x, triangle_classes([("t1",), ("t2",)]), groups)
         assert len(bw.class_nodes) == 2
         assert len(bpw.class_nodes) == 1 and not bpw.edge_nodes
-
-
-def wheel(n=3, center="v"):
-    verts = [center] + [f"u{i}" for i in range(n)]
-    edges = {}
-    faces = {}
-    for i in range(n):
-        edges[f"sp{i}"] = (center, f"u{i}")
-        edges[f"rim{i}"] = (f"u{i}", f"u{(i+1) % n}")
-    for i in range(n):
-        faces[f"t{i}"] = (f"sp{i}", f"rim{i}", f"sp{(i+1) % n}")
-    return make_complex(verts, edges, faces, boundary_marked=[center, "u0"])
 
 
 def annulus():
@@ -278,17 +233,7 @@ class TestCones:
         assert is_simple(cones[0])
 
     def test_open_fan_has_no_simple_cone(self):
-        x = make_complex(
-            ["v", "a", "b", "c"],
-            {
-                "va": ("v", "a"),
-                "vb": ("v", "b"),
-                "vc": ("v", "c"),
-                "ab": ("a", "b"),
-                "bc": ("b", "c"),
-            },
-            {"t1": ("va", "ab", "vb"), "t2": ("vb", "bc", "vc")},
-        )
+        x = open_fan()
         assert enumerate_simple_cones(x, "v") == []
 
     def test_doubled_fan_finds_both_subfans(self):
@@ -419,21 +364,7 @@ class TestPushforward:
 
     def test_merge_drops_circumference(self):
         # the pinch complex: the cone around a loses a triangle to a merge
-        x = make_complex(
-            ["a", "b", "c", "d"],
-            {
-                "ab": ("a", "b"),
-                "ac": ("a", "c"),
-                "bc": ("b", "c"),
-                "ad": ("a", "d"),
-                "bd": ("b", "d"),
-                "cd": ("c", "d"),
-            },
-            {"t1": ("ab", "bc", "ac"), "t2": ("ab", "bd", "ad"), "t3": ("ac", "cd", "ad")},
-            boundary_marked=["a", "c"],
-        )
-        t = line_tree(2)
-        res = resolution_from_images(x, t, {"a": "x0", "b": "x0", "c": "x1", "d": "x1"})
+        x, res = pinch()
         groups = GroupTable()
         ts = essential_tracks(tracks_from_resolution(res))
         xt, frag = split_collapse(ts, groups)
@@ -443,40 +374,32 @@ class TestPushforward:
 
 
 class TestConeCriterion:
-    def classes_for(self, x, partition):
-        from passdown.stability import TriangleClass
-
-        return [
-            TriangleClass(id=f"Y{i}", cid="X", triangles=frozenset(p))
-            for i, p in enumerate(partition)
-        ]
-
     def test_one_class_certifies(self):
         x = wheel(3)
-        result = cone_criterion_check(x, self.classes_for(x, [("t0", "t1", "t2")]), GroupTable())
+        result = cone_criterion_check(x, triangle_classes([("t0", "t1", "t2")]), GroupTable())
         assert result.certified and result.bw_tree
 
     def test_straddling_cone_reported(self):
         x = wheel(3)
-        result = cone_criterion_check(x, self.classes_for(x, [("t0", "t1"), ("t2",)]), GroupTable())
+        result = cone_criterion_check(x, triangle_classes([("t0", "t1"), ("t2",)]), GroupTable())
         assert not result.certified
         assert result.counterexample is not None
         assert not result.bw_tree  # the 4-cycle through the two shared spokes
 
     def test_no_cones_is_vacuous(self):
         x = strip2()
-        result = cone_criterion_check(x, self.classes_for(x, [("t1",), ("t2",)]), GroupTable())
+        result = cone_criterion_check(x, triangle_classes([("t1",), ("t2",)]), GroupTable())
         assert result.certified and result.bw_tree
 
     def test_wide_wheel_one_class_certifies(self):
         x = wheel(20)  # the link of v is a 20-cycle
-        result = cone_criterion_check(x, self.classes_for(x, [tuple(f"t{i}" for i in range(20))]), GroupTable())
+        result = cone_criterion_check(x, triangle_classes([tuple(f"t{i}" for i in range(20))]), GroupTable())
         assert result.certified and result.bw_tree and result.bpw_tree
         assert result.counterexample is None
 
     def test_wide_wheel_split_gives_a_counterexample(self):
         x = wheel(20)
-        classes = self.classes_for(x, [tuple(f"t{i}" for i in range(k, k + 10)) for k in (0, 10)])
+        classes = triangle_classes([tuple(f"t{i}" for i in range(k, k + 10)) for k in (0, 10)])
         result = cone_criterion_check(x, classes, GroupTable())
         assert not result.certified and not result.bw_tree
         cone = result.counterexample
@@ -487,7 +410,7 @@ class TestConeCriterion:
         # every link is a path, so there is no simple cone, yet B_w is a 12-cycle
         x = annulus()
         with pytest.raises(HypothesisError, match="cone-criterion"):
-            cone_criterion_check(x, self.classes_for(x, [(f,) for f in sorted(x.faces)]), GroupTable())
+            cone_criterion_check(x, triangle_classes([(f,) for f in sorted(x.faces)]), GroupTable())
 
     def test_non_simplicial_complex_is_rejected(self):
         x = make_complex(
@@ -496,25 +419,9 @@ class TestConeCriterion:
             {"t1": ("ab", "bc", "ca"), "t2": ("ab", "bc", "ca2")},
         )
         with pytest.raises(FixtureError):
-            cone_criterion_check(x, self.classes_for(x, [("t1", "t2")]), GroupTable())
+            cone_criterion_check(x, triangle_classes([("t1", "t2")]), GroupTable())
 
-    def test_the_cone_search_matches_the_every_vertex_search(self):
-        """Stepping over the vertices whose star lies in one class leaves
-        the first cone found: on generated complexes cut into edge-connected
-        classes, every third with triangles left out of every class."""
-        rng = random.Random(20261021)
-        cones = in_no_class = 0
-        for i in range(300):
-            x = random_edge_glued_complex(rng, rng.randint(3, 14)) if i % 2 else random_simplicial_complex(rng)
-            class_of = {f: k for k, part in enumerate(random_triangle_partition(rng, x)) for f in part}
-            if i % 3 == 0 and class_of:
-                for f in rng.sample(sorted(class_of), rng.randint(1, len(class_of))):
-                    del class_of[f]
-            cone = stability._straddling_cone(x, class_of)
-            assert cone == oracles.straddling_cone_every_vertex(x, class_of)
-            cones += cone is not None
-            in_no_class += cone is not None and not class_of.keys() >= set(cone.fan)
-        assert cones > 20 and in_no_class > 5
+    test_the_cone_search_matches_the_every_vertex_search = differential_test("classed complex")
 
 
 def override_labels(x, eid, gid):
@@ -572,173 +479,19 @@ class TestStabilizationAndAcc:
 # the one-sweep run analysis against the recomposition definitions
 
 
-def random_fragment(rng, x, y, same, calm=False):
-    """A TauFragment from x to y.  When ``same`` (y is x), a triangle
-    survives, survives with two side images swapped, or merges onto a
-    neighbour; otherwise it merges onto a random triangle of y, each side
-    going to some side of the image.  Any triangle may drop.  Sometimes a
-    second step of drops on y follows.  A ``calm`` step between equal
-    complexes only keeps triangles, some with two side images swapped."""
-    tri, edge = {}, {}
-    targets = sorted(y.triangles())
-    for f in sorted(x.triangles()):
-        r = rng.uniform(0.1, 0.8) if calm else rng.random()
-        sides = x.faces[f]
-        neighbours = [t for t in targets if t != f and set(y.faces[t]) & set(sides)] if same else []
-        if r < 0.1:
-            tri[f] = None
-        elif same and r < 0.8:
-            tri[f] = f
-            images = list(sides)
-            if r >= 0.7:  # swap the images of two sides
-                i, j = rng.sample(range(len(sides)), 2)
-                images[i], images[j] = images[j], images[i]
-            edge.update(((f, e), img) for e, img in zip(sides, images))
-        else:
-            tri[f] = rng.choice(neighbours if neighbours and r < 0.9 else targets)
-            edge.update(((f, e), rng.choice(y.faces[tri[f]])) for e in sides)
-    frag = TauFragment(triangle_map=tri, edge_map=edge)
-    if not calm and rng.random() < 0.3:
-        drops = identity_fragment(y)
-        for f in targets:
-            if rng.random() < 0.2:
-                drops.triangle_map[f] = None
-        frag = frag.compose(drops)
-    frag.check_consistency(x, y)
-    return frag
-
-
-def random_run(rng):
-    """Two random complexes carried to a random horizon by random
-    fragments, plus a third one that splits into the other two at a random
-    level, so that N_delta varies; steps from a random level on are calm,
-    so that N' and N'' vary."""
-    fixed = {"A": random_edge_glued_complex(rng, rng.randint(2, 7)), "B": random_simplicial_complex(rng)}
-    extra = random_edge_glued_complex(rng, rng.randint(1, 4))
-    horizon = rng.randint(1, 6)
-    extra_until = rng.randint(0, horizon)
-    calm_from = rng.randint(extra_until, horizon)
-    levels = [
-        LevelData(complexes={**fixed, **({"C": extra} if n < extra_until else {})})
-        for n in range(horizon + 1)
-    ]
-    taus = []
-    for n in range(horizon):
-        tri, edge = {}, {}
-        for cid, x in levels[n].complexes.items():
-            if cid in levels[n + 1].complexes:
-                dsts = [cid]
-            else:  # the vanishing complex splits between the others
-                dsts = [d for d in ("A", "B") if levels[n + 1].complexes[d].triangles()]
-            options = [
-                tau_from_fragment(cid, d, random_fragment(rng, x, levels[n + 1].complexes[d], d == cid, n >= calm_from))
-                for d in dsts
-            ]
-            for f in sorted(x.triangles()):
-                tau = rng.choice(options)
-                tri[(cid, f)] = tau.triangle_map[(cid, f)]
-                edge.update({(key, e): img for (key, e), img in tau.edge_map.items() if key == (cid, f)})
-        taus.append(TauFragment(triangle_map=tri, edge_map=edge))
-    return RunView(levels=levels, taus=taus, groups=GroupTable())
-
-
-def renamed_run(rng, run):
-    """The run with a copy of a random level n inserted after it, its
-    complexes under new ids, reached by a step that renames all of them
-    or, per complex, either renames it or maps it face by face; the old
-    tau_n follows from the copy."""
-    n = rng.randint(0, run.horizon)
-    complexes = run.levels[n].complexes
-    whole = rng.random() < 0.5
-    step = TauFragment()
-    for cid, x in complexes.items():
-        if whole or rng.random() < 0.5:
-            step.renamed[cid] = cid + "'"
-        else:
-            step.update(tau_from_fragment(cid, cid + "'", identity_fragment(x)))
-    copy = LevelData(complexes={cid + "'": x for cid, x in complexes.items()})
-    taus = run.taus[:n] + [step]
-    if n < run.horizon:
-        old = run.taus[n]
-        taus.append(
-            TauFragment(
-                triangle_map={(cid + "'", f): img for (cid, f), img in old.triangle_map.items()},
-                edge_map={((cid + "'", f), e): img for ((cid, f), e), img in old.edge_map.items()},
-            )
-        )
-        taus += run.taus[n + 1 :]
-    return RunView(levels=run.levels[: n + 1] + [copy] + run.levels[n + 1 :], taus=taus, groups=run.groups)
-
-
-def chain_labelled_run(rng, run, mode):
-    """``run`` with oriented-edge labels from the chain S0 < S1 < ... <
-    S{horizon}: at level n an edge carries S{min(n, end)}.  ``end`` is the
-    horizon when ``mode`` is "grows", a level below it for the whole run
-    when "stops", and drawn per complex and edge id when "mixed".
-    Returns the run and the run-wide ``end``."""
-    horizon = run.horizon
-    groups = GroupTable(
-        [GroupRef(f"S{i}", declared_supergroups=frozenset({f"S{i + 1}"})) for i in range(horizon)] + [GroupRef(f"S{horizon}")]
-    )
-    end = horizon if mode == "grows" else rng.randint(0, horizon - 1)
-    ends = {}
-    levels = []
-    for n, level in enumerate(run.levels):
-        complexes = {}
-        for cid, x in level.complexes.items():
-            if mode == "mixed":
-                plus = {e: f"S{min(n, ends.setdefault((cid, e), rng.randint(0, horizon)))}" for e in x.edges}
-            else:
-                plus = dict.fromkeys(x.edges, f"S{min(n, end)}")
-            complexes[cid] = x.relabel(plus)
-        levels.append(LevelData(complexes=complexes))
-    return RunView(levels=levels, taus=run.taus, groups=groups), end
-
-
 class TestAccMonitor:
-    def test_chain_labelled_runs_match_the_full_walk(self):
-        """The monitor walks the chains only when some step into the
-        horizon grows; its alerts are those of the walk from every class
-        edge, on generated runs (every other one with renamings) whose
-        last step grows, whose growth stops earlier, or whose level H-1
-        lies below N_delta."""
-        rng = random.Random(20261022)
-        alerted = stopped_earlier = below_start = 0
-        for i in range(150):
-            run = random_run(rng) if i % 2 else renamed_run(rng, random_run(rng))
-            mode = ("grows", "stops", "mixed")[i % 3]
-            run, end = chain_labelled_run(rng, run, mode)
-            report = stabilization_report(run)
-            alerts = acc_monitor_full_walk(run, report.n_delta, report.classes)
-            assert list(report.acc_alerts) == alerts
-            alerted += bool(alerts)
-            stopped_earlier += mode == "stops" and report.n_delta < end
-            below_start += run.horizon - 1 < report.n_delta
-        assert alerted > 20 and stopped_earlier > 10 and below_start > 10
+    test_chain_labelled_runs_match_the_full_walk = differential_test("run", "chain-labelled run")
 
-    def test_a_complex_renamed_to_itself_is_not_scanned(self, monkeypatch):
+    def test_a_complex_renamed_to_itself_is_not_scanned(self):
         """On the seed-1 size ops tau_{H-1} renames every complex to the
-        very same complex, so the scan into the horizon compares no label;
-        the alerts are those of the full walk."""
-        calls = []
-        leq, grows = GroupTable.leq, stability._grows_into_horizon
-
-        def counted(self, a, b):
-            if sys._getframe(1).f_code is grows.__code__:
-                calls.append((a, b))
-            return leq(self, a, b)
-
-        monkeypatch.setattr(GroupTable, "leq", counted)
+        very same complex, so the scan into the horizon compares no label."""
         scanned = 0
-        for op in workloads.generate("size", 1):
-            rep = run_pipeline(parse_text(op.text), op.pipeline)
+        for _op, rep in seed1("size").reports:
             run = rep.run
-            report = stabilization_report(run)
-            assert list(report.acc_alerts) == acc_monitor_full_walk(run, report.n_delta, report.classes)
             tau, above = run.taus[-1], run.levels[-1].complexes
             assert all(above[tau.renamed[cid]] is x for cid, x in run.levels[-2].complexes.items())
-            scanned += run.horizon - 1 >= report.n_delta
-        assert calls == [] and scanned > 0
+            scanned += run.horizon - 1 >= rep.n_delta
+        assert seed1("size").counts["leq in _grows_into_horizon"] == 0 and scanned > 0
 
 
 class TestRenamings:
@@ -747,107 +500,14 @@ class TestRenamings:
     without a walk; the oracle is the same run with every renaming written
     out face by face (``oracles.expand_run``)."""
 
-    def test_generated_renamed_runs_match_their_expansion(self):
-        rng = random.Random(20261020)
-        whole = partial = 0
-        for _ in range(150):
-            run = renamed_run(rng, random_run(rng))
-            expanded = expand_run(run)
-            report = stabilization_report(run)
-            assert report == stabilization_report(expanded)
-            for n, records in stable_classes(run, 0).items():
-                assert pair_set(records) == stable_pairs(expanded, n).pairs
-                assert level_classes(n, records) == equivalence_classes(expanded, n, stable_pairs(expanded, n))
-            assert report.n_prime == n_prime_oracle(expanded, report.n_delta, report.classes)
-            assert report.n_dprime == n_dprime_oracle(expanded, report.n_prime)
-            assert list(report.acc_alerts) == acc_monitor_full_walk(expanded, report.n_delta, report.classes)
-            for n, tau in enumerate(run.taus):
-                if tau.renamed:
-                    whole += stability._renames_level(run, n)
-                    partial += not stability._renames_level(run, n)
-        assert whole > 20 and partial > 20
-
-    def test_seed1_benchmark_reports_match_their_expansion(self):
-        ops = [op for name in sorted(workloads.WORKLOADS) for op in workloads.generate(name, 1)]
-        renamed = 0
-        for op in ops:
-            fx = parse_text(op.text)
-            rep = run_pipeline(fx, op.pipeline)
-            expanded = expand_run(rep.run)
-            renamed += sum(bool(tau.renamed) for tau in rep.run.taus)
-            assert stabilization_report(expanded) == stabilization_report(rep.run)
-            assert dataclasses.replace(analyze_run(op.pipeline, expanded), run=None) == dataclasses.replace(rep, run=None)
-        assert len(ops) > 50 and renamed > 1000
+    test_generated_renamed_runs_match_their_expansion = differential_test("run", "renamed run")
+    test_seed1_benchmark_reports_match_their_expansion = differential_test("benchmark run")
 
 
 class TestRunAnalysisOracles:
-    def test_sweep_and_indices_match_recomposition(self):
-        rng = random.Random(20261017)
-        levels = kept = deeper_prime = deeper_dprime = 0
-        for _ in range(150):
-            run = random_run(rng)
-            sweep = stable_classes(run, 0)
-            per_face = oracles.stable_pair_sets(run, 0)
-            assert sorted(sweep) == sorted(per_face) == list(range(run.horizon + 1))
-            for n, records in sweep.items():
-                assert pair_set(records) == per_face[n].pairs == stable_pairs(run, n).pairs
-                levels += 1
-                kept += len(per_face[n].pairs)
-            report = stabilization_report(run)
-            for n, classes in report.classes.items():
-                assert classes == equivalence_classes(run, n, stable_pairs(run, n))
-            assert report.n_prime == n_prime_oracle(run, report.n_delta, report.classes)
-            assert report.n_dprime == n_dprime_oracle(run, report.n_prime)
-            assert list(report.acc_alerts) == acc_monitor_full_walk(run, report.n_delta, report.classes)
-            deeper_prime += report.n_prime > report.n_delta
-            deeper_dprime += report.n_dprime > report.n_prime
-        # the generated runs exercise every branch: kept pairs, N' above
-        # N_delta and N'' above N'
-        assert levels > 400 and kept > 0 and deeper_prime > 0 and deeper_dprime > 0
-
-    def test_composed_fragments_match_the_recomposition(self):
-        """A run's one-step maps are TauFragments: composed with
-        ``TauFragment.compose`` from level n to every m > n they equal
-        ``oracles.compose``, on the generated runs and on the runs of the
-        committed fixtures."""
-        rng = random.Random(20261019)
-        runs = [random_run(rng) for _ in range(60)]
-        for path in sorted(glob.glob(os.path.join(os.path.dirname(WORKED), "*.txt"))):
-            fx = parse_fixtures([path])
-            runs += [expand_run(run_pipeline(fx, name).run) for name in sorted(fx.pipelines)]
-        checked = 0
-        for run in runs:
-            for n in range(run.horizon):
-                composed = run.taus[n]
-                for m in range(n + 1, run.horizon + 1):
-                    if m > n + 1:
-                        composed = composed.compose(run.taus[m - 1])
-                    assert (composed.triangle_map, composed.edge_map) == oracles.compose(run, n, m)
-                    checked += 1
-        assert checked > 200
-
-    def test_class_check_matches_the_built_subcomplex(self):
-        """``class_cutpoints`` against the cutpoints of the validated class
-        subcomplex: on every class of the generated runs, and on random
-        triangle sets of their complexes, where cutpoints do occur."""
-        rng = random.Random(20261018)
-        classes = with_cuts = 0
-        for _ in range(150):
-            run = random_run(rng)
-            for n, level_classes in stabilization_report(run).classes.items():
-                for cls in level_classes:
-                    x = run.levels[n].complexes[cls.cid]
-                    assert class_cutpoints(x, cls.triangles) == cutpoints(subcomplex_of(cls, x)) == set()
-                    classes += 1
-                for cid, x in run.levels[n].complexes.items():
-                    fids = sorted(x.triangles())
-                    if not fids:
-                        continue
-                    cls = TriangleClass(id="Z", cid=cid, triangles=frozenset(rng.sample(fids, rng.randint(1, len(fids)))))
-                    cuts = class_cutpoints(x, cls.triangles)
-                    assert cuts == cutpoints(subcomplex_of(cls, x))
-                    with_cuts += bool(cuts)
-        assert classes > 400 and with_cuts > 0
+    test_sweep_and_indices_match_recomposition = differential_test("run", "run")
+    test_composed_fragments_match_the_recomposition = differential_test("run", "composed run")
+    test_class_check_matches_the_built_subcomplex = differential_test("run", "triangle sets")
 
     def test_a_bowtie_class_is_an_engine_error(self):
         # two triangles meeting only at c: a class holding both has a cutpoint
@@ -1007,44 +667,30 @@ class TestRunAnalysisWork:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The first argument of every call to the run-analysis steps
-        (a level, or the complex a class record is built for)."""
-        calls = {name: [] for name in ("compose", "stable_pairs", "classes_of_complex", "level_classes", "_sigma", "_pulls_back")}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name].append(args[0] if name in ("classes_of_complex", "level_classes") else args[1])
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        steps = (oracles, ("compose", "stable_pairs")), (stability, ("classes_of_complex", "level_classes", "_sigma", "_pulls_back"))
-        for module, names in steps:
-            for name in names:
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        return calls
+        """The arguments of every call to the run-analysis steps."""
+        log = defaultdict(list)
+        for owner, name in ((oracles, "compose"), (oracles, "stable_pairs"), (stability, "classes_of_complex"),
+                            (stability, "level_classes"), (stability, "_sigma"), (stability, "_pulls_back")):
+            record(monkeypatch, log, owner, name)
+        return log
 
     def assert_classes_built_once(self, calls, rep_levels, n_delta):
         """Class records are built for the complexes of the horizon only,
         every step from N_delta on renames its whole level, and each level
         numbers its classes once."""
-        assert calls["classes_of_complex"] == [rep_levels[self.H].complexes[cid] for cid in rep_levels[self.H].complexes]
-        assert calls["level_classes"] == list(range(n_delta, self.H + 1))
-        assert calls["_sigma"] == calls["_pulls_back"] == []
-        assert calls["compose"] == [] and calls["stable_pairs"] == []
+        assert [x for x, *_ in calls["classes_of_complex"]] == list(rep_levels[self.H].complexes.values())
+        assert [n for n, _records in calls["level_classes"]] == list(range(n_delta, self.H + 1))
+        assert calls["_sigma"] == calls["_pulls_back"] == calls["compose"] == calls["stable_pairs"] == []
 
-    def test_pipeline_computes_each_level_once(self, worked64, calls, monkeypatch):
-        covolumes = []
-        level_covolume = stability.LevelData.covolume
-        monkeypatch.setattr(stability.LevelData, "covolume", lambda self: covolumes.append(self) or level_covolume(self))
-        rep = run_pipeline(parse_fixtures([worked64]), "worked")
+    def test_pipeline_computes_each_level_once(self):
+        rep, log = worked64()
         assert rep.horizon == self.H and rep.certificate_level == 1
-        assert covolumes == rep.run.levels  # the ledger, once per level
+        assert [level for (level,) in log["covolume"]] == rep.run.levels  # the ledger, once per level
         assert len(rep.run.levels[self.H].complexes) == 2
-        self.assert_classes_built_once(calls, rep.run.levels, rep.n_delta)
+        self.assert_classes_built_once(log, rep.run.levels, rep.n_delta)
 
     @pytest.mark.parametrize("family", ["worked", "chain"])
-    def test_unchanged_levels_cost_no_rebuild(self, family, tmp_path, monkeypatch):
+    def test_unchanged_levels_cost_no_rebuild(self, family, monkeypatch):
         """A run of unchanged levels checks no terminal, distributes
         nothing, counts no covolume, lists no pair and builds no class
         again: on a benchmark run these are called as often at horizon 8
@@ -1059,117 +705,64 @@ class TestRunAnalysisWork:
 
         def calls(horizon):
             op = getattr(workloads, family)(random.Random(1), horizon)
-            path = tmp_path / f"{family}{horizon}.txt"
-            path.write_text(op.text)
-            out = dict.fromkeys([name for _module, name in counted] + ["covolume"], 0)
-
-            def wrap(name, fn):
-                def wrapper(*args, **kwargs):
-                    out[name] += 1
-                    return fn(*args, **kwargs)
-
-                return wrapper
-
+            out, covolume = Counter(dict.fromkeys([name for _module, name in counted] + ["covolume"], 0)), Complex2.covolume.func
             with monkeypatch.context() as m:
                 for module, name in counted:
-                    m.setattr(module, name, wrap(name, getattr(module, name)))
-                derive = functools.cached_property(wrap("covolume", Complex2.__dict__["covolume"].func))
+                    spy(m, out, module, name)
+                derive = functools.cached_property(lambda x: out.update(["covolume"]) or covolume(x))
                 derive.__set_name__(Complex2, "covolume")
                 m.setattr(Complex2, "covolume", derive)
-                rep = run_pipeline(parse_fixtures([str(path)]), op.pipeline)
+                rep = run_pipeline(parse_text(op.text), op.pipeline)
             assert rep.horizon == horizon and rep.certificate_level == op.expected.cert_level
             return out
 
         short, long = calls(8), calls(64)
         assert short == long and all(short.values())
 
-    def test_class_cutpoint_checks_do_not_grow_with_the_horizon(self, tmp_path, monkeypatch):
+    def test_class_cutpoint_checks_do_not_grow_with_the_horizon(self, monkeypatch):
         """An unchanged class on an unchanged complex is checked for
         cutpoints once per run: ``class_cutpoints`` computes as many blocks
         on a benchmark worked run at horizon 8 as at horizon 64."""
 
         def blocks_calls(horizon):
-            op = workloads.worked(random.Random(1), horizon)
-            path = tmp_path / f"worked{horizon}.txt"
-            path.write_text(op.text)
-            calls = []
-            blocks = graphs.blocks
-
-            def counted(*args):
-                if sys._getframe(1).f_code is stability.class_cutpoints.__code__:
-                    calls.append(args)
-                return blocks(*args)
-
+            op, calls = workloads.worked(random.Random(1), horizon), Counter()
             with monkeypatch.context() as m:
-                m.setattr(graphs, "blocks", counted)
-                rep = run_pipeline(parse_fixtures([str(path)]), op.pipeline)
+                spy(m, calls, graphs, "blocks", blocks=lambda frame, *args: frame.f_code is stability.class_cutpoints.__code__)
+                rep = run_pipeline(parse_text(op.text), op.pipeline)
             assert rep.horizon == horizon and rep.certificate_level == op.expected.cert_level
-            return len(calls)
+            return calls["blocks"]
 
         assert blocks_calls(8) == blocks_calls(64) > 0
 
-    def test_the_chain_monitor_does_not_walk_a_run_that_stopped_growing(self, tmp_path, monkeypatch):
+    def test_the_chain_monitor_does_not_walk_a_run_that_stopped_growing(self, monkeypatch):
         """A run whose chains stop growing before the horizon is not walked:
         ``acc_monitor`` scans the last step of the stabilizing chain fixture
         once, at horizon 8 as at horizon 64, and looks up no image, since
         that step renames every complex to the very same complex."""
+        monitor = {stability.acc_monitor.__code__, stability._grows_into_horizon.__code__}
 
         def image_calls(horizon):
             with open(ACC_STABLE) as fh:
                 text = fh.read()
             assert "horizon=4 " in text
-            path = tmp_path / f"acc{horizon}.txt"
-            path.write_text(text.replace("horizon=4 ", f"horizon={horizon} "))
-            calls, scans = [], []
-            image, grows = TauFragment.image, stability._grows_into_horizon
-            monitor = {stability.acc_monitor.__code__, grows.__code__}
-
-            def counted(self, key):
-                if sys._getframe(1).f_code in monitor:
-                    calls.append(key)
-                return image(self, key)
-
-            def counted_scan(run, start):
-                scans.append(start)
-                return grows(run, start)
-
+            calls = Counter()
             with monkeypatch.context() as m:
-                m.setattr(TauFragment, "image", counted)
-                m.setattr(stability, "_grows_into_horizon", counted_scan)
-                rep = run_pipeline(parse_fixtures([str(path)]), "stable")
+                spy(m, calls, TauFragment, "image", image=lambda frame, *args: frame.f_code in monitor)
+                spy(m, calls, stability, "_grows_into_horizon")
+                rep = run_pipeline(parse_text(text.replace("horizon=4 ", f"horizon={horizon} ")), "stable")
             assert rep.horizon == horizon and rep.acc_alerts == () and rep.exit_code == 0
-            return len(calls), len(scans)
+            return calls["image"], calls["_grows_into_horizon"]
 
         assert image_calls(8) == image_calls(64) == (0, 1)
 
-    def test_the_cone_check_builds_blocks_only_where_two_classes_meet(self, monkeypatch):
+    def test_the_cone_check_builds_blocks_only_where_two_classes_meet(self):
         """``cone_criterion_check`` builds link blocks once per vertex whose
         star meets two classes, and at no other vertex: on the seed-1 size
         ops, which all certify, one ``graphs.blocks`` call inside the check
         per such vertex."""
-        inside, calls, expected = [], [], []
-        blocks, check = graphs.blocks, stability.cone_criterion_check
-
-        def counted_blocks(*args):
-            if inside:
-                calls.append(args)
-            return blocks(*args)
-
-        def counted_check(x, classes, groups):
-            class_of = {f: cls.id for cls in classes for f in cls.triangles}
-            expected.extend(v for v, star in x.triangles_by_vertex.items() if len({class_of.get(f) for f in star}) > 1)
-            inside.append(x)
-            try:
-                return check(x, classes, groups)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(graphs, "blocks", counted_blocks)
-        monkeypatch.setattr(pipeline, "cone_criterion_check", counted_check)
-        for op in workloads.generate("size", 1):
-            rep = run_pipeline(parse_text(op.text), op.pipeline)
-            assert rep.certificate_level == op.expected.cert_level is not None
-        assert len(calls) == len(expected) > 0
+        counts = seed1("size").counts
+        assert all(rep.certificate_level == op.expected.cert_level is not None for op, rep in seed1("size").reports)
+        assert counts["blocks in cone checks"] == counts["vertices whose star meets two classes"] > 0
 
     def test_dot_export_reuses_the_classes(self, worked64, calls, tmp_path, capsys, monkeypatch):
         runs = []

@@ -14,19 +14,9 @@ from passdown.trees import (
     reduced_path,
 )
 
-from generators import random_treehat
-from oracles import bfs_path, classification_oracle
-
-
-def path_tree(n=5, ideals=("p", "q")):
-    verts = [f"x{i}" for i in range(n)]
-    edges = {f"f{i}": (f"x{i}", f"x{i+1}") for i in range(n - 1)}
-    ideal = {}
-    if ideals:
-        ideal[ideals[0]] = ("x1", "x0")
-        if len(ideals) > 1:
-            ideal[ideals[1]] = (f"x{n-2}", f"x{n-1}")
-    return make_tree(verts, edges, ideal)
+from differential import differential_test
+from generators import line_tree, random_treehat, star
+from oracles import bfs_path
 
 
 def is_constant(p):
@@ -47,17 +37,17 @@ def hyp(p, q, swaps=False, length=1, group=None):
 
 class TestReducedPath:
     def test_adjacent_vertices(self):
-        t = path_tree()
+        t = line_tree(5, ("p", "q"))
         assert reduced_path(t, "x0", "x1").vertices == ("x0", "x1")
 
     def test_same_ideal_point_is_constant(self):
-        t = path_tree()
+        t = line_tree(5, ("p", "q"))
         p = reduced_path(t, "p", "p")
         assert p.constant_ideal == "p"
         assert is_constant(p)
 
     def test_between_ideal_points(self):
-        t = path_tree(5)
+        t = line_tree(5, ("p", "q"))
         p = reduced_path(t, "p", "q")
         assert p.vertices == ("x0", "x1", "x2", "x3", "x4")
         assert p.start_ideal == "p" and p.end_ideal == "q"
@@ -79,39 +69,30 @@ class TestReducedPath:
 
 class TestClassification:
     def test_single_elliptic(self):
-        t = path_tree()
+        t = line_tree(5, ("p", "q"))
         assert classify_subgroup_action([ell("x2")], t) == "elliptic"
 
     def test_common_fixed_vertex_required(self):
-        t = path_tree()
+        t = line_tree(5, ("p", "q"))
         with pytest.raises(ConsistencyError):
             classify_subgroup_action([ell("x0"), ell("x4")], t)
 
     def test_linear_vs_dihedral(self):
-        t = path_tree()
+        t = line_tree(5, ("p", "q"))
         assert classify_subgroup_action([hyp("p", "q"), hyp("p", "q")], t) == "linear"
         assert classify_subgroup_action([hyp("p", "q"), hyp("p", "q", swaps=True)], t) == "dihedral"
 
     def test_disjoint_axes_are_hyperbolic(self):
         # spider with four ideal legs
-        verts = ["c", "a", "b", "u", "v"]
-        edges = {"ea": ("c", "a"), "eb": ("c", "b"), "eu": ("c", "u"), "ev": ("c", "v")}
-        ideal = {"pa": ("c", "a"), "pb": ("c", "b"), "pu": ("c", "u"), "pv": ("c", "v")}
-        t = make_tree(verts, edges, ideal)
+        t = star("a", "b", "u", "v")
         assert classify_subgroup_action([hyp("pa", "pb"), hyp("pu", "pv")], t) == "hyperbolic"
 
     def test_parabolic_shares_one_end(self):
-        verts = ["c", "a", "b", "u"]
-        edges = {"ea": ("c", "a"), "eb": ("c", "b"), "eu": ("c", "u")}
-        ideal = {"pa": ("c", "a"), "pb": ("c", "b"), "pu": ("c", "u")}
-        t = make_tree(verts, edges, ideal)
+        t = star("a", "b", "u")
         assert classify_subgroup_action([hyp("pa", "pb"), hyp("pa", "pu")], t) == "parabolic"
 
     def test_slender_consistency_guard(self):
-        verts = ["c", "a", "b", "u"]
-        edges = {"ea": ("c", "a"), "eb": ("c", "b"), "eu": ("c", "u")}
-        ideal = {"pa": ("c", "a"), "pb": ("c", "b"), "pu": ("c", "u")}
-        t = make_tree(verts, edges, ideal)
+        t = star("a", "b", "u")
         groups = GroupTable([GroupRef("S", is_slender=True)])
         with pytest.raises(ConsistencyError):
             classify_subgroup_action(
@@ -119,7 +100,7 @@ class TestClassification:
             )
 
     def test_permutation_invariance(self):
-        t = path_tree()
+        t = line_tree(5, ("p", "q"))
         descriptors = [ell("x1", "x2"), hyp("p", "q"), hyp("p", "q", swaps=True)]
         results = {
             classify_subgroup_action(list(perm), t)
@@ -163,32 +144,4 @@ class TestCheckReduced:
 
 
 class TestClassificationOracle:
-    def spider(self, legs=4):
-        verts = ["c"] + [f"l{i}" for i in range(legs)]
-        edges = {f"e{i}": ("c", f"l{i}") for i in range(legs)}
-        ideal = {f"p{i}": ("c", f"l{i}") for i in range(legs)}
-        return make_tree(verts, edges, ideal)
-
-    def test_agreement_on_enumerated_sets(self):
-        t = self.spider(4)
-        ideals = sorted(t.ideal_points)
-        axes = list(itertools.combinations(ideals, 2))
-        singles = [hyp(p, q) for p, q in axes] + [hyp(p, q, swaps=True) for p, q in axes]
-        singles += [ell("c"), ell("l0"), ell("c", "l1")]
-        rng = random.Random(3)
-        sets = [list(c) for c in itertools.combinations(singles, 2)]
-        sets += [rng.sample(singles, 3) for _ in range(60)]
-        for descriptors in sets:
-            try:
-                expect = classification_oracle(descriptors)
-            except ValueError:
-                with pytest.raises(ConsistencyError):
-                    classify_subgroup_action(descriptors, t)
-                continue
-            try:
-                got = classify_subgroup_action(descriptors, t)
-            except ConsistencyError:
-                # engine-only consistency guards (elliptic off the shared axis)
-                assert expect in ("linear", "dihedral")
-                continue
-            assert got == expect
+    test_agreement_on_enumerated_sets = differential_test("descriptor set", "spider")
