@@ -32,13 +32,13 @@ class CellData:
     cutpoint set, the Z2 boundary rank and whether the cells are stored in
     canonical order.  Each is derived on first use and kept.  Every
     relabelling of a complex shares this object, so a label-only change
-    derives none of it again; ``class_cuts`` keeps the cutpoints of each
-    triangle class checked on it (see ``stability.class_cutpoints``).
-    Map values are id tuples."""
+    derives none of it again.  Map values are id tuples.  The cells are
+    valid: each complex is validated once, where it is built
+    (``make_complex``, ``finish_collapse``), or is the reduction, piece or
+    relabelling of a valid one."""
 
     def __init__(self, vertices, edges, faces):
         self.vertices, self.edges, self.faces = vertices, edges, faces
-        self.class_cuts = {}  # frozenset of face ids -> frozenset of cutpoints
 
     @cached_property
     def face_vertices(self):
@@ -288,6 +288,12 @@ def make_complex(vertices, edges, faces, stab=None, orbit=None, boundary_marked=
 
 
 def validate_complex(x, groups=None):
+    """The one full check of a complex read from a fixture: its cells,
+    and over ``groups`` its label references, containments and orbit
+    labels.  The containment check and the declare step of
+    ``wire_and_validate`` walk one generator, ``_containments``: each face
+    below its sides and its sorted corners, then each edge below its
+    ends."""
     _validate_cells(x)
     if groups is not None:
         _validate_label_refs(x, groups)

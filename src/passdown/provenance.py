@@ -93,14 +93,17 @@ class TauFragment:
 def finish_collapse(x, collapsed, frag: TauFragment, groups, step: str, pairs=None):
     """Finish a collapse of ``x`` onto ``collapsed`` (freshly built, or
     ``x`` itself when nothing collapses), whose cells ``frag`` follows:
-    record the incidence containments of ``collapsed`` (only those of
-    ``pairs`` when given, see ``wire_and_validate``), validate it (its one
-    validation: the reduction of a valid complex is valid) and reduce it,
-    and follow ``frag`` with the reduction.  The result must be consistent
+    reduce it, and follow ``frag`` with the reduction.  A freshly built
+    ``collapsed`` first has its incidence containments recorded (only
+    those of ``pairs`` when given, see ``wire_and_validate``) and is
+    validated: each complex is validated where it is built, and this is
+    where a collapse builds one.  ``x`` itself is valid already, and the
+    reduction of a valid complex is valid.  The result must be consistent
     and no larger in covolume than ``x``.  Returns (reduced complex,
     fragment from ``x``); the reduction keeps every vertex, so track
     points stay where ``frag`` put them."""
-    wire_and_validate(collapsed, groups, pairs)
+    if collapsed is not x:
+        wire_and_validate(collapsed, groups, pairs)
     reduced, red_map = reduce_with_map(collapsed, groups)
     if len(reduced.edges) == len(collapsed.edges) and len(reduced.faces) == len(collapsed.faces):
         # no cell merged and no bigon dropped: the cell map is the identity

@@ -78,47 +78,36 @@ class TriangleClass:
 class ComplexClasses:
     """The stable pairs of one complex at one level, as (t1, t2, edge),
     and the classes they generate: triangle sets by least face, with each
-    class's orbit signature and count of edge orbits, and the position of
-    the first class whose subcomplex has a cutpoint (None when none has).
-    A complex that the next step renames shares its image's record."""
+    class's orbit signature and count of edge orbits.  A complex that the
+    next step renames shares its image's record."""
 
     pairs: frozenset
     classes: tuple
     signatures: tuple
     edge_orbits: tuple
-    cut: int = None
-
-
-def class_cutpoints(x: Complex2, triangles):
-    """Cutpoints of the subcomplex that a set of triangles of ``x`` spans
-    with their sides and corners, read off ``x`` without building it: the
-    articulation vertices of the graph on the triangles' sides.  The
-    verdict depends on the cells only, so it is kept in ``x``'s cell data
-    under the triangle set, for ``x`` and every relabelling of it."""
-    triangles = frozenset(triangles)
-    kept = x.cell_data.class_cuts
-    if triangles not in kept:
-        edges = {eid: x.edges[eid] for fid in triangles for eid in x.faces[fid]}
-        blocks = graphs.blocks({w for ends in edges.values() for w in ends}, edges)
-        kept[triangles] = frozenset(graphs.cut_vertices(blocks))
-    return kept[triangles]
 
 
 def classes_of_complex(x: Complex2, pairs) -> ComplexClasses:
     """The classes of the relation that the stable pairs ``pairs`` of
-    ``x`` generate, one per triangle at least, each checked to span a
-    cutpoint-free subcomplex up to the first that does not."""
+    ``x`` generate, one per triangle at least.
+
+    Each class spans a cutpoint-free subcomplex (its triangles with their
+    sides and corners), by construction.  Its triangles are joined through
+    pairs, and the two triangles of a pair share a side.  Every triangle
+    of a valid complex has three distinct corners.  Take away a vertex v:
+    each triangle keeps a side that misses v, and two triangles sharing a
+    side still share a corner other than v.  So the side graph of the
+    class stays connected without v, and v is no cutpoint.
+    ``tests/oracles.class_cutpoints`` keeps the search."""
     uf = graphs.UnionFind(x.triangles())
     for t1, t2, _eid in pairs:
         uf.union(t1, t2)
     classes = tuple(map(frozenset, uf.classes().values()))
-    cut = next((i for i, tris in enumerate(classes) if class_cutpoints(x, tris)), None)
     return ComplexClasses(
         pairs=frozenset(pairs),
         classes=classes,
         signatures=tuple(tuple(sorted(x.orbit[f] for f in tris)) for tris in classes),
         edge_orbits=tuple(len({x.orbit[e] for f in tris for e in x.faces[f]}) for tris in classes),
-        cut=cut,
     )
 
 
@@ -178,12 +167,8 @@ def level_classes(n: int, records) -> list:
     ``Y{n}.{i}`` in (complex id, least face) order."""
     out = []
     for cid in sorted(records):
-        rec = records[cid]
-        for i, triangles in enumerate(rec.classes):
-            cls = TriangleClass(id=f"Y{n}.{len(out)}", cid=cid, triangles=triangles)
-            if i == rec.cut:
-                raise EngineError(f"class {cls.id!r} subcomplex has a cutpoint")
-            out.append(cls)
+        for triangles in records[cid].classes:
+            out.append(TriangleClass(id=f"Y{n}.{len(out)}", cid=cid, triangles=triangles))
     return out
 
 

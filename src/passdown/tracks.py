@@ -164,7 +164,10 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
 
     With no track and no vertex at an ideal point nothing collapses: the
     collapsed complex would be ``x`` with its cells and labels, so ``x``
-    itself is reduced, under the identity fragment.
+    itself is reduced, under the identity fragment, and not validated
+    again: each complex is validated where it is built, and ``x`` is a
+    parsed terminal, a contraction, or a cutpoint piece, reduction or
+    override relabelling (whose labels are looked up) of a valid complex.
 
     Every containment of the collapsed complex whose upper cell is not a
     track point is one of ``x`` between the same labels, and holds; only

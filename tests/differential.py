@@ -13,7 +13,8 @@ id; ``tests/test_differential.py`` checks that every shape is bound once
 and that every oracle is in a row, called by one, or a spec.
 
 The seed-1 benchmark ops of each workload run once (``seed1``): they feed
-the collapse and run rows and the work counts that count pins read."""
+the collapse and run rows, the checks of what the passdown built, and the
+work counts that count pins read."""
 
 import contextlib
 import dataclasses
@@ -33,6 +34,7 @@ from bench_ops import workloads
 from generators import (
     chain_labelled_run,
     line_tree,
+    pinch,
     random_cell_complex,
     random_edge_glued_complex,
     random_labelled_complex,
@@ -41,6 +43,7 @@ from generators import (
     random_strip_chain,
     random_triangle_partition,
     random_triangle_tree_complex,
+    random_wedge,
     renamed_run,
     spider,
     triangle_classes,
@@ -138,6 +141,8 @@ COMPLEX = {
     **{name: functools.partial(random_labelled_complex, shape=name) for name in ("simplicial", "cell", "tree", "glued", "strip", "doubled")},
     "chain": lambda rng: (random_strip_chain(rng), GroupTable()),
     "doubled chain": lambda rng: (random_strip_chain(rng, parallel=0.4), GroupTable()),
+    "wedge": lambda rng: (random_wedge(rng), GroupTable()),
+    "pinch": lambda rng: (pinch()[0], GroupTable()),
 }
 
 
@@ -203,7 +208,7 @@ def handed_on(y, as_sets=()):
     names and the fresh cell data."""
     data = y.cell_data.__dict__
     fresh = CellData(y.vertices, y.edges, y.faces)
-    names = data.keys() - {"vertices", "edges", "faces", "class_cuts"}
+    names = data.keys() - {"vertices", "edges", "faces"}
     for name in names:
         held, derived = data[name], getattr(fresh, name)
         if name in as_sets:
@@ -712,6 +717,35 @@ def partitions():
 shape("class partition", "acceptance", partitions, lambda c: c["certified"] and c["counterexamples"] and c["tree_counterexamples"])
 
 
+@row(stability.classes_of_complex, oracles.class_cutpoints, "pair subsets")
+def classes_are_cutpoint_free(case):
+    """Every class that a set of pairs of ``x`` generates spans a
+    cutpoint-free subcomplex, also where ``x`` has cutpoints and a class
+    passes through one (the argument is in ``classes_of_complex``)."""
+    x, subsets = case
+    cuts = cutpoints(x)
+    counts = Counter(with_cuts=bool(cuts))
+    for pairs in subsets:
+        for tris in stability.classes_of_complex(x, pairs).classes:
+            assert oracles.class_cutpoints(x, tris) == set()
+            counts["through_cuts"] += len(tris) > 1 and not cuts.isdisjoint(w for f in tris for w in x.face_vertices(f))
+    return counts
+
+
+def pair_subsets(rng, x, groups):
+    """``x`` with all its pairs, and with random subsets of them."""
+    pairs = stability.pairs_of_complex(x)
+    return x, [pairs] + [[p for p in pairs if rng.random() < keep] for keep in (0.3, 0.6, 0.9)]
+
+
+complex_shapes(
+    "pair subsets", pair_subsets, ["pinch", "glued", "wedge", "chain", "doubled chain", "tree"], [20261030], 40,
+    # pinches and edge-glued masses have no cutpoint; on the other shapes at
+    # least half the drawn complexes have one, and classes pass through them
+    lambda name, c: name in ("pinch", "glued") or c["with_cuts"] >= 20 and c["through_cuts"] >= 100,
+)
+
+
 # ---------------------------------------------------------------------------
 # comparisons of collapses
 
@@ -876,7 +910,7 @@ def n_prime(case):
     return Counter(deeper_prime=report.n_prime > report.n_delta)
 
 
-@row(stabilization_report, oracles.n_dprime_oracle, "run")
+@row(stabilization_report, oracles.n_dprime_oracle, "run", "benchmark run")
 def n_dprime(case):
     report = case.report
     assert report.n_dprime == oracles.n_dprime_oracle(case.expanded, report.n_prime)
@@ -897,20 +931,20 @@ def chain_monitor(case):
     )
 
 
-@row(stability.class_cutpoints, oracles.subcomplex_of, "run", "benchmark run")
+@row(stability.classes_of_complex, (oracles.class_cutpoints, oracles.subcomplex_of), "run", "benchmark run")
 def class_check(case):
-    """``class_cutpoints`` against the cutpoints of the built class
-    subcomplex: on every class, and on the drawn triangle sets, where
-    cutpoints do occur."""
+    """Every class of a run spans a cutpoint-free subcomplex, by
+    ``class_cutpoints`` and by the cutpoints of the built subcomplex; on
+    the drawn triangle sets, where cutpoints do occur, the two agree."""
     counts = Counter()
     for n, level in case.report.classes.items():
         for cls in level:
             x = case.run.levels[n].complexes[cls.cid]
-            assert stability.class_cutpoints(x, cls.triangles) == cutpoints(oracles.subcomplex_of(cls, x)) == set()
+            assert oracles.class_cutpoints(x, cls.triangles) == cutpoints(oracles.subcomplex_of(cls, x)) == set()
             counts["classes"] += 1
     for n, cls in case.info.get("triangle sets", ()):
         x = case.run.levels[n].complexes[cls.cid]
-        cuts = stability.class_cutpoints(x, cls.triangles)
+        cuts = oracles.class_cutpoints(x, cls.triangles)
         assert cuts == cutpoints(oracles.subcomplex_of(cls, x))
         counts["with_cuts"] += bool(cuts)
     return counts
@@ -1056,20 +1090,83 @@ def worked64():
         return run_pipeline(parse_text(text.replace("horizon=4 ", "horizon=64 ")), "worked"), log
 
 
+def record_built(m, built):
+    """Record through the monkeypatch ``m``, in the lists of ``built``, what
+    ``passdown_full`` builds: each resolution constructed (``made``) and
+    restricted to a piece (``restricted``: the resolution, the piece and
+    the restriction), each track system drawn or collapsed
+    (``track_systems``), and in ``complexes`` (kind, complex, copy of the
+    group table as it was) for each complex a collapse builds and validates
+    ("collapsed"), each complex a collapse reduces as it is
+    ("uncollapsed"), each reduction ("reduced") and each cutpoint piece
+    ("piece")."""
+    construct, restrict = resolution.resolution_from_images, hierarchy._restrict_resolution
+    draw, collapse, finish = hierarchy.tracks_from_resolution, hierarchy.split_collapse, tracks.finish_collapse
+    wire, reduce, split = provenance.wire_and_validate, provenance.reduce_with_map, hierarchy._cutpoint_pieces
+
+    def constructed(*args, **kwargs):
+        built.made.append(construct(*args, **kwargs))
+        return built.made[-1]
+
+    def restricted_to(res, sub_x):
+        built.restricted.append((res, sub_x, restrict(res, sub_x)))
+        return built.restricted[-1][2]
+
+    def drawn(res):
+        built.track_systems.append(draw(res))
+        return built.track_systems[-1]
+
+    def collapsed(ts, groups):
+        built.track_systems.append(ts)
+        return collapse(ts, groups)
+
+    def finished(x, collapsed, frag, groups, *args):
+        if collapsed is x:
+            built.complexes.append(("uncollapsed", x, groups.copy()))
+        return finish(x, collapsed, frag, groups, *args)
+
+    def wired(x, groups, *pairs):
+        wire(x, groups, *pairs)
+        built.complexes.append(("collapsed", x, groups.copy()))
+
+    def reduced(x, groups):
+        out = reduce(x, groups)
+        built.complexes.append(("reduced", out[0], groups.copy()))
+        return out
+
+    def pieces(nid, x, groups, taken):
+        out = split(nid, x, groups, taken)
+        built.complexes.extend(("piece", sub, groups.copy()) for _gid, sub in (out or {}).values())
+        return out
+
+    m.setattr(resolution, "resolution_from_images", constructed)
+    m.setattr(hierarchy, "_restrict_resolution", restricted_to)
+    m.setattr(hierarchy, "tracks_from_resolution", drawn)
+    m.setattr(hierarchy, "split_collapse", collapsed)
+    m.setattr(tracks, "finish_collapse", finished)
+    m.setattr(provenance, "wire_and_validate", wired)
+    m.setattr(provenance, "reduce_with_map", reduced)
+    m.setattr(hierarchy, "_cutpoint_pieces", pieces)
+
+
+def built_lists():
+    return SimpleNamespace(made=[], restricted=[], track_systems=[], complexes=[])
+
+
 @functools.cache
 def seed1(workload):
     """One run of the seed-1 ops of ``workload``: each (op, report), each
     collapse's (track system, copy of the group table) as it was called,
-    the cutpoint pieces, and the work counts the count pins read."""
-    rec = SimpleNamespace(reports=[], collapses=[], counts=Counter(), pieces=[])
-    counts, inside, piece_edges, split = rec.counts, Counter(), set(), hierarchy._cutpoint_pieces
+    what the passdown built (``record_built``; it holds the cutpoint
+    pieces, so that their ids stay their own), and the work counts the
+    count pins read."""
+    rec = SimpleNamespace(reports=[], collapses=[], counts=Counter(), built=built_lists())
+    counts, inside, piece_edges = rec.counts, Counter(), set()
     grows = stability._grows_into_horizon.__code__
 
     def pieces(*args):
         out = split(*args)
-        for _gid, sub in (out or {}).values():
-            rec.pieces.append(sub)  # held, so that their ids stay their own
-            piece_edges.add(id(sub.edges))
+        piece_edges.update(id(sub.edges) for _gid, sub in (out or {}).values())
         return out
 
     def collapsed(frame, ts, groups):
@@ -1084,15 +1181,22 @@ def seed1(workload):
         return lambda frame, *args: bool(inside[name])
 
     with pytest.MonkeyPatch.context() as m:
+        record_built(m, rec.built)
+        split = hierarchy._cutpoint_pieces
         m.setattr(hierarchy, "_cutpoint_pieces", pieces)
-        for owner, name in ((provenance, "wire_and_validate"), (hierarchy, "split_collapse"), (pipeline, "cone_criterion_check")):
+        for owner, name in (
+            (provenance, "wire_and_validate"), (hierarchy, "split_collapse"), (pipeline, "cone_criterion_check"),
+            (stability, "stable_classes"),
+        ):
             nest(m, inside, owner, name)
+        spy(m, counts, provenance, "wire_and_validate")
         spy(m, counts, resolution.Resolution, "crossings")
         spy(m, counts, complexes, "_grouped")
         spy(m, counts, Complex2, "__init__", **{"built in a collapse": inside_of("split_collapse")})
         spy(m, counts, graphs, "blocks", blocks=lambda frame, *args: 1, **{
             "blocks on pieces": lambda frame, nodes, edges: id(edges) in piece_edges,
             "blocks in cone checks": inside_of("cone_criterion_check"),
+            "blocks in stable_classes": inside_of("stable_classes"),
         })
         spy(m, counts, GroupTable, "leq", **{
             "leq in wire_and_validate": inside_of("wire_and_validate"),

@@ -339,6 +339,19 @@ def random_edge_glued_complex(rng: random.Random, n_triangles=6):
     return make_complex(*_grown_triangles(rng, n_triangles, "a", glue=0.75, hang=0.75))
 
 
+def random_wedge(rng: random.Random, n_parts=3):
+    """Edge-glued triangle masses, each but the first glued to an earlier
+    one at a single vertex, which is then a cutpoint."""
+    verts, edges, faces = [], {}, {}
+    for k in range(n_parts):
+        vs, es, fs = _grown_triangles(rng, rng.randint(1, 6), f"m{k}.", glue=0.75, hang=0.75)
+        at = {vs[0]: rng.choice(verts)} if verts else {}
+        verts += [v for v in vs if v not in at]
+        edges.update((f"{eid}.{k}", tuple(at.get(w, w) for w in ends)) for eid, ends in es.items())
+        faces.update((f"{fid}.{k}", tuple(f"{eid}.{k}" for eid in sides)) for fid, sides in fs.items())
+    return make_complex(verts, edges, faces)
+
+
 def random_triangle_partition(rng: random.Random, x, n_classes=None):
     """Partition the triangles into edge-connected groups (class stand-ins)."""
     tris = sorted(x.triangles())

@@ -3,6 +3,8 @@ the library's own code paths.  These were frozen before the main
 implementations and must stay that way.  The hierarchy helpers at the
 end (``level``, ``is_h_elliptic``) are definitions only the tests use."""
 
+import functools
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
@@ -192,7 +194,13 @@ def n_dprime_oracle(run, n_prime):
     """N'' by its definition: the lowest n0 >= N' such that, at every step
     from n0 to the horizon, each stable pair at n+1 (recomposed by
     ``stable_pairs``) has exactly one preimage triangle on each side, in
-    one complex, sharing a side that tau_n sends to the pair's edge."""
+    one complex, sharing a side that tau_n sends to the pair's edge.
+    Each level's stable pairs are recomposed once, for every candidate n0."""
+
+    @functools.cache
+    def stable(n):
+        return stable_pairs(run, n).pairs
+
     horizon = run.horizon
     for n0 in range(n_prime, horizon + 1):
         ok = True
@@ -203,7 +211,7 @@ def n_dprime_oracle(run, n_prime):
                 img = tau.triangle_map.get(key)
                 if img is not None:
                     back.setdefault(img, []).append(key)
-            for pair in stable_pairs(run, n + 1).pairs:
+            for pair in stable(n + 1):
                 p1 = back.get((pair.cid, pair.t1), [])
                 p2 = back.get((pair.cid, pair.t2), [])
                 if len(p1) != 1 or len(p2) != 1 or p1[0][0] != p2[0][0]:
@@ -303,13 +311,22 @@ def compose(run, n, m):
 
     if not n <= m <= run.horizon:
         raise FixtureError("bad level range")
+    for composed in compositions(run, n, m):
+        pass
+    return composed
+
+
+def compositions(run, n, last=None):
+    """tau_{n,m} for m = n, n+1, ... up to ``last`` (the horizon by
+    default), each composed from the one before by one more step."""
     tri = {key: key for key in run.levels[n].triangles()}
     edge = {}
     for cid, x in run.levels[n].complexes.items():
         for fid in x.triangles():
             for eid in x.faces[fid]:
                 edge[((cid, fid), eid)] = eid
-    for step in range(n, m):
+    yield tri, edge
+    for step in range(n, run.horizon if last is None else last):
         tau = run.taus[step]
         tri2 = {key: tau.triangle_map.get(img) if img is not None else None for key, img in tri.items()}
         edge2 = {}
@@ -320,7 +337,7 @@ def compose(run, n, m):
             if nxt_eid is not None:
                 edge2[(key, eid)] = nxt_eid
         tri, edge = tri2, edge2
-    return tri, edge
+        yield tri, edge
 
 
 def descends_to_pair(pair, tri, edge):
@@ -338,11 +355,12 @@ def descends_to_pair(pair, tri, edge):
 
 def stable_pairs(run, n):
     """Pairs at level n that stay pairs under every computed map up to the
-    horizon, by composing tau from n to each later level: the definition
-    that ``stable_pair_sets`` and ``stability.stable_classes`` compute in
-    one sweep."""
-    composed = [compose(run, n, m) for m in range(n + 1, run.horizon + 1)]
-    stable = [pair for pair in pairs_at(run, n) if all(descends_to_pair(pair, *c) for c in composed)]
+    horizon, by composing tau from n to each later level, one step more
+    each time: the definition that ``stable_pair_sets`` and
+    ``stability.stable_classes`` compute in one sweep."""
+    stable = pairs_at(run, n)
+    for composed in itertools.islice(compositions(run, n), 1, None):
+        stable = [pair for pair in stable if descends_to_pair(pair, *composed)]
     return PairSet(level=n, horizon=run.horizon, pairs=frozenset(stable))
 
 
@@ -414,7 +432,7 @@ def equivalence_classes(run, n, ps):
     order; each class induces a connected, cutpoint-free subcomplex."""
     from passdown import graphs
     from passdown.errors import EngineError
-    from passdown.stability import TriangleClass, class_cutpoints
+    from passdown.stability import TriangleClass
 
     triangles = run.levels[n].triangles()
     uf = graphs.UnionFind(triangles)
@@ -431,6 +449,18 @@ def equivalence_classes(run, n, ps):
             raise EngineError(f"class {cls.id!r} subcomplex has a cutpoint")
         out.append(cls)
     return out
+
+
+def class_cutpoints(x, triangles):
+    """Cutpoints of the subcomplex that a set of triangles of ``x`` spans
+    with their sides and corners, read off ``x`` without building it: the
+    articulation vertices of the graph on the triangles' sides.  The class
+    check that ``stability.classes_of_complex`` makes true by construction;
+    ``subcomplex_of`` builds the subcomplex it reads off."""
+    from passdown import graphs
+
+    edges = {eid: x.edges[eid] for fid in triangles for eid in x.faces[fid]}
+    return frozenset(graphs.cut_vertices(graphs.blocks({w for ends in edges.values() for w in ends}, edges)))
 
 
 def identity_fragment(x):
@@ -951,7 +981,7 @@ def separator_by_minting(taken, minted, sep):
 def subcomplex_of(cls, x):
     """The subcomplex a triangle class spans in x, built and checked:
     its triangles with their sides and corners.  Its cutpoints define the
-    class check that ``stability.class_cutpoints`` reads off x directly."""
+    class check that ``class_cutpoints`` reads off x directly."""
     from passdown.complexes import subcomplex
 
     cells = set(cls.triangles)

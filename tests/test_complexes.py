@@ -30,12 +30,11 @@ from passdown.groups import TRIVIAL, GroupRef, GroupTable
 from passdown.hierarchy import make_tree_level, passdown_full
 from passdown.pipeline import run_pipeline
 from passdown.resolution import ActionTable
-from passdown.stability import class_cutpoints
 from passdown.trees import make_tree
 
 from bench_ops import workloads
 from differential import differential_test, h1, minting, record, relabelled
-from generators import random_cell_complex, random_labelled_complex, random_simplicial_complex, random_triangle_tree_complex, triangle
+from generators import random_cell_complex, random_labelled_complex, random_simplicial_complex, triangle
 from oracles import brute_components, brute_cutpoints, cutpoint_tree, separator_by_minting
 
 
@@ -491,12 +490,6 @@ class TestRelabel:
         assert reduced.is_reduced and not unreduced.is_reduced
         assert relabelled(unreduced, {**missing, eid: "P"}).is_reduced
         assert not relabelled(reduced, missing).is_reduced
-
-    def test_a_relabelling_keeps_the_class_cutpoint_verdicts(self):
-        x = random_triangle_tree_complex(random.Random(4), n_triangles=6)
-        kept = class_cutpoints(x, x.faces)
-        y = x.relabel(stab_plus=dict.fromkeys(x.edges, "P"))
-        assert class_cutpoints(y, list(x.faces)) is kept
 
 
 def test_components_blocks_and_rank_computed_once_per_complex(monkeypatch):

@@ -4,7 +4,6 @@ from pathlib import Path
 
 import pytest
 
-from passdown import hierarchy, provenance, resolution
 from passdown.cli import main
 from passdown.complexes import covolume, make_complex, validate_complex
 from passdown.errors import ConsistencyError, HypothesisError
@@ -21,7 +20,7 @@ from passdown.resolution import (
 )
 from passdown.trees import ActionDescriptor, make_tree, reduced_path
 
-from bench_ops import workloads
+from differential import built_lists, record_built, seed1
 from generators import line_tree, star, triangle
 from oracles import brute_components, check_resolution, crossing_partition_holds, track_sides
 
@@ -368,87 +367,41 @@ def _commands(path):
 
 class TestBuiltResolutions:
     """Every resolution that ``passdown_full`` builds or restricts on the
-    committed fixtures, the seed-1 ``surgery`` operations and the seed-1
-    ``size`` bead chains (whose contracted complexes split at cutpoints),
-    checked against the definitions the constructor does not recheck; with
-    them every collapsed complex, reduced complex and cutpoint piece built,
-    each with a copy of the group table as it was when it was built, and
-    every track system drawn and kept essential."""
+    committed fixtures and in the recorded seed-1 ``surgery`` and ``size``
+    runs (whose bead chains split at cutpoints), checked against the
+    definitions the constructor does not recheck; with them every complex
+    a collapse builds or reduces as it is, every reduction and cutpoint
+    piece, each with a copy of the group table as it was then, and every
+    track system drawn and kept essential."""
 
     @pytest.fixture(scope="class")
-    def built(self, tmp_path_factory):
-        made, restricted, track_systems, complexes = [], [], [], []
-        construct, restrict = resolution.resolution_from_images, hierarchy._restrict_resolution
-        draw, collapse = hierarchy.tracks_from_resolution, hierarchy.split_collapse
-        wire, reduce, split = provenance.wire_and_validate, provenance.reduce_with_map, hierarchy._cutpoint_pieces
-
-        def constructed(*args, **kwargs):
-            made.append(construct(*args, **kwargs))
-            return made[-1]
-
-        def restricted_to(res, sub_x):
-            restricted.append((res, sub_x, restrict(res, sub_x)))
-            return restricted[-1][2]
-
-        def drawn(res):
-            track_systems.append(draw(res))
-            return track_systems[-1]
-
-        def collapsed(ts, groups):
-            track_systems.append(ts)
-            return collapse(ts, groups)
-
-        def wired(x, groups, *pairs):
-            wire(x, groups, *pairs)
-            complexes.append(("collapsed", x, groups.copy()))
-
-        def reduced(x, groups):
-            out = reduce(x, groups)
-            complexes.append(("reduced", out[0], groups.copy()))
-            return out
-
-        def pieces(nid, x, groups, taken):
-            out = split(nid, x, groups, taken)
-            complexes.extend(("piece", sub, groups.copy()) for _gid, sub in (out or {}).values())
-            return out
-
-        paths = sorted(FIXTURES.glob("*.txt"))
-        beads = [op for op in workloads.generate("size", 1) if op.label.startswith("beads")]
-        ops = workloads.generate("surgery", 1) + beads
-        for i, op in enumerate(ops):
-            paths.append(tmp_path_factory.mktemp("ops") / f"op{i}.txt")
-            paths[-1].write_text(op.text)
+    def built(self):
+        built = built_lists()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(resolution, "resolution_from_images", constructed)
-            mp.setattr(hierarchy, "_restrict_resolution", restricted_to)
-            mp.setattr(hierarchy, "tracks_from_resolution", drawn)
-            mp.setattr(hierarchy, "split_collapse", collapsed)
-            mp.setattr(provenance, "wire_and_validate", wired)
-            mp.setattr(provenance, "reduce_with_map", reduced)
-            mp.setattr(hierarchy, "_cutpoint_pieces", pieces)
-            for path in paths:
+            record_built(mp, built)
+            for path in sorted(FIXTURES.glob("*.txt")):
                 for argv in _commands(path):
                     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                         main(argv)
-        return made, restricted, track_systems, complexes
+        for workload in ("surgery", "size"):
+            for name, items in vars(seed1(workload).built).items():
+                getattr(built, name).extend(items)
+        return built
 
     def test_each_resolution_is_reduced_and_of_its_kind(self, built):
-        made, restricted, *_ = built
-        assert {res.kind for res in made} == {SPLITTING, CONTRACTING}
-        for res in made + [piece for _res, _sub, piece in restricted]:
+        assert {res.kind for res in built.made} == {SPLITTING, CONTRACTING}
+        for res in built.made + [piece for _res, _sub, piece in built.restricted]:
             check_resolution(res)
 
     def test_a_restriction_is_the_resolution_of_the_piece_images(self, built):
-        _, restricted, *_ = built
-        assert restricted
-        for res, sub_x, piece in restricted:
+        assert built.restricted
+        for res, sub_x, piece in built.restricted:
             images = {v: res.vertex_image[v] for v in sub_x.vertices}
             assert piece == resolution_from_images(sub_x, res.target, images, actions=res.actions)
 
     def test_track_sides_are_the_complement_components(self, built):
-        _, _, track_systems, _ = built
-        assert any(ts.tracks for ts in track_systems)
-        for ts in track_systems:
+        assert any(ts.tracks for ts in built.track_systems)
+        for ts in built.track_systems:
             res = ts.resolution
             infinite = res.ideal_vertices() | res.source.boundary_marked
             for tr in ts.tracks:
@@ -457,13 +410,14 @@ class TestBuiltResolutions:
                 assert tr.separates == (len(sides) == 2)
 
     def test_each_built_complex_is_valid_over_the_run_table(self, built):
-        *_, complexes = built
-        assert {kind for kind, _x, _groups in complexes} == {"collapsed", "reduced", "piece"}
-        for _kind, x, groups in complexes:
+        """The oracle of the one validation of a collapse: every complex a
+        collapse builds, and every complex it reduces as it is, unvalidated
+        there, is valid over the table of the run."""
+        assert {kind for kind, _x, _groups in built.complexes} == {"collapsed", "uncollapsed", "reduced", "piece"}
+        for _kind, x, groups in built.complexes:
             validate_complex(x, groups)
 
     def test_each_track_system_keeps_the_crossing_partition(self, built):
-        _, _, track_systems, _ = built
-        assert any(ts.tracks for ts in track_systems)
-        for ts in track_systems:
+        assert any(ts.tracks for ts in built.track_systems)
+        for ts in built.track_systems:
             assert crossing_partition_holds(ts)

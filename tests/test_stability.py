@@ -8,12 +8,13 @@ import pytest
 
 import oracles
 from bench_ops import workloads
-from differential import differential_test, pair_set, record, seed1, spy, worked64
+from differential import differential_test, nest, pair_set, record, seed1, spy, worked64
 from generators import line_tree, open_fan, pinch, tau_from_fragment, triangle_classes, wheel
 from lemmas import area, boundary_edges, cone_pushforward, is_simple, simple_subcone
 from oracles import (
     Pair,
     PairSet,
+    class_cutpoints,
     enumerate_simple_cones,
     equivalence_classes,
     expand_run,
@@ -37,12 +38,12 @@ from passdown.stability import (
     LevelData,
     RunView,
     build_bw,
-    class_cutpoints,
     classes_of_complex,
     cone_criterion_check,
     detect_n_delta,
     level_classes,
     make_cone,
+    pairs_of_complex,
     stable_classes,
     stabilization_report,
 )
@@ -508,9 +509,11 @@ class TestRunAnalysisOracles:
     test_sweep_and_indices_match_recomposition = differential_test("run", "run")
     test_composed_fragments_match_the_recomposition = differential_test("run", "composed run")
     test_class_check_matches_the_built_subcomplex = differential_test("run", "triangle sets")
+    test_classes_are_cutpoint_free_by_construction = differential_test("pair subsets")
 
-    def test_a_bowtie_class_is_an_engine_error(self):
-        # two triangles meeting only at c: a class holding both has a cutpoint
+    def test_a_bowtie_triangle_set_has_a_cutpoint_and_forms_no_class(self):
+        # two triangles meeting only at c: the set of both has a cutpoint,
+        # and no pair joins them, since they share no side
         x = make_complex(
             ["a", "b", "c", "d", "e"],
             {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c"), "cd": ("c", "d"), "de": ("d", "e"), "ce": ("c", "e")},
@@ -518,18 +521,11 @@ class TestRunAnalysisOracles:
         )
         assert class_cutpoints(x, {"t1", "t2"}) == {"c"}
         assert class_cutpoints(x, {"t1"}) == set()
-        # any iterable of triangles will do, and the kept verdict cannot be
-        # changed through the returned set
+        # any iterable of triangles will do
         assert class_cutpoints(x, iter(["t2", "t1"])) == {"c"} == class_cutpoints(x, ["t1", "t2", "t1"])
         assert isinstance(class_cutpoints(x, ("t1", "t2")), frozenset)
-        run = identity_run(x, levels=1)
-        joined = PairSet(level=0, horizon=0, pairs=frozenset({Pair(cid="X", t1="t1", t2="t2", edge="ac")}))
-        with pytest.raises(EngineError, match="'Y0.0' subcomplex has a cutpoint"):
-            equivalence_classes(run, 0, joined)
-        record = classes_of_complex(x, [("t1", "t2", "ac")])
-        assert record.classes == (frozenset({"t1", "t2"}),) and record.cut == 0
-        with pytest.raises(EngineError, match="'Y0.2' subcomplex has a cutpoint"):
-            level_classes(0, {"W": classes_of_complex(strip2(), []), "X": record})
+        assert pairs_of_complex(x) == []
+        assert classes_of_complex(x, pairs_of_complex(x)).classes == (frozenset({"t1"}), frozenset({"t2"}))
 
     def test_swapped_sides_in_a_wheel_delay_n_dprime(self):
         # three triangles around c; tau_0 swaps the images of t1's sides
@@ -700,7 +696,6 @@ class TestRunAnalysisWork:
             (hierarchy, "_distribute"),
             (stability, "pairs_of_complex"),
             (stability, "classes_of_complex"),
-            (stability, "class_cutpoints"),
         )
 
         def calls(horizon):
@@ -720,19 +715,25 @@ class TestRunAnalysisWork:
         assert short == long and all(short.values())
 
     def test_class_cutpoint_checks_do_not_grow_with_the_horizon(self, monkeypatch):
-        """An unchanged class on an unchanged complex is checked for
-        cutpoints once per run: ``class_cutpoints`` computes as many blocks
-        on a benchmark worked run at horizon 8 as at horizon 64."""
+        """The classes are cutpoint-free by construction, so the class
+        analysis searches no cutpoint: ``stable_classes`` computes no blocks
+        on a benchmark worked run, at horizon 8 as at horizon 64."""
 
         def blocks_calls(horizon):
-            op, calls = workloads.worked(random.Random(1), horizon), Counter()
+            op, calls, inside = workloads.worked(random.Random(1), horizon), Counter(), Counter()
             with monkeypatch.context() as m:
-                spy(m, calls, graphs, "blocks", blocks=lambda frame, *args: frame.f_code is stability.class_cutpoints.__code__)
+                nest(m, inside, stability, "stable_classes")
+                spy(m, calls, graphs, "blocks", blocks=lambda frame, *args: bool(inside["stable_classes"]))
                 rep = run_pipeline(parse_text(op.text), op.pipeline)
             assert rep.horizon == horizon and rep.certificate_level == op.expected.cert_level
             return calls["blocks"]
 
-        assert blocks_calls(8) == blocks_calls(64) > 0
+        assert blocks_calls(8) == blocks_calls(64) == 0
+
+    def test_the_class_analysis_searches_no_cutpoint(self):
+        """On the seed-1 ops of every workload, ``stable_classes`` calls
+        ``graphs.blocks`` not at all."""
+        assert [seed1(w).counts["blocks in stable_classes"] for w in sorted(workloads.WORKLOADS)] == [0, 0, 0]
 
     def test_the_chain_monitor_does_not_walk_a_run_that_stopped_growing(self, monkeypatch):
         """A run whose chains stop growing before the horizon is not walked:

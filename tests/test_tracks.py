@@ -365,10 +365,19 @@ def test_the_collapse_derives_each_table_once():
     seen = {}
     for workload in ("surgery", "size"):
         counts = seed1(workload).counts
-        pieces = len(seed1(workload).pieces)
+        pieces = sum(kind == "piece" for kind, _x, _groups in seed1(workload).built.complexes)
         seen[workload] = (counts["crossings"], counts["leq in wire_and_validate"], counts["blocks on pieces"], pieces)
     assert seen["surgery"] == (2016, 3670, 0, 68)
     assert seen["size"] == (0, 0, 0, 45)
+
+
+def test_a_collapse_validates_only_what_it_builds():
+    """A collapse validates the complex it builds, and not one it reduces
+    as it is: on the seed-1 ops ``wire_and_validate`` runs once for each
+    ``surgery`` collapse (15, all with tracks) and for no ``size``
+    collapse (45, none with a track or an ideal vertex)."""
+    assert seed1("surgery").counts["wire_and_validate"] == seed1("surgery").counts["collapses"] == 15
+    assert seed1("size").counts["wire_and_validate"] == 0 < seed1("size").counts["collapses"]
 
 
 WORKED = Path(__file__).resolve().parents[1] / "fixtures" / "worked_terminating.txt"
