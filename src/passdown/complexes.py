@@ -697,11 +697,8 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
     uf = graphs.UnionFind()
     blocks, incidences = {}, []
     ordered = sorted(_block_cells(x), key=lambda c: sorted(map(str, c)))
-    # blocks and vertices share one node namespace: lengthen the prefix
-    # until no block id is a vertex id
-    prefix = "C"
-    while any(f"{prefix}{i}" in x.vertices for i in range(len(ordered))):
-        prefix += "C"
+    # blocks and vertices share one node namespace
+    prefix = fresh_separator(x.vertices, lambda p: (f"{p}{i}" for i in range(len(ordered))), "C")
     for i, cells in enumerate(ordered):
         bid = f"{prefix}{i}"
         blocks[bid] = cells

@@ -3,17 +3,19 @@
 Blocks start with a header line and close with ``end``; ``#`` starts a
 comment.  Supported blocks: ``groups``, ``complex``, ``tree``,
 ``actions`` (per tree), ``gog``, ``hierarchy``, ``structure``,
-``resolution``, ``config`` and ``pipeline``; plus top-level ``restrict``
-lines for restriction tables.  See the README for the full grammar.
+``config`` and ``pipeline``; plus top-level ``restrict`` lines for
+restriction tables.  ``GRAMMAR`` says what each kind of line may carry,
+and the README's grammar lists the same forms.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .complexes import Complex2, make_complex
 from .errors import FixtureError
 from .groups import GroupRef, GroupTable
 from .hierarchy import HNode, Hierarchy, HStructure, Restriction, RestrictionTable, validate_hierarchy, validate_hstructure
-from .resolution import ActionTable, resolution_from_images
+from .resolution import ActionTable
 from .trees import ActionDescriptor, make_gog, make_tree
 
 
@@ -54,7 +56,6 @@ class FixtureSet:
     gogs: dict = field(default_factory=dict)
     hierarchies: dict = field(default_factory=dict)
     structures: dict = field(default_factory=dict)
-    resolutions: dict = field(default_factory=dict)
     restrictions: RestrictionTable = field(default_factory=RestrictionTable)
     config: PipelineConfig = field(default_factory=PipelineConfig)
     pipelines: dict = field(default_factory=dict)
@@ -64,27 +65,101 @@ class FixtureSet:
         return table if table is not None else ActionTable(self.trees[tree_name], self.groups)
 
 
-def _tokens(line):
-    words = []
-    kwargs = {}
-    for tok in line.split():
-        if "=" in tok:
-            key, val = tok.split("=", 1)
-            kwargs[key] = val
-        else:
-            words.append(tok)
-    return words, kwargs
+class Form(NamedTuple):
+    """What one kind of line may carry: its positional words, the kind
+    word included, of which the last ``optional`` may be left out; the
+    bare-word flags; and the ``key=`` names."""
+
+    words: int
+    flags: set = frozenset()
+    keys: set = frozenset()
+    optional: int = 0
 
 
-def _bool_flags(words, allowed):
-    flags = {}
-    rest = []
-    for w in words:
-        if w in allowed:
-            flags[w] = True
-        else:
-            rest.append(w)
-    return rest, flags
+_LABELS = {"stab", "orbit"}
+_NO_FLAGS = frozenset()
+
+# (block, line kind) -> Form.  A header is keyed by its block name twice,
+# a config body line, which has no kind word, by (config, None), and a
+# top-level restrict line by its fourth word.
+GRAMMAR = {
+    ("groups", "groups"): Form(1),
+    ("groups", "group"): Form(2, {"slender", "helliptic", "finite"}, {"sub-of"}),
+    ("complex", "complex"): Form(2),
+    ("complex", "vertex"): Form(2, {"marked"}, _LABELS),
+    ("complex", "edge"): Form(4, keys=_LABELS | {"stabplus"}),
+    ("complex", "triangle"): Form(5, keys=_LABELS),
+    ("complex", "bigon"): Form(4, keys=_LABELS),
+    ("tree", "tree"): Form(2),
+    ("tree", "vertex"): Form(2, keys=_LABELS),
+    ("tree", "edge"): Form(4, keys=_LABELS),
+    ("tree", "ideal"): Form(2, keys={"ray"}),
+    ("actions", "actions"): Form(2),
+    ("actions", "elliptic"): Form(2, keys={"fix"}),
+    ("actions", "hyperbolic"): Form(2, {"swaps"}, {"ends"}),
+    ("actions", "parabolic"): Form(2, keys={"end"}),
+    ("gog", "gog"): Form(2, {"reduced", "jsj"}),
+    ("gog", "vertex"): Form(3, {"rigid", "flexible"}),
+    ("gog", "edge"): Form(5),
+    ("hierarchy", "hierarchy"): Form(2, {"jsj"}),
+    ("hierarchy", "node"): Form(3, keys={"action", "parent", "at"}),
+    ("structure", "structure"): Form(2, keys={"hierarchy"}),
+    ("structure", "attach"): Form(2, keys={"complex"}),
+    ("config", "config"): Form(1),
+    # link-cap, seed and no-dinfty are inert: nothing reads them, but the
+    # benchmark's generated fixtures and four committed ones still write them
+    ("config", None): Form(0, {"no-dinfty"}, {"horizon", "relative", "link-cap", "seed"}),
+    ("pipeline", "pipeline"): Form(2, keys={"root"}),
+    ("pipeline", "node"): Form(2, keys={"tree", "parent", "orbit", "repeat"}),
+    ("pipeline", "override"): Form(2, keys={"edge-orbit", "stabplus"}),
+    ("restrict", "elliptic"): Form(5),
+    ("restrict", "split"): Form(6, optional=1),
+}
+
+
+def _read(block, ln, text, header=False):
+    """``(ln, words, flags, keys)`` of ``text``, line ``ln`` of ``block``,
+    checked against its ``GRAMMAR`` entry: a missing or extra word, or a
+    key the entry does not list, is malformed input.  ``words`` are the
+    positional words, the kind word first."""
+    words, keys = text.split(), {}
+    if "=" in text:
+        tokens, words = words, []
+        for tok in tokens:
+            if "=" in tok:
+                key, value = tok.split("=", 1)
+                keys[key] = value
+            else:
+                words.append(tok)
+    if header:
+        kind = block
+    elif block == "restrict":
+        kind = words[3] if len(words) > 3 else None
+    elif block == "config":
+        kind = None
+    else:
+        kind = words[0] if words else None
+    form = GRAMMAR.get((block, kind))
+    if form is None:
+        raise FixtureError(f"bad {block} line: {text!r}", line=ln)
+    arity, allowed_flags, allowed_keys, optional = form
+    flags = _NO_FLAGS
+    if allowed_flags and not allowed_flags.isdisjoint(words):
+        flags = allowed_flags.intersection(words)
+        words = [w for w in words if w not in flags]
+    if not arity - optional <= len(words) <= arity:
+        if header:
+            raise FixtureError("expected: " + " ".join([block] + ["<name>"] * (arity - 1)), line=ln)
+        raise FixtureError(f"bad {block} line: {text!r}", line=ln)
+    if keys and not allowed_keys.issuperset(keys):
+        label = block if kind in (block, None) else f"{block} {kind}"
+        unknown = next(key for key in keys if key not in allowed_keys)
+        raise FixtureError(f"unknown {label} key {unknown!r}", line=ln)
+    return ln, words, flags, keys
+
+
+def _id_set(value):
+    return frozenset((value or "").split(",")) - {""}
 
 
 def parse_text(text, fixture: FixtureSet = None) -> FixtureSet:
@@ -92,7 +167,7 @@ def parse_text(text, fixture: FixtureSet = None) -> FixtureSet:
     lines = text.splitlines()
     i = 0
 
-    def block(start):
+    def block(start, head):
         body = []
         j = start + 1
         while j < len(lines):
@@ -100,7 +175,7 @@ def parse_text(text, fixture: FixtureSet = None) -> FixtureSet:
             if stripped == "end":
                 return body, j
             if stripped:
-                body.append((j + 1, stripped))
+                body.append(_read(head, j + 1, stripped))
             j += 1
         raise FixtureError("unterminated block", line=start + 1)
 
@@ -109,33 +184,17 @@ def parse_text(text, fixture: FixtureSet = None) -> FixtureSet:
         if not raw:
             i += 1
             continue
-        words, kwargs = _tokens(raw)
-        if not words:
+        head = next((w for w in raw.split() if "=" not in w), None)
+        if head is None:
             raise FixtureError(f"expected a block header, got {raw!r}", line=i + 1)
-        head = words[0]
         try:
-            if head == "groups":
-                body, i = _parse_groups(fx, *block(i))
-            elif head == "complex":
-                i = _parse_complex(fx, words, block(i))
-            elif head == "tree":
-                i = _parse_tree(fx, words, block(i))
-            elif head == "actions":
-                i = _parse_actions(fx, words, block(i))
-            elif head == "gog":
-                i = _parse_gog(fx, words, block(i))
-            elif head == "hierarchy":
-                i = _parse_hierarchy(fx, words, block(i))
-            elif head == "structure":
-                i = _parse_structure(fx, words, kwargs, block(i))
-            elif head == "resolution":
-                i = _parse_resolution(fx, words, kwargs, block(i))
-            elif head == "config":
-                i = _parse_config(fx, block(i))
-            elif head == "pipeline":
-                i = _parse_pipeline(fx, words, kwargs, block(i))
-            elif head == "restrict":
-                _parse_restrict(fx, words, i + 1)
+            if head == "restrict":
+                _parse_restrict(fx, _read(head, i + 1, raw))
+            elif head in _BLOCKS:
+                header = _read(head, i + 1, raw, header=True)
+                body, end = block(i, head)
+                _BLOCKS[head](fx, header, body)
+                i = end
             else:
                 raise FixtureError(f"unknown block {head!r}", line=i + 1)
         except FixtureError as exc:
@@ -161,314 +220,186 @@ def parse_fixtures(paths) -> FixtureSet:
     return fx
 
 
-def _parse_groups(fx, body, end):
-    for ln, line in body:
-        words, kwargs = _tokens(line)
-        words, flags = _bool_flags(words, {"slender", "helliptic", "finite"})
-        if len(words) != 2 or words[0] != "group":
-            raise FixtureError("expected: group <id> [slender] [helliptic] [finite] [sub-of=a,b]", line=ln)
-        sups = frozenset(kwargs.get("sub-of", "").split(",")) - {""}
+def _parse_groups(fx, header, body):
+    for _ln, (_, gid), flags, keys in body:
         fx.groups.add(
             GroupRef(
-                words[1],
-                is_slender=flags.get("slender", False) or flags.get("finite", False),
-                is_h_elliptic=flags.get("helliptic", False),
-                is_finite=flags.get("finite", False),
-                declared_supergroups=sups,
+                gid,
+                is_slender=not flags.isdisjoint({"slender", "finite"}),
+                is_h_elliptic="helliptic" in flags,
+                is_finite="finite" in flags,
+                declared_supergroups=_id_set(keys.get("sub-of")),
             )
         )
     fx.groups.validate()
-    return body, end
 
 
-def _parse_complex(fx, header, parsed):
-    body, end = parsed
-    if len(header) != 2:
-        raise FixtureError("expected: complex <name>")
-    name = header[1]
+def _parse_complex(fx, header, body):
+    _ln, (_, name), _flags, _keys = header
     vertices, edges, faces = [], {}, {}
     stab, orbit, stab_plus, marked = {}, {}, {}, []
-    for ln, line in body:
-        words, kwargs = _tokens(line)
-        words, flags = _bool_flags(words, {"marked"})
-        kind = words[0]
-        if kind == "vertex" and len(words) == 2:
-            vertices.append(words[1])
-            if flags.get("marked"):
-                marked.append(words[1])
-            cell = words[1]
-        elif kind == "edge" and len(words) == 4:
-            edges[words[1]] = (words[2], words[3])
-            cell = words[1]
-            if "stabplus" in kwargs:
-                stab_plus[cell] = kwargs["stabplus"]
-        elif kind == "triangle" and len(words) == 5:
-            faces[words[1]] = tuple(words[2:5])
-            cell = words[1]
-        elif kind == "bigon" and len(words) == 4:
-            faces[words[1]] = tuple(words[2:4])
-            cell = words[1]
+    for _ln, words, flags, keys in body:
+        kind, cell = words[0], words[1]
+        if kind == "vertex":
+            vertices.append(cell)
+            if "marked" in flags:
+                marked.append(cell)
+        elif kind == "edge":
+            edges[cell] = (words[2], words[3])
         else:
-            raise FixtureError(f"bad complex line: {line!r}", line=ln)
-        if "stab" in kwargs:
-            stab[cell] = kwargs["stab"]
-        if "orbit" in kwargs:
-            orbit[cell] = kwargs["orbit"]
+            faces[cell] = tuple(words[2:])
+        if "stab" in keys:
+            stab[cell] = keys["stab"]
+        if "orbit" in keys:
+            orbit[cell] = keys["orbit"]
+        if "stabplus" in keys:
+            stab_plus[cell] = keys["stabplus"]
     fx.complexes[name] = make_complex(
         vertices, edges, faces, stab=stab, orbit=orbit, boundary_marked=marked,
         stab_plus=stab_plus, groups=fx.groups,
     )
-    return end
 
 
-def _parse_tree(fx, header, parsed):
-    body, end = parsed
-    if len(header) != 2:
-        raise FixtureError("expected: tree <name>")
-    name = header[1]
+def _parse_tree(fx, header, body):
+    _ln, (_, name), _flags, _keys = header
     vertices, edges, ideal = [], {}, {}
     stab, orbit = {}, {}
-    for ln, line in body:
-        words, kwargs = _tokens(line)
-        kind = words[0]
-        if kind == "vertex" and len(words) == 2:
-            vertices.append(words[1])
-            cell = words[1]
-        elif kind == "edge" and len(words) == 4:
-            edges[words[1]] = (words[2], words[3])
-            cell = words[1]
-        elif kind == "ideal" and len(words) == 2:
-            ideal[words[1]] = tuple(kwargs.get("ray", "").split(","))
-            continue
+    for _ln, words, _flags, keys in body:
+        kind, cell = words[0], words[1]
+        if kind == "vertex":
+            vertices.append(cell)
+        elif kind == "edge":
+            edges[cell] = (words[2], words[3])
         else:
-            raise FixtureError(f"bad tree line: {line!r}", line=ln)
-        if "stab" in kwargs:
-            stab[cell] = kwargs["stab"]
-        if "orbit" in kwargs:
-            orbit[cell] = kwargs["orbit"]
+            ideal[cell] = tuple(keys.get("ray", "").split(","))
+        if "stab" in keys:
+            stab[cell] = keys["stab"]
+        if "orbit" in keys:
+            orbit[cell] = keys["orbit"]
     fx.trees[name] = make_tree(vertices, edges, ideal, stab=stab, orbit=orbit, groups=fx.groups)
-    return end
 
 
-def _parse_actions(fx, header, parsed):
-    body, end = parsed
-    if len(header) != 2:
-        raise FixtureError("expected: actions <tree-name>")
-    tree_name = header[1]
+def _parse_actions(fx, header, body):
+    _ln, (_, tree_name), _flags, _keys = header
     if tree_name not in fx.trees:
         raise FixtureError(f"actions block references unknown tree {tree_name!r}")
     table = fx.actions.setdefault(tree_name, ActionTable(fx.trees[tree_name], fx.groups))
-    for ln, line in body:
-        words, kwargs = _tokens(line)
-        words, flags = _bool_flags(words, {"swaps"})
-        if len(words) != 2:
-            raise FixtureError(f"bad actions line: {line!r}", line=ln)
-        kind, gid = words
+    for _ln, (kind, gid), flags, keys in body:
         if kind == "elliptic":
-            fixed = frozenset(kwargs.get("fix", "").split(",")) - {""}
-            table.declare_descriptors(gid, [ActionDescriptor(kind="elliptic", fixed=fixed, group=gid)])
+            table.declare_descriptors(gid, [ActionDescriptor(kind="elliptic", fixed=_id_set(keys.get("fix")), group=gid)])
         elif kind == "hyperbolic":
-            ends = tuple(kwargs.get("ends", "").split(","))
+            ends = tuple(keys.get("ends", "").split(","))
             table.declare_descriptors(
-                gid,
-                [
-                    ActionDescriptor(
-                        kind="hyperbolic",
-                        ends=ends,
-                        translation_length=int(kwargs.get("len", 1)),
-                        swaps_ends=flags.get("swaps", False),
-                        group=gid,
-                    )
-                ],
+                gid, [ActionDescriptor(kind="hyperbolic", ends=ends, swaps_ends="swaps" in flags, group=gid)]
             )
-        elif kind == "parabolic":
-            table.declare_parabolic(gid, kwargs.get("end"))
         else:
-            raise FixtureError(f"bad actions line: {line!r}", line=ln)
-    return end
+            table.declare_parabolic(gid, keys.get("end"))
 
 
-def _parse_gog(fx, header, parsed):
-    body, end = parsed
-    words, flags = _bool_flags(header, {"reduced", "jsj"})
-    if len(words) != 2:
-        raise FixtureError("expected: gog <name> [reduced] [jsj]")
-    name = words[1]
+def _parse_gog(fx, header, body):
+    _ln, (_, name), flags, _keys = header
     vertices, edges, vflags = {}, {}, {}
-    for ln, line in body:
-        words2, _kwargs = _tokens(line)
-        words2, f2 = _bool_flags(words2, {"rigid", "flexible"})
-        if words2[0] == "vertex" and len(words2) == 3:
-            vertices[words2[1]] = words2[2]
-            if f2.get("rigid"):
-                vflags[words2[1]] = "rigid"
-            if f2.get("flexible"):
-                vflags[words2[1]] = "flexible"
-        elif words2[0] == "edge" and len(words2) == 5:
-            edges[words2[1]] = (words2[2], words2[3], words2[4])
+    for _ln, words, vertex_flags, _keys in body:
+        if words[0] == "vertex":
+            vertices[words[1]] = words[2]
+            if vertex_flags:
+                vflags[words[1]] = "flexible" if "flexible" in vertex_flags else "rigid"
         else:
-            raise FixtureError(f"bad gog line: {line!r}", line=ln)
+            edges[words[1]] = tuple(words[2:])
     fx.gogs[name] = make_gog(
         name, vertices, edges, flags=vflags,
-        reduced=flags.get("reduced", False), jsj=flags.get("jsj", False), groups=fx.groups,
+        reduced="reduced" in flags, jsj="jsj" in flags, groups=fx.groups,
     )
-    return end
 
 
-def _parse_hierarchy(fx, header, parsed):
-    body, end = parsed
-    words, flags = _bool_flags(header, {"jsj"})
-    if len(words) != 2:
-        raise FixtureError("expected: hierarchy <name> [jsj]")
-    name = words[1]
+def _parse_hierarchy(fx, header, body):
+    _ln, (_, name), flags, _keys = header
     nodes = {}
-    root = None
-    order = []
-    for ln, line in body:
-        words2, kwargs = _tokens(line)
-        if words2[0] != "node" or len(words2) != 3:
-            raise FixtureError(f"bad hierarchy line: {line!r}", line=ln)
-        nid, gid = words2[1], words2[2]
+    for ln, (_, nid, gid), _flags, keys in body:
         action = None
-        if "action" in kwargs:
-            if kwargs["action"] not in fx.gogs:
-                raise FixtureError(f"unknown gog {kwargs['action']!r}", line=ln)
-            action = fx.gogs[kwargs["action"]]
-        node = HNode(id=nid, group=gid, action=action, parent=kwargs.get("parent"))
-        nodes[nid] = node
-        order.append((nid, kwargs))
-        if root is None:
-            root = nid
-    for nid, kwargs in order:
-        parent = kwargs.get("parent")
+        if "action" in keys:
+            if keys["action"] not in fx.gogs:
+                raise FixtureError(f"unknown gog {keys['action']!r}", line=ln)
+            action = fx.gogs[keys["action"]]
+        nodes[nid] = HNode(id=nid, group=gid, action=action, parent=keys.get("parent"))
+    for _ln, (_, nid, _gid), _flags, keys in body:
+        parent = keys.get("parent")
         if parent:
-            at = kwargs.get("at")
+            at = keys.get("at")
             if at is None:
                 raise FixtureError(f"hierarchy node {nid!r} needs at=<action vertex>")
             nodes[parent].children[at] = nid
-    h = Hierarchy(name=name, root=root, nodes=nodes, jsj=flags.get("jsj", False))
+    h = Hierarchy(name=name, root=next(iter(nodes), None), nodes=nodes, jsj="jsj" in flags)
     validate_hierarchy(h, fx.groups)
     fx.hierarchies[name] = h
-    return end
 
 
-def _parse_structure(fx, header, kwargs, parsed):
-    body, end = parsed
-    if len(header) != 2 or "hierarchy" not in kwargs:
+def _parse_structure(fx, header, body):
+    _ln, (_, name), _flags, header_keys = header
+    if "hierarchy" not in header_keys:
         raise FixtureError("expected: structure <name> hierarchy=<H>")
-    name = header[1]
-    h = fx.hierarchies.get(kwargs["hierarchy"])
+    h = fx.hierarchies.get(header_keys["hierarchy"])
     if h is None:
-        raise FixtureError(f"unknown hierarchy {kwargs['hierarchy']!r}")
+        raise FixtureError(f"unknown hierarchy {header_keys['hierarchy']!r}")
     complexes = {}
-    for ln, line in body:
-        words2, kw2 = _tokens(line)
-        if words2[0] != "attach" or len(words2) != 2 or "complex" not in kw2:
-            raise FixtureError(f"bad structure line: {line!r}", line=ln)
-        if kw2["complex"] not in fx.complexes:
-            raise FixtureError(f"unknown complex {kw2['complex']!r}", line=ln)
-        complexes[words2[1]] = fx.complexes[kw2["complex"]]
+    for ln, (_, nid), _flags, keys in body:
+        if "complex" not in keys:
+            raise FixtureError("expected: attach <node-id> complex=<X>", line=ln)
+        if keys["complex"] not in fx.complexes:
+            raise FixtureError(f"unknown complex {keys['complex']!r}", line=ln)
+        complexes[nid] = fx.complexes[keys["complex"]]
     ks = HStructure(hierarchy=h, terminal_complexes=complexes)
     validate_hstructure(ks, fx.groups)
     fx.structures[name] = ks
-    return end
 
 
-def _parse_resolution(fx, header, kwargs, parsed):
-    body, end = parsed
-    if len(header) != 2 or "complex" not in kwargs or "tree" not in kwargs:
-        raise FixtureError("expected: resolution <name> complex=<X> tree=<T>")
-    name = header[1]
-    x = fx.complexes.get(kwargs["complex"])
-    t = fx.trees.get(kwargs["tree"])
-    if x is None or t is None:
-        raise FixtureError("resolution references an unknown complex or tree")
-    images = {}
-    for ln, line in body:
-        words2, _ = _tokens(line)
-        if words2[0] != "map" or len(words2) != 3:
-            raise FixtureError(f"bad resolution line: {line!r}", line=ln)
-        images[words2[1]] = words2[2]
-    fx.resolutions[name] = resolution_from_images(
-        x, t, images, actions=fx.actions.get(kwargs["tree"])
-    )
-    return end
-
-
-def _parse_config(fx, parsed):
-    body, end = parsed
-    for ln, line in body:
-        words, kwargs = _tokens(line)
-        # no D-infinity action is always assumed; the flag that says so stays accepted
-        words = [w for w in words if w != "no-dinfty"]
-        unknown = sorted(set(kwargs) - {"horizon", "link-cap", "seed", "relative"})
-        if unknown:
-            raise FixtureError(f"unknown config key {unknown[0]!r}", line=ln)
-        if "horizon" in kwargs:
-            fx.config.horizon = int(kwargs["horizon"])
-        # link-cap and seed are still accepted and checked, but nothing reads them
-        if "link-cap" in kwargs and int(kwargs["link-cap"]) < 3:
+def _parse_config(fx, header, body):
+    for ln, _words, _flags, keys in body:
+        if "horizon" in keys:
+            fx.config.horizon = int(keys["horizon"])
+        # link-cap and seed are still checked, but nothing reads them
+        if "link-cap" in keys and int(keys["link-cap"]) < 3:
             raise FixtureError("config: link-cap must be at least 3", line=ln)
-        if "seed" in kwargs:
-            int(kwargs["seed"])
-        if "relative" in kwargs:
-            fx.config.relative_class = frozenset(kwargs["relative"].split(",")) - {""}
-        if words:
-            raise FixtureError(f"bad config line: {line!r}", line=ln)
+        if "seed" in keys:
+            int(keys["seed"])
+        if "relative" in keys:
+            fx.config.relative_class = _id_set(keys["relative"])
     fx.config.validate()
-    return end
 
 
-def _parse_pipeline(fx, header, kwargs, parsed):
-    body, end = parsed
-    if len(header) != 2 or "root" not in kwargs:
+def _parse_pipeline(fx, header, body):
+    _ln, (_, name), _flags, header_keys = header
+    if "root" not in header_keys:
         raise FixtureError("expected: pipeline <name> root=<structure>")
-    name = header[1]
+    root = header_keys["root"]
     nodes = {}
-    root_node = None
-    for ln, line in body:
-        words2, kw2 = _tokens(line)
-        if words2[0] == "node" and len(words2) == 2:
-            nid = words2[1]
+    for ln, (kind, nid), _flags, keys in body:
+        if kind == "node":
             nodes[nid] = ScriptNode(
-                id=nid,
-                tree=kw2.get("tree"),
-                parent=kw2.get("parent"),
-                orbit=kw2.get("orbit"),
-                repeat=kw2.get("repeat"),
+                id=nid, tree=keys.get("tree"), parent=keys.get("parent"), orbit=keys.get("orbit"), repeat=keys.get("repeat")
             )
-            if root_node is None:
-                root_node = nid
-        elif words2[0] == "override" and len(words2) == 2:
-            nid = words2[1]
-            if nid not in nodes:
-                raise FixtureError(f"override for unknown script node {nid!r}", line=ln)
-            if "edge-orbit" not in kw2 or "stabplus" not in kw2:
-                raise FixtureError("expected: override <node> edge-orbit=<o> stabplus=<G>", line=ln)
-            nodes[nid].overrides[kw2["edge-orbit"]] = kw2["stabplus"]
+        elif nid not in nodes:
+            raise FixtureError(f"override for unknown script node {nid!r}", line=ln)
+        elif "edge-orbit" not in keys or "stabplus" not in keys:
+            raise FixtureError("expected: override <node> edge-orbit=<o> stabplus=<G>", line=ln)
         else:
-            raise FixtureError(f"bad pipeline line: {line!r}", line=ln)
-    if root_node is None:
+            nodes[nid].overrides[keys["edge-orbit"]] = keys["stabplus"]
+    if not nodes:
         raise FixtureError(f"pipeline {name!r} needs at least one node")
-    if kwargs["root"] not in fx.structures:
-        raise FixtureError(f"pipeline root structure {kwargs['root']!r} not found")
+    if root not in fx.structures:
+        raise FixtureError(f"pipeline root structure {root!r} not found")
     for nid, node in nodes.items():
         if node.tree is not None and node.tree not in fx.trees:
             raise FixtureError(f"script node {nid!r} references unknown tree {node.tree!r}")
         if node.repeat is not None and node.repeat not in nodes:
             raise FixtureError(f"script node {nid!r} repeats unknown node {node.repeat!r}")
-    fx.pipelines[name] = PipelineScript(
-        name=name, root_structure=kwargs["root"], root_node=root_node, nodes=nodes
-    )
-    return end
+    fx.pipelines[name] = PipelineScript(name=name, root_structure=root, root_node=next(iter(nodes)), nodes=nodes)
 
 
-def _parse_restrict(fx, words, ln):
+def _parse_restrict(fx, line):
     # restrict <gid> <gog-name> elliptic <child>
-    # restrict <gid> <gog-name> split <sub-gog> <sv>:<origin>,...
-    if len(words) < 5:
-        raise FixtureError("bad restrict line", line=ln)
-    _, gid, gog_name, kind = words[:4]
+    # restrict <gid> <gog-name> split <sub-gog> [<sv>:<origin>,...]
+    ln, (_, gid, gog_name, kind, child, *pairs), _flags, _keys = line
     if gid not in fx.groups:
         raise FixtureError(f"unknown group id {gid!r}", line=ln)
     if gog_name not in fx.gogs:
@@ -481,22 +412,31 @@ def _parse_restrict(fx, words, ln):
         return vid
 
     if kind == "elliptic":
-        fx.restrictions.declare(gid, gog_name, Restriction(kind="elliptic", child=vertex_of(gog, words[4])))
-    elif kind == "split":
-        sub = fx.gogs.get(words[4])
-        if sub is None:
-            raise FixtureError(f"unknown gog {words[4]!r}", line=ln)
-        origins = {}
-        if len(words) > 5:
-            for part in words[5].split(","):
-                sv, origin = part.split(":")
-                sv = vertex_of(sub, sv)
-                origins[sv] = vertex_of(gog, origin)
-        fx.restrictions.declare(
-            gid, gog_name, Restriction(kind="split", sub=sub, origins=origins)
-        )
-    else:
-        raise FixtureError("restrict kind must be elliptic or split", line=ln)
+        fx.restrictions.declare(gid, gog_name, Restriction(kind="elliptic", child=vertex_of(gog, child)))
+        return
+    sub = fx.gogs.get(child)
+    if sub is None:
+        raise FixtureError(f"unknown gog {child!r}", line=ln)
+    origins = {}
+    for pair_list in pairs:
+        for part in pair_list.split(","):
+            sv, origin = part.split(":")
+            sv = vertex_of(sub, sv)
+            origins[sv] = vertex_of(gog, origin)
+    fx.restrictions.declare(gid, gog_name, Restriction(kind="split", sub=sub, origins=origins))
+
+
+_BLOCKS = {
+    "groups": _parse_groups,
+    "complex": _parse_complex,
+    "tree": _parse_tree,
+    "actions": _parse_actions,
+    "gog": _parse_gog,
+    "hierarchy": _parse_hierarchy,
+    "structure": _parse_structure,
+    "config": _parse_config,
+    "pipeline": _parse_pipeline,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -56,9 +56,6 @@ class Hierarchy:
     nodes: dict
     jsj: bool = False
 
-    def node(self, nid) -> HNode:
-        return self.nodes[nid]
-
     def depth_of(self, nid) -> int:
         d = 0
         node = self.nodes[nid]

@@ -144,15 +144,15 @@ def w_components(x: Complex2, actions: ActionTable):
     have linearly-acting stabilizers, each with its fixed line and chosen
     ideal endpoint (smallest id; same line, same choice).
 
-    The input is declared free of D-infinity actions (the ``no-dinfty``
-    config flag is the only setting): a dihedral cell contradicts it.
+    No D-infinity action is ever allowed, so a dihedral cell is
+    inconsistent input.
     """
     linear_cells = set()
     for cell in sorted(x.vertices) + sorted(x.edges):
         kind = actions.classification(x.stab[cell])
         if kind == DIHEDRAL:
             raise ConsistencyError(
-                f"cell {cell!r} classified dihedral although the no-D-infinity flag is set"
+                f"cell {cell!r} classified dihedral, but no D-infinity action is ever allowed"
             )
         if kind == LINEAR:
             linear_cells.add(cell)
@@ -243,11 +243,8 @@ def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable) -> Resolutio
             if not act.fixed:
                 raise ConsistencyError(f"vertex {v!r} has an empty fixed subtree")
             vertex_image[v] = min(act.fixed)
-        elif act.kind == PARABOLIC:
+        else:  # parabolic: every linear vertex lies in a W
             vertex_image[v] = act.end
-        else:
-            # linear vertex not grouped into a W: still maps to its line's end
-            vertex_image[v] = min(act.axis)
 
     res = resolution_from_images(x, t, vertex_image, actions=actions)
     for eid in sorted(x.edges):

@@ -167,14 +167,13 @@ class ActionDescriptor:
 
     kind "elliptic": ``fixed`` is the nonempty connected fixed subtree.
     kind "hyperbolic": ``ends`` is a pair of distinct ideal points, with
-    ``translation_length`` and whether the generator swaps the two ends
-    of the shared invariant line (the dihedral marker).
+    whether the generator swaps the two ends of the shared invariant line
+    (the dihedral marker).
     """
 
     kind: str
     fixed: frozenset = frozenset()
     ends: tuple = ()
-    translation_length: int = 1
     swaps_ends: bool = False
     group: str = None
 
@@ -197,8 +196,6 @@ def _check_descriptor(d: ActionDescriptor, t: TreeHat):
         for p in d.ends:
             if not t.is_ideal(p):
                 raise FixtureError(f"axis end {p!r} is not an ideal point")
-        if d.translation_length < 1:
-            raise FixtureError("translation length must be positive")
     else:
         raise FixtureError(f"unknown descriptor kind {d.kind!r}")
 

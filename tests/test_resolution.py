@@ -108,7 +108,7 @@ class TestWComponents:
         assert table.classification("D") == "dihedral"
         x = make_complex(["a", "b"], {"ab": ("a", "b")}, {}, stab={"a": "L", "b": "L", "ab": "D"}, groups=groups)
         for build in (lambda: w_components(x, table), lambda: build_resolution(x, t, table)):
-            with pytest.raises(ConsistencyError, match="cell 'ab' classified dihedral although the no-D-infinity flag is set"):
+            with pytest.raises(ConsistencyError, match="cell 'ab' classified dihedral, but no D-infinity action is ever allowed"):
                 build()
 
 

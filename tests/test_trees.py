@@ -29,10 +29,8 @@ def ell(*fixed, group=None):
     return ActionDescriptor(kind="elliptic", fixed=frozenset(fixed), group=group)
 
 
-def hyp(p, q, swaps=False, length=1, group=None):
-    return ActionDescriptor(
-        kind="hyperbolic", ends=(p, q), swaps_ends=swaps, translation_length=length, group=group
-    )
+def hyp(p, q, swaps=False, group=None):
+    return ActionDescriptor(kind="hyperbolic", ends=(p, q), swaps_ends=swaps, group=group)
 
 
 class TestReducedPath:
