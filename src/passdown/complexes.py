@@ -153,7 +153,8 @@ class Complex2:
         ``first_cell_by_label``, ``cell_labels_reduced`` and ``covolume``,
         so nothing the cells, ``stab`` or ``orbit`` determine is derived
         again."""
-        out = Complex2(
+        out = object.__new__(Complex2)  # every field in one update, not one frozen-dataclass setattr each
+        out.__dict__.update(
             vertices=self.vertices,
             edges=self.edges,
             faces=self.faces,
@@ -161,8 +162,6 @@ class Complex2:
             orbit=self.orbit,
             boundary_marked=self.boundary_marked,
             stab_plus=stab_plus,
-        )
-        out.__dict__.update(
             cell_data=self.cell_data,
             first_cell_by_label=self.first_cell_by_label,
             cell_labels_reduced=self.cell_labels_reduced,

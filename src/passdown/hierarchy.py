@@ -435,14 +435,14 @@ class TreeLevel:
     A run keeps one per tree, and with it what passdowns over the tree
     find out about unchanged complexes: the complexes that passed the
     terminal check, by key (see ``_signature``), and per terminal
-    signature, the ledger and renaming of an identity step."""
+    signature, the vertex orbit, ledger and renaming of an identity step."""
 
     name: str
     tree: TreeHat
     actions: ActionTable
     gog: GraphOfGroups
     checked: dict = field(default_factory=dict, repr=False)  # complex key -> its stab dict
-    identity_steps: dict = field(default_factory=dict, repr=False)  # terminal signature -> (ledger, renaming)
+    identity_steps: dict = field(default_factory=dict, repr=False)  # terminal signature -> (orbit, ledger, renaming)
 
 
 def make_tree_level(name, tree, actions) -> TreeLevel:
@@ -494,18 +494,21 @@ def _covolume_sum(pieces):
 
 
 def _signature(terminals, tl: TreeLevel):
-    """The terminal signature: (terminal id, group, complex key) per
-    terminal, in terminal order, where a complex's key is its cell data,
-    its ``stab`` dict and the group-table version, all that the terminal
-    check reads.  A complex whose key is new over ``tl`` takes the check."""
+    """The terminal signature: (terminal id, group, complex key, whether
+    the complex is reduced) per terminal, in terminal order, where a
+    complex's key is its cell data, its ``stab`` dict and the group-table
+    version, all that the terminal check reads.  A complex whose key is
+    new over ``tl`` takes the check.  Only over a one-vertex tree, where
+    a step can be the identity, is reducedness read."""
     groups = tl.actions.groups
+    point = len(tl.tree.vertices) == 1
     out = []
     for nid, (gid, x) in terminals.items():
         key = (x.cell_data, id(x.stab), groups.version)
         if key not in tl.checked:
             _check_terminal_complex(nid, x, groups)
             tl.checked[key] = x.stab  # held, so that its id stays its own
-        out.append((nid, gid, key))
+        out.append((nid, gid, key, point and x.is_reduced))
     return tuple(out)
 
 
@@ -544,21 +547,22 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
     step hands its complexes on as they are.
     """
     groups = tl.actions.groups
-    # an identity step depends on the signature, but for the stab_plus
-    # part of is_reduced, so it is kept per signature
+    # an identity step depends on the signature only, so it is kept per signature
     signature = _signature(terminals, tl)
     step = tl.identity_steps.get(signature)
     if step is None and _is_identity_step(terminals, tl):
         (orbit,) = tl.gog.vertices
         _out, home = _distribute(tl.gog, dict.fromkeys(terminals, orbit), terminals, groups)
         stages = ("input", "contracted", "cutpoint-split", "collapsed", "output")
-        step = tl.identity_steps[signature] = dict.fromkeys(stages, _covolume_sum(terminals)), TauFragment(renamed=home)
-    if step is not None and all(x.is_reduced for _gid, x in terminals.values()):
+        ledger = dict.fromkeys(stages, _covolume_sum(terminals))
+        step = tl.identity_steps[signature] = orbit, ledger, TauFragment(renamed=home)
+    if step is not None:
         # the one vertex orbit receives every terminal as it is, every
-        # stage keeps the covolume and tau renames each terminal
-        ledger, tau = step
+        # stage keeps the covolume and tau renames each terminal; the
+        # step's ledger and tau are handed on, not copied
+        orbit, ledger, tau = step
         received = {tid: terminals[nid] for nid, (_orbit, tid) in tau.renamed.items()}
-        return PassdownResult(terminals=dict.fromkeys(tl.gog.vertices, received), ledger=dict(ledger), tau=tau)
+        return PassdownResult(terminals={orbit: received}, ledger=ledger, tau=tau)
     pieces = dict(terminals)  # terminal id -> (group, complex), stage by stage
     origin = {nid: nid for nid in terminals}  # terminal id -> input terminal it descends from
     ledger = {"input": _covolume_sum(pieces)}

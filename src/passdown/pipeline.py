@@ -9,7 +9,7 @@ from .errors import FixtureError, HypothesisError
 from .fixtures import FixtureSet, PipelineScript
 from .hierarchy import make_tree_level, passdown_full
 from .provenance import TauFragment
-from .stability import LevelData, RunView, cone_criterion_check, stabilization_report
+from .stability import LevelClasses, LevelData, RunView, cone_criterion_check, stabilization_report
 
 
 @dataclass
@@ -34,7 +34,7 @@ class RunReport:
     acc_alerts: tuple
     diagnostics: tuple
     run: RunView = None
-    classes: dict = None  # level -> equivalence classes, shared with the stabilization report
+    classes: LevelClasses = None  # level -> equivalence classes, shared with the stabilization report
 
     @property
     def exit_code(self):
@@ -86,19 +86,27 @@ def _children_index(script: PipelineScript):
     return out
 
 
-def _children_by_orbit(script: PipelineScript, child_ids):
-    """Vertex orbit -> child node id; a child without an orbit is an error
-    only once its parent is expanded."""
+def _children_by_orbit(script: PipelineScript, nid, node, tl, child_ids):
+    """[(vertex orbit, child node id)] in orbit order, for script node
+    ``nid`` expanded as ``node`` over ``tl``: one child per vertex orbit
+    of the tree.  A child without an orbit is an error only once its
+    parent is expanded."""
     out = {}
-    for nid in child_ids:
-        node = script.nodes[nid]
-        if node.orbit is None:
-            raise FixtureError(f"script node {nid!r} needs orbit=<vertex orbit>")
-        out[node.orbit] = nid
-    return out
+    for cnid in child_ids:
+        if script.nodes[cnid].orbit is None:
+            raise FixtureError(f"script node {cnid!r} needs orbit=<vertex orbit>")
+        out[script.nodes[cnid].orbit] = cnid
+    for orbit in sorted(tl.gog.vertices):
+        if orbit not in out:
+            raise FixtureError(f"script node {nid!r}: no child declared for vertex orbit {orbit!r} of tree {node.tree!r}")
+    children = sorted(out.items())
+    for orbit, cnid in children:
+        if orbit not in tl.gog.vertices:
+            raise FixtureError(f"script node {cnid!r}: orbit {orbit!r} names no vertex orbit of tree {node.tree!r}")
+    return children
 
 
-def _apply_overrides(terminals, overrides, groups):
+def _apply_overrides(terminals, overrides):
     if not overrides:
         return terminals
     out = {}
@@ -108,7 +116,6 @@ def _apply_overrides(terminals, overrides, groups):
         for eid in x.edges:
             target = overrides.get(x.orbit[eid])
             if target is not None:
-                groups[target]
                 plus[eid] = target
                 touched = True
         if touched:
@@ -118,69 +125,70 @@ def _apply_overrides(terminals, overrides, groups):
 
 
 def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
-    """Execute the scripted passdown to the horizon and analyze the run."""
+    """Execute the scripted passdown to the horizon and analyze the run.
+
+    Group ids named by the relative class or an override are looked up
+    before level 0.  Each script node is derived once, at its first
+    expansion, with the checks in level order: its effective node, tree
+    level and relative-class check before the passdown, its children by
+    vertex orbit after it.  An identity step's τ is recorded as a renaming."""
     if name not in fx.pipelines:
         raise FixtureError(f"unknown pipeline {name!r}")
     script = fx.pipelines[name]
     config = fx.config
     config.validate()
     groups = fx.groups.copy()  # the run mints into its own table; fx stays as parsed
+    for gid in sorted(config.relative_class) + [g for node in script.nodes.values() for g in node.overrides.values()]:
+        groups[gid]  # raises on an id that no group line declares
     tree_levels = {}  # tree name -> its TreeLevel over the run's groups, one per run
     children_of = _children_index(script)
+    expansions = {}  # script node id -> [effective node, its TreeLevel, its children once derived]
 
-    # (instance id, script node id, {terminal id: (group, complex)})
-    active = [(script.root_node, script.root_node, fx.structures[script.root_structure].terminals())]
-    levels = []
-    taus = []
+    root, terminals = script.root_node, fx.structures[script.root_structure].terminals()
+    # (instance id, script node id, {terminal id: (group, complex)}, {terminal id: complex id})
+    active = [(root, root, terminals, {tid: f"{root}/{tid}" for tid in terminals})]
+    levels, taus = [], []
     for n in range(config.horizon + 1):
-        level_complexes = {}
-        for inst, _nid, terminals in active:
-            for tid, (_gid, x) in terminals.items():
-                level_complexes[f"{inst}/{tid}"] = x
-        levels.append(LevelData(complexes=level_complexes))
+        levels.append(LevelData(complexes={cids[tid]: x for *_, terminals, cids in active for tid, (_gid, x) in terminals.items()}))
         if n == config.horizon:
             break
         tau = TauFragment()  # keyed (complex id, face id)
         next_active = []
-        for inst, nid, terminals in active:
-            node = _effective(script, nid)
-            if node.tree is None:
-                raise FixtureError(
-                    f"script node {nid!r} has no tree but the horizon is not reached; "
-                    "stall the branch with a point tree instead"
-                )
-            tl = tree_levels.get(node.tree)
-            if tl is None:
-                tl = tree_levels[node.tree] = make_tree_level(
-                    node.tree, fx.trees[node.tree], fx.action_table(node.tree).over(groups)
-                )
-            for gid in sorted(config.relative_class):
-                if tl.actions.has_entry(gid) and tl.actions.classification(gid) != "elliptic":
-                    raise HypothesisError(
-                        f"group {gid!r} of the relative class is not elliptic on "
-                        f"tree {node.tree!r}",
-                        lemma="relative-class",
+        for inst, nid, terminals, cids in active:
+            expansion = expansions.get(nid)
+            if expansion is None:
+                node = _effective(script, nid)
+                if node.tree is None:
+                    raise FixtureError(
+                        f"script node {nid!r} has no tree but the horizon is not reached; "
+                        "stall the branch with a point tree instead"
                     )
+                tl = tree_levels.get(node.tree)
+                if tl is None:
+                    tl = tree_levels[node.tree] = make_tree_level(
+                        node.tree, fx.trees[node.tree], fx.action_table(node.tree).over(groups)
+                    )
+                for gid in sorted(config.relative_class):
+                    if tl.actions.has_entry(gid) and tl.actions.classification(gid) != "elliptic":
+                        raise HypothesisError(
+                            f"group {gid!r} of the relative class is not elliptic on tree {node.tree!r}", lemma="relative-class"
+                        )
+                expansion = expansions[nid] = [node, tl, None]
+            node, tl, by_orbit = expansion
             result = passdown_full(terminals, tl)
-            children = _children_by_orbit(script, children_of.get(node.id, ()))
-            for orbit in sorted(tl.gog.vertices):
-                if orbit not in children:
-                    raise FixtureError(
-                        f"script node {nid!r}: no child declared for vertex orbit {orbit!r} "
-                        f"of tree {node.tree!r}"
-                    )
+            if by_orbit is None:
+                by_orbit = expansion[2] = _children_by_orbit(script, nid, node, tl, children_of.get(node.id, ()))
             images = {}  # (vertex orbit, terminal id) -> complex id at level n+1
-            for orbit, cnid in sorted(children.items()):
-                if orbit not in result.terminals:
-                    raise FixtureError(
-                        f"script node {cnid!r}: orbit {orbit!r} names no vertex orbit "
-                        f"of tree {node.tree!r}"
-                    )
-                received = _apply_overrides(result.terminals[orbit], script.nodes[cnid].overrides, groups)
+            for orbit, cnid in by_orbit:
+                received = _apply_overrides(result.terminals[orbit], script.nodes[cnid].overrides)
                 inst_id = f"{inst}.{cnid}"
-                images.update(((orbit, tid), f"{inst_id}/{tid}") for tid in received)
-                next_active.append((inst_id, cnid, received))
-            tau.update(result.tau.located({tid: f"{inst}/{tid}" for tid in terminals}, images))
+                child_ids = {tid: f"{inst_id}/{tid}" for tid in received}
+                images.update(((orbit, tid), cid) for tid, cid in child_ids.items())
+                next_active.append((inst_id, cnid, received, child_ids))
+            if result.tau.renamed:  # an identity step renames each terminal
+                tau.renamed.update((cids[tid], images[home]) for tid, home in result.tau.renamed.items())
+            else:
+                tau.update(result.tau.located(cids, images))
         taus.append(tau)
         active = next_active
 

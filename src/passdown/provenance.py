@@ -58,16 +58,15 @@ class TauFragment:
         return TauFragment(triangle_map=tri, edge_map=edges)
 
     def located(self, sources, images) -> "TauFragment":
-        """This fragment on faces keyed (complex id, face id), with source
-        complex ids renamed through ``sources`` and image complex ids
-        through ``images``."""
+        """This fragment's per-face maps on faces keyed (complex id, face id),
+        source complex ids renamed through ``sources`` and image complex
+        ids through ``images``; a renaming step's ``renamed`` is not located."""
         return TauFragment(
             triangle_map={
                 (sources[c], f): None if img is None else (images[img[0]], img[1])
                 for (c, f), img in self.triangle_map.items()
             },
             edge_map={((sources[c], f), e): fe for ((c, f), e), fe in self.edge_map.items()},
-            renamed={sources[c]: images[to] for c, to in self.renamed.items()},
         )
 
     def update(self, other: "TauFragment"):

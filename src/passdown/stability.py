@@ -7,6 +7,7 @@ Everything here is horizon-relative: a finite run can only certify
 """
 
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import graphs
@@ -170,6 +171,26 @@ def level_classes(n: int, records) -> list:
         for triangles in records[cid].classes:
             out.append(TriangleClass(id=f"Y{n}.{len(out)}", cid=cid, triangles=triangles))
     return out
+
+
+class LevelClasses(Mapping):
+    """Level -> its classes (``level_classes``) for the levels that
+    ``records`` holds, each numbered where it is first read."""
+
+    def __init__(self, records):
+        self.records, self.built = records, {}
+
+    def __getitem__(self, n):
+        out = self.built.get(n)
+        if out is None:
+            out = self.built[n] = level_classes(n, self.records[n])
+        return out
+
+    def __iter__(self):
+        return iter(sorted(self.records))
+
+    def __len__(self):
+        return len(self.records)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +357,7 @@ class StabilizationReport:
     n_dprime: int  # lowest level >= N' from which every stable pair pulls back
     ledger: tuple  # covolume per level
     acc_alerts: tuple
-    classes: dict  # level -> equivalence classes, for levels N_delta..horizon
+    classes: LevelClasses  # level -> equivalence classes, for levels N_delta..horizon
 
 
 def _renames_level(run, n):
@@ -344,10 +365,8 @@ def _renames_level(run, n):
     class goes to the class of the same triangles in the renamed complex,
     with the same record, and every stable pair at n+1 has its renamed
     preimage: sigma and the pullback hold without a walk."""
-    renamed = run.taus[n].renamed
-    return renamed.keys() == run.levels[n].complexes.keys() and sorted(renamed.values()) == sorted(
-        run.levels[n + 1].complexes
-    )
+    renamed, above = run.taus[n].renamed, run.levels[n + 1].complexes
+    return renamed.keys() == run.levels[n].complexes.keys() and len(renamed) == len(above) and above.keys() == set(renamed.values())
 
 
 def _sigma(run, n, classes_n, classes_n1):
@@ -408,15 +427,15 @@ def _first_stable(start, passes):
 def stabilization_report(run: RunView) -> StabilizationReport:
     """Horizon-relative N-delta / N' / N'' detection plus the ascending
     chain monitor on oriented-edge labels along class edges.  Pairs and
-    classes are computed once per complex, and a step that renames the
-    whole level passes both per-step tests at once."""
+    classes are computed once per complex, a level's classes are numbered
+    only where read, and a step that renames the whole level passes both
+    per-step tests at once."""
     ledger = [lvl.covolume() for lvl in run.levels]
     n_delta = detect_n_delta(ledger)
     horizon = run.horizon
-    levels = range(n_delta, horizon + 1)
 
     records = stable_classes(run, n_delta)
-    classes = {n: level_classes(n, records[n]) for n in levels}
+    classes = LevelClasses(records)
 
     # Claim-1 and Claim-2 bookkeeping plus sigma bijectivity
     renames = {n: _renames_level(run, n) for n in range(n_delta, horizon)}

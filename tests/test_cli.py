@@ -22,6 +22,7 @@ from passdown.fixtures import (
 from passdown.hierarchy import Restriction
 from passdown.pipeline import run_pipeline
 
+from bench_ops import workloads
 from generators import random_cell_complex, random_treehat
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -344,6 +345,66 @@ class TestPipelines:
             assert err == "" and out == run_pipeline(parse_fixtures([fixture("worked_terminating.txt")]), "worked").render()
         else:
             assert err == "error: script node 'zz' needs orbit=<vertex orbit>\n"
+
+    @pytest.mark.parametrize(
+        "nodes, extra, code, err",
+        [
+            (
+                "  node c1\n",
+                "",
+                2,
+                "error: script node 'b1' has no tree but the horizon is not reached; "
+                "stall the branch with a point tree instead\n",
+            ),
+            ("  node c1 repeat=b1\n", "", 2, "error: repeat cycle at script node 'b1'\n"),
+            (
+                "  node c1 tree=TR\n",
+                "tree TR\n  vertex y0\n  vertex y1\n  edge g0 y0 y1\n  ideal pp ray=y1,y0\n  ideal qq ray=y0,y1\nend\n"
+                "actions TR\n  hyperbolic BR ends=pp,qq\nend\n",
+                1,
+                "error: [relative-class] group 'BR' of the relative class is not elliptic on tree 'TR'\n",
+            ),
+        ],
+        ids=["no tree", "repeat cycle", "relative class"],
+    )
+    def test_a_node_expanded_at_several_levels_fails_as_at_its_first(self, nodes, extra, code, err, tmp_path, capsys):
+        """b1 takes the spec of c1 and is expanded at levels 2 and 3 of the
+        horizon-4 run: its check fails at level 2, with what the level
+        meets first.  c1 declares no children, so reading b1's children
+        would fail too, but after these checks."""
+        last = "  node b1 parent=a1 orbit=op repeat=a1\n"
+        with open(fixture("worked_terminating.txt")) as fh:
+            text = fh.read()
+        assert last in text and "  group G\n" in text and "horizon=4 " in text and "\npipeline worked" in text
+        text = text.replace(last, "  node b1 parent=a1 orbit=op repeat=c1\n" + nodes).replace("\npipeline worked", "\n" + extra + "pipeline worked")
+        text = text.replace("  group G\n", "  group G\n  group BR\n").replace("horizon=4 ", "horizon=4 relative=BR ")
+        path = tmp_path / "script.txt"
+        path.write_text(text)
+        assert main(["pipeline", str(path), "--name", "worked"]) == code
+        out, got = capsys.readouterr()
+        assert out == "" and got == err
+
+    def test_an_override_to_an_undeclared_group_exit_code(self, tmp_path, capsys):
+        """An override naming a group that no group line declares is
+        malformed input, even when no terminal carries its edge orbit."""
+        op = workloads.chain(random.Random(1), 4)
+        node = op.text.split("\npipeline ", 1)[1].split("\n  node ", 1)[1].split()[0]
+        assert op.text.endswith("\nend\n")
+        path = tmp_path / "chain.txt"
+        path.write_text(op.text[: -len("end\n")] + f"  override {node} edge-orbit=nosuchorbit stabplus=nosuchgroup\nend\n")
+        assert main(["pipeline", str(path), "--name", op.pipeline]) == 2
+        assert capsys.readouterr() == ("", "error: unknown group id 'nosuchgroup'\n")
+
+    def test_an_undeclared_relative_group_exit_code(self, tmp_path, capsys):
+        """A relative-class id that no group line declares is malformed
+        input, even though no tree carries an action entry for it."""
+        with open(fixture("worked_terminating.txt")) as fh:
+            text = fh.read()
+        assert "horizon=4 " in text
+        path = tmp_path / "relative.txt"
+        path.write_text(text.replace("horizon=4 ", "horizon=4 relative=nosuchgroup "))
+        assert main(["pipeline", str(path), "--name", "worked"]) == 2
+        assert capsys.readouterr() == ("", "error: unknown group id 'nosuchgroup'\n")
 
     def test_reports_deterministic(self):
         fx1 = parse_fixtures([fixture("worked_terminating.txt")])

@@ -672,10 +672,11 @@ class TestRunAnalysisWork:
 
     def assert_classes_built_once(self, calls, rep_levels, n_delta):
         """Class records are built for the complexes of the horizon only,
-        every step from N_delta on renames its whole level, and each level
-        numbers its classes once."""
+        every step from N_delta on renames its whole level, and a level
+        numbers its classes only where they are read, once: here the
+        certificate loop reads level N_delta, which certifies."""
         assert [x for x, *_ in calls["classes_of_complex"]] == list(rep_levels[self.H].complexes.values())
-        assert [n for n, _records in calls["level_classes"]] == list(range(n_delta, self.H + 1))
+        assert [n for n, _records in calls["level_classes"]] == [n_delta]
         assert calls["_sigma"] == calls["_pulls_back"] == calls["compose"] == calls["stable_pairs"] == []
 
     def test_pipeline_computes_each_level_once(self):
@@ -684,6 +685,22 @@ class TestRunAnalysisWork:
         assert [level for (level,) in log["covolume"]] == rep.run.levels  # the ledger, once per level
         assert len(rep.run.levels[self.H].complexes) == 2
         self.assert_classes_built_once(log, rep.run.levels, rep.n_delta)
+
+    @staticmethod
+    def benchmark_calls(family, horizon, counted, monkeypatch):
+        """The calls to each of ``counted`` (owner, name) on the seed-1
+        benchmark op of ``family`` at ``horizon``, and the covolumes counted."""
+        op = getattr(workloads, family)(random.Random(1), horizon)
+        out, covolume = Counter(dict.fromkeys([name for _module, name in counted] + ["covolume"], 0)), Complex2.covolume.func
+        with monkeypatch.context() as m:
+            for module, name in counted:
+                spy(m, out, module, name)
+            derive = functools.cached_property(lambda x: out.update(["covolume"]) or covolume(x))
+            derive.__set_name__(Complex2, "covolume")
+            m.setattr(Complex2, "covolume", derive)
+            rep = run_pipeline(parse_text(op.text), op.pipeline)
+        assert rep.horizon == horizon and rep.certificate_level == op.expected.cert_level
+        return out
 
     @pytest.mark.parametrize("family", ["worked", "chain"])
     def test_unchanged_levels_cost_no_rebuild(self, family, monkeypatch):
@@ -697,21 +714,20 @@ class TestRunAnalysisWork:
             (stability, "pairs_of_complex"),
             (stability, "classes_of_complex"),
         )
+        short, long = (self.benchmark_calls(family, h, counted, monkeypatch) for h in (8, 64))
+        assert short == long and all(short.values())
 
-        def calls(horizon):
-            op = getattr(workloads, family)(random.Random(1), horizon)
-            out, covolume = Counter(dict.fromkeys([name for _module, name in counted] + ["covolume"], 0)), Complex2.covolume.func
-            with monkeypatch.context() as m:
-                for module, name in counted:
-                    spy(m, out, module, name)
-                derive = functools.cached_property(lambda x: out.update(["covolume"]) or covolume(x))
-                derive.__set_name__(Complex2, "covolume")
-                m.setattr(Complex2, "covolume", derive)
-                rep = run_pipeline(parse_text(op.text), op.pipeline)
-            assert rep.horizon == horizon and rep.certificate_level == op.expected.cert_level
-            return out
-
-        short, long = calls(8), calls(64)
+    @pytest.mark.parametrize("family, counted", [
+        ("worked", ((pipeline, "_effective"), (pipeline, "_children_by_orbit"), (TauFragment, "located"))),
+        ("chain", ((TauFragment, "located"),)),
+    ])
+    def test_identity_steps_cost_no_script_work(self, family, counted, monkeypatch):
+        """A script node is derived once, at its first expansion, and an
+        identity step's tau is recorded as a renaming, with no fragment
+        located: on a benchmark run these are called as often at horizon 8
+        as at horizon 64.  A chain run expands a new script node at every
+        level, so there only ``located`` is pinned."""
+        short, long = (self.benchmark_calls(family, h, counted, monkeypatch) for h in (8, 64))
         assert short == long and all(short.values())
 
     def test_class_cutpoint_checks_do_not_grow_with_the_horizon(self, monkeypatch):
