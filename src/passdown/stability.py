@@ -163,34 +163,34 @@ def stable_classes(run: RunView, start: int) -> dict:
     return out
 
 
-def level_classes(n: int, records) -> list:
-    """The classes of level n from the records of its complexes, numbered
+def level_classes(n: int, classes_of) -> list:
+    """The classes of level n from each complex's triangle sets, numbered
     ``Y{n}.{i}`` in (complex id, least face) order."""
     out = []
-    for cid in sorted(records):
-        for triangles in records[cid].classes:
+    for cid in sorted(classes_of):
+        for triangles in classes_of[cid]:
             out.append(TriangleClass(id=f"Y{n}.{len(out)}", cid=cid, triangles=triangles))
     return out
 
 
 class LevelClasses(Mapping):
-    """Level -> its classes (``level_classes``) for the levels that
-    ``records`` holds, each numbered where it is first read."""
+    """Level -> its classes (``level_classes``) for the levels of the
+    ``stable_classes`` records, numbered where first read; no pair is kept."""
 
     def __init__(self, records):
-        self.records, self.built = records, {}
+        self.classes_of, self.built = {n: {cid: rec.classes for cid, rec in recs.items()} for n, recs in records.items()}, {}
 
     def __getitem__(self, n):
         out = self.built.get(n)
         if out is None:
-            out = self.built[n] = level_classes(n, self.records[n])
+            out = self.built[n] = level_classes(n, self.classes_of[n])
         return out
 
     def __iter__(self):
-        return iter(sorted(self.records))
+        return iter(sorted(self.classes_of))
 
     def __len__(self):
-        return len(self.records)
+        return len(self.classes_of)
 
 
 # ---------------------------------------------------------------------------

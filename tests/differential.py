@@ -898,7 +898,7 @@ def stable_pairs_by_composition(case):
 def classes(case):
     oracle = {n: oracles.equivalence_classes(case.expanded, n, ps) for n, ps in case.pair_sets.items()}
     for n, records in case.sweep.items():
-        assert stability.level_classes(n, records) == oracle[n]
+        assert stability.level_classes(n, {cid: rec.classes for cid, rec in records.items()}) == oracle[n]
     for n, level in case.report.classes.items():
         assert level == oracle[n]
 

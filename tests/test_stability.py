@@ -119,7 +119,7 @@ class TestStablePairs:
         assert ps.pairs == frozenset()
         records = stable_classes(run, 0)[0]
         assert pair_set(records) == frozenset()
-        classes = level_classes(0, records)
+        classes = level_classes(0, {cid: rec.classes for cid, rec in records.items()})
         assert classes == equivalence_classes(run, 0, ps)
         assert len(classes) == 2  # singletons
 
@@ -137,7 +137,7 @@ class TestClasses:
             faces[f"t{i}"] = (f"r{i}", f"s{i}", f"r{i+1}")
         x = make_complex(verts, edges, faces)
         run = identity_run(x, levels=2)
-        classes = level_classes(0, stable_classes(run, 0)[0])
+        classes = level_classes(0, {cid: rec.classes for cid, rec in stable_classes(run, 0)[0].items()})
         assert classes == equivalence_classes(run, 0, stable_pairs(run, 0))
         assert len(classes) == 1
         assert classes[0].triangles == frozenset({"t0", "t1", "t2", "t3"})
@@ -145,7 +145,7 @@ class TestClasses:
     def test_no_stable_pairs_gives_singletons(self):
         x = strip2()
         run = identity_run(x, levels=1)
-        classes = level_classes(0, {"X": classes_of_complex(x, [])})
+        classes = level_classes(0, {"X": classes_of_complex(x, []).classes})
         assert classes == equivalence_classes(run, 0, ps=PairSet(0, 0, frozenset()))
         assert len(classes) == 2
 
@@ -676,7 +676,7 @@ class TestRunAnalysisWork:
         numbers its classes only where they are read, once: here the
         certificate loop reads level N_delta, which certifies."""
         assert [x for x, *_ in calls["classes_of_complex"]] == list(rep_levels[self.H].complexes.values())
-        assert [n for n, _records in calls["level_classes"]] == [n_delta]
+        assert [n for n, _classes_of in calls["level_classes"]] == [n_delta]
         assert calls["_sigma"] == calls["_pulls_back"] == calls["compose"] == calls["stable_pairs"] == []
 
     def test_pipeline_computes_each_level_once(self):
