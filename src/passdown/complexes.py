@@ -290,9 +290,17 @@ def validate_complex(x, groups=None):
     """The one full check of a complex read from a fixture: its cells,
     and over ``groups`` its label references, containments and orbit
     labels.  The containment check and the declare step of
-    ``wire_and_validate`` walk one generator, ``_containments``: each face
-    below its sides and its sorted corners, then each edge below its
-    ends."""
+    ``wire_and_validate`` read the containments in one order,
+    ``_containments``: each face below its sides and its sorted corners,
+    then each edge below its ends.
+
+    Whether a label names a group, and whether one lies below another,
+    depends on the labels only, so each distinct label is looked up once
+    and each distinct (label, label above) pair is checked once.  Only
+    when a pair fails are the containments walked in order, so that the
+    error names the first failing cell; a cell label that names no group
+    is met at its first cell, in ``cells()`` order, and oriented labels
+    are walked in stored order when one fails."""
     _validate_cells(x)
     if groups is not None:
         _validate_label_refs(x, groups)
@@ -338,12 +346,15 @@ def _validate_cells(x):
 
 
 def _validate_label_refs(x, groups: GroupTable):
-    for cell in x.cells():
-        groups[x.stab.get(cell, TRIVIAL)]
-    for eid in x.stab_plus:
+    for label in x.first_cell_by_label:
+        groups[label]
+    plus = x.stab_plus
+    if plus.keys() <= x.edges.keys() and all(label in groups for label in set(plus.values())):
+        return
+    for eid in plus:
         if eid not in x.edges:
             raise FixtureError(f"stab+ label on missing edge {eid!r}")
-        groups[x.stab_plus[eid]]
+        groups[plus[eid]]
 
 
 def _containments(x):
@@ -358,7 +369,20 @@ def _containments(x):
             yield eid, stab[eid], w, stab[w]
 
 
+def _containment_pairs(x):
+    """The distinct (label, label above) pairs of ``_containments``, in the
+    order they first occur there."""
+    stab, face_vertices = x.stab, x.cell_data.face_vertices
+    out = dict.fromkeys(
+        (stab[fid], stab[above]) for fid, es in x.faces.items() for above in (*es, *sorted(face_vertices[fid]))
+    )
+    out.update(dict.fromkeys((stab[eid], stab[w]) for eid, ends in x.edges.items() for w in ends))
+    return out
+
+
 def _validate_containments(x, groups: GroupTable):
+    if all(groups.leq(label, label_above) for label, label_above in _containment_pairs(x)):
+        return
     for cell, label, above, label_above in _containments(x):
         if not groups.leq(label, label_above):
             kind = "face" if cell in x.faces else "edge"
@@ -371,10 +395,9 @@ def _validate_containments(x, groups: GroupTable):
 def _declare_containments(x, groups: GroupTable, pairs=None):
     """Declare label <= label above wherever it does not hold yet, for
     each (label, label above) of ``pairs``, by default of every
-    containment of ``x`` in ``_containments`` order."""
-    if pairs is None:
-        pairs = ((label, label_above) for _cell, label, _above, label_above in _containments(x))
-    for label, label_above in pairs:
+    containment of ``x`` in ``_containments`` order (a repeated pair holds
+    once declared, so each is met once)."""
+    for label, label_above in _containment_pairs(x) if pairs is None else pairs:
         if not groups.leq(label, label_above):
             groups.declare_leq(label, label_above)
 
@@ -474,7 +497,8 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
     incidence by vertex pair and triple, one id each, and its canonical
     order.  It keeps every vertex and joins the same vertex pairs, so the
     cutpoints and components of ``x`` are its own; they are handed on
-    when ``x`` holds them already."""
+    when ``x`` holds them already.  A simplicial ``x`` keeps its very
+    cells, so its boundary rank is handed on too."""
     edge_groups, tri_groups = x.edges_by_pair, x.triangles_by_triple
 
     new_edges, edge_image, by_pair = {}, {}, {}
@@ -529,7 +553,8 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
     cell_data = CellData(out.vertices, new_edges, new_faces)
     cell_data.__dict__.update(edges_by_pair=by_pair, triangles_by_triple=by_triple, is_canonical=True)
     held = x.cell_data.__dict__
-    cell_data.__dict__.update((name, held[name]) for name in ("cutpoints", "vertex_components") if name in held)
+    kept = ("cutpoints", "vertex_components") + (("boundary_rank",) if x.is_simplicial() else ())
+    cell_data.__dict__.update((name, held[name]) for name in kept if name in held)
     out.__dict__["cell_data"] = cell_data
     if not merge_free and not set(x.stab.values()).issuperset(stab.values()):
         _declare_containments(out, groups)
@@ -584,30 +609,38 @@ def quotient_labels(x: Complex2, cell_map, groups: GroupTable, prefix: str, extr
         if img is not None:
             preimages[img].append(src)
 
-    # merge source orbits that share an image anywhere
+    # merge source orbits that share an image anywhere; only the orbits of
+    # such an image enter the union-find, and a class is named by its least
+    # orbit, whatever the order of the unions
+    x_orbit, x_stab = x.orbit, x.stab
     uf = graphs.UnionFind()
-    find = uf.find
     for srcs in preimages.values():
-        first = x.orbit[srcs[0]]
+        first = x_orbit[srcs[0]]
         for src in srcs[1:]:
-            uf.union(first, x.orbit[src])
+            if x_orbit[src] != first:
+                uf.union(first, x_orbit[src])
+    class_of = {o: uf.find(o) for o in uf.parent}
 
-    class_labels = defaultdict(set)
+    orbit_labels = defaultdict(set)
     for src, img in cell_map.items():
         if img is not None:
-            class_labels[find(x.orbit[src])].add(x.stab[src])
+            orbit_labels[x_orbit[src]].add(x_stab[src])
+    class_labels = defaultdict(set)
+    for o, cls in class_of.items():
+        class_labels[cls].update(orbit_labels.pop(o))
+    class_labels.update(orbit_labels)  # each orbit that merged with no other is its own class
 
     class_ref = {}
-    for cls in sorted(class_labels):
-        labels = sorted(class_labels[cls])
+    for cls, labels in class_labels.items():
         if len(labels) == 1:
-            class_ref[cls] = labels[0]
-        else:
-            class_ref[cls] = groups.mint(prefix).id
+            (class_ref[cls],) = labels
+    for cls in sorted(class_labels.keys() - class_ref.keys()):
+        class_ref[cls] = groups.mint(prefix).id
 
     stab, orbit, stab_plus = dict(extra_stab or {}), {}, {}
     for img, srcs in preimages.items():
-        cls = find(x.orbit[srcs[0]])
+        o = x_orbit[srcs[0]]
+        cls = class_of.get(o, o)
         orbit[img] = cls
         stab.setdefault(img, class_ref[cls])
         plus = {x.edge_stab_plus(s) for s in srcs if s in x.edges}

@@ -234,12 +234,22 @@ def _parse_groups(fx, header, body):
     fx.groups.validate()
 
 
+def _declared_once(seen, kind, cell, ln):
+    """Record that line ``ln`` declares ``cell`` of ``kind``: an id is
+    declared once per kind in a block, and a repeat is malformed input."""
+    ids = seen.setdefault(kind, set())
+    if cell in ids:
+        raise FixtureError(f"{kind} {cell!r} is declared twice", line=ln)
+    ids.add(cell)
+
+
 def _parse_complex(fx, header, body):
     _ln, (_, name), _flags, _keys = header
     vertices, edges, faces = [], {}, {}
-    stab, orbit, stab_plus, marked = {}, {}, {}, []
-    for _ln, words, flags, keys in body:
+    stab, orbit, stab_plus, marked, seen = {}, {}, {}, [], {}
+    for ln, words, flags, keys in body:
         kind, cell = words[0], words[1]
+        _declared_once(seen, "face" if kind in ("triangle", "bigon") else kind, cell, ln)
         if kind == "vertex":
             vertices.append(cell)
             if "marked" in flags:
@@ -263,9 +273,10 @@ def _parse_complex(fx, header, body):
 def _parse_tree(fx, header, body):
     _ln, (_, name), _flags, _keys = header
     vertices, edges, ideal = [], {}, {}
-    stab, orbit = {}, {}
-    for _ln, words, _flags, keys in body:
+    stab, orbit, seen = {}, {}, {}
+    for ln, words, _flags, keys in body:
         kind, cell = words[0], words[1]
+        _declared_once(seen, "ideal point" if kind == "ideal" else kind, cell, ln)
         if kind == "vertex":
             vertices.append(cell)
         elif kind == "edge":

@@ -468,7 +468,15 @@ def _cutpoint_pieces(nid, x, groups, taken):
     tree: {f"{nid}.b{i}": (node group, piece)}, numbering every node
     orbit, with an entry for each piece (cut vertices carry no complex).
     The ``b`` is repeated until no piece id is in ``taken``, the terminal
-    and piece ids in use.  None when x does not split."""
+    and piece ids in use.  None when x does not split.
+
+    Each piece is connected with h1 = 0, so it is handed its one component
+    and its boundary rank |E| - |V| + 1.  A piece is a union of blocks
+    joined at shared vertices, so it is connected.  ``reduced_cutpoint_tree``
+    checks that x is connected with h1 = 0 and that its pieces meet in
+    single cut vertices along a tree; so x is the wedge of its pieces along
+    that tree, and by Mayer-Vietoris H^1(x) is the direct sum of the H^1 of
+    its pieces, each of which is then 0."""
     if not cutpoints(x):
         return None
     bpx = reduced_cutpoint_tree(x, groups)
@@ -483,8 +491,9 @@ def _cutpoint_pieces(nid, x, groups, taken):
     out = {}
     for i, rep in numbered:
         sub = subcomplex(x, bpx.comp_cells[rep])
-        if not is_connected(sub) or h1_z2(sub) != 0:
-            raise EngineError("cutpoint-free piece is not connected with h1 = 0")
+        sub.cell_data.__dict__.update(
+            vertex_components=(sub.vertices,), boundary_rank=len(sub.edges) - len(sub.vertices) + 1
+        )
         out[f"{nid}.{sep}{i}"] = (bpx.node_stab[rep], sub)
     return out
 

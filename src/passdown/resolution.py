@@ -145,17 +145,21 @@ def w_components(x: Complex2, actions: ActionTable):
     ideal endpoint (smallest id; same line, same choice).
 
     No D-infinity action is ever allowed, so a dihedral cell is
-    inconsistent input.
+    inconsistent input.  Each distinct label is classified once, in the
+    order of its first cell, so a dihedral label is met at its first cell.
     """
-    linear_cells = set()
-    for cell in sorted(x.vertices) + sorted(x.edges):
-        kind = actions.classification(x.stab[cell])
+    stab, cells = x.stab, sorted(x.vertices) + sorted(x.edges)
+    linear = set()
+    for label in dict.fromkeys(stab[c] for c in cells):
+        kind = actions.classification(label)
         if kind == DIHEDRAL:
+            cell = next(c for c in cells if stab[c] == label)
             raise ConsistencyError(
                 f"cell {cell!r} classified dihedral, but no D-infinity action is ever allowed"
             )
         if kind == LINEAR:
-            linear_cells.add(cell)
+            linear.add(label)
+    linear_cells = {c for c in cells if stab[c] in linear}
     for eid in x.edges:
         if eid in linear_cells:
             for v in x.edges[eid]:
@@ -218,10 +222,14 @@ def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable) -> Resolutio
     declared-parabolic cells go to their fixed end.  Edge images are the
     reduced paths between endpoint images; an edge whose endpoints share
     one ideal point is constant there and makes the resolution contracting.
+
+    How a cell acts depends on its label only, so each distinct label is
+    classified once, in ``first_cell_by_label`` order: the first label
+    that fails is that of the first failing cell in ``cells()`` order,
+    and the error names that cell.
     """
-    for cell in x.cells():
-        kind = actions.classification(x.stab[cell])
-        if kind == HYPERBOLIC:
+    for label, cell in x.first_cell_by_label.items():
+        if actions.classification(label) == HYPERBOLIC:
             raise HypothesisError(
                 f"cell {cell!r} has a hyperbolically-acting stabilizer; no resolution exists",
                 lemma="resolution",
@@ -267,16 +275,21 @@ def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable) -> Resolutio
 
 def resolution_from_images(x: Complex2, t: TreeHat, vertex_image, actions=None) -> Resolution:
     """Resolution determined by explicit vertex images (fixture-style
-    construction); edge paths are the reduced paths between them."""
+    construction); edge paths are the reduced paths between them, one
+    path per distinct pair of end images, shared by its edges."""
     for v in x.vertices:
         if v not in vertex_image:
             raise FixtureError(f"vertex {v!r} has no image")
         img = vertex_image[v]
         if img not in t.vertices and not t.is_ideal(img):
             raise FixtureError(f"image {img!r} of {v!r} is neither a tree vertex nor an ideal point")
-    edge_path = {
-        eid: reduced_path(t, vertex_image[u], vertex_image[v]) for eid, (u, v) in x.edges.items()
-    }
+    paths, edge_path = {}, {}
+    for eid, (u, v) in x.edges.items():
+        ends = vertex_image[u], vertex_image[v]
+        path = paths.get(ends)
+        if path is None:
+            path = paths[ends] = reduced_path(t, *ends)
+        edge_path[eid] = path
     kind = CONTRACTING if any(p.constant_ideal is not None for p in edge_path.values()) else SPLITTING
     res = Resolution(
         source=x,

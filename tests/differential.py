@@ -52,7 +52,7 @@ from generators import (
 from lemmas import is_simple
 from passdown import complexes, graphs, hierarchy, pipeline, provenance, resolution, stability, tracks
 from passdown.complexes import CellData, Complex2, components, cutpoints, h1_z2, is_connected, reduce_complex
-from passdown.errors import ConsistencyError, FixtureError
+from passdown.errors import ConsistencyError, FixtureError, PassdownError
 from passdown.fixtures import parse_fixtures, parse_text
 from passdown.groups import TRIVIAL, GroupRef, GroupTable
 from passdown.hierarchy import passdown_full
@@ -235,20 +235,22 @@ SKELETON = {"cutpoints", "vertex_components"}
 def reduction_cell_data(case):
     """``reduce_with_map`` hands on the incidence by pair and triple and the
     canonical order always, the cutpoints and components only when its input
-    holds them already."""
+    holds them already, and the boundary rank when its input, simplicial,
+    holds it."""
     x, groups = case
     counts = Counter(bigons=len(x.bigons()), parallel=len(x.edges) - len(x.edges_by_pair))
-    before = SKELETON & x.cell_data.__dict__.keys()
+    before = (SKELETON | {"boundary_rank"}) & x.cell_data.__dict__.keys()
     for step in range(2):
         reduced, _ = complexes.reduce_with_map(x, groups.copy())
         names, fresh = handed_on(reduced)
         assert fresh.is_canonical and fresh.is_simplicial()
         if step:
-            assert BUILT | SKELETON <= names
+            assert BUILT | SKELETON <= names and ("boundary_rank" in names) == x.is_simplicial()
         else:
-            assert BUILT <= names and names & SKELETON == before
+            assert BUILT <= names and names & (SKELETON | {"boundary_rank"}) == before
             counts["cuts"] = bool(cutpoints(x))
             components(x)
+            x.boundary_rank
     assert cutpoints(reduced) == oracles.brute_cutpoints(reduced)
     assert components(reduced) == oracles.brute_components(reduced.vertices, reduced.edges.values())
     return counts
@@ -261,8 +263,11 @@ complex_shapes(
 )
 
 
-@row(complexes.reduce_with_map, oracles.reduction_by_quotient, "merge-free reduction")
+@row(complexes.reduce_with_map, (oracles.reduction_by_quotient, CellData, oracles.h1_rank_oracle), "merge-free reduction")
 def merge_free_reduction(case):
+    """The merge-free path against the quotient path; a reduction of a
+    simplicial complex that holds its boundary rank is handed it, equal to
+    a fresh derivation, and so gives the h1 of the cochain ranks."""
     x, groups = case
     merge_free = x.is_simplicial() and x.cell_labels_reduced
     fast_groups, full_groups = groups.copy(), groups.copy()
@@ -271,7 +276,31 @@ def merge_free_reduction(case):
     assert complex_fields(fast) == complex_fields(full)
     assert list(fast_map.items()) == list(full_map.items()) and all(c == img for c, img in fast_map.items())
     assert table_state(fast_groups) == table_state(full_groups)
-    return Counter(merge_free=merge_free)
+    held = "boundary_rank" in x.cell_data.__dict__
+    assert ("boundary_rank" in handed_on(fast)[0]) == held
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", complexes.DisconnectedComplexWarning)
+        assert h1_z2(fast) == oracles.h1_rank_oracle(fast)
+    return Counter(merge_free=merge_free, rank_handed_on=held)
+
+
+@row(complexes.quotient_labels, oracles.quotient_labels_every_orbit, "merging reduction")
+def quotient_labels(case):
+    """The labels induced along a reduction's cell map, with only the orbits
+    that share an image in the union-find, against the union-find over
+    every orbit: the same dicts in the same order, and the same refs minted
+    and containments declared."""
+    x, groups = case
+    cell_map = complexes.reduce_with_map(x, groups.copy())[1]
+    fast_groups, full_groups = groups.copy(), groups.copy()
+    with declare_log() as log:
+        fast = complexes.quotient_labels(x, cell_map, fast_groups, "red")
+        full = oracles.quotient_labels_every_orbit(x, cell_map, full_groups, "red")
+    assert [list(d.items()) for d in fast] == [list(d.items()) for d in full]
+    assert table_state(fast_groups, log) == table_state(full_groups, log)
+    orbits = {x.orbit[c] for c, img in cell_map.items() if img is not None}
+    classes = {fast[1][img] for img in cell_map.values() if img is not None}
+    return Counter(minted=fast_groups._mint_counter > groups._mint_counter, merged=len(classes) < len(orbits))
 
 
 def merge_free(rng, x, groups):
@@ -279,12 +308,31 @@ def merge_free(rng, x, groups):
     if rng.random() < 0.5:
         # a stray oriented label makes no difference to the path
         x = x.relabel(stab_plus={eid: "P" for eid in x.edges if rng.random() < 0.5})
+    if rng.random() < 0.5:
+        x.boundary_rank
     return x, groups
 
 
 complex_shapes(
     "merge-free reduction", merge_free, ["strip", "doubled", "simplicial", "tree", "glued"], [20261026], 60,
-    lambda name, c: c["merge_free"] == 60,
+    lambda name, c: c["merge_free"] == 60 and 10 < c["rank_handed_on"] < 50,
+)
+
+
+def mixed_orbit(rng, x, groups):
+    """``x``, half the time with two of its edges put in one new orbit,
+    which then carries two labels when theirs differ."""
+    if len(x.edges) > 1 and rng.random() < 0.5:
+        pair = rng.sample(sorted(x.edges), 2)
+        x = dataclasses.replace(x, orbit={**x.orbit, **dict.fromkeys(pair, "o.mixed")})
+    return x, groups
+
+
+# parallel edges and bigons merge on doubled strips and cell complexes; on
+# edge-glued complexes nothing merges, and only an orbit of two labels mints
+complex_shapes(
+    "merging reduction", mixed_orbit, ["doubled", "cell", "glued"], [20261031], 40,
+    lambda name, c: c["minted"] > 5 and (c["merged"] > 5) == (name != "glued"),
 )
 
 
@@ -320,11 +368,105 @@ def piece(rng, x, groups):
     return x, groups, cells
 
 
+@row(hierarchy._cutpoint_pieces, (CellData, oracles.cutpoint_piece_check), "pieces")
+def cutpoint_pieces(case):
+    """Each cutpoint piece is handed its one component and its boundary
+    rank, equal to a fresh derivation, and is connected with h1 = 0 by the
+    cochain ranks (the wedge argument is in ``_cutpoint_pieces``)."""
+    x, groups, _cells = case
+    if not (is_connected(x) and h1_z2(x) == 0):
+        return None
+    split = hierarchy._cutpoint_pieces("r", x, groups.copy(), set()) or {}
+    for _gid, sub in split.values():
+        names, _fresh = handed_on(sub, {"skeleton_blocks"})
+        assert {"vertex_components", "boundary_rank"} <= names
+        assert oracles.cutpoint_piece_check(sub)
+    return Counter(split=len(split))
+
+
 # trivial labels on a strip chain: every cut vertex is slender, so each block is a piece
 complex_shapes(
     "pieces", piece, ["strip=chain", "doubled=doubled chain", "labelled strip=strip", "labelled tree=tree"], [20261027], 60,
     lambda name, c: c["pieces"] > 30 and 0 < c["canonical"] <= c["pieces"] and 0 < c["with_blocks"] < c["sets"]
-    and (name != "strip" or c["pieces"] > 80 and c["canonical"] < c["pieces"]),
+    and (name != "strip" or c["pieces"] > 80 and c["canonical"] < c["pieces"])
+    # a labelled cut vertex is not slender, so its pieces merge into one and nothing splits
+    and c["split"] == (0 if name.startswith("labelled") else c["pieces"]),
+)
+
+
+def raised(call):
+    """The type and message of what ``call()`` raises, or None."""
+    try:
+        call()
+    except PassdownError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@row(complexes.validate_complex, oracles.validation_by_walk, "mislabelled complex")
+def label_checks(case):
+    """Each distinct label looked up once and each distinct containment pair
+    checked once raise what the walk of every cell raises, naming the same
+    first failing cell."""
+    x, groups, _tree, _actions = case
+    fast = raised(lambda: complexes.validate_complex(x, groups))
+    assert fast == raised(lambda: oracles.validation_by_walk(x, groups))
+    message = fast[1] if fast else ""
+    return Counter(unknown="unknown group id" in message, containment="not declared inside" in message)
+
+
+@row(resolution.build_resolution, oracles.resolution_by_cell_classification, "mislabelled complex")
+def label_classification(case):
+    """Each distinct label classified once raises what classifying every
+    cell raises, naming the same first cell."""
+    x, _groups, tree, actions = case
+    fast = raised(lambda: resolution.build_resolution(x, tree, actions))
+    assert fast == raised(lambda: oracles.resolution_by_cell_classification(x, tree, actions))
+    message = fast[1] if fast else ""
+    return Counter(
+        built=fast is None,
+        hyperbolic="hyperbolically-acting" in message,
+        dihedral="dihedral" in message,
+        unannotated="no action annotation" in message,
+    )
+
+
+# H acts hyperbolically, Q parabolically, L linearly and D dihedrally on
+# the spider; U has no annotation, and NOPE and NIL are no groups
+MISLABELS = ("H", "Q", "L", "D", "U", "NOPE", "NIL", "V1", "V2", "E", "F", "1")
+
+
+def mislabelled(rng, x, groups):
+    """``x`` with up to three cell labels redrawn from ``MISLABELS`` (none
+    in a quarter of the draws), and now and then an oriented label naming
+    no group or on a missing edge; with the spider of four legs and its
+    action table."""
+    groups = groups.copy()
+    for gid in "HQLDU":
+        groups.add(GroupRef(gid))
+    tree = spider(4)
+    actions = ActionTable(tree, groups)
+    for gid, fixed in (("V1", {"c", "l0"}), ("V2", {"c", "l1"}), ("E", {"c"}), ("F", {"c"}), ("P", {"l2"})):
+        actions.declare_descriptors(gid, [ActionDescriptor(kind="elliptic", fixed=frozenset(fixed))])
+    for gid, axes in (("H", [("p0", "p1"), ("p2", "p3")]), ("Q", [("p0", "p1"), ("p0", "p2")]), ("L", [("p0", "p1")])):
+        actions.declare_descriptors(gid, [ActionDescriptor(kind="hyperbolic", ends=axis) for axis in axes])
+    actions.declare_descriptors("D", [ActionDescriptor(kind="hyperbolic", ends=("p2", "p3"), swaps_ends=True)])
+    stab, plus, cells = dict(x.stab), dict(x.stab_plus), x.cells()
+    if rng.random() < 0.75:
+        drawn = rng.sample(cells, min(len(cells), rng.randint(1, 3)))
+        # half the time one label for every redrawn cell, so that the first of them is named
+        labels = [rng.choice(MISLABELS)] * len(drawn) if rng.random() < 0.5 else rng.choices(MISLABELS, k=len(drawn))
+        stab.update(zip(drawn, labels))
+    if x.edges and rng.random() < 0.1:
+        plus[rng.choice(sorted(x.edges))] = "NOPE"
+    if rng.random() < 0.05:
+        plus["zz"] = "P"
+    return dataclasses.replace(x, stab=stab, stab_plus=plus), groups, tree, actions
+
+
+complex_shapes(
+    "mislabelled complex", mislabelled, ["simplicial", "cell", "tree", "glued", "strip"], [20261032], 60,
+    lambda name, c: all(c[key] > 0 for key in ("unknown", "containment", "built", "hyperbolic", "dihedral", "unannotated")),
 )
 
 
@@ -1198,7 +1340,10 @@ def seed1(workload):
             "blocks in cone checks": inside_of("cone_criterion_check"),
             "blocks in stable_classes": inside_of("stable_classes"),
         })
+        spy(m, counts, complexes, "_gf2_rank")
+        spy(m, counts, resolution, "reduced_path")
         spy(m, counts, GroupTable, "leq", **{
+            "leq": lambda frame, *args: 1,
             "leq in wire_and_validate": inside_of("wire_and_validate"),
             "leq in _grows_into_horizon": lambda frame, *args: frame.f_code is grows,
         })

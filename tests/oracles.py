@@ -970,6 +970,101 @@ def reduction_by_quotient(x, groups):
     return reduce_with_map(y, groups)
 
 
+def quotient_labels_every_orbit(x, cell_map, groups, prefix, extra_stab=None):
+    """``complexes.quotient_labels`` with every mapped cell's orbit in one
+    union-find: orbits sharing an image are merged, each class collects
+    the labels of all its cells, and a class of several labels gets a
+    fresh ref, the classes taken in sorted order."""
+    from passdown.graphs import UnionFind
+
+    preimages = defaultdict(list)
+    for src in sorted(cell_map, key=str):
+        img = cell_map[src]
+        if img is not None:
+            preimages[img].append(src)
+    uf = UnionFind()
+    for srcs in preimages.values():
+        for src in srcs[1:]:
+            uf.union(x.orbit[srcs[0]], x.orbit[src])
+    class_labels = defaultdict(set)
+    for src, img in cell_map.items():
+        if img is not None:
+            class_labels[uf.find(x.orbit[src])].add(x.stab[src])
+    class_ref = {}
+    for cls in sorted(class_labels):
+        labels = sorted(class_labels[cls])
+        class_ref[cls] = labels[0] if len(labels) == 1 else groups.mint(prefix).id
+    stab, orbit, stab_plus = dict(extra_stab or {}), {}, {}
+    for img, srcs in preimages.items():
+        cls = uf.find(x.orbit[srcs[0]])
+        orbit[img] = cls
+        stab.setdefault(img, class_ref[cls])
+        plus = {x.stab_plus.get(s, x.stab[s]) for s in srcs if s in x.edges}
+        if len(plus) == 1:
+            stab_plus[img] = plus.pop()
+        elif plus:
+            ref = groups.mint(prefix + ".plus")
+            for old in plus:
+                groups.declare_leq(old, ref.id)
+            stab_plus[img] = ref.id
+    for img in stab:
+        orbit.setdefault(img, img)
+    return stab, orbit, stab_plus
+
+
+def validation_by_walk(x, groups):
+    """``complexes.validate_complex`` with every label looked up and every
+    containment checked cell by cell: cell labels in ``cells()`` order,
+    oriented labels in stored order, then each face below its sides and its
+    sorted corners and each edge below its ends, so the first failing cell
+    raises."""
+    from passdown.complexes import _validate_cells, _validate_orbit_labels
+    from passdown.errors import ConsistencyError, FixtureError
+
+    _validate_cells(x)
+    for cell in x.cells():
+        groups[x.stab.get(cell, "1")]
+    for eid in x.stab_plus:
+        if eid not in x.edges:
+            raise FixtureError(f"stab+ label on missing edge {eid!r}")
+        groups[x.stab_plus[eid]]
+    below = [(fid, above) for fid, es in x.faces.items() for above in (*es, *sorted({w for e in es for w in x.edges[e]}))]
+    below += [(eid, w) for eid, ends in x.edges.items() for w in ends]
+    for cell, above in below:
+        if not groups.leq(x.stab[cell], x.stab[above]):
+            kind = "face" if cell in x.faces else "edge"
+            kind_above = "edge" if above in x.edges else "vertex"
+            raise ConsistencyError(
+                f"{kind} {cell!r} stabilizer {x.stab[cell]!r} not declared inside {kind_above} {above!r} stabilizer"
+            )
+    _validate_orbit_labels(x)
+
+
+def resolution_by_cell_classification(x, t, actions):
+    """``resolution.build_resolution`` with every cell classified in turn:
+    every cell label in ``cells()`` order, up to the first hyperbolic one,
+    then every vertex and edge label in sorted order, up to the first
+    dihedral one; then the resolution."""
+    from passdown.errors import ConsistencyError, HypothesisError
+    from passdown.resolution import build_resolution
+
+    for cell in x.cells():
+        if actions.classification(x.stab[cell]) == "hyperbolic":
+            raise HypothesisError(
+                f"cell {cell!r} has a hyperbolically-acting stabilizer; no resolution exists", lemma="resolution"
+            )
+    for cell in sorted(x.vertices) + sorted(x.edges):
+        if actions.classification(x.stab[cell]) == "dihedral":
+            raise ConsistencyError(f"cell {cell!r} classified dihedral, but no D-infinity action is ever allowed")
+    return build_resolution(x, t, actions)
+
+
+def cutpoint_piece_check(x):
+    """What ``hierarchy._cutpoint_pieces`` hands each piece without a
+    check: it is connected, with h1 = 0 by the cochain ranks."""
+    return len(brute_components(x.vertices, x.edges.values())) == 1 and h1_rank_oracle(x) == 0
+
+
 def separator_by_minting(taken, minted, sep):
     """``complexes.fresh_separator`` by its definition: lengthen ``sep``
     until no id ``minted(sep)`` yields is taken."""

@@ -263,6 +263,25 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "line, repeat, message",
+        [
+            ("  edge cd c d stab=Gcd", "  edge cd c d stab=Gcr", "line 31: edge 'cd' is declared twice"),
+            ("  edge f0 x0 x1 stab=E orbit=oe", "  edge f0 x0 x1 stab=E orbit=oe", "line 40: edge 'f0' is declared twice"),
+        ],
+        ids=["complex", "tree"],
+    )
+    def test_an_id_declared_twice_in_a_block_exit_code(self, line, repeat, message, tmp_path, capsys):
+        """An id repeated within its kind is malformed input naming the
+        line of the repeat; it is not merged into the first declaration."""
+        with open(os.path.join(FIX, "worked_terminating.txt")) as fh:
+            text = fh.read()
+        assert text.count(line + "\n") == 1
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(line + "\n", f"{line}\n{repeat}\n"))
+        assert main(["reduce", str(bad), "--complex", "XP"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["h1", "--complex", "NOPE"],

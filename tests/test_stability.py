@@ -730,6 +730,17 @@ class TestRunAnalysisWork:
         short, long = (self.benchmark_calls(family, h, counted, monkeypatch) for h in (8, 64))
         assert short == long and all(short.values())
 
+    @pytest.mark.parametrize("name", ["leq", "_gf2_rank", "reduced_path"])
+    def test_each_distinct_label_pair_rank_and_image_pair_is_worked_once(self, name):
+        """Containments are checked once per distinct (label, label above)
+        pair, every cutpoint piece and merge-free reduction is handed its Z2
+        boundary rank, and a resolution computes one tree path per distinct
+        pair of end images: on the 15 seed-1 size ops, each of whose complexes
+        carries one label and maps to one tree vertex, ``GroupTable.leq``,
+        ``complexes._gf2_rank`` and ``trees.reduced_path`` each run once per
+        op, not once per containment, piece or edge."""
+        assert len(seed1("size").reports) == seed1("size").counts[name] == 15
+
     def test_class_cutpoint_checks_do_not_grow_with_the_horizon(self, monkeypatch):
         """The classes are cutpoint-free by construction, so the class
         analysis searches no cutpoint: ``stable_classes`` computes no blocks
