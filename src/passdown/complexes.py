@@ -290,17 +290,15 @@ def validate_complex(x, groups=None):
     """The one full check of a complex read from a fixture: its cells,
     and over ``groups`` its label references, containments and orbit
     labels.  The containment check and the declare step of
-    ``wire_and_validate`` read the containments in one order,
-    ``_containments``: each face below its sides and its sorted corners,
-    then each edge below its ends.
+    ``wire_and_validate`` walk one generator, ``_containments``: each face
+    below its sides and its sorted corners, then each edge below its
+    ends.
 
     Whether a label names a group, and whether one lies below another,
-    depends on the labels only, so each distinct label is looked up once
-    and each distinct (label, label above) pair is checked once.  Only
-    when a pair fails are the containments walked in order, so that the
-    error names the first failing cell; a cell label that names no group
-    is met at its first cell, in ``cells()`` order, and oriented labels
-    are walked in stored order when one fails."""
+    depends on the labels only, so each distinct cell label is looked up
+    once, at its first cell in ``cells()`` order, and each distinct
+    (label, label above) pair is checked once, at its first containment,
+    so that an error names the first failing cell."""
     _validate_cells(x)
     if groups is not None:
         _validate_label_refs(x, groups)
@@ -348,13 +346,10 @@ def _validate_cells(x):
 def _validate_label_refs(x, groups: GroupTable):
     for label in x.first_cell_by_label:
         groups[label]
-    plus = x.stab_plus
-    if plus.keys() <= x.edges.keys() and all(label in groups for label in set(plus.values())):
-        return
-    for eid in plus:
+    for eid in x.stab_plus:
         if eid not in x.edges:
             raise FixtureError(f"stab+ label on missing edge {eid!r}")
-        groups[plus[eid]]
+        groups[x.stab_plus[eid]]
 
 
 def _containments(x):
@@ -369,21 +364,12 @@ def _containments(x):
             yield eid, stab[eid], w, stab[w]
 
 
-def _containment_pairs(x):
-    """The distinct (label, label above) pairs of ``_containments``, in the
-    order they first occur there."""
-    stab, face_vertices = x.stab, x.cell_data.face_vertices
-    out = dict.fromkeys(
-        (stab[fid], stab[above]) for fid, es in x.faces.items() for above in (*es, *sorted(face_vertices[fid]))
-    )
-    out.update(dict.fromkeys((stab[eid], stab[w]) for eid, ends in x.edges.items() for w in ends))
-    return out
-
-
 def _validate_containments(x, groups: GroupTable):
-    if all(groups.leq(label, label_above) for label, label_above in _containment_pairs(x)):
-        return
+    checked = set()
     for cell, label, above, label_above in _containments(x):
+        if (label, label_above) in checked:
+            continue
+        checked.add((label, label_above))
         if not groups.leq(label, label_above):
             kind = "face" if cell in x.faces else "edge"
             kind_above = "edge" if above in x.edges else "vertex"
@@ -397,7 +383,9 @@ def _declare_containments(x, groups: GroupTable, pairs=None):
     each (label, label above) of ``pairs``, by default of every
     containment of ``x`` in ``_containments`` order (a repeated pair holds
     once declared, so each is met once)."""
-    for label, label_above in _containment_pairs(x) if pairs is None else pairs:
+    if pairs is None:
+        pairs = dict.fromkeys((label, label_above) for _cell, label, _above, label_above in _containments(x))
+    for label, label_above in pairs:
         if not groups.leq(label, label_above):
             groups.declare_leq(label, label_above)
 
@@ -609,38 +597,30 @@ def quotient_labels(x: Complex2, cell_map, groups: GroupTable, prefix: str, extr
         if img is not None:
             preimages[img].append(src)
 
-    # merge source orbits that share an image anywhere; only the orbits of
-    # such an image enter the union-find, and a class is named by its least
-    # orbit, whatever the order of the unions
-    x_orbit, x_stab = x.orbit, x.stab
+    # merge source orbits that share an image anywhere
     uf = graphs.UnionFind()
+    find = uf.find
     for srcs in preimages.values():
-        first = x_orbit[srcs[0]]
+        first = x.orbit[srcs[0]]
         for src in srcs[1:]:
-            if x_orbit[src] != first:
-                uf.union(first, x_orbit[src])
-    class_of = {o: uf.find(o) for o in uf.parent}
+            uf.union(first, x.orbit[src])
 
-    orbit_labels = defaultdict(set)
+    class_labels = defaultdict(set)
     for src, img in cell_map.items():
         if img is not None:
-            orbit_labels[x_orbit[src]].add(x_stab[src])
-    class_labels = defaultdict(set)
-    for o, cls in class_of.items():
-        class_labels[cls].update(orbit_labels.pop(o))
-    class_labels.update(orbit_labels)  # each orbit that merged with no other is its own class
+            class_labels[find(x.orbit[src])].add(x.stab[src])
 
     class_ref = {}
-    for cls, labels in class_labels.items():
+    for cls in sorted(class_labels):
+        labels = sorted(class_labels[cls])
         if len(labels) == 1:
-            (class_ref[cls],) = labels
-    for cls in sorted(class_labels.keys() - class_ref.keys()):
-        class_ref[cls] = groups.mint(prefix).id
+            class_ref[cls] = labels[0]
+        else:
+            class_ref[cls] = groups.mint(prefix).id
 
     stab, orbit, stab_plus = dict(extra_stab or {}), {}, {}
     for img, srcs in preimages.items():
-        o = x_orbit[srcs[0]]
-        cls = class_of.get(o, o)
+        cls = find(x.orbit[srcs[0]])
         orbit[img] = cls
         stab.setdefault(img, class_ref[cls])
         plus = {x.edge_stab_plus(s) for s in srcs if s in x.edges}

@@ -284,25 +284,6 @@ def merge_free_reduction(case):
     return Counter(merge_free=merge_free, rank_handed_on=held)
 
 
-@row(complexes.quotient_labels, oracles.quotient_labels_every_orbit, "merging reduction")
-def quotient_labels(case):
-    """The labels induced along a reduction's cell map, with only the orbits
-    that share an image in the union-find, against the union-find over
-    every orbit: the same dicts in the same order, and the same refs minted
-    and containments declared."""
-    x, groups = case
-    cell_map = complexes.reduce_with_map(x, groups.copy())[1]
-    fast_groups, full_groups = groups.copy(), groups.copy()
-    with declare_log() as log:
-        fast = complexes.quotient_labels(x, cell_map, fast_groups, "red")
-        full = oracles.quotient_labels_every_orbit(x, cell_map, full_groups, "red")
-    assert [list(d.items()) for d in fast] == [list(d.items()) for d in full]
-    assert table_state(fast_groups, log) == table_state(full_groups, log)
-    orbits = {x.orbit[c] for c, img in cell_map.items() if img is not None}
-    classes = {fast[1][img] for img in cell_map.values() if img is not None}
-    return Counter(minted=fast_groups._mint_counter > groups._mint_counter, merged=len(classes) < len(orbits))
-
-
 def merge_free(rng, x, groups):
     x = simplicial(x, groups)
     if rng.random() < 0.5:
@@ -316,23 +297,6 @@ def merge_free(rng, x, groups):
 complex_shapes(
     "merge-free reduction", merge_free, ["strip", "doubled", "simplicial", "tree", "glued"], [20261026], 60,
     lambda name, c: c["merge_free"] == 60 and 10 < c["rank_handed_on"] < 50,
-)
-
-
-def mixed_orbit(rng, x, groups):
-    """``x``, half the time with two of its edges put in one new orbit,
-    which then carries two labels when theirs differ."""
-    if len(x.edges) > 1 and rng.random() < 0.5:
-        pair = rng.sample(sorted(x.edges), 2)
-        x = dataclasses.replace(x, orbit={**x.orbit, **dict.fromkeys(pair, "o.mixed")})
-    return x, groups
-
-
-# parallel edges and bigons merge on doubled strips and cell complexes; on
-# edge-glued complexes nothing merges, and only an orbit of two labels mints
-complex_shapes(
-    "merging reduction", mixed_orbit, ["doubled", "cell", "glued"], [20261031], 40,
-    lambda name, c: c["minted"] > 5 and (c["merged"] > 5) == (name != "glued"),
 )
 
 

@@ -970,48 +970,6 @@ def reduction_by_quotient(x, groups):
     return reduce_with_map(y, groups)
 
 
-def quotient_labels_every_orbit(x, cell_map, groups, prefix, extra_stab=None):
-    """``complexes.quotient_labels`` with every mapped cell's orbit in one
-    union-find: orbits sharing an image are merged, each class collects
-    the labels of all its cells, and a class of several labels gets a
-    fresh ref, the classes taken in sorted order."""
-    from passdown.graphs import UnionFind
-
-    preimages = defaultdict(list)
-    for src in sorted(cell_map, key=str):
-        img = cell_map[src]
-        if img is not None:
-            preimages[img].append(src)
-    uf = UnionFind()
-    for srcs in preimages.values():
-        for src in srcs[1:]:
-            uf.union(x.orbit[srcs[0]], x.orbit[src])
-    class_labels = defaultdict(set)
-    for src, img in cell_map.items():
-        if img is not None:
-            class_labels[uf.find(x.orbit[src])].add(x.stab[src])
-    class_ref = {}
-    for cls in sorted(class_labels):
-        labels = sorted(class_labels[cls])
-        class_ref[cls] = labels[0] if len(labels) == 1 else groups.mint(prefix).id
-    stab, orbit, stab_plus = dict(extra_stab or {}), {}, {}
-    for img, srcs in preimages.items():
-        cls = uf.find(x.orbit[srcs[0]])
-        orbit[img] = cls
-        stab.setdefault(img, class_ref[cls])
-        plus = {x.stab_plus.get(s, x.stab[s]) for s in srcs if s in x.edges}
-        if len(plus) == 1:
-            stab_plus[img] = plus.pop()
-        elif plus:
-            ref = groups.mint(prefix + ".plus")
-            for old in plus:
-                groups.declare_leq(old, ref.id)
-            stab_plus[img] = ref.id
-    for img in stab:
-        orbit.setdefault(img, img)
-    return stab, orbit, stab_plus
-
-
 def validation_by_walk(x, groups):
     """``complexes.validate_complex`` with every label looked up and every
     containment checked cell by cell: cell labels in ``cells()`` order,

@@ -358,10 +358,6 @@ class TestPieceCellData:
     test_handed_on_values_match_a_fresh_derivation = differential_test("pieces")
 
 
-class TestQuotientLabels:
-    test_only_merged_orbits_are_united = differential_test("merging reduction")
-
-
 class TestLabelChecks:
     """Validation and resolution check each distinct label once and raise
     as the walk of every cell does, on complexes with some labels redrawn."""
