@@ -10,13 +10,14 @@ import functools
 import os
 import sys
 
-from .complexes import covolume, cutpoints, h1_z2, reduce_complex
+from .complexes import covolume, cutpoints, h1_z2, reduce_complex, reduced_cutpoint_tree
 from .dot import bw_to_dot, cutpoint_tree_to_dot, gog_to_dot, resolution_to_dot
 from .errors import FixtureError, PassdownError
-from .fixtures import parse_fixtures, serialize_complex, serialize_resolution
+from .fixtures import FixtureSet, parse_fixtures, write
 from .hierarchy import make_tree_level, passdown_full
 from .pipeline import run_pipeline
 from .resolution import CONTRACTING, build_resolution, contract
+from .stability import build_bw
 from .tracks import essential_tracks, split_collapse, tracks_from_resolution
 
 
@@ -83,9 +84,12 @@ def _parser():
 
 def _dot_write(args, filename, text):
     if args.dot:
-        os.makedirs(args.dot, exist_ok=True)
-        with open(os.path.join(args.dot, filename), "w") as fh:
-            fh.write(text)
+        try:
+            os.makedirs(args.dot, exist_ok=True)
+            with open(os.path.join(args.dot, filename), "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise FixtureError(f"cannot write DOT files to {args.dot}: {exc}") from exc
 
 
 def _named(fx, kind, name):
@@ -107,7 +111,7 @@ def main(argv=None) -> int:
         fx = parse_fixtures(args.fixtures)
         if args.command == "reduce":
             out = reduce_complex(_named(fx, "complex", args.complex), fx.groups)
-            sys.stdout.write(serialize_complex(args.complex + ".reduced", out))
+            sys.stdout.write(write(FixtureSet(complexes={args.complex + ".reduced": out})))
         elif args.command == "h1":
             print(h1_z2(_named(fx, "complex", args.complex)))
         elif args.command == "cutpoints":
@@ -116,8 +120,6 @@ def main(argv=None) -> int:
             print("cutpoints:", " ".join(sorted(cuts)) if cuts else "(none)")
             if not cuts:
                 return 0
-            from .complexes import reduced_cutpoint_tree
-
             ct = reduced_cutpoint_tree(x, fx.groups)
             print(f"reduced cutpoint tree: {len(ct.comp_nodes)} pieces, {len(ct.cut_nodes)} cut vertices")
             _dot_write(args, f"{args.complex}.cutpoints.dot", cutpoint_tree_to_dot(ct))
@@ -128,7 +130,8 @@ def main(argv=None) -> int:
         elif args.command == "resolve":
             x, t, res = _resolution_for(fx, args)
             print(f"resolution kind: {res.kind}")
-            sys.stdout.write(serialize_resolution("rho", res, args.complex, args.tree))
+            for v in sorted(res.source.vertices):
+                print(f"vertex {v} -> {res.vertex_image[v]}")
             _dot_write(args, f"{args.complex}.{args.tree}.resolution.dot", resolution_to_dot(res))
         elif args.command == "tracks":
             x, t, res = _resolution_for(fx, args)
@@ -144,7 +147,7 @@ def main(argv=None) -> int:
             xt, frag = split_collapse(essential_tracks(tracks_from_resolution(res)), fx.groups)
             survivors = sum(1 for v in frag.triangle_map.values() if v is not None)
             print(f"covolume {covolume(x)} -> {covolume(xt)}; {survivors} triangles survive")
-            sys.stdout.write(serialize_complex(args.complex + ".split", xt))
+            sys.stdout.write(write(FixtureSet(complexes={args.complex + ".split": xt})))
         elif args.command == "contract":
             x, t, res = _resolution_for(fx, args)
             if res.kind != CONTRACTING:
@@ -152,7 +155,7 @@ def main(argv=None) -> int:
                 return 1
             xc, descended, _ = contract(res, fx.groups)
             print(f"covolume {covolume(x)} -> {covolume(xc)}; descended kind {descended.kind}")
-            sys.stdout.write(serialize_complex(args.complex + ".contracted", xc))
+            sys.stdout.write(write(FixtureSet(complexes={args.complex + ".contracted": xc})))
         elif args.command == "passdown":
             ks = _named(fx, "structure", args.structure)
             tl = make_tree_level(args.tree, _named(fx, "tree", args.tree), fx.action_table(args.tree))
@@ -175,15 +178,13 @@ def main(argv=None) -> int:
                 else:
                     print("not certified within the horizon")
             if args.dot and report.run is not None:
-                from .stability import build_bw as _bw
-
                 n = report.certificate_level
                 if n is not None:
                     classes = report.classes[n]
                     for cid in sorted(report.run.levels[n].complexes):
                         x = report.run.levels[n].complexes[cid]
                         cls = [c for c in classes if c.cid == cid]
-                        bw, _ = _bw(x, cls, report.run.groups)
+                        bw, _ = build_bw(x, cls, report.run.groups)
                         safe = cid.replace("/", "_")
                         _dot_write(args, f"{safe}.bw.dot", bw_to_dot(bw, name=cid))
             return report.exit_code

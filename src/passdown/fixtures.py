@@ -5,15 +5,17 @@ comment.  Supported blocks: ``groups``, ``complex``, ``tree``,
 ``actions`` (per tree), ``gog``, ``hierarchy``, ``structure``,
 ``config`` and ``pipeline``; plus top-level ``restrict`` lines for
 restriction tables.  ``GRAMMAR`` says what each kind of line may carry,
-and the README's grammar lists the same forms.
+and the README's grammar lists the same forms.  ``write`` writes a whole
+``FixtureSet`` back, each line checked against ``GRAMMAR``, and its text
+reads back to the same fixtures: ``write(parse_text(write(fx))) == write(fx)``.
 """
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .complexes import Complex2, make_complex
+from .complexes import make_complex
 from .errors import FixtureError
-from .groups import GroupRef, GroupTable
+from .groups import TRIVIAL, GroupRef, GroupTable
 from .hierarchy import HNode, Hierarchy, HStructure, Restriction, RestrictionTable, validate_hierarchy, validate_hstructure
 from .resolution import ActionTable
 from .trees import ActionDescriptor, make_gog, make_tree
@@ -208,8 +210,11 @@ def parse_text(text, fixture: FixtureSet = None) -> FixtureSet:
 
 
 def parse_fixture(path, fixture: FixtureSet = None) -> FixtureSet:
-    with open(path) as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FixtureError(f"cannot read fixture {path}: {exc}") from exc
     return parse_text(text, fixture)
 
 
@@ -451,89 +456,82 @@ _BLOCKS = {
 
 
 # ---------------------------------------------------------------------------
-# serialization
+# writing
 
 
-def serialize_complex(name, x: Complex2) -> str:
-    out = [f"complex {name}"]
-    for v in sorted(x.vertices):
-        parts = [f"  vertex {v}"]
-        if v in x.boundary_marked:
-            parts.append("marked")
-        parts.append(f"stab={x.stab[v]}")
-        parts.append(f"orbit={x.orbit[v]}")
-        out.append(" ".join(parts))
-    for eid in sorted(x.edges):
-        u, v = x.edges[eid]
-        parts = [f"  edge {eid} {u} {v}", f"stab={x.stab[eid]}", f"orbit={x.orbit[eid]}"]
-        if eid in x.stab_plus:
-            parts.append(f"stabplus={x.stab_plus[eid]}")
-        out.append(" ".join(parts))
-    for fid in sorted(x.faces):
-        es = x.faces[fid]
-        kind = "triangle" if len(es) == 3 else "bigon"
-        out.append(
-            f"  {kind} {fid} " + " ".join(es) + f" stab={x.stab[fid]} orbit={x.orbit[fid]}"
-        )
-    out.append("end")
-    return "\n".join(out) + "\n"
+def _line(block, words, flags=(), keys=(), header=False):
+    """One line of ``block``: ``words``, ``flags``, then ``key=value`` per
+    pair of ``keys``, each left out when empty.  It is read back as the
+    reader reads it, and a line the reader refuses or reads otherwise, such
+    as one with a space, ``=`` or ``#`` in a word, is malformed."""
+    words, flags = [w for w in words if w], [f for f in flags if f]
+    keys = {key: value for key, value in keys if value}
+    text = " ".join(words + flags + [f"{key}={value}" for key, value in keys.items()])
+    if _read(block, None, text.split("#", 1)[0], header)[1:] != (words, set(flags), keys):
+        raise FixtureError(f"cannot write {text!r} as a {block} line")
+    return text
 
 
-def serialize_tree(name, t) -> str:
-    out = [f"tree {name}"]
-    for v in sorted(t.vertices):
-        out.append(f"  vertex {v} stab={t.stab[v]} orbit={t.orbit[v]}")
-    for eid in sorted(t.edges):
-        u, v = t.edges[eid]
-        out.append(f"  edge {eid} {u} {v} stab={t.stab[eid]} orbit={t.orbit[eid]}")
-    for pid in sorted(t.ideal_points):
-        out.append(f"  ideal {pid} ray=" + ",".join(t.ideal_points[pid]))
-    out.append("end")
-    return "\n".join(out) + "\n"
+def write(fx: FixtureSet) -> str:
+    """``fx`` as fixture text, each block after those it names.  A block
+    with nothing to say is left out: the groups when only the trivial group
+    is declared, and the config when it is the default."""
+    out = []
 
+    def block(head, lines, flags=(), keys=()):
+        out.append(_line(head[0], head, flags, keys, header=True))
+        out.extend("  " + _line(head[0], *line) for line in lines)
+        out.append("end")
 
-def serialize_groups(groups: GroupTable) -> str:
-    out = ["groups"]
-    for gid in sorted(groups.ids()):
-        if gid == "1":
-            continue
-        ref = groups[gid]
-        parts = [f"  group {gid}"]
-        if ref.is_finite:
-            parts.append("finite")
-        elif ref.is_slender:
-            parts.append("slender")
-        if ref.is_h_elliptic:
-            parts.append("helliptic")
-        if ref.declared_supergroups:
-            parts.append("sub-of=" + ",".join(sorted(ref.declared_supergroups)))
-        out.append(" ".join(parts))
-    out.append("end")
-    return "\n".join(out) + "\n"
+    def cell(s, words, flags=(), *keys):
+        return words, flags, [("stab", s.stab[words[1]]), ("orbit", s.orbit[words[1]]), *keys]
 
-
-def serialize_gog(g) -> str:
-    head = f"gog {g.name}"
-    if g.reduced:
-        head += " reduced"
-    if g.jsj:
-        head += " jsj"
-    out = [head]
-    for v in sorted(g.vertices):
-        line = f"  vertex {v} {g.vertices[v]}"
-        if g.flags.get(v) in ("rigid", "flexible"):
-            line += f" {g.flags[v]}"
-        out.append(line)
-    for eid in sorted(g.edges):
-        u, w, gid = g.edges[eid]
-        out.append(f"  edge {eid} {u} {w} {gid}")
-    out.append("end")
-    return "\n".join(out) + "\n"
-
-
-def serialize_resolution(name, res, complex_name="?", tree_name="?") -> str:
-    out = [f"resolution {name} complex={complex_name} tree={tree_name}"]
-    for v in sorted(res.source.vertices):
-        out.append(f"  map {v} {res.vertex_image[v]}")
-    out.append("end")
-    return "\n".join(out) + "\n"
+    refs = [fx.groups[gid] for gid in sorted(fx.groups.ids() - {TRIVIAL})]
+    if refs:
+        block(["groups"], [(["group", r.id], ["finite" if r.is_finite else "slender" * r.is_slender, "helliptic" * r.is_h_elliptic],
+                            [("sub-of", ",".join(sorted(fx.groups.up[r.id])))]) for r in refs])
+    for name, x in fx.complexes.items():
+        block(["complex", name], [
+            *(cell(x, ["vertex", v], ["marked" * (v in x.boundary_marked)]) for v in sorted(x.vertices)),
+            *(cell(x, ["edge", e, *x.edges[e]], (), ("stabplus", x.stab_plus.get(e))) for e in sorted(x.edges)),
+            *(cell(x, ["triangle" if len(x.faces[f]) == 3 else "bigon", f, *x.faces[f]]) for f in sorted(x.faces)),
+        ])
+    for name, t in fx.trees.items():
+        block(["tree", name], [
+            *(cell(t, ["vertex", v]) for v in sorted(t.vertices)),
+            *(cell(t, ["edge", e, *t.edges[e]]) for e in sorted(t.edges)),
+            *((["ideal", p], (), [("ray", ",".join(t.ideal_points[p]))]) for p in sorted(t.ideal_points)),
+        ])
+    for name, table in fx.actions.items():
+        block(["actions", name], [
+            *(([d.kind, gid], ["swaps" * d.swaps_ends], [("fix", ",".join(sorted(d.fixed))), ("ends", ",".join(d.ends))])
+              for gid, ds in table.descriptors.items() for d in ds),
+            *((["parabolic", gid], (), [("end", end)]) for gid, end in table.parabolic.items()),
+        ])
+    for name, g in fx.gogs.items():
+        block(["gog", name], [
+            *((["vertex", v, g.vertices[v]], GRAMMAR["gog", "vertex"].flags & {g.flags.get(v)}) for v in sorted(g.vertices)),
+            *((["edge", e, *g.edges[e]],) for e in sorted(g.edges)),
+        ], flags=["reduced" * g.reduced, "jsj" * g.jsj])
+    for name, h in fx.hierarchies.items():
+        at = {cid: vid for node in h.nodes.values() for vid, cid in node.children.items()}
+        block(["hierarchy", name], [
+            (["node", nid, n.group], (), [("action", n.action and n.action.name), ("parent", n.parent), ("at", at.get(nid))])
+            for nid, n in sorted(h.nodes.items(), key=lambda item: item[0] != h.root)
+        ], flags=["jsj" * h.jsj])
+    for name, ks in fx.structures.items():
+        attached = [(["attach", nid], (), [("complex", next(c for c, y in fx.complexes.items() if y is x))])
+                    for nid, x in ks.terminal_complexes.items() if x is not None]
+        block(["structure", name], attached, keys=[("hierarchy", ks.hierarchy.name)])
+    for (gid, gog_name), r in fx.restrictions.entries.items():
+        origins = ",".join(f"{sv}:{origin}" for sv, origin in sorted((r.origins or {}).items()))
+        out.append(_line("restrict", ["restrict", gid, gog_name, r.kind, r.child or r.sub.name, origins]))
+    if fx.config != PipelineConfig():
+        block(["config"], [([], (), [("horizon", str(fx.config.horizon)), ("relative", ",".join(sorted(fx.config.relative_class)))])])
+    for name, script in fx.pipelines.items():
+        lines = []
+        for nid, n in sorted(script.nodes.items(), key=lambda item: item[0] != script.root_node):
+            lines += [(["node", nid], (), [("tree", n.tree), ("parent", n.parent), ("orbit", n.orbit), ("repeat", n.repeat)]),
+                      *((["override", nid], (), [("edge-orbit", e), ("stabplus", gid)]) for e, gid in n.overrides.items())]
+        block(["pipeline", name], lines, keys=[("root", script.root_structure)])
+    return "".join(line + "\n" for line in out)

@@ -39,7 +39,7 @@ class GroupTable:
 
     def __init__(self, refs=()):
         self._refs = {TRIVIAL: GroupRef(TRIVIAL, is_slender=True, is_h_elliptic=True, is_finite=True)}
-        self._up = {TRIVIAL: set()}  # id -> declared supergroups, from the ref and from declare_leq
+        self.up = {TRIVIAL: set()}  # id -> declared supergroups, from the ref and from declare_leq
         self._leq = {}  # (a, b) -> leq(a, b), cleared by every insertion
         self.version = 0  # counts insertions: a change of the order or of the ref set
         self._mint_counter = 0
@@ -56,7 +56,7 @@ class GroupTable:
                 raise FixtureError(f"group {ref.id!r} declared twice with different data")
             return ref
         self._refs[ref.id] = ref
-        self._up[ref.id] = set(ref.declared_supergroups)
+        self.up[ref.id] = set(ref.declared_supergroups)
         self._inserted()
         return ref
 
@@ -75,7 +75,7 @@ class GroupTable:
     def declare_leq(self, sub: str, sup: str):
         """Record a containment discovered after the refs were frozen."""
         self[sub], self[sup]
-        up = self._up[sub]
+        up = self.up[sub]
         if sup not in up:
             up.add(sup)
             self._inserted()
@@ -85,14 +85,14 @@ class GroupTable:
         counter: minting into the copy leaves this table unchanged."""
         out = GroupTable()
         out._refs = dict(self._refs)
-        out._up = {gid: set(sups) for gid, sups in self._up.items()}
+        out.up = {gid: set(sups) for gid, sups in self.up.items()}
         out._mint_counter = self._mint_counter
         return out
 
     def _parents(self, gid):
         """The declared supergroups of gid (read-only)."""
         try:
-            return self._up[gid]
+            return self.up[gid]
         except KeyError:
             raise FixtureError(f"unknown group id {gid!r}") from None
 
@@ -152,7 +152,7 @@ class GroupTable:
         # b above a is declared equal to a when b also lies below a: when
         # both share a strongly connected component of the declared order,
         # or b is the trivial group, which lies below everything
-        comp = graphs.strong_components(self._up)
+        comp = graphs.strong_components(self.up)
         for a in self._refs:
             for b in sorted(self._parents(a)):
                 if b == TRIVIAL or comp[b] == comp[a]:

@@ -144,13 +144,13 @@ class Restriction:
 
 class RestrictionTable:
     def __init__(self):
-        self._entries = {}
+        self.entries = {}
 
     def declare(self, gid, gog_name, restriction: Restriction):
-        self._entries[(gid, gog_name)] = restriction
+        self.entries[(gid, gog_name)] = restriction
 
     def get(self, gid, gog_name):
-        return self._entries.get((gid, gog_name))
+        return self.entries.get((gid, gog_name))
 
 
 def _quotient_tree_gog(name, tree: TreeHat, groups) -> GraphOfGroups:

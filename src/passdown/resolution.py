@@ -48,31 +48,31 @@ class ActionTable:
     def __init__(self, tree: TreeHat, groups: GroupTable):
         self.tree = tree
         self.groups = groups
-        self._descriptors = {}
-        self._parabolic = {}
+        self.descriptors = {}
+        self.parabolic = {}
         self._resolved = {}  # gid -> ResolvedAction, for one version of the group table
         self._resolved_at = None
 
     def declare_descriptors(self, gid, descriptors):
         self.groups[gid]
-        self._descriptors.setdefault(gid, []).extend(descriptors)
+        self.descriptors.setdefault(gid, []).extend(descriptors)
         self._resolved.clear()
 
     def declare_parabolic(self, gid, end):
         if not self.tree.is_ideal(end):
             raise FixtureError(f"parabolic end {end!r} is not an ideal point")
-        self._parabolic[gid] = end
+        self.parabolic[gid] = end
         self._resolved.clear()
 
     def over(self, groups: GroupTable) -> "ActionTable":
         """The same annotations read against another group table."""
         out = ActionTable(self.tree, groups)
-        out._descriptors = {gid: list(ds) for gid, ds in self._descriptors.items()}
-        out._parabolic = dict(self._parabolic)
+        out.descriptors = {gid: list(ds) for gid, ds in self.descriptors.items()}
+        out.parabolic = dict(self.parabolic)
         return out
 
     def has_entry(self, gid):
-        return gid in self._descriptors or gid in self._parabolic or gid == TRIVIAL
+        return gid in self.descriptors or gid in self.parabolic or gid == TRIVIAL
 
     def _owner(self, gid):
         """Nearest declared ancestor carrying an entry (breadth-first,
@@ -108,12 +108,12 @@ class ActionTable:
     def _resolve(self, gid) -> ResolvedAction:
         owner = self._owner(gid)
         if owner is None or (
-            owner == TRIVIAL and owner not in self._descriptors and owner not in self._parabolic
+            owner == TRIVIAL and owner not in self.descriptors and owner not in self.parabolic
         ):
             return ResolvedAction(kind=ELLIPTIC, fixed=frozenset(self.tree.vertices))
-        if owner in self._parabolic:
-            return ResolvedAction(kind=PARABOLIC, end=self._parabolic[owner])
-        descriptors = self._descriptors[owner]
+        if owner in self.parabolic:
+            return ResolvedAction(kind=PARABOLIC, end=self.parabolic[owner])
+        descriptors = self.descriptors[owner]
         kind = classify_subgroup_action(descriptors, self.tree, self.groups if gid == owner else None)
         if kind == ELLIPTIC:
             common = set(descriptors[0].fixed)

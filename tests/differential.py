@@ -185,7 +185,7 @@ def fragment_maps(frag):
 def table_state(groups, log=()):
     """The version, mint counter and declared order of a group table, and
     the pairs declared into it in order (from a ``declare_log``)."""
-    return groups.version, groups._mint_counter, groups._up, [(sub, sup) for table, sub, sup in log if table is groups]
+    return groups.version, groups._mint_counter, groups.up, [(sub, sup) for table, sub, sup in log if table is groups]
 
 
 @contextlib.contextmanager

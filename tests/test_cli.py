@@ -12,13 +12,7 @@ import pytest
 from passdown.cli import main
 from passdown.complexes import covolume
 from passdown.errors import FixtureError
-from passdown.fixtures import (
-    parse_fixtures,
-    parse_text,
-    serialize_complex,
-    serialize_groups,
-    serialize_tree,
-)
+from passdown.fixtures import FixtureSet, parse_fixtures, parse_text, write
 from passdown.hierarchy import Restriction
 from passdown.pipeline import run_pipeline
 
@@ -72,7 +66,7 @@ end
         rng = random.Random(5)
         for _ in range(25):
             x = random_cell_complex(rng, max_vertices=8)
-            text = serialize_complex("X", x)
+            text = write(FixtureSet(complexes={"X": x}))
             fx = parse_text(text)
             y = fx.complexes["X"]
             assert y.vertices == x.vertices
@@ -81,19 +75,19 @@ end
             assert y.stab == x.stab
             assert y.orbit == x.orbit
             assert y.boundary_marked == x.boundary_marked
-            assert serialize_complex("X", y) == text
+            assert write(FixtureSet(complexes={"X": y})) == text
 
     def test_tree_roundtrip(self):
         rng = random.Random(6)
         for _ in range(25):
             t = random_treehat(rng)
-            text = serialize_tree("T", t)
+            text = write(FixtureSet(trees={"T": t}))
             fx = parse_text(text)
             s = fx.trees["T"]
             assert s.vertices == t.vertices
             assert s.edges == t.edges
             assert s.ideal_points == t.ideal_points
-            assert serialize_tree("T", s) == text
+            assert write(FixtureSet(trees={"T": s})) == text
 
     def test_groups_parse_with_declared_order(self):
         fx = parse_text(
@@ -105,7 +99,7 @@ end
         )
         assert fx.groups.leq("B", "A")
         assert not fx.groups.leq("A", "B")
-        assert serialize_groups(fx.groups).count("\n  group ") == 2
+        assert write(fx).count("\n  group ") == 2
 
     def test_groups_closure_validated(self):
         with pytest.raises(FixtureError):
@@ -151,6 +145,52 @@ end
         bad.write_text(self._GOGS + line + "\n")
         assert main(["h1", str(bad), "--complex", "X"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_child_node_without_at_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(self._GOGS + "hierarchy K\n  node r A action=G\n  node c A parent=r\nend\n")
+        assert main(["h1", str(bad), "--complex", "X"]) == 2
+        assert capsys.readouterr().err == "error: line 11: hierarchy node 'c' needs at=<action vertex>\n"
+
+
+class TestOSBoundary:
+    """A path the system cannot read or write is malformed input: exit 2
+    with a message naming the path, and no traceback."""
+
+    def test_a_missing_fixture(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.txt")
+        assert main(["h1", missing, "--complex", "X"]) == 2
+        assert capsys.readouterr().err == f"error: cannot read fixture {missing}: [Errno 2] No such file or directory: {missing!r}\n"
+
+    def test_a_directory_as_the_fixture(self, capsys):
+        assert main(["h1", FIX, "--complex", "X"]) == 2
+        assert capsys.readouterr().err == f"error: cannot read fixture {FIX}: [Errno 21] Is a directory: {FIX!r}\n"
+
+    def test_a_fixture_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"complex X\n  vertex \xff\nend\n")
+        assert main(["h1", str(bad), "--complex", "X"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read fixture {bad}: 'utf-8' codec can't decode byte 0xff in position 19: invalid start byte\n"
+        )
+
+    def test_a_dot_directory_under_a_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        target = str(tmp_path / "file" / "sub")
+        assert main(["--dot", target, "pipeline", fixture("worked_terminating.txt"), "--name", "worked"]) == 2
+        assert capsys.readouterr().err == f"error: cannot write DOT files to {target}: [Errno 20] Not a directory: {target!r}\n"
+
+    def test_a_fixture_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        """Under the C locale, with UTF-8 mode and locale coercion off, the
+        locale's encoding is ASCII; a non-ASCII comment still reads."""
+        path = tmp_path / "utf8.txt"
+        with open(fixture("worked_terminating.txt"), encoding="utf-8") as fh:
+            path.write_text("# f\u00fcr\n" + fh.read(), encoding="utf-8")
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+        code = "import sys; from passdown.cli import main; sys.exit(main(['h1', sys.argv[1], '--complex', 'XP']))"
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
 class TestCommands:
@@ -441,7 +481,6 @@ class TestPipelines:
 class TestExports:
     def test_gog_serialize_and_dot(self):
         from passdown.dot import gog_to_dot
-        from passdown.fixtures import serialize_gog
 
         fx = parse_text(
             """
@@ -457,8 +496,7 @@ end
 """
         )
         g = fx.gogs["Q"]
-        text = serialize_gog(g)
-        fx2 = parse_text(serialize_groups(fx.groups) + text)
+        fx2 = parse_text(write(fx))
         assert fx2.gogs["Q"].vertices == g.vertices
         assert fx2.gogs["Q"].edges == g.edges
         assert fx2.gogs["Q"].flags == g.flags

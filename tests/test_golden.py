@@ -33,6 +33,7 @@ CASES = {
     "pipeline_f2": ["pipeline", os.path.join(FIX, "f2_style.txt"), "--name", "f2"],
     "pipeline_stable": ["pipeline", os.path.join(FIX, "acc_stable.txt"), "--name", "stable"],
     "certify_worked": ["certify", WORKED, "--name", "worked"],
+    "certify_f2": ["certify", os.path.join(FIX, "f2_style.txt"), "--name", "f2"],
     "passdown_S0_T0": ["passdown", WORKED, "--structure", "S0", "--tree", "T0"],
     "cutpoints_XP": ["cutpoints", WORKED, "--complex", "XP"],
     "classify_T0_Gab": ["classify", WORKED, "--tree", "T0", "--group", "Gab"],

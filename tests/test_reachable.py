@@ -21,15 +21,11 @@ MODULES = {path.stem for path in SRC.glob("*.py")}
 SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 
 DEPTH_BOUND = "the paper's depth bound, replayed over restriction tables; no command runs it"
-SERIALIZER = "writes the fixture format back out; the fixture round-trip tests use it"
 KEPT = {
     ("hierarchy", "passdown_hierarchy"): DEPTH_BOUND,
     ("hierarchy", "jsj_depth_bound"): DEPTH_BOUND,
     ("hierarchy", "DepthBoundReport"): DEPTH_BOUND,
     ("hierarchy", "depth"): DEPTH_BOUND,
-    ("fixtures", "serialize_tree"): SERIALIZER,
-    ("fixtures", "serialize_groups"): SERIALIZER,
-    ("fixtures", "serialize_gog"): SERIALIZER,
     ("errors", "LinkCapError"): "perfbench/spans.py imports it; nothing raises it",
 }
 
