@@ -34,8 +34,9 @@ class CellData:
     relabelling of a complex shares this object, so a label-only change
     derives none of it again.  Map values are id tuples.  The cells are
     valid: each complex is validated once, where it is built
-    (``make_complex``, ``finish_collapse``), or is the reduction, piece or
-    relabelling of a valid one."""
+    (``make_complex``, ``finish_collapse``), is built valid by construction
+    (``split_collapse``), or is the reduction, piece or relabelling of a
+    valid one."""
 
     def __init__(self, vertices, edges, faces):
         self.vertices, self.edges, self.faces = vertices, edges, faces
@@ -378,13 +379,15 @@ def _validate_containments(x, groups: GroupTable):
             )
 
 
-def _declare_containments(x, groups: GroupTable, pairs=None):
+def declare_containments(x, groups: GroupTable):
+    """``declare_pairs`` of every containment of ``x``, in ``_containments``
+    order (a repeated pair holds once declared, so each is met once)."""
+    declare_pairs(groups, dict.fromkeys((label, above) for _cell, label, _above, above in _containments(x)))
+
+
+def declare_pairs(groups: GroupTable, pairs):
     """Declare label <= label above wherever it does not hold yet, for
-    each (label, label above) of ``pairs``, by default of every
-    containment of ``x`` in ``_containments`` order (a repeated pair holds
-    once declared, so each is met once)."""
-    if pairs is None:
-        pairs = dict.fromkeys((label, label_above) for _cell, label, _above, label_above in _containments(x))
+    each (label, label above) of ``pairs`` in order."""
     for label, label_above in pairs:
         if not groups.leq(label, label_above):
             groups.declare_leq(label, label_above)
@@ -488,33 +491,13 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
     when ``x`` holds them already.  A simplicial ``x`` keeps its very
     cells, so its boundary rank is handed on too."""
     edge_groups, tri_groups = x.edges_by_pair, x.triangles_by_triple
-
-    new_edges, edge_image, by_pair = {}, {}, {}
-    for key in sorted(edge_groups, key=sorted):
-        sources = edge_groups[key]
-        rep = sources[0]
-        u, v = sorted(key)
-        new_edges[rep] = (u, v)
-        by_pair[key] = (rep,)
-        for src in sources:
-            edge_image[src] = rep
-
-    new_faces, face_image, by_triple = {}, {}, {}
-    for key in sorted(tri_groups, key=sorted):
-        sources = tri_groups[key]
-        rep = sources[0]
-        vs = sorted(key)
-        es = tuple(
-            edge_groups[frozenset(p)][0] for p in ((vs[0], vs[1]), (vs[1], vs[2]), (vs[0], vs[2]))
-        )
-        new_faces[rep] = es
-        by_triple[key] = (rep,)
-        for src in sources:
-            face_image[src] = rep
-
-    cell_map = {v: v for v in x.vertices}
-    cell_map.update(edge_image)
-    cell_map.update(face_image)
+    edge_at, face_at, cell_map = {}, {}, {v: v for v in x.vertices}
+    for at, by_key in ((edge_at, edge_groups), (face_at, tri_groups)):
+        for key in sorted(by_key, key=sorted):
+            sources = by_key[key]
+            rep = at[tuple(sorted(key))] = sources[0]
+            for src in sources:
+                cell_map[src] = rep
     for fid in x.bigons():
         cell_map[fid] = None
 
@@ -523,33 +506,45 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
         # the cell map is the identity and every orbit has one label, so
         # ``quotient_labels`` would copy each label, in its order
         order = sorted(cell_map, key=str)
-        x_stab, x_orbit, x_plus = x.stab, x.orbit, x.stab_plus
+        x_stab, x_orbit, x_plus, x_edges = x.stab, x.orbit, x.stab_plus, x.edges
         stab = {c: x_stab[c] for c in order}
         orbit = {c: x_orbit[c] for c in order}
-        stab_plus = {c: x_plus.get(c, x_stab[c]) for c in order if c in new_edges}
+        stab_plus = {c: x_plus.get(c, x_stab[c]) for c in order if c in x_edges}
     else:
         stab, orbit, stab_plus = quotient_labels(x, cell_map, groups, prefix="red")
-    out = Complex2(
-        vertices=x.vertices,
-        edges=new_edges,
-        faces=new_faces,
-        stab=stab,
-        orbit=orbit,
-        boundary_marked=x.boundary_marked,
-        stab_plus=stab_plus,
-    )
-    cell_data = CellData(out.vertices, new_edges, new_faces)
-    cell_data.__dict__.update(edges_by_pair=by_pair, triangles_by_triple=by_triple, is_canonical=True)
+    out = canonical_complex(x.vertices, edge_at, face_at, stab, orbit, x.boundary_marked, stab_plus)
     held = x.cell_data.__dict__
     kept = ("cutpoints", "vertex_components") + (("boundary_rank",) if x.is_simplicial() else ())
-    cell_data.__dict__.update((name, held[name]) for name in kept if name in held)
-    out.__dict__["cell_data"] = cell_data
+    out.cell_data.__dict__.update((name, held[name]) for name in kept if name in held)
     if not merge_free and not set(x.stab.values()).issuperset(stab.values()):
-        _declare_containments(out, groups)
+        declare_containments(out, groups)
     return out, cell_map
 
 
-def wire_and_validate(x: Complex2, groups: GroupTable, pairs=None):
+def canonical_complex(vertices, edge_at, face_at, stab, orbit, boundary_marked, stab_plus):
+    """The simplicial complex with edge ``edge_at[(u, v)]`` on each sorted
+    vertex pair and triangle ``face_at[(a, b, c)]`` on each sorted vertex
+    triple, its sides the edges on its three pairs, stored in canonical
+    order.  Its cell data starts with what this builds: the incidence by
+    vertex pair and triple, one id each, and the canonical order."""
+    edges, faces, by_pair, by_triple = {}, {}, {}, {}
+    for key in sorted(edge_at):
+        eid = edge_at[key]
+        edges[eid] = key
+        by_pair[frozenset(key)] = (eid,)
+    for a, b, c in sorted(face_at):
+        fid = face_at[(a, b, c)]
+        faces[fid] = (edge_at[(a, b)], edge_at[(b, c)], edge_at[(a, c)])
+        by_triple[frozenset((a, b, c))] = (fid,)
+    out = Complex2(
+        vertices=vertices, edges=edges, faces=faces, stab=stab, orbit=orbit,
+        boundary_marked=boundary_marked, stab_plus=stab_plus,
+    )
+    out.cell_data.__dict__.update(edges_by_pair=by_pair, triangles_by_triple=by_triple, is_canonical=True)
+    return out
+
+
+def wire_and_validate(x: Complex2, groups: GroupTable):
     """Record the face<=edge<=vertex containments of a synthesized complex,
     then validate it.
 
@@ -557,11 +552,9 @@ def wire_and_validate(x: Complex2, groups: GroupTable, pairs=None):
     stabilizer of a cell fixes the cells it collapses onto), but freshly
     minted labels do not carry them yet.  Once declared they hold, so the
     validation walks them no more; every other check of
-    ``validate_complex`` runs.  ``pairs``, when given, are the (label,
-    label above) pairs of the only containments that may not hold yet, in
-    ``_containments`` order; by default every containment is walked.
+    ``validate_complex`` runs.
     """
-    _declare_containments(x, groups, pairs)
+    declare_containments(x, groups)
     _validate_cells(x)
     _validate_label_refs(x, groups)
     _validate_orbit_labels(x)

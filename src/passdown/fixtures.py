@@ -330,21 +330,29 @@ def _parse_gog(fx, header, body):
 
 def _parse_hierarchy(fx, header, body):
     _ln, (_, name), flags, _keys = header
-    nodes = {}
+    nodes, seen = {}, {}
     for ln, (_, nid, gid), _flags, keys in body:
+        _declared_once(seen, "hierarchy node", nid, ln)
         action = None
         if "action" in keys:
             if keys["action"] not in fx.gogs:
                 raise FixtureError(f"unknown gog {keys['action']!r}", line=ln)
             action = fx.gogs[keys["action"]]
         nodes[nid] = HNode(id=nid, group=gid, action=action, parent=keys.get("parent"))
-    for _ln, (_, nid, _gid), _flags, keys in body:
+    for ln, (_, nid, _gid), _flags, keys in body:
         parent = keys.get("parent")
         if parent:
             at = keys.get("at")
             if at is None:
                 raise FixtureError(f"hierarchy node {nid!r} needs at=<action vertex>")
-            nodes[parent].children[at] = nid
+            if parent not in nodes:
+                raise FixtureError(f"hierarchy node {nid!r} names unknown parent {parent!r}", line=ln)
+            children = nodes[parent].children
+            if at in children:
+                raise FixtureError(
+                    f"hierarchy nodes {children[at]!r} and {nid!r} both sit at {at!r} under {parent!r}", line=ln
+                )
+            children[at] = nid
     h = Hierarchy(name=name, root=next(iter(nodes), None), nodes=nodes, jsj="jsj" in flags)
     validate_hierarchy(h, fx.groups)
     fx.hierarchies[name] = h
@@ -388,9 +396,10 @@ def _parse_pipeline(fx, header, body):
     if "root" not in header_keys:
         raise FixtureError("expected: pipeline <name> root=<structure>")
     root = header_keys["root"]
-    nodes = {}
+    nodes, seen = {}, {}
     for ln, (kind, nid), _flags, keys in body:
         if kind == "node":
+            _declared_once(seen, "script node", nid, ln)
             nodes[nid] = ScriptNode(
                 id=nid, tree=keys.get("tree"), parent=keys.get("parent"), orbit=keys.get("orbit"), repeat=keys.get("repeat")
             )

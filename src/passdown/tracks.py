@@ -13,8 +13,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import Complex2, fresh_separator, h1_z2, is_connected
-from .errors import EngineError, FixtureError, HypothesisError, TruncationError
+from .complexes import canonical_complex, covolume, declare_containments, declare_pairs, fresh_separator, h1_z2, is_connected
+from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError, TruncationError
 from .groups import GroupTable
 from .provenance import TauFragment, finish_collapse
 from .resolution import SPLITTING, Resolution
@@ -169,15 +169,26 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     parsed terminal, a contraction, or a cutpoint piece, reduction or
     override relabelling (whose labels are looked up) of a valid complex.
 
-    Every containment of the collapsed complex whose upper cell is not a
-    track point is one of ``x`` between the same labels, and holds; only
-    those under a track point are declared.
+    Otherwise X_T is built in one pass: it is what ``finish_collapse``
+    makes of the collapsed complex built whole (the tests keep that
+    construction as the oracle).  Segments on one node pair and central
+    triangles on one corner triple merge as they are made, into their
+    least id; the orbits of merged cells merge, into their least orbit,
+    and a merged class of several labels, or an edge whose segments carry
+    several oriented labels, gets a fresh one.  Every containment of the
+    collapsed complex whose upper cell is not a track point is one of
+    ``x`` between the same labels, and holds; only those under a track
+    point are declared, and those of all of X_T when a class label is
+    minted.  Of the checks of a built complex only the one that input can
+    fail is made: the segments of a new orbit must join the same pair of
+    vertex orbits, and they are numbered from each edge's first stored
+    end.  X_T must not exceed ``x`` in covolume.
     """
     res = ts_star.resolution
     x, tree = res.source, res.target
     removed = res.ideal_vertices()
     if not ts_star.tracks and not removed:
-        return finish_collapse(x, x, _identity_fragment(x), groups, "collapse", ())
+        return finish_collapse(x, x, _identity_fragment(x), groups, "collapse")
 
     track_of = {}  # (eid, tree edge) -> track
     for tr in ts_star.tracks:
@@ -221,11 +232,13 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     for v in kept:
         stab[v], orbit[v] = x.stab[v], x.orbit[v]
 
-    # edges of the collapsed complex: one segment per consecutive pair of
-    # nodes along an edge (surviving ends and track points in path order);
-    # with them, the (label, label above) of each segment below a track point
-    seg_edges, seg_plus, edge_pairs = {}, {}, []
-    seg_of = {}  # (eid, frozenset of node pair) -> segment id
+    # segments: one per consecutive pair of nodes along an edge (surviving
+    # ends and track points in path order), merged by sorted node pair;
+    # with them, the (label, label above) of each segment below a track
+    # point, and the first new orbit whose segments do not all join one pair
+    # of vertex orbits
+    edge_at, merged_edges, made, plus, edge_pairs = {}, {}, set(), {}, []
+    shape, bad_orbit = {}, None
     track_points = set(point_vertex.values())
     for eid in sorted(x.edges):
         u, v = x.edges[eid]
@@ -239,19 +252,30 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
         points = [point_vertex[track_of[(eid, f)].id] for f in fs]
         nodes = ([u] if u in kept else []) + points + ([v] if v in kept else [])
         for k, (a, b) in enumerate(zip(nodes, nodes[1:])):
-            sid = eid if untouched else f"{eid}{sep}{k}"
-            seg_edges[sid] = (a, b)
-            stab[sid] = x.stab[eid]
-            orbit[sid] = x.orbit[eid] if untouched else f"{x.orbit[eid]}{sep}{k}"
-            if eid in x.stab_plus:
-                seg_plus[sid] = x.stab_plus[eid]
-            seg_of[(eid, frozenset((a, b)))] = sid
-            if not untouched:
+            if untouched:
+                sid = eid
+                orbit[sid] = x.orbit[eid]
+            else:
+                sid = f"{eid}{sep}{k}"
+                oid = orbit[sid] = f"{x.orbit[eid]}{sep}{k}"
+                ends = frozenset((orbit[a], orbit[b]))
+                if shape.setdefault(oid, ends) != ends and bad_orbit is None:
+                    bad_orbit = oid
                 edge_pairs.extend((x.stab[eid], stab[w]) for w in (a, b) if w in track_points)
+            stab[sid] = x.stab[eid]
+            if eid in x.stab_plus:
+                plus[sid] = x.stab_plus[eid]
+            key = (a, b) if a < b else (b, a)
+            made.add((eid, key))
+            rep = edge_at.setdefault(key, sid)
+            if rep != sid:
+                merged_edges.setdefault(key, [rep]).append(sid)
+                edge_at[key] = min(rep, sid)
 
-    # central triangle per face, via the tripod of its three branches; with
-    # them, the (label, label above) of each face below a track point
-    mid_faces, tri_map, edge_map, face_pairs = {}, {}, {}, []
+    # central triangle per face, via the tripod of its three branches,
+    # merged by sorted corner triple; with them, the (label, label above)
+    # of each face below a track point
+    face_at, merged_faces, tri_map, edge_map, face_pairs = {}, {}, {}, {}, []
     for fid in sorted(x.triangles()):
         # x is simplicial (track extraction checks it): one edge per side
         a, b, c = sorted(x.face_vertices(fid))
@@ -290,28 +314,62 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
             above = {corner_node[cn] for cn in (a, b, c) if branch[cn]}
             face_pairs.extend((x.stab[fid], stab[w]) for w in sorted(above))
         mid_id = fid if untouched else f"{fid}{sep}mid"
-        tri_sides = {}
-        for p, q in ((a, b), (b, c), (a, c)):
-            eid = sides[(p, q)]
-            key = frozenset((corner_node[p], corner_node[q]))
-            sid = seg_of.get((eid, key))
-            if sid is None:
-                raise EngineError(f"central region side missing on triangle {fid!r}")
-            tri_sides[(p, q)] = sid
-        mid_faces[mid_id] = (tri_sides[(a, b)], tri_sides[(b, c)], tri_sides[(a, c)])
-        stab[mid_id], orbit[mid_id] = x.stab[fid], x.orbit[fid]
-        tri_map[fid] = mid_id
         for pair, eid in sides.items():
-            edge_map[(fid, eid)] = tri_sides[pair]
+            p, q = corner_node[pair[0]], corner_node[pair[1]]
+            key = (p, q) if p < q else (q, p)
+            if (eid, key) not in made:
+                raise EngineError(f"central region side missing on triangle {fid!r}")
+            edge_map[(fid, eid)] = edge_at[key]
+        stab[mid_id], orbit[mid_id] = x.stab[fid], x.orbit[fid]
+        triple = tri_map[fid] = tuple(sorted(corner_node.values()))
+        rep = face_at.setdefault(triple, mid_id)
+        if rep != mid_id:
+            merged_faces.setdefault(triple, [rep]).append(mid_id)
+            face_at[triple] = min(rep, mid_id)
 
-    collapsed = Complex2(
-        vertices=kept.union(point_vertex.values()),
-        edges=seg_edges,
-        faces=mid_faces,
-        stab=stab,
-        orbit=orbit,
-        boundary_marked=(x.boundary_marked & kept) | marked_points,
-        stab_plus=seg_plus,
+    declare_pairs(groups, face_pairs + edge_pairs)
+    if bad_orbit is not None:
+        raise ConsistencyError(f"edges of orbit {bad_orbit!r} have mismatched endpoint orbits")
+
+    # the reduction: the orbits of merged cells merge, and a class of
+    # several labels gets a fresh one, minted in class order
+    uf, orbit_label = graphs.UnionFind(), {}
+    for srcs in (*merged_edges.values(), *merged_faces.values()):
+        for s in srcs:
+            uf.union(orbit[srcs[0]], orbit[s])
+            orbit_label[orbit[s]] = stab[s]
+    class_of, class_ref = {}, {}
+    for cls, members in uf.classes().items():
+        class_of.update(dict.fromkeys(members, cls))
+        if len({orbit_label[o] for o in members}) > 1:
+            class_ref[cls] = groups.mint("red").id
+    # cell labels in id order; an edge's oriented labels are those of its
+    # merged segments in id order, and several get a fresh one above them
+    vertices = kept.union(point_vertex.values())
+    merged_srcs = {edge_at[key]: sorted(srcs) for key, srcs in merged_edges.items()}
+    edge_ids = set(edge_at.values())
+    out_stab, out_orbit, out_plus = {}, {}, {}
+    for cell in sorted([*vertices, *edge_ids, *face_at.values()]):
+        cls = out_orbit[cell] = class_of.get(orbit[cell], orbit[cell])
+        out_stab[cell] = class_ref.get(cls, stab[cell])
+        if cell in edge_ids:
+            labels = {plus.get(s, stab[s]) for s in merged_srcs.get(cell, (cell,))}
+            if len(labels) == 1:
+                out_plus[cell] = labels.pop()
+            else:
+                out_plus[cell] = groups.mint("red.plus").id
+                for old in labels:
+                    groups.declare_leq(old, out_plus[cell])
+    xt = canonical_complex(
+        vertices, edge_at, face_at, out_stab, out_orbit, (x.boundary_marked & kept) | marked_points, out_plus
     )
-    frag = TauFragment(triangle_map=tri_map, edge_map=edge_map, track_point=point_vertex)
-    return finish_collapse(x, collapsed, frag, groups, "collapse", face_pairs + edge_pairs)
+    if class_ref:
+        declare_containments(xt, groups)
+    if covolume(xt) > covolume(x):
+        raise EngineError("collapse increased covolume")
+    frag = TauFragment(
+        triangle_map={fid: face_at[triple] for fid, triple in tri_map.items()},
+        edge_map=edge_map,
+        track_point=point_vertex,
+    )
+    return xt, frag

@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import itertools
 import random
+import re
 import sys
 import warnings
 from collections import Counter, defaultdict
@@ -858,15 +859,18 @@ complex_shapes(
 
 @row(split_collapse, oracles.collapse_by_construction, "track system")
 def collapse(case):
-    """``split_collapse`` against the collapse built cell by cell, over copies
-    of the group table: complex and fragment in dict order, and the tables
-    with their declared pairs in order."""
+    """``split_collapse`` against the collapse built cell by cell and
+    reduced, over copies of the group table: complex and fragment in dict
+    order, and the tables with their declared pairs in order; the fast
+    complex holds its incidence by pair and triple and its canonical order,
+    each equal to a fresh derivation."""
     ts, groups = case
     fast_groups, full_groups = groups.copy(), groups.copy()
     with declare_log() as log:
         fast, fast_frag = split_collapse(ts, fast_groups)
         full, full_frag = oracles.collapse_by_construction(ts, full_groups)
     assert complex_fields(fast) == complex_fields(full)
+    assert BUILT <= handed_on(fast)[0]
     assert fragment_maps(fast_frag) == fragment_maps(full_frag)
     fast_state = table_state(fast_groups, log)
     assert fast_state == table_state(full_groups, log)
@@ -884,8 +888,12 @@ def path_tracks(rng, x, groups):
     return ts, groups
 
 
-def worked_tracks():
-    fx = parse_fixtures([str(FIXTURES / "worked_terminating.txt")])
+def worked_tracks(renames=()):
+    """The worked fixture's essential tracks, with cell ids renamed by whole word."""
+    text = (FIXTURES / "worked_terminating.txt").read_text()
+    for old, new in renames:
+        text = re.sub(rf"(?<![\w.-]){re.escape(old)}(?![\w.-])", new, text)
+    fx = parse_text(text)
     res = resolution.build_resolution(fx.complexes["XP"], fx.trees["T0"], fx.action_table("T0"))
     yield essential_tracks(tracks_from_resolution(res)), fx.groups
 
@@ -896,6 +904,10 @@ complex_shapes(
     lambda name, c: c["tracks"] > 40 and (c["declares"] > 0) == (not name.endswith("chain")),
 )
 shape("track system", "worked", worked_tracks, lambda c: c["tracks"] > 0 and c["declares"] > 0)
+# the worked collapse merges the central triangles of t1 and t2 and the
+# segments bc.0 and bd.0; renamed, each merged cell made second has the
+# least id ("t1-.mid" sorts before "t1.mid", "bc-.0" before "bc.0")
+shape("track system", "worked, second made sorts first", lambda: worked_tracks((("t2", "t1-"), ("bd", "bc-"))))
 # a surgery op collapses once, with tracks; a size op three times, with none
 shape("track system", "surgery", lambda: iter(seed1("surgery").collapses), lambda c: c["cases"] == 15 and c["declares"] > 0)
 shape("track system", "size", lambda: iter(seed1("size").collapses), lambda c: c["cases"] == 45 and c["declares"] == 0)
@@ -1184,9 +1196,9 @@ def worked64():
         nest(m, inside, stability, "classes_of_complex")
         for owner, name in (
             (hierarchy, "build_resolution"), (hierarchy, "tracks_from_resolution"), (hierarchy, "split_collapse"),
-            (tracks, "finish_collapse"), (pipeline, "make_tree_level"), (stability, "classes_of_complex"),
-            (stability, "level_classes"), (stability, "_sigma"), (stability, "_pulls_back"), (stability.LevelData, "covolume"),
-            (oracles, "compose"), (oracles, "stable_pairs"),
+            (tracks, "finish_collapse"), (tracks, "canonical_complex"), (pipeline, "make_tree_level"),
+            (stability, "classes_of_complex"), (stability, "level_classes"), (stability, "_sigma"),
+            (stability, "_pulls_back"), (stability.LevelData, "covolume"), (oracles, "compose"), (oracles, "stable_pairs"),
         ):
             record(m, log, owner, name)
         # the version of the group table when an action table resolves a group id
@@ -1202,10 +1214,11 @@ def record_built(m, built):
     restricted to a piece (``restricted``: the resolution, the piece and
     the restriction), each track system drawn or collapsed
     (``track_systems``), and in ``complexes`` (kind, complex, copy of the
-    group table as it was) for each complex a collapse builds and validates
-    ("collapsed"), each complex a collapse reduces as it is
-    ("uncollapsed"), each reduction ("reduced") and each cutpoint piece
-    ("piece")."""
+    group table as it was) the X_T of each collapse of tracks or ideal
+    vertices, built in one pass ("collapsed"), each complex a contraction
+    builds and validates ("contracted"), each complex a collapse reduces
+    as it is ("uncollapsed"), each reduction ("reduced") and each cutpoint
+    piece ("piece")."""
     construct, restrict = resolution.resolution_from_images, hierarchy._restrict_resolution
     draw, collapse, finish = hierarchy.tracks_from_resolution, hierarchy.split_collapse, tracks.finish_collapse
     wire, reduce, split = provenance.wire_and_validate, provenance.reduce_with_map, hierarchy._cutpoint_pieces
@@ -1224,16 +1237,19 @@ def record_built(m, built):
 
     def collapsed(ts, groups):
         built.track_systems.append(ts)
-        return collapse(ts, groups)
+        out = collapse(ts, groups)
+        if ts.tracks or ts.resolution.ideal_vertices():
+            built.complexes.append(("collapsed", out[0], groups.copy()))
+        return out
 
     def finished(x, collapsed, frag, groups, *args):
         if collapsed is x:
             built.complexes.append(("uncollapsed", x, groups.copy()))
         return finish(x, collapsed, frag, groups, *args)
 
-    def wired(x, groups, *pairs):
-        wire(x, groups, *pairs)
-        built.complexes.append(("collapsed", x, groups.copy()))
+    def wired(x, groups):
+        wire(x, groups)
+        built.complexes.append(("contracted", x, groups.copy()))
 
     def reduced(x, groups):
         out = reduce(x, groups)
@@ -1291,11 +1307,17 @@ def seed1(workload):
         split = hierarchy._cutpoint_pieces
         m.setattr(hierarchy, "_cutpoint_pieces", pieces)
         for owner, name in (
-            (provenance, "wire_and_validate"), (hierarchy, "split_collapse"), (pipeline, "cone_criterion_check"),
+            (tracks, "declare_pairs"), (hierarchy, "split_collapse"), (pipeline, "cone_criterion_check"),
             (stability, "stable_classes"),
         ):
             nest(m, inside, owner, name)
-        spy(m, counts, provenance, "wire_and_validate")
+        spy(m, counts, tracks, "declare_pairs")
+        # the generic build-then-reduce steps, counted inside a collapse
+        for owner, name in (
+            (provenance, "wire_and_validate"), (provenance, "reduce_with_map"), (complexes, "quotient_labels"),
+            (TauFragment, "compose"),
+        ):
+            spy(m, counts, owner, name, **{name: lambda frame, *args: 1, f"{name} in a collapse": inside_of("split_collapse")})
         spy(m, counts, resolution.Resolution, "crossings")
         spy(m, counts, complexes, "_grouped")
         spy(m, counts, Complex2, "__init__", **{"built in a collapse": inside_of("split_collapse")})
@@ -1308,7 +1330,7 @@ def seed1(workload):
         spy(m, counts, resolution, "reduced_path")
         spy(m, counts, GroupTable, "leq", **{
             "leq": lambda frame, *args: 1,
-            "leq in wire_and_validate": inside_of("wire_and_validate"),
+            "leq in a collapse's declare step": inside_of("declare_pairs"),
             "leq in _grows_into_horizon": lambda frame, *args: frame.f_code is grows,
         })
         spy(m, counts, hierarchy, "split_collapse", collapses=lambda frame, *args: 1, **{

@@ -152,6 +152,31 @@ end
         assert main(["h1", str(bad), "--complex", "X"]) == 2
         assert capsys.readouterr().err == "error: line 11: hierarchy node 'c' needs at=<action vertex>\n"
 
+    @pytest.mark.parametrize(
+        "nodes, message",
+        [
+            ("  node r A action=G\n  node c B parent=r at=v0\n  node d B parent=r at=v0\n",
+             "line 14: hierarchy nodes 'c' and 'd' both sit at 'v0' under 'r'"),
+            ("  node r A action=G\n  node r A action=G\n", "line 13: hierarchy node 'r' is declared twice"),
+            ("  node r A action=G\n  node c B parent=zz at=v0\n", "line 13: hierarchy node 'c' names unknown parent 'zz'"),
+        ],
+        ids=["two children at one vertex", "a repeated node id", "an unknown parent"],
+    )
+    def test_a_malformed_hierarchy_node_exit_code(self, nodes, message, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(self._GOGS + "hierarchy K\n" + nodes + "end\n")
+        assert main(["h1", str(bad), "--complex", "X"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_repeated_script_node_exit_code(self, tmp_path, capsys):
+        with open(fixture("worked_terminating.txt"), encoding="utf-8") as fh:
+            text = fh.read()
+        line = "  node a0 parent=w0 orbit=o0 tree=PT\n"
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(line, line * 2))
+        assert main(["pipeline", str(bad), "--name", "worked"]) == 2
+        assert capsys.readouterr().err == "error: line 74: script node 'a0' is declared twice\n"
+
 
 class TestOSBoundary:
     """A path the system cannot read or write is malformed input: exit 2
@@ -221,6 +246,34 @@ class TestCommands:
         rc = main(["split", fixture("worked_terminating.txt"), "--complex", "XP", "--tree", "T0"])
         assert rc == 0
         assert "covolume 3 -> 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["split", "--complex", "XP", "--tree", "T0"], ["pipeline", "--name", "worked"]], ids=["split", "pipeline"]
+    )
+    def test_a_collapse_refuses_segment_orbits_of_two_shapes(self, argv, tmp_path, capsys):
+        """Edges ``ac``, ``bc``, ``ad`` and ``bd`` share orbit ``oX``, between
+        vertex orbits ``P`` (a, b) and ``Q`` (c, d), and ``bd`` is stored from
+        its ``Q`` end.  The collapse numbers segments from each edge's first
+        stored end, so segment orbit ``oX.0`` joins ``P`` to a track point on
+        ``ac`` and ``Q`` to one on ``bd``: malformed."""
+        with open(fixture("worked_terminating.txt"), encoding="utf-8") as fh:
+            text = fh.read()
+        for old, new in (
+            ("vertex a marked stab=Ga", "vertex a marked stab=Ga orbit=P"),
+            ("vertex b stab=Gb", "vertex b stab=Ga orbit=P"),
+            ("vertex c marked stab=Gc", "vertex c marked stab=Gc orbit=Q"),
+            ("vertex d stab=Gd", "vertex d stab=Gc orbit=Q"),
+            ("edge ac a c stab=Gcr", "edge ac a c stab=Gcr orbit=oX"),
+            ("edge bc b c stab=Gcr", "edge bc b c stab=Gcr orbit=oX"),
+            ("edge ad a d stab=Gcr", "edge ad a d stab=Gcr orbit=oX"),
+            ("edge bd b d stab=Gcr", "edge bd d b stab=Gcr orbit=oX"),
+        ):
+            assert text.count(old + "\n") == 1
+            text = text.replace(old + "\n", new + "\n")
+        bad = tmp_path / "shape.txt"
+        bad.write_text(text)
+        assert main([argv[0], str(bad), *argv[1:]]) == 2
+        assert capsys.readouterr().err == "error: edges of orbit 'oX.0' have mismatched endpoint orbits\n"
 
     def test_tracks_listing(self, capsys):
         rc = main(["tracks", fixture("worked_terminating.txt"), "--complex", "XP", "--tree", "T0"])

@@ -410,10 +410,12 @@ class TestBuiltResolutions:
                 assert tr.separates == (len(sides) == 2)
 
     def test_each_built_complex_is_valid_over_the_run_table(self, built):
-        """The oracle of the one validation of a collapse: every complex a
-        collapse builds, and every complex it reduces as it is, unvalidated
+        """The oracle of the checks a collapse leaves out: the X_T that a
+        collapse of tracks builds in one pass, every complex a contraction
+        builds, and every complex a collapse reduces as it is, unvalidated
         there, is valid over the table of the run."""
-        assert {kind for kind, _x, _groups in built.complexes} == {"collapsed", "uncollapsed", "reduced", "piece"}
+        kinds = {"collapsed", "contracted", "uncollapsed", "reduced", "piece"}
+        assert {kind for kind, _x, _groups in built.complexes} == kinds
         for _kind, x, groups in built.complexes:
             validate_complex(x, groups)
 

@@ -351,6 +351,7 @@ class TestTrackPointDeclares:
         "track system", "chain", "doubled chain", "strip", "doubled", "simplicial", "tree", "glued"
     )
     test_the_worked_collapse_matches_the_construction = differential_test("track system", "worked")
+    test_a_merged_cell_takes_its_least_id = differential_test("track system", "worked, second made sorts first")
     test_benchmark_collapses_match_the_construction = differential_test("track system", "surgery", "size")
 
 
@@ -366,18 +367,31 @@ def test_the_collapse_derives_each_table_once():
     for workload in ("surgery", "size"):
         counts = seed1(workload).counts
         pieces = sum(kind == "piece" for kind, _x, _groups in seed1(workload).built.complexes)
-        seen[workload] = (counts["crossings"], counts["leq in wire_and_validate"], counts["blocks on pieces"], pieces)
+        seen[workload] = (counts["crossings"], counts["leq in a collapse's declare step"], counts["blocks on pieces"], pieces)
     assert seen["surgery"] == (2016, 3670, 0, 68)
     assert seen["size"] == (0, 0, 0, 45)
 
 
 def test_a_collapse_validates_only_what_it_builds():
-    """A collapse validates the complex it builds, and not one it reduces
-    as it is: on the seed-1 ops ``wire_and_validate`` runs once for each
-    ``surgery`` collapse (15, all with tracks) and for no ``size``
-    collapse (45, none with a track or an ideal vertex)."""
-    assert seed1("surgery").counts["wire_and_validate"] == seed1("surgery").counts["collapses"] == 15
-    assert seed1("size").counts["wire_and_validate"] == 0 < seed1("size").counts["collapses"]
+    """A collapse checks the complex it builds, and not one it reduces as
+    it is: on the seed-1 ops the declare step of the one-pass build runs
+    once for each ``surgery`` collapse (15, all with tracks) and for no
+    ``size`` collapse (45, none with a track or an ideal vertex), and
+    ``wire_and_validate`` runs for none."""
+    surgery, size = seed1("surgery").counts, seed1("size").counts
+    assert surgery["declare_pairs"] == surgery["collapses"] == 15
+    assert size["declare_pairs"] == 0 < size["collapses"]
+    assert surgery["wire_and_validate"] == size["wire_and_validate"] == 0
+
+
+def test_a_track_collapse_builds_x_t_in_one_pass():
+    """Every seed-1 ``surgery`` collapse has tracks and builds one complex,
+    X_T (15 in all): no intermediate complex, and no call of the generic
+    build-then-reduce steps."""
+    counts = seed1("surgery").counts
+    assert counts["collapses"] == counts["collapses over a tree with edges"] == counts["built in a collapse"] == 15
+    steps = ("reduce_with_map", "wire_and_validate", "quotient_labels", "compose")
+    assert [counts[f"{name} in a collapse"] for name in steps] == [0, 0, 0, 0]
 
 
 WORKED = Path(__file__).resolve().parents[1] / "fixtures" / "worked_terminating.txt"
@@ -386,15 +400,15 @@ WORKED = Path(__file__).resolve().parents[1] / "fixtures" / "worked_terminating.
 def test_worked_run_rebuilds_only_levels_with_tracks():
     """At horizon 64 the worked run collapses tracks only at its first
     level; every later level is a point tree and an identity step.  Only
-    the first level resolves, collapses and rebuilds its complexes, and
-    each action table resolves a group id at most once per version of its
-    group table."""
+    the first level resolves, collapses and rebuilds its complexes, each
+    collapse building X_T once, in one pass, and each action table
+    resolves a group id at most once per version of its group table."""
     rep, log = worked64()
     assert rep.horizon == 64 and rep.certificate_level == 1
     first = {id(x) for x in rep.run.levels[0].complexes.values()}
     assert log["build_resolution"] and {id(x) for x, *_ in log["build_resolution"]} <= first
     assert all(ts.tracks for ts, _groups in log["split_collapse"])
-    assert len(log["finish_collapse"]) == len(log["split_collapse"]) >= 1
+    assert len(log["canonical_complex"]) == len(log["split_collapse"]) >= 1 and not log["finish_collapse"]
     assert log["_owner"] and max(Counter(log["_owner"]).values()) == 1
 
 
