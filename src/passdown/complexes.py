@@ -36,7 +36,18 @@ class CellData:
     valid: each complex is validated once, where it is built
     (``make_complex``, ``finish_collapse``), is built valid by construction
     (``split_collapse``), or is the reduction, piece or relabelling of a
-    valid one."""
+    valid one.
+
+    A complex built from another starts with what its builder knows.
+    ``canonical_complex`` (every reduction, and X_T) hands on the incidence
+    by pair and triple, one id each, and the canonical order, which it
+    builds; ``reduce_with_map`` the cutpoints and components its input
+    holds, since it joins the same vertex pairs, and the boundary rank of
+    a simplicial input, whose cells it keeps; ``subcomplex`` the canonical
+    order of a canonical parent, which a subset of its cells in its order
+    keeps, and the parent's blocks that cover the piece; and
+    ``hierarchy._cutpoint_pieces`` each piece's one component and its
+    boundary rank (the wedge argument is in its docstring)."""
 
     def __init__(self, vertices, edges, faces):
         self.vertices, self.edges, self.faces = vertices, edges, faces
@@ -49,23 +60,43 @@ class CellData:
     @cached_property
     def edges_by_pair(self):
         """frozenset of two vertices -> the edges joining them, in id order."""
-        return _grouped((frozenset(self.edges[eid]), eid) for eid in sorted(self.edges))
+        edges, out = self.edges, {}
+        get = out.get
+        for eid in sorted(edges):
+            key = frozenset(edges[eid])
+            out[key] = get(key, ()) + (eid,)
+        return out
 
     @cached_property
     def triangles_by_vertex(self):
         """vertex -> the triangles at it, in face order."""
-        return _grouped((v, fid) for fid in self.triangles for v in self.face_vertices[fid])
+        face_vertices, out = self.face_vertices, {}
+        get = out.get
+        for fid in self.triangles:
+            for v in face_vertices[fid]:
+                out[v] = get(v, ()) + (fid,)
+        return out
 
     @cached_property
     def triangles_by_edge(self):
         """edge id -> the triangles on it, in id order (keys first met
         along the triangles in id order)."""
-        return _grouped((eid, fid) for fid in sorted(self.triangles) for eid in self.faces[fid])
+        faces, out = self.faces, {}
+        get = out.get
+        for fid in sorted(self.triangles):
+            for eid in faces[fid]:
+                out[eid] = get(eid, ()) + (fid,)
+        return out
 
     @cached_property
     def triangles_by_triple(self):
         """frozenset of three vertices -> the triangles spanning them, in id order."""
-        return _grouped((self.face_vertices[fid], fid) for fid in sorted(self.triangles))
+        face_vertices, out = self.face_vertices, {}
+        get = out.get
+        for fid in sorted(self.triangles):
+            key = face_vertices[fid]
+            out[key] = get(key, ()) + (fid,)
+        return out
 
     @cached_property
     def vertex_components(self):
@@ -92,22 +123,28 @@ class CellData:
     def is_canonical(self):
         """Simplicial, with edges and triangles stored in canonical order
         (by sorted vertex pair, resp. triple) with their canonical ends and
-        sides: the cell part of ``Complex2.is_reduced``."""
-        if not self.is_simplicial():
-            return False
-        by_pair, by_triple = self.edges_by_pair, self.triangles_by_triple
+        sides: the cell part of ``Complex2.is_reduced``.
 
-        def edge(u, v):
-            return by_pair[frozenset((u, v))][0]
-
-        return (
-            list(self.edges.items()) == [(edge(u, v), (u, v)) for u, v in sorted(map(sorted, by_pair))]
-            and list(self.faces.items())
-            == [
-                (by_triple[frozenset((a, b, c))][0], (edge(a, b), edge(b, c), edge(a, c)))
-                for a, b, c in sorted(map(sorted, by_triple))
-            ]
-        )
+        One pass, stopping at the first cell out of place: each edge is a
+        tuple stored low end first, the pairs strictly increasing in stored
+        order; each face is a tuple of sides ``(ab, bc, ac)`` on corners
+        ``a < b < c``, the triples strictly increasing in stored order.
+        Strict increase leaves one edge per pair and one triangle per
+        triple, and three sides leave no bigon, so this is simplicial."""
+        edges, last = self.edges, ()
+        for ends in edges.values():
+            if not isinstance(ends, tuple) or not ends[0] < ends[1] or ends <= last:
+                return False
+            last = ends
+        last = ()
+        for es in self.faces.values():
+            if not isinstance(es, tuple) or len(es) != 3:
+                return False
+            (a, b), (b2, c) = edges[es[0]], edges[es[1]]
+            if b2 != b or edges[es[2]] != (a, c) or (a, b, c) <= last:
+                return False
+            last = (a, b, c)
+        return True
 
     @cached_property
     def triangles(self):
@@ -215,7 +252,15 @@ class Complex2:
     @cached_property
     def cell_labels_reduced(self):
         """The part of ``is_reduced`` that reads ``stab`` and ``orbit``:
-        labels and orbits on the cells only, one label per orbit."""
+        labels and orbits on the cells only, one label per orbit.
+
+        Derived once per validated complex (parsed, or built by a
+        contraction), by its validation.  What is built from a checked
+        complex is handed it, True: a piece of a complex
+        that holds it (``subcomplex`` copies a subset of its cells and
+        their labels), a reduction (``reduce_with_map`` labels each cell
+        it keeps by the class of its orbit) and X_T (``split_collapse``
+        likewise); a relabelling shares it."""
         cells = self.cells()
         label = {}
         return self.stab.keys() == self.orbit.keys() == set(cells) and all(
@@ -256,14 +301,6 @@ class Complex2:
         out.extend(self.edges)
         out.extend(self.faces)
         return out
-
-
-def _grouped(pairs):
-    """{key: tuple of ids} from (key, id) pairs, keeping their order."""
-    out = defaultdict(list)
-    for key, cid in pairs:
-        out[key].append(cid)
-    return {key: tuple(ids) for key, ids in out.items()}
 
 
 def make_complex(vertices, edges, faces, stab=None, orbit=None, boundary_marked=(), stab_plus=None, groups=None):
@@ -489,7 +526,10 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
     order.  It keeps every vertex and joins the same vertex pairs, so the
     cutpoints and components of ``x`` are its own; they are handed on
     when ``x`` holds them already.  A simplicial ``x`` keeps its very
-    cells, so its boundary rank is handed on too."""
+    cells, so its boundary rank is handed on too.  Every cell is labelled
+    by the class of its orbit, copied on the merge-free path and induced by
+    ``quotient_labels`` otherwise, so ``cell_labels_reduced`` holds and is
+    handed on, True (by ``canonical_complex``)."""
     edge_groups, tri_groups = x.edges_by_pair, x.triangles_by_triple
     edge_at, face_at, cell_map = {}, {}, {v: v for v in x.vertices}
     for at, by_key in ((edge_at, edge_groups), (face_at, tri_groups)):
@@ -526,7 +566,11 @@ def canonical_complex(vertices, edge_at, face_at, stab, orbit, boundary_marked, 
     vertex pair and triangle ``face_at[(a, b, c)]`` on each sorted vertex
     triple, its sides the edges on its three pairs, stored in canonical
     order.  Its cell data starts with what this builds: the incidence by
-    vertex pair and triple, one id each, and the canonical order."""
+    vertex pair and triple, one id each, and the canonical order.
+
+    ``stab`` and ``orbit`` label exactly these cells, one label per orbit,
+    as both callers build them (the reduction and X_T), so the complex is
+    handed ``cell_labels_reduced`` True."""
     edges, faces, by_pair, by_triple = {}, {}, {}, {}
     for key in sorted(edge_at):
         eid = edge_at[key]
@@ -541,6 +585,7 @@ def canonical_complex(vertices, edge_at, face_at, stab, orbit, boundary_marked, 
         boundary_marked=boundary_marked, stab_plus=stab_plus,
     )
     out.cell_data.__dict__.update(edges_by_pair=by_pair, triangles_by_triple=by_triple, is_canonical=True)
+    out.__dict__["cell_labels_reduced"] = True
     return out
 
 
@@ -753,7 +798,10 @@ def subcomplex(x: Complex2, cells) -> Complex2:
     canonical order, which every piece of canonical cells keeps, and the
     blocks of ``x`` lying in the piece when they cover its edges and
     vertices, as the pieces of ``reduced_cutpoint_tree`` are unions of
-    blocks; a union of whole blocks has those blocks for its own."""
+    blocks; a union of whole blocks has those blocks for its own.  When
+    ``x`` holds ``cell_labels_reduced`` True the piece is handed it: its
+    labels and orbits are those of a subset of ``x``'s cells, keyed by
+    exactly its cells, and one label per orbit holds on any subset."""
     cells = set(cells)
     verts = x.vertices & cells
     edges = {eid: ends for eid, ends in x.edges.items() if eid in cells}
@@ -766,6 +814,8 @@ def subcomplex(x: Complex2, cells) -> Complex2:
         boundary_marked=x.boundary_marked & verts,
         stab_plus={eid: x.stab_plus[eid] for eid in edges if eid in x.stab_plus},
     )
+    if x.__dict__.get("cell_labels_reduced"):
+        out.__dict__["cell_labels_reduced"] = True
     held, handed = x.cell_data.__dict__, out.cell_data.__dict__
     if held.get("is_canonical"):
         handed["is_canonical"] = True

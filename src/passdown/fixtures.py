@@ -344,7 +344,7 @@ def _parse_hierarchy(fx, header, body):
         if parent:
             at = keys.get("at")
             if at is None:
-                raise FixtureError(f"hierarchy node {nid!r} needs at=<action vertex>")
+                raise FixtureError(f"hierarchy node {nid!r} needs at=<action vertex>", line=ln)
             if parent not in nodes:
                 raise FixtureError(f"hierarchy node {nid!r} names unknown parent {parent!r}", line=ln)
             children = nodes[parent].children
@@ -396,10 +396,11 @@ def _parse_pipeline(fx, header, body):
     if "root" not in header_keys:
         raise FixtureError("expected: pipeline <name> root=<structure>")
     root = header_keys["root"]
-    nodes, seen = {}, {}
+    nodes, seen, node_line = {}, {}, {}
     for ln, (kind, nid), _flags, keys in body:
         if kind == "node":
             _declared_once(seen, "script node", nid, ln)
+            node_line[nid] = ln
             nodes[nid] = ScriptNode(
                 id=nid, tree=keys.get("tree"), parent=keys.get("parent"), orbit=keys.get("orbit"), repeat=keys.get("repeat")
             )
@@ -413,11 +414,26 @@ def _parse_pipeline(fx, header, body):
         raise FixtureError(f"pipeline {name!r} needs at least one node")
     if root not in fx.structures:
         raise FixtureError(f"pipeline root structure {root!r} not found")
+    # each node at its own line: a declared parent, one child per orbit of
+    # a parent (a child without an orbit fails only once its parent is
+    # expanded), a declared tree and a declared node to repeat
+    sits = {}
     for nid, node in nodes.items():
+        ln = node_line[nid]
+        if node.parent is not None:
+            if node.parent not in nodes:
+                raise FixtureError(f"script node {nid!r} names unknown parent {node.parent!r}", line=ln)
+            if node.orbit is not None:
+                sibling = sits.setdefault((node.parent, node.orbit), nid)
+                if sibling != nid:
+                    raise FixtureError(
+                        f"script nodes {sibling!r} and {nid!r} both sit at orbit {node.orbit!r} under {node.parent!r}",
+                        line=ln,
+                    )
         if node.tree is not None and node.tree not in fx.trees:
-            raise FixtureError(f"script node {nid!r} references unknown tree {node.tree!r}")
+            raise FixtureError(f"script node {nid!r} references unknown tree {node.tree!r}", line=ln)
         if node.repeat is not None and node.repeat not in nodes:
-            raise FixtureError(f"script node {nid!r} repeats unknown node {node.repeat!r}")
+            raise FixtureError(f"script node {nid!r} repeats unknown node {node.repeat!r}", line=ln)
     fx.pipelines[name] = PipelineScript(name=name, root_structure=root, root_node=next(iter(nodes)), nodes=nodes)
 
 

@@ -183,6 +183,13 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     fail is made: the segments of a new orbit must join the same pair of
     vertex orbits, and they are numbered from each edge's first stored
     end.  X_T must not exceed ``x`` in covolume.
+
+    X_T is handed what ``canonical_complex`` builds: its incidence by
+    pair and triple, its canonical order and ``cell_labels_reduced``.  The
+    last holds as every orbit of the collapsed complex has one label (a
+    segment takes its edge's, a central triangle its face's, a track
+    point its orbit's fresh one, and ``x`` is valid), and each cell of X_T
+    takes the single label of its merged class or the class's minted one.
     """
     res = ts_star.resolution
     x, tree = res.source, res.target

@@ -51,7 +51,7 @@ from generators import (
     wheel,
 )
 from lemmas import is_simple
-from passdown import complexes, graphs, hierarchy, pipeline, provenance, resolution, stability, tracks
+from passdown import complexes, fixtures, graphs, hierarchy, pipeline, provenance, resolution, stability, tracks
 from passdown.complexes import CellData, Complex2, components, cutpoints, h1_z2, is_connected, reduce_complex
 from passdown.errors import ConsistencyError, FixtureError, PassdownError
 from passdown.fixtures import parse_fixtures, parse_text
@@ -205,8 +205,9 @@ def declare_log():
 
 def handed_on(y, as_sets=()):
     """The values y's cell data holds, each equal to that of a fresh
-    ``CellData`` of its cells (the ``as_sets`` ones as sets); returns their
-    names and the fresh cell data."""
+    ``CellData`` of its cells (the ``as_sets`` ones as sets), and
+    ``cell_labels_reduced`` when y holds it, equal to that of a fresh copy
+    of y; returns their names and the fresh cell data."""
     data = y.cell_data.__dict__
     fresh = CellData(y.vertices, y.edges, y.faces)
     names = data.keys() - {"vertices", "edges", "faces"}
@@ -215,6 +216,9 @@ def handed_on(y, as_sets=()):
         if name in as_sets:
             held, derived = set(held), set(derived)
         assert held == derived, name
+    if "cell_labels_reduced" in y.__dict__:
+        assert y.cell_labels_reduced == dataclasses.replace(y).cell_labels_reduced
+        names.add("cell_labels_reduced")
     return names, fresh
 
 
@@ -228,16 +232,16 @@ def pair_set(records):
 # comparisons of complexes
 
 
-BUILT = {"edges_by_pair", "triangles_by_triple", "is_canonical"}
+BUILT = {"edges_by_pair", "triangles_by_triple", "is_canonical", "cell_labels_reduced"}
 SKELETON = {"cutpoints", "vertex_components"}
 
 
 @row(complexes.reduce_with_map, (CellData, oracles.brute_cutpoints, oracles.brute_components), "reduction")
 def reduction_cell_data(case):
-    """``reduce_with_map`` hands on the incidence by pair and triple and the
-    canonical order always, the cutpoints and components only when its input
-    holds them already, and the boundary rank when its input, simplicial,
-    holds it."""
+    """``reduce_with_map`` hands on the incidence by pair and triple, the
+    canonical order and the label check always, the cutpoints and components
+    only when its input holds them already, and the boundary rank when its
+    input, simplicial, holds it."""
     x, groups = case
     counts = Counter(bigons=len(x.bigons()), parallel=len(x.edges) - len(x.edges_by_pair))
     before = (SKELETON | {"boundary_rank"}) & x.cell_data.__dict__.keys()
@@ -268,7 +272,8 @@ complex_shapes(
 def merge_free_reduction(case):
     """The merge-free path against the quotient path; a reduction of a
     simplicial complex that holds its boundary rank is handed it, equal to
-    a fresh derivation, and so gives the h1 of the cochain ranks."""
+    a fresh derivation, and so gives the h1 of the cochain ranks; the label
+    check it is handed equals a fresh derivation."""
     x, groups = case
     merge_free = x.is_simplicial() and x.cell_labels_reduced
     fast_groups, full_groups = groups.copy(), groups.copy()
@@ -278,7 +283,8 @@ def merge_free_reduction(case):
     assert list(fast_map.items()) == list(full_map.items()) and all(c == img for c, img in fast_map.items())
     assert table_state(fast_groups) == table_state(full_groups)
     held = "boundary_rank" in x.cell_data.__dict__
-    assert ("boundary_rank" in handed_on(fast)[0]) == held
+    names = handed_on(fast)[0]
+    assert ("boundary_rank" in names) == held and "cell_labels_reduced" in names
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", complexes.DisconnectedComplexWarning)
         assert h1_z2(fast) == oracles.h1_rank_oracle(fast)
@@ -303,20 +309,22 @@ complex_shapes(
 
 @row(complexes.subcomplex, CellData, "pieces")
 def piece_cell_data(case):
-    """``subcomplex`` hands a piece the canonical order when the parent holds
-    it true, and the parent's blocks when they cover the piece (as a set):
-    every cutpoint piece, and some random triangle-class subcomplexes."""
+    """``subcomplex`` hands a piece the canonical order and the label check
+    when the parent holds them true, and the parent's blocks when they cover
+    the piece (as a set): every cutpoint piece, and some random
+    triangle-class subcomplexes."""
     x, groups, cells = case
     counts = Counter(sets=1)
     blocks = {"skeleton_blocks"}
     # x holds no blocks yet, so the whole complex as a piece gets none
-    assert handed_on(complexes.subcomplex(x, x.cells()), blocks)[0] <= {"is_canonical"}
+    assert handed_on(complexes.subcomplex(x, x.cells()), blocks)[0] <= {"is_canonical", "cell_labels_reduced"}
     if cutpoints(x) and is_connected(x) and h1_z2(x) == 0:
         for cells_of_piece in complexes.reduced_cutpoint_tree(x, groups.copy()).comp_cells.values():
             names = handed_on(complexes.subcomplex(x, cells_of_piece), blocks)[0]
             assert "skeleton_blocks" in names
             assert ("is_canonical" in names) == bool(x.cell_data.__dict__.get("is_canonical"))
-            counts.update(pieces=1, canonical="is_canonical" in names)
+            assert ("cell_labels_reduced" in names) == bool(x.__dict__.get("cell_labels_reduced"))
+            counts.update(pieces=1, canonical="is_canonical" in names, labels_checked="cell_labels_reduced" in names)
     counts["with_blocks"] = "skeleton_blocks" in handed_on(complexes.subcomplex(x, cells), blocks)[0]
     return counts
 
@@ -335,9 +343,10 @@ def piece(rng, x, groups):
 
 @row(hierarchy._cutpoint_pieces, (CellData, oracles.cutpoint_piece_check), "pieces")
 def cutpoint_pieces(case):
-    """Each cutpoint piece is handed its one component and its boundary
-    rank, equal to a fresh derivation, and is connected with h1 = 0 by the
-    cochain ranks (the wedge argument is in ``_cutpoint_pieces``)."""
+    """Each cutpoint piece is handed its one component, its boundary rank
+    and, when its parent holds it, the label check, equal to a fresh
+    derivation, and is connected with h1 = 0 by the cochain ranks (the
+    wedge argument is in ``_cutpoint_pieces``)."""
     x, groups, _cells = case
     if not (is_connected(x) and h1_z2(x) == 0):
         return None
@@ -345,6 +354,7 @@ def cutpoint_pieces(case):
     for _gid, sub in split.values():
         names, _fresh = handed_on(sub, {"skeleton_blocks"})
         assert {"vertex_components", "boundary_rank"} <= names
+        assert ("cell_labels_reduced" in names) == bool(x.__dict__.get("cell_labels_reduced"))
         assert oracles.cutpoint_piece_check(sub)
     return Counter(split=len(split))
 
@@ -352,7 +362,8 @@ def cutpoint_pieces(case):
 # trivial labels on a strip chain: every cut vertex is slender, so each block is a piece
 complex_shapes(
     "pieces", piece, ["strip=chain", "doubled=doubled chain", "labelled strip=strip", "labelled tree=tree"], [20261027], 60,
-    lambda name, c: c["pieces"] > 30 and 0 < c["canonical"] <= c["pieces"] and 0 < c["with_blocks"] < c["sets"]
+    lambda name, c: c["pieces"] > 30 and 0 < c["canonical"] <= c["pieces"] and 0 < c["labels_checked"] <= c["pieces"]
+    and 0 < c["with_blocks"] < c["sets"]
     and (name != "strip" or c["pieces"] > 80 and c["canonical"] < c["pieces"])
     # a labelled cut vertex is not slender, so its pieces merge into one and nothing splits
     and c["split"] == (0 if name.startswith("labelled") else c["pieces"]),
@@ -678,6 +689,77 @@ shape("incidence", "unlabelled", unlabelled)
 shape("skeleton", "unlabelled", unlabelled)
 
 
+@row(CellData, (oracles.incidence_by_grouping, oracles.is_canonical_by_sorting), "cell order")
+def cell_order(case):
+    """The incidence maps, each built in one loop, against grouping, with
+    keys and values in the same order; the one-pass canonical check against
+    the comparison with the sorted pairs and triples.  Each case is a list
+    of (name, cells): the drawn cells, their reduction, and copies of the
+    reduction that put one cell out of place."""
+    counts = Counter()
+    for name, cells in case:
+        fast = CellData(*cells)
+        for key, grouped in oracles.incidence_by_grouping(fast).items():
+            assert list(getattr(fast, key).items()) == list(grouped.items()), (name, key)
+        canonical = fast.is_canonical
+        assert canonical == oracles.is_canonical_by_sorting(fast), name
+        counts.update({name: 1, f"{name}, canonical": canonical})
+    return counts
+
+
+def out_of_place(rng, x, groups):
+    """The cells of ``x`` and of its reduction, and copies of the reduction
+    each with one cell out of place (``OUT_OF_PLACE``)."""
+    y = reduce_complex(x, groups)
+    vertices, edges, faces = y.vertices, y.edges, y.faces
+    eids, fids = list(edges), list(faces)
+    out = [("drawn", (x.vertices, x.edges, x.faces)), ("reduced", (vertices, edges, faces))]
+
+    def swapped(d, keys):
+        i = rng.randrange(len(keys) - 1)
+        keys = keys[:i] + [keys[i + 1], keys[i]] + keys[i + 2:]
+        return {k: d[k] for k in keys}
+
+    if eids:
+        eid = rng.choice(eids)
+        u, v = edges[eid]
+        twin = f"{eid}~"
+        # a parallel edge stored right after its twin, and a bigon on the two
+        parallel = {}
+        for e in eids:
+            parallel[e] = edges[e]
+            if e == eid:
+                parallel[twin] = edges[e]
+        out += [
+            ("high end first", (vertices, {**edges, eid: (v, u)}, faces)),
+            ("ends as a list", (vertices, {**edges, eid: [u, v]}, faces)),
+            ("parallel edge", (vertices, parallel, faces)),
+            ("bigon", (vertices, parallel, {**faces, f"{eid}~b": (eid, twin)})),
+        ]
+    if len(eids) > 1:
+        out.append(("edges swapped", (vertices, swapped(edges, eids), faces)))
+    if len(fids) > 1:
+        out.append(("faces swapped", (vertices, edges, swapped(faces, fids))))
+    if fids:
+        fid = rng.choice(fids)
+        a, b, c = faces[fid]
+        order = rng.choice([(a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)])
+        out.append(("sides permuted", (vertices, edges, {**faces, fid: order})))
+    return out
+
+
+OUT_OF_PLACE = ("high end first", "ends as a list", "parallel edge", "bigon", "edges swapped", "faces swapped", "sides permuted")
+
+complex_shapes(
+    "cell order", out_of_place, ["simplicial", "cell", "tree", "glued", "strip", "doubled"], [20261030], 30,
+    # every reduction is canonical and every copy out of place is not; some
+    # drawn complexes are not simplicial
+    lambda name, c: c["reduced"] == c["reduced, canonical"] == c["cases"]
+    and all(c[kind] > 0 and not c[f"{kind}, canonical"] for kind in OUT_OF_PLACE)
+    and (name not in ("cell", "doubled") or c["drawn, canonical"] < c["drawn"]),
+)
+
+
 @row(stability._straddling_cone, oracles.straddling_cone_every_vertex, "classed complex")
 def straddling_cone(case):
     x, class_of = case
@@ -862,8 +944,8 @@ def collapse(case):
     """``split_collapse`` against the collapse built cell by cell and
     reduced, over copies of the group table: complex and fragment in dict
     order, and the tables with their declared pairs in order; the fast
-    complex holds its incidence by pair and triple and its canonical order,
-    each equal to a fresh derivation."""
+    complex holds its incidence by pair and triple, its canonical order and
+    the label check, each equal to a fresh derivation."""
     ts, groups = case
     fast_groups, full_groups = groups.copy(), groups.copy()
     with declare_log() as log:
@@ -1319,7 +1401,9 @@ def seed1(workload):
         ):
             spy(m, counts, owner, name, **{name: lambda frame, *args: 1, f"{name} in a collapse": inside_of("split_collapse")})
         spy(m, counts, resolution.Resolution, "crossings")
-        spy(m, counts, complexes, "_grouped")
+        # the label check, derived once per complex that derives it
+        spy(m, counts, Complex2.__dict__["cell_labels_reduced"], "func", cell_labels_reduced=lambda frame, *args: 1)
+        spy(m, counts, fixtures, "make_complex", **{"parsed complexes": lambda frame, *args: 1})
         spy(m, counts, Complex2, "__init__", **{"built in a collapse": inside_of("split_collapse")})
         spy(m, counts, graphs, "blocks", blocks=lambda frame, *args: 1, **{
             "blocks on pieces": lambda frame, nodes, edges: id(edges) in piece_edges,

@@ -857,6 +857,51 @@ def is_simplicial_oracle(x):
     return True
 
 
+def _grouped(pairs):
+    """{key: tuple of ids} from (key, id) pairs, keeping their order."""
+    out = defaultdict(list)
+    for key, cid in pairs:
+        out[key].append(cid)
+    return {key: tuple(ids) for key, ids in out.items()}
+
+
+def incidence_by_grouping(x):
+    """The four incidence maps of ``complexes.CellData``, each grouped from
+    a stream of (key, id) pairs: edges by vertex pair in id order,
+    triangles by vertex in face order (corners in face-vertex-set order),
+    by side in id order and by vertex triple in id order."""
+    fv = {fid: frozenset(w for eid in es for w in x.edges[eid]) for fid, es in x.faces.items()}
+    tris = [fid for fid, es in x.faces.items() if len(es) == 3]
+    return {
+        "edges_by_pair": _grouped((frozenset(x.edges[eid]), eid) for eid in sorted(x.edges)),
+        "triangles_by_vertex": _grouped((v, fid) for fid in tris for v in fv[fid]),
+        "triangles_by_edge": _grouped((eid, fid) for fid in sorted(tris) for eid in x.faces[fid]),
+        "triangles_by_triple": _grouped((fv[fid], fid) for fid in sorted(tris)),
+    }
+
+
+def is_canonical_by_sorting(x):
+    """Simplicial, and the cell dicts equal to the canonical ones listed
+    from the sorted vertex pairs and triples: each edge ``(u, v)`` with
+    ``u < v``, each triangle with sides ``(ab, bc, ac)``."""
+    incidence = incidence_by_grouping(x)
+    by_pair, by_triple = incidence["edges_by_pair"], incidence["triangles_by_triple"]
+    if len(by_pair) != len(x.edges) or len(by_triple) != len(x.faces):
+        return False
+
+    def edge(u, v):
+        return by_pair[frozenset((u, v))][0]
+
+    return (
+        list(x.edges.items()) == [(edge(u, v), (u, v)) for u, v in sorted(map(sorted, by_pair))]
+        and list(x.faces.items())
+        == [
+            (by_triple[frozenset((a, b, c))][0], (edge(a, b), edge(b, c), edge(a, c)))
+            for a, b, c in sorted(map(sorted, by_triple))
+        ]
+    )
+
+
 def boundary_rank_oracle(x):
     """Rank over Z2 of the face-to-edge boundary matrix, reduced with numpy."""
     ei = {e: i for i, e in enumerate(sorted(x.edges))}

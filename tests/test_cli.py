@@ -150,7 +150,7 @@ end
         bad = tmp_path / "bad.txt"
         bad.write_text(self._GOGS + "hierarchy K\n  node r A action=G\n  node c A parent=r\nend\n")
         assert main(["h1", str(bad), "--complex", "X"]) == 2
-        assert capsys.readouterr().err == "error: line 11: hierarchy node 'c' needs at=<action vertex>\n"
+        assert capsys.readouterr().err == "error: line 13: hierarchy node 'c' needs at=<action vertex>\n"
 
     @pytest.mark.parametrize(
         "nodes, message",
@@ -176,6 +176,29 @@ end
         bad.write_text(text.replace(line, line * 2))
         assert main(["pipeline", str(bad), "--name", "worked"]) == 2
         assert capsys.readouterr().err == "error: line 74: script node 'a0' is declared twice\n"
+
+    @pytest.mark.parametrize(
+        "line, edited, message",
+        [
+            ("  node a0 parent=w0 orbit=o0 tree=PT\n", "  node a0 parent=zz orbit=o0 tree=PT\n",
+             "line 73: script node 'a0' names unknown parent 'zz'"),
+            ("  node a1 parent=w0 orbit=o1 tree=PT\n", "  node a1 parent=w0 orbit=o0 tree=PT\n",
+             "line 74: script nodes 'a0' and 'a1' both sit at orbit 'o0' under 'w0'"),
+            ("  node a0 parent=w0 orbit=o0 tree=PT\n", "  node a0 parent=w0 orbit=o0 tree=nope\n",
+             "line 73: script node 'a0' references unknown tree 'nope'"),
+            ("  node b0 parent=a0 orbit=op repeat=a0\n", "  node b0 parent=a0 orbit=op repeat=zz\n",
+             "line 75: script node 'b0' repeats unknown node 'zz'"),
+        ],
+        ids=["an unknown parent", "two children at one orbit", "an unknown tree", "an unknown repeat"],
+    )
+    def test_a_malformed_script_node_exit_code(self, line, edited, message, tmp_path, capsys):
+        with open(fixture("worked_terminating.txt"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert line in text
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(line, edited))
+        assert main(["pipeline", str(bad), "--name", "worked"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestOSBoundary:

@@ -323,6 +323,7 @@ class TestReductionProperties:
 class TestDerivedIncidence:
     test_maps_match_recomputation = differential_test("incidence")
     test_components_blocks_and_rank_match_recomputation = differential_test("skeleton")
+    test_loops_and_canonical_check_match_grouping_and_sorting = differential_test("cell order")
 
     def test_returned_collections_do_not_write_through(self):
         x = random_simplicial_complex(random.Random(3))

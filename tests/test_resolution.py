@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from passdown.resolution import (
 )
 from passdown.trees import ActionDescriptor, make_tree, reduced_path
 
-from differential import built_lists, record_built, seed1
+from differential import built_lists, handed_on, record_built, seed1
 from generators import line_tree, star, triangle
 from oracles import brute_components, check_resolution, crossing_partition_holds, track_sides
 
@@ -413,11 +414,14 @@ class TestBuiltResolutions:
         """The oracle of the checks a collapse leaves out: the X_T that a
         collapse of tracks builds in one pass, every complex a contraction
         builds, and every complex a collapse reduces as it is, unvalidated
-        there, is valid over the table of the run."""
+        there, is valid over the table of the run.  A fresh copy is
+        validated, so that its label check is derived, not handed on; what
+        each complex was handed equals a fresh derivation."""
         kinds = {"collapsed", "contracted", "uncollapsed", "reduced", "piece"}
         assert {kind for kind, _x, _groups in built.complexes} == kinds
         for _kind, x, groups in built.complexes:
-            validate_complex(x, groups)
+            validate_complex(dataclasses.replace(x), groups)
+            handed_on(x, {"skeleton_blocks"})
 
     def test_each_track_system_keeps_the_crossing_partition(self, built):
         assert any(ts.tracks for ts in built.track_systems)

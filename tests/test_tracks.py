@@ -336,11 +336,11 @@ class TestCollapseWithNothingToCollapse:
         and builds one complex, its reduction; no edge crossing is looked
         up, by the track extraction or the collapse; the reduction hands
         on the incidence and cutpoints, so the ops call ``graphs.blocks``
-        and ``complexes._grouped`` no more than they need."""
+        no more than they need."""
         counts = seed1("size").counts
         assert counts["collapses"] == counts["built in a collapse"] == 45
         assert counts["collapses over a tree with edges"] == 0
-        assert counts["crossings"] == 0 and counts["blocks"] <= 180 and counts["_grouped"] <= 240
+        assert counts["crossings"] == 0 and counts["blocks"] <= 180
 
 
 class TestTrackPointDeclares:
@@ -370,6 +370,15 @@ def test_the_collapse_derives_each_table_once():
         seen[workload] = (counts["crossings"], counts["leq in a collapse's declare step"], counts["blocks on pieces"], pieces)
     assert seen["surgery"] == (2016, 3670, 0, 68)
     assert seen["size"] == (0, 0, 0, 45)
+
+
+def test_the_label_check_is_derived_once_per_parsed_complex():
+    """On the seed-1 ``size`` and ``surgery`` ops ``cell_labels_reduced`` is
+    derived once per parsed complex (15 each), by its validation: every
+    cutpoint piece, reduction and X_T is handed it."""
+    for workload in ("size", "surgery"):
+        counts = seed1(workload).counts
+        assert counts["cell_labels_reduced"] == counts["parsed complexes"] == 15, workload
 
 
 def test_a_collapse_validates_only_what_it_builds():
