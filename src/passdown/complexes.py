@@ -34,14 +34,14 @@ class CellData:
     relabelling of a complex shares this object, so a label-only change
     derives none of it again.  Map values are id tuples.  The cells are
     valid: each complex is validated once, where it is built
-    (``make_complex``, ``finish_collapse``), is built valid by construction
-    (``split_collapse``), or is the reduction, piece or relabelling of a
-    valid one.
+    (``make_complex``, ``resolution.contract``), is built valid by
+    construction (by ``canonical_complex``, the quotient step of every
+    reduction and of X_T), or is a piece or relabelling of a valid one.
 
     A complex built from another starts with what its builder knows.
-    ``canonical_complex`` (every reduction, and X_T) hands on the incidence
-    by pair and triple, one id each, and the canonical order, which it
-    builds; ``reduce_with_map`` the cutpoints and components its input
+    ``canonical_complex`` hands on the incidence by pair and triple, one
+    id each, and the canonical order, which it builds;
+    ``reduce_with_map`` the cutpoints and components its input
     holds, since it joins the same vertex pairs, and the boundary rank of
     a simplicial input, whose cells it keeps; ``subcomplex`` the canonical
     order of a canonical parent, which a subset of its cells in its order
@@ -258,9 +258,9 @@ class Complex2:
         contraction), by its validation.  What is built from a checked
         complex is handed it, True: a piece of a complex
         that holds it (``subcomplex`` copies a subset of its cells and
-        their labels), a reduction (``reduce_with_map`` labels each cell
-        it keeps by the class of its orbit) and X_T (``split_collapse``
-        likewise); a relabelling shares it."""
+        their labels), and a reduction or X_T (``canonical_complex``, their
+        one quotient step, labels each cell it keeps by the class of its
+        orbit); a relabelling shares it."""
         cells = self.cells()
         label = {}
         return self.stab.keys() == self.orbit.keys() == set(cells) and all(
@@ -327,10 +327,9 @@ def make_complex(vertices, edges, faces, stab=None, orbit=None, boundary_marked=
 def validate_complex(x, groups=None):
     """The one full check of a complex read from a fixture: its cells,
     and over ``groups`` its label references, containments and orbit
-    labels.  The containment check and the declare step of
-    ``wire_and_validate`` walk one generator, ``_containments``: each face
-    below its sides and its sorted corners, then each edge below its
-    ends.
+    labels.  The containment check and ``declare_containments`` walk one
+    generator, ``_containments``: each face below its sides and its sorted
+    corners, then each edge below its ends.
 
     Whether a label names a group, and whether one lies below another,
     depends on the labels only, so each distinct cell label is looked up
@@ -510,99 +509,113 @@ def reduce_complex(x: Complex2, groups: GroupTable) -> Complex2:
 
 
 def reduce_with_map(x: Complex2, groups: GroupTable):
-    """reduce_complex plus the cell map (collapsed bigons map to None).
+    """reduce_complex plus the cell map (collapsed bigons map to None):
+    the edges of ``x`` filed by vertex pair and its triangles by vertex
+    triple, handed to the quotient step ``canonical_complex``.
 
     The reduction of a valid complex is valid, so it is not validated: its
     cells are canonical, its labels are labels of ``x`` or minted, one per
-    merged orbit class, and merged edge orbits join the same vertex orbits.
-    Its containments are recorded only when it mints a cell label: every
-    other label is the one label of its merged cells in ``x``, and so
-    every containment already holds between cells of ``x``.  A simplicial
-    ``x`` with ``cell_labels_reduced`` merges and mints nothing: its cell
-    map is the identity and its labels are copied.
-
-    The reduction's cell data starts with what the reduction builds: its
-    incidence by vertex pair and triple, one id each, and its canonical
-    order.  It keeps every vertex and joins the same vertex pairs, so the
-    cutpoints and components of ``x`` are its own; they are handed on
-    when ``x`` holds them already.  A simplicial ``x`` keeps its very
-    cells, so its boundary rank is handed on too.  Every cell is labelled
-    by the class of its orbit, copied on the merge-free path and induced by
-    ``quotient_labels`` otherwise, so ``cell_labels_reduced`` holds and is
-    handed on, True (by ``canonical_complex``)."""
-    edge_groups, tri_groups = x.edges_by_pair, x.triangles_by_triple
-    edge_at, face_at, cell_map = {}, {}, {v: v for v in x.vertices}
-    for at, by_key in ((edge_at, edge_groups), (face_at, tri_groups)):
-        for key in sorted(by_key, key=sorted):
-            sources = by_key[key]
-            rep = at[tuple(sorted(key))] = sources[0]
-            for src in sources:
-                cell_map[src] = rep
+    merged orbit class, and merged edge orbits join the same vertex
+    orbits.  Its cell data starts with what the quotient step builds.  It
+    keeps every vertex and joins the same vertex pairs, so the cutpoints
+    and components of ``x`` are its own; they are handed on when ``x``
+    holds them already.  A simplicial ``x`` keeps its very cells, so its
+    boundary rank is handed on too."""
+    cell_map = {v: v for v in x.vertices}
+    edges_at, faces_at = {}, {}
+    for at, by_key in ((edges_at, x.edges_by_pair), (faces_at, x.triangles_by_triple)):
+        for key, ids in by_key.items():
+            at[tuple(sorted(key))] = ids
+            cell_map.update(dict.fromkeys(ids, ids[0]))
     for fid in x.bigons():
         cell_map[fid] = None
-
-    merge_free = x.is_simplicial() and x.cell_labels_reduced
-    if merge_free:
-        # the cell map is the identity and every orbit has one label, so
-        # ``quotient_labels`` would copy each label, in its order
-        order = sorted(cell_map, key=str)
-        x_stab, x_orbit, x_plus, x_edges = x.stab, x.orbit, x.stab_plus, x.edges
-        stab = {c: x_stab[c] for c in order}
-        orbit = {c: x_orbit[c] for c in order}
-        stab_plus = {c: x_plus.get(c, x_stab[c]) for c in order if c in x_edges}
-    else:
-        stab, orbit, stab_plus = quotient_labels(x, cell_map, groups, prefix="red")
-    out = canonical_complex(x.vertices, edge_at, face_at, stab, orbit, x.boundary_marked, stab_plus)
+    out = canonical_complex(x.vertices, edges_at, faces_at, x.stab, x.orbit, x.stab_plus, x.boundary_marked, groups)
     held = x.cell_data.__dict__
     kept = ("cutpoints", "vertex_components") + (("boundary_rank",) if x.is_simplicial() else ())
     out.cell_data.__dict__.update((name, held[name]) for name in kept if name in held)
-    if not merge_free and not set(x.stab.values()).issuperset(stab.values()):
-        declare_containments(out, groups)
     return out, cell_map
 
 
-def canonical_complex(vertices, edge_at, face_at, stab, orbit, boundary_marked, stab_plus):
-    """The simplicial complex with edge ``edge_at[(u, v)]`` on each sorted
-    vertex pair and triangle ``face_at[(a, b, c)]`` on each sorted vertex
-    triple, its sides the edges on its three pairs, stored in canonical
-    order.  Its cell data starts with what this builds: the incidence by
-    vertex pair and triple, one id each, and the canonical order.
+def canonical_complex(vertices, edges_at, faces_at, stab, orbit, stab_plus, boundary_marked, groups: GroupTable):
+    """The one quotient step, of every reduction and of X_T: the simplicial
+    complex on ``vertices`` with one edge on each sorted vertex pair of
+    ``edges_at`` and one triangle on each sorted vertex triple of
+    ``faces_at``, its sides the edges on its three pairs, stored in
+    canonical order.  Each key maps to the source cells on it, in id
+    order; ``stab`` and ``orbit`` label the vertices and every source cell,
+    and an edge's oriented label is its entry in ``stab_plus``, else its
+    label.
 
-    ``stab`` and ``orbit`` label exactly these cells, one label per orbit,
-    as both callers build them (the reduction and X_T), so the complex is
-    handed ``cell_labels_reduced`` True."""
-    edges, faces, by_pair, by_triple = {}, {}, {}, {}
-    for key in sorted(edge_at):
-        eid = edge_at[key]
+    Each pair or triple keeps its least id, and the orbits of the cells it
+    merges are unioned into classes, each named by its least orbit.  A
+    class whose cells carry several labels gets a fresh ``red`` label,
+    minted in class order; then an edge whose cells carry several oriented
+    labels gets a fresh ``red.plus`` above them, in id order.  Every other
+    cell keeps its label, the one label of its class, so each containment
+    of the complex is one between source cells, which holds (the caller
+    declares what its sources need); they are declared here only when a
+    class label is minted.
+
+    The cell data starts with what this builds: the incidence by vertex
+    pair and triple, one id each, and the canonical order.  Each cell is
+    labelled by its class, so the complex is handed
+    ``cell_labels_reduced`` True."""
+    merged = [ids for at in (edges_at, faces_at) for ids in at.values() if len(ids) > 1]
+    uf = graphs.UnionFind()
+    for ids in merged:
+        for cell in ids[1:]:
+            uf.union(orbit[ids[0]], orbit[cell])
+    class_of = {o: uf.find(o) for o in uf.parent}
+    # the first label met in each class, and the classes that meet another:
+    # on the cells merged away here, on the kept ones as they are labelled
+    first, several = {}, set()
+    for ids in merged:
+        for cell in ids[1:]:
+            cls, label = class_of[orbit[cell]], stab[cell]
+            if first.setdefault(cls, label) != label:
+                several.add(cls)
+    edges, faces, by_pair, by_triple, sources = {}, {}, {}, {}, {}
+    for key in sorted(edges_at):
+        ids = edges_at[key]
+        eid = ids[0]
         edges[eid] = key
         by_pair[frozenset(key)] = (eid,)
-    for a, b, c in sorted(face_at):
-        fid = face_at[(a, b, c)]
-        faces[fid] = (edge_at[(a, b)], edge_at[(b, c)], edge_at[(a, c)])
+        if len(ids) > 1:
+            sources[eid] = ids
+    for a, b, c in sorted(faces_at):
+        fid = faces_at[(a, b, c)][0]
+        faces[fid] = (edges_at[(a, b)][0], edges_at[(b, c)][0], edges_at[(a, c)][0])
         by_triple[frozenset((a, b, c))] = (fid,)
+    out_stab, out_orbit = {}, {}
+    for cell in sorted([*vertices, *edges, *faces]):
+        o, label = orbit[cell], stab[cell]
+        cls = out_orbit[cell] = class_of.get(o, o)
+        out_stab[cell] = label
+        if first.setdefault(cls, label) != label:
+            several.add(cls)
+    out_plus, plus_several = {}, []
+    for eid in sorted(edges):
+        out_plus[eid] = stab_plus.get(eid, stab[eid])
+        if eid in sources:
+            labels = sorted({stab_plus.get(cell, stab[cell]) for cell in sources[eid]})
+            if len(labels) > 1:
+                plus_several.append((eid, labels))
+    class_ref = {cls: groups.mint("red").id for cls in sorted(several)}
+    if class_ref:
+        out_stab.update((cell, class_ref[cls]) for cell, cls in out_orbit.items() if cls in class_ref)
+    for eid, labels in plus_several:
+        ref = out_plus[eid] = groups.mint("red.plus").id
+        for old in labels:
+            groups.declare_leq(old, ref)
     out = Complex2(
-        vertices=vertices, edges=edges, faces=faces, stab=stab, orbit=orbit,
-        boundary_marked=boundary_marked, stab_plus=stab_plus,
+        vertices=vertices, edges=edges, faces=faces, stab=out_stab, orbit=out_orbit,
+        boundary_marked=boundary_marked, stab_plus=out_plus,
     )
     out.cell_data.__dict__.update(edges_by_pair=by_pair, triangles_by_triple=by_triple, is_canonical=True)
     out.__dict__["cell_labels_reduced"] = True
+    if class_ref:
+        declare_containments(out, groups)
     return out
-
-
-def wire_and_validate(x: Complex2, groups: GroupTable):
-    """Record the face<=edge<=vertex containments of a synthesized complex,
-    then validate it.
-
-    Surgery constructions guarantee these containments geometrically (a
-    stabilizer of a cell fixes the cells it collapses onto), but freshly
-    minted labels do not carry them yet.  Once declared they hold, so the
-    validation walks them no more; every other check of
-    ``validate_complex`` runs.
-    """
-    declare_containments(x, groups)
-    _validate_cells(x)
-    _validate_label_refs(x, groups)
-    _validate_orbit_labels(x)
 
 
 def fresh_separator(taken, minted, sep):
@@ -616,63 +629,6 @@ def fresh_separator(taken, minted, sep):
     while not taken.isdisjoint(minted(sep)):
         sep += sep[0]
     return sep
-
-
-def quotient_labels(x: Complex2, cell_map, groups: GroupTable, prefix: str, extra_stab=None):
-    """Induce stabilizer/orbit labels along a surjective cell map.
-
-    ``cell_map`` sends source cells to image cells (or None for collapsed
-    cells).  Source orbits whose cells land on a common image are merged
-    (the quotient of an equivariant collapse); a merged class keeps its
-    shared label when it has one and otherwise gets a fresh ref with no
-    declared supergroups.
-    ``extra_stab`` pre-assigns labels for image cells that have no source
-    (collapsed-track points, contracted-component vertices).
-    """
-    preimages = defaultdict(list)
-    for src in sorted(cell_map, key=str):
-        img = cell_map[src]
-        if img is not None:
-            preimages[img].append(src)
-
-    # merge source orbits that share an image anywhere
-    uf = graphs.UnionFind()
-    find = uf.find
-    for srcs in preimages.values():
-        first = x.orbit[srcs[0]]
-        for src in srcs[1:]:
-            uf.union(first, x.orbit[src])
-
-    class_labels = defaultdict(set)
-    for src, img in cell_map.items():
-        if img is not None:
-            class_labels[find(x.orbit[src])].add(x.stab[src])
-
-    class_ref = {}
-    for cls in sorted(class_labels):
-        labels = sorted(class_labels[cls])
-        if len(labels) == 1:
-            class_ref[cls] = labels[0]
-        else:
-            class_ref[cls] = groups.mint(prefix).id
-
-    stab, orbit, stab_plus = dict(extra_stab or {}), {}, {}
-    for img, srcs in preimages.items():
-        cls = find(x.orbit[srcs[0]])
-        orbit[img] = cls
-        stab.setdefault(img, class_ref[cls])
-        plus = {x.edge_stab_plus(s) for s in srcs if s in x.edges}
-        if plus:
-            if len(plus) == 1:
-                stab_plus[img] = plus.pop()
-            else:
-                ref = groups.mint(prefix + ".plus")
-                for old in plus:
-                    groups.declare_leq(old, ref.id)
-                stab_plus[img] = ref.id
-    for img in stab:
-        orbit.setdefault(img, img)
-    return stab, orbit, stab_plus
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ reads back to the same fixtures: ``write(parse_text(write(fx))) == write(fx)``.
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from . import graphs
 from .complexes import make_complex
 from .errors import FixtureError
 from .groups import TRIVIAL, GroupRef, GroupTable
@@ -416,7 +417,15 @@ def _parse_pipeline(fx, header, body):
         raise FixtureError(f"pipeline root structure {root!r} not found")
     # each node at its own line: a declared parent, one child per orbit of
     # a parent (a child without an orbit fails only once its parent is
-    # expanded), a declared tree and a declared node to repeat
+    # expanded), a node the root reaches, a declared tree and a declared
+    # node to repeat.  The root is the first node, and a node reaches its
+    # children and the node it repeats
+    root_node, succ = next(iter(nodes)), {}
+    for nid, node in nodes.items():
+        succ.setdefault(node.parent, []).append(nid)
+        if node.repeat is not None:
+            succ.setdefault(nid, []).append(node.repeat)
+    reached = graphs.reached(succ, root_node)
     sits = {}
     for nid, node in nodes.items():
         ln = node_line[nid]
@@ -430,11 +439,13 @@ def _parse_pipeline(fx, header, body):
                         f"script nodes {sibling!r} and {nid!r} both sit at orbit {node.orbit!r} under {node.parent!r}",
                         line=ln,
                     )
+        if nid not in reached:
+            raise FixtureError(f"script node {nid!r} is not reached from the root node {root_node!r}", line=ln)
         if node.tree is not None and node.tree not in fx.trees:
             raise FixtureError(f"script node {nid!r} references unknown tree {node.tree!r}", line=ln)
         if node.repeat is not None and node.repeat not in nodes:
             raise FixtureError(f"script node {nid!r} repeats unknown node {node.repeat!r}", line=ln)
-    fx.pipelines[name] = PipelineScript(name=name, root_structure=root, root_node=next(iter(nodes)), nodes=nodes)
+    fx.pipelines[name] = PipelineScript(name=name, root_structure=root, root_node=root_node, nodes=nodes)
 
 
 def _parse_restrict(fx, line):

@@ -63,10 +63,10 @@ def components(nodes, edges):
     return comps
 
 
-def path(adj, a, b):
-    """A shortest vertex tuple from ``a`` to ``b`` in the graph whose node ->
-    neighbours map is ``adj``, by breadth-first search that tries the
-    neighbours in their order; None when no path joins them."""
+def reached(adj, a):
+    """Each node reached from ``a`` in the graph whose node -> neighbours
+    map is ``adj`` -> the node it is first reached from (``a`` -> None), by
+    breadth-first search that tries the neighbours in their order."""
     prev = {a: None}
     queue = [a]
     for v in queue:  # the list grows while it is walked
@@ -74,6 +74,14 @@ def path(adj, a, b):
             if w not in prev:
                 prev[w] = v
                 queue.append(w)
+    return prev
+
+
+def path(adj, a, b):
+    """A shortest vertex tuple from ``a`` to ``b`` in the graph whose node ->
+    neighbours map is ``adj``, through the search of ``reached``; None when
+    no path joins them."""
+    prev = reached(adj, a)
     if b not in prev:
         return None
     out = [b]

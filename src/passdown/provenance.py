@@ -16,7 +16,6 @@ every side fixed.  Readers look images up through ``image`` and
 
 from dataclasses import dataclass, field
 
-from .complexes import covolume, reduce_with_map, wire_and_validate
 from .errors import EngineError
 
 
@@ -88,40 +87,3 @@ class TauFragment:
             if img is not None and fe not in target.faces[img]:
                 raise EngineError(f"provenance image side {fe!r} is not a side of {img!r}")
 
-
-def finish_collapse(x, collapsed, frag: TauFragment, groups, step: str):
-    """Finish a collapse of ``x`` onto ``collapsed`` (freshly built, or
-    ``x`` itself when nothing collapses), whose cells ``frag`` follows:
-    reduce it, and follow ``frag`` with the reduction.  A freshly built
-    ``collapsed`` first has its incidence containments recorded and is
-    validated: each complex is validated where it is built, and this is
-    where a contraction builds one.  ``x`` itself is valid already, and
-    the reduction of a valid complex is valid.  The result must be
-    consistent and no larger in covolume than ``x``.  Returns (reduced
-    complex, fragment from ``x``); the reduction keeps every vertex, so
-    track points stay where ``frag`` put them.  A collapse of tracks
-    builds its reduced complex in one pass instead
-    (``tracks.split_collapse``)."""
-    if collapsed is not x:
-        wire_and_validate(collapsed, groups)
-    reduced, red_map = reduce_with_map(collapsed, groups)
-    if len(reduced.edges) == len(collapsed.edges) and len(reduced.faces) == len(collapsed.faces):
-        # no cell merged and no bigon dropped: the cell map is the identity
-        out = frag
-    else:
-        out = frag.compose(
-            TauFragment(
-                triangle_map={f: red_map[f] for f in collapsed.triangles()},
-                edge_map={
-                    (f, e): red_map[e]
-                    for f in collapsed.triangles()
-                    if red_map[f] is not None
-                    for e in collapsed.faces[f]
-                },
-            )
-        )
-        out.track_point = frag.track_point
-    out.check_consistency(x, reduced)
-    if covolume(reduced) > covolume(x):
-        raise EngineError(f"{step} increased covolume")
-    return reduced, out

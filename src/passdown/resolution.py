@@ -15,10 +15,10 @@ Group ids without an entry inherit the entry of a declared supergroup.
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import Complex2, fresh_separator, quotient_labels
+from .complexes import Complex2, covolume, declare_containments, fresh_separator, reduce_with_map, validate_complex
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError
 from .groups import TRIVIAL, GroupTable
-from .provenance import TauFragment, finish_collapse
+from .provenance import TauFragment
 from .trees import (
     DIHEDRAL,
     ELLIPTIC,
@@ -322,15 +322,26 @@ def validate_resolution(res: Resolution):
 
 
 def contract(res: Resolution, groups: GroupTable):
-    """Collapse each component of the boundary preimage to a point.
+    """Collapse each component of the boundary preimage to a point, and
+    reduce.
 
     Returns (X_C, descended resolution, provenance).  New vertices take
     the collapsed component's stabilizer: the original one for a singleton
-    component, otherwise a fresh slender ref (the component fixes a line).
-    A component of several vertices becomes vertex ``c<sep><v>`` for a
-    vertex v of it, where ``sep`` is the shortest run of colons that makes
-    every such id new.
-    The descended resolution is splitting and covolume does not increase.
+    component, otherwise a fresh slender ref (the component fixes a line),
+    one per orbit of components.  A component of several vertices becomes
+    vertex ``c<sep><v>`` for a vertex v of it, where ``sep`` is the
+    shortest run of colons that makes every such id new.  The orbits of
+    its vertices merge into one class, named by its least orbit, and a
+    class whose vertices carry several labels gets a fresh one for its
+    other cells; ``x`` is valid, so every other orbit keeps its one label.
+
+    The collapsed complex is built whole.  Its containments hold
+    geometrically (a stabilizer of a cell fixes the cells it collapses
+    onto), but fresh labels do not carry them yet, so they are declared;
+    then it is validated, as each complex is where it is built, and
+    reduced.  The result must be consistent with the fragment and no
+    larger in covolume than ``x``, and the descended resolution is
+    splitting.
     """
     if res.kind != CONTRACTING:
         raise HypothesisError("contract applies to contracting (type II) resolutions only")
@@ -350,7 +361,7 @@ def contract(res: Resolution, groups: GroupTable):
     sep = fresh_separator(x.stab.keys() | x.orbit.values(), lambda sep: (f"c{sep}{rep}" for rep in merged), ":")
     comp_vertex = {}
     image_override = {}
-    extra_stab = {}
+    comp_stab = {}
     ref_by_signature = {}
     for rep, members in classes.items():
         images = {res.vertex_image[v] for v in members}
@@ -365,57 +376,68 @@ def contract(res: Resolution, groups: GroupTable):
             sig = frozenset(x.orbit[v] for v in members)
             if sig not in ref_by_signature:
                 ref_by_signature[sig] = groups.mint("cmp", slender=True).id
-            extra_stab[cid] = ref_by_signature[sig]
+            comp_stab[cid] = ref_by_signature[sig]
         image_override[comp_vertex[rep]] = images.pop()
 
     vertex_map = {}
     for v in sorted(x.vertices):
         vertex_map[v] = comp_vertex[find(v)] if v in ideal_verts else v
 
-    new_edges, edge_map = {}, {}
+    new_edges = {}
     for eid in sorted(x.edges):
         if eid in boundary_edges:
-            edge_map[eid] = None
             continue
         u, v = x.edges[eid]
         nu, nv = vertex_map[u], vertex_map[v]
         if nu == nv:
             raise EngineError(f"surviving edge {eid!r} collapsed to a loop")
         new_edges[eid] = (nu, nv)
-        edge_map[eid] = eid
 
-    new_faces, face_map = {}, {}
+    new_faces = {}
     for fid in sorted(x.faces):
-        es = [e for e in x.faces[fid] if edge_map[e] is not None]
-        if len(es) <= 1:
-            face_map[fid] = None
-            continue
-        new_faces[fid] = tuple(es)
-        face_map[fid] = fid
+        es = [e for e in x.faces[fid] if e in new_edges]
+        if len(es) > 1:
+            new_faces[fid] = tuple(es)
 
-    cell_map = {}
-    cell_map.update(vertex_map)
-    cell_map.update(edge_map)
-    cell_map.update(face_map)
-    stab, orbit, stab_plus = quotient_labels(x, cell_map, groups, prefix="cmp", extra_stab=extra_stab)
+    # the orbits of a merged component's vertices join one class, and a
+    # class whose vertices carry several labels gets a fresh one, minted in
+    # class order
+    orbit_class = graphs.UnionFind()
+    for rep in merged:
+        for v in classes[rep]:
+            orbit_class.union(x.orbit[rep], x.orbit[v])
+    class_labels = {}
+    for rep in merged:
+        for v in classes[rep]:
+            class_labels.setdefault(orbit_class.find(x.orbit[v]), set()).add(x.stab[v])
+    class_ref = {cls: groups.mint("cmp").id for cls in sorted(class_labels) if len(class_labels[cls]) > 1}
+    stab, orbit = {}, {}
+    for cell in [*vertex_map, *new_edges, *new_faces]:
+        img = vertex_map.get(cell, cell)
+        cls = orbit[img] = orbit_class.find(x.orbit[cell])
+        stab[img] = comp_stab.get(img) or class_ref.get(cls, x.stab[cell])
     collapsed = Complex2(
-        vertices=frozenset(vertex_map[v] for v in x.vertices),
+        vertices=frozenset(vertex_map.values()),
         edges=new_edges,
         faces=new_faces,
         stab=stab,
         orbit=orbit,
-        boundary_marked=frozenset(
-            vertex_map[v] for v in x.boundary_marked if vertex_map[v] is not None
-        ),
-        stab_plus=stab_plus,
+        boundary_marked=frozenset(vertex_map[v] for v in x.boundary_marked),
+        stab_plus={eid: x.edge_stab_plus(eid) for eid in new_edges},
     )
-    # a triangle survives when it keeps all three sides
-    tri_map = {f: f if len(new_faces.get(f, ())) == 3 else None for f in x.triangles()}
-    frag = TauFragment(
-        triangle_map=tri_map,
-        edge_map={(f, e): e for f, img in tri_map.items() if img is not None for e in x.faces[f]},
-    )
-    xc, frag = finish_collapse(x, collapsed, frag, groups, "contraction")
+    declare_containments(collapsed, groups)
+    validate_complex(collapsed, groups)
+    xc, red_map = reduce_with_map(collapsed, groups)
+    # a triangle survives when it keeps all three sides; it and its sides
+    # go where the reduction takes them
+    frag = TauFragment()
+    for f in x.triangles():
+        img = frag.triangle_map[f] = red_map[f] if len(new_faces.get(f, ())) == 3 else None
+        if img is not None:
+            frag.edge_map.update(((f, e), red_map[e]) for e in x.faces[f])
+    frag.check_consistency(x, xc)
+    if covolume(xc) > covolume(x):
+        raise EngineError("contraction increased covolume")
     new_image = {v: image_override[v] if v in image_override else res.vertex_image[v] for v in xc.vertices}
     descended = resolution_from_images(xc, res.target, new_image, actions=res.actions)
     if descended.kind != SPLITTING:

@@ -13,10 +13,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import canonical_complex, covolume, declare_containments, declare_pairs, fresh_separator, h1_z2, is_connected
+from .complexes import canonical_complex, covolume, declare_pairs, fresh_separator, h1_z2, is_connected, reduce_with_map
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError, TruncationError
 from .groups import GroupTable
-from .provenance import TauFragment, finish_collapse
+from .provenance import TauFragment
 from .resolution import SPLITTING, Resolution
 
 
@@ -164,38 +164,37 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
 
     With no track and no vertex at an ideal point nothing collapses: the
     collapsed complex would be ``x`` with its cells and labels, so ``x``
-    itself is reduced, under the identity fragment, and not validated
-    again: each complex is validated where it is built, and ``x`` is a
-    parsed terminal, a contraction, or a cutpoint piece, reduction or
-    override relabelling (whose labels are looked up) of a valid complex.
+    itself is reduced and not validated again: each complex is validated
+    where it is built, and ``x`` is a parsed terminal, a contraction, or a
+    cutpoint piece, reduction or override relabelling (whose labels are
+    looked up) of a valid complex.  Track extraction checks that ``x`` is
+    simplicial, so the reduction keeps every cell, and the fragment is the
+    identity.
 
-    Otherwise X_T is built in one pass: it is what ``finish_collapse``
-    makes of the collapsed complex built whole (the tests keep that
-    construction as the oracle).  Segments on one node pair and central
-    triangles on one corner triple merge as they are made, into their
-    least id; the orbits of merged cells merge, into their least orbit,
-    and a merged class of several labels, or an edge whose segments carry
-    several oriented labels, gets a fresh one.  Every containment of the
-    collapsed complex whose upper cell is not a track point is one of
-    ``x`` between the same labels, and holds; only those under a track
-    point are declared, and those of all of X_T when a class label is
-    minted.  Of the checks of a built complex only the one that input can
-    fail is made: the segments of a new orbit must join the same pair of
-    vertex orbits, and they are numbered from each edge's first stored
-    end.  X_T must not exceed ``x`` in covolume.
+    Otherwise the segments, filed by node pair, and the central
+    triangles, filed by corner triple, go to ``canonical_complex``, the
+    quotient step of every reduction: X_T is the reduction of the
+    collapsed complex built whole (the tests keep that construction as the
+    oracle).  Every containment of the collapsed complex whose upper cell
+    is not a track point is one of ``x`` between the same labels, and
+    holds; only those under a track point are declared here.  Of the
+    checks of a built complex only the one that input can fail is made:
+    the segments of a new orbit must join the same pair of vertex orbits.
+    An edge's segments are numbered from its end in the least vertex
+    orbit (from its first stored end when both ends are in one orbit), so
+    that the edges of one orbit number theirs alike however they are
+    stored.  X_T must not exceed ``x`` in covolume.
 
-    X_T is handed what ``canonical_complex`` builds: its incidence by
-    pair and triple, its canonical order and ``cell_labels_reduced``.  The
-    last holds as every orbit of the collapsed complex has one label (a
-    segment takes its edge's, a central triangle its face's, a track
-    point its orbit's fresh one, and ``x`` is valid), and each cell of X_T
-    takes the single label of its merged class or the class's minted one.
+    Every orbit of the collapsed complex has one label (a segment takes
+    its edge's, a central triangle its face's, a track point its orbit's
+    fresh one, and ``x`` is valid), so the quotient step mints a class
+    label only where cells of differently labelled orbits merge.
     """
     res = ts_star.resolution
     x, tree = res.source, res.target
     removed = res.ideal_vertices()
     if not ts_star.tracks and not removed:
-        return finish_collapse(x, x, _identity_fragment(x), groups, "collapse")
+        return reduce_with_map(x, groups)[0], _identity_fragment(x)
 
     track_of = {}  # (eid, tree edge) -> track
     for tr in ts_star.tracks:
@@ -240,11 +239,11 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
         stab[v], orbit[v] = x.stab[v], x.orbit[v]
 
     # segments: one per consecutive pair of nodes along an edge (surviving
-    # ends and track points in path order), merged by sorted node pair;
-    # with them, the (label, label above) of each segment below a track
-    # point, and the first new orbit whose segments do not all join one pair
-    # of vertex orbits
-    edge_at, merged_edges, made, plus, edge_pairs = {}, {}, set(), {}, []
+    # ends and track points in path order, from the end in the least vertex
+    # orbit), filed by sorted node pair; with them, the (label, label above)
+    # of each segment below a track point, and the first new orbit whose
+    # segments do not all join one pair of vertex orbits
+    edges_at, made, plus, edge_pairs = {}, set(), {}, []
     shape, bad_orbit = {}, None
     track_points = set(point_vertex.values())
     for eid in sorted(x.edges):
@@ -257,6 +256,9 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
                 "extend the tree's rays or the boundary marking"
             )
         points = [point_vertex[track_of[(eid, f)].id] for f in fs]
+        if points and x.orbit[v] < x.orbit[u]:
+            u, v = v, u
+            points.reverse()
         nodes = ([u] if u in kept else []) + points + ([v] if v in kept else [])
         for k, (a, b) in enumerate(zip(nodes, nodes[1:])):
             if untouched:
@@ -274,15 +276,15 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
                 plus[sid] = x.stab_plus[eid]
             key = (a, b) if a < b else (b, a)
             made.add((eid, key))
-            rep = edge_at.setdefault(key, sid)
-            if rep != sid:
-                merged_edges.setdefault(key, [rep]).append(sid)
-                edge_at[key] = min(rep, sid)
+            edges_at.setdefault(key, []).append(sid)
+    for ids in edges_at.values():
+        if len(ids) > 1:
+            ids.sort()
 
     # central triangle per face, via the tripod of its three branches,
-    # merged by sorted corner triple; with them, the (label, label above)
+    # filed by sorted corner triple; with them, the (label, label above)
     # of each face below a track point
-    face_at, merged_faces, tri_map, edge_map, face_pairs = {}, {}, {}, {}, []
+    faces_at, tri_map, edge_map, face_pairs = {}, {}, {}, []
     for fid in sorted(x.triangles()):
         # x is simplicial (track extraction checks it): one edge per side
         a, b, c = sorted(x.face_vertices(fid))
@@ -326,56 +328,26 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
             key = (p, q) if p < q else (q, p)
             if (eid, key) not in made:
                 raise EngineError(f"central region side missing on triangle {fid!r}")
-            edge_map[(fid, eid)] = edge_at[key]
+            edge_map[(fid, eid)] = edges_at[key][0]
         stab[mid_id], orbit[mid_id] = x.stab[fid], x.orbit[fid]
         triple = tri_map[fid] = tuple(sorted(corner_node.values()))
-        rep = face_at.setdefault(triple, mid_id)
-        if rep != mid_id:
-            merged_faces.setdefault(triple, [rep]).append(mid_id)
-            face_at[triple] = min(rep, mid_id)
+        faces_at.setdefault(triple, []).append(mid_id)
+    for ids in faces_at.values():
+        if len(ids) > 1:
+            ids.sort()
 
     declare_pairs(groups, face_pairs + edge_pairs)
     if bad_orbit is not None:
         raise ConsistencyError(f"edges of orbit {bad_orbit!r} have mismatched endpoint orbits")
 
-    # the reduction: the orbits of merged cells merge, and a class of
-    # several labels gets a fresh one, minted in class order
-    uf, orbit_label = graphs.UnionFind(), {}
-    for srcs in (*merged_edges.values(), *merged_faces.values()):
-        for s in srcs:
-            uf.union(orbit[srcs[0]], orbit[s])
-            orbit_label[orbit[s]] = stab[s]
-    class_of, class_ref = {}, {}
-    for cls, members in uf.classes().items():
-        class_of.update(dict.fromkeys(members, cls))
-        if len({orbit_label[o] for o in members}) > 1:
-            class_ref[cls] = groups.mint("red").id
-    # cell labels in id order; an edge's oriented labels are those of its
-    # merged segments in id order, and several get a fresh one above them
-    vertices = kept.union(point_vertex.values())
-    merged_srcs = {edge_at[key]: sorted(srcs) for key, srcs in merged_edges.items()}
-    edge_ids = set(edge_at.values())
-    out_stab, out_orbit, out_plus = {}, {}, {}
-    for cell in sorted([*vertices, *edge_ids, *face_at.values()]):
-        cls = out_orbit[cell] = class_of.get(orbit[cell], orbit[cell])
-        out_stab[cell] = class_ref.get(cls, stab[cell])
-        if cell in edge_ids:
-            labels = {plus.get(s, stab[s]) for s in merged_srcs.get(cell, (cell,))}
-            if len(labels) == 1:
-                out_plus[cell] = labels.pop()
-            else:
-                out_plus[cell] = groups.mint("red.plus").id
-                for old in labels:
-                    groups.declare_leq(old, out_plus[cell])
     xt = canonical_complex(
-        vertices, edge_at, face_at, out_stab, out_orbit, (x.boundary_marked & kept) | marked_points, out_plus
+        kept.union(point_vertex.values()), edges_at, faces_at, stab, orbit, plus,
+        (x.boundary_marked & kept) | marked_points, groups,
     )
-    if class_ref:
-        declare_containments(xt, groups)
     if covolume(xt) > covolume(x):
         raise EngineError("collapse increased covolume")
     frag = TauFragment(
-        triangle_map={fid: face_at[triple] for fid, triple in tri_map.items()},
+        triangle_map={fid: faces_at[triple][0] for fid, triple in tri_map.items()},
         edge_map=edge_map,
         track_point=point_vertex,
     )

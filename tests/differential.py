@@ -51,8 +51,8 @@ from generators import (
     wheel,
 )
 from lemmas import is_simple
-from passdown import complexes, fixtures, graphs, hierarchy, pipeline, provenance, resolution, stability, tracks
-from passdown.complexes import CellData, Complex2, components, cutpoints, h1_z2, is_connected, reduce_complex
+from passdown import complexes, fixtures, graphs, hierarchy, pipeline, resolution, stability, tracks
+from passdown.complexes import CellData, Complex2, components, cutpoints, h1_z2, is_connected, make_complex, reduce_complex
 from passdown.errors import ConsistencyError, FixtureError, PassdownError
 from passdown.fixtures import parse_fixtures, parse_text
 from passdown.groups import TRIVIAL, GroupRef, GroupTable
@@ -236,14 +236,25 @@ BUILT = {"edges_by_pair", "triangles_by_triple", "is_canonical", "cell_labels_re
 SKELETON = {"cutpoints", "vertex_components"}
 
 
-@row(complexes.reduce_with_map, (CellData, oracles.brute_cutpoints, oracles.brute_components), "reduction")
+@row(complexes.reduce_with_map, (oracles.reduction_by_quotient, CellData, oracles.brute_cutpoints, oracles.brute_components), "reduction")
 def reduction_cell_data(case):
-    """``reduce_with_map`` hands on the incidence by pair and triple, the
-    canonical order and the label check always, the cutpoints and components
-    only when its input holds them already, and the boundary rank when its
-    input, simplicial, holds it."""
+    """``reduce_with_map`` equals its definition along the quotient of its
+    cell map, over copies of the group table: complex and cell map in dict
+    order, and the tables with their declared pairs in order.  It hands on
+    the incidence by pair and triple, the canonical order and the label
+    check always, the cutpoints and components only when its input holds
+    them already, and the boundary rank when its input, simplicial, holds
+    it."""
     x, groups = case
     counts = Counter(bigons=len(x.bigons()), parallel=len(x.edges) - len(x.edges_by_pair))
+    fast_groups, full_groups = groups.copy(), groups.copy()
+    with declare_log() as log:
+        fast, fast_map = complexes.reduce_with_map(x, fast_groups)
+        full, full_map = oracles.reduction_by_quotient(x, full_groups)
+    assert complex_fields(fast) == complex_fields(full)
+    assert list(fast_map.items()) == list(full_map.items())
+    assert table_state(fast_groups, log) == table_state(full_groups, log)
+    counts.update(minted=fast_groups._mint_counter > groups._mint_counter, declared=bool(table_state(fast_groups, log)[-1]))
     before = (SKELETON | {"boundary_rank"}) & x.cell_data.__dict__.keys()
     for step in range(2):
         reduced, _ = complexes.reduce_with_map(x, groups.copy())
@@ -263,17 +274,21 @@ def reduction_cell_data(case):
 
 complex_shapes(
     "reduction", as_drawn, ["doubled", "strip", "cell", "glued"], [20261023], 60,
-    # parallel edges and bigons on doubled strips, cutpoints on every strip
-    lambda name, c: (name != "doubled" or c["bigons"] > 100 and c["parallel"] > 200) and (name not in ("doubled", "strip") or c["cuts"] > 20),
+    # parallel edges and bigons on doubled strips, where merged cells of
+    # different labels mint labels, and cutpoints on every strip
+    lambda name, c: (name != "doubled" or c["bigons"] > 100 and c["parallel"] > 200 and c["minted"] > 10 and c["declared"] > 10)
+    and (name not in ("doubled", "strip") or c["cuts"] > 20),
 )
 
 
 @row(complexes.reduce_with_map, (oracles.reduction_by_quotient, CellData, oracles.h1_rank_oracle), "merge-free reduction")
 def merge_free_reduction(case):
-    """The merge-free path against the quotient path; a reduction of a
-    simplicial complex that holds its boundary rank is handed it, equal to
-    a fresh derivation, and so gives the h1 of the cochain ranks; the label
-    check it is handed equals a fresh derivation."""
+    """A reduction that merges nothing (of a simplicial complex with one
+    label per orbit) against its definition along the quotient of its cell
+    map; a reduction of a simplicial complex that holds its boundary rank
+    is handed it, equal to a fresh derivation, and so gives the h1 of the
+    cochain ranks; the label check it is handed equals a fresh
+    derivation."""
     x, groups = case
     merge_free = x.is_simplicial() and x.cell_labels_reduced
     fast_groups, full_groups = groups.copy(), groups.copy()
@@ -1029,6 +1044,76 @@ def nothing_to_collapse(case):
 complex_shapes("constant images", as_drawn, ["strip", "doubled", "simplicial", "glued", "tree"], [20261025], 40)
 
 
+@row(resolution.contract, oracles.contract_by_construction, "contraction")
+def contraction(case):
+    """``contract`` against the contraction with every label induced along
+    its whole cell map and its collapsed complex reduced by definition,
+    over copies of the group table: the error raised, or complex and
+    fragment in dict order and the descended resolution; and the tables
+    with their declared pairs in order."""
+    res, groups = case
+    if res is None:
+        return Counter(edgeless=1)
+    fast_groups, full_groups, out = groups.copy(), groups.copy(), {}
+    with declare_log() as log:
+        fast_error = raised(lambda: out.setdefault("fast", resolution.contract(res, fast_groups)))
+        full_error = raised(lambda: out.setdefault("full", oracles.contract_by_construction(res, full_groups)))
+    assert fast_error == full_error
+    assert table_state(fast_groups, log) == table_state(full_groups, log)
+    if full_error:
+        return Counter(refused=1)
+    (fast, fast_res, fast_frag), (full, full_res, full_frag) = out["fast"], out["full"]
+    assert complex_fields(fast) == complex_fields(full)
+    assert fragment_maps(fast_frag) == fragment_maps(full_frag)
+    assert fast_res == full_res
+    x, boundary, minted = res.source, res.boundary_edges(), fast_groups.ids() - groups.ids()
+    return Counter(
+        merged=bool(fast.vertices - x.vertices),
+        bigons=sum(len(es) == 3 and len(boundary.intersection(es)) == 1 for es in x.faces.values()),
+        # a fresh label for a class of vertices of several labels, and one
+        # for merged cells of several labels in the reduction
+        **{"vertex class labels": sum(gid.startswith("cmp.") and not fast_groups.slender(gid) for gid in minted)},
+        **{"reduction labels": sum(gid.startswith("red.") for gid in minted)},
+    )
+
+
+def contracting(rng, x, groups):
+    """A contracting resolution of x over a path with ideal points p and q:
+    the ends of one edge, and each other vertex with chance 0.3, go to p,
+    a vertex with chance 0.1 to q, and the others to tree vertices.  A
+    pair of vertices at p is made one orbit of one label with chance 0.3,
+    so that a class the contraction merges may reach a vertex outside the
+    component; unless the components of the pair have one orbit shape,
+    the contraction refuses the orbit its two labels.  A complex with no
+    edge has none (None)."""
+    if not x.edges:
+        return None, groups
+    tree = line_tree(rng.randint(2, 4), ("p", "q"))
+    ends = x.edges[rng.choice(sorted(x.edges))]
+    images = {}
+    for v in sorted(x.vertices):
+        draw = rng.random()
+        images[v] = "p" if v in ends or draw < 0.3 else "q" if draw < 0.4 else rng.choice(sorted(tree.vertices))
+    at_p = [v for v in sorted(x.vertices) if images[v] == "p"]
+    rng.shuffle(at_p)
+    stab, orbit = dict(x.stab), dict(x.orbit)
+    for a, b in zip(at_p[::2], at_p[1::2]):
+        if rng.random() < 0.3:
+            orbit[a] = orbit[b] = f"o.{a}"
+            stab[b] = stab[a]
+    x = make_complex(x.vertices, x.edges, x.faces, stab, orbit, x.boundary_marked, x.stab_plus, groups)
+    return resolution_from_images(x, tree, images), groups
+
+
+complex_shapes(
+    "contraction", contracting, ["cell", "tree", "glued", "strip", "doubled"], [20261031], 40,
+    # every contraction merges a component of several vertices; bigons are
+    # dropped and labels minted in both steps, and some orbits are refused
+    lambda name, c: c["merged"] == c["cases"] - c["edgeless"] - c["refused"] > 25 and c["bigons"] > 10
+    and c["vertex class labels"] > 10 and c["reduction labels"] > 10 and c["refused"] > 0,
+)
+
+
 # ---------------------------------------------------------------------------
 # comparisons of runs
 
@@ -1278,7 +1363,7 @@ def worked64():
         nest(m, inside, stability, "classes_of_complex")
         for owner, name in (
             (hierarchy, "build_resolution"), (hierarchy, "tracks_from_resolution"), (hierarchy, "split_collapse"),
-            (tracks, "finish_collapse"), (tracks, "canonical_complex"), (pipeline, "make_tree_level"),
+            (tracks, "reduce_with_map"), (tracks, "canonical_complex"), (pipeline, "make_tree_level"),
             (stability, "classes_of_complex"), (stability, "level_classes"), (stability, "_sigma"),
             (stability, "_pulls_back"), (stability.LevelData, "covolume"), (oracles, "compose"), (oracles, "stable_pairs"),
         ):
@@ -1299,11 +1384,11 @@ def record_built(m, built):
     group table as it was) the X_T of each collapse of tracks or ideal
     vertices, built in one pass ("collapsed"), each complex a contraction
     builds and validates ("contracted"), each complex a collapse reduces
-    as it is ("uncollapsed"), each reduction ("reduced") and each cutpoint
-    piece ("piece")."""
+    as it is ("uncollapsed"), each reduction of those two ("reduced") and
+    each cutpoint piece ("piece")."""
     construct, restrict = resolution.resolution_from_images, hierarchy._restrict_resolution
-    draw, collapse, finish = hierarchy.tracks_from_resolution, hierarchy.split_collapse, tracks.finish_collapse
-    wire, reduce, split = provenance.wire_and_validate, provenance.reduce_with_map, hierarchy._cutpoint_pieces
+    draw, collapse, split = hierarchy.tracks_from_resolution, hierarchy.split_collapse, hierarchy._cutpoint_pieces
+    validate = resolution.validate_complex
 
     def constructed(*args, **kwargs):
         built.made.append(construct(*args, **kwargs))
@@ -1319,24 +1404,24 @@ def record_built(m, built):
 
     def collapsed(ts, groups):
         built.track_systems.append(ts)
+        if not ts.tracks and not ts.resolution.ideal_vertices():
+            built.complexes.append(("uncollapsed", ts.resolution.source, groups.copy()))
         out = collapse(ts, groups)
         if ts.tracks or ts.resolution.ideal_vertices():
             built.complexes.append(("collapsed", out[0], groups.copy()))
         return out
 
-    def finished(x, collapsed, frag, groups, *args):
-        if collapsed is x:
-            built.complexes.append(("uncollapsed", x, groups.copy()))
-        return finish(x, collapsed, frag, groups, *args)
-
-    def wired(x, groups):
-        wire(x, groups)
+    def validated(x, groups):
+        validate(x, groups)
         built.complexes.append(("contracted", x, groups.copy()))
 
-    def reduced(x, groups):
-        out = reduce(x, groups)
-        built.complexes.append(("reduced", out[0], groups.copy()))
-        return out
+    def reducing(reduce):
+        def reduced(x, groups):
+            out = reduce(x, groups)
+            built.complexes.append(("reduced", out[0], groups.copy()))
+            return out
+
+        return reduced
 
     def pieces(nid, x, groups, taken):
         out = split(nid, x, groups, taken)
@@ -1347,9 +1432,9 @@ def record_built(m, built):
     m.setattr(hierarchy, "_restrict_resolution", restricted_to)
     m.setattr(hierarchy, "tracks_from_resolution", drawn)
     m.setattr(hierarchy, "split_collapse", collapsed)
-    m.setattr(tracks, "finish_collapse", finished)
-    m.setattr(provenance, "wire_and_validate", wired)
-    m.setattr(provenance, "reduce_with_map", reduced)
+    m.setattr(resolution, "validate_complex", validated)
+    for owner in (tracks, resolution):
+        m.setattr(owner, "reduce_with_map", reducing(owner.reduce_with_map))
     m.setattr(hierarchy, "_cutpoint_pieces", pieces)
 
 
@@ -1394,10 +1479,13 @@ def seed1(workload):
         ):
             nest(m, inside, owner, name)
         spy(m, counts, tracks, "declare_pairs")
-        # the generic build-then-reduce steps, counted inside a collapse
+        # the quotient step, wherever it is called from, the reduction of a
+        # collapse with nothing to collapse, the validation of a complex
+        # and the composition of fragments, each also counted inside a
+        # collapse
         for owner, name in (
-            (provenance, "wire_and_validate"), (provenance, "reduce_with_map"), (complexes, "quotient_labels"),
-            (TauFragment, "compose"),
+            (tracks, "canonical_complex"), (complexes, "canonical_complex"), (tracks, "reduce_with_map"),
+            (complexes, "_validate_cells"), (TauFragment, "compose"),
         ):
             spy(m, counts, owner, name, **{name: lambda frame, *args: 1, f"{name} in a collapse": inside_of("split_collapse")})
         spy(m, counts, resolution.Resolution, "crossings")

@@ -6,7 +6,7 @@ end (``level``, ``is_h_elliptic``) are definitions only the tests use."""
 import functools
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -616,12 +616,14 @@ def collapse_by_construction(ts_star, groups):
     """``tracks.split_collapse`` with the collapsed complex built cell by
     cell in every case, no track and no ideal vertex included: one point
     per track, one segment per consecutive pair of nodes along an edge and
-    one central triangle per face, then ``finish_collapse``."""
+    one central triangle per face, then ``finish_collapse``.  An edge's
+    segments are numbered from its end in the least vertex orbit, from its
+    first stored end when both ends are in one orbit."""
     from collections import Counter
 
     from passdown.complexes import Complex2, fresh_separator
     from passdown.errors import EngineError, TruncationError
-    from passdown.provenance import TauFragment, finish_collapse
+    from passdown.provenance import TauFragment
 
     def _oriented_crossings(res, eid, start_vertex):
         fs = res.crossings(eid)
@@ -681,6 +683,10 @@ def collapse_by_construction(ts_star, groups):
                 "extend the tree's rays or the boundary marking"
             )
         points = [point_vertex[track_of[(eid, f)].id] for f in res.crossings(eid) if (eid, f) in track_of]
+        if not untouched and x.orbit[v] < x.orbit[u]:
+            # numbered from the end in the least vertex orbit
+            u, v = v, u
+            points.reverse()
         nodes = ([u] if u in kept else []) + points + ([v] if v in kept else [])
         for k, (a, b) in enumerate(zip(nodes, nodes[1:])):
             sid = eid if untouched else f"{eid}{sep}{k}"
@@ -1005,14 +1011,240 @@ def is_reduced_oracle(x, groups):
 
 
 def reduction_by_quotient(x, groups):
-    """``reduce_with_map`` with every label induced by ``quotient_labels``,
-    as for a complex that merges cells: the path a simplicial complex with
-    one label per orbit skips."""
-    from passdown.complexes import reduce_with_map
+    """``complexes.reduce_with_map`` by its definition: the cell map that
+    keeps the least edge on each vertex pair and the least triangle on each
+    vertex triple and drops every bigon (vertices, then edges and
+    triangles in the order of the incidence maps), every label induced
+    along it by ``quotient_labels``, the cells stored in canonical order,
+    and the containments declared when a class label is minted."""
+    from passdown.complexes import Complex2, declare_containments
 
-    y = replace(x)
-    y.__dict__["cell_labels_reduced"] = False
-    return reduce_with_map(y, groups)
+    cell_map = {v: v for v in x.vertices}
+    edge_at, face_at = {}, {}
+    for at, by_key in ((edge_at, x.edges_by_pair), (face_at, x.triangles_by_triple)):
+        for key, sources in by_key.items():
+            at[tuple(sorted(key))] = min(sources)
+            cell_map.update((src, min(sources)) for src in sources)
+    for fid in x.bigons():
+        cell_map[fid] = None
+    stab, orbit, stab_plus = quotient_labels(x, cell_map, groups, prefix="red")
+    out = Complex2(
+        vertices=x.vertices,
+        edges={edge_at[key]: key for key in sorted(edge_at)},
+        faces={face_at[(a, b, c)]: (edge_at[(a, b)], edge_at[(b, c)], edge_at[(a, c)]) for a, b, c in sorted(face_at)},
+        stab=stab,
+        orbit=orbit,
+        boundary_marked=x.boundary_marked,
+        stab_plus=stab_plus,
+    )
+    if not set(x.stab.values()).issuperset(stab.values()):
+        declare_containments(out, groups)
+    return out, cell_map
+
+
+def quotient_labels(x, cell_map, groups, prefix, extra_stab=None):
+    """Induce stabilizer/orbit labels along a surjective cell map.
+
+    ``cell_map`` sends source cells to image cells (or None for collapsed
+    cells).  Source orbits whose cells land on a common image are merged
+    (the quotient of an equivariant collapse); a merged class keeps its
+    shared label when it has one and otherwise gets a fresh ref with no
+    declared supergroups.  An image edge whose sources carry several
+    oriented labels gets a fresh ref above them, declared in label order.
+    ``extra_stab`` pre-assigns labels for image cells that have no source
+    (contracted-component vertices)."""
+    from passdown import graphs
+
+    preimages = defaultdict(list)
+    for src in sorted(cell_map, key=str):
+        img = cell_map[src]
+        if img is not None:
+            preimages[img].append(src)
+
+    # merge source orbits that share an image anywhere
+    uf = graphs.UnionFind()
+    find = uf.find
+    for srcs in preimages.values():
+        first = x.orbit[srcs[0]]
+        for src in srcs[1:]:
+            uf.union(first, x.orbit[src])
+
+    class_labels = defaultdict(set)
+    for src, img in cell_map.items():
+        if img is not None:
+            class_labels[find(x.orbit[src])].add(x.stab[src])
+
+    class_ref = {}
+    for cls in sorted(class_labels):
+        labels = sorted(class_labels[cls])
+        if len(labels) == 1:
+            class_ref[cls] = labels[0]
+        else:
+            class_ref[cls] = groups.mint(prefix).id
+
+    stab, orbit, stab_plus = dict(extra_stab or {}), {}, {}
+    for img, srcs in preimages.items():
+        cls = find(x.orbit[srcs[0]])
+        orbit[img] = cls
+        stab.setdefault(img, class_ref[cls])
+        plus = {x.edge_stab_plus(s) for s in srcs if s in x.edges}
+        if plus:
+            if len(plus) == 1:
+                stab_plus[img] = plus.pop()
+            else:
+                ref = groups.mint(prefix + ".plus")
+                for old in sorted(plus):
+                    groups.declare_leq(old, ref.id)
+                stab_plus[img] = ref.id
+    for img in stab:
+        orbit.setdefault(img, img)
+    return stab, orbit, stab_plus
+
+
+def wire_and_validate(x, groups):
+    """Record the face<=edge<=vertex containments of a synthesized complex,
+    then make every other check of ``validate_complex``."""
+    from passdown.complexes import _validate_cells, _validate_label_refs, _validate_orbit_labels, declare_containments
+
+    declare_containments(x, groups)
+    _validate_cells(x)
+    _validate_label_refs(x, groups)
+    _validate_orbit_labels(x)
+
+
+def finish_collapse(x, collapsed, frag, groups, step):
+    """Finish a collapse of ``x`` onto ``collapsed``, whose cells ``frag``
+    follows: record the containments of ``collapsed`` and validate it,
+    reduce it (``reduction_by_quotient``), and follow ``frag`` with the
+    reduction.  The result must be consistent and no larger in covolume
+    than ``x``.  Returns (reduced complex, fragment from ``x``)."""
+    from passdown.complexes import covolume
+    from passdown.errors import EngineError
+    from passdown.provenance import TauFragment
+
+    wire_and_validate(collapsed, groups)
+    reduced, red_map = reduction_by_quotient(collapsed, groups)
+    if len(reduced.edges) == len(collapsed.edges) and len(reduced.faces) == len(collapsed.faces):
+        # no cell merged and no bigon dropped: the cell map is the identity
+        out = frag
+    else:
+        out = frag.compose(
+            TauFragment(
+                triangle_map={f: red_map[f] for f in collapsed.triangles()},
+                edge_map={
+                    (f, e): red_map[e]
+                    for f in collapsed.triangles()
+                    if red_map[f] is not None
+                    for e in collapsed.faces[f]
+                },
+            )
+        )
+        out.track_point = frag.track_point
+    out.check_consistency(x, reduced)
+    if covolume(reduced) > covolume(x):
+        raise EngineError(f"{step} increased covolume")
+    return reduced, out
+
+
+def contract_by_construction(res, groups):
+    """``resolution.contract`` with the collapsed complex's labels induced
+    along its whole cell map by ``quotient_labels``, and finished by
+    ``finish_collapse``."""
+    from passdown import graphs
+    from passdown.complexes import Complex2, fresh_separator
+    from passdown.errors import EngineError, HypothesisError
+    from passdown.provenance import TauFragment
+    from passdown.resolution import CONTRACTING, SPLITTING, resolution_from_images
+
+    if res.kind != CONTRACTING:
+        raise HypothesisError("contract applies to contracting (type II) resolutions only")
+    x = res.source
+    boundary_edges = res.boundary_edges()
+    if not boundary_edges:
+        raise EngineError("contracting resolution without boundary edges")
+    ideal_verts = res.ideal_vertices()
+
+    uf = graphs.UnionFind()
+    find = uf.find
+    for eid in boundary_edges:
+        uf.union(*x.edges[eid])
+
+    classes = uf.classes(ideal_verts)
+    merged = [rep for rep, members in classes.items() if len(members) > 1]
+    sep = fresh_separator(x.stab.keys() | x.orbit.values(), lambda sep: (f"c{sep}{rep}" for rep in merged), ":")
+    comp_vertex = {}
+    image_override = {}
+    extra_stab = {}
+    ref_by_signature = {}
+    for rep, members in classes.items():
+        images = {res.vertex_image[v] for v in members}
+        if len(images) != 1:
+            raise EngineError("one collapsed component maps to several ideal points")
+        if len(members) == 1:
+            comp_vertex[rep] = rep  # singleton: keep the vertex and its label
+        else:
+            cid = f"c{sep}{rep}"
+            comp_vertex[rep] = cid
+            # components in one orbit share one fresh slender label
+            sig = frozenset(x.orbit[v] for v in members)
+            if sig not in ref_by_signature:
+                ref_by_signature[sig] = groups.mint("cmp", slender=True).id
+            extra_stab[cid] = ref_by_signature[sig]
+        image_override[comp_vertex[rep]] = images.pop()
+
+    vertex_map = {}
+    for v in sorted(x.vertices):
+        vertex_map[v] = comp_vertex[find(v)] if v in ideal_verts else v
+
+    new_edges, edge_map = {}, {}
+    for eid in sorted(x.edges):
+        if eid in boundary_edges:
+            edge_map[eid] = None
+            continue
+        u, v = x.edges[eid]
+        nu, nv = vertex_map[u], vertex_map[v]
+        if nu == nv:
+            raise EngineError(f"surviving edge {eid!r} collapsed to a loop")
+        new_edges[eid] = (nu, nv)
+        edge_map[eid] = eid
+
+    new_faces, face_map = {}, {}
+    for fid in sorted(x.faces):
+        es = [e for e in x.faces[fid] if edge_map[e] is not None]
+        if len(es) <= 1:
+            face_map[fid] = None
+            continue
+        new_faces[fid] = tuple(es)
+        face_map[fid] = fid
+
+    cell_map = {}
+    cell_map.update(vertex_map)
+    cell_map.update(edge_map)
+    cell_map.update(face_map)
+    stab, orbit, stab_plus = quotient_labels(x, cell_map, groups, prefix="cmp", extra_stab=extra_stab)
+    collapsed = Complex2(
+        vertices=frozenset(vertex_map[v] for v in x.vertices),
+        edges=new_edges,
+        faces=new_faces,
+        stab=stab,
+        orbit=orbit,
+        boundary_marked=frozenset(
+            vertex_map[v] for v in x.boundary_marked if vertex_map[v] is not None
+        ),
+        stab_plus=stab_plus,
+    )
+    # a triangle survives when it keeps all three sides
+    tri_map = {f: f if len(new_faces.get(f, ())) == 3 else None for f in x.triangles()}
+    frag = TauFragment(
+        triangle_map=tri_map,
+        edge_map={(f, e): e for f, img in tri_map.items() if img is not None for e in x.faces[f]},
+    )
+    xc, frag = finish_collapse(x, collapsed, frag, groups, "contraction")
+    new_image = {v: image_override[v] if v in image_override else res.vertex_image[v] for v in xc.vertices}
+    descended = resolution_from_images(xc, res.target, new_image, actions=res.actions)
+    if descended.kind != SPLITTING:
+        raise EngineError("descended resolution still has boundary edges")
+    return xc, descended, frag
 
 
 def validation_by_walk(x, groups):

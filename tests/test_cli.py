@@ -20,6 +20,8 @@ from bench_ops import workloads
 from generators import random_cell_complex, random_treehat
 
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+# the last node line of the worked fixture's pipeline, line 76
+LAST_NODE = "  node b1 parent=a1 orbit=op repeat=a1\n"
 
 
 def fixture(name):
@@ -188,8 +190,17 @@ end
              "line 73: script node 'a0' references unknown tree 'nope'"),
             ("  node b0 parent=a0 orbit=op repeat=a0\n", "  node b0 parent=a0 orbit=op repeat=zz\n",
              "line 75: script node 'b0' repeats unknown node 'zz'"),
+            (LAST_NODE, LAST_NODE + "  node q0 parent=q0 orbit=o0 tree=PT\n",
+             "line 77: script node 'q0' is not reached from the root node 'w0'"),
+            (LAST_NODE, LAST_NODE + "  node q0 parent=q1 orbit=o0 tree=PT\n  node q1 parent=q0 orbit=o0 tree=PT\n",
+             "line 77: script node 'q0' is not reached from the root node 'w0'"),
+            (LAST_NODE, LAST_NODE + "  node q0 tree=PT\n",
+             "line 77: script node 'q0' is not reached from the root node 'w0'"),
         ],
-        ids=["an unknown parent", "two children at one orbit", "an unknown tree", "an unknown repeat"],
+        ids=[
+            "an unknown parent", "two children at one orbit", "an unknown tree", "an unknown repeat",
+            "its own parent", "a cycle of parents", "a second parentless node",
+        ],
     )
     def test_a_malformed_script_node_exit_code(self, line, edited, message, tmp_path, capsys):
         with open(fixture("worked_terminating.txt"), encoding="utf-8") as fh:
@@ -273,12 +284,13 @@ class TestCommands:
     @pytest.mark.parametrize(
         "argv", [["split", "--complex", "XP", "--tree", "T0"], ["pipeline", "--name", "worked"]], ids=["split", "pipeline"]
     )
-    def test_a_collapse_refuses_segment_orbits_of_two_shapes(self, argv, tmp_path, capsys):
+    def test_a_collapse_numbers_segments_alike_however_an_edge_is_stored(self, argv, tmp_path, capsys):
         """Edges ``ac``, ``bc``, ``ad`` and ``bd`` share orbit ``oX``, between
-        vertex orbits ``P`` (a, b) and ``Q`` (c, d), and ``bd`` is stored from
-        its ``Q`` end.  The collapse numbers segments from each edge's first
-        stored end, so segment orbit ``oX.0`` joins ``P`` to a track point on
-        ``ac`` and ``Q`` to one on ``bd``: malformed."""
+        vertex orbits ``P`` (a, b) and ``Q`` (c, d).  The collapse numbers an
+        edge's segments from its end in the least vertex orbit, ``P``, so
+        segment orbit ``oX.0`` joins ``P`` to a track point whether ``bd``
+        is stored from its ``P`` end or from its ``Q`` end: both storages
+        collapse, and print alike."""
         with open(fixture("worked_terminating.txt"), encoding="utf-8") as fh:
             text = fh.read()
         for old, new in (
@@ -289,14 +301,20 @@ class TestCommands:
             ("edge ac a c stab=Gcr", "edge ac a c stab=Gcr orbit=oX"),
             ("edge bc b c stab=Gcr", "edge bc b c stab=Gcr orbit=oX"),
             ("edge ad a d stab=Gcr", "edge ad a d stab=Gcr orbit=oX"),
-            ("edge bd b d stab=Gcr", "edge bd d b stab=Gcr orbit=oX"),
+            ("edge bd b d stab=Gcr", "edge bd b d stab=Gcr orbit=oX"),
         ):
             assert text.count(old + "\n") == 1
             text = text.replace(old + "\n", new + "\n")
-        bad = tmp_path / "shape.txt"
-        bad.write_text(text)
-        assert main([argv[0], str(bad), *argv[1:]]) == 2
-        assert capsys.readouterr().err == "error: edges of orbit 'oX.0' have mismatched endpoint orbits\n"
+        outs = []
+        for name, stored in (("forward", text), ("reversed", text.replace("edge bd b d ", "edge bd d b "))):
+            path = tmp_path / f"{name}.txt"
+            path.write_text(stored)
+            assert main([argv[0], str(path), *argv[1:]]) == 0
+            outs.append(capsys.readouterr())
+        assert outs[0].err == outs[1].err == ""
+        assert outs[0].out == outs[1].out
+        if argv[0] == "split":
+            assert "orbit=oX.0" in outs[0].out
 
     def test_tracks_listing(self, capsys):
         rc = main(["tracks", fixture("worked_terminating.txt"), "--complex", "XP", "--tree", "T0"])

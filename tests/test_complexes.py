@@ -22,7 +22,6 @@ from passdown.complexes import (
     reduce_with_map,
     reduced_cutpoint_tree,
     validate_complex,
-    wire_and_validate,
 )
 from passdown.errors import ConsistencyError, FixtureError
 from passdown.fixtures import parse_fixtures, parse_text
@@ -35,7 +34,7 @@ from passdown.trees import make_tree
 from bench_ops import workloads
 from differential import differential_test, h1, minting, record, relabelled
 from generators import random_cell_complex, random_labelled_complex, random_simplicial_complex, triangle
-from oracles import brute_components, brute_cutpoints, cutpoint_tree, separator_by_minting
+from oracles import brute_components, brute_cutpoints, cutpoint_tree, separator_by_minting, wire_and_validate
 
 
 def test_validation_rejects_missing_edge():
@@ -406,13 +405,21 @@ def _labelled_triangle(**changes):
     return Complex2(**fields)
 
 
+def declared_then_validated(x, groups):
+    """The check ``resolution.contract`` makes of the complex it builds."""
+    complexes.declare_containments(x, groups)
+    validate_complex(x, groups)
+
+
 def _order():
     return GroupTable([GroupRef("A"), GroupRef("B"), GroupRef("C", declared_supergroups=frozenset({"A"}))])
 
 
 class TestWireAndValidate:
-    """``wire_and_validate`` skips only the containments its wiring has just
-    declared: every other bad label fails as in ``validate_complex``."""
+    """The check of a complex built whole, by the oracles'
+    ``wire_and_validate`` and by a contraction (``declare_containments``
+    then ``validate_complex``), skips only the containments its wiring has
+    just declared: every other bad label fails as in ``validate_complex``."""
 
     @pytest.mark.parametrize(
         "changes, error, message",
@@ -428,7 +435,7 @@ class TestWireAndValidate:
     )
     def test_other_checks_fail_alike(self, changes, error, message):
         x = _labelled_triangle(**changes)
-        for check in (validate_complex, wire_and_validate):
+        for check in (validate_complex, wire_and_validate, declared_then_validated):
             with pytest.raises(error) as info:
                 check(x, _order())
             assert type(info.value) is error and str(info.value) == message
@@ -445,12 +452,13 @@ class TestWireAndValidate:
 
     def test_the_skipped_containments_are_the_declared_ones(self):
         x = _labelled_triangle(stab={c: "A" for c in ("a", "b", "ab", "bc", "ac")} | {"c": "B", "t": "B"})
-        groups = _order()
-        with pytest.raises(ConsistencyError, match="face 't' stabilizer 'B' not declared inside edge"):
+        for check in (wire_and_validate, declared_then_validated):
+            groups = _order()
+            with pytest.raises(ConsistencyError, match="face 't' stabilizer 'B' not declared inside edge"):
+                validate_complex(x, groups)
+            check(x, groups)
             validate_complex(x, groups)
-        wire_and_validate(x, groups)
-        validate_complex(x, groups)
-        assert groups.leq("B", "A") and groups.leq("A", "B")
+            assert groups.leq("B", "A") and groups.leq("A", "B")
 
 
 def test_a_reduction_declares_what_its_minted_labels_need():

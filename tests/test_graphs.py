@@ -4,7 +4,7 @@ random multigraphs with parallel edges and isolated nodes."""
 import random
 from types import SimpleNamespace
 
-from passdown.graphs import UnionFind, blocks, components, cut_vertices, is_tree, path
+from passdown.graphs import UnionFind, blocks, components, cut_vertices, is_tree, path, reached
 
 from oracles import bfs_path, brute_components, brute_cutpoints
 
@@ -103,6 +103,8 @@ def test_blocks_keep_parallel_edges_together():
 
 
 def test_path_is_a_shortest_path_or_none_across_components():
+    """``path`` joins two nodes of one component by a shortest path, and
+    ``reached`` finds the component of its start."""
     for nodes, edges in graphs(5, count=100):
         adjacency = {}
         for u, v in edges.values():
@@ -111,6 +113,7 @@ def test_path_is_a_shortest_path_or_none_across_components():
         comp_of = {v: i for i, comp in enumerate(brute_components(nodes, edges.values())) for v in comp}
         pairs = {frozenset(p) for p in edges.values()}
         for a in nodes:
+            assert reached(adjacency, a).keys() == {v for v in nodes if comp_of[v] == comp_of[a]}
             for b in nodes:
                 found = path(adjacency, a, b)
                 if comp_of[a] != comp_of[b]:

@@ -21,7 +21,7 @@ from passdown.resolution import (
 )
 from passdown.trees import ActionDescriptor, make_tree, reduced_path
 
-from differential import built_lists, handed_on, record_built, seed1
+from differential import built_lists, differential_test, handed_on, record_built, seed1
 from generators import line_tree, star, triangle
 from oracles import brute_components, check_resolution, crossing_partition_holds, track_sides
 
@@ -243,6 +243,12 @@ class TestBuildResolution:
 
 
 class TestContract:
+    """``contract`` on hand-built strips and paths, and on generated
+    contracting resolutions against the contraction built by definition
+    (``oracles.contract_by_construction``)."""
+
+    test_generated_contractions_match_the_construction = differential_test("contraction")
+
     def strip(self, groups):
         # two triangles sharing edge [u,v]; u,v linear on one line
         return make_complex(

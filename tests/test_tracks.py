@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from passdown import resolution, tracks
+from passdown import complexes, resolution, tracks
 from passdown.complexes import Complex2, covolume, cutpoints, h1_z2, is_connected, make_complex, reduce_complex
 from passdown.errors import HypothesisError, TruncationError
 from passdown.fixtures import parse_fixtures, parse_text
@@ -264,12 +264,13 @@ class TestIdentityCollapse:
         ]
         assert list(xt.faces.items()) == [("t1", ("ab", "bc", "ac")), ("t2", ("bc", "cd", "bd"))]
         assert identity_step_matches({"r": ("1", xt)}, groups).terminals["p"]["p.root"][1] is xt
+        # only x is rebuilt: the quotient step runs once, on x's triangles
         rebuilt = []
-        full = tracks.finish_collapse
-        monkeypatch.setattr(tracks, "finish_collapse", lambda *a: rebuilt.append(a[1]) or full(*a))
+        step = complexes.canonical_complex
+        monkeypatch.setattr(complexes, "canonical_complex", lambda *a: rebuilt.append(a[2]) or step(*a))
         for y in (x, xt):
             passdown_full({"r": ("1", y)}, point_level(groups.copy()))
-        assert len(rebuilt) == 1 and rebuilt[0].faces.keys() == x.faces.keys()
+        assert len(rebuilt) == 1 and [ids for _triple, ids in sorted(rebuilt[0].items())] == [("t1",), ("t2",)]
 
     def test_a_kept_identity_step_rechecks_the_oriented_labels(self):
         # a relabelling shares the terminal signature of the complex it
@@ -338,7 +339,8 @@ class TestCollapseWithNothingToCollapse:
         on the incidence and cutpoints, so the ops call ``graphs.blocks``
         no more than they need."""
         counts = seed1("size").counts
-        assert counts["collapses"] == counts["built in a collapse"] == 45
+        assert counts["collapses"] == counts["built in a collapse"] == counts["reduce_with_map in a collapse"] == 45
+        assert counts["canonical_complex in a collapse"] == 45
         assert counts["collapses over a tree with edges"] == 0
         assert counts["crossings"] == 0 and counts["blocks"] <= 180
 
@@ -385,22 +387,26 @@ def test_a_collapse_validates_only_what_it_builds():
     """A collapse checks the complex it builds, and not one it reduces as
     it is: on the seed-1 ops the declare step of the one-pass build runs
     once for each ``surgery`` collapse (15, all with tracks) and for no
-    ``size`` collapse (45, none with a track or an ideal vertex), and
-    ``wire_and_validate`` runs for none."""
+    ``size`` collapse (45, none with a track or an ideal vertex), and the
+    only complexes whose cells are validated are the parsed ones (15 each):
+    none is built by a contraction."""
     surgery, size = seed1("surgery").counts, seed1("size").counts
     assert surgery["declare_pairs"] == surgery["collapses"] == 15
     assert size["declare_pairs"] == 0 < size["collapses"]
-    assert surgery["wire_and_validate"] == size["wire_and_validate"] == 0
+    for counts in (surgery, size):
+        assert counts["_validate_cells"] == counts["parsed complexes"] == 15 and counts["_validate_cells in a collapse"] == 0
 
 
 def test_a_track_collapse_builds_x_t_in_one_pass():
     """Every seed-1 ``surgery`` collapse has tracks and builds one complex,
-    X_T (15 in all): no intermediate complex, and no call of the generic
-    build-then-reduce steps."""
+    X_T (15 in all), in one call of the quotient step: no intermediate
+    complex, no reduction of one, no validation and no composition of
+    fragments."""
     counts = seed1("surgery").counts
     assert counts["collapses"] == counts["collapses over a tree with edges"] == counts["built in a collapse"] == 15
-    steps = ("reduce_with_map", "wire_and_validate", "quotient_labels", "compose")
-    assert [counts[f"{name} in a collapse"] for name in steps] == [0, 0, 0, 0]
+    assert counts["canonical_complex in a collapse"] == counts["canonical_complex"] == 15
+    steps = ("reduce_with_map", "_validate_cells", "compose")
+    assert [counts[f"{name} in a collapse"] for name in steps] == [0, 0, 0]
 
 
 WORKED = Path(__file__).resolve().parents[1] / "fixtures" / "worked_terminating.txt"
@@ -417,7 +423,7 @@ def test_worked_run_rebuilds_only_levels_with_tracks():
     first = {id(x) for x in rep.run.levels[0].complexes.values()}
     assert log["build_resolution"] and {id(x) for x, *_ in log["build_resolution"]} <= first
     assert all(ts.tracks for ts, _groups in log["split_collapse"])
-    assert len(log["canonical_complex"]) == len(log["split_collapse"]) >= 1 and not log["finish_collapse"]
+    assert len(log["canonical_complex"]) == len(log["split_collapse"]) >= 1 and not log["reduce_with_map"]
     assert log["_owner"] and max(Counter(log["_owner"]).values()) == 1
 
 
