@@ -33,10 +33,10 @@ class CellData:
     canonical order.  Each is derived on first use and kept.  Every
     relabelling of a complex shares this object, so a label-only change
     derives none of it again.  Map values are id tuples.  The cells are
-    valid: each complex is validated once, where it is built
-    (``make_complex``, ``resolution.contract``), is built valid by
-    construction (by ``canonical_complex``, the quotient step of every
-    reduction and of X_T), or is a piece or relabelling of a valid one.
+    valid: each complex is validated once, where it is parsed
+    (``make_complex``), is built valid by construction (by
+    ``canonical_complex``, the quotient step of every reduction, of X_T
+    and of X_C), or is a piece or relabelling of a valid one.
 
     A complex built from another starts with what its builder knows.
     ``canonical_complex`` hands on the incidence by pair and triple, one
@@ -254,13 +254,12 @@ class Complex2:
         """The part of ``is_reduced`` that reads ``stab`` and ``orbit``:
         labels and orbits on the cells only, one label per orbit.
 
-        Derived once per validated complex (parsed, or built by a
-        contraction), by its validation.  What is built from a checked
-        complex is handed it, True: a piece of a complex
-        that holds it (``subcomplex`` copies a subset of its cells and
-        their labels), and a reduction or X_T (``canonical_complex``, their
-        one quotient step, labels each cell it keeps by the class of its
-        orbit); a relabelling shares it."""
+        Derived once per parsed complex, by its validation.  What is
+        built from a checked complex is handed it, True: a piece of a
+        complex that holds it (``subcomplex`` copies a subset of its cells
+        and their labels), and a reduction, X_T or X_C
+        (``canonical_complex``, their one quotient step, labels each cell
+        it keeps by the class of its orbit); a relabelling shares it."""
         cells = self.cells()
         label = {}
         return self.stab.keys() == self.orbit.keys() == set(cells) and all(
@@ -434,18 +433,24 @@ def _validate_orbit_labels(x):
     # the one-pass check of ``cell_labels_reduced`` decides a valid complex, and
     # the per-orbit label sets are built only to word an error
     if not x.cell_labels_reduced:
-        per_orbit = defaultdict(set)
-        for cell in x.cells():
-            per_orbit[x.orbit[cell]].add(x.stab[cell])
-        for oid, labels in per_orbit.items():
-            if len(labels) > 1:
-                raise ConsistencyError(f"orbit {oid!r} carries several stabilizer labels: {sorted(labels)}")
+        check_orbit_labels(x.cells(), x.stab, x.orbit)
     edge_orbit_shape = {}
     for eid, (u, v) in x.edges.items():
         shape = frozenset((x.orbit[u], x.orbit[v]))
         prev = edge_orbit_shape.setdefault(x.orbit[eid], shape)
         if prev != shape:
             raise ConsistencyError(f"edges of orbit {x.orbit[eid]!r} have mismatched endpoint orbits")
+
+
+def check_orbit_labels(cells, stab, orbit):
+    """Raise naming the first orbit, in the order of ``cells``, whose
+    cells carry several labels."""
+    per_orbit = defaultdict(set)
+    for cell in cells:
+        per_orbit[orbit[cell]].add(stab[cell])
+    for oid, labels in per_orbit.items():
+        if len(labels) > 1:
+            raise ConsistencyError(f"orbit {oid!r} carries several stabilizer labels: {sorted(labels)}")
 
 
 def components(x: Complex2):

@@ -73,17 +73,3 @@ class TauFragment:
         self.triangle_map.update(other.triangle_map)
         self.edge_map.update(other.edge_map)
         self.renamed.update(other.renamed)
-
-    def check_consistency(self, source, target):
-        for t, img in self.triangle_map.items():
-            if t not in source.faces:
-                raise EngineError(f"provenance names unknown source face {t!r}")
-            if img is not None and img not in target.faces:
-                raise EngineError(f"provenance names unknown image face {img!r}")
-        for (t, e), fe in self.edge_map.items():
-            if e not in source.faces[t]:
-                raise EngineError(f"provenance side {e!r} is not a side of {t!r}")
-            img = self.triangle_map.get(t)
-            if img is not None and fe not in target.faces[img]:
-                raise EngineError(f"provenance image side {fe!r} is not a side of {img!r}")
-

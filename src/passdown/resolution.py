@@ -15,7 +15,7 @@ Group ids without an entry inherit the entry of a declared supergroup.
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import Complex2, covolume, declare_containments, fresh_separator, reduce_with_map, validate_complex
+from .complexes import Complex2, canonical_complex, check_orbit_labels, covolume, declare_pairs, fresh_separator
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError
 from .groups import TRIVIAL, GroupTable
 from .provenance import TauFragment
@@ -331,17 +331,24 @@ def contract(res: Resolution, groups: GroupTable):
     one per orbit of components.  A component of several vertices becomes
     vertex ``c<sep><v>`` for a vertex v of it, where ``sep`` is the
     shortest run of colons that makes every such id new.  The orbits of
-    its vertices merge into one class, named by its least orbit, and a
-    class whose vertices carry several labels gets a fresh one for its
-    other cells; ``x`` is valid, so every other orbit keeps its one label.
+    its vertices merge into one class, named by its least orbit; every
+    other cell keeps its label.
 
-    The collapsed complex is built whole.  Its containments hold
-    geometrically (a stabilizer of a cell fixes the cells it collapses
-    onto), but fresh labels do not carry them yet, so they are declared;
-    then it is validated, as each complex is where it is built, and
-    reduced.  The result must be consistent with the fragment and no
-    larger in covolume than ``x``, and the descended resolution is
-    splitting.
+    X_C is built in one pass, as ``tracks.split_collapse`` builds X_T: the
+    surviving edges, filed by image vertex pair, and the triangles that
+    keep all three sides, filed by image corner triple, go to
+    ``canonical_complex``, the quotient step of every reduction (the tests
+    keep the collapsed complex built whole, validated and reduced, as the
+    oracle).  Every containment of the collapsed complex whose upper cell
+    is not a component vertex is one of ``x`` between the same labels, and
+    holds; only those under a component vertex, whose fresh label holds
+    nothing yet, are declared, in ``validate_complex``'s order: each face
+    (bigons too) below its corners, then each edge below its ends.  Of the
+    checks of a built complex only the one that input can fail is made:
+    the vertices of one orbit class carry one label.  A triangle survives
+    when it keeps all three sides; it goes to the least id on its triple,
+    and each side to the least id on its pair.  X_C must not exceed ``x``
+    in covolume, and the descended resolution is splitting.
     """
     if res.kind != CONTRACTING:
         raise HypothesisError("contract applies to contracting (type II) resolutions only")
@@ -379,11 +386,21 @@ def contract(res: Resolution, groups: GroupTable):
             comp_stab[cid] = ref_by_signature[sig]
         image_override[comp_vertex[rep]] = images.pop()
 
-    vertex_map = {}
+    # the orbits of a merged component's vertices join one class
+    orbit_class = graphs.UnionFind()
+    for rep in merged:
+        for v in classes[rep]:
+            orbit_class.union(x.orbit[rep], x.orbit[v])
+    class_of = orbit_class.find
+    vertex_map, stab, orbit = {}, {}, {}
     for v in sorted(x.vertices):
-        vertex_map[v] = comp_vertex[find(v)] if v in ideal_verts else v
+        img = vertex_map[v] = comp_vertex[find(v)] if v in ideal_verts else v
+        stab[img], orbit[img] = comp_stab.get(img) or x.stab[v], class_of(x.orbit[v])
+    vertices = frozenset(vertex_map.values())
 
-    new_edges = {}
+    # surviving edges, filed by sorted image pair; with them, the (label,
+    # label above) of each edge below a component vertex
+    edges_at, pair_of, edge_pairs = {}, {}, []
     for eid in sorted(x.edges):
         if eid in boundary_edges:
             continue
@@ -391,53 +408,39 @@ def contract(res: Resolution, groups: GroupTable):
         nu, nv = vertex_map[u], vertex_map[v]
         if nu == nv:
             raise EngineError(f"surviving edge {eid!r} collapsed to a loop")
-        new_edges[eid] = (nu, nv)
+        key = pair_of[eid] = (nu, nv) if nu < nv else (nv, nu)
+        edges_at.setdefault(key, []).append(eid)
+        stab[eid], orbit[eid] = x.stab[eid], class_of(x.orbit[eid])
+        edge_pairs.extend((x.stab[eid], comp_stab[w]) for w in (nu, nv) if w in comp_stab)
 
-    new_faces = {}
+    # faces that keep two sides or three (a bigon or a triangle), with the
+    # (label, label above) of each below a component vertex; the triangles
+    # filed by sorted corner triple
+    faces_at, triple_of, face_pairs = {}, {}, []
     for fid in sorted(x.faces):
-        es = [e for e in x.faces[fid] if e in new_edges]
-        if len(es) > 1:
-            new_faces[fid] = tuple(es)
+        sides = [e for e in x.faces[fid] if e in pair_of]
+        if len(sides) < 2:
+            continue
+        corners = sorted({w for e in sides for w in pair_of[e]})
+        face_pairs.extend((x.stab[fid], comp_stab[w]) for w in corners if w in comp_stab)
+        if len(sides) == 3:
+            triple = triple_of[fid] = tuple(corners)
+            faces_at.setdefault(triple, []).append(fid)
+            stab[fid], orbit[fid] = x.stab[fid], class_of(x.orbit[fid])
 
-    # the orbits of a merged component's vertices join one class, and a
-    # class whose vertices carry several labels gets a fresh one, minted in
-    # class order
-    orbit_class = graphs.UnionFind()
-    for rep in merged:
-        for v in classes[rep]:
-            orbit_class.union(x.orbit[rep], x.orbit[v])
-    class_labels = {}
-    for rep in merged:
-        for v in classes[rep]:
-            class_labels.setdefault(orbit_class.find(x.orbit[v]), set()).add(x.stab[v])
-    class_ref = {cls: groups.mint("cmp").id for cls in sorted(class_labels) if len(class_labels[cls]) > 1}
-    stab, orbit = {}, {}
-    for cell in [*vertex_map, *new_edges, *new_faces]:
-        img = vertex_map.get(cell, cell)
-        cls = orbit[img] = orbit_class.find(x.orbit[cell])
-        stab[img] = comp_stab.get(img) or class_ref.get(cls, x.stab[cell])
-    collapsed = Complex2(
-        vertices=frozenset(vertex_map.values()),
-        edges=new_edges,
-        faces=new_faces,
-        stab=stab,
-        orbit=orbit,
-        boundary_marked=frozenset(vertex_map[v] for v in x.boundary_marked),
-        stab_plus={eid: x.edge_stab_plus(eid) for eid in new_edges},
+    declare_pairs(groups, face_pairs + edge_pairs)
+    check_orbit_labels(sorted(vertices), stab, orbit)
+    xc = canonical_complex(
+        vertices, edges_at, faces_at, stab, orbit, x.stab_plus,
+        frozenset(vertex_map[v] for v in x.boundary_marked), groups,
     )
-    declare_containments(collapsed, groups)
-    validate_complex(collapsed, groups)
-    xc, red_map = reduce_with_map(collapsed, groups)
-    # a triangle survives when it keeps all three sides; it and its sides
-    # go where the reduction takes them
-    frag = TauFragment()
-    for f in x.triangles():
-        img = frag.triangle_map[f] = red_map[f] if len(new_faces.get(f, ())) == 3 else None
-        if img is not None:
-            frag.edge_map.update(((f, e), red_map[e]) for e in x.faces[f])
-    frag.check_consistency(x, xc)
     if covolume(xc) > covolume(x):
         raise EngineError("contraction increased covolume")
+    frag = TauFragment()
+    for f in x.triangles():
+        img = frag.triangle_map[f] = faces_at[triple_of[f]][0] if f in triple_of else None
+        if img is not None:
+            frag.edge_map.update(((f, e), edges_at[pair_of[e]][0]) for e in x.faces[f])
     new_image = {v: image_override[v] if v in image_override else res.vertex_image[v] for v in xc.vertices}
     descended = resolution_from_images(xc, res.target, new_image, actions=res.actions)
     if descended.kind != SPLITTING:

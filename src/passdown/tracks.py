@@ -165,17 +165,17 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     With no track and no vertex at an ideal point nothing collapses: the
     collapsed complex would be ``x`` with its cells and labels, so ``x``
     itself is reduced and not validated again: each complex is validated
-    where it is built, and ``x`` is a parsed terminal, a contraction, or a
-    cutpoint piece, reduction or override relabelling (whose labels are
-    looked up) of a valid complex.  Track extraction checks that ``x`` is
+    where it is parsed or built valid, and ``x`` is a parsed terminal, a
+    contraction, or a cutpoint piece, reduction or override relabelling
+    (whose labels are looked up) of a valid complex.  Track extraction checks that ``x`` is
     simplicial, so the reduction keeps every cell, and the fragment is the
     identity.
 
     Otherwise the segments, filed by node pair, and the central
     triangles, filed by corner triple, go to ``canonical_complex``, the
-    quotient step of every reduction: X_T is the reduction of the
-    collapsed complex built whole (the tests keep that construction as the
-    oracle).  Every containment of the collapsed complex whose upper cell
+    quotient step of every reduction, as in ``resolution.contract``: X_T
+    is the reduction of the collapsed complex built whole (the tests keep
+    that construction as the oracle).  Every containment of the collapsed complex whose upper cell
     is not a track point is one of ``x`` between the same labels, and
     holds; only those under a track point are declared here.  Of the
     checks of a built complex only the one that input can fail is made:

@@ -1067,12 +1067,20 @@ def contraction(case):
     assert fragment_maps(fast_frag) == fragment_maps(full_frag)
     assert fast_res == full_res
     x, boundary, minted = res.source, res.boundary_edges(), fast_groups.ids() - groups.ids()
+    # the vertex orbits a merged component joins into one class, and the
+    # input labels of each class's component vertices
+    classes, class_labels = graphs.UnionFind(), defaultdict(set)
+    for eid in boundary:
+        classes.union(*(x.orbit[w] for w in x.edges[eid]))
+    for w in {w for eid in boundary for w in x.edges[eid]}:
+        class_labels[classes.find(x.orbit[w])].add(x.stab[w])
     return Counter(
         merged=bool(fast.vertices - x.vertices),
         bigons=sum(len(es) == 3 and len(boundary.intersection(es)) == 1 for es in x.faces.values()),
-        # a fresh label for a class of vertices of several labels, and one
-        # for merged cells of several labels in the reduction
-        **{"vertex class labels": sum(gid.startswith("cmp.") and not fast_groups.slender(gid) for gid in minted)},
+        # a merged class whose component vertices carry several input
+        # labels (the component's fresh label replaces them all), and a
+        # fresh label for merged cells of several labels in the reduction
+        **{"classes of several labels": any(len(labels) > 1 for labels in class_labels.values())},
         **{"reduction labels": sum(gid.startswith("red.") for gid in minted)},
     )
 
@@ -1108,9 +1116,10 @@ def contracting(rng, x, groups):
 complex_shapes(
     "contraction", contracting, ["cell", "tree", "glued", "strip", "doubled"], [20261031], 40,
     # every contraction merges a component of several vertices; bigons are
-    # dropped and labels minted in both steps, and some orbits are refused
+    # dropped, merged vertex classes carry several input labels, labels are
+    # minted in the reduction, and some orbits are refused
     lambda name, c: c["merged"] == c["cases"] - c["edgeless"] - c["refused"] > 25 and c["bigons"] > 10
-    and c["vertex class labels"] > 10 and c["reduction labels"] > 10 and c["refused"] > 0,
+    and c["classes of several labels"] > 10 and c["reduction labels"] > 10 and c["refused"] > 0,
 )
 
 
@@ -1382,13 +1391,13 @@ def record_built(m, built):
     the restriction), each track system drawn or collapsed
     (``track_systems``), and in ``complexes`` (kind, complex, copy of the
     group table as it was) the X_T of each collapse of tracks or ideal
-    vertices, built in one pass ("collapsed"), each complex a contraction
-    builds and validates ("contracted"), each complex a collapse reduces
-    as it is ("uncollapsed"), each reduction of those two ("reduced") and
-    each cutpoint piece ("piece")."""
+    vertices ("collapsed") and the X_C of each contraction ("contracted"),
+    each built in one pass, each complex a collapse reduces as it is
+    ("uncollapsed"), the reduction of each of those ("reduced") and each
+    cutpoint piece ("piece")."""
     construct, restrict = resolution.resolution_from_images, hierarchy._restrict_resolution
     draw, collapse, split = hierarchy.tracks_from_resolution, hierarchy.split_collapse, hierarchy._cutpoint_pieces
-    validate = resolution.validate_complex
+    contract, reduce = hierarchy.contract, tracks.reduce_with_map
 
     def constructed(*args, **kwargs):
         built.made.append(construct(*args, **kwargs))
@@ -1411,17 +1420,15 @@ def record_built(m, built):
             built.complexes.append(("collapsed", out[0], groups.copy()))
         return out
 
-    def validated(x, groups):
-        validate(x, groups)
-        built.complexes.append(("contracted", x, groups.copy()))
+    def contracted(res, groups):
+        out = contract(res, groups)
+        built.complexes.append(("contracted", out[0], groups.copy()))
+        return out
 
-    def reducing(reduce):
-        def reduced(x, groups):
-            out = reduce(x, groups)
-            built.complexes.append(("reduced", out[0], groups.copy()))
-            return out
-
-        return reduced
+    def reduced(x, groups):
+        out = reduce(x, groups)
+        built.complexes.append(("reduced", out[0], groups.copy()))
+        return out
 
     def pieces(nid, x, groups, taken):
         out = split(nid, x, groups, taken)
@@ -1432,9 +1439,8 @@ def record_built(m, built):
     m.setattr(hierarchy, "_restrict_resolution", restricted_to)
     m.setattr(hierarchy, "tracks_from_resolution", drawn)
     m.setattr(hierarchy, "split_collapse", collapsed)
-    m.setattr(resolution, "validate_complex", validated)
-    for owner in (tracks, resolution):
-        m.setattr(owner, "reduce_with_map", reducing(owner.reduce_with_map))
+    m.setattr(hierarchy, "contract", contracted)
+    m.setattr(tracks, "reduce_with_map", reduced)
     m.setattr(hierarchy, "_cutpoint_pieces", pieces)
 
 
@@ -1484,8 +1490,8 @@ def seed1(workload):
         # and the composition of fragments, each also counted inside a
         # collapse
         for owner, name in (
-            (tracks, "canonical_complex"), (complexes, "canonical_complex"), (tracks, "reduce_with_map"),
-            (complexes, "_validate_cells"), (TauFragment, "compose"),
+            (tracks, "canonical_complex"), (resolution, "canonical_complex"), (complexes, "canonical_complex"),
+            (tracks, "reduce_with_map"), (complexes, "_validate_cells"), (TauFragment, "compose"),
         ):
             spy(m, counts, owner, name, **{name: lambda frame, *args: 1, f"{name} in a collapse": inside_of("split_collapse")})
         spy(m, counts, resolution.Resolution, "crossings")

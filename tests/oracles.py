@@ -1052,7 +1052,9 @@ def quotient_labels(x, cell_map, groups, prefix, extra_stab=None):
     declared supergroups.  An image edge whose sources carry several
     oriented labels gets a fresh ref above them, declared in label order.
     ``extra_stab`` pre-assigns labels for image cells that have no source
-    (contracted-component vertices)."""
+    (contracted-component vertices).  A class holding such a cell gets no
+    class label: its other image cells keep their sources' labels, so a
+    class whose cells differ is refused naming the labels they carry."""
     from passdown import graphs
 
     preimages = defaultdict(list)
@@ -1069,10 +1071,13 @@ def quotient_labels(x, cell_map, groups, prefix, extra_stab=None):
         for src in srcs[1:]:
             uf.union(first, x.orbit[src])
 
+    stab = dict(extra_stab or {})
+    preset = {find(x.orbit[preimages[img][0]]) for img in stab if img in preimages}
     class_labels = defaultdict(set)
     for src, img in cell_map.items():
-        if img is not None:
-            class_labels[find(x.orbit[src])].add(x.stab[src])
+        cls = find(x.orbit[src])
+        if img is not None and cls not in preset:
+            class_labels[cls].add(x.stab[src])
 
     class_ref = {}
     for cls in sorted(class_labels):
@@ -1082,11 +1087,12 @@ def quotient_labels(x, cell_map, groups, prefix, extra_stab=None):
         else:
             class_ref[cls] = groups.mint(prefix).id
 
-    stab, orbit, stab_plus = dict(extra_stab or {}), {}, {}
+    orbit, stab_plus = {}, {}
     for img, srcs in preimages.items():
         cls = find(x.orbit[srcs[0]])
         orbit[img] = cls
-        stab.setdefault(img, class_ref[cls])
+        if img not in stab:
+            stab[img] = x.stab[srcs[0]] if cls in preset else class_ref[cls]
         plus = {x.edge_stab_plus(s) for s in srcs if s in x.edges}
         if plus:
             if len(plus) == 1:
@@ -1110,6 +1116,25 @@ def wire_and_validate(x, groups):
     _validate_cells(x)
     _validate_label_refs(x, groups)
     _validate_orbit_labels(x)
+
+
+def check_consistency(frag, source, target):
+    """Every face ``frag`` names is a face of ``source``, and its image one
+    of ``target``; every side it maps is a side of its face, and its image
+    a side of the face's image."""
+    from passdown.errors import EngineError
+
+    for t, img in frag.triangle_map.items():
+        if t not in source.faces:
+            raise EngineError(f"provenance names unknown source face {t!r}")
+        if img is not None and img not in target.faces:
+            raise EngineError(f"provenance names unknown image face {img!r}")
+    for (t, e), fe in frag.edge_map.items():
+        if e not in source.faces[t]:
+            raise EngineError(f"provenance side {e!r} is not a side of {t!r}")
+        img = frag.triangle_map.get(t)
+        if img is not None and fe not in target.faces[img]:
+            raise EngineError(f"provenance image side {fe!r} is not a side of {img!r}")
 
 
 def finish_collapse(x, collapsed, frag, groups, step):
@@ -1140,7 +1165,7 @@ def finish_collapse(x, collapsed, frag, groups, step):
             )
         )
         out.track_point = frag.track_point
-    out.check_consistency(x, reduced)
+    check_consistency(out, x, reduced)
     if covolume(reduced) > covolume(x):
         raise EngineError(f"{step} increased covolume")
     return reduced, out

@@ -316,6 +316,26 @@ class TestCommands:
         if argv[0] == "split":
             assert "orbit=oX.0" in outs[0].out
 
+    def test_a_contraction_refuses_an_orbit_it_collapses_in_part(self, tmp_path, capsys):
+        """Vertices v and w share orbit ``o`` and label M, and every vertex
+        maps to the ideal point p.  The boundary edge uv collapses v with u
+        (label L) into one vertex with a fresh slender label, and joins
+        orbit ``o`` with u's into one class; w, a component of its own,
+        keeps M.  The class carries both labels, so the contraction
+        refuses it, naming w's input label beside the component's."""
+        text = (
+            "groups\n  group L slender\n  group M slender\n  group E slender sub-of=L,M\nend\n"
+            "complex X\n  vertex u stab=L\n  vertex v stab=M orbit=o\n  vertex w stab=M orbit=o\n"
+            "  edge uv u v stab=E\nend\n"
+            "tree T\n  vertex x0\n  vertex x1\n  edge f0 x0 x1\n  ideal p ray=x0,x1\n  ideal q ray=x1,x0\nend\n"
+            "actions T\n  elliptic E fix=x0\n  hyperbolic L ends=p,q\n  hyperbolic M ends=p,q\nend\n"
+        )
+        bad = tmp_path / "orbit.txt"
+        bad.write_text(text)
+        assert main(["contract", str(bad), "--complex", "X", "--tree", "T"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: orbit 'o' carries several stabilizer labels: ['M', 'cmp.0']\n"
+
     def test_tracks_listing(self, capsys):
         rc = main(["tracks", fixture("worked_terminating.txt"), "--complex", "XP", "--tree", "T0"])
         assert rc == 0

@@ -405,21 +405,17 @@ def _labelled_triangle(**changes):
     return Complex2(**fields)
 
 
-def declared_then_validated(x, groups):
-    """The check ``resolution.contract`` makes of the complex it builds."""
-    complexes.declare_containments(x, groups)
-    validate_complex(x, groups)
-
-
 def _order():
     return GroupTable([GroupRef("A"), GroupRef("B"), GroupRef("C", declared_supergroups=frozenset({"A"}))])
 
 
 class TestWireAndValidate:
     """The check of a complex built whole, by the oracles'
-    ``wire_and_validate`` and by a contraction (``declare_containments``
-    then ``validate_complex``), skips only the containments its wiring has
-    just declared: every other bad label fails as in ``validate_complex``."""
+    ``wire_and_validate`` (the collapse and the contraction by
+    construction), skips only the containments its wiring has just
+    declared: every other bad label fails as in ``validate_complex``.  No
+    surgery step of the package builds a complex whole: each builds its
+    result in one pass through the quotient step."""
 
     @pytest.mark.parametrize(
         "changes, error, message",
@@ -435,7 +431,7 @@ class TestWireAndValidate:
     )
     def test_other_checks_fail_alike(self, changes, error, message):
         x = _labelled_triangle(**changes)
-        for check in (validate_complex, wire_and_validate, declared_then_validated):
+        for check in (validate_complex, wire_and_validate):
             with pytest.raises(error) as info:
                 check(x, _order())
             assert type(info.value) is error and str(info.value) == message
@@ -452,13 +448,12 @@ class TestWireAndValidate:
 
     def test_the_skipped_containments_are_the_declared_ones(self):
         x = _labelled_triangle(stab={c: "A" for c in ("a", "b", "ab", "bc", "ac")} | {"c": "B", "t": "B"})
-        for check in (wire_and_validate, declared_then_validated):
-            groups = _order()
-            with pytest.raises(ConsistencyError, match="face 't' stabilizer 'B' not declared inside edge"):
-                validate_complex(x, groups)
-            check(x, groups)
+        groups = _order()
+        with pytest.raises(ConsistencyError, match="face 't' stabilizer 'B' not declared inside edge"):
             validate_complex(x, groups)
-            assert groups.leq("B", "A") and groups.leq("A", "B")
+        wire_and_validate(x, groups)
+        validate_complex(x, groups)
+        assert groups.leq("B", "A") and groups.leq("A", "B")
 
 
 def test_a_reduction_declares_what_its_minted_labels_need():

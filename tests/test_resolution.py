@@ -1,13 +1,15 @@
 import contextlib
 import dataclasses
 import io
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from passdown import cli, complexes, hierarchy, resolution
 from passdown.cli import main
 from passdown.complexes import covolume, make_complex, validate_complex
-from passdown.errors import ConsistencyError, HypothesisError
+from passdown.errors import ConsistencyError, HypothesisError, PassdownError
 from passdown.fixtures import parse_fixtures
 from passdown.groups import GroupRef, GroupTable
 from passdown.resolution import (
@@ -21,7 +23,7 @@ from passdown.resolution import (
 )
 from passdown.trees import ActionDescriptor, make_tree, reduced_path
 
-from differential import built_lists, differential_test, handed_on, record_built, seed1
+from differential import SHAPES, built_lists, differential_test, handed_on, nest, record_built, seed1, spy
 from generators import line_tree, star, triangle
 from oracles import brute_components, check_resolution, crossing_partition_holds, track_sides
 
@@ -306,6 +308,60 @@ class TestContract:
         assert len(xc.vertices) == 1
         (v,) = xc.vertices
         assert groups.slender(xc.stab[v])
+
+    def test_a_contraction_builds_x_c_in_one_pass(self, capsys):
+        """Each contraction, of the committed contracting fixture (by the
+        ``contract``, ``passdown`` and ``pipeline`` commands) and of the
+        ``contraction`` row's cases, builds X_C in one call of the quotient
+        step, or none when it refuses: no complex is built whole to be
+        validated, reduced or declared over (the quotient step declares
+        the containments of a complex it mints a class label for)."""
+        steps = ("canonical_complex", "validate_complex", "_validate_cells", "reduce_with_map", "declare_containments")
+        counts, inside, made = Counter(), Counter(), []
+
+        def contracting(fn):
+            def wrapper(res, groups):
+                inside["contract"] += 1
+                start, done = Counter(counts), False
+                try:
+                    out, done = fn(res, groups), True
+                    return out
+                finally:
+                    inside["contract"] -= 1
+                    made.append((done, counts - start))
+
+            return wrapper
+
+        def counted(frame, *args):
+            return bool(inside["contract"]) and not inside["canonical_complex"]
+
+        with pytest.MonkeyPatch.context() as m:
+            for owner in (resolution, hierarchy, cli):
+                m.setattr(owner, "contract", contracting(owner.contract))
+            for owner in (complexes, resolution):
+                for name in steps:
+                    if hasattr(owner, name):
+                        if name == "canonical_complex":
+                            nest(m, inside, owner, name)
+                        spy(m, counts, owner, name, **{name: counted})
+            path = str(FIXTURES / "contracting.txt")
+            for argv in (
+                ["contract", path, "--complex", "XC", "--tree", "TL"],
+                ["passdown", path, "--structure", "SC", "--tree", "TL"],
+                ["pipeline", path, "--name", "contracting"],
+            ):
+                assert main(argv) == 0
+            capsys.readouterr()
+            assert len(made) == 3
+            for shape in ("cell", "tree", "glued", "strip", "doubled"):
+                cases, _pins = SHAPES["contraction", shape]
+                for res, groups in cases():
+                    if res is not None:
+                        with contextlib.suppress(PassdownError):
+                            resolution.contract(res, groups.copy())
+        assert sum(done for done, _calls in made) > 150 and not all(done for done, _calls in made)
+        for done, calls in made:
+            assert calls == (Counter(canonical_complex=1) if done else Counter())
 
     def test_rejects_splitting_input(self):
         t = line_tree(4, ("p", "q"))
