@@ -7,6 +7,11 @@ output must equal the digest recorded in
 ``<digest>  <workload>: <label>`` line per operation, sorted by key).  A
 change that keeps every benchmark report byte-identical keeps these files
 unchanged.
+
+The reports drop the per-stage covolume ledger that ``passdown_full``
+returns, so ``tests/golden/passdown_ledger_seed<seed>.sha256`` pins it
+beside them, in the same line format: per operation, the sha256 of what
+every ``passdown_full`` call of the run returned, in call order.
 """
 
 import contextlib
@@ -16,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+from passdown import pipeline
 from passdown.cli import main
 
 from bench_ops import workloads
@@ -42,6 +48,40 @@ def digests(tmp_path, seed):
     }
 
 
+def _passdown_digest(op, tmp_path, monkeypatch):
+    calls = []
+    passdown_full = pipeline.passdown_full
+
+    def recorded(terminals, tl):
+        result = passdown_full(terminals, tl)
+        calls.append((
+            list(terminals),
+            {orbit: list(received) for orbit, received in result.terminals.items()},
+            list(result.ledger.items()),
+            sorted(result.tau.triangle_map.items(), key=lambda item: item[0]),
+            sorted(result.tau.edge_map.items()),
+            sorted(result.tau.renamed.items()),
+        ))
+        return result
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "passdown_full", recorded)
+        _digest(op, tmp_path)
+    return hashlib.sha256(repr(calls).encode()).hexdigest()
+
+
+def passdown_digests(tmp_path, monkeypatch, seed):
+    """``{"<workload>: <label>": sha256}`` over every operation of ``seed``,
+    of the input terminal ids, the output terminal ids by vertex orbit, the
+    ledger items and the triangle and side maps of each ``passdown_full``
+    call, in call order."""
+    return {
+        f"{name}: {op.label}": _passdown_digest(op, tmp_path, monkeypatch)
+        for name in sorted(workloads.WORKLOADS)
+        for op in workloads.generate(name, seed)
+    }
+
+
 def render(table):
     return "".join(f"{table[key]}  {key}\n" for key in sorted(table))
 
@@ -50,3 +90,9 @@ def render(table):
 def test_reports_match_the_golden_digests(tmp_path, seed):
     golden = GOLDEN / f"bench_ops_seed{seed}.sha256"
     assert render(digests(tmp_path, seed)) == golden.read_text()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_passdown_ledgers_match_the_golden_digests(tmp_path, monkeypatch, seed):
+    golden = GOLDEN / f"passdown_ledger_seed{seed}.sha256"
+    assert render(passdown_digests(tmp_path, monkeypatch, seed)) == golden.read_text()
