@@ -429,9 +429,10 @@ def declare_pairs(groups: GroupTable, pairs):
 
 
 def _validate_orbit_labels(x):
-    # quotient-scale consistency: one label per orbit, matching incidence shape;
-    # the one-pass check of ``cell_labels_reduced`` decides a valid complex, and
-    # the per-orbit label sets are built only to word an error
+    # quotient-scale consistency: one label per orbit, matching incidence
+    # shape, cells of one kind per orbit; the one-pass check of
+    # ``cell_labels_reduced`` decides a valid complex, and the per-orbit
+    # label sets are built only to word an error
     if not x.cell_labels_reduced:
         check_orbit_labels(x.cells(), x.stab, x.orbit)
     edge_orbit_shape = {}
@@ -440,6 +441,21 @@ def _validate_orbit_labels(x):
         prev = edge_orbit_shape.setdefault(x.orbit[eid], shape)
         if prev != shape:
             raise ConsistencyError(f"edges of orbit {x.orbit[eid]!r} have mismatched endpoint orbits")
+    check_orbit_kinds(x.orbit, vertex=x.vertices, edge=x.edges, face=x.faces)
+
+
+def check_orbit_kinds(orbit, **cells_by_kind):
+    """Raise naming the first orbit with cells of two kinds, and its first
+    cell of a later kind (so the first kind's order does not matter): an
+    orbit of a cellular action has one kind."""
+    kind_of = {}
+    for kind, cells in cells_by_kind.items():
+        for cell in cells:
+            first = kind_of.setdefault(orbit[cell], kind)
+            if first != kind:
+                raise ConsistencyError(
+                    f"orbit {orbit[cell]!r} holds cells of two kinds: {kind} {cell!r} in an orbit of {first} cells"
+                )
 
 
 def check_orbit_labels(cells, stab, orbit):

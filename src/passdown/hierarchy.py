@@ -402,18 +402,20 @@ class PassdownResult:
     tau: TauFragment  # (input terminal id, face id) -> ((vertex orbit, terminal id), face id), or renamings
 
 
-def _distribute(gog: GraphOfGroups, claims, pieces, groups: GroupTable):
+def _distribute(gog: GraphOfGroups, pieces, groups: GroupTable):
     """Every vertex orbit of the quotient receives the terminals it claims.
 
-    ``claims`` maps piece id -> vertex orbit and ``pieces`` piece id ->
-    (group, complex).  A single claim whose group equals the vertex group
-    becomes terminal ``{v}.root``; otherwise the claims become
-    ``{v}.t<i>``, in piece id order.  Returns (terminals by vertex orbit,
-    {piece id: (vertex orbit, terminal id)}).
+    ``pieces`` maps piece id -> (group, complex, claimed vertex orbit).  A
+    single claim whose group equals the vertex group becomes terminal
+    ``{v}.root``; otherwise the claims become ``{v}.t<i>``, in piece id
+    order.  Returns (terminals by vertex orbit, {piece id: (vertex orbit,
+    terminal id)}).  Each piece goes to exactly one vertex: every claim
+    is a tree-vertex orbit, and ``_quotient_tree_gog`` has one vertex per
+    tree-vertex orbit.  So the terminals hold the pieces' covolume.
     """
     by_orbit = defaultdict(list)
-    for nid in sorted(claims):
-        by_orbit[claims[nid]].append(nid)
+    for nid in sorted(pieces):
+        by_orbit[pieces[nid][2]].append(nid)
     out, home = {}, {}
     for v in sorted(gog.vertices):
         claimed = by_orbit[v]
@@ -421,7 +423,7 @@ def _distribute(gog: GraphOfGroups, claims, pieces, groups: GroupTable):
             names = {claimed[0]: f"{v}.root"}
         else:
             names = {nid: f"{v}.t{i}" for i, nid in enumerate(claimed)}
-        out[v] = {tid: pieces[nid] for nid, tid in names.items()}
+        out[v] = {tid: pieces[nid][:2] for nid, tid in names.items()}
         home.update((nid, (v, tid)) for nid, tid in names.items())
     return out, home
 
@@ -542,18 +544,81 @@ def _is_identity_step(terminals, tl: TreeLevel):
     )
 
 
+def _contract(nid, piece, tl, taken):
+    """Stage one: a complex whose resolution contracts becomes its boundary
+    collapse X_C, with the descended resolution and the contraction's
+    fragment."""
+    gid, x, _ = piece
+    res = build_resolution(x, tl.tree, tl.actions)
+    if res.kind != CONTRACTING:
+        return {nid: (gid, x, res)}, None
+    xc, res, frag = contract(res, tl.actions.groups)
+    return {nid: (gid, xc, res)}, frag
+
+
+def _split(nid, piece, tl, taken):
+    """Stage two: split at cutpoints (the reduced cutpoint tree keeps the
+    non-slender ones inside merged pieces); each piece keeps its face ids
+    and takes the resolution restricted to it."""
+    split = _cutpoint_pieces(nid, piece[1], tl.actions.groups, taken)
+    if split is None:
+        return {nid: piece}, None
+    return {cid: (gid, sub, _restrict_resolution(piece[2], sub)) for cid, (gid, sub) in split.items()}, None
+
+
+def _collapse(nid, piece, tl, taken):
+    """Stage three: collapse the essential tracks to X_T, with the
+    collapse's fragment, and split X_T at cutpoints again; each piece
+    takes the vertex orbit it claims."""
+    gid, x, res = piece
+    tree = tl.tree
+    for cut in cutpoints(x):
+        if tl.actions.classification(x.stab[cut]) != ELLIPTIC:
+            raise HypothesisError(
+                f"cutpoint {cut!r} of the complex at {nid!r} does not act elliptically",
+                lemma="splitting-resolution",
+            )
+    ts = essential_tracks(tracks_from_resolution(res))
+    xt, frag = split_collapse(ts, tl.actions.groups)
+    tree_edge_of = {frag.track_point[tr.id]: tr.tree_edge for tr in ts.tracks}
+
+    def claim_for(cx):
+        # the piece maps into one component of the tree minus the
+        # midpoints of its collapsed edges: claim it at the least image of
+        # the piece's own vertices.  An X_T vertex is a track point or a
+        # kept vertex of x (its image a tree vertex), so a piece with no
+        # own vertex has collapsed edges: claim their least end
+        cut = {tree_edge_of[v] for v in cx.vertices if v in tree_edge_of}
+        anchors = {res.vertex_image[v] for v in cx.vertices if v not in tree_edge_of}
+        comps = graphs.components(tree.vertices, (ends for eid, ends in tree.edges.items() if eid not in cut))
+        holding = [c for c in comps if c & anchors]
+        if len(holding) > 1:
+            raise EngineError("a collapsed piece maps across a collapsed midpoint")
+        if holding:
+            return tree.orbit[min(holding[0] & anchors)]
+        return tree.orbit[min(w for eid in cut for w in tree.edges[eid])]
+
+    split = _cutpoint_pieces(nid, xt, tl.actions.groups, taken) or {nid: (gid, xt)}
+    return {cid: (cgid, sub, claim_for(sub)) for cid, (cgid, sub) in split.items()}, frag
+
+
 def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
     """The full three-stage passdown of terminals over a tree.
 
     ``terminals`` maps terminal id -> (group, complex), as
-    ``HStructure.terminals`` gives it.  Stage one replaces complexes with
-    contracting resolutions by their boundary collapse; stage two splits
-    complexes at cutpoints through the reduced cutpoint tree; stage three
-    collapses essential tracks and splits the result at cutpoints again,
-    leaving terminal groups that are slender or elliptic.  Each output
-    vertex orbit then receives the terminals it claims.  Covolume never
-    increases, stage by stage.  The input is left as it was; an identity
-    step hands its complexes on as they are.
+    ``HStructure.terminals`` gives it.  The stages (``_contract``,
+    ``_split``, ``_collapse``) run in one loop, each over the pieces in id
+    order.  A stage takes a piece (id, group, complex, and the resolution
+    or, from the collapse, the claimed vertex orbit) to {piece id: piece}
+    and, when it moves faces, a fragment.  The loop records the stage's
+    covolume in the ledger, checks that the pieces a piece became hold at
+    most its covolume, notes the input terminal each piece descends from
+    and composes each input terminal's maps with the stage's fragments.
+    Per piece implies the sum, so covolume never increases, stage by
+    stage; the contraction and the collapse need no check of their own
+    (the cutpoint split puts each triangle orbit of X_T in one piece).
+    Each vertex orbit then receives the terminals it claims.  The input is
+    left as it was; an identity step hands its complexes on as they are.
     """
     groups = tl.actions.groups
     # an identity step depends on the signature only, so it is kept per signature
@@ -561,7 +626,7 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
     step = tl.identity_steps.get(signature)
     if step is None and _is_identity_step(terminals, tl):
         (orbit,) = tl.gog.vertices
-        _out, home = _distribute(tl.gog, dict.fromkeys(terminals, orbit), terminals, groups)
+        _out, home = _distribute(tl.gog, {nid: (gid, x, orbit) for nid, (gid, x) in terminals.items()}, groups)
         stages = ("input", "contracted", "cutpoint-split", "collapsed", "output")
         ledger = dict.fromkeys(stages, _covolume_sum(terminals))
         step = tl.identity_steps[signature] = orbit, ledger, TauFragment(renamed=home)
@@ -572,116 +637,49 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
         orbit, ledger, tau = step
         received = {tid: terminals[nid] for nid, (_orbit, tid) in tau.renamed.items()}
         return PassdownResult(terminals={orbit: received}, ledger=ledger, tau=tau)
-    pieces = dict(terminals)  # terminal id -> (group, complex), stage by stage
-    origin = {nid: nid for nid in terminals}  # terminal id -> input terminal it descends from
-    ledger = {"input": _covolume_sum(pieces)}
 
-    # stage one: repair contracting resolutions
-    resolutions = {}
-    fragments = {}  # contracted terminal id -> its contraction fragment
-    for nid, (gid, x) in sorted(pieces.items()):
-        res = build_resolution(x, tl.tree, tl.actions)
-        if res.kind == CONTRACTING:
-            xc, res, fragments[nid] = contract(res, groups)
-            pieces[nid] = (gid, xc)
-        resolutions[nid] = res
-    ledger["contracted"] = _covolume_sum(pieces)
-    if ledger["contracted"] > ledger["input"]:
-        raise EngineError("covolume grew during contraction")
+    pieces = {nid: (gid, x, None) for nid, (gid, x) in terminals.items()}
+    origin = {nid: nid for nid in terminals}  # piece id -> input terminal it descends from
+    taken = set(terminals)  # terminal ids and the ids of pieces made or pending
+    ledger = {"input": _covolume_sum(terminals)}
+    maps = {}  # input terminal id -> (triangle map, side map) from its faces
+    for stage, run in (("contracted", _contract), ("cutpoint-split", _split), ("collapsed", _collapse)):
+        staged, reached, ledger[stage] = {}, {}, 0
+        fragments = defaultdict(TauFragment)  # input terminal -> this stage's fragments, merged
+        for nid in sorted(pieces):
+            made, frag = run(nid, pieces[nid], tl, taken)
+            grown = sum(covolume(y) for _gid, y, _ in made.values())
+            if grown > covolume(pieces[nid][1]):
+                raise EngineError(f"covolume grew in stage {stage!r} at piece {nid!r}")
+            ledger[stage] += grown
+            if nid not in terminals:
+                taken.discard(nid)
+            taken.update(made)
+            staged.update(made)
+            reached.update(dict.fromkeys(made, origin[nid]))
+            if frag is not None:
+                fragments[origin[nid]].update(frag)
+        pieces, origin = staged, reached
+        for nid0, frag in fragments.items():
+            if nid0 not in maps:
+                maps[nid0] = frag.triangle_map, frag.edge_map
+                continue
+            tri, sides = maps[nid0]
+            composed = {t: None if f is None else frag.triangle_map.get(f) for t, f in tri.items()}
+            maps[nid0] = composed, {
+                (t, e): frag.edge_map[(tri[t], fe)]
+                for (t, e), fe in sides.items()
+                if composed[t] is not None and (tri[t], fe) in frag.edge_map
+            }
 
-    # stage two: split at cutpoints (the reduced cutpoint tree keeps the
-    # non-slender ones inside merged pieces)
-    for nid, (_gid, x) in sorted(pieces.items()):
-        split = _cutpoint_pieces(nid, x, groups, pieces.keys() | terminals.keys())
-        if split is None:
-            continue
-        res = resolutions.pop(nid)
-        del pieces[nid], origin[nid]
-        pieces.update(split)
-        for cid, (_gid, sub) in split.items():
-            origin[cid] = nid
-            resolutions[cid] = _restrict_resolution(res, sub)
-    ledger["cutpoint-split"] = _covolume_sum(pieces)
-    if ledger["cutpoint-split"] > ledger["contracted"]:
-        raise EngineError("covolume grew during the cutpoint split")
-
-    # stage three: collapse essential tracks, then split at cutpoints again;
-    # the collapse fragments merge per input terminal (face ids stay disjoint)
-    claims = {}
-    merged = defaultdict(TauFragment)
-    for nid, (gid, x) in sorted(pieces.items()):
-        res = resolutions[nid]
-        for cut in cutpoints(x):
-            if tl.actions.classification(x.stab[cut]) != ELLIPTIC:
-                raise HypothesisError(
-                    f"cutpoint {cut!r} of the complex at {nid!r} does not act elliptically",
-                    lemma="splitting-resolution",
-                )
-        ts = essential_tracks(tracks_from_resolution(res))
-        xt, frag = split_collapse(ts, groups)
-        nid0 = origin[nid]
-        merged[nid0].update(frag)
-        tree_edge_of = {frag.track_point[tr.id]: tr.tree_edge for tr in ts.tracks}
-
-        def claim_for(cx):
-            # the piece maps into one component of the tree minus the
-            # midpoints of its collapsed edges; claim that component at
-            # the least image of the piece's own vertices
-            cut = set()
-            anchors = set()
-            for v in cx.vertices:
-                if v in tree_edge_of:
-                    cut.add(tree_edge_of[v])
-                elif v in x.vertices:
-                    img = res.vertex_image[v]
-                    if img in tl.tree.vertices:
-                        anchors.add(img)
-            comps = graphs.components(
-                tl.tree.vertices, (ends for eid, ends in tl.tree.edges.items() if eid not in cut)
-            )
-            holding = [c for c in comps if c & anchors]
-            if len(holding) > 1:
-                raise EngineError("a collapsed piece maps across a collapsed midpoint")
-            if holding:
-                return tl.tree.orbit[min(holding[0] & anchors)]
-            # piece made of track points only: take the smallest vertex
-            # adjacent to its collapsed edges
-            candidates = {w for eid in cut for w in tl.tree.edges[eid]}
-            if not candidates:
-                raise EngineError("empty image region for a collapsed piece")
-            return tl.tree.orbit[min(candidates)]
-
-        split = _cutpoint_pieces(nid, xt, groups, pieces.keys() | terminals.keys())
-        if split is None:
-            pieces[nid] = (gid, xt)
-            claims[nid] = claim_for(xt)
-        else:
-            del pieces[nid], origin[nid]
-            pieces.update(split)
-            for cid, (_gid, sub) in split.items():
-                origin[cid] = nid0
-                claims[cid] = claim_for(sub)
-    ledger["collapsed"] = _covolume_sum(pieces)
-    if ledger["collapsed"] > ledger["cutpoint-split"]:
-        raise EngineError("covolume grew during the track collapse")
-
-    out, home = _distribute(tl.gog, claims, pieces, groups)
-    total = sum(_covolume_sum(received) for received in out.values())
-    ledger["output"] = total
-    if total > ledger["collapsed"]:
-        raise EngineError("distribution increased covolume")
-    if total < ledger["collapsed"]:
-        raise EngineError("a collapsed terminal went unclaimed")
-
-    # the triangle map of each input terminal: its contraction fragment,
-    # if any, then the merged collapse fragments, each image face located
-    # in the terminal that received it
+    out, home = _distribute(tl.gog, pieces, groups)
+    ledger["output"] = ledger["collapsed"]
     located = defaultdict(dict)  # input terminal -> {face id: ((vertex orbit, terminal id), face id)}
-    for nid, (_gid, x) in pieces.items():
+    for nid, (_gid, x, _claim) in pieces.items():
         located[origin[nid]].update((fid, (home[nid], fid)) for fid in x.faces)
     tau = TauFragment()
     for nid0 in terminals:
-        frag = fragments[nid0].compose(merged[nid0]) if nid0 in fragments else merged[nid0]
-        tau.triangle_map.update(((nid0, fid), located[nid0].get(img)) for fid, img in frag.triangle_map.items())
-        tau.edge_map.update((((nid0, fid), e), fe) for (fid, e), fe in frag.edge_map.items())
+        tri, sides = maps[nid0]
+        tau.triangle_map.update(((nid0, fid), located[nid0].get(img)) for fid, img in tri.items())
+        tau.edge_map.update((((nid0, fid), e), fe) for (fid, e), fe in sides.items())
     return PassdownResult(terminals=out, ledger=ledger, tau=tau)

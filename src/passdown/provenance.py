@@ -6,7 +6,7 @@ triangles.  Each collapse and reduction step yields one.  Above
 a complex, faces are keyed (complex id, face id): ``passdown_full`` hands
 on one fragment from (input terminal id, face id) to ((vertex orbit,
 terminal id), face id), and ``located`` renames both sides into the run's
-complex ids.  Fragments with per-face maps compose associatively.
+complex ids.
 
 A step that keeps a complex as it is needs no per-face maps: it renames
 the complex, face f of complex c going to face f of ``renamed[c]`` with
@@ -15,8 +15,6 @@ every side fixed.  Readers look images up through ``image`` and
 """
 
 from dataclasses import dataclass, field
-
-from .errors import EngineError
 
 
 @dataclass
@@ -39,22 +37,6 @@ class TauFragment:
         if self.renamed and key[0] in self.renamed:
             return eid
         return self.edge_map.get((key, eid))
-
-    def compose(self, nxt: "TauFragment") -> "TauFragment":
-        """self followed by nxt, both with per-face maps."""
-        if self.renamed or nxt.renamed:
-            raise EngineError("only fragments with per-face maps compose")
-        tri = {}
-        edges = {}
-        for t, img in self.triangle_map.items():
-            tri[t] = None if img is None else nxt.triangle_map.get(img)
-        for (t, e), fe in self.edge_map.items():
-            ft = self.triangle_map.get(t)
-            if ft is None or tri.get(t) is None:
-                continue
-            if (ft, fe) in nxt.edge_map:
-                edges[(t, e)] = nxt.edge_map[(ft, fe)]
-        return TauFragment(triangle_map=tri, edge_map=edges)
 
     def located(self, sources, images) -> "TauFragment":
         """This fragment's per-face maps on faces keyed (complex id, face id),

@@ -15,7 +15,7 @@ Group ids without an entry inherit the entry of a declared supergroup.
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import Complex2, canonical_complex, check_orbit_labels, covolume, declare_pairs, fresh_separator
+from .complexes import Complex2, canonical_complex, check_orbit_labels, declare_pairs, fresh_separator
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError
 from .groups import TRIVIAL, GroupTable
 from .provenance import TauFragment
@@ -347,8 +347,10 @@ def contract(res: Resolution, groups: GroupTable):
     checks of a built complex only the one that input can fail is made:
     the vertices of one orbit class carry one label.  A triangle survives
     when it keeps all three sides; it goes to the least id on its triple,
-    and each side to the least id on its pair.  X_C must not exceed ``x``
-    in covolume, and the descended resolution is splitting.
+    and each side to the least id on its pair, so X_C does not exceed
+    ``x`` in covolume; ``passdown_full`` checks that once per stage and
+    piece, so it is not checked here.  The descended resolution is
+    splitting.
     """
     if res.kind != CONTRACTING:
         raise HypothesisError("contract applies to contracting (type II) resolutions only")
@@ -434,8 +436,6 @@ def contract(res: Resolution, groups: GroupTable):
         vertices, edges_at, faces_at, stab, orbit, x.stab_plus,
         frozenset(vertex_map[v] for v in x.boundary_marked), groups,
     )
-    if covolume(xc) > covolume(x):
-        raise EngineError("contraction increased covolume")
     frag = TauFragment()
     for f in x.triangles():
         img = frag.triangle_map[f] = faces_at[triple_of[f]][0] if f in triple_of else None

@@ -13,7 +13,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from . import graphs
-from .complexes import canonical_complex, covolume, declare_pairs, fresh_separator, h1_z2, is_connected, reduce_with_map
+from .complexes import canonical_complex, declare_pairs, fresh_separator, h1_z2, is_connected, reduce_with_map
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError, TruncationError
 from .groups import GroupTable
 from .provenance import TauFragment
@@ -183,7 +183,9 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     An edge's segments are numbered from its end in the least vertex
     orbit (from its first stored end when both ends are in one orbit), so
     that the edges of one orbit number theirs alike however they are
-    stored.  X_T must not exceed ``x`` in covolume.
+    stored.  A triangle has at most one image, so X_T does not exceed
+    ``x`` in covolume; ``passdown_full`` checks that once per stage and
+    piece, so it is not checked here.
 
     Every orbit of the collapsed complex has one label (a segment takes
     its edge's, a central triangle its face's, a track point its orbit's
@@ -344,8 +346,6 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
         kept.union(point_vertex.values()), edges_at, faces_at, stab, orbit, plus,
         (x.boundary_marked & kept) | marked_points, groups,
     )
-    if covolume(xt) > covolume(x):
-        raise EngineError("collapse increased covolume")
     frag = TauFragment(
         triangle_map={fid: faces_at[triple][0] for fid, triple in tri_map.items()},
         edge_map=edge_map,

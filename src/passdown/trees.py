@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import graphs
+from .complexes import check_orbit_kinds
 from .errors import ConsistencyError, FixtureError
 from .groups import GroupTable
 
@@ -93,6 +94,7 @@ def validate_tree(t: TreeHat, groups: GroupTable = None):
         if leaf in used_leaves:
             raise FixtureError(f"ideal points {used_leaves[leaf]!r} and {pid!r} share a truncated end")
         used_leaves[leaf] = pid
+    check_orbit_kinds(t.orbit, vertex=t.vertices, edge=t.edges)
     if groups is not None:
         for cell in list(t.vertices) + list(t.edges):
             groups[t.stab[cell]]

@@ -58,7 +58,6 @@ from passdown.fixtures import parse_fixtures, parse_text
 from passdown.groups import TRIVIAL, GroupRef, GroupTable
 from passdown.hierarchy import passdown_full
 from passdown.pipeline import run_pipeline
-from passdown.provenance import TauFragment
 from passdown.resolution import ActionTable, resolution_from_images
 from passdown.stability import TriangleClass, stabilization_report, stable_classes
 from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolution
@@ -1244,17 +1243,18 @@ def class_check(case):
     return counts
 
 
-@row(TauFragment.compose, oracles.compose, "run")
+@row(oracles.compose_fragments, oracles.compose, "run")
 def composition(case):
-    """The one-step maps composed with ``TauFragment.compose`` from level n
-    to every m > n equal the recomposition."""
+    """The one-step maps composed with ``oracles.compose_fragments``, by
+    which generated runs and ``finish_collapse`` compose, from level n to
+    every m > n equal the recomposition."""
     run = case.expanded
     checked = 0
     for n in range(run.horizon):
         composed = run.taus[n]
         for m in range(n + 1, run.horizon + 1):
             if m > n + 1:
-                composed = composed.compose(run.taus[m - 1])
+                composed = oracles.compose_fragments(composed, run.taus[m - 1])
             assert (composed.triangle_map, composed.edge_map) == oracles.compose(run, n, m)
             checked += 1
     return Counter(compositions=checked)
@@ -1486,12 +1486,11 @@ def seed1(workload):
             nest(m, inside, owner, name)
         spy(m, counts, tracks, "declare_pairs")
         # the quotient step, wherever it is called from, the reduction of a
-        # collapse with nothing to collapse, the validation of a complex
-        # and the composition of fragments, each also counted inside a
-        # collapse
+        # collapse with nothing to collapse and the validation of a
+        # complex, each also counted inside a collapse
         for owner, name in (
             (tracks, "canonical_complex"), (resolution, "canonical_complex"), (complexes, "canonical_complex"),
-            (tracks, "reduce_with_map"), (complexes, "_validate_cells"), (TauFragment, "compose"),
+            (tracks, "reduce_with_map"), (complexes, "_validate_cells"),
         ):
             spy(m, counts, owner, name, **{name: lambda frame, *args: 1, f"{name} in a collapse": inside_of("split_collapse")})
         spy(m, counts, resolution.Resolution, "crossings")

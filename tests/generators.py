@@ -10,7 +10,7 @@ from passdown.provenance import TauFragment
 from passdown.stability import LevelData, RunView, TriangleClass
 from passdown.trees import make_tree
 
-from oracles import check_consistency, identity_fragment
+from oracles import check_consistency, compose_fragments, identity_fragment
 
 
 def line_tree(n=2, ideals=()):
@@ -586,7 +586,7 @@ def random_fragment(rng, x, y, same, calm=False):
         for f in targets:
             if rng.random() < 0.2:
                 drops.triangle_map[f] = None
-        frag = frag.compose(drops)
+        frag = compose_fragments(frag, drops)
     check_consistency(frag, x, y)
     return frag
 

@@ -474,6 +474,23 @@ def identity_fragment(x):
     )
 
 
+def compose_fragments(first, then):
+    """``first`` followed by ``then``, both fragments with per-face maps: a
+    face goes where ``then`` takes its image under ``first`` (None when
+    either drops it), and a side where ``then`` takes its image, while its
+    face survives both.  The composition the generated runs and
+    ``finish_collapse`` follow one fragment with another by."""
+    from passdown.provenance import TauFragment
+
+    tri = {t: None if img is None else then.triangle_map.get(img) for t, img in first.triangle_map.items()}
+    edges = {}
+    for (t, e), fe in first.edge_map.items():
+        ft = first.triangle_map.get(t)
+        if ft is not None and tri.get(t) is not None and (ft, fe) in then.edge_map:
+            edges[(t, e)] = then.edge_map[(ft, fe)]
+    return TauFragment(triangle_map=tri, edge_map=edges)
+
+
 def check_resolution(res):
     """What the resolution constructor builds, against the definitions:
     every edge has a path, and it is the reduced path between its endpoint
@@ -1153,7 +1170,8 @@ def finish_collapse(x, collapsed, frag, groups, step):
         # no cell merged and no bigon dropped: the cell map is the identity
         out = frag
     else:
-        out = frag.compose(
+        out = compose_fragments(
+            frag,
             TauFragment(
                 triangle_map={f: red_map[f] for f in collapsed.triangles()},
                 edge_map={

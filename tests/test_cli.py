@@ -408,6 +408,16 @@ class TestCommands:
                 "  edge ab a b orbit=e\n  edge cd c d orbit=e\nend\n",
                 "line 1: edges of orbit 'e' have mismatched endpoint orbits",
             ),
+            # an orbit of a cellular action holds cells of one kind
+            (
+                "complex X\n  vertex a orbit=o\n  vertex b\n  edge ab a b orbit=o\nend\n",
+                "line 1: orbit 'o' holds cells of two kinds: edge 'ab' in an orbit of vertex cells",
+            ),
+            (
+                "tree T\n  vertex x0 orbit=o\n  vertex x1\n  edge f0 x0 x1 orbit=o\nend\n"
+                "complex X\n  vertex a\nend\n",
+                "line 1: orbit 'o' holds cells of two kinds: edge 'f0' in an orbit of vertex cells",
+            ),
         ],
     )
     def test_bad_label_exit_code_and_message(self, text, message, tmp_path, capsys):

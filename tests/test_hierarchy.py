@@ -5,9 +5,10 @@ import re
 
 import pytest
 
+from passdown import hierarchy
 from passdown.complexes import covolume, make_complex
-from passdown.errors import ConsistencyError, HypothesisError
-from passdown.fixtures import parse_fixtures
+from passdown.errors import ConsistencyError, EngineError, HypothesisError
+from passdown.fixtures import parse_fixtures, parse_text
 from passdown.groups import TRIVIAL, GroupRef, GroupTable
 from passdown.hierarchy import (
     HNode,
@@ -541,6 +542,100 @@ def test_cutpoint_pieces_never_take_a_terminal_id(build):
         assert sorted(result.tau.triangle_map) == [("k", f) for f in sorted(x.triangles())] + [(name, "s")]
     assert ledgers["k.b0"] == ledgers["k.b1"] == ledgers["k.b2"] == ledgers["k.zz"]
     assert ledgers["k.zz"]["output"] == 3
+
+
+def test_the_stage_loop_refuses_a_piece_that_grows(monkeypatch):
+    """A stage that hands on more covolume than a piece held is an engine
+    defect.  The loop's one check per stage and piece names both: here a
+    collapse that splits the one triangle orbit of terminal r in two."""
+    edges = {"ab": ("a", "b"), "bc": ("b", "c"), "ac": ("a", "c"), "cd": ("c", "d"), "ad": ("a", "d")}
+    faces = {"s": ("ab", "bc", "ac"), "t": ("ac", "cd", "ad")}
+    x = make_complex("abcd", edges, faces, orbit={"s": "T", "t": "T"})
+    collapse = hierarchy.split_collapse
+
+    def grown(ts, groups):
+        xt, frag = collapse(ts, groups)
+        return dataclasses.replace(xt, orbit={**xt.orbit, "t": "T2"}), frag
+
+    monkeypatch.setattr(hierarchy, "split_collapse", grown)
+    tree = make_tree(["p"], {})
+    tl = make_tree_level("P", tree, ActionTable(tree, GroupTable()))
+    with pytest.raises(EngineError, match=r"^covolume grew in stage 'collapsed' at piece 'r'$"):
+        passdown_full({"r": (TRIVIAL, x)}, tl)
+
+
+TRIPOD = """
+groups
+  group G
+  group V
+  group Vx
+  group Vy
+  group Vz
+  group E slender helliptic sub-of=V,Vx,Vy,Vz
+  group Ga slender helliptic
+  group Gb slender helliptic
+  group Gc slender helliptic
+  group Gab slender helliptic sub-of=Ga,Gb
+  group Gbc slender helliptic sub-of=Gb,Gc
+  group Gac slender helliptic sub-of=Ga,Gc
+  group Gf slender helliptic sub-of=Gab,Gbc,Gac
+end
+
+complex X
+  vertex a marked stab=Ga
+  vertex b marked stab=Gb
+  vertex c marked stab=Gc
+  edge ab a b stab=Gab
+  edge bc b c stab=Gbc
+  edge ac a c stab=Gac
+  triangle t ab bc ac stab=Gf
+end
+
+tree T
+  vertex m stab=V orbit=om
+  vertex x stab=Vx orbit=ox
+  vertex y stab=Vy orbit=oy
+  vertex z stab=Vz orbit=oz
+  edge ex m x stab=E orbit=oex
+  edge ey m y stab=E orbit=oey
+  edge ez m z stab=E orbit=oez
+end
+
+actions T
+  elliptic Ga fix=x
+  elliptic Gb fix=y
+  elliptic Gc fix=z
+  elliptic Gab fix=x,m,y
+  elliptic Gbc fix=y,m,z
+  elliptic Gac fix=x,m,z
+  elliptic Gf fix=x,y,z,m
+  elliptic G fix=x,y,z,m
+end
+
+hierarchy K
+  node r G
+end
+
+structure S hierarchy=K
+  attach r complex=X
+end
+"""
+
+
+def test_a_piece_of_track_points_claims_the_least_vertex_on_its_collapsed_edges():
+    """A triangle whose corners map to the three leaves of a tripod is cut
+    by one essential track at each corner.  Its central triangle, split
+    off at the three track points, has no vertex of its own to anchor a
+    claim, so it claims the least end of its collapsed edges: the centre
+    m.  Each corner edge keeps its corner and goes to that leaf."""
+    fx = parse_text(TRIPOD)
+    result = passdown_full(fx.structures["S"].terminals(), make_tree_level("T", fx.trees["T"], fx.action_table("T")))
+    received = {v: [sorted(x.vertices) for _gid, x in terms.values()] for v, terms in result.terminals.items()}
+    assert received == {
+        "om": [["w.s0", "w.s1", "w.s2"]], "ox": [["a", "w.s0"]], "oy": [["b", "w.s1"]], "oz": [["c", "w.s2"]],
+    }
+    assert result.tau.triangle_map == {("r", "t"): (("om", "om.t0"), "t.mid")}
+    assert covolumes(result) == {"om": 1, "ox": 0, "oy": 0, "oz": 0}
 
 
 class TestTerminalCheck:
