@@ -12,10 +12,12 @@ covolume (triangle-orbit count), cutpoints, and the reduced cutpoint
 tree used to split a complex into cutpoint-free pieces.
 """
 
+import operator
 import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 
 from . import graphs
 from .errors import ConsistencyError, EngineError, FixtureError
@@ -116,8 +118,8 @@ class CellData:
     @cached_property
     def boundary_rank(self):
         """Rank over Z2 of the face-to-edge boundary matrix."""
-        bit = {eid: 1 << i for i, eid in enumerate(self.edges)}
-        return _gf2_rank(sum(bit[eid] for eid in es) for es in self.faces.values())
+        bit = {eid: 1 << i for i, eid in enumerate(self.edges)}.__getitem__
+        return _gf2_rank(sum(map(bit, es)) for es in self.faces.values())
 
     @cached_property
     def is_canonical(self):
@@ -167,7 +169,7 @@ class Complex2:
     kept.  Label-reading values are kept per complex: ``is_reduced``,
     whose label part checks the ``stab_plus`` keys and one label per
     orbit, ``first_cell_by_label`` and ``covolume``.  No code writes a cell
-    dict after construction (``make_complex`` fills in only labels).
+    dict after construction (``make_complex`` fills in labels before it).
     ``relabel`` changes only ``stab_plus`` and shares the rest: the cell
     data, the covolume, and of ``is_reduced`` the part that reads ``stab``
     and ``orbit``.
@@ -192,52 +194,11 @@ class Complex2:
         so nothing the cells, ``stab`` or ``orbit`` determine is derived
         again."""
         out = object.__new__(Complex2)  # every field in one update, not one frozen-dataclass setattr each
-        out.__dict__.update(
-            vertices=self.vertices,
-            edges=self.edges,
-            faces=self.faces,
-            stab=self.stab,
-            orbit=self.orbit,
-            boundary_marked=self.boundary_marked,
-            stab_plus=stab_plus,
-            cell_data=self.cell_data,
-            first_cell_by_label=self.first_cell_by_label,
-            cell_labels_reduced=self.cell_labels_reduced,
-            covolume=self.covolume,
-        )
+        out.__dict__.update({name: getattr(self, name) for name in _SHARED_BY_RELABEL}, stab_plus=stab_plus)
         return out
 
     def face_vertices(self, fid):
         return self.cell_data.face_vertices[fid]
-
-    # the cell-derived values, read off the shared cell data
-    @property
-    def edges_by_pair(self):
-        return self.cell_data.edges_by_pair
-
-    @property
-    def triangles_by_vertex(self):
-        return self.cell_data.triangles_by_vertex
-
-    @property
-    def triangles_by_edge(self):
-        return self.cell_data.triangles_by_edge
-
-    @property
-    def triangles_by_triple(self):
-        return self.cell_data.triangles_by_triple
-
-    @property
-    def vertex_components(self):
-        return self.cell_data.vertex_components
-
-    @property
-    def skeleton_blocks(self):
-        return self.cell_data.skeleton_blocks
-
-    @property
-    def boundary_rank(self):
-        return self.cell_data.boundary_rank
 
     @cached_property
     def is_reduced(self):
@@ -254,10 +215,10 @@ class Complex2:
         """The part of ``is_reduced`` that reads ``stab`` and ``orbit``:
         labels and orbits on the cells only, one label per orbit.
 
-        Derived once per parsed complex, by its validation.  What is
-        built from a checked complex is handed it, True: a piece of a
-        complex that holds it (``subcomplex`` copies a subset of its cells
-        and their labels), and a reduction, X_T or X_C
+        Handed True by validation when each orbit holds one cell, else
+        derived once by it.  What is built from a checked complex is handed
+        it, True: a piece of a complex that holds it (``subcomplex`` copies
+        a subset of its cells and their labels), and a reduction, X_T or X_C
         (``canonical_complex``, their one quotient step, labels each cell
         it keeps by the class of its orbit); a relabelling shares it."""
         cells = self.cells()
@@ -296,45 +257,48 @@ class Complex2:
     def cells(self):
         """Every cell id: the vertices in sorted order, then the edges and
         the faces in stored order."""
-        out = sorted(self.vertices)
-        out.extend(self.edges)
-        out.extend(self.faces)
-        return out
+        return [*sorted(self.vertices), *self.edges, *self.faces]
+
+
+_SHARED_BY_RELABEL = (
+    "vertices", "edges", "faces", "stab", "orbit", "boundary_marked", "cell_data", "first_cell_by_label",
+    "cell_labels_reduced", "covolume",
+)
+for _name in (
+    "edges_by_pair", "triangles_by_vertex", "triangles_by_edge", "triangles_by_triple", "vertex_components", "skeleton_blocks",
+    "boundary_rank",
+):  # the cell-derived values, read off the shared cell data
+    setattr(Complex2, _name, property(operator.attrgetter("cell_data." + _name)))
 
 
 def make_complex(vertices, edges, faces, stab=None, orbit=None, boundary_marked=(), stab_plus=None, groups=None):
-    """Build and validate a Complex2; missing labels default to the trivial
-    group and singleton orbits."""
-    stab = dict(stab or {})
-    orbit = dict(orbit or {})
-    x = Complex2(
-        vertices=frozenset(vertices),
-        edges=dict(edges),
-        faces={fid: tuple(es) for fid, es in dict(faces).items()},
-        stab=stab,
-        orbit=orbit,
-        boundary_marked=frozenset(boundary_marked),
-        stab_plus=dict(stab_plus or {}),
-    )
-    for cell in x.cells():
-        stab.setdefault(cell, TRIVIAL)
-        orbit.setdefault(cell, cell)
+    """Build and validate a Complex2 on the dicts as given, not copied (but
+    ``faces`` where a face is no tuple), its labels ``filled``."""
+    vertices = frozenset(vertices)
+    if not all(map(isinstance, faces.values(), repeat(tuple))):
+        faces = {fid: tuple(es) for fid, es in faces.items()}
+    cells = [*sorted(vertices), *edges, *faces]
+    x = Complex2(vertices, edges, faces, filled(stab, cells, TRIVIAL), filled(orbit, cells), frozenset(boundary_marked), stab_plus or {})
     validate_complex(x, groups)
     return x
+
+
+def filled(labels, cells, default=None):
+    """``labels`` with a label on each of ``cells``, ``default`` or else
+    the cell itself, filled in place, or made in one pass when empty."""
+    if not labels:
+        return dict.fromkeys(cells, default) if default else dict(zip(cells, cells))
+    for cell in cells:
+        labels.setdefault(cell, default or cell)
+    return labels
 
 
 def validate_complex(x, groups=None):
     """The one full check of a complex read from a fixture: its cells,
     and over ``groups`` its label references, containments and orbit
-    labels.  The containment check and ``declare_containments`` walk one
-    generator, ``_containments``: each face below its sides and its sorted
-    corners, then each edge below its ends.
-
-    Whether a label names a group, and whether one lies below another,
-    depends on the labels only, so each distinct cell label is looked up
-    once, at its first cell in ``cells()`` order, and each distinct
-    (label, label above) pair is checked once, at its first containment,
-    so that an error names the first failing cell."""
+    labels.  Each check decides a valid complex by whole-set tests, and
+    only when one fails walks the cells in its order, so that the error
+    names the first failing cell, as ``FixtureError.cell`` too."""
     _validate_cells(x)
     if groups is not None:
         _validate_label_refs(x, groups)
@@ -343,54 +307,83 @@ def validate_complex(x, groups=None):
 
 
 def _validate_cells(x):
-    ids = set()
-    for cell in x.cells():
-        if cell in ids:
-            raise FixtureError(f"cell id {cell!r} is not unique across vertices/edges/faces")
-        ids.add(cell)
-    for eid, (u, v) in x.edges.items():
-        if u == v:
-            raise FixtureError(f"edge {eid!r} is a loop")
-        for w in (u, v):
-            if w not in x.vertices:
-                raise FixtureError(f"edge {eid!r} references missing vertex {w!r}")
-    for fid, es in x.faces.items():
-        if len(es) not in (2, 3):
-            raise FixtureError(f"face {fid!r} must be a triangle or a bigon")
-        for eid in es:
-            if eid not in x.edges:
-                raise FixtureError(f"face {fid!r} references missing edge {eid!r}")
-        if len(es) != len(set(es)):
-            raise FixtureError(f"face {fid!r} repeats an edge")
-    # every face's references hold before the face vertex sets are first built
-    for fid, es in x.faces.items():
-        if len(es) == 2:
-            if frozenset(x.edges[es[0]]) != frozenset(x.edges[es[1]]):
-                raise FixtureError(f"bigon {fid!r} edges do not share both endpoints")
-        else:
-            verts = x.face_vertices(fid)
-            if len(verts) != 3:
-                raise FixtureError(f"triangle {fid!r} does not close up on 3 vertices")
+    vertices, edges, faces = x.vertices, x.edges, x.faces
+    if len(vertices.union(edges, faces)) < len(vertices) + len(edges) + len(faces):
+        ids = set()
+        for cell in x.cells():
+            if cell in ids:
+                raise FixtureError(f"cell id {cell!r} is not unique across vertices/edges/faces", cell=cell)
+            ids.add(cell)
+    if not vertices.issuperset(chain.from_iterable(edges.values())) or edges and any(map(operator.eq, *zip(*edges.values()))):
+        for eid, (u, v) in edges.items():
+            if u == v:
+                raise FixtureError(f"edge {eid!r} is a loop", cell=eid)
+            for w in (u, v):
+                if w not in vertices:
+                    raise FixtureError(f"edge {eid!r} references missing vertex {w!r}", cell=eid)
+    if not _faces_close(x):
+        for fid, es in faces.items():
+            if len(es) not in (2, 3):
+                raise FixtureError(f"face {fid!r} must be a triangle or a bigon", cell=fid)
+            for eid in es:
+                if eid not in edges:
+                    raise FixtureError(f"face {fid!r} references missing edge {eid!r}", cell=fid)
+            if len(es) != len(set(es)):
+                raise FixtureError(f"face {fid!r} repeats an edge", cell=fid)
+        # every face's references hold before the face vertex sets are first built
+        for fid, es in faces.items():
+            if len(es) == 2:
+                if frozenset(edges[es[0]]) != frozenset(edges[es[1]]):
+                    raise FixtureError(f"bigon {fid!r} edges do not share both endpoints", cell=fid)
+            elif len(x.face_vertices(fid)) != 3:
+                raise FixtureError(f"triangle {fid!r} does not close up on 3 vertices", cell=fid)
             # on three vertices, the sides close up when they join three distinct pairs
-            if len({frozenset(x.edges[eid]) for eid in es}) != 3:
-                raise FixtureError(f"triangle {fid!r} edges do not close up combinatorially")
+            elif len({frozenset(edges[eid]) for eid in es}) != 3:
+                raise FixtureError(f"triangle {fid!r} edges do not close up combinatorially", cell=fid)
     for w in x.boundary_marked:
-        if w not in x.vertices:
-            raise FixtureError(f"boundary mark on missing vertex {w!r}")
+        if w not in vertices:
+            raise FixtureError(f"boundary mark on missing vertex {w!r}", cell=w)
+
+
+def _faces_close(x):
+    """Whether each face is a triangle on three vertex pairs or a bigon on
+    one, by a pass handing the face vertex sets to the cell data.  No edge
+    is a loop, so a triangle's sides join three pairs of its three corners
+    when its first two ends are each met twice along them."""
+    edges, face_vertices = x.edges, {}
+    try:
+        for fid, es in x.faces.items():
+            ends = (*edges[es[0]], *edges[es[1]], *edges[es[-1]])
+            corners = face_vertices[fid] = frozenset(ends)
+            if not (
+                len(es) == 3 == len(corners) and ends.count(ends[0]) == 2 == ends.count(ends[1])
+                or len(es) == 2 == len(corners) and es[0] != es[1]
+            ):
+                return False
+    except (KeyError, IndexError):  # a missing side, or a face of fewer than two
+        return False
+    x.cell_data.__dict__.setdefault("face_vertices", face_vertices)
+    return True
 
 
 def _validate_label_refs(x, groups: GroupTable):
-    for label in x.first_cell_by_label:
-        groups[label]
-    for eid in x.stab_plus:
+    # each distinct label is looked up once, at its first cell
+    if not all(map(groups.__contains__, set(x.stab.values()))):
+        for label, cell in x.first_cell_by_label.items():
+            if label not in groups:
+                raise FixtureError(f"unknown group id {label!r}", cell=cell)
+    for eid, label in x.stab_plus.items():
         if eid not in x.edges:
-            raise FixtureError(f"stab+ label on missing edge {eid!r}")
-        groups[x.stab_plus[eid]]
+            raise FixtureError(f"stab+ label on missing edge {eid!r}", cell=eid)
+        if label not in groups:
+            raise FixtureError(f"unknown group id {label!r}", cell=eid)
 
 
 def _containments(x):
-    """(cell, label, cell above, its label) for each face below its sides
-    and its corners, corners in sorted order, then each edge below its ends."""
+    """(cell, label, cell above, its label) for each containment, in the
+    one order that the containment check and ``declare_containments``
+    walk: each face below its sides and its sorted corners, then each edge
+    below its ends."""
     stab = x.stab
     for fid, es in x.faces.items():
         for above in (*es, *sorted(x.face_vertices(fid))):
@@ -401,6 +394,10 @@ def _containments(x):
 
 
 def _validate_containments(x, groups: GroupTable):
+    # each distinct (label, label above) pair is checked once, at its first
+    # containment, and none when every label is trivial
+    if set(x.stab.values()) <= {TRIVIAL}:
+        return
     checked = set()
     for cell, label, above, label_above in _containments(x):
         if (label, label_above) in checked:
@@ -410,7 +407,7 @@ def _validate_containments(x, groups: GroupTable):
             kind = "face" if cell in x.faces else "edge"
             kind_above = "edge" if above in x.edges else "vertex"
             raise ConsistencyError(
-                f"{kind} {cell!r} stabilizer {label!r} not declared inside {kind_above} {above!r} stabilizer"
+                f"{kind} {cell!r} stabilizer {label!r} not declared inside {kind_above} {above!r} stabilizer", cell=cell
             )
 
 
@@ -429,44 +426,51 @@ def declare_pairs(groups: GroupTable, pairs):
 
 
 def _validate_orbit_labels(x):
-    # quotient-scale consistency: one label per orbit, matching incidence
-    # shape, cells of one kind per orbit; the one-pass check of
-    # ``cell_labels_reduced`` decides a valid complex, and the per-orbit
-    # label sets are built only to word an error
+    # one label per orbit, matching incidence shape, cells of one kind per
+    # orbit: all met by orbits of one cell each; else the one-pass check of
+    # ``cell_labels_reduced`` decides the labels, and per-orbit label sets
+    # are built only to word an error
+    cells = x.vertices.union(x.edges, x.faces)
+    if x.orbit.keys() == cells and len(set(x.orbit.values())) == len(cells):
+        if x.stab.keys() == cells:
+            x.__dict__.setdefault("cell_labels_reduced", True)
+        return
     if not x.cell_labels_reduced:
         check_orbit_labels(x.cells(), x.stab, x.orbit)
-    edge_orbit_shape = {}
-    for eid, (u, v) in x.edges.items():
-        shape = frozenset((x.orbit[u], x.orbit[v]))
-        prev = edge_orbit_shape.setdefault(x.orbit[eid], shape)
-        if prev != shape:
-            raise ConsistencyError(f"edges of orbit {x.orbit[eid]!r} have mismatched endpoint orbits")
-    check_orbit_kinds(x.orbit, vertex=x.vertices, edge=x.edges, face=x.faces)
+    check_orbit_shapes(x.orbit, vertex=x.vertices, edge=x.edges, face=x.faces)
 
 
-def check_orbit_kinds(orbit, **cells_by_kind):
-    """Raise naming the first orbit with cells of two kinds, and its first
-    cell of a later kind (so the first kind's order does not matter): an
-    orbit of a cellular action has one kind."""
-    kind_of = {}
+def check_orbit_shapes(orbit, **cells_by_kind):
+    """Raise naming the first edge orbit whose edges join two pairs of
+    vertex orbits (at its first edge of the second), then the first orbit
+    of two kinds (at its first cell of a later kind): an orbit of a
+    cellular action has one kind, and its edges one pair of end orbits."""
+    shapes, kind_of = {}, {}
+    for eid, (u, v) in cells_by_kind["edge"].items():
+        shape = frozenset((orbit[u], orbit[v]))
+        if shapes.setdefault(orbit[eid], shape) != shape:
+            raise ConsistencyError(f"edges of orbit {orbit[eid]!r} have mismatched endpoint orbits", cell=eid)
     for kind, cells in cells_by_kind.items():
         for cell in cells:
             first = kind_of.setdefault(orbit[cell], kind)
             if first != kind:
-                raise ConsistencyError(
-                    f"orbit {orbit[cell]!r} holds cells of two kinds: {kind} {cell!r} in an orbit of {first} cells"
-                )
+                message = f"orbit {orbit[cell]!r} holds cells of two kinds: {kind} {cell!r} in an orbit of {first} cells"
+                raise ConsistencyError(message, cell=cell)
 
 
 def check_orbit_labels(cells, stab, orbit):
     """Raise naming the first orbit, in the order of ``cells``, whose
-    cells carry several labels."""
-    per_orbit = defaultdict(set)
+    cells carry several labels, and its first cell whose label differs
+    from the orbit's first."""
+    per_orbit, second = defaultdict(set), {}
     for cell in cells:
-        per_orbit[orbit[cell]].add(stab[cell])
+        labels = per_orbit[orbit[cell]]
+        labels.add(stab[cell])
+        if len(labels) > 1:
+            second.setdefault(orbit[cell], cell)
     for oid, labels in per_orbit.items():
         if len(labels) > 1:
-            raise ConsistencyError(f"orbit {oid!r} carries several stabilizer labels: {sorted(labels)}")
+            raise ConsistencyError(f"orbit {oid!r} carries several stabilizer labels: {sorted(labels)}", cell=second[oid])
 
 
 def components(x: Complex2):

@@ -6,15 +6,17 @@ class PassdownError(Exception):
 
 
 class FixtureError(PassdownError):
-    """Malformed input: parse failures and invariant violations at load."""
+    """Malformed input: parse failures and invariant violations at load.
+    ``cell`` is the id of the cell of a complex or tree that a failing
+    check names, so that the reader can cite the line declaring it."""
 
     exit_code = 2
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, cell=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
+        self.line, self.cell = line, cell
 
 
 class ConsistencyError(FixtureError):

@@ -10,7 +10,10 @@ and the README's grammar lists the same forms.  ``write`` writes a whole
 reads back to the same fixtures: ``write(parse_text(write(fx))) == write(fx)``.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, field
+from operator import itemgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import graphs
@@ -81,6 +84,7 @@ class Form(NamedTuple):
 
 _LABELS = {"stab", "orbit"}
 _NO_FLAGS = frozenset()
+_NO_KEYS = MappingProxyType({})
 
 # (block, line kind) -> Form.  A header is keyed by its block name twice,
 # a config body line, which has no kind word, by (config, None), and a
@@ -120,93 +124,104 @@ GRAMMAR = {
 }
 
 
-def _read(block, ln, text, header=False):
-    """``(ln, words, flags, keys)`` of ``text``, line ``ln`` of ``block``,
-    checked against its ``GRAMMAR`` entry: a missing or extra word, or a
-    key the entry does not list, is malformed input.  ``words`` are the
-    positional words, the kind word first."""
-    words, keys = text.split(), {}
-    if "=" in text:
-        tokens, words = words, []
-        for tok in tokens:
-            if "=" in tok:
-                key, value = tok.split("=", 1)
-                keys[key] = value
-            else:
-                words.append(tok)
-    if header:
-        kind = block
-    elif block == "restrict":
-        kind = words[3] if len(words) > 3 else None
-    elif block == "config":
-        kind = None
-    else:
-        kind = words[0] if words else None
-    form = GRAMMAR.get((block, kind))
-    if form is None:
-        raise FixtureError(f"bad {block} line: {text!r}", line=ln)
+def _reader(block, kind, form):
+    """The reader of ``kind`` lines of ``block`` by their ``GRAMMAR`` form:
+    ``(ln, text, words) -> (ln, words, flags, keys)``.  A missing or extra
+    word, or a key the form does not list, is malformed input."""
     arity, allowed_flags, allowed_keys, optional = form
-    flags = _NO_FLAGS
-    if allowed_flags and not allowed_flags.isdisjoint(words):
-        flags = allowed_flags.intersection(words)
-        words = [w for w in words if w not in flags]
-    if not arity - optional <= len(words) <= arity:
-        if header:
-            raise FixtureError("expected: " + " ".join([block] + ["<name>"] * (arity - 1)), line=ln)
-        raise FixtureError(f"bad {block} line: {text!r}", line=ln)
-    if keys and not allowed_keys.issuperset(keys):
-        label = block if kind in (block, None) else f"{block} {kind}"
-        unknown = next(key for key in keys if key not in allowed_keys)
-        raise FixtureError(f"unknown {label} key {unknown!r}", line=ln)
-    return ln, words, flags, keys
+    label = block if kind in (block, None) else f"{block} {kind}"
+
+    def read(ln, text, words, header=False):
+        keys = _NO_KEYS
+        if "=" in text:
+            keys, tokens, words = {}, words, []
+            for tok in tokens:
+                key, eq, value = tok.partition("=")
+                if eq:
+                    keys[key] = value
+                else:
+                    words.append(tok)
+        flags = _NO_FLAGS
+        if allowed_flags and not allowed_flags.isdisjoint(words):
+            flags = allowed_flags.intersection(words)
+            words = [w for w in words if w not in flags]
+        if not arity - optional <= len(words) <= arity:
+            if header:
+                raise FixtureError("expected: " + " ".join([block] + ["<name>"] * (arity - 1)), line=ln)
+            raise FixtureError(f"bad {block} line: {text.strip()!r}", line=ln)
+        if keys and not allowed_keys.issuperset(keys):
+            unknown = next(key for key in keys if key not in allowed_keys)
+            raise FixtureError(f"unknown {label} key {unknown!r}", line=ln)
+        return ln, words, flags, keys
+
+    return read
+
+
+_READERS = {}  # block -> line kind -> its reader, derived once
+for (_block, _kind), _form in GRAMMAR.items():
+    _READERS.setdefault(_block, {})[_kind] = _reader(_block, _kind, _form)
+
+
+def _read(block, ln, text, words, header=False):
+    """``(ln, words, flags, keys)`` of ``text``, line ``ln`` of ``block``
+    with its comment stripped, split once into ``words``, by the reader of
+    its kind: ``block`` for a header, the fourth positional word of a
+    restrict line, none for a config line, else the first positional word;
+    ``words`` are then the positional words, the kind word first."""
+    if header:
+        return _READERS[block][block](ln, text, words, header)
+    positional = [w for w in words if "=" not in w] if "=" in text else words
+    kind = (positional[3:4] if block == "restrict" else [] if block == "config" else positional[:1]) or [None]
+    read = _READERS[block].get(kind[0])
+    if read is None:
+        raise FixtureError(f"bad {block} line: {text.strip()!r}", line=ln)
+    return read(ln, text, words)
 
 
 def _id_set(value):
     return frozenset((value or "").split(",")) - {""}
 
 
+def _cell_line(body, cell):
+    """The line of a complex or tree ``body`` declaring ``cell``, or its
+    second kind's (vertex, edge, face or ideal point) where a repeat is."""
+    found = sorted(({"vertex": 0, "edge": 1}.get(words[0], 2), ln) for ln, words, _f, _k in body if words[1:2] == [cell])
+    return found[len(found) > 1][1] if found else None
+
+
 def parse_text(text, fixture: FixtureSet = None) -> FixtureSet:
-    fx = fixture or FixtureSet()
-    lines = text.splitlines()
-    i = 0
-
-    def block(start, head):
-        body = []
-        j = start + 1
-        while j < len(lines):
-            stripped = lines[j].split("#", 1)[0].strip()
-            if stripped == "end":
-                return body, j
-            if stripped:
-                body.append(_read(head, j + 1, stripped))
-            j += 1
-        raise FixtureError("unterminated block", line=start + 1)
-
-    while i < len(lines):
-        raw = lines[i].split("#", 1)[0].strip()
-        if not raw:
-            i += 1
-            continue
-        head = next((w for w in raw.split() if "=" not in w), None)
+    fx, lines = fixture or FixtureSet(), text.splitlines()
+    if "#" in text:  # strip the comments
+        lines = [line[: line.index("#")] if "#" in line else line for line in lines]
+    # (line number, text, words) of each line that is not blank, split once
+    rows = filter(itemgetter(2), zip(range(1, len(lines) + 1), lines, map(str.split, lines)))
+    for ln, line, words in rows:
+        head = next((w for w in words if "=" not in w), None)
         if head is None:
-            raise FixtureError(f"expected a block header, got {raw!r}", line=i + 1)
+            raise FixtureError(f"expected a block header, got {line.strip()!r}", line=ln)
+        body = ()
         try:
             if head == "restrict":
-                _parse_restrict(fx, _read(head, i + 1, raw))
+                _parse_restrict(fx, _read(head, ln, line, words))
             elif head in _BLOCKS:
-                header = _read(head, i + 1, raw, header=True)
-                body, end = block(i, head)
+                header, body = _read(head, ln, line, words, header=True), []
+                by_word = {} if head == "config" else _READERS[head]  # a line led by its kind word goes to its reader
+                for at, text_at, words_at in rows:  # the block's lines, up to its end
+                    if words_at == ["end"]:
+                        break
+                    read = by_word.get(words_at[0])
+                    body.append(read(at, text_at, words_at) if read else _read(head, at, text_at, words_at))
+                else:
+                    raise FixtureError("unterminated block", line=ln)
                 _BLOCKS[head](fx, header, body)
-                i = end
             else:
-                raise FixtureError(f"unknown block {head!r}", line=i + 1)
+                raise FixtureError(f"unknown block {head!r}", line=ln)
         except FixtureError as exc:
-            if exc.line is None:  # tie block-level failures to the header line
-                raise FixtureError(str(exc), line=i + 1) from exc
+            if exc.line is None:  # tie a failing cell to its line, and any other block-level failure to the header
+                raise type(exc)(str(exc), line=_cell_line(body, exc.cell) or ln) from exc
             raise
         except Exception as exc:
-            raise FixtureError(str(exc), line=i + 1) from exc
-        i += 1
+            raise FixtureError(str(exc), line=ln) from exc
     return fx
 
 
@@ -228,72 +243,49 @@ def parse_fixtures(paths) -> FixtureSet:
 
 def _parse_groups(fx, header, body):
     for _ln, (_, gid), flags, keys in body:
-        fx.groups.add(
-            GroupRef(
-                gid,
-                is_slender=not flags.isdisjoint({"slender", "finite"}),
-                is_h_elliptic="helliptic" in flags,
-                is_finite="finite" in flags,
-                declared_supergroups=_id_set(keys.get("sub-of")),
-            )
-        )
+        fx.groups.add(GroupRef(
+            gid, is_slender=not flags.isdisjoint({"slender", "finite"}), is_h_elliptic="helliptic" in flags,
+            is_finite="finite" in flags, declared_supergroups=_id_set(keys.get("sub-of")),
+        ))
     fx.groups.validate()
 
 
-def _declared_once(seen, kind, cell, ln):
-    """Record that line ``ln`` declares ``cell`` of ``kind``: an id is
-    declared once per kind in a block, and a repeat is malformed input."""
-    ids = seen.setdefault(kind, set())
-    if cell in ids:
-        raise FixtureError(f"{kind} {cell!r} is declared twice", line=ln)
-    ids.add(cell)
+def _read_cells(body, third, *words_of_third):
+    """The vertices, edges and cells of the ``third`` kind of a complex or
+    tree ``body`` (by ``words_of_third``, or any other kind word: the
+    header's), each id to the words after it; the flagged ids; and ``{key:
+    {id: value}}``.  An id repeated within its kind is malformed input."""
+    vertices, edges, thirds, other = {}, {}, {}, {}
+    into = {"vertex": vertices, "edge": edges, **dict.fromkeys(words_of_third, thirds)}
+    flagged, labels = [], defaultdict(dict)
+    for ln, words, flags, keys in body:
+        cell, ids = words[1], into.get(words[0])
+        if ids is None:
+            ids = other.setdefault(words[0], {})
+        if cell in ids:
+            raise FixtureError(f"{third if ids is thirds else words[0]} {cell!r} is declared twice", line=ln)
+        ids[cell] = tuple(words[2:])
+        if flags:
+            flagged.append(cell)
+        if keys:
+            for key, value in keys.items():
+                labels[key][cell] = value
+    if other:  # the third kind in line order, each cell as last declared
+        thirds = {words[1]: tuple(words[2:]) for _ln, words, _f, _k in body if words[0] not in ("vertex", "edge")}
+    return vertices, edges, thirds, flagged, labels
 
 
 def _parse_complex(fx, header, body):
-    _ln, (_, name), _flags, _keys = header
-    vertices, edges, faces = [], {}, {}
-    stab, orbit, stab_plus, marked, seen = {}, {}, {}, [], {}
-    for ln, words, flags, keys in body:
-        kind, cell = words[0], words[1]
-        _declared_once(seen, "face" if kind in ("triangle", "bigon") else kind, cell, ln)
-        if kind == "vertex":
-            vertices.append(cell)
-            if "marked" in flags:
-                marked.append(cell)
-        elif kind == "edge":
-            edges[cell] = (words[2], words[3])
-        else:
-            faces[cell] = tuple(words[2:])
-        if "stab" in keys:
-            stab[cell] = keys["stab"]
-        if "orbit" in keys:
-            orbit[cell] = keys["orbit"]
-        if "stabplus" in keys:
-            stab_plus[cell] = keys["stabplus"]
-    fx.complexes[name] = make_complex(
-        vertices, edges, faces, stab=stab, orbit=orbit, boundary_marked=marked,
-        stab_plus=stab_plus, groups=fx.groups,
+    vertices, edges, faces, marked, labels = _read_cells(body, "face", "triangle", "bigon")
+    fx.complexes[header[1][1]] = make_complex(
+        vertices, edges, faces, labels["stab"], labels["orbit"], marked, labels["stabplus"], fx.groups
     )
 
 
 def _parse_tree(fx, header, body):
-    _ln, (_, name), _flags, _keys = header
-    vertices, edges, ideal = [], {}, {}
-    stab, orbit, seen = {}, {}, {}
-    for ln, words, _flags, keys in body:
-        kind, cell = words[0], words[1]
-        _declared_once(seen, "ideal point" if kind == "ideal" else kind, cell, ln)
-        if kind == "vertex":
-            vertices.append(cell)
-        elif kind == "edge":
-            edges[cell] = (words[2], words[3])
-        else:
-            ideal[cell] = tuple(keys.get("ray", "").split(","))
-        if "stab" in keys:
-            stab[cell] = keys["stab"]
-        if "orbit" in keys:
-            orbit[cell] = keys["orbit"]
-    fx.trees[name] = make_tree(vertices, edges, ideal, stab=stab, orbit=orbit, groups=fx.groups)
+    vertices, edges, ideal, _flagged, labels = _read_cells(body, "ideal point", "ideal")
+    ideal = {p: tuple(labels["ray"].get(p, "").split(",")) for p in ideal}
+    fx.trees[header[1][1]] = make_tree(vertices, edges, ideal, labels["stab"], labels["orbit"], fx.groups)
 
 
 def _parse_actions(fx, header, body):
@@ -306,9 +298,7 @@ def _parse_actions(fx, header, body):
             table.declare_descriptors(gid, [ActionDescriptor(kind="elliptic", fixed=_id_set(keys.get("fix")), group=gid)])
         elif kind == "hyperbolic":
             ends = tuple(keys.get("ends", "").split(","))
-            table.declare_descriptors(
-                gid, [ActionDescriptor(kind="hyperbolic", ends=ends, swaps_ends="swaps" in flags, group=gid)]
-            )
+            table.declare_descriptors(gid, [ActionDescriptor(kind="hyperbolic", ends=ends, swaps_ends="swaps" in flags, group=gid)])
         else:
             table.declare_parabolic(gid, keys.get("end"))
 
@@ -323,17 +313,15 @@ def _parse_gog(fx, header, body):
                 vflags[words[1]] = "flexible" if "flexible" in vertex_flags else "rigid"
         else:
             edges[words[1]] = tuple(words[2:])
-    fx.gogs[name] = make_gog(
-        name, vertices, edges, flags=vflags,
-        reduced="reduced" in flags, jsj="jsj" in flags, groups=fx.groups,
-    )
+    fx.gogs[name] = make_gog(name, vertices, edges, flags=vflags, reduced="reduced" in flags, jsj="jsj" in flags, groups=fx.groups)
 
 
 def _parse_hierarchy(fx, header, body):
     _ln, (_, name), flags, _keys = header
-    nodes, seen = {}, {}
+    nodes = {}
     for ln, (_, nid, gid), _flags, keys in body:
-        _declared_once(seen, "hierarchy node", nid, ln)
+        if nid in nodes:
+            raise FixtureError(f"hierarchy node {nid!r} is declared twice", line=ln)
         action = None
         if "action" in keys:
             if keys["action"] not in fx.gogs:
@@ -378,15 +366,21 @@ def _parse_structure(fx, header, body):
     fx.structures[name] = ks
 
 
+def _config_int(keys, key, ln, default):
+    """The integer that config line ``ln`` sets ``key`` to, or ``default``."""
+    try:
+        return int(keys.get(key, default))
+    except ValueError:
+        raise FixtureError(f"config: {key} must be an integer", line=ln) from None
+
+
 def _parse_config(fx, header, body):
     for ln, _words, _flags, keys in body:
-        if "horizon" in keys:
-            fx.config.horizon = int(keys["horizon"])
+        fx.config.horizon = _config_int(keys, "horizon", ln, fx.config.horizon)
         # link-cap and seed are still checked, but nothing reads them
-        if "link-cap" in keys and int(keys["link-cap"]) < 3:
+        if _config_int(keys, "link-cap", ln, 3) < 3:
             raise FixtureError("config: link-cap must be at least 3", line=ln)
-        if "seed" in keys:
-            int(keys["seed"])
+        _config_int(keys, "seed", ln, 0)
         if "relative" in keys:
             fx.config.relative_class = _id_set(keys["relative"])
     fx.config.validate()
@@ -397,10 +391,11 @@ def _parse_pipeline(fx, header, body):
     if "root" not in header_keys:
         raise FixtureError("expected: pipeline <name> root=<structure>")
     root = header_keys["root"]
-    nodes, seen, node_line = {}, {}, {}
+    nodes, node_line = {}, {}
     for ln, (kind, nid), _flags, keys in body:
         if kind == "node":
-            _declared_once(seen, "script node", nid, ln)
+            if nid in nodes:
+                raise FixtureError(f"script node {nid!r} is declared twice", line=ln)
             node_line[nid] = ln
             nodes[nid] = ScriptNode(
                 id=nid, tree=keys.get("tree"), parent=keys.get("parent"), orbit=keys.get("orbit"), repeat=keys.get("repeat")
@@ -503,7 +498,8 @@ def _line(block, words, flags=(), keys=(), header=False):
     words, flags = [w for w in words if w], [f for f in flags if f]
     keys = {key: value for key, value in keys if value}
     text = " ".join(words + flags + [f"{key}={value}" for key, value in keys.items()])
-    if _read(block, None, text.split("#", 1)[0], header)[1:] != (words, set(flags), keys):
+    line = text.split("#", 1)[0]
+    if _read(block, None, line, line.split(), header)[1:] != (words, set(flags), keys):
         raise FixtureError(f"cannot write {text!r} as a {block} line")
     return text
 

@@ -11,11 +11,12 @@ ideal points plus the finite geodesic core between their leaves, so the
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 from . import graphs
-from .complexes import check_orbit_kinds
+from .complexes import check_orbit_labels, check_orbit_shapes, filled
 from .errors import ConsistencyError, FixtureError
-from .groups import GroupTable
+from .groups import TRIVIAL, GroupTable
 
 
 @dataclass(frozen=True)
@@ -50,30 +51,30 @@ class TreeHat:
 
 
 def make_tree(vertices, edges, ideal_points=None, stab=None, orbit=None, groups=None) -> TreeHat:
-    stab = dict(stab or {})
-    orbit = dict(orbit or {})
-    t = TreeHat(
-        vertices=frozenset(vertices),
-        edges=dict(edges),
-        ideal_points={k: tuple(v) for k, v in (ideal_points or {}).items()},
-        stab=stab,
-        orbit=orbit,
-    )
-    from .groups import TRIVIAL
-
-    for cell in list(t.vertices) + list(t.edges):
-        stab.setdefault(cell, TRIVIAL)
-        orbit.setdefault(cell, cell)
+    """Build and validate a TreeHat on the dicts as given, not copied
+    (``ideal_points`` only when a ray is not a tuple); a cell missing from
+    ``stab`` or ``orbit`` is labelled by ``complexes.filled``."""
+    vertices, ideal_points = frozenset(vertices), ideal_points or {}
+    if not all(map(isinstance, ideal_points.values(), repeat(tuple))):
+        ideal_points = {pid: tuple(ray) for pid, ray in ideal_points.items()}
+    cells = [*sorted(vertices), *edges]
+    t = TreeHat(vertices, edges, ideal_points, filled(stab, cells, TRIVIAL), filled(orbit, cells))
     validate_tree(t, groups)
     return t
 
 
 def validate_tree(t: TreeHat, groups: GroupTable = None):
+    """The full check of a tree: its cells and ideal points, its orbits
+    (one label per orbit, one pair of endpoint orbits per edge orbit, one
+    kind per orbit; orbits of one cell each meet them all), and over
+    ``groups`` its labels and containments.  Cells are met in sorted
+    vertex, then edge order, and an error names the first failing cell,
+    as ``FixtureError.cell`` too."""
     if not t.vertices:
         raise FixtureError("tree must have at least one vertex")
     for eid, (u, v) in t.edges.items():
         if u == v or u not in t.vertices or v not in t.vertices:
-            raise FixtureError(f"tree edge {eid!r} is malformed")
+            raise FixtureError(f"tree edge {eid!r} is malformed", cell=eid)
     if len(t.edges) != len(t.vertices) - 1:
         raise FixtureError("tree must satisfy |E| = |V| - 1")
     if len(graphs.components(t.vertices, t.edges.values())) != 1:
@@ -82,27 +83,31 @@ def validate_tree(t: TreeHat, groups: GroupTable = None):
     used_leaves = {}
     for pid, ray in t.ideal_points.items():
         if pid in t.vertices or pid in t.edges:
-            raise FixtureError(f"ideal point id {pid!r} collides with a tree cell")
+            raise FixtureError(f"ideal point id {pid!r} collides with a tree cell", cell=pid)
         if not ray or len(set(ray)) != len(ray):
-            raise FixtureError(f"ideal point {pid!r} needs a simple ray")
+            raise FixtureError(f"ideal point {pid!r} needs a simple ray", cell=pid)
         for a, b in zip(ray, ray[1:]):
             if b not in adj.get(a, ()):
-                raise FixtureError(f"ray of ideal point {pid!r} is not a path")
+                raise FixtureError(f"ray of ideal point {pid!r} is not a path", cell=pid)
         leaf = ray[-1]
         if t.degree(leaf) > 1:
-            raise FixtureError(f"ideal point {pid!r} must end at a leaf (truncated end)")
+            raise FixtureError(f"ideal point {pid!r} must end at a leaf (truncated end)", cell=pid)
         if leaf in used_leaves:
-            raise FixtureError(f"ideal points {used_leaves[leaf]!r} and {pid!r} share a truncated end")
+            raise FixtureError(f"ideal points {used_leaves[leaf]!r} and {pid!r} share a truncated end", cell=pid)
         used_leaves[leaf] = pid
-    check_orbit_kinds(t.orbit, vertex=t.vertices, edge=t.edges)
+    cells = [*sorted(t.vertices), *t.edges]
+    if len(set(map(t.orbit.__getitem__, cells))) < len(cells):
+        check_orbit_labels(cells, t.stab, t.orbit)
+        check_orbit_shapes(t.orbit, vertex=t.vertices, edge=t.edges)
     if groups is not None:
-        for cell in list(t.vertices) + list(t.edges):
-            groups[t.stab[cell]]
+        for cell in cells:
+            if t.stab[cell] not in groups:
+                raise FixtureError(f"unknown group id {t.stab[cell]!r}", cell=cell)
         for eid, (u, v) in t.edges.items():
             for w in (u, v):
                 if not groups.leq(t.stab[eid], t.stab[w]):
                     raise ConsistencyError(
-                        f"tree edge {eid!r} stabilizer not declared inside endpoint {w!r} stabilizer"
+                        f"tree edge {eid!r} stabilizer not declared inside endpoint {w!r} stabilizer", cell=eid
                     )
 
 

@@ -51,6 +51,7 @@ from generators import (
     wheel,
 )
 from lemmas import is_simple
+from test_cli import fuzzed_cases, mutate
 from passdown import complexes, fixtures, graphs, hierarchy, pipeline, resolution, stability, tracks
 from passdown.complexes import CellData, Complex2, components, cutpoints, h1_z2, is_connected, make_complex, reduce_complex
 from passdown.errors import ConsistencyError, FixtureError, PassdownError
@@ -403,6 +404,50 @@ def label_checks(case):
     assert fast == raised(lambda: oracles.validation_by_walk(x, groups))
     message = fast[1] if fast else ""
     return Counter(unknown="unknown group id" in message, containment="not declared inside" in message)
+
+
+def parsed(parse, text):
+    """What ``parse(text)`` reads: the contents of the fixture set, or the
+    class of the error it raises and its message without the line."""
+    from test_roundtrip import contents  # which imports the module that binds this row's test
+
+    try:
+        return "read", contents(parse(text))
+    except PassdownError as exc:
+        return "refused", type(exc), re.sub(r"^line \d+: ", "", str(exc))
+
+
+@row(parse_text, oracles.parse_by_walk, "fixture text")
+def parse(text):
+    """The reader, which splits each line once and decides a valid complex
+    or tree by whole-set tests, reads what reading by the grammar and
+    walking every cell reads, and refuses what that refuses, with the same
+    error up to the line it names.  What it hands each complex it reads
+    (the face vertex sets, ``cell_labels_reduced``) is what a fresh
+    derivation gives."""
+    fast = parsed(parse_text, text)
+    assert fast == parsed(oracles.parse_by_walk, text)
+    if fast[0] == "refused":
+        return Counter(refused=1)
+    handed = [handed_on(x)[0] for x in fast[1][1].values()]
+    return Counter(read=1, trees=len(fast[1][2]), labels_handed=sum("cell_labels_reduced" in names for names in handed))
+
+
+def mutated_fixtures(count=1400):
+    """``count`` seeded line mutations of the fuzzed committed fixtures."""
+    rng = random.Random(20261032)
+    cases, pool = fuzzed_cases()
+    for case in range(count):
+        yield "\n".join(mutate(rng, cases[case % len(cases)][0], pool)) + "\n"
+
+
+shape("fixture text", "committed", lambda: (path.read_text() for path in sorted(FIXTURES.glob("*.txt"))), lambda c: c["read"] == 5)
+shape(
+    "fixture text", "benchmark ops",
+    lambda: (op.text for seed in (1, 2, 3) for name in sorted(workloads.WORKLOADS) for op in workloads.generate(name, seed)),
+    lambda c: c["read"] == c["cases"] == c["labels_handed"] == 177 and c["trees"] == 267,
+)
+shape("fixture text", "line mutations", mutated_fixtures, lambda c: c["read"] > 200 and c["refused"] > 1000)
 
 
 @row(resolution.build_resolution, oracles.resolution_by_cell_classification, "mislabelled complex")

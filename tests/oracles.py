@@ -1292,14 +1292,14 @@ def contract_by_construction(res, groups):
 
 def validation_by_walk(x, groups):
     """``complexes.validate_complex`` with every label looked up and every
-    containment checked cell by cell: cell labels in ``cells()`` order,
-    oriented labels in stored order, then each face below its sides and its
-    sorted corners and each edge below its ends, so the first failing cell
+    containment checked cell by cell: the cells (``cells_by_walk``), cell
+    labels in ``cells()`` order, oriented labels in stored order, then each
+    face below its sides and its sorted corners and each edge below its
+    ends, then the orbits (``orbits_by_walk``), so the first failing cell
     raises."""
-    from passdown.complexes import _validate_cells, _validate_orbit_labels
     from passdown.errors import ConsistencyError, FixtureError
 
-    _validate_cells(x)
+    cells_by_walk(x)
     for cell in x.cells():
         groups[x.stab.get(cell, "1")]
     for eid in x.stab_plus:
@@ -1315,7 +1315,269 @@ def validation_by_walk(x, groups):
             raise ConsistencyError(
                 f"{kind} {cell!r} stabilizer {x.stab[cell]!r} not declared inside {kind_above} {above!r} stabilizer"
             )
-    _validate_orbit_labels(x)
+    orbits_by_walk(x.cells(), x.stab, x.orbit, x.edges, vertex=x.vertices, edge=x.edges, face=x.faces)
+
+
+def cells_by_walk(x):
+    """The cell checks of ``complexes.validate_complex``, cell by cell:
+    ids unique across kinds in ``cells()`` order, then each edge (no loop,
+    both ends declared), each face (two or three sides, each declared, none
+    repeated), each face's shape, and each boundary mark."""
+    from passdown.errors import FixtureError
+
+    ids = set()
+    for cell in x.cells():
+        if cell in ids:
+            raise FixtureError(f"cell id {cell!r} is not unique across vertices/edges/faces")
+        ids.add(cell)
+    for eid, (u, v) in x.edges.items():
+        if u == v:
+            raise FixtureError(f"edge {eid!r} is a loop")
+        for w in (u, v):
+            if w not in x.vertices:
+                raise FixtureError(f"edge {eid!r} references missing vertex {w!r}")
+    for fid, es in x.faces.items():
+        if len(es) not in (2, 3):
+            raise FixtureError(f"face {fid!r} must be a triangle or a bigon")
+        for eid in es:
+            if eid not in x.edges:
+                raise FixtureError(f"face {fid!r} references missing edge {eid!r}")
+        if len(es) != len(set(es)):
+            raise FixtureError(f"face {fid!r} repeats an edge")
+    for fid, es in x.faces.items():
+        if len(es) == 2:
+            if frozenset(x.edges[es[0]]) != frozenset(x.edges[es[1]]):
+                raise FixtureError(f"bigon {fid!r} edges do not share both endpoints")
+        else:
+            if len({w for e in es for w in x.edges[e]}) != 3:
+                raise FixtureError(f"triangle {fid!r} does not close up on 3 vertices")
+            if len({frozenset(x.edges[eid]) for eid in es}) != 3:
+                raise FixtureError(f"triangle {fid!r} edges do not close up combinatorially")
+    for w in x.boundary_marked:
+        if w not in x.vertices:
+            raise FixtureError(f"boundary mark on missing vertex {w!r}")
+
+
+def orbits_by_walk(cells, stab, orbit, edges, **cells_by_kind):
+    """The orbit checks of a complex or tree, by a walk of every cell:
+    the first orbit, in the order of ``cells``, whose cells carry several
+    labels; then the first edge orbit whose edges join two pairs of vertex
+    orbits; then the first orbit with cells of two kinds, named at its
+    first cell of a later kind."""
+    from passdown.errors import ConsistencyError
+
+    labels = defaultdict(set)
+    for cell in cells:
+        labels[orbit[cell]].add(stab[cell])
+    for oid, held in labels.items():
+        if len(held) > 1:
+            raise ConsistencyError(f"orbit {oid!r} carries several stabilizer labels: {sorted(held)}")
+    shape = {}
+    for eid, (u, v) in edges.items():
+        if shape.setdefault(orbit[eid], frozenset((orbit[u], orbit[v]))) != frozenset((orbit[u], orbit[v])):
+            raise ConsistencyError(f"edges of orbit {orbit[eid]!r} have mismatched endpoint orbits")
+    kind_of = {}
+    for kind, held in cells_by_kind.items():
+        for cell in held:
+            if kind_of.setdefault(orbit[cell], kind) != kind:
+                raise ConsistencyError(
+                    f"orbit {orbit[cell]!r} holds cells of two kinds: {kind} {cell!r} in an orbit of {kind_of[orbit[cell]]} cells"
+                )
+
+
+def make_complex_by_walk(vertices, edges, faces, stab=None, orbit=None, boundary_marked=(), stab_plus=None, groups=None):
+    """``complexes.make_complex`` by its definition: copies of the cells
+    and labels, a missing label filled in per cell, and every check by a
+    walk (``validation_by_walk``; the cells only without a group table)."""
+    from passdown.complexes import Complex2
+
+    stab, orbit = dict(stab or {}), dict(orbit or {})
+    x = Complex2(
+        frozenset(vertices), dict(edges), {fid: tuple(es) for fid, es in dict(faces).items()}, stab, orbit,
+        frozenset(boundary_marked), dict(stab_plus or {}),
+    )
+    for cell in x.cells():
+        stab.setdefault(cell, "1")
+        orbit.setdefault(cell, cell)
+    if groups is None:
+        cells_by_walk(x)
+    else:
+        validation_by_walk(x, groups)
+    return x
+
+
+def make_tree_by_walk(vertices, edges, ideal_points=None, stab=None, orbit=None, groups=None):
+    """``trees.make_tree`` by its definition: copies of the cells and
+    labels, a missing label filled in per cell, then the shape of a tree
+    and its ideal points, every orbit check by a walk in sorted vertex
+    order, and over ``groups`` each cell label and each edge below its
+    ends."""
+    from passdown import graphs
+    from passdown.errors import ConsistencyError, FixtureError
+    from passdown.trees import TreeHat
+
+    stab, orbit = dict(stab or {}), dict(orbit or {})
+    t = TreeHat(frozenset(vertices), dict(edges), {k: tuple(v) for k, v in (ideal_points or {}).items()}, stab, orbit)
+    cells = [*sorted(t.vertices), *t.edges]
+    for cell in cells:
+        stab.setdefault(cell, "1")
+        orbit.setdefault(cell, cell)
+    if not t.vertices:
+        raise FixtureError("tree must have at least one vertex")
+    for eid, (u, v) in t.edges.items():
+        if u == v or u not in t.vertices or v not in t.vertices:
+            raise FixtureError(f"tree edge {eid!r} is malformed")
+    if len(t.edges) != len(t.vertices) - 1:
+        raise FixtureError("tree must satisfy |E| = |V| - 1")
+    if len(graphs.components(t.vertices, t.edges.values())) != 1:
+        raise FixtureError("tree is disconnected")
+    used_leaves = {}
+    for pid, ray in t.ideal_points.items():
+        if pid in t.vertices or pid in t.edges:
+            raise FixtureError(f"ideal point id {pid!r} collides with a tree cell")
+        if not ray or len(set(ray)) != len(ray):
+            raise FixtureError(f"ideal point {pid!r} needs a simple ray")
+        for a, b in zip(ray, ray[1:]):
+            if b not in t.adjacency.get(a, ()):
+                raise FixtureError(f"ray of ideal point {pid!r} is not a path")
+        if t.degree(ray[-1]) > 1:
+            raise FixtureError(f"ideal point {pid!r} must end at a leaf (truncated end)")
+        if ray[-1] in used_leaves:
+            raise FixtureError(f"ideal points {used_leaves[ray[-1]]!r} and {pid!r} share a truncated end")
+        used_leaves[ray[-1]] = pid
+    orbits_by_walk(cells, stab, orbit, t.edges, vertex=t.vertices, edge=t.edges)
+    if groups is not None:
+        for cell in cells:
+            groups[stab[cell]]
+        for eid, (u, v) in t.edges.items():
+            for w in (u, v):
+                if not groups.leq(stab[eid], stab[w]):
+                    raise ConsistencyError(f"tree edge {eid!r} stabilizer not declared inside endpoint {w!r} stabilizer")
+    return t
+
+
+def read_line(block, ln, text, header=False):
+    """``fixtures``' reading of one line by its definition: ``(ln, words,
+    flags, keys)`` of ``text``, line ``ln`` of ``block`` with its comment
+    stripped, split and checked against its ``GRAMMAR`` form (a header by
+    its block name, a restrict line by its fourth positional word, a config
+    line by none, any other by its first)."""
+    from passdown.errors import FixtureError
+    from passdown.fixtures import GRAMMAR
+
+    words, keys = text.split(), {}
+    if "=" in text:
+        tokens, words = words, []
+        for tok in tokens:
+            if "=" in tok:
+                key, value = tok.split("=", 1)
+                keys[key] = value
+            else:
+                words.append(tok)
+    if header:
+        kind = block
+    elif block == "restrict":
+        kind = words[3] if len(words) > 3 else None
+    elif block == "config":
+        kind = None
+    else:
+        kind = words[0] if words else None
+    form = GRAMMAR.get((block, kind))
+    if form is None:
+        raise FixtureError(f"bad {block} line: {text.strip()!r}", line=ln)
+    arity, allowed_flags, allowed_keys, optional = form
+    flags = frozenset()
+    if allowed_flags and not allowed_flags.isdisjoint(words):
+        flags = allowed_flags.intersection(words)
+        words = [w for w in words if w not in flags]
+    if not arity - optional <= len(words) <= arity:
+        if header:
+            raise FixtureError("expected: " + " ".join([block] + ["<name>"] * (arity - 1)), line=ln)
+        raise FixtureError(f"bad {block} line: {text.strip()!r}", line=ln)
+    if keys and not allowed_keys.issuperset(keys):
+        label = block if kind in (block, None) else f"{block} {kind}"
+        unknown = next(key for key in keys if key not in allowed_keys)
+        raise FixtureError(f"unknown {label} key {unknown!r}", line=ln)
+    return ln, words, flags, keys
+
+
+def parse_by_walk(text):
+    """``fixtures.parse_text`` by its definition: each line read by
+    ``read_line``, a complex or tree block built by ``make_complex_by_walk``
+    or ``make_tree_by_walk`` from cells each declared once per kind (a
+    triangle and a bigon are both faces, an ideal line an ideal point, and
+    any other kind word a cell of the block's third kind, named by that
+    word), and every other block by its reader in ``fixtures``.  An error
+    without a line is tied to its block's header line."""
+    from passdown import fixtures
+    from passdown.errors import FixtureError
+
+    fx, lines, i = fixtures.FixtureSet(), text.splitlines(), 0
+
+    def cells(body, third):
+        vertices, edges, other, seen, labels, flagged = [], {}, {}, defaultdict(set), defaultdict(dict), []
+        for ln, words, flags, keys in body:
+            kind, cell = words[0], words[1]
+            named = {"triangle": "face", "bigon": "face", "ideal": "ideal point"}.get(kind, kind)
+            if cell in seen[named]:
+                raise FixtureError(f"{named} {cell!r} is declared twice", line=ln)
+            seen[named].add(cell)
+            if kind == "vertex":
+                vertices.append(cell)
+            elif kind == "edge":
+                edges[cell] = (words[2], words[3])
+            else:
+                other[cell] = tuple(words[2:]) if third == "face" else tuple(keys.get("ray", "").split(","))
+            flagged += [cell] * bool(flags)
+            for key, value in keys.items():
+                labels[key][cell] = value
+        return vertices, edges, other, flagged, labels
+
+    def complex_block(fx, header, body):
+        vertices, edges, faces, marked, labels = cells(body, "face")
+        fx.complexes[header[1][1]] = make_complex_by_walk(
+            vertices, edges, faces, labels["stab"], labels["orbit"], marked, labels["stabplus"], fx.groups
+        )
+
+    def tree_block(fx, header, body):
+        vertices, edges, ideal, _flagged, labels = cells(body, "ideal point")
+        fx.trees[header[1][1]] = make_tree_by_walk(vertices, edges, ideal, labels["stab"], labels["orbit"], fx.groups)
+
+    blocks = {**fixtures._BLOCKS, "complex": complex_block, "tree": tree_block}
+    while i < len(lines):
+        raw = lines[i].split("#", 1)[0].strip()
+        if not raw:
+            i += 1
+            continue
+        head = next((w for w in raw.split() if "=" not in w), None)
+        if head is None:
+            raise FixtureError(f"expected a block header, got {raw!r}", line=i + 1)
+        try:
+            if head == "restrict":
+                fixtures._parse_restrict(fx, read_line(head, i + 1, raw))
+            elif head in blocks:
+                header, body, j = read_line(head, i + 1, raw, header=True), [], i + 1
+                while True:
+                    if j == len(lines):
+                        raise FixtureError("unterminated block", line=i + 1)
+                    stripped = lines[j].split("#", 1)[0].strip()
+                    if stripped == "end":
+                        break
+                    if stripped:
+                        body.append(read_line(head, j + 1, stripped))
+                    j += 1
+                blocks[head](fx, header, body)
+                i = j
+            else:
+                raise FixtureError(f"unknown block {head!r}", line=i + 1)
+        except FixtureError as exc:
+            if exc.line is None:
+                raise type(exc)(str(exc), line=i + 1) from exc
+            raise
+        except Exception as exc:
+            raise FixtureError(str(exc), line=i + 1) from exc
+        i += 1
+    return fx
 
 
 def resolution_by_cell_classification(x, t, actions):

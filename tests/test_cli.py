@@ -382,41 +382,52 @@ class TestCommands:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("complex X\n  vertex a stab=NOPE\nend\n", "line 1: unknown group id 'NOPE'"),
+            ("complex X\n  vertex a stab=NOPE\nend\n", "line 2: unknown group id 'NOPE'"),
             (
                 "complex X\n  vertex a\n  vertex b\n  edge ab a b stabplus=NOPE\nend\n",
-                "line 1: unknown group id 'NOPE'",
+                "line 4: unknown group id 'NOPE'",
             ),
             (
                 _AB + "complex X\n" + _TRI.format(c="A", t="B"),
-                "line 5: face 't' stabilizer 'B' not declared inside edge 'ab' stabilizer",
+                "line 12: face 't' stabilizer 'B' not declared inside edge 'ab' stabilizer",
             ),
             (
                 _AB + "complex X\n" + _TRI.format(c="B", t="A"),
-                "line 5: face 't' stabilizer 'A' not declared inside vertex 'c' stabilizer",
+                "line 12: face 't' stabilizer 'A' not declared inside vertex 'c' stabilizer",
             ),
             (
                 _AB + "complex X\n  vertex a stab=A\n  vertex b stab=B\n  edge ab a b stab=A\nend\n",
-                "line 5: edge 'ab' stabilizer 'A' not declared inside vertex 'b' stabilizer",
+                "line 8: edge 'ab' stabilizer 'A' not declared inside vertex 'b' stabilizer",
             ),
             (
                 _AB + "complex X\n  vertex a stab=A orbit=o\n  vertex b stab=B orbit=o\nend\n",
-                "line 5: orbit 'o' carries several stabilizer labels: ['A', 'B']",
+                "line 7: orbit 'o' carries several stabilizer labels: ['A', 'B']",
             ),
             (
                 "complex X\n  vertex a\n  vertex b\n  vertex c\n  vertex d\n"
                 "  edge ab a b orbit=e\n  edge cd c d orbit=e\nend\n",
-                "line 1: edges of orbit 'e' have mismatched endpoint orbits",
+                "line 7: edges of orbit 'e' have mismatched endpoint orbits",
             ),
             # an orbit of a cellular action holds cells of one kind
             (
                 "complex X\n  vertex a orbit=o\n  vertex b\n  edge ab a b orbit=o\nend\n",
-                "line 1: orbit 'o' holds cells of two kinds: edge 'ab' in an orbit of vertex cells",
+                "line 4: orbit 'o' holds cells of two kinds: edge 'ab' in an orbit of vertex cells",
             ),
             (
                 "tree T\n  vertex x0 orbit=o\n  vertex x1\n  edge f0 x0 x1 orbit=o\nend\n"
                 "complex X\n  vertex a\nend\n",
-                "line 1: orbit 'o' holds cells of two kinds: edge 'f0' in an orbit of vertex cells",
+                "line 4: orbit 'o' holds cells of two kinds: edge 'f0' in an orbit of vertex cells",
+            ),
+            # a tree orbit has one label, and its edges one pair of endpoint orbits
+            (
+                _AB + "tree T\n  vertex x0 stab=A orbit=o\n  vertex x1 stab=B orbit=o\n  edge f x0 x1\nend\n"
+                "complex X\n  vertex a\nend\n",
+                "line 7: orbit 'o' carries several stabilizer labels: ['A', 'B']",
+            ),
+            (
+                "tree T\n  vertex x0\n  vertex x1\n  vertex x2\n  edge f0 x0 x1 orbit=e\n  edge f1 x1 x2 orbit=e\nend\n"
+                "complex X\n  vertex a\nend\n",
+                "line 6: edges of orbit 'e' have mismatched endpoint orbits",
             ),
         ],
     )
@@ -425,6 +436,13 @@ class TestCommands:
         bad.write_text(text)
         assert main(["h1", str(bad), "--complex", "X"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["horizon", "link-cap", "seed"])
+    def test_a_config_value_that_is_no_integer_exit_code(self, key, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"complex X\n  vertex a\nend\nconfig\n  horizon=2\n  {key}=abc\nend\n")
+        assert main(["h1", str(bad), "--complex", "X"]) == 2
+        assert capsys.readouterr().err == f"error: line 6: config: {key} must be an integer\n"
 
     @pytest.mark.parametrize(
         "line, repeat, message",
@@ -834,7 +852,7 @@ def test_a_failing_cell_is_named_alike_under_every_hash_seed(tmp_path):
         assert proc.returncode == 0 and proc.stdout == "", proc.stderr
         assert proc.stderr == (
             "error: line 60: cell 'u' of the complex at 'r' is neither slender nor elliptic on every level\n" * 2
-            + "error: line 6: face 't' stabilizer 'F' not declared inside vertex 'a' stabilizer\n"
+            + "error: line 13: face 't' stabilizer 'F' not declared inside vertex 'a' stabilizer\n"
         ), hashseed
 
 

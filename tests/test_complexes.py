@@ -32,7 +32,7 @@ from passdown.resolution import ActionTable
 from passdown.trees import make_tree
 
 from bench_ops import workloads
-from differential import differential_test, h1, minting, record, relabelled
+from differential import differential_test, h1, minting, nest, record, relabelled, spy
 from generators import random_cell_complex, random_labelled_complex, random_simplicial_complex, triangle
 from oracles import brute_components, brute_cutpoints, cutpoint_tree, separator_by_minting, wire_and_validate
 
@@ -454,6 +454,23 @@ class TestWireAndValidate:
         wire_and_validate(x, groups)
         validate_complex(x, groups)
         assert groups.leq("B", "A") and groups.leq("A", "B")
+
+
+def test_parsing_checks_each_distinct_containment_pair_once(monkeypatch):
+    """Parsing a labelled grid asks ``GroupTable.leq`` once per distinct
+    (label, label above) pair of its complex's containments, and parsing
+    an unlabelled beads fixture, every cell of which carries the trivial
+    group, asks it nothing at all."""
+    grid, beads = workloads.grid(random.Random(1), 4, 8, 2), workloads.beads(random.Random(1), 32, 2, 2)
+    counts, inside = Counter(), Counter()
+    nest(monkeypatch, inside, complexes, "validate_complex")
+    spy(monkeypatch, counts, GroupTable, "leq", leq=lambda frame, *args: 1, checked=lambda frame, *args: bool(inside["validate_complex"]))
+    (x,) = parse_text(grid.text).complexes.values()
+    pairs = {(label, above) for _cell, label, _above, above in complexes._containments(x)}
+    assert counts["checked"] == len(pairs) > 1
+    counts.clear()
+    parse_text(beads.text)
+    assert counts["leq"] == 0
 
 
 def test_a_reduction_declares_what_its_minted_labels_need():

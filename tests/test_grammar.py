@@ -12,6 +12,8 @@ from passdown.cli import main
 from passdown.fixtures import GRAMMAR, FixtureSet
 from passdown.trees import ActionDescriptor
 
+from differential import differential_test
+
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 # one valid line of every GRAMMAR entry
@@ -169,3 +171,7 @@ def test_a_restrict_split_may_leave_out_its_pairs(tmp_path):
 def test_grammar_that_nothing_reads_is_gone():
     assert "resolutions" not in {f.name for f in dataclasses.fields(FixtureSet)}
     assert "translation_length" not in {f.name for f in dataclasses.fields(ActionDescriptor)}
+
+
+class TestReader:
+    test_reads_as_the_grammar_and_the_walk_read = differential_test("fixture text")

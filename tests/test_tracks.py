@@ -374,13 +374,14 @@ def test_the_collapse_derives_each_table_once():
     assert seen["size"] == (0, 0, 0, 45)
 
 
-def test_the_label_check_is_derived_once_per_parsed_complex():
+def test_the_label_check_is_handed_on_by_the_parse():
     """On the seed-1 ``size`` and ``surgery`` ops ``cell_labels_reduced`` is
-    derived once per parsed complex (15 each), by its validation: every
-    cutpoint piece, reduction and X_T is handed it."""
+    never derived: each parsed complex (15 each) has an orbit per cell, so
+    its validation hands it True, and every cutpoint piece, reduction and
+    X_T is handed it in turn."""
     for workload in ("size", "surgery"):
         counts = seed1(workload).counts
-        assert counts["cell_labels_reduced"] == counts["parsed complexes"] == 15, workload
+        assert counts["parsed complexes"] == 15 and counts["cell_labels_reduced"] == 0, workload
 
 
 def test_a_collapse_validates_only_what_it_builds():
