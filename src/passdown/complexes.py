@@ -45,11 +45,11 @@ class CellData:
     id each, and the canonical order, which it builds;
     ``reduce_with_map`` the cutpoints and components its input
     holds, since it joins the same vertex pairs, and the boundary rank of
-    a simplicial input, whose cells it keeps; ``subcomplex`` the canonical
-    order of a canonical parent, which a subset of its cells in its order
-    keeps, and the parent's blocks that cover the piece; and
-    ``hierarchy._cutpoint_pieces`` each piece's one component and its
-    boundary rank (the wedge argument is in its docstring)."""
+    a simplicial input, whose cells it keeps; and
+    ``hierarchy._cutpoint_pieces`` each piece the canonical order of a
+    canonical parent, the parent's blocks that make up the piece, its one
+    component and its boundary rank (the wedge argument is in its
+    docstring)."""
 
     def __init__(self, vertices, edges, faces):
         self.vertices, self.edges, self.faces = vertices, edges, faces
@@ -217,8 +217,8 @@ class Complex2:
 
         Handed True by validation when each orbit holds one cell, else
         derived once by it.  What is built from a checked complex is handed
-        it, True: a piece of a complex that holds it (``subcomplex`` copies
-        a subset of its cells and their labels), and a reduction, X_T or X_C
+        it, True: a cutpoint piece of a complex that holds it (the piece
+        copies a subset of its cells and their labels), and a reduction, X_T or X_C
         (``canonical_complex``, their one quotient step, labels each cell
         it keeps by the class of its orbit); a relabelling shares it."""
         cells = self.cells()
@@ -768,41 +768,3 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
             raise ConsistencyError(f"triangle orbit {x.orbit[fid]!r} lies in cutpoint-free pieces of different orbits")
     return tree
 
-
-def subcomplex(x: Complex2, cells) -> Complex2:
-    """The full subcomplex on a downward-closed cell set, keeping the
-    order of ``x``'s cell dicts (so a piece of a reduced complex is reduced).
-    Cells and labels are copied from ``x``, which is valid, and nothing is
-    checked: the cell sets of ``_block_cells`` are closed under subcells.
-
-    The piece's cell data starts with what ``x`` holds of it: the
-    canonical order, which every piece of canonical cells keeps, and the
-    blocks of ``x`` lying in the piece when they cover its edges and
-    vertices, as the pieces of ``reduced_cutpoint_tree`` are unions of
-    blocks; a union of whole blocks has those blocks for its own.  When
-    ``x`` holds ``cell_labels_reduced`` True the piece is handed it: its
-    labels and orbits are those of a subset of ``x``'s cells, keyed by
-    exactly its cells, and one label per orbit holds on any subset."""
-    cells = set(cells)
-    verts = x.vertices & cells
-    edges = {eid: ends for eid, ends in x.edges.items() if eid in cells}
-    out = Complex2(
-        vertices=verts,
-        edges=edges,
-        faces={fid: es for fid, es in x.faces.items() if fid in cells},
-        stab={c: x.stab[c] for c in cells},
-        orbit={c: x.orbit[c] for c in cells},
-        boundary_marked=x.boundary_marked & verts,
-        stab_plus={eid: x.stab_plus[eid] for eid in edges if eid in x.stab_plus},
-    )
-    if x.__dict__.get("cell_labels_reduced"):
-        out.__dict__["cell_labels_reduced"] = True
-    held, handed = x.cell_data.__dict__, out.cell_data.__dict__
-    if held.get("is_canonical"):
-        handed["is_canonical"] = True
-    if "skeleton_blocks" in held:
-        inside = tuple((vs, es) for vs, es in held["skeleton_blocks"] if vs <= verts and es <= cells)
-        covered = frozenset().union(*(vs for vs, _es in inside))
-        if covered == verts and sum(len(es) for _vs, es in inside) == len(edges):
-            handed["skeleton_blocks"] = inside
-    return out

@@ -157,19 +157,22 @@ def _reader(block, kind, form):
     return read
 
 
-_READERS = {}  # block -> line kind -> its reader, derived once
+_HEADERS = {block: _reader(block, kind, form) for (block, kind), form in GRAMMAR.items() if kind == block}
+_READERS = {}  # block -> body line kind -> its reader, derived once
 for (_block, _kind), _form in GRAMMAR.items():
-    _READERS.setdefault(_block, {})[_kind] = _reader(_block, _kind, _form)
+    if _kind != _block:
+        _READERS.setdefault(_block, {})[_kind] = _reader(_block, _kind, _form)
 
 
 def _read(block, ln, text, words, header=False):
     """``(ln, words, flags, keys)`` of ``text``, line ``ln`` of ``block``
     with its comment stripped, split once into ``words``, by the reader of
     its kind: ``block`` for a header, the fourth positional word of a
-    restrict line, none for a config line, else the first positional word;
-    ``words`` are then the positional words, the kind word first."""
+    restrict line, none for a config line, else the first positional word,
+    which a body line shares with no header; ``words`` are then the
+    positional words, the kind word first."""
     if header:
-        return _READERS[block][block](ln, text, words, header)
+        return _HEADERS[block](ln, text, words, header)
     positional = [w for w in words if "=" not in w] if "=" in text else words
     kind = (positional[3:4] if block == "restrict" else [] if block == "config" else positional[:1]) or [None]
     read = _READERS[block].get(kind[0])
@@ -251,17 +254,15 @@ def _parse_groups(fx, header, body):
 
 
 def _read_cells(body, third, *words_of_third):
-    """The vertices, edges and cells of the ``third`` kind of a complex or
-    tree ``body`` (by ``words_of_third``, or any other kind word: the
-    header's), each id to the words after it; the flagged ids; and ``{key:
-    {id: value}}``.  An id repeated within its kind is malformed input."""
-    vertices, edges, thirds, other = {}, {}, {}, {}
+    """The vertices, edges and cells of the ``third`` kind (by
+    ``words_of_third``) of a complex or tree ``body``, each id to the words
+    after it; the flagged ids; and ``{key: {id: value}}``.  An id repeated
+    within its kind is malformed input."""
+    vertices, edges, thirds = {}, {}, {}
     into = {"vertex": vertices, "edge": edges, **dict.fromkeys(words_of_third, thirds)}
     flagged, labels = [], defaultdict(dict)
     for ln, words, flags, keys in body:
-        cell, ids = words[1], into.get(words[0])
-        if ids is None:
-            ids = other.setdefault(words[0], {})
+        cell, ids = words[1], into[words[0]]
         if cell in ids:
             raise FixtureError(f"{third if ids is thirds else words[0]} {cell!r} is declared twice", line=ln)
         ids[cell] = tuple(words[2:])
@@ -270,8 +271,6 @@ def _read_cells(body, third, *words_of_third):
         if keys:
             for key, value in keys.items():
                 labels[key][cell] = value
-    if other:  # the third kind in line order, each cell as last declared
-        thirds = {words[1]: tuple(words[2:]) for _ln, words, _f, _k in body if words[0] not in ("vertex", "edge")}
     return vertices, edges, thirds, flagged, labels
 
 

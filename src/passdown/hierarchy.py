@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from . import graphs
-from .complexes import covolume, cutpoints, fresh_separator, h1_z2, is_connected, reduced_cutpoint_tree, subcomplex
+from .complexes import Complex2, covolume, cutpoints, fresh_separator, h1_z2, is_connected, reduced_cutpoint_tree
 from .errors import ConsistencyError, EngineError, FixtureError, HypothesisError
 from .groups import GroupTable
 from .provenance import TauFragment
@@ -472,6 +472,14 @@ def _cutpoint_pieces(nid, x, groups, taken):
     The ``b`` is repeated until no piece id is in ``taken``, the terminal
     and piece ids in use.  None when x does not split.
 
+    A piece is the full subcomplex of x on its cells, with their labels,
+    in the order of x's cell dicts.  All pieces are built in one pass over
+    the edges, faces and blocks of x, each going to the piece holding it.
+    A piece is handed the blocks of x it is the union of, which are its
+    own; the canonical order of a canonical x, which a subset of its cells
+    in its order keeps; and the label check of x when it holds, as it does
+    on any subset of the cells.
+
     Each piece is connected with h1 = 0, so it is handed its one component
     and its boundary rank |E| - |V| + 1.  A piece is a union of blocks
     joined at shared vertices, so it is connected.  ``reduced_cutpoint_tree``
@@ -490,12 +498,32 @@ def _cutpoint_pieces(nid, x, groups, taken):
         if rep in bpx.comp_cells
     ]
     sep = fresh_separator(taken, lambda sep: (f"{nid}.{sep}{i}" for i, _rep in numbered), "b")
-    out = {}
-    for i, rep in numbered:
-        sub = subcomplex(x, bpx.comp_cells[rep])
-        sub.cell_data.__dict__.update(
-            vertex_components=(sub.vertices,), boundary_rank=len(sub.edges) - len(sub.vertices) + 1
+    piece_of = {}  # edge or face -> the number of its piece
+    for k, (_i, rep) in enumerate(numbered):
+        piece_of.update(dict.fromkeys(bpx.comp_cells[rep] - x.vertices, k))
+    edges, faces, blocks = ([{} for _ in numbered] for _ in range(3))
+    for into, cells in ((edges, x.edges), (faces, x.faces)):
+        for cell, value in cells.items():
+            if cell in piece_of:
+                into[piece_of[cell]][cell] = value
+    for block in x.skeleton_blocks:
+        k = piece_of.get(next(iter(block[1])))  # x has a cutpoint, so each block has an edge
+        if k is not None:
+            blocks[k][block] = None
+    canonical, out = x.cell_data.__dict__.get("is_canonical"), {}
+    for k, (i, rep) in enumerate(numbered):
+        verts = x.vertices & bpx.comp_cells[rep]
+        cells = [*sorted(verts), *edges[k], *faces[k]]
+        sub = Complex2(
+            verts, edges[k], faces[k], {c: x.stab[c] for c in cells}, {c: x.orbit[c] for c in cells},
+            x.boundary_marked & verts, {eid: x.stab_plus[eid] for eid in edges[k] if eid in x.stab_plus},
         )
+        if x.__dict__.get("cell_labels_reduced"):
+            sub.__dict__["cell_labels_reduced"] = True
+        handed = sub.cell_data.__dict__
+        handed.update(skeleton_blocks=tuple(blocks[k]), vertex_components=(verts,), boundary_rank=len(edges[k]) - len(verts) + 1)
+        if canonical:
+            handed["is_canonical"] = True
         out[f"{nid}.{sep}{i}"] = (bpx.node_stab[rep], sub)
     return out
 

@@ -9,7 +9,6 @@ together with the triangle provenance that drives the cross-level
 analysis.
 """
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 from . import graphs
@@ -26,7 +25,7 @@ class Track:
     tree_edge: str
     points: frozenset  # edge ids of X carrying one point of this track
     arcs: dict  # face id -> pair of crossed side edge ids
-    side_infinite: tuple = ()  # per component of the complement: is it infinite?
+    side_infinite: tuple = ()  # per component of the complement, by least vertex: is it infinite?
 
     @property
     def separates(self):
@@ -47,7 +46,14 @@ def tracks_from_resolution(res: Resolution) -> TrackSystem:
     """Assemble the track system from the edge paths of a splitting
     resolution: crossing indicators, in-triangle arc pairings, connected
     tracks, and for each track whether each side of its complement is
-    infinite."""
+    infinite.
+
+    Each cell is read a bounded number of times: the crossings once per
+    edge path (``resolution_from_images`` shares one path among the edges
+    with the same end images), each triangle once for its arcs, and the
+    sides of all tracks come from one components pass over the complement
+    of all track points, whose pieces each track joins across the points
+    of the other tracks, on a graph with one node per piece."""
     if res.kind != SPLITTING:
         raise HypothesisError("tracks are extracted from splitting (type I) resolutions")
     x = res.source
@@ -57,57 +63,62 @@ def tracks_from_resolution(res: Resolution) -> TrackSystem:
         # no tree edge, so no edge of X crosses one
         return TrackSystem(resolution=res, tracks=(), crossings={})
 
-    crossings = {eid: tuple(res.crossings(eid)) for eid in x.edges}
-    arcs = defaultdict(dict)  # tree edge -> face -> (side, side)
+    crossings, by_path, edge_path = {}, {}, res.edge_path
+    for eid in x.edges:
+        fs = by_path.get(id(edge_path[eid]))  # the path object, held by the resolution
+        if fs is None:
+            fs = by_path[id(edge_path[eid])] = res.crossings(eid)
+        crossings[eid] = fs
+
+    # a point is (tree edge, edge id); the arcs, faces in id order, each
+    # join two points of one tree edge, and a track is a component of them
+    arcs = []  # (face, point, point)
     for fid in sorted(x.triangles()):
-        sides = x.faces[fid]
-        per_f = defaultdict(list)
-        for eid in sides:
+        per_f = {}
+        for eid in x.faces[fid]:
             for f in crossings[eid]:
-                per_f[f].append(eid)
+                per_f.setdefault(f, []).append(eid)
         for f, crossed in per_f.items():
             if len(crossed) != 2:
                 raise EngineError(
                     f"tree edge {f!r} crosses {len(crossed)} side(s) of triangle {fid!r}; "
                     "arcs must close up"
                 )
-            arcs[f][fid] = tuple(sorted(crossed))
+            e1, e2 = sorted(crossed)
+            arcs.append((fid, (f, e1), (f, e2)))
+    points = [(f, eid) for eid, fs in crossings.items() for f in fs]
+    # by least point: tree edges in order, then the least edge id
+    track_points = graphs.components(points, ((p, q) for _fid, p, q in arcs))
+    track_of = {point: i for i, members in enumerate(track_points) for point in members}
+    track_arcs = [{} for _ in track_points]
+    for fid, p, q in arcs:
+        track_arcs[track_of[p]][fid] = (p[1], q[1])
 
-    uf = graphs.UnionFind()
-    points = defaultdict(set)  # tree edge -> point keys (eid)
-    for eid, fs in crossings.items():
-        for f in fs:
-            points[f].add(eid)
-    for f, per_face in arcs.items():
-        for fid, (e1, e2) in per_face.items():
-            uf.union((f, e1), (f, e2))
+    # the pieces of X minus every track point, in least-vertex order, and
+    # per pair of pieces joined by point-carrying edges the tracks with a
+    # point on each of them: the complement of any other track joins them
+    pieces = graphs.components(x.vertices, (ends for eid, ends in x.edges.items() if not crossings[eid]))
+    piece_of = {v: i for i, piece in enumerate(pieces) for v in piece}
+    ideal, marked = res.ideal_vertices(), x.boundary_marked
+    infinite = [not (piece.isdisjoint(marked) and piece.isdisjoint(ideal)) for piece in pieces]
+    blocked = {}
+    for eid, (u, v) in x.edges.items():
+        p, q = piece_of[u], piece_of[v]
+        if p != q:
+            on = {track_of[(f, eid)] for f in crossings[eid]}
+            key = (p, q) if p < q else (q, p)
+            blocked[key] = on & blocked.get(key, on)
 
-    ideal = res.ideal_vertices()
-    marked = set(x.boundary_marked)
     tracks = []
-    counter = 0
-    for f in sorted(points):
-        for keys in uf.classes((f, eid) for eid in points[f]).values():
-            eids = {eid for _f, eid in keys}
-            track_arcs = {
-                fid: pair for fid, pair in arcs.get(f, {}).items() if pair[0] in eids or pair[1] in eids
-            }
-            infinite = tuple(
-                bool(s & marked) or bool(s & ideal)
-                for s in graphs.components(
-                    x.vertices, (ends for eid, ends in x.edges.items() if eid not in eids)
-                )
-            )
-            tracks.append(
-                Track(
-                    id=f"s{counter}",
-                    tree_edge=f,
-                    points=frozenset(eids),
-                    arcs=track_arcs,
-                    side_infinite=infinite,
-                )
-            )
-            counter += 1
+    for i, members in enumerate(track_points):
+        # a side of the track is a class of pieces joined across it; its
+        # least piece holds its least vertex
+        sides = graphs.UnionFind(range(len(pieces)))
+        for (p, q), on in blocked.items():
+            if i not in on:
+                sides.union(p, q)
+        infinite_sides = tuple(any(infinite[j] for j in side) for side in sides.classes().values())
+        tracks.append(Track(f"s{i}", min(members)[0], frozenset(eid for _f, eid in members), track_arcs[i], infinite_sides))
     return TrackSystem(resolution=res, tracks=tuple(tracks), crossings=crossings)
 
 
@@ -135,17 +146,27 @@ def essential_tracks(ts: TrackSystem) -> TrackSystem:
 # the collapse X* / Lambda* and its reduction X_T
 
 
+def _corners_and_sides(edges, sides):
+    """The corners a < b < c of a triangle of a simplicial complex and its
+    sides in (ab, bc, ac) order, read from its side tuple ``sides``."""
+    e0, e1, e2 = sides
+    u, v = edges[e0]
+    p, q = edges[e1]
+    w = q if p == u or p == v else p  # the corner off e0
+    # e1 joins w to u or to v, and the one it misses is opposite it
+    opposite = {w: e0, v: e1, u: e2} if u == p or u == q else {w: e0, u: e1, v: e2}
+    a, b, c = sorted(opposite)
+    return (a, b, c), (opposite[c], opposite[a], opposite[b])
+
+
 def _identity_fragment(x):
     """The fragment of a collapse with nothing to collapse, in the order
     the construction gives it: faces in id order, each with its sides in
     the order of its sorted corners."""
     tri_map, edge_map = {}, {}
     for fid in sorted(x.triangles()):
-        a, b, c = sorted(x.face_vertices(fid))
         tri_map[fid] = fid
-        for pair in ((a, b), (b, c), (a, c)):
-            eid = x.edges_by_pair[frozenset(pair)][0]
-            edge_map[(fid, eid)] = eid
+        edge_map.update(((fid, eid), eid) for eid in _corners_and_sides(x.edges, x.faces[fid])[1])
     return TauFragment(triangle_map=tri_map, edge_map=edge_map, track_point={})
 
 
@@ -162,30 +183,32 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     ``<face><sep>mid``, where ``sep`` is the shortest run of dots that
     makes every such id new.
 
-    With no track and no vertex at an ideal point nothing collapses: the
-    collapsed complex would be ``x`` with its cells and labels, so ``x``
-    itself is reduced and not validated again: each complex is validated
-    where it is parsed or built valid, and ``x`` is a parsed terminal, a
-    contraction, or a cutpoint piece, reduction or override relabelling
-    (whose labels are looked up) of a valid complex.  Track extraction checks that ``x`` is
-    simplicial, so the reduction keeps every cell, and the fragment is the
-    identity.
+    With no track and no vertex at an ideal point nothing collapses, so
+    ``x`` itself is reduced and not validated again: each complex is
+    validated where it is parsed or built valid, and ``x`` is a parsed
+    terminal, a contraction, or a cutpoint piece, reduction or override
+    relabelling (whose labels are looked up) of a valid complex.  Track
+    extraction checks that ``x`` is simplicial, so the reduction keeps
+    every cell, and the fragment is the identity.
 
-    Otherwise the segments, filed by node pair, and the central
-    triangles, filed by corner triple, go to ``canonical_complex``, the
-    quotient step of every reduction, as in ``resolution.contract``: X_T
-    is the reduction of the collapsed complex built whole (the tests keep
-    that construction as the oracle).  Every containment of the collapsed complex whose upper cell
-    is not a track point is one of ``x`` between the same labels, and
-    holds; only those under a track point are declared here.  Of the
-    checks of a built complex only the one that input can fail is made:
-    the segments of a new orbit must join the same pair of vertex orbits.
-    An edge's segments are numbered from its end in the least vertex
-    orbit (from its first stored end when both ends are in one orbit), so
-    that the edges of one orbit number theirs alike however they are
-    stored.  A triangle has at most one image, so X_T does not exceed
-    ``x`` in covolume; ``passdown_full`` checks that once per stage and
-    piece, so it is not checked here.
+    Otherwise each edge and each triangle of ``x`` is read once: the
+    segments, filed by node pair, and the central triangles, filed by
+    corner triple, go to ``canonical_complex``, the quotient step of every
+    reduction, as in ``resolution.contract``: X_T is the reduction of the
+    collapsed complex built whole (the tests keep that construction as the
+    oracle).  An edge with no track point is its own one segment, and a
+    triangle reads its corners and sides off its own side tuple.  Every
+    containment of the collapsed complex whose upper cell is not a track
+    point is one of ``x`` between the same labels, and holds; only those
+    under a track point are declared here, each distinct pair once.  Of
+    the checks of a built complex only the one that input can fail is
+    made: the segments of a new orbit must join the same pair of vertex
+    orbits.  An edge's segments are numbered from its end in the least
+    vertex orbit (from its first stored end when both ends are in one
+    orbit), so that the edges of one orbit number theirs alike however
+    they are stored.  A triangle has at most one image, so X_T does not
+    exceed ``x`` in covolume; ``passdown_full`` checks that once per stage
+    and piece, so it is not checked here.
 
     Every orbit of the collapsed complex has one label (a segment takes
     its edge's, a central triangle its face's, a track point its orbit's
@@ -198,16 +221,10 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     if not ts_star.tracks and not removed:
         return reduce_with_map(x, groups)[0], _identity_fragment(x)
 
-    track_of = {}  # (eid, tree edge) -> track
-    for tr in ts_star.tracks:
-        for eid in tr.points:
-            track_of[(eid, tr.tree_edge)] = tr
     # per edge carrying points, the tree edges of its points in path order
     # from its first stored end
-    on_track = {}
-    for eid, _f in track_of:
-        if eid not in on_track:
-            on_track[eid] = [f for f in ts_star.crossings[eid] if (eid, f) in track_of]
+    essential = {(eid, tr.tree_edge) for tr in ts_star.tracks for eid in tr.points}
+    on_track = {eid: [f for f in ts_star.crossings[eid] if (eid, f) in essential] for eid, _f in essential}
 
     def minted(sep):
         # every id the collapse may mint: an edge with n points splits
@@ -226,56 +243,59 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
 
     # one point per track, with one fresh label and orbit per orbit of
     # tracks; a point that faces a truncated end is marked: the complex
-    # continues beyond it at full scale
-    point_vertex, stab, orbit, marked_points, by_sig = {}, {}, {}, set(), {}
+    # continues beyond it at full scale.  Every other cell keeps its labels
+    # under its own id, so the labels of x are copied whole
+    stab, orbit, plus = dict(x.stab), dict(x.orbit), dict(x.stab_plus)
+    point_vertex, point_of, marked_points, by_sig = {}, {}, set(), {}
     for tr in sorted(ts_star.tracks, key=lambda t: t.id):
         vid = point_vertex[tr.id] = f"w{sep}{tr.id}"
+        point_of.update(((eid, tr.tree_edge), vid) for eid in tr.points)
         sig = (tree.orbit[tr.tree_edge], tuple(sorted(x.orbit[e] for e in tr.points)))
         if sig not in by_sig:
             by_sig[sig] = groups.mint("trk", supergroups={tree.stab[tr.tree_edge]}, slender=True).id, vid
         stab[vid], orbit[vid] = by_sig[sig]
-        if any(w in removed for eid in tr.points for w in x.edges[eid]):
+        if removed and any(w in removed for eid in tr.points for w in x.edges[eid]):
             marked_points.add(vid)
     kept = x.vertices - removed
-    for v in kept:
-        stab[v], orbit[v] = x.stab[v], x.orbit[v]
 
-    # segments: one per consecutive pair of nodes along an edge (surviving
-    # ends and track points in path order, from the end in the least vertex
-    # orbit), filed by sorted node pair; with them, the (label, label above)
-    # of each segment below a track point, and the first new orbit whose
+    # segments: an edge with no track point is one, itself; else one per
+    # consecutive pair of nodes along the edge (surviving ends and track
+    # points in path order, from the end in the least vertex orbit).  Each
+    # is filed by sorted node pair; with them, the (label, label above) of
+    # each segment below a track point, and the first new orbit whose
     # segments do not all join one pair of vertex orbits
-    edges_at, made, plus, edge_pairs = {}, set(), {}, []
+    edges_at, made, edge_pairs = {}, set(), {}
     shape, bad_orbit = {}, None
-    track_points = set(point_vertex.values())
     for eid in sorted(x.edges):
         u, v = x.edges[eid]
-        fs = on_track.get(eid, ())
-        untouched = not fs
-        if untouched and (u in removed or v in removed):
-            raise TruncationError(
-                f"edge {eid!r} reaches a truncated end without an essential crossing; "
-                "extend the tree's rays or the boundary marking"
-            )
-        points = [point_vertex[track_of[(eid, f)].id] for f in fs]
-        if points and x.orbit[v] < x.orbit[u]:
+        fs = on_track.get(eid)
+        if fs is None:
+            if u in removed or v in removed:
+                raise TruncationError(
+                    f"edge {eid!r} reaches a truncated end without an essential crossing; "
+                    "extend the tree's rays or the boundary marking"
+                )
+            edges_at.setdefault((u, v) if u < v else (v, u), []).append(eid)
+            continue
+        nodes = [point_of[(eid, f)] for f in fs]
+        if x.orbit[v] < x.orbit[u]:
             u, v = v, u
-            points.reverse()
-        nodes = ([u] if u in kept else []) + points + ([v] if v in kept else [])
-        for k, (a, b) in enumerate(zip(nodes, nodes[1:])):
-            if untouched:
-                sid = eid
-                orbit[sid] = x.orbit[eid]
-            else:
-                sid = f"{eid}{sep}{k}"
-                oid = orbit[sid] = f"{x.orbit[eid]}{sep}{k}"
-                ends = frozenset((orbit[a], orbit[b]))
-                if shape.setdefault(oid, ends) != ends and bad_orbit is None:
-                    bad_orbit = oid
-                edge_pairs.extend((x.stab[eid], stab[w]) for w in (a, b) if w in track_points)
-            stab[sid] = x.stab[eid]
-            if eid in x.stab_plus:
-                plus[sid] = x.stab_plus[eid]
+            nodes.reverse()
+        nodes = ([u] if u in kept else []) + nodes + ([v] if v in kept else [])
+        label, oriented, base = x.stab[eid], x.stab_plus.get(eid), x.orbit[eid]
+        for k in range(len(nodes) - 1):
+            a, b = nodes[k], nodes[k + 1]
+            sid, oid = f"{eid}{sep}{k}", f"{base}{sep}{k}"
+            stab[sid], orbit[sid] = label, oid
+            if oriented is not None:
+                plus[sid] = oriented
+            oa, ob = orbit[a], orbit[b]
+            ends = (oa, ob) if oa < ob else (ob, oa)
+            if shape.setdefault(oid, ends) != ends and bad_orbit is None:
+                bad_orbit = oid
+            for w in (a, b):
+                if w not in kept:  # a track point
+                    edge_pairs[label, stab[w]] = None
             key = (a, b) if a < b else (b, a)
             made.add((eid, key))
             edges_at.setdefault(key, []).append(sid)
@@ -283,62 +303,51 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
         if len(ids) > 1:
             ids.sort()
 
-    # central triangle per face, via the tripod of its three branches,
-    # filed by sorted corner triple; with them, the (label, label above)
-    # of each face below a track point
-    faces_at, tri_map, edge_map, face_pairs = {}, {}, {}, []
+    # central triangle per face, via the tripod of its three branches (the
+    # tree edges whose arcs cut off each corner), filed by sorted corner
+    # triple; with them, the (label, label above) of each face below a track
+    # point.  A tree edge crossing the triangle crosses two of its sides
+    # (track extraction checks it), so the branches partition the crossings
+    faces_at, tri_map, edge_map, face_pairs = {}, {}, {}, {}
     for fid in sorted(x.triangles()):
-        # x is simplicial (track extraction checks it): one edge per side
-        a, b, c = sorted(x.face_vertices(fid))
-        sides = {pair: x.edges_by_pair[frozenset(pair)][0] for pair in ((a, b), (b, c), (a, c))}
-        crossed = {pair: on_track.get(eid, ()) for pair, eid in sides.items()}
-        # a tree edge crossing the triangle crosses two of its sides
-        # (track extraction checks it), so the branches at the corners
-        # partition the crossings
-        branch = {
-            a: set(crossed[(a, b)]) & set(crossed[(a, c)]),
-            b: set(crossed[(a, b)]) & set(crossed[(b, c)]),
-            c: set(crossed[(b, c)]) & set(crossed[(a, c)]),
-        }
-
-        corner_node = {}
-        for corner, other in ((a, b), (b, a), (c, a)):
-            if branch[corner]:
-                # arcs cutting this corner, ordered from the corner inward;
-                # the central region is bounded by the innermost one, the
-                # last from the corner
-                pair = tuple(sorted((corner, other)))
-                eid = sides[pair]
-                inward = crossed[pair] if corner == x.edges[eid][0] else crossed[pair][::-1]
-                innermost = [f for f in inward if f in branch[corner]][-1]
-                corner_node[corner] = point_vertex[track_of[(eid, innermost)].id]
+        (a, b, c), (ab, bc, ac) = _corners_and_sides(x.edges, x.faces[fid])
+        crossed = {ab: on_track.get(ab, ()), bc: on_track.get(bc, ()), ac: on_track.get(ac, ())}
+        node = {}
+        for corner, eid, other in ((a, ab, ac), (b, ab, bc), (c, ac, bc)):
+            # the branch at the corner, in path order along its side eid;
+            # its innermost arc, the last from the corner, bounds the
+            # central region
+            cut = [f for f in crossed[eid] if f in crossed[other]]
+            if cut:
+                node[corner] = point_of[(eid, cut[-1] if corner == x.edges[eid][0] else cut[0])]
+            elif corner in removed:
+                raise TruncationError(
+                    f"triangle {fid!r} reaches the truncated end at {corner!r} without an "
+                    "essential arc; extend the tree's rays or the boundary marking"
+                )
             else:
-                if corner in removed:
-                    raise TruncationError(
-                        f"triangle {fid!r} reaches the truncated end at {corner!r} without an "
-                        "essential arc; extend the tree's rays or the boundary marking"
-                    )
-                corner_node[corner] = corner
+                node[corner] = corner
 
-        untouched = all(corner_node[cn] == cn for cn in (a, b, c))
-        if not untouched:
-            above = {corner_node[cn] for cn in (a, b, c) if branch[cn]}
-            face_pairs.extend((x.stab[fid], stab[w]) for w in sorted(above))
-        mid_id = fid if untouched else f"{fid}{sep}mid"
-        for pair, eid in sides.items():
-            p, q = corner_node[pair[0]], corner_node[pair[1]]
+        above = sorted({node[a], node[b], node[c]} - {a, b, c})  # the track points among the corners
+        face_pairs.update(((x.stab[fid], stab[w]), None) for w in above)
+        mid_id = f"{fid}{sep}mid" if above else fid
+        for p, q, eid in ((a, b, ab), (b, c, bc), (a, c, ac)):
+            if not crossed[eid]:  # a side with no point is its own segment
+                edge_map[(fid, eid)] = eid
+                continue
+            p, q = node[p], node[q]
             key = (p, q) if p < q else (q, p)
             if (eid, key) not in made:
                 raise EngineError(f"central region side missing on triangle {fid!r}")
             edge_map[(fid, eid)] = edges_at[key][0]
         stab[mid_id], orbit[mid_id] = x.stab[fid], x.orbit[fid]
-        triple = tri_map[fid] = tuple(sorted(corner_node.values()))
+        triple = tri_map[fid] = tuple(sorted(node.values()))
         faces_at.setdefault(triple, []).append(mid_id)
     for ids in faces_at.values():
         if len(ids) > 1:
             ids.sort()
 
-    declare_pairs(groups, face_pairs + edge_pairs)
+    declare_pairs(groups, {**face_pairs, **edge_pairs})
     if bad_orbit is not None:
         raise ConsistencyError(f"edges of orbit {bad_orbit!r} have mismatched endpoint orbits")
 

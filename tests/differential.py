@@ -322,66 +322,51 @@ complex_shapes(
 )
 
 
-@row(complexes.subcomplex, CellData, "pieces")
-def piece_cell_data(case):
-    """``subcomplex`` hands a piece the canonical order and the label check
-    when the parent holds them true, and the parent's blocks when they cover
-    the piece (as a set): every cutpoint piece, and some random
-    triangle-class subcomplexes."""
-    x, groups, cells = case
-    counts = Counter(sets=1)
-    blocks = {"skeleton_blocks"}
-    # x holds no blocks yet, so the whole complex as a piece gets none
-    assert handed_on(complexes.subcomplex(x, x.cells()), blocks)[0] <= {"is_canonical", "cell_labels_reduced"}
-    if cutpoints(x) and is_connected(x) and h1_z2(x) == 0:
-        for cells_of_piece in complexes.reduced_cutpoint_tree(x, groups.copy()).comp_cells.values():
-            names = handed_on(complexes.subcomplex(x, cells_of_piece), blocks)[0]
-            assert "skeleton_blocks" in names
-            assert ("is_canonical" in names) == bool(x.cell_data.__dict__.get("is_canonical"))
-            assert ("cell_labels_reduced" in names) == bool(x.__dict__.get("cell_labels_reduced"))
-            counts.update(pieces=1, canonical="is_canonical" in names, labels_checked="cell_labels_reduced" in names)
-    counts["with_blocks"] = "skeleton_blocks" in handed_on(complexes.subcomplex(x, cells), blocks)[0]
+@row(hierarchy._cutpoint_pieces, (CellData, oracles.cutpoint_piece_check, oracles.subcomplex), "pieces")
+def cutpoint_pieces(case):
+    """Each cutpoint piece is the subcomplex on the cells of a piece of the
+    reduced cutpoint tree, built one at a time (``oracles.subcomplex``):
+    the same cells in the same order and the same labels.  It is handed its
+    blocks, its one component, its boundary rank and, when its parent holds
+    them true, the canonical order and the label check, each equal to a
+    fresh derivation, and it is connected with h1 = 0 by the cochain ranks
+    (the wedge argument is in ``_cutpoint_pieces``)."""
+    x, groups = case
+    if not (is_connected(x) and h1_z2(x) == 0):
+        return None
+    tree_pieces = set(complexes.reduced_cutpoint_tree(x, groups.copy()).comp_cells.values()) if cutpoints(x) else set()
+    split = hierarchy._cutpoint_pieces("r", x, groups.copy(), set()) or {}
+    counts = Counter(pieces=len(tree_pieces), split=len(split))
+    for _gid, sub in split.values():
+        cells = frozenset(sub.cells())
+        assert cells in tree_pieces
+        built = oracles.subcomplex(x, cells)
+        assert complex_fields(sub)[:3] == complex_fields(built)[:3] and sub.boundary_marked == built.boundary_marked
+        assert (sub.stab, sub.orbit, sub.stab_plus) == (built.stab, built.orbit, built.stab_plus)
+        names, _fresh = handed_on(sub, {"skeleton_blocks"})
+        assert {"skeleton_blocks", "vertex_components", "boundary_rank"} <= names
+        assert ("is_canonical" in names) == bool(x.cell_data.__dict__.get("is_canonical"))
+        assert ("cell_labels_reduced" in names) == bool(x.__dict__.get("cell_labels_reduced"))
+        assert oracles.cutpoint_piece_check(sub)
+        counts.update(canonical="is_canonical" in names, labels_checked="cell_labels_reduced" in names)
     return counts
 
 
 def piece(rng, x, groups):
-    """A reduced complex, and a random triangle set with its sides and
-    corners."""
+    """A reduced complex."""
     if not x.is_simplicial() or rng.random() < 0.5:
         x = reduce_complex(x, groups)
-    fids = sorted(x.triangles())
-    cells = set(rng.sample(fids, rng.randint(1, len(fids))))
-    cells.update(e for fid in list(cells) for e in x.faces[fid])
-    cells.update(w for eid in set(cells) & x.edges.keys() for w in x.edges[eid])
-    return x, groups, cells
-
-
-@row(hierarchy._cutpoint_pieces, (CellData, oracles.cutpoint_piece_check), "pieces")
-def cutpoint_pieces(case):
-    """Each cutpoint piece is handed its one component, its boundary rank
-    and, when its parent holds it, the label check, equal to a fresh
-    derivation, and is connected with h1 = 0 by the cochain ranks (the
-    wedge argument is in ``_cutpoint_pieces``)."""
-    x, groups, _cells = case
-    if not (is_connected(x) and h1_z2(x) == 0):
-        return None
-    split = hierarchy._cutpoint_pieces("r", x, groups.copy(), set()) or {}
-    for _gid, sub in split.values():
-        names, _fresh = handed_on(sub, {"skeleton_blocks"})
-        assert {"vertex_components", "boundary_rank"} <= names
-        assert ("cell_labels_reduced" in names) == bool(x.__dict__.get("cell_labels_reduced"))
-        assert oracles.cutpoint_piece_check(sub)
-    return Counter(split=len(split))
+    return x, groups
 
 
 # trivial labels on a strip chain: every cut vertex is slender, so each block is a piece
 complex_shapes(
     "pieces", piece, ["strip=chain", "doubled=doubled chain", "labelled strip=strip", "labelled tree=tree"], [20261027], 60,
-    lambda name, c: c["pieces"] > 30 and 0 < c["canonical"] <= c["pieces"] and 0 < c["labels_checked"] <= c["pieces"]
-    and 0 < c["with_blocks"] < c["sets"]
-    and (name != "strip" or c["pieces"] > 80 and c["canonical"] < c["pieces"])
-    # a labelled cut vertex is not slender, so its pieces merge into one and nothing splits
-    and c["split"] == (0 if name.startswith("labelled") else c["pieces"]),
+    lambda name, c: c["pieces"] > 30 and (
+        # a labelled cut vertex is not slender, so its pieces merge into one and nothing splits
+        c["split"] == 0 if name.startswith("labelled")
+        else c["split"] == c["pieces"] and 0 < c["canonical"] <= c["split"] and 0 < c["labels_checked"] <= c["split"]
+    ) and (name != "strip" or c["split"] > 80 and c["canonical"] < c["split"]),
 )
 
 
@@ -1018,6 +1003,27 @@ def collapse(case):
     return Counter(tracks=len(ts.tracks), declares=len(fast_state[-1]))
 
 
+@row(tracks_from_resolution, oracles.tracks_by_walk, "track system")
+def track_extraction(case):
+    """``tracks_from_resolution``, which reads each edge path once and
+    finds the sides of all tracks from one components pass, against the
+    extraction track by track, on the resolution of the case: the crossing
+    table, and the tracks in order, each with its tree edge, points, arcs
+    in face order and sides in least-vertex order."""
+    res = case[0].resolution
+    fast, walk = tracks_from_resolution(res), oracles.tracks_by_walk(res)
+    if res.target.edges:
+        assert list(fast.crossings.items()) == list(walk.crossings.items())
+    else:  # nothing crosses a tree with no edge, and the extraction returns at once
+        assert fast.crossings == {} and not any(walk.crossings.values())
+
+    def fields(ts):
+        return [(tr.id, tr.tree_edge, tr.points, list(tr.arcs.items()), tr.side_infinite) for tr in ts.tracks]
+
+    assert fields(fast) == fields(walk)
+    return Counter(extracted=len(fast.tracks), three_tracks=len(fast.tracks) >= 3)
+
+
 def path_tracks(rng, x, groups):
     """Tracks over a random path tree, kept essential half the time."""
     x = simplicial(x, groups)
@@ -1039,10 +1045,13 @@ def worked_tracks(renames=()):
     yield essential_tracks(tracks_from_resolution(res)), fx.groups
 
 
+# the cases whose resolution has three tracks or more, where a side joins pieces across other tracks
+THREE_TRACKS = {"chain": 33, "doubled chain": 33, "strip": 33, "doubled": 28, "simplicial": 16, "tree": 28, "glued": 21}
 complex_shapes(
-    "track system", path_tracks, ["chain", "doubled chain", "strip", "doubled", "simplicial", "tree", "glued"], [20261029], 40,
+    "track system", path_tracks, list(THREE_TRACKS), [20261029], 40,
     # a trivial label lies below every label
-    lambda name, c: c["tracks"] > 40 and (c["declares"] > 0) == (not name.endswith("chain")),
+    lambda name, c: c["tracks"] > 40 and (c["declares"] > 0) == (not name.endswith("chain"))
+    and c["three_tracks"] == THREE_TRACKS[name],
 )
 shape("track system", "worked", worked_tracks, lambda c: c["tracks"] > 0 and c["declares"] > 0)
 # the worked collapse merges the central triangles of t1 and t2 and the
@@ -1050,7 +1059,10 @@ shape("track system", "worked", worked_tracks, lambda c: c["tracks"] > 0 and c["
 # least id ("t1-.mid" sorts before "t1.mid", "bc-.0" before "bc.0")
 shape("track system", "worked, second made sorts first", lambda: worked_tracks((("t2", "t1-"), ("bd", "bc-"))))
 # a surgery op collapses once, with tracks; a size op three times, with none
-shape("track system", "surgery", lambda: iter(seed1("surgery").collapses), lambda c: c["cases"] == 15 and c["declares"] > 0)
+shape(
+    "track system", "surgery", lambda: iter(seed1("surgery").collapses),
+    lambda c: c["cases"] == 15 and c["declares"] > 0 and c["three_tracks"] == 11,
+)
 shape("track system", "size", lambda: iter(seed1("size").collapses), lambda c: c["cases"] == 45 and c["declares"] == 0)
 
 
@@ -1424,8 +1436,8 @@ def worked64():
             record(m, log, owner, name)
         # the version of the group table when an action table resolves a group id
         record(m, log, resolution.ActionTable, "_owner", lambda frame, table, gid: (id(table), gid, getattr(table.groups, "version", None)))
-        # a subcomplex built while a class record is
-        record(m, log, complexes, "subcomplex", lambda frame, *args: args if inside["classes_of_complex"] else None)
+        # a complex built while a class record is
+        record(m, log, Complex2, "__init__", lambda frame, *args: args if inside["classes_of_complex"] else None)
         return run_pipeline(parse_text(text.replace("horizon=4 ", "horizon=64 ")), "worked"), log
 
 

@@ -1461,7 +1461,7 @@ def read_line(block, ln, text, header=False):
     flags, keys)`` of ``text``, line ``ln`` of ``block`` with its comment
     stripped, split and checked against its ``GRAMMAR`` form (a header by
     its block name, a restrict line by its fourth positional word, a config
-    line by none, any other by its first)."""
+    line by none, any other by its first, which is not the block name)."""
     from passdown.errors import FixtureError
     from passdown.fixtures import GRAMMAR
 
@@ -1482,7 +1482,7 @@ def read_line(block, ln, text, header=False):
         kind = None
     else:
         kind = words[0] if words else None
-    form = GRAMMAR.get((block, kind))
+    form = GRAMMAR.get((block, kind)) if header or kind != block else None
     if form is None:
         raise FixtureError(f"bad {block} line: {text.strip()!r}", line=ln)
     arity, allowed_flags, allowed_keys, optional = form
@@ -1505,9 +1505,8 @@ def parse_by_walk(text):
     """``fixtures.parse_text`` by its definition: each line read by
     ``read_line``, a complex or tree block built by ``make_complex_by_walk``
     or ``make_tree_by_walk`` from cells each declared once per kind (a
-    triangle and a bigon are both faces, an ideal line an ideal point, and
-    any other kind word a cell of the block's third kind, named by that
-    word), and every other block by its reader in ``fixtures``.  An error
+    triangle and a bigon are both faces, an ideal line an ideal point),
+    and every other block by its reader in ``fixtures``.  An error
     without a line is tied to its block's header line."""
     from passdown import fixtures
     from passdown.errors import FixtureError
@@ -1613,12 +1612,31 @@ def separator_by_minting(taken, minted, sep):
     return sep
 
 
+def subcomplex(x, cells):
+    """The full subcomplex on a downward-closed cell set, keeping the order
+    of ``x``'s cell dicts: what ``hierarchy._cutpoint_pieces`` builds for
+    each piece, one piece at a time, with cells and labels copied from
+    ``x`` and nothing handed on."""
+    from passdown.complexes import Complex2
+
+    cells = set(cells)
+    verts = x.vertices & cells
+    edges = {eid: ends for eid, ends in x.edges.items() if eid in cells}
+    return Complex2(
+        vertices=verts,
+        edges=edges,
+        faces={fid: es for fid, es in x.faces.items() if fid in cells},
+        stab={c: x.stab[c] for c in cells},
+        orbit={c: x.orbit[c] for c in cells},
+        boundary_marked=x.boundary_marked & verts,
+        stab_plus={eid: x.stab_plus[eid] for eid in edges if eid in x.stab_plus},
+    )
+
+
 def subcomplex_of(cls, x):
     """The subcomplex a triangle class spans in x, built and checked:
     its triangles with their sides and corners.  Its cutpoints define the
     class check that ``class_cutpoints`` reads off x directly."""
-    from passdown.complexes import subcomplex
-
     cells = set(cls.triangles)
     for fid in cls.triangles:
         for eid in x.faces[fid]:

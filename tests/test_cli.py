@@ -464,6 +464,22 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("complex X\n  vertex a\nend\ntree T\n  vertex x0\n  tree Q\nend\n", "line 6: bad tree line: 'tree Q'"),
+            ("complex X\n  vertex a\n  complex Y\nend\n", "line 3: bad complex line: 'complex Y'"),
+        ],
+        ids=["tree", "complex"],
+    )
+    def test_a_header_word_inside_its_block_exit_code(self, text, message, tmp_path, capsys):
+        """A block's own header word leads no body line: it declares no
+        ideal point or face named by the next word."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        assert main(["h1", str(bad), "--complex", "X"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["h1", "--complex", "NOPE"],

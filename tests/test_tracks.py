@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from passdown import complexes, resolution, tracks
+from passdown import complexes, graphs, resolution, tracks
 from passdown.complexes import Complex2, covolume, cutpoints, h1_z2, is_connected, make_complex, reduce_complex
-from passdown.errors import HypothesisError, TruncationError
+from passdown.errors import ConsistencyError, HypothesisError, TruncationError
 from passdown.fixtures import parse_fixtures, parse_text
 from passdown.groups import GroupRef, GroupTable
 from passdown.hierarchy import passdown_full
@@ -18,7 +18,8 @@ from passdown.resolution import resolution_from_images
 from passdown.tracks import essential_tracks, split_collapse, tracks_from_resolution
 from passdown.trees import make_tree
 
-from differential import differential_test, identity_handed_on, identity_step_matches, point_level, seed1, worked64
+from bench_ops import workloads
+from differential import differential_test, identity_handed_on, identity_step_matches, point_level, seed1, spy, worked64
 from generators import line_tree, open_fan, pinch, random_strip_chain, triangle
 from oracles import compose_fragments, identity_fragment, identity_step_oracle, track_sides, tracks_by_walk, vertex_fate
 
@@ -213,6 +214,33 @@ class TestSplitCollapse:
         with pytest.raises(TruncationError):
             split_collapse(ts, GroupTable())
 
+    def test_a_corner_at_a_truncated_end_needs_an_essential_arc(self):
+        """Over the star c - l0, l1, l2 with the ray of p toward l0, the
+        triangle's corner a at p is cut off by the arc of f0 alone; with that
+        track left out, each side at a still carries a point, and the
+        triangle reaches the truncated end at a."""
+        t = make_tree(["c", "l0", "l1", "l2"], {f"f{i}": ("c", f"l{i}") for i in range(3)}, {"p": ("c", "l0")})
+        res = resolution_from_images(triangle(), t, {"a": "p", "b": "l1", "c": "l2"})
+        ts = tracks_from_resolution(res)
+        assert [tr.tree_edge for tr in ts.tracks] == ["f0", "f1", "f2"]
+        without_f0 = dataclasses.replace(ts, tracks=ts.tracks[1:])
+        message = "triangle 'f' reaches the truncated end at 'a' without an essential arc"
+        with pytest.raises(TruncationError, match=message):
+            split_collapse(without_f0, GroupTable())
+
+    def test_segments_of_one_orbit_must_join_one_pair_of_orbits(self):
+        """Edges e1 = ab and e2 = cd of one orbit cross one and two tree
+        edges, so their second segments, both of orbit e.1, join a track
+        point to b and two track points."""
+        t = make_tree(["x0", "x1", "x2"], {"f0": ("x0", "x1"), "f1": ("x1", "x2")}, orbit={"x2": "x1"})
+        x = make_complex(
+            "abcd", {"e1": ("a", "b"), "e2": ("c", "d"), "g": ("b", "c")}, {},
+            orbit={"e1": "e", "e2": "e", "a": "p", "c": "p", "b": "q", "d": "q"},
+        )
+        res = resolution_from_images(x, t, {"a": "x0", "c": "x0", "b": "x1", "d": "x2"})
+        with pytest.raises(ConsistencyError, match="edges of orbit 'e.1' have mismatched endpoint orbits"):
+            split_collapse(tracks_from_resolution(res), GroupTable())
+
     def test_boundary_preimage_removed(self):
         t = line_tree(3, ideals=("p",))  # ray toward x0
         x = triangle(boundary_marked=["b", "c"])
@@ -359,9 +387,10 @@ class TestTrackPointDeclares:
 
 def test_the_collapse_derives_each_table_once():
     """Count pins over the seed-1 ops.  On ``surgery`` the edge crossings
-    are looked up once per edge, by the track extraction (2,016 calls of
-    ``Resolution.crossings``), the collapse's declare step calls
-    ``GroupTable.leq`` only under track points (3,670 calls), and no
+    are looked up once per distinct edge path, by the track extraction (121
+    calls of ``Resolution.crossings`` for 2,016 edges), the collapse's declare step calls
+    ``GroupTable.leq`` only under track points and once per distinct
+    (label, label above) pair (53 calls; 3,670 pairs), and no
     cutpoint piece (68) computes its blocks with ``graphs.blocks``: it
     holds them from its parent.  On ``size``, where no collapse has a
     track, the declare step calls ``leq`` not at all."""
@@ -370,8 +399,25 @@ def test_the_collapse_derives_each_table_once():
         counts = seed1(workload).counts
         pieces = sum(kind == "piece" for kind, _x, _groups in seed1(workload).built.complexes)
         seen[workload] = (counts["crossings"], counts["leq in a collapse's declare step"], counts["blocks on pieces"], pieces)
-    assert seen["surgery"] == (2016, 3670, 0, 68)
+    assert seen["surgery"] == (121, 53, 0, 68)
     assert seen["size"] == (0, 0, 0, 45)
+
+
+def test_the_sides_of_all_tracks_take_one_components_pass(monkeypatch):
+    """The track extraction calls ``graphs.components`` as often on
+    ``grid`` 16x256 (15 tracks) as on ``grid`` 4x64 (3 tracks): once for
+    the tracks, and once for the pieces of the complex minus every track
+    point, which each track's sides join."""
+    counts, seen = Counter(), {}
+    spy(monkeypatch, counts, graphs, "components")
+    for rows, cols in ((4, 64), (16, 256)):
+        fx = parse_text(workloads.grid(random.Random(1), rows, cols, 2).text)
+        (x,) = fx.complexes.values()
+        name, tree = next((name, t) for name, t in fx.trees.items() if t.edges)
+        res = resolution.build_resolution(x, tree, fx.action_table(name))
+        counts.clear()
+        seen[rows, cols] = len(tracks_from_resolution(res).tracks), counts["components"]
+    assert seen == {(4, 64): (3, 2), (16, 256): (15, 2)}
 
 
 def test_the_label_check_is_handed_on_by_the_parse():
@@ -432,7 +478,7 @@ def test_worked_run_resolves_each_complex_once_per_tree():
     level after level.  Each complex object is resolved, and its tracks
     drawn, at most once per tree; each tree gets one tree level for the
     run; and the class check reads the level complex without building
-    class subcomplexes."""
+    a complex, such as a class subcomplex."""
     rep, log = worked64()
     assert rep.horizon == 64 and rep.certificate_level == 1
     for name, key in (
@@ -441,7 +487,7 @@ def test_worked_run_resolves_each_complex_once_per_tree():
         ("make_tree_level", lambda name, *args: name),
     ):
         assert log[name] and max(Counter(key(*args) for args in log[name]).values()) == 1, name
-    assert log["subcomplex"] == [] and len(rep.classes) > 1
+    assert log["__init__"] == [] and len(rep.classes) > 1
 
 
 DISK = """
