@@ -12,9 +12,10 @@ covolume (triangle-orbit count), cutpoints, and the reduced cutpoint
 tree used to split a complex into cutpoint-free pieces.
 """
 
+import heapq
 import operator
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -41,8 +42,8 @@ class CellData:
     and of X_C), or is a piece or relabelling of a valid one.
 
     A complex built from another starts with what its builder knows.
-    ``canonical_complex`` hands on the incidence by pair and triple, one
-    id each, and the canonical order, which it builds;
+    ``canonical_complex`` hands on the canonical order, which it builds
+    (so ``is_simplicial`` needs no incidence map);
     ``reduce_with_map`` the cutpoints and components its input
     holds, since it joins the same vertex pairs, and the boundary rank of
     a simplicial input, whose cells it keeps; and
@@ -155,8 +156,11 @@ class CellData:
 
     def is_simplicial(self):
         """No bigons, one edge per vertex pair and one triangle per vertex
-        triple: only then does every face count as a distinct triple."""
-        return len(self.edges_by_pair) == len(self.edges) and len(self.triangles_by_triple) == len(self.faces)
+        triple: only then does every face count as a distinct triple.  A
+        held canonical order answers it without the incidence maps."""
+        return self.__dict__.get("is_canonical") or (
+            len(self.edges_by_pair) == len(self.edges) and len(self.triangles_by_triple) == len(self.faces)
+        )
 
 
 @dataclass(frozen=True)
@@ -581,10 +585,9 @@ def canonical_complex(vertices, edges_at, faces_at, stab, orbit, stab_plus, boun
     declares what its sources need); they are declared here only when a
     class label is minted.
 
-    The cell data starts with what this builds: the incidence by vertex
-    pair and triple, one id each, and the canonical order.  Each cell is
-    labelled by its class, so the complex is handed
-    ``cell_labels_reduced`` True."""
+    The cell data starts with the canonical order, which this builds; the
+    incidence maps are derived where read.  Each cell is labelled by its
+    class, so the complex is handed ``cell_labels_reduced`` True."""
     merged = [ids for at in (edges_at, faces_at) for ids in at.values() if len(ids) > 1]
     uf = graphs.UnionFind()
     for ids in merged:
@@ -599,18 +602,16 @@ def canonical_complex(vertices, edges_at, faces_at, stab, orbit, stab_plus, boun
             cls, label = class_of[orbit[cell]], stab[cell]
             if first.setdefault(cls, label) != label:
                 several.add(cls)
-    edges, faces, by_pair, by_triple, sources = {}, {}, {}, {}, {}
+    edges, faces, sources = {}, {}, {}
     for key in sorted(edges_at):
         ids = edges_at[key]
         eid = ids[0]
         edges[eid] = key
-        by_pair[frozenset(key)] = (eid,)
         if len(ids) > 1:
             sources[eid] = ids
     for a, b, c in sorted(faces_at):
         fid = faces_at[(a, b, c)][0]
         faces[fid] = (edges_at[(a, b)][0], edges_at[(b, c)][0], edges_at[(a, c)][0])
-        by_triple[frozenset((a, b, c))] = (fid,)
     out_stab, out_orbit = {}, {}
     for cell in sorted([*vertices, *edges, *faces]):
         o, label = orbit[cell], stab[cell]
@@ -636,7 +637,7 @@ def canonical_complex(vertices, edges_at, faces_at, stab, orbit, stab_plus, boun
         vertices=vertices, edges=edges, faces=faces, stab=out_stab, orbit=out_orbit,
         boundary_marked=boundary_marked, stab_plus=out_plus,
     )
-    out.cell_data.__dict__.update(edges_by_pair=by_pair, triangles_by_triple=by_triple, is_canonical=True)
+    out.cell_data.__dict__["is_canonical"] = True
     out.__dict__["cell_labels_reduced"] = True
     if class_ref:
         declare_containments(out, groups)
@@ -702,7 +703,9 @@ class CutpointTree:
 
 
 def _block_orbit_signature(x, cells):
-    return tuple(sorted((("f" if c in x.faces else "e" if c in x.edges else "v"), x.orbit[c]) for c in cells))
+    """The multiset of (kind, orbit) over ``cells``."""
+    faces, edges, orbit = x.faces, x.edges, x.orbit
+    return frozenset(Counter((c in faces, c in edges, orbit[c]) for c in cells).items())
 
 
 def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
@@ -710,14 +713,18 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
     with every non-slender cut vertex merged into the blocks it joins.
 
     Requires a connected complex with h1_z2 = 0.  The blocks of the
-    1-skeleton are named ``C<i>`` in order (``CC<i>``, and so on, when
-    that is a vertex id); a piece is the union of the
-    blocks joined through non-slender cut vertices, named by its least
-    member (block or merged cut vertex).  Every piece gets one fresh ref,
-    H-elliptic when it merged cut vertices and all their labels are.
-    Slender cut vertices stay nodes with their own label, joined to each
-    piece that contains them.  The triangles of one orbit must lie in
-    pieces of one orbit: anything else is malformed quotient data.
+    1-skeleton are named ``C<i>`` in the order of their sorted cell names
+    (``CC<i>``, and so on, when that is a vertex id).  Two blocks share at
+    most one cell, a cut vertex, and each of several holds an edge and its
+    ends, so their two least names differ and decide that order.  A piece
+    is the union of the blocks joined through non-slender cut vertices,
+    named by its least member (block or merged cut vertex).  Every piece
+    gets one fresh ref, H-elliptic when it merged cut vertices and all
+    their labels are.  Slender cut vertices stay nodes with their own
+    label, joined to each piece that contains them.  Pieces with one
+    multiset of (cell kind, orbit) share an orbit, and the triangles of one
+    orbit must lie in pieces of one orbit: anything else is malformed
+    quotient data.
     """
     if not is_connected(x):
         raise FixtureError("cutpoint tree needs a connected complex")
@@ -727,7 +734,7 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
     slender = {v for v in cuts if groups.slender(x.stab[v])}
     uf = graphs.UnionFind()
     blocks, incidences = {}, []
-    ordered = sorted(_block_cells(x), key=lambda c: sorted(map(str, c)))
+    ordered = sorted(_block_cells(x), key=lambda c: heapq.nsmallest(2, map(str, c)))
     # blocks and vertices share one node namespace
     prefix = fresh_separator(x.vertices, lambda p: (f"{p}{i}" for i in range(len(ordered))), "C")
     for i, cells in enumerate(ordered):

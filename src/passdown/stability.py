@@ -214,7 +214,11 @@ class BipartiteBW:
 def build_bw(x: Complex2, classes, groups: GroupTable):
     """B_w for one complex: class subcomplexes on one side, edges lying in
     more than one of them on the other; and B'_w, where shared edges with
-    non-slender labels are collapsed into their classes."""
+    non-slender labels are collapsed into their classes.  Under two
+    classes no edge is shared, so both are the class nodes alone."""
+    if len(classes) < 2:
+        bw = BipartiteBW(class_nodes=tuple(c.id for c in classes), edge_nodes=(), edges=())
+        return bw, bw
     edge_classes = defaultdict(set)
     for cls in classes:
         for fid in cls.triangles:
@@ -317,7 +321,10 @@ def _straddling_cone(x: Complex2, class_of):
     when they share a block (Whitney).  In a block holding two classes,
     two edges of different classes meet at some u, and the block minus u
     joins their far ends.  So only a vertex whose star meets two classes
-    (a triangle in no class counting as one more) can give a cone."""
+    (a triangle in no class counting as one more) can give a cone, and
+    none does in a complex whose triangles meet fewer than two."""
+    if len(set(map(class_of.get, x.triangles()))) < 2:
+        return None
     for v, star in sorted(x.triangles_by_vertex.items()):
         if len({class_of.get(fid) for fid in star}) < 2:
             continue

@@ -232,7 +232,7 @@ def pair_set(records):
 # comparisons of complexes
 
 
-BUILT = {"edges_by_pair", "triangles_by_triple", "is_canonical", "cell_labels_reduced"}
+BUILT = {"is_canonical", "cell_labels_reduced"}
 SKELETON = {"cutpoints", "vertex_components"}
 
 
@@ -241,10 +241,9 @@ def reduction_cell_data(case):
     """``reduce_with_map`` equals its definition along the quotient of its
     cell map, over copies of the group table: complex and cell map in dict
     order, and the tables with their declared pairs in order.  It hands on
-    the incidence by pair and triple, the canonical order and the label
-    check always, the cutpoints and components only when its input holds
-    them already, and the boundary rank when its input, simplicial, holds
-    it."""
+    the canonical order and the label check always, the cutpoints and
+    components only when its input holds them already, and the boundary
+    rank when its input, simplicial, holds it."""
     x, groups = case
     counts = Counter(bigons=len(x.bigons()), parallel=len(x.edges) - len(x.edges_by_pair))
     fast_groups, full_groups = groups.copy(), groups.copy()
@@ -810,7 +809,14 @@ def straddling_cone(case):
     cone = stability._straddling_cone(x, class_of)
     assert cone == oracles.straddling_cone_every_vertex(x, class_of)
     found = cone is not None
-    return Counter(cones=found, in_no_class=found and not class_of.keys() >= set(cone.fan))
+    return Counter(cones=found, in_no_class=found and not class_of.keys() >= set(cone.fan)) + class_counts(x, class_of)
+
+
+def class_counts(x, class_of):
+    """Whether the triangles of ``x`` meet fewer than two class values (a
+    triangle in no class counting as one), and whether one is in no class."""
+    met = set(map(class_of.get, x.triangles()))
+    return Counter(one_class=len(met) < 2, classless=None in met)
 
 
 def classed(rng, i):
@@ -824,7 +830,10 @@ def classed(rng, i):
     return x, class_of
 
 
-drawn("classed complex", "random", classed, 20261021, 300, lambda c: c["cones"] > 20 and c["in_no_class"] > 5)
+drawn(
+    "classed complex", "random", classed, 20261021, 300,
+    lambda c: c["cones"] > 20 and c["in_no_class"] > 5 and c["one_class"] > 20 and c["classless"] > 20,
+)
 
 
 @row(complexes.reduced_cutpoint_tree, oracles.contracted_cutpoint_tree, "cut-labelled complex")
@@ -928,9 +937,20 @@ def cone_criterion(case):
     return Counter(certified=result.certified, counterexamples=not result.certified)
 
 
+@row(stability.build_bw, oracles.bw_by_definition, "class partition")
+def bw_graphs(case):
+    """B_w and B'_w equal the graphs of the walk over every class
+    triangle, on cases of one class or none and with classless triangles
+    too."""
+    x, classes, groups, _bw = case
+    assert stability.build_bw(x, classes, groups) == oracles.bw_by_definition(x, classes, groups)
+    return class_counts(x, {f: cls.id for cls in classes for f in cls.triangles}) + Counter(under_two=len(classes) < 2)
+
+
 def partitions():
     """34 complexes cut into edge-connected classes, every third a closed
-    fan (split, it forces a straddling cone), then 200 triangle trees, all
+    fan (split, it forces a straddling cone), then 200 triangle trees, then
+    40 complexes with some classes, every fourth with all, left out, all
     over one group table."""
     rng, groups = random.Random(31337), GroupTable()
     for i in range(234):
@@ -944,10 +964,18 @@ def partitions():
             x = random_edge_glued_complex(rng, n_triangles=rng.randint(3, 8))
             parts = random_triangle_partition(rng, x)
         yield x, triangle_classes(parts), groups, i < 34
+    for i in range(40):
+        x = random_edge_glued_complex(rng, n_triangles=rng.randint(3, 8))
+        parts = random_triangle_partition(rng, x)
+        yield x, triangle_classes([] if i % 4 == 0 else rng.sample(parts, rng.randrange(len(parts)))), groups, False
 
 
-# both verdicts exercised
-shape("class partition", "acceptance", partitions, lambda c: c["certified"] and c["counterexamples"] and c["tree_counterexamples"])
+# both verdicts exercised, and the early exits of one class or none
+shape(
+    "class partition", "acceptance", partitions,
+    lambda c: c["certified"] and c["counterexamples"] and c["tree_counterexamples"]
+    and c["one_class"] > 20 and c["under_two"] > 20 and c["classless"] > 20,
+)
 
 
 @row(stability.classes_of_complex, oracles.class_cutpoints, "pair subsets")
@@ -988,8 +1016,8 @@ def collapse(case):
     """``split_collapse`` against the collapse built cell by cell and
     reduced, over copies of the group table: complex and fragment in dict
     order, and the tables with their declared pairs in order; the fast
-    complex holds its incidence by pair and triple, its canonical order and
-    the label check, each equal to a fresh derivation."""
+    complex holds its canonical order and the label check, each equal to
+    a fresh derivation."""
     ts, groups = case
     fast_groups, full_groups = groups.copy(), groups.copy()
     with declare_log() as log:
@@ -1525,9 +1553,20 @@ def seed1(workload):
         rec.collapses.append((ts, groups.copy()))
         return bool(ts.resolution.target.edges)
 
+    def star_classes(x, classes):
+        """Vertex -> the classes its star meets (None for a triangle in no
+        class), read without deriving ``triangles_by_vertex``."""
+        class_of, out = {f: cls.id for cls in classes for f in cls.triangles}, defaultdict(set)
+        for f in x.triangles():
+            for v in x.face_vertices(f):
+                out[v].add(class_of.get(f))
+        return out
+
     def two_class_vertices(frame, x, classes, groups):
-        class_of = {f: cls.id for cls in classes for f in cls.triangles}
-        return sum(len({class_of.get(f) for f in star}) > 1 for star in x.triangles_by_vertex.values())
+        return sum(len(met) > 1 for met in star_classes(x, classes).values())
+
+    def two_class_complexes(frame, x, classes, groups):
+        return not class_counts(x, {f: cls.id for cls in classes for f in cls.triangles})["one_class"]
 
     def inside_of(name):
         return lambda frame, *args: bool(inside[name])
@@ -1570,7 +1609,13 @@ def seed1(workload):
         spy(m, counts, hierarchy, "split_collapse", collapses=lambda frame, *args: 1, **{
             "collapses over a tree with edges": collapsed,
         })
-        spy(m, counts, pipeline, "cone_criterion_check", **{"vertices whose star meets two classes": two_class_vertices})
+        spy(m, counts, CellData.__dict__["triangles_by_vertex"], "func", **{
+            "triangles_by_vertex in cone checks": inside_of("cone_criterion_check"),
+        })
+        spy(m, counts, pipeline, "cone_criterion_check", **{
+            "vertices whose star meets two classes": two_class_vertices,
+            "cone checks meeting two classes": two_class_complexes,
+        })
         for op in workloads.generate(workload, 1):
             rec.reports.append((op, run_pipeline(parse_text(op.text), op.pipeline)))
     return rec

@@ -230,6 +230,41 @@ def n_dprime_oracle(run, n_prime):
     return None
 
 
+def bw_by_definition(x, classes, groups):
+    """B_w and B'_w by the walk over the sides of every class triangle,
+    whatever the number of classes: class nodes, the edges lying in two
+    classes or more and their incidences; then the classes around each
+    non-slender shared edge merged, and that edge dropped."""
+    from passdown import graphs
+    from passdown.stability import BipartiteBW
+
+    edge_classes = defaultdict(set)
+    for cls in classes:
+        for fid in cls.triangles:
+            for eid in x.faces[fid]:
+                edge_classes[eid].add(cls.id)
+    shared = sorted(e for e, cs in edge_classes.items() if len(cs) > 1)
+    bw = BipartiteBW(
+        class_nodes=tuple(sorted(c.id for c in classes)),
+        edge_nodes=tuple(shared),
+        edges=tuple(sorted((cid, e) for e in shared for cid in edge_classes[e])),
+    )
+    uf, dropped = graphs.UnionFind(), set()
+    for e in shared:
+        if not groups.slender(x.stab[e]):
+            dropped.add(e)
+            cids = sorted(edge_classes[e])
+            for c in cids[1:]:
+                uf.union(cids[0], c)
+    kept = [e for e in shared if e not in dropped]
+    bpw = BipartiteBW(
+        class_nodes=tuple(sorted({uf.find(c.id) for c in classes})),
+        edge_nodes=tuple(kept),
+        edges=tuple(sorted({(uf.find(c), e) for e in kept for c in edge_classes[e]})),
+    )
+    return bw, bpw
+
+
 def cone_criterion_oracle(x, classes):
     """The simple cones whose fan meets two or more classes, by
     enumerating every simple cycle of every vertex link; the cone
@@ -1645,6 +1680,19 @@ def subcomplex_of(cls, x):
     return subcomplex(x, cells)
 
 
+def block_cells(x):
+    """The cells of each block of the 1-skeleton, closed under faces: its
+    vertices and edges, and every face whose sides are all its edges."""
+    return [
+        set(verts | eids) | {fid for fid, es in x.faces.items() if eids.issuperset(es)} for verts, eids in x.skeleton_blocks
+    ]
+
+
+def orbit_signature(x, cells):
+    """The sorted (kind, orbit) pairs of ``cells``."""
+    return tuple(sorted((("f" if c in x.faces else "e" if c in x.edges else "v"), x.orbit[c]) for c in cells))
+
+
 def cutpoint_tree(x, groups):
     """The bipartite tree B_X of cutpoint-free components and cut vertices.
 
@@ -1654,7 +1702,7 @@ def cutpoint_tree(x, groups):
     component sits inside it).
     """
     from passdown import graphs
-    from passdown.complexes import CutpointTree, _block_cells, _block_orbit_signature, h1_z2, is_connected
+    from passdown.complexes import CutpointTree, h1_z2, is_connected
     from passdown.errors import FixtureError
 
     if not is_connected(x):
@@ -1662,7 +1710,7 @@ def cutpoint_tree(x, groups):
     if h1_z2(x) != 0:
         raise FixtureError("cutpoint tree needs h1_z2 = 0")
     cuts = sorted(graphs.cut_vertices(x.skeleton_blocks))
-    blocks = _block_cells(x)
+    blocks = block_cells(x)
     comp_nodes, comp_cells, node_stab, node_orbit, edges = [], {}, {}, {}, []
     sig_orbit = {}
     for i, cells in enumerate(sorted(blocks, key=lambda c: sorted(map(str, c)))):
@@ -1670,7 +1718,7 @@ def cutpoint_tree(x, groups):
         comp_nodes.append(cid)
         comp_cells[cid] = frozenset(cells)
         node_stab[cid] = groups.mint("blk").id
-        sig = _block_orbit_signature(x, cells)
+        sig = orbit_signature(x, cells)
         node_orbit[cid] = sig_orbit.setdefault(sig, cid)
         for v in cuts:
             if v in cells:
@@ -1697,8 +1745,6 @@ def contracted_cutpoint_tree(x, groups):
     edge on a hand-written union of node sets.  Returns (comp nodes, comp
     cells, cut nodes, edges, node orbits, {comp node: H-elliptic flag});
     a merged piece is H-elliptic when every cut vertex merged into it is."""
-    from passdown.complexes import _block_orbit_signature
-
     bx = cutpoint_tree(x, groups)
     part = {n: {n} for n in bx.comp_nodes + bx.cut_nodes}
     for comp, cut in bx.edges:
@@ -1711,7 +1757,7 @@ def contracted_cutpoint_tree(x, groups):
     cells = {min(s): frozenset().union(*(bx.comp_cells[n] for n in s if n in bx.comp_cells)) for s in pieces}
     orbit, first = {}, {}
     for rep in sorted(cells):
-        orbit[rep] = first.setdefault(_block_orbit_signature(x, cells[rep]), rep)
+        orbit[rep] = first.setdefault(orbit_signature(x, cells[rep]), rep)
     cut_nodes = tuple(v for v in bx.cut_nodes if v not in name)
     for v in cut_nodes:
         orbit[v] = x.orbit[v]

@@ -210,12 +210,13 @@ def test_cone_criterion_crosscheck():
     """Certificate/counterexample verdict coincides with the direct
     connectivity-and-acyclicity test of B_w and with cone enumeration; no
     certified instance has a cyclic B_w.  Triangle trees, whose B_w need
-    not be connected, are checked against the enumeration only."""
+    not be connected, and complexes with classes left out are checked
+    against the enumeration only."""
     c = compared("class partition", "acceptance")
     report(
         f"cone criterion cross-check (34 fixtures: {c['certified']} certified, "
-        f"{c['counterexamples']} counterexamples; 200 triangle trees against enumeration, "
-        f"{c['tree_counterexamples']} counterexamples; exact)"
+        f"{c['counterexamples']} counterexamples; 200 triangle trees and 40 partial partitions against "
+        f"enumeration, {c['tree_counterexamples']} counterexamples; exact)"
     )
 
 

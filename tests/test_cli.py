@@ -799,6 +799,65 @@ def test_a_triangle_orbit_in_pieces_of_two_orbits_is_malformed(argv, tmp_path, c
 
 
 
+CYCLE_WITH_TAIL = """\
+complex L
+  vertex a
+  vertex b
+  vertex c
+  vertex d
+  edge ab a b
+  edge bc b c
+  edge cd c d
+  edge db d b
+end
+"""
+PATH_AND_POINT = """\
+complex D
+  vertex a
+  vertex b
+  vertex c
+  vertex d
+  edge ab a b
+  edge bc b c
+end
+"""
+PARALLEL_EDGES = """\
+complex P
+  vertex a
+  vertex b
+  vertex c
+  edge ab a b
+  edge ab2 a b
+  edge bc b c
+  edge ac a c
+  triangle t1 ab bc ac
+  triangle t2 ab2 bc ac
+end
+tree T
+  vertex p0
+end
+"""
+
+
+@pytest.mark.parametrize(
+    "text, argv, message",
+    [
+        (CYCLE_WITH_TAIL, ["cutpoints", "--complex", "L"], "cutpoint tree needs h1_z2 = 0"),
+        (PATH_AND_POINT, ["cutpoints", "--complex", "D"], "cutpoint tree needs a connected complex"),
+        (PARALLEL_EDGES, ["tracks", "--complex", "P", "--tree", "T"], "track extraction needs a simplicial complex"),
+    ],
+)
+def test_a_complex_outside_a_command_hypothesis_exit_code(text, argv, message, tmp_path, capsys):
+    """A cutpoint tree of a complex with a cutpoint and h1 != 0 (a cycle
+    with a tail) or with two components (a path and a point), and the
+    tracks of a complex with two triangles on one vertex triple, are
+    refused as malformed input."""
+    path = tmp_path / "refused.txt"
+    path.write_text(text)
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 COMMITTED_PIPELINES = [
     ("acc_stable.txt", "stable"),
     ("f2_style.txt", "f2"),

@@ -794,6 +794,17 @@ class TestRunAnalysisWork:
         assert all(rep.certificate_level == op.expected.cert_level is not None for op, rep in seed1("size").reports)
         assert counts["blocks in cone checks"] == counts["vertices whose star meets two classes"] > 0
 
+    def test_a_one_class_complex_certifies_without_a_cone_walk(self):
+        """The certificate loop derives ``triangles_by_vertex`` only for a
+        complex whose triangles meet two classes: on none of the seed-1
+        horizon and surgery ops, where every checked complex is one class,
+        and once per such complex on the size ops."""
+        counts = {w: seed1(w).counts for w in ("horizon", "size", "surgery")}
+        assert [counts[w]["cone checks meeting two classes"] for w in ("horizon", "surgery")] == [0, 0]
+        assert [counts[w]["triangles_by_vertex in cone checks"] for w in ("horizon", "surgery")] == [0, 0]
+        size = counts["size"]
+        assert size["triangles_by_vertex in cone checks"] == size["cone checks meeting two classes"] > 0
+
     def test_dot_export_reuses_the_classes(self, worked64, calls, tmp_path, capsys, monkeypatch):
         runs = []
         analyze = pipeline.analyze_run
