@@ -31,11 +31,15 @@ class DisconnectedComplexWarning(UserWarning):
 
 class CellData:
     """What the cells of a complex determine, whatever their labels: face
-    vertex sets, the incidence maps, components, 1-skeleton blocks, the
+    corners, the incidence maps, components, 1-skeleton blocks, the
     cutpoint set, the Z2 boundary rank and whether the cells are stored in
     canonical order.  Each is derived on first use and kept.  Every
     relabelling of a complex shares this object, so a label-only change
-    derives none of it again.  Map values are id tuples.  The cells are
+    derives none of it again.  Map values are id tuples.  A face's corners
+    are the sorted tuple of its vertices, and a vertex pair or triple is
+    keyed by its sorted id tuple, the key of the quotient step, so that
+    ``reduce_with_map`` hands ``edges_by_pair`` and ``triangles_by_triple``
+    to ``canonical_complex`` as they are.  The cells are
     valid: each complex is validated once, where it is parsed
     (``make_complex``), is built valid by construction (by
     ``canonical_complex``, the quotient step of every reduction, of X_T
@@ -58,21 +62,21 @@ class CellData:
     @cached_property
     def face_vertices(self):
         edges = self.edges
-        return {fid: frozenset(w for eid in es for w in edges[eid]) for fid, es in self.faces.items()}
+        return {fid: tuple(sorted({w for eid in es for w in edges[eid]})) for fid, es in self.faces.items()}
 
     @cached_property
     def edges_by_pair(self):
-        """frozenset of two vertices -> the edges joining them, in id order."""
+        """Sorted pair of vertices -> the edges joining them, in id order."""
         edges, out = self.edges, {}
         get = out.get
-        for eid in sorted(edges):
-            key = frozenset(edges[eid])
+        for eid, (u, v) in sorted(edges.items()):
+            key = (u, v) if u < v else (v, u)
             out[key] = get(key, ()) + (eid,)
         return out
 
     @cached_property
     def triangles_by_vertex(self):
-        """vertex -> the triangles at it, in face order."""
+        """vertex -> the triangles at it, in face order, corners in sorted order."""
         face_vertices, out = self.face_vertices, {}
         get = out.get
         for fid in self.triangles:
@@ -93,7 +97,7 @@ class CellData:
 
     @cached_property
     def triangles_by_triple(self):
-        """frozenset of three vertices -> the triangles spanning them, in id order."""
+        """Sorted triple of vertices -> the triangles spanning them, in id order."""
         face_vertices, out = self.face_vertices, {}
         get = out.get
         for fid in sorted(self.triangles):
@@ -167,7 +171,7 @@ class CellData:
 class Complex2:
     """Cell data (``vertices``, ``edges``, ``faces``) and cell labels.
 
-    Cell-derived values (face vertex sets, the incidence maps, components,
+    Cell-derived values (face corners, the incidence maps, components,
     1-skeleton blocks, cutpoints, the Z2 boundary rank and the canonical
     order of the cells) live in ``cell_data``, derived on first use and
     kept.  Label-reading values are kept per complex: ``is_reduced``,
@@ -334,7 +338,7 @@ def _validate_cells(x):
                     raise FixtureError(f"face {fid!r} references missing edge {eid!r}", cell=fid)
             if len(es) != len(set(es)):
                 raise FixtureError(f"face {fid!r} repeats an edge", cell=fid)
-        # every face's references hold before the face vertex sets are first built
+        # every face's references hold before the face corners are first built
         for fid, es in faces.items():
             if len(es) == 2:
                 if frozenset(edges[es[0]]) != frozenset(edges[es[1]]):
@@ -351,14 +355,14 @@ def _validate_cells(x):
 
 def _faces_close(x):
     """Whether each face is a triangle on three vertex pairs or a bigon on
-    one, by a pass handing the face vertex sets to the cell data.  No edge
+    one, by a pass handing the face corners to the cell data.  No edge
     is a loop, so a triangle's sides join three pairs of its three corners
     when its first two ends are each met twice along them."""
     edges, face_vertices = x.edges, {}
     try:
         for fid, es in x.faces.items():
             ends = (*edges[es[0]], *edges[es[1]], *edges[es[-1]])
-            corners = face_vertices[fid] = frozenset(ends)
+            corners = face_vertices[fid] = tuple(sorted(set(ends)))
             if not (
                 len(es) == 3 == len(corners) and ends.count(ends[0]) == 2 == ends.count(ends[1])
                 or len(es) == 2 == len(corners) and es[0] != es[1]
@@ -390,7 +394,7 @@ def _containments(x):
     below its ends."""
     stab = x.stab
     for fid, es in x.faces.items():
-        for above in (*es, *sorted(x.face_vertices(fid))):
+        for above in (*es, *x.face_vertices(fid)):
             yield fid, stab[fid], above, stab[above]
     for eid, ends in x.edges.items():
         for w in ends:
@@ -451,7 +455,7 @@ def check_orbit_shapes(orbit, **cells_by_kind):
     cellular action has one kind, and its edges one pair of end orbits."""
     shapes, kind_of = {}, {}
     for eid, (u, v) in cells_by_kind["edge"].items():
-        shape = frozenset((orbit[u], orbit[v]))
+        shape = tuple(sorted((orbit[u], orbit[v])))
         if shapes.setdefault(orbit[eid], shape) != shape:
             raise ConsistencyError(f"edges of orbit {orbit[eid]!r} have mismatched endpoint orbits", cell=eid)
     for kind, cells in cells_by_kind.items():
@@ -460,6 +464,25 @@ def check_orbit_shapes(orbit, **cells_by_kind):
             if first != kind:
                 message = f"orbit {orbit[cell]!r} holds cells of two kinds: {kind} {cell!r} in an orbit of {first} cells"
                 raise ConsistencyError(message, cell=cell)
+
+
+def check_face_shapes(x):
+    """Raise naming the first face orbit whose faces differ in their
+    multisets of side orbits or of corner orbits, at its first face of the
+    second shape: a group element carries a face's sides and corners onto
+    those of its image (Bridson & Haefliger 1999, III.C).  The reader runs
+    it on each complex it reads, after ``validate_complex``, which has
+    given each edge orbit one pair of end orbits when an orbit holds two
+    cells.  Each corner of a face lies on two of its sides, so its corner
+    orbits are half the end orbits of its side orbits, and only the side
+    orbits are compared, keyed by their sorted tuple."""
+    orbit, shapes = x.orbit, {}
+    if len(set(map(orbit.__getitem__, x.faces))) == len(x.faces):
+        return
+    for fid, es in x.faces.items():
+        shape = tuple(sorted(map(orbit.__getitem__, es)))
+        if shapes.setdefault(orbit[fid], shape) != shape:
+            raise ConsistencyError(f"faces of orbit {orbit[fid]!r} have mismatched side or corner orbits", cell=fid)
 
 
 def check_orbit_labels(cells, stab, orbit):
@@ -539,8 +562,9 @@ def reduce_complex(x: Complex2, groups: GroupTable) -> Complex2:
 
 def reduce_with_map(x: Complex2, groups: GroupTable):
     """reduce_complex plus the cell map (collapsed bigons map to None):
-    the edges of ``x`` filed by vertex pair and its triangles by vertex
-    triple, handed to the quotient step ``canonical_complex``.
+    the incidence maps of ``x``, its edges by sorted vertex pair and its
+    triangles by sorted vertex triple, handed as they are to the quotient
+    step ``canonical_complex``, which reads them only.
 
     The reduction of a valid complex is valid, so it is not validated: its
     cells are canonical, its labels are labels of ``x`` or minted, one per
@@ -550,15 +574,12 @@ def reduce_with_map(x: Complex2, groups: GroupTable):
     and components of ``x`` are its own; they are handed on when ``x``
     holds them already.  A simplicial ``x`` keeps its very cells, so its
     boundary rank is handed on too."""
-    cell_map = {v: v for v in x.vertices}
-    edges_at, faces_at = {}, {}
-    for at, by_key in ((edges_at, x.edges_by_pair), (faces_at, x.triangles_by_triple)):
-        for key, ids in by_key.items():
-            at[tuple(sorted(key))] = ids
-            cell_map.update(dict.fromkeys(ids, ids[0]))
+    cell_map, by_pair, by_triple = {v: v for v in x.vertices}, x.edges_by_pair, x.triangles_by_triple
+    for ids in chain(by_pair.values(), by_triple.values()):
+        cell_map.update(dict.fromkeys(ids, ids[0]))
     for fid in x.bigons():
         cell_map[fid] = None
-    out = canonical_complex(x.vertices, edges_at, faces_at, x.stab, x.orbit, x.stab_plus, x.boundary_marked, groups)
+    out = canonical_complex(x.vertices, by_pair, by_triple, x.stab, x.orbit, x.stab_plus, x.boundary_marked, groups)
     held = x.cell_data.__dict__
     kept = ("cutpoints", "vertex_components") + (("boundary_rank",) if x.is_simplicial() else ())
     out.cell_data.__dict__.update((name, held[name]) for name in kept if name in held)

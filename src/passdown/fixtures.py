@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import graphs
-from .complexes import make_complex
+from .complexes import check_face_shapes, make_complex
 from .errors import FixtureError
 from .groups import TRIVIAL, GroupRef, GroupTable
 from .hierarchy import HNode, Hierarchy, HStructure, Restriction, RestrictionTable, validate_hierarchy, validate_hstructure
@@ -276,14 +276,15 @@ def _read_cells(body, third, *words_of_third):
 
 def _parse_complex(fx, header, body):
     vertices, edges, faces, marked, labels = _read_cells(body, "face", "triangle", "bigon")
-    fx.complexes[header[1][1]] = make_complex(
-        vertices, edges, faces, labels["stab"], labels["orbit"], marked, labels["stabplus"], fx.groups
-    )
+    x = make_complex(vertices, edges, faces, labels["stab"], labels["orbit"], marked, labels["stabplus"], fx.groups)
+    check_face_shapes(x)
+    fx.complexes[header[1][1]] = x
 
 
 def _parse_tree(fx, header, body):
     vertices, edges, ideal, _flagged, labels = _read_cells(body, "ideal point", "ideal")
-    ideal = {p: tuple(labels["ray"].get(p, "").split(",")) for p in ideal}
+    rays = labels["ray"]
+    ideal = {p: tuple(rays[p].split(",")) if p in rays else () for p in ideal}
     fx.trees[header[1][1]] = make_tree(vertices, edges, ideal, labels["stab"], labels["orbit"], fx.groups)
 
 
@@ -292,14 +293,17 @@ def _parse_actions(fx, header, body):
     if tree_name not in fx.trees:
         raise FixtureError(f"actions block references unknown tree {tree_name!r}")
     table = fx.actions.setdefault(tree_name, ActionTable(fx.trees[tree_name], fx.groups))
-    for _ln, (kind, gid), flags, keys in body:
-        if kind == "elliptic":
-            table.declare_descriptors(gid, [ActionDescriptor(kind="elliptic", fixed=_id_set(keys.get("fix")), group=gid)])
-        elif kind == "hyperbolic":
-            ends = tuple(keys.get("ends", "").split(","))
-            table.declare_descriptors(gid, [ActionDescriptor(kind="hyperbolic", ends=ends, swaps_ends="swaps" in flags, group=gid)])
-        else:
-            table.declare_parabolic(gid, keys.get("end"))
+    for ln, (kind, gid), flags, keys in body:
+        try:
+            if kind == "elliptic":
+                table.declare_descriptors(gid, [ActionDescriptor(kind="elliptic", fixed=_id_set(keys.get("fix")), group=gid)])
+            elif kind == "hyperbolic":
+                ends = tuple(keys.get("ends", "").split(","))
+                table.declare_descriptors(gid, [ActionDescriptor(kind="hyperbolic", ends=ends, swaps_ends="swaps" in flags, group=gid)])
+            else:
+                table.declare_parabolic(gid, keys.get("end"))
+        except FixtureError as exc:  # a refused annotation names its own line
+            raise type(exc)(str(exc), line=ln) from exc
 
 
 def _parse_gog(fx, header, body):

@@ -26,6 +26,7 @@ from .trees import (
     LINEAR,
     PARABOLIC,
     TreeHat,
+    check_descriptor,
     classify_subgroup_action,
     reduced_path,
 )
@@ -55,6 +56,8 @@ class ActionTable:
 
     def declare_descriptors(self, gid, descriptors):
         self.groups[gid]
+        for d in descriptors:
+            check_descriptor(d, self.tree)
         self.descriptors.setdefault(gid, []).extend(descriptors)
         self._resolved.clear()
 

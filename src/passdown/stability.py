@@ -279,7 +279,7 @@ def make_cone(x: Complex2, center, boundary) -> Cone:
         a, b = boundary[i], boundary[(i + 1) % k]
         if a == b or center in (a, b):
             raise FixtureError("degenerate cone boundary")
-        fids = x.triangles_by_triple.get(frozenset((center, a, b)))
+        fids = x.triangles_by_triple.get(tuple(sorted((center, a, b))))
         if fids is None:
             raise FixtureError(f"no triangle on {center!r}, {a!r}, {b!r}")
         fan.append(fids[0])
@@ -328,7 +328,7 @@ def _straddling_cone(x: Complex2, class_of):
     for v, star in sorted(x.triangles_by_vertex.items()):
         if len({class_of.get(fid) for fid in star}) < 2:
             continue
-        link = {fid: tuple(sorted(x.face_vertices(fid) - {v})) for fid in star}
+        link = {fid: tuple(w for w in x.face_vertices(fid) if w != v) for fid in star}
         for _verts, fids in graphs.blocks({w for ends in link.values() for w in ends}, link):
             fids = sorted(fids)
             first = {}  # link vertex -> the first block edge at it

@@ -86,8 +86,11 @@ def validate_tree(t: TreeHat, groups: GroupTable = None):
             raise FixtureError(f"ideal point id {pid!r} collides with a tree cell", cell=pid)
         if not ray or len(set(ray)) != len(ray):
             raise FixtureError(f"ideal point {pid!r} needs a simple ray", cell=pid)
+        if not t.vertices.issuperset(ray):
+            missing = next(w for w in ray if w not in t.vertices)
+            raise FixtureError(f"ray of ideal point {pid!r} references missing vertex {missing!r}", cell=pid)
         for a, b in zip(ray, ray[1:]):
-            if b not in adj.get(a, ()):
+            if b not in adj[a]:
                 raise FixtureError(f"ray of ideal point {pid!r} is not a path", cell=pid)
         leaf = ray[-1]
         if t.degree(leaf) > 1:
@@ -188,7 +191,10 @@ class ActionDescriptor:
         return frozenset(self.ends)
 
 
-def _check_descriptor(d: ActionDescriptor, t: TreeHat):
+def check_descriptor(d: ActionDescriptor, t: TreeHat):
+    """Raise unless ``d`` describes an isometry of ``t``: an elliptic one
+    fixing a nonempty connected set of tree vertices, or a hyperbolic one
+    along the line between two distinct ideal points."""
     if d.kind == ELLIPTIC:
         if not d.fixed:
             raise FixtureError("elliptic descriptor needs a nonempty fixed subtree")
@@ -220,13 +226,13 @@ def classify_subgroup_action(descriptors, t: TreeHat, groups: GroupTable = None)
     Follows the defining conditions directly.  Parabolic requires one
     ideal point shared by every axis; families of axes with pairwise
     ray-infinite overlaps but no global end generate crossing hyperbolics
-    and land in the hyperbolic case.
+    and land in the hyperbolic case.  Each descriptor is one that
+    ``check_descriptor`` passed on ``t``, as ``ActionTable`` checks each
+    where it is declared.
     """
     descriptors = list(descriptors)
     if not descriptors:
         raise FixtureError("descriptor list must be nonempty")
-    for d in descriptors:
-        _check_descriptor(d, t)
     ells = [d for d in descriptors if d.kind == ELLIPTIC]
     hyps = [d for d in descriptors if d.kind == HYPERBOLIC]
 

@@ -51,7 +51,7 @@ from generators import (
     wheel,
 )
 from lemmas import is_simple
-from test_cli import fuzzed_cases, mutate
+from test_cli import BOWTIE, fuzzed_cases, mutate
 from passdown import complexes, fixtures, graphs, hierarchy, pipeline, resolution, stability, tracks
 from passdown.complexes import CellData, Complex2, components, cutpoints, h1_z2, is_connected, make_complex, reduce_complex
 from passdown.errors import ConsistencyError, FixtureError, PassdownError
@@ -412,7 +412,7 @@ def parse(text):
     fast = parsed(parse_text, text)
     assert fast == parsed(oracles.parse_by_walk, text)
     if fast[0] == "refused":
-        return Counter(refused=1)
+        return Counter(refused=1, face_shapes="faces of orbit" in fast[2])
     handed = [handed_on(x)[0] for x in fast[1][1].values()]
     return Counter(read=1, trees=len(fast[1][2]), labels_handed=sum("cell_labels_reduced" in names for names in handed))
 
@@ -432,6 +432,25 @@ shape(
     lambda c: c["read"] == c["cases"] == c["labels_handed"] == 177 and c["trees"] == 267,
 )
 shape("fixture text", "line mutations", mutated_fixtures, lambda c: c["read"] > 200 and c["refused"] > 1000)
+
+
+def face_orbit_fixtures(count=200):
+    """The bowtie, whose two triangles share an orbit and a shape, then
+    ``count`` committed fixtures with two or three face lines moved into
+    one new orbit."""
+    yield BOWTIE
+    rng = random.Random(20261035)
+    texts = [[line.split("#", 1)[0] for line in path.read_text().splitlines()] for path in sorted(FIXTURES.glob("*.txt"))]
+    for case in range(count):
+        lines = list(texts[case % len(texts)])
+        faces = [i for i, line in enumerate(lines) if line.split()[:1] in (["triangle"], ["bigon"])]
+        for i in rng.sample(faces, min(len(faces), rng.randint(2, 3))):
+            lines[i] = re.sub(r" orbit=\S+", "", lines[i]) + " orbit=oF"
+        yield "\n".join(lines) + "\n"
+
+
+# the bowtie is read; faces of one orbit and label but of two shapes are refused
+shape("fixture text", "face orbits", face_orbit_fixtures, lambda c: c["read"] >= 1 and c["face_shapes"] > 100)
 
 
 @row(resolution.build_resolution, oracles.resolution_by_cell_classification, "mislabelled complex")
@@ -691,9 +710,10 @@ def incidence(x):
     dicts, in the orders the callers rely on."""
     fv = {f: {w for e in es for w in x.edges[e]} for f, es in x.faces.items()}
     tris = [f for f, es in x.faces.items() if len(es) == 3]
-    assert all(x.face_vertices(f) == fv[f] for f in x.faces)
+    assert all(x.face_vertices(f) == tuple(sorted(fv[f])) for f in x.faces)
     assert x.edges_by_pair == {
-        key: tuple(sorted(e for e in x.edges if frozenset(x.edges[e]) == key)) for key in map(frozenset, x.edges.values())
+        tuple(sorted(key)): tuple(sorted(e for e in x.edges if frozenset(x.edges[e]) == key))
+        for key in map(frozenset, x.edges.values())
     }
     assert x.triangles_by_vertex == {
         v: tuple(f for f in tris if v in fv[f]) for v in x.vertices if any(v in fv[f] for f in tris)
@@ -701,7 +721,7 @@ def incidence(x):
     first_met = dict.fromkeys(e for f in sorted(tris) for e in x.faces[f])
     assert list(x.triangles_by_edge.items()) == [(e, tuple(sorted(f for f in tris if e in x.faces[f]))) for e in first_met]
     assert x.triangles_by_triple == {
-        key: tuple(sorted(f for f in tris if fv[f] == key)) for key in (frozenset(fv[f]) for f in tris)
+        tuple(sorted(key)): tuple(sorted(f for f in tris if fv[f] == key)) for key in (frozenset(fv[f]) for f in tris)
     }
     assert x.is_simplicial() == oracles.is_simplicial_oracle(x)
 

@@ -115,7 +115,7 @@ def cone_pushforward(cone: Cone, res, ts_star, frag, xt: Complex2) -> Pushforwar
     strict drop creates a new adjacency."""
     x = res.source
     k = len(cone.boundary)
-    spokes = [x.edges_by_pair[frozenset((cone.center, b))][0] for b in cone.boundary]
+    spokes = [x.edges_by_pair[tuple(sorted((cone.center, b)))][0] for b in cone.boundary]
 
     def is_circle(tr):
         for i, fid in enumerate(cone.fan):
@@ -145,7 +145,7 @@ def cone_pushforward(cone: Cone, res, ts_star, frag, xt: Complex2) -> Pushforwar
     images = [frag.triangle_map.get(f) for f in cone.fan]
     # keep only triangles in the component of the new center
     comp = next(c for c in components(xt) if new_center in c)
-    kept = [img for img in images if img is not None and xt.face_vertices(img) <= comp]
+    kept = [img for img in images if img is not None and comp.issuperset(xt.face_vertices(img))]
     dedup = []
     for img in kept:
         if not dedup or dedup[-1] != img:

@@ -5,7 +5,7 @@ end (``level``, ``is_h_elliptic``) are definitions only the tests use."""
 
 import functools
 import itertools
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,7 +286,7 @@ def straddling_cone_every_vertex(x, class_of):
     from passdown.stability import make_cone
 
     for v in sorted(x.triangles_by_vertex):
-        link = {fid: tuple(sorted(x.face_vertices(fid) - {v})) for fid in x.triangles_by_vertex[v]}
+        link = {fid: tuple(sorted(set(x.face_vertices(fid)) - {v})) for fid in x.triangles_by_vertex[v]}
         for _verts, fids in graphs.blocks({w for ends in link.values() for w in ends}, link):
             fids = sorted(fids)
             first = {}  # link vertex -> the first block edge at it
@@ -307,7 +307,7 @@ def link_graph(x, v):
     """The link of v as an adjacency dict: one link edge per triangle at v."""
     adj = {}
     for fid in x.triangles_by_vertex.get(v, ()):
-        a, b = sorted(x.face_vertices(fid) - {v})
+        a, b = sorted(set(x.face_vertices(fid)) - {v})
         adj.setdefault(a, set()).add(b)
         adj.setdefault(b, set()).add(a)
     return adj
@@ -671,8 +671,6 @@ def collapse_by_construction(ts_star, groups):
     one central triangle per face, then ``finish_collapse``.  An edge's
     segments are numbered from its end in the least vertex orbit, from its
     first stored end when both ends are in one orbit."""
-    from collections import Counter
-
     from passdown.complexes import Complex2, fresh_separator
     from passdown.errors import EngineError, TruncationError
     from passdown.provenance import TauFragment
@@ -754,7 +752,7 @@ def collapse_by_construction(ts_star, groups):
     for fid in sorted(x.triangles()):
         # x is simplicial (track extraction checks it): one edge per side
         a, b, c = sorted(x.face_vertices(fid))
-        sides = {pair: x.edges_by_pair[frozenset(pair)][0] for pair in ((a, b), (b, c), (a, c))}
+        sides = {pair: x.edges_by_pair[pair][0] for pair in ((a, b), (b, c), (a, c))}
         crossed = {
             pair: [f for f in res.crossings(eid) if (eid, f) in track_of]
             for pair, eid in sides.items()
@@ -926,15 +924,19 @@ def _grouped(pairs):
 def incidence_by_grouping(x):
     """The four incidence maps of ``complexes.CellData``, each grouped from
     a stream of (key, id) pairs: edges by vertex pair in id order,
-    triangles by vertex in face order (corners in face-vertex-set order),
-    by side in id order and by vertex triple in id order."""
+    triangles by vertex in face order (corners in sorted order),
+    by side in id order and by vertex triple in id order.  Pairs and
+    triples are grouped as vertex sets and keyed by sorted tuples at the
+    end."""
     fv = {fid: frozenset(w for eid in es for w in x.edges[eid]) for fid, es in x.faces.items()}
     tris = [fid for fid, es in x.faces.items() if len(es) == 3]
+    by_pair = _grouped((frozenset(x.edges[eid]), eid) for eid in sorted(x.edges))
+    by_triple = _grouped((fv[fid], fid) for fid in sorted(tris))
     return {
-        "edges_by_pair": _grouped((frozenset(x.edges[eid]), eid) for eid in sorted(x.edges)),
-        "triangles_by_vertex": _grouped((v, fid) for fid in tris for v in fv[fid]),
+        "edges_by_pair": {tuple(sorted(key)): ids for key, ids in by_pair.items()},
+        "triangles_by_vertex": _grouped((v, fid) for fid in tris for v in sorted(fv[fid])),
         "triangles_by_edge": _grouped((eid, fid) for fid in sorted(tris) for eid in x.faces[fid]),
-        "triangles_by_triple": _grouped((fv[fid], fid) for fid in sorted(tris)),
+        "triangles_by_triple": {tuple(sorted(key)): ids for key, ids in by_triple.items()},
     }
 
 
@@ -948,15 +950,12 @@ def is_canonical_by_sorting(x):
         return False
 
     def edge(u, v):
-        return by_pair[frozenset((u, v))][0]
+        return by_pair[(u, v)][0]
 
     return (
-        list(x.edges.items()) == [(edge(u, v), (u, v)) for u, v in sorted(map(sorted, by_pair))]
+        list(x.edges.items()) == [(edge(u, v), (u, v)) for u, v in sorted(by_pair)]
         and list(x.faces.items())
-        == [
-            (by_triple[frozenset((a, b, c))][0], (edge(a, b), edge(b, c), edge(a, c)))
-            for a, b, c in sorted(map(sorted, by_triple))
-        ]
+        == [(by_triple[(a, b, c)][0], (edge(a, b), edge(b, c), edge(a, c))) for a, b, c in sorted(by_triple)]
     )
 
 
@@ -1073,9 +1072,10 @@ def reduction_by_quotient(x, groups):
 
     cell_map = {v: v for v in x.vertices}
     edge_at, face_at = {}, {}
-    for at, by_key in ((edge_at, x.edges_by_pair), (face_at, x.triangles_by_triple)):
+    incidence = incidence_by_grouping(x)
+    for at, by_key in ((edge_at, incidence["edges_by_pair"]), (face_at, incidence["triangles_by_triple"])):
         for key, sources in by_key.items():
-            at[tuple(sorted(key))] = min(sources)
+            at[key] = min(sources)
             cell_map.update((src, min(sources)) for src in sources)
     for fid in x.bigons():
         cell_map[fid] = None
@@ -1420,6 +1420,20 @@ def orbits_by_walk(cells, stab, orbit, edges, **cells_by_kind):
                 )
 
 
+def face_shapes_by_walk(x):
+    """The face-shape check of the reader, by a walk of every face: the
+    first face orbit whose faces differ in their side orbits or corner
+    orbits, each compared as a multiset."""
+    from passdown.errors import ConsistencyError
+
+    shape = {}
+    for fid, es in x.faces.items():
+        sides = Counter(x.orbit[e] for e in es)
+        corners = Counter(x.orbit[w] for w in {w for e in es for w in x.edges[e]})
+        if shape.setdefault(x.orbit[fid], (sides, corners)) != (sides, corners):
+            raise ConsistencyError(f"faces of orbit {x.orbit[fid]!r} have mismatched side or corner orbits")
+
+
 def make_complex_by_walk(vertices, edges, faces, stab=None, orbit=None, boundary_marked=(), stab_plus=None, groups=None):
     """``complexes.make_complex`` by its definition: copies of the cells
     and labels, a missing label filled in per cell, and every check by a
@@ -1472,6 +1486,9 @@ def make_tree_by_walk(vertices, edges, ideal_points=None, stab=None, orbit=None,
             raise FixtureError(f"ideal point id {pid!r} collides with a tree cell")
         if not ray or len(set(ray)) != len(ray):
             raise FixtureError(f"ideal point {pid!r} needs a simple ray")
+        for w in ray:
+            if w not in t.vertices:
+                raise FixtureError(f"ray of ideal point {pid!r} references missing vertex {w!r}")
         for a, b in zip(ray, ray[1:]):
             if b not in t.adjacency.get(a, ()):
                 raise FixtureError(f"ray of ideal point {pid!r} is not a path")
@@ -1561,7 +1578,7 @@ def parse_by_walk(text):
             elif kind == "edge":
                 edges[cell] = (words[2], words[3])
             else:
-                other[cell] = tuple(words[2:]) if third == "face" else tuple(keys.get("ray", "").split(","))
+                other[cell] = tuple(words[2:]) if third == "face" else tuple(keys["ray"].split(",")) if "ray" in keys else ()
             flagged += [cell] * bool(flags)
             for key, value in keys.items():
                 labels[key][cell] = value
@@ -1569,9 +1586,9 @@ def parse_by_walk(text):
 
     def complex_block(fx, header, body):
         vertices, edges, faces, marked, labels = cells(body, "face")
-        fx.complexes[header[1][1]] = make_complex_by_walk(
-            vertices, edges, faces, labels["stab"], labels["orbit"], marked, labels["stabplus"], fx.groups
-        )
+        x = make_complex_by_walk(vertices, edges, faces, labels["stab"], labels["orbit"], marked, labels["stabplus"], fx.groups)
+        face_shapes_by_walk(x)
+        fx.complexes[header[1][1]] = x
 
     def tree_block(fx, header, body):
         vertices, edges, ideal, _flagged, labels = cells(body, "ideal point")

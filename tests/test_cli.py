@@ -373,6 +373,26 @@ class TestCommands:
         assert "line 1: pipeline 'P' needs at least one node" in err
         assert "line 1: expected: tree <name>" in err
 
+    _SIDES = "complex X\n  vertex a\n  vertex b\n  vertex c\n  vertex d\n  edge ab a b\n  edge ab2 a b\n  edge bc b c\n  edge cd c d\n"
+
+    @pytest.mark.parametrize(
+        "face, message",
+        [
+            ("bigon f ab bc", "bigon 'f' edges do not share both endpoints"),
+            ("triangle f ab bc cd", "triangle 'f' does not close up on 3 vertices"),
+            ("triangle f ab ab2 bc", "triangle 'f' edges do not close up combinatorially"),
+            ("bigon f ab ab", "face 'f' repeats an edge"),
+        ],
+        ids=["bigon", "four-corners", "two-pairs", "repeat"],
+    )
+    def test_a_face_that_does_not_close_up_exit_code(self, face, message, tmp_path, capsys):
+        """A face must be a bigon on one vertex pair or a triangle on
+        three pairs of three corners; the refusal names the face's line."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"{self._SIDES}  {face}\nend\n")
+        assert main(["h1", str(bad), "--complex", "X"]) == 2
+        assert capsys.readouterr().err == f"error: line 10: {message}\n"
+
     _AB = "groups\n  group A\n  group B\nend\n"
     _TRI = (
         "  vertex a stab=A\n  vertex b stab=A\n  vertex c stab={c}\n  edge ab a b stab=A\n"
@@ -413,6 +433,22 @@ class TestCommands:
                 "complex X\n  vertex a orbit=o\n  vertex b\n  edge ab a b orbit=o\nend\n",
                 "line 4: orbit 'o' holds cells of two kinds: edge 'ab' in an orbit of vertex cells",
             ),
+            # two faces of one orbit have one multiset of side orbits and of corner orbits
+            (
+                "complex X\n" + "".join(f"  vertex {v}\n" for v in "abcde")
+                + "  edge ab a b\n  edge bc b c\n  edge ac a c\n  edge cd c d\n  edge de d e\n  edge ce c e\n"
+                "  triangle t1 ab bc ac orbit=o\n  triangle t2 cd de ce orbit=o\nend\n",
+                "line 14: faces of orbit 'o' have mismatched side or corner orbits",
+            ),
+            # every vertex of an ideal point's ray is a tree vertex
+            (
+                "tree T\n  vertex a\n  vertex b\n  edge e a b\n  ideal p ray=zz\nend\ncomplex X\n  vertex a\nend\n",
+                "line 5: ray of ideal point 'p' references missing vertex 'zz'",
+            ),
+            (
+                "tree T\n  vertex a\n  vertex b\n  edge e a b\n  ideal p\nend\ncomplex X\n  vertex a\nend\n",
+                "line 5: ideal point 'p' needs a simple ray",
+            ),
             (
                 "tree T\n  vertex x0 orbit=o\n  vertex x1\n  edge f0 x0 x1 orbit=o\nend\n"
                 "complex X\n  vertex a\nend\n",
@@ -436,6 +472,31 @@ class TestCommands:
         bad.write_text(text)
         assert main(["h1", str(bad), "--complex", "X"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    _ACTIONS = (
+        "groups\n  group G\nend\ntree T\n  vertex x0\n  vertex x1\n  vertex x2\n  edge f0 x0 x1\n  edge f1 x1 x2\n"
+        "  ideal p ray=x1,x0\n  ideal q ray=x1,x2\nend\nactions T\n  elliptic G fix=x1\n  {line}\nend\n"
+    )
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("elliptic G", "elliptic descriptor needs a nonempty fixed subtree"),
+            ("elliptic G fix=zz", "elliptic fixed set mentions missing vertices ['zz']"),
+            ("elliptic G fix=x0,x2", "elliptic fixed set is not a connected subtree"),
+            ("hyperbolic G ends=p,p", "hyperbolic axis needs two distinct ideal points"),
+            ("hyperbolic G ends=p,zz", "axis end 'zz' is not an ideal point"),
+            ("parabolic G end=zz", "parabolic end 'zz' is not an ideal point"),
+        ],
+    )
+    def test_a_malformed_action_descriptor_exit_code(self, line, message, tmp_path, capsys):
+        """A descriptor that describes no isometry of its tree is refused
+        where the actions block declares it, whichever group is then
+        classified."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text(self._ACTIONS.format(line=line))
+        assert main(["classify", str(bad), "--tree", "T", "--group", "1"]) == 2
+        assert capsys.readouterr().err == f"error: line 15: {message}\n"
 
     @pytest.mark.parametrize("key", ["horizon", "link-cap", "seed"])
     def test_a_config_value_that_is_no_integer_exit_code(self, key, tmp_path, capsys):
@@ -754,19 +815,23 @@ end
 
 BOWTIE = """
 complex X
-  vertex a
-  vertex b
+  vertex a orbit=A
+  vertex b orbit=B
   vertex c
-  vertex d
-  vertex e
-  edge ab a b
-  edge bc b c
-  edge ac a c
-  edge cd c d
-  edge de d e
-  edge ce c e
+  vertex d orbit=A
+  vertex e orbit=B
+  vertex g
+  edge ab a b orbit=eAB
+  edge bc b c orbit=eBC
+  edge ac a c orbit=eAC
+  edge cd c d orbit=eAC
+  edge de d e orbit=eAB
+  edge ce c e orbit=eBC
+  edge ag a g
+  edge bg b g
   triangle t1 ab bc ac orbit=o
   triangle t2 cd de ce orbit=o
+  triangle t3 ab bg ag
 end
 tree PT
   vertex p0 orbit=op
@@ -789,8 +854,9 @@ end
 
 @pytest.mark.parametrize("argv", [["pipeline", "--name", "bow"], ["passdown", "--structure", "S", "--tree", "PT"]])
 def test_a_triangle_orbit_in_pieces_of_two_orbits_is_malformed(argv, tmp_path, capsys):
-    """A bowtie: two triangles of one orbit meeting only at a cut vertex.
-    Its cutpoint-free pieces lie in different orbits, so the split would
+    """A bowtie: two triangles of one orbit and one shape meeting only at a
+    cut vertex, the first with a third triangle on one side.  Its
+    cutpoint-free pieces lie in different orbits, so the split would
     count the triangle orbit twice; the quotient data is refused."""
     path = tmp_path / "bowtie.txt"
     path.write_text(BOWTIE)

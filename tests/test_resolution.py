@@ -8,7 +8,7 @@ import pytest
 
 from passdown import cli, complexes, hierarchy, resolution
 from passdown.cli import main
-from passdown.complexes import covolume, make_complex, validate_complex
+from passdown.complexes import check_face_shapes, covolume, make_complex, validate_complex
 from passdown.errors import ConsistencyError, HypothesisError, PassdownError
 from passdown.fixtures import parse_fixtures
 from passdown.groups import GroupRef, GroupTable
@@ -476,14 +476,17 @@ class TestBuiltResolutions:
         """The oracle of the checks a collapse leaves out: the X_T that a
         collapse of tracks builds in one pass, every complex a contraction
         builds, and every complex a collapse reduces as it is, unvalidated
-        there, is valid over the table of the run.  A fresh copy is
-        validated, so that its label check is derived, not handed on; what
-        each complex was handed equals a fresh derivation."""
+        there, is valid over the table of the run, and its faces of one
+        orbit have one shape, as the reader asks of a complex it reads.  A
+        fresh copy is validated, so that its label check is derived, not
+        handed on; what each complex was handed equals a fresh
+        derivation."""
         kinds = {"collapsed", "contracted", "uncollapsed", "reduced", "piece"}
         assert {kind for kind, _x, _groups in built.complexes} == kinds
         for _kind, x, groups in built.complexes:
             validate_complex(dataclasses.replace(x), groups)
             handed_on(x, {"skeleton_blocks"})
+            check_face_shapes(x)
 
     def test_each_track_system_keeps_the_crossing_partition(self, built):
         assert any(ts.tracks for ts in built.track_systems)
