@@ -9,6 +9,7 @@ import argparse
 import functools
 import os
 import sys
+from collections import defaultdict
 
 from .complexes import covolume, cutpoints, h1_z2, reduce_complex, reduced_cutpoint_tree
 from .dot import bw_to_dot, cutpoint_tree_to_dot, gog_to_dot, resolution_to_dot
@@ -177,16 +178,15 @@ def main(argv=None) -> int:
                     print(f"certified at level {report.certificate_level}")
                 else:
                     print("not certified within the horizon")
-            if args.dot and report.run is not None:
-                n = report.certificate_level
-                if n is not None:
-                    classes = report.classes[n]
-                    for cid in sorted(report.run.levels[n].complexes):
-                        x = report.run.levels[n].complexes[cid]
-                        cls = [c for c in classes if c.cid == cid]
-                        bw, _ = build_bw(x, cls, report.run.groups)
-                        safe = cid.replace("/", "_")
-                        _dot_write(args, f"{safe}.bw.dot", bw_to_dot(bw, name=cid))
+            n = report.certificate_level
+            if args.dot and n is not None:
+                # an id is a script path of any length, so it goes inside the file, not in its name
+                per_complex = defaultdict(list)
+                for cls in report.classes[n]:
+                    per_complex[cls.cid].append(cls)
+                for i, cid in enumerate(sorted(report.run.levels[n].complexes)):
+                    bw, _ = build_bw(report.run.levels[n].complexes[cid], per_complex[cid], report.run.groups)
+                    _dot_write(args, f"level{n}.{i}.bw.dot", bw_to_dot(bw, name=cid))
             return report.exit_code
         return 0
     except PassdownError as exc:

@@ -303,10 +303,11 @@ def filled(labels, cells, default=None):
 
 def validate_complex(x, groups=None):
     """The one full check of a complex read from a fixture: its cells,
-    and over ``groups`` its label references, containments and orbit
-    labels.  Each check decides a valid complex by whole-set tests, and
-    only when one fails walks the cells in its order, so that the error
-    names the first failing cell, as ``FixtureError.cell`` too."""
+    and over ``groups`` its label references, containments and orbits
+    (label, kind and shape).  Each check decides a valid complex by
+    whole-set tests, and only when one fails walks the cells in its order,
+    so that the error names the first failing cell, as
+    ``FixtureError.cell`` too."""
     _validate_cells(x)
     if groups is not None:
         _validate_label_refs(x, groups)
@@ -435,9 +436,9 @@ def declare_pairs(groups: GroupTable, pairs):
 
 def _validate_orbit_labels(x):
     # one label per orbit, matching incidence shape, cells of one kind per
-    # orbit: all met by orbits of one cell each; else the one-pass check of
-    # ``cell_labels_reduced`` decides the labels, and per-orbit label sets
-    # are built only to word an error
+    # orbit, one shape per face orbit: all met by orbits of one cell each;
+    # else the one-pass check of ``cell_labels_reduced`` decides the labels,
+    # and per-orbit label sets are built only to word an error
     cells = x.vertices.union(x.edges, x.faces)
     if x.orbit.keys() == cells and len(set(x.orbit.values())) == len(cells):
         if x.stab.keys() == cells:
@@ -446,6 +447,7 @@ def _validate_orbit_labels(x):
     if not x.cell_labels_reduced:
         check_orbit_labels(x.cells(), x.stab, x.orbit)
     check_orbit_shapes(x.orbit, vertex=x.vertices, edge=x.edges, face=x.faces)
+    check_face_shapes(x)
 
 
 def check_orbit_shapes(orbit, **cells_by_kind):
@@ -470,15 +472,13 @@ def check_face_shapes(x):
     """Raise naming the first face orbit whose faces differ in their
     multisets of side orbits or of corner orbits, at its first face of the
     second shape: a group element carries a face's sides and corners onto
-    those of its image (Bridson & Haefliger 1999, III.C).  The reader runs
-    it on each complex it reads, after ``validate_complex``, which has
-    given each edge orbit one pair of end orbits when an orbit holds two
-    cells.  Each corner of a face lies on two of its sides, so its corner
+    those of its image (Bridson & Haefliger 1999, III.C).  It is the last
+    check of ``validate_complex``, made when an orbit holds two cells and
+    after ``check_orbit_shapes`` has given each edge orbit one pair of end
+    orbits.  Each corner of a face lies on two of its sides, so its corner
     orbits are half the end orbits of its side orbits, and only the side
     orbits are compared, keyed by their sorted tuple."""
     orbit, shapes = x.orbit, {}
-    if len(set(map(orbit.__getitem__, x.faces))) == len(x.faces):
-        return
     for fid, es in x.faces.items():
         shape = tuple(sorted(map(orbit.__getitem__, es)))
         if shapes.setdefault(orbit[fid], shape) != shape:

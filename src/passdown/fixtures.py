@@ -17,7 +17,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import graphs
-from .complexes import check_face_shapes, make_complex
+from .complexes import make_complex
 from .errors import FixtureError
 from .groups import TRIVIAL, GroupRef, GroupTable
 from .hierarchy import HNode, Hierarchy, HStructure, Restriction, RestrictionTable, validate_hierarchy, validate_hstructure
@@ -276,9 +276,7 @@ def _read_cells(body, third, *words_of_third):
 
 def _parse_complex(fx, header, body):
     vertices, edges, faces, marked, labels = _read_cells(body, "face", "triangle", "bigon")
-    x = make_complex(vertices, edges, faces, labels["stab"], labels["orbit"], marked, labels["stabplus"], fx.groups)
-    check_face_shapes(x)
-    fx.complexes[header[1][1]] = x
+    fx.complexes[header[1][1]] = make_complex(vertices, edges, faces, labels["stab"], labels["orbit"], marked, labels["stabplus"], fx.groups)
 
 
 def _parse_tree(fx, header, body):

@@ -230,6 +230,18 @@ def build_resolution(x: Complex2, t: TreeHat, actions: ActionTable) -> Resolutio
     classified once, in ``first_cell_by_label`` order: the first label
     that fails is that of the first failing cell in ``cells()`` order,
     and the error names that cell.
+
+    The vertices of one orbit map to one tree orbit, with nothing to check:
+    a vertex's image depends on its label only.  An elliptic label maps to
+    its least fixed vertex, a parabolic one to its end, and a vertex in a
+    linear subcomplex W to W's end, the least end of the one axis that all
+    cells of W share, which is its own label's axis.  A parsed complex has
+    one label per orbit (``validate_complex``), and so has every complex
+    the passdown builds from one (``Complex2.cell_labels_reduced``).  The
+    descended resolution of ``contract`` keeps the property: a kept vertex
+    keeps its image, and a component vertex takes the one ideal point its
+    component maps to, which is the image of every vertex of every orbit
+    its class merges.
     """
     for label, cell in x.first_cell_by_label.items():
         if actions.classification(label) == HYPERBOLIC:
@@ -294,7 +306,7 @@ def resolution_from_images(x: Complex2, t: TreeHat, vertex_image, actions=None) 
             path = paths[ends] = reduced_path(t, *ends)
         edge_path[eid] = path
     kind = CONTRACTING if any(p.constant_ideal is not None for p in edge_path.values()) else SPLITTING
-    res = Resolution(
+    return Resolution(
         source=x,
         target=t,
         vertex_image=dict(vertex_image),
@@ -302,22 +314,6 @@ def resolution_from_images(x: Complex2, t: TreeHat, vertex_image, actions=None) 
         kind=kind,
         actions=actions,
     )
-    validate_resolution(res)
-    return res
-
-
-def validate_resolution(res: Resolution):
-    """Vertices of one orbit map to one target orbit (an ideal point is an
-    orbit of its own).  Paths and kind are built by
-    ``resolution_from_images`` and not checked again here."""
-    x, t = res.source, res.target
-    img_orbit = {}
-    for v in x.vertices:
-        img = res.vertex_image[v]
-        key = t.orbit[img] if img in t.orbit else img
-        prev = img_orbit.setdefault(x.orbit[v], key)
-        if prev != key:
-            raise EngineError(f"vertices of orbit {x.orbit[v]!r} map to different target orbits")
 
 
 # ---------------------------------------------------------------------------

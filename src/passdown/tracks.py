@@ -201,9 +201,13 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     containment of the collapsed complex whose upper cell is not a track
     point is one of ``x`` between the same labels, and holds; only those
     under a track point are declared here, each distinct pair once.  Of
-    the checks of a built complex only the one that input can fail is
-    made: the segments of a new orbit must join the same pair of vertex
-    orbits.  An edge's segments are numbered from its end in the least
+    the checks of a built complex only the one that parsed input can fail
+    is made: the segments of a new orbit must join the same pair of vertex
+    orbits.  Face shapes fix the sides of a face, not the faces on an
+    edge, so two edges of one orbit may lie on different faces; the tracks
+    through them then cross edges of different orbits, their points take
+    different orbits, and so may the ends of the edges' segments.  An
+    edge's segments are numbered from its end in the least
     vertex orbit (from its first stored end when both ends are in one
     orbit), so that the edges of one orbit number theirs alike however
     they are stored.  A triangle has at most one image, so X_T does not

@@ -35,6 +35,7 @@ from bench_ops import workloads
 from generators import (
     chain_labelled_run,
     line_tree,
+    orbit_images,
     pinch,
     random_cell_complex,
     random_edge_glued_complex,
@@ -1051,14 +1052,16 @@ def collapse(case):
     return Counter(tracks=len(ts.tracks), declares=len(fast_state[-1]))
 
 
-@row(tracks_from_resolution, oracles.tracks_by_walk, "track system")
+@row(tracks_from_resolution, (oracles.tracks_by_walk, oracles.check_resolution), "track system")
 def track_extraction(case):
     """``tracks_from_resolution``, which reads each edge path once and
     finds the sides of all tracks from one components pass, against the
-    extraction track by track, on the resolution of the case: the crossing
-    table, and the tracks in order, each with its tree edge, points, arcs
-    in face order and sides in least-vertex order."""
+    extraction track by track, on the resolution of the case, itself
+    checked against its definition: the crossing table, and the tracks in
+    order, each with its tree edge, points, arcs in face order and sides
+    in least-vertex order."""
     res = case[0].resolution
+    oracles.check_resolution(res)
     fast, walk = tracks_from_resolution(res), oracles.tracks_by_walk(res)
     if res.target.edges:
         assert list(fast.crossings.items()) == list(walk.crossings.items())
@@ -1073,10 +1076,11 @@ def track_extraction(case):
 
 
 def path_tracks(rng, x, groups):
-    """Tracks over a random path tree, kept essential half the time."""
+    """Tracks over a random path tree, one image per vertex orbit, kept
+    essential half the time."""
     x = simplicial(x, groups)
     tree = line_tree(rng.randint(2, 4))
-    res = resolution_from_images(x, tree, {v: rng.choice(sorted(tree.vertices)) for v in sorted(x.vertices)})
+    res = resolution_from_images(x, tree, orbit_images(x, lambda _vertices: rng.choice(sorted(tree.vertices))))
     ts = tracks_from_resolution(res)
     if rng.random() < 0.5 and is_connected(x) and h1_z2(x) == 0:
         ts = essential_tracks(ts)
@@ -1094,7 +1098,7 @@ def worked_tracks(renames=()):
 
 
 # the cases whose resolution has three tracks or more, where a side joins pieces across other tracks
-THREE_TRACKS = {"chain": 33, "doubled chain": 33, "strip": 33, "doubled": 28, "simplicial": 16, "tree": 28, "glued": 21}
+THREE_TRACKS = {"chain": 33, "doubled chain": 33, "strip": 32, "doubled": 31, "simplicial": 19, "tree": 32, "glued": 28}
 complex_shapes(
     "track system", path_tracks, list(THREE_TRACKS), [20261029], 40,
     # a trivial label lies below every label
@@ -1148,16 +1152,18 @@ def nothing_to_collapse(case):
 complex_shapes("constant images", as_drawn, ["strip", "doubled", "simplicial", "glued", "tree"], [20261025], 40)
 
 
-@row(resolution.contract, oracles.contract_by_construction, "contraction")
+@row(resolution.contract, (oracles.contract_by_construction, oracles.check_resolution), "contraction")
 def contraction(case):
     """``contract`` against the contraction with every label induced along
     its whole cell map and its collapsed complex reduced by definition,
     over copies of the group table: the error raised, or complex and
-    fragment in dict order and the descended resolution; and the tables
-    with their declared pairs in order."""
+    fragment in dict order and the descended resolution, which like the
+    drawn one meets its definition; and the tables with their declared
+    pairs in order."""
     res, groups = case
     if res is None:
         return Counter(edgeless=1)
+    oracles.check_resolution(res)
     fast_groups, full_groups, out = groups.copy(), groups.copy(), {}
     with declare_log() as log:
         fast_error = raised(lambda: out.setdefault("fast", resolution.contract(res, fast_groups)))
@@ -1170,6 +1176,7 @@ def contraction(case):
     assert complex_fields(fast) == complex_fields(full)
     assert fragment_maps(fast_frag) == fragment_maps(full_frag)
     assert fast_res == full_res
+    oracles.check_resolution(fast_res)
     x, boundary, minted = res.source, res.boundary_edges(), fast_groups.ids() - groups.ids()
     # the vertex orbits a merged component joins into one class, and the
     # input labels of each class's component vertices
@@ -1190,29 +1197,36 @@ def contraction(case):
 
 
 def contracting(rng, x, groups):
-    """A contracting resolution of x over a path with ideal points p and q:
-    the ends of one edge, and each other vertex with chance 0.3, go to p,
-    a vertex with chance 0.1 to q, and the others to tree vertices.  A
-    pair of vertices at p is made one orbit of one label with chance 0.3,
-    so that a class the contraction merges may reach a vertex outside the
-    component; unless the components of the pair have one orbit shape,
-    the contraction refuses the orbit its two labels.  A complex with no
-    edge has none (None)."""
+    """A contracting resolution of x over a path with ideal points p and q,
+    one image per vertex orbit: the orbits of the ends of one edge, and
+    each other vertex orbit with chance 0.3, go to p, an orbit with chance
+    0.1 to q, and the others to tree vertices.  A pair of vertex orbits at
+    p is made one orbit of one label with chance 0.3, so that a class the
+    contraction merges may reach a vertex outside the component; unless
+    the components of the pair have one orbit shape, the contraction
+    refuses the orbit its two labels.  A complex with no edge has none
+    (None)."""
     if not x.edges:
         return None, groups
     tree = line_tree(rng.randint(2, 4), ("p", "q"))
     ends = x.edges[rng.choice(sorted(x.edges))]
-    images = {}
-    for v in sorted(x.vertices):
-        draw = rng.random()
-        images[v] = "p" if v in ends or draw < 0.3 else "q" if draw < 0.4 else rng.choice(sorted(tree.vertices))
-    at_p = [v for v in sorted(x.vertices) if images[v] == "p"]
+
+    def draw(vertices):
+        r = rng.random()
+        return "p" if not set(ends).isdisjoint(vertices) or r < 0.3 else "q" if r < 0.4 else rng.choice(sorted(tree.vertices))
+
+    images = orbit_images(x, draw)
+    at_p = sorted({x.orbit[v] for v in x.vertices if images[v] == "p"})
     rng.shuffle(at_p)
-    stab, orbit = dict(x.stab), dict(x.orbit)
+    stab, orbit, merged = dict(x.stab), dict(x.orbit), {}
+    label = {x.orbit[v]: x.stab[v] for v in x.vertices}
     for a, b in zip(at_p[::2], at_p[1::2]):
         if rng.random() < 0.3:
-            orbit[a] = orbit[b] = f"o.{a}"
-            stab[b] = stab[a]
+            merged[a] = merged[b] = a
+    for v in x.vertices:
+        if x.orbit[v] in merged:
+            a = merged[x.orbit[v]]
+            orbit[v], stab[v] = f"o.{a}", label[a]
     x = make_complex(x.vertices, x.edges, x.faces, stab, orbit, x.boundary_marked, x.stab_plus, groups)
     return resolution_from_images(x, tree, images), groups
 

@@ -202,8 +202,9 @@ def random_labelled_complex(rng: random.Random, shape="simplicial"):
     "doubled", a strip chain with parallel edges and bigons), relabelled over a small
     declared order: vertices in V1 or V2, edges in E (below both) or the
     trivial group, triangles in F (below E) when every side is in E, some
-    triangles sharing an orbit with a like-labelled one, some edges with an
-    oriented label P, some vertices boundary-marked.  Returns (complex,
+    edges with an oriented label P, some vertices boundary-marked.  Most
+    draws are then the picture of a group action (``symmetric_copies``), so
+    that cells share orbits as cells of an action do.  Returns (complex,
     group table)."""
     groups = GroupTable(
         [
@@ -224,20 +225,49 @@ def random_labelled_complex(rng: random.Random, shape="simplicial"):
     }[shape]()
     stab = {v: rng.choice(("V1", "V2")) for v in sorted(shape.vertices)}
     stab.update({eid: rng.choice(("E", "1")) for eid in sorted(shape.edges)})
-    orbit, stab_plus = {}, {}
-    for fid in sorted(shape.faces):
-        stab[fid] = "F" if all(stab[e] == "E" for e in shape.faces[fid]) else "1"
-        if rng.random() < 0.4:
-            orbit[fid] = f"o.{stab[fid]}.{rng.randint(0, 1)}"
-    for eid in sorted(shape.edges):
-        if rng.random() < 0.3:
-            stab_plus[eid] = "P"
+    stab.update({fid: "F" if all(stab[e] == "E" for e in es) else "1" for fid, es in shape.faces.items()})
+    stab_plus = {eid: "P" for eid in sorted(shape.edges) if rng.random() < 0.3}
     marked = [v for v in sorted(shape.vertices) if rng.random() < 0.3]
-    x = make_complex(
-        shape.vertices, shape.edges, shape.faces, stab=stab, orbit=orbit,
-        boundary_marked=marked, stab_plus=stab_plus, groups=groups,
-    )
-    return x, groups
+    cells = shape.vertices, shape.edges, shape.faces, stab, {}, marked, stab_plus
+    if rng.random() < 0.7:
+        cells = symmetric_copies(rng, *cells)
+    return make_complex(*cells, groups=groups), groups
+
+
+def symmetric_copies(rng: random.Random, vertices, edges, faces, stab, orbit, marked, stab_plus):
+    """Two or three copies of a complex glued along one of its vertices or
+    the closure of one of its faces, with the cyclic group that permutes
+    the copies and fixes the glued part acting on the union: copy ``i`` of
+    a cell ``c`` is ``c~i`` (copy 0 is ``c``), its orbit that of ``c``, and
+    it carries the labels and marks of ``c``.  The cells of one orbit are
+    carried onto each other with all their cells around them, so they have
+    one label, an edge orbit one pair of end orbits and a face orbit one
+    tuple of side orbits.  Gluing along a connected part keeps the union
+    connected with h1 = 0 when the complex is; a glued vertex becomes a
+    cutpoint.  Returns the arguments of ``make_complex`` for the union."""
+    if faces and rng.random() < 0.7:
+        fid = rng.choice(sorted(faces))
+        fixed = {fid, *faces[fid], *(w for e in faces[fid] for w in edges[e])}
+    else:
+        fixed = {rng.choice(sorted(vertices))}
+    moved = [c for c in (*sorted(vertices), *edges, *faces) if c not in fixed]
+    vertices, edges, faces = set(vertices), dict(edges), dict(faces)
+    stab, orbit, marked, stab_plus = dict(stab), dict(orbit), set(marked), dict(stab_plus)
+    for i in range(1, rng.choice((2, 2, 3))):
+
+        def copy(c):
+            return c if c in fixed else f"{c}~{i}"
+
+        vertices.update(copy(v) for v in moved if v in vertices)
+        edges.update((copy(e), tuple(map(copy, edges[e]))) for e in moved if e in edges)
+        faces.update((copy(f), tuple(map(copy, faces[f]))) for f in moved if f in faces)
+        for c in moved:
+            stab[copy(c)], orbit[copy(c)] = stab[c], orbit.get(c, c)
+            if c in stab_plus:
+                stab_plus[copy(c)] = stab_plus[c]
+            if c in marked:
+                marked.add(copy(c))
+    return vertices, edges, faces, stab, orbit, sorted(marked), stab_plus
 
 
 def random_triangle_tree_complex(rng: random.Random, n_triangles=5, marked=2):
@@ -396,17 +426,27 @@ def splitting_fixture(rng: random.Random, max_triangles=6, tree_size=5):
     x = random_triangle_tree_complex(rng, n_triangles=rng.randint(2, max_triangles), marked=rng.randint(1, 3))
     t = random_treehat(rng, max_vertices=tree_size, n_ideal=rng.choice((0, 1, 2)))
     cuts = _cutpoints(x)
-    images = {}
     ideal_ids = sorted(t.ideal_points)
-    for v in sorted(x.vertices):
-        if ideal_ids and v not in cuts and rng.random() < 0.15:
-            images[v] = rng.choice(ideal_ids)
-        else:
-            images[v] = rng.choice(sorted(t.vertices))
-    res = resolution_from_images(x, t, images)
+
+    def draw(vertices):
+        if ideal_ids and cuts.isdisjoint(vertices) and rng.random() < 0.15:
+            return rng.choice(ideal_ids)
+        return rng.choice(sorted(t.vertices))
+
+    res = resolution_from_images(x, t, orbit_images(x, draw))
     if res.kind != "splitting":
         return None
     return x, t, res
+
+
+def orbit_images(x, draw):
+    """Vertex images of x, one per vertex orbit: ``draw(vertices)`` on the
+    sorted vertices of each orbit, in sorted orbit order, is the image of
+    each of them, so the vertices of one orbit map to one tree orbit."""
+    members = {}
+    for v in sorted(x.vertices):
+        members.setdefault(x.orbit[v], []).append(v)
+    return {v: image for oid in sorted(members) for image in (draw(members[oid]),) for v in members[oid]}
 
 
 class DepthBoundGenerator:

@@ -532,7 +532,8 @@ def check_resolution(res):
     images (either way round; the finite part by ``bfs_path`` between the
     images or the truncated leaves of ideal ones), with no vertex twice;
     the resolution is contracting exactly when some edge has both ends at
-    one ideal point."""
+    one ideal point; and the vertices of one orbit map to one tree orbit
+    (an ideal point is an orbit of its own)."""
     from passdown.resolution import CONTRACTING, SPLITTING
 
     x, t = res.source, res.target
@@ -559,6 +560,11 @@ def check_resolution(res):
         assert len(set(path.vertices)) == len(path.vertices), f"edge {eid!r} path backtracks"
         constant = constant or (a == b and t.is_ideal(a))
     assert res.kind == (CONTRACTING if constant else SPLITTING), "resolution kind flag disagrees with its boundary preimage"
+    image_orbit = {}
+    for v in sorted(x.vertices):
+        img = res.vertex_image[v]
+        key = t.orbit.get(img, img)
+        assert image_orbit.setdefault(x.orbit[v], key) == key, f"vertices of orbit {x.orbit[v]!r} map to different target orbits"
 
 
 def track_sides(x, track):
@@ -1330,8 +1336,8 @@ def validation_by_walk(x, groups):
     containment checked cell by cell: the cells (``cells_by_walk``), cell
     labels in ``cells()`` order, oriented labels in stored order, then each
     face below its sides and its sorted corners and each edge below its
-    ends, then the orbits (``orbits_by_walk``), so the first failing cell
-    raises."""
+    ends, then the orbits (``orbits_by_walk``) and the face shapes
+    (``face_shapes_by_walk``), so the first failing cell raises."""
     from passdown.errors import ConsistencyError, FixtureError
 
     cells_by_walk(x)
@@ -1351,6 +1357,7 @@ def validation_by_walk(x, groups):
                 f"{kind} {cell!r} stabilizer {x.stab[cell]!r} not declared inside {kind_above} {above!r} stabilizer"
             )
     orbits_by_walk(x.cells(), x.stab, x.orbit, x.edges, vertex=x.vertices, edge=x.edges, face=x.faces)
+    face_shapes_by_walk(x)
 
 
 def cells_by_walk(x):
@@ -1421,9 +1428,9 @@ def orbits_by_walk(cells, stab, orbit, edges, **cells_by_kind):
 
 
 def face_shapes_by_walk(x):
-    """The face-shape check of the reader, by a walk of every face: the
-    first face orbit whose faces differ in their side orbits or corner
-    orbits, each compared as a multiset."""
+    """The face-shape check of ``validate_complex``, by a walk of every
+    face: the first face orbit whose faces differ in their side orbits or
+    corner orbits, each compared as a multiset."""
     from passdown.errors import ConsistencyError
 
     shape = {}
@@ -1586,9 +1593,9 @@ def parse_by_walk(text):
 
     def complex_block(fx, header, body):
         vertices, edges, faces, marked, labels = cells(body, "face")
-        x = make_complex_by_walk(vertices, edges, faces, labels["stab"], labels["orbit"], marked, labels["stabplus"], fx.groups)
-        face_shapes_by_walk(x)
-        fx.complexes[header[1][1]] = x
+        fx.complexes[header[1][1]] = make_complex_by_walk(
+            vertices, edges, faces, labels["stab"], labels["orbit"], marked, labels["stabplus"], fx.groups
+        )
 
     def tree_block(fx, header, body):
         vertices, edges, ideal, _flagged, labels = cells(body, "ideal point")

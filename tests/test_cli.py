@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -22,6 +23,11 @@ from generators import random_cell_complex, random_treehat
 FIX = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 # the last node line of the worked fixture's pipeline, line 76
 LAST_NODE = "  node b1 parent=a1 orbit=op repeat=a1\n"
+# three edges round a cycle with no face, over a one-edge tree
+EDGE_CYCLE = (
+    "complex X\n  vertex a\n  vertex b\n  vertex c\n  edge ab a b\n  edge bc b c\n  edge ac a c\nend\n"
+    "tree T\n  vertex x0\n  vertex x1\n  edge f x0 x1\nend\n"
+)
 
 
 def fixture(name):
@@ -541,6 +547,35 @@ class TestCommands:
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
+        "edit, argv, code, message",
+        [
+            (str, ["pipeline", "--name", "nope"], 2, "unknown pipeline 'nope'"),
+            (
+                lambda text: text.replace("horizon=4 ", "horizon=0 "), ["pipeline", "--name", "worked"], 2,
+                "line 67: config: horizon must be at least 1",
+            ),
+            (
+                lambda text: text.replace("  node a1 parent=w0 orbit=o1 tree=PT\n", "").replace(LAST_NODE, ""),
+                ["pipeline", "--name", "worked"], 2,
+                "script node 'w0': no child declared for vertex orbit 'o1' of tree 'T0'",
+            ),
+            (lambda text: EDGE_CYCLE, ["tracks", "--complex", "X", "--tree", "T"], 1, "essential-track selection needs h1_z2 = 0"),
+        ],
+        ids=["unknown-pipeline", "horizon-0", "no-child", "tracks-on-a-cycle"],
+    )
+    def test_typed_error_exit_code_and_message(self, edit, argv, code, message, tmp_path, capsys):
+        """An unknown pipeline, a horizon of 0, a script node with no child
+        for a vertex orbit of its tree, and tracks asked of a complex with
+        h1 != 0 (the worked fixture, edited, or a three-edge cycle)."""
+        with open(fixture("worked_terminating.txt")) as fh:
+            text = fh.read()
+        path = tmp_path / "case.txt"
+        path.write_text(edit(text))
+        assert edit is str or edit(text) != text
+        assert main(argv[:1] + [str(path)] + argv[1:]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["h1", "--complex", "NOPE"],
@@ -695,6 +730,22 @@ class TestPipelines:
         ids = fx1.groups.ids()
         assert run_pipeline(fx1, "worked").render() == r1
         assert fx1.groups.ids() == ids
+
+
+    def test_dot_files_are_named_by_level_and_index(self, tmp_path):
+        """A complex id is a script path, of any length: with the script
+        node a0 renamed to 300 characters the run still certifies, and its
+        B_w files are named by level and index in sorted id order, each
+        holding its full id."""
+        long = "n" * 300
+        path = tmp_path / "long.txt"
+        with open(fixture("worked_terminating.txt")) as fh:
+            path.write_text(re.sub(r"\ba0\b", long, fh.read()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--dot", str(tmp_path / "dot"), "pipeline", str(path), "--name", "worked"]) == 0
+        assert sorted(os.listdir(tmp_path / "dot")) == ["level1.0.bw.dot", "level1.1.bw.dot"]
+        assert (tmp_path / "dot" / "level1.0.bw.dot").read_text().startswith('graph "w0.a1/o1.t0" {')
+        assert (tmp_path / "dot" / "level1.1.bw.dot").read_text().startswith(f'graph "w0.{long}/o0.t0" {{')
 
 
 class TestExports:
@@ -863,6 +914,58 @@ def test_a_triangle_orbit_in_pieces_of_two_orbits_is_malformed(argv, tmp_path, c
     assert main(argv[:1] + [str(path)] + argv[1:]) == 2
     assert capsys.readouterr().err == "error: triangle orbit 'o' lies in cutpoint-free pieces of different orbits\n"
 
+
+
+# edges e1 and e2 of one orbit, e1 on the triangle t and e2 on no face
+EDGE_ORBIT_ON_TWO_FACE_SETS = """\
+groups
+  group V1
+  group V2
+  group E slender helliptic sub-of=V1,V2
+  group Ga slender helliptic
+  group Gb slender helliptic
+end
+complex X
+  vertex a marked stab=Ga orbit=p
+  vertex c stab=Ga orbit=p
+  vertex b marked stab=Gb orbit=q
+  vertex d marked stab=Gb orbit=q
+  vertex z stab=Ga
+  edge e1 a b orbit=e
+  edge e2 c d orbit=e
+  edge az a z
+  edge bz b z
+  edge ac a c
+  triangle t e1 bz az
+end
+tree T
+  vertex x0 stab=V1
+  vertex x1 stab=V2
+  edge f x0 x1 stab=E
+end
+actions T
+  elliptic Ga fix=x0
+  elliptic Gb fix=x1
+end
+"""
+
+
+def test_segments_of_one_edge_orbit_on_two_face_sets_are_refused(tmp_path, capsys):
+    """The face-shape rule fixes the sides of a face, not the faces on an
+    edge: e1 and e2 are one orbit, but only e1 lies on a triangle.  Both
+    run from x0 to x1, and the track through e1 also crosses bz while the
+    one through e2 crosses nothing else, so the two tracks are of
+    different orbits; the first segments of e1 and e2, one orbit e.0, end
+    at points of different orbits, and the collapse refuses them."""
+    path = tmp_path / "orbit.txt"
+    path.write_text(EDGE_ORBIT_ON_TWO_FACE_SETS)
+    argv = [str(path), "--complex", "X", "--tree", "T"]
+    assert main(["tracks", *argv]) == 0
+    assert capsys.readouterr().out == (
+        "track s0 at f [essential] edges=bz,e1 arcs t:bz|e1\ntrack s1 at f [essential] edges=e2\n"
+    )
+    assert main(["split", *argv]) == 2
+    assert capsys.readouterr().err == "error: edges of orbit 'e.0' have mismatched endpoint orbits\n"
 
 
 CYCLE_WITH_TAIL = """\

@@ -35,6 +35,7 @@ from bench_ops import workloads
 from differential import differential_test, h1, minting, nest, record, relabelled, spy
 from generators import random_cell_complex, random_labelled_complex, random_simplicial_complex, triangle
 from oracles import brute_components, brute_cutpoints, cutpoint_tree, separator_by_minting, wire_and_validate
+from test_cli import BOWTIE
 
 
 def test_validation_rejects_missing_edge():
@@ -249,18 +250,16 @@ class TestCutpointTree:
         }
 
     def test_a_triangle_orbit_across_two_piece_orbits_is_malformed(self):
-        # a generated triangle tree, every label slender so that every cut
-        # vertex stays a node: the triangles of orbit o.1.1 lie in pieces of
-        # different orbits, and over a point tree the cutpoint split would
-        # count that orbit more than once
-        x, groups = random_labelled_complex(random.Random(12), "tree")
-        groups = GroupTable(dataclasses.replace(groups[gid], is_slender=True) for gid in sorted(groups.ids()))
-        tree = make_tree(["p"], {})
-        tl = make_tree_level("P", tree, ActionTable(tree, groups))
-        with pytest.raises(ConsistencyError, match="triangle orbit 'o.1.1' lies in cutpoint-free pieces of different orbits"):
+        # the bowtie, its labels trivial and so slender: the triangles of
+        # orbit o lie in pieces of different orbits, and over a point tree
+        # the cutpoint split would count that orbit more than once
+        fx = parse_text(BOWTIE)
+        x, tree = fx.complexes["X"], make_tree(["p"], {})
+        tl = make_tree_level("P", tree, ActionTable(tree, fx.groups))
+        with pytest.raises(ConsistencyError, match="triangle orbit 'o' lies in cutpoint-free pieces of different orbits"):
             passdown_full({"r": (TRIVIAL, x)}, tl)
         with pytest.raises(ConsistencyError, match="lies in cutpoint-free pieces of different orbits"):
-            reduced_cutpoint_tree(x, groups)
+            reduced_cutpoint_tree(x, fx.groups)
 
     test_matches_contracted_oracle = differential_test("cut-labelled complex")
 

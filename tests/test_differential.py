@@ -19,7 +19,6 @@ TESTS = Path(__file__).resolve().parent
 pytestmark = pytest.mark.differential
 
 SPEC_ONLY = {
-    "check_resolution": "what the resolution constructor builds, checked on every built resolution by TestBuiltResolutions",
     "crossing_partition_holds": "the crossing condition each drawn track system keeps, checked by TestBuiltResolutions",
     "track_sides": "the sides of a track, read by TestBuiltResolutions and the hand-built track tests",
     "vertex_fate": "where a collapse takes a vertex, read by lemmas.py and a hand-built collapse test",

@@ -86,11 +86,12 @@ def identifiers(node, bound=frozenset()):
             yield n.attr
 
 
-def reachable_from_main():
-    """The (module, name) pairs reachable from ``cli.main``."""
+def reachable_from(start_module, start):
+    """The (module, name) pairs reachable from the definition ``start`` of
+    ``start_module``, itself included."""
     defs = top_level_definitions()
-    reached = {("cli", "main")}
-    todo = [node for module, node in defs["main"] if module == "cli"]
+    reached = {(start_module, start)}
+    todo = [node for module, node in defs[start] if module == start_module]
     while todo:
         for name in identifiers(todo.pop()):
             for module, node in defs.get(name, ()):
@@ -111,7 +112,7 @@ def unreachable_public():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
     assert ("stability", "stabilization_report") in public
-    return public - reachable_from_main()
+    return public - reachable_from("cli", "main")
 
 
 def test_every_public_analysis_definition_is_reachable_from_the_cli():
@@ -146,3 +147,23 @@ def test_the_package_imports_only_the_standard_library():
     paths = sorted(SRC.glob("*.py"))
     assert len(paths) == len(MODULES) > 10
     assert foreign_imports(paths) == []
+
+
+def callers(name):
+    """(module, name) for each top-level function of the package whose
+    body reads ``name``."""
+    return {
+        (module, node.name)
+        for entries in top_level_definitions().values()
+        for module, node in entries
+        if isinstance(node, ast.FunctionDef) and name in set(identifiers(node))
+    }
+
+
+def test_orbit_shapes_are_checked_where_a_complex_or_tree_is_validated():
+    """Face shapes are checked by ``validate_complex`` alone, orbit shapes
+    by it and ``validate_tree``: each complex and tree is checked once,
+    where it is made, and nothing past parsing checks them again."""
+    validation = reachable_from("complexes", "validate_complex")
+    assert callers("check_face_shapes") == {("complexes", "_validate_orbit_labels")} <= validation
+    assert callers("check_orbit_shapes") == {("complexes", "_validate_orbit_labels"), ("trees", "validate_tree")}

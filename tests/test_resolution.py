@@ -8,7 +8,7 @@ import pytest
 
 from passdown import cli, complexes, hierarchy, resolution
 from passdown.cli import main
-from passdown.complexes import check_face_shapes, covolume, make_complex, validate_complex
+from passdown.complexes import covolume, make_complex, validate_complex
 from passdown.errors import ConsistencyError, HypothesisError, PassdownError
 from passdown.fixtures import parse_fixtures
 from passdown.groups import GroupRef, GroupTable
@@ -476,8 +476,8 @@ class TestBuiltResolutions:
         """The oracle of the checks a collapse leaves out: the X_T that a
         collapse of tracks builds in one pass, every complex a contraction
         builds, and every complex a collapse reduces as it is, unvalidated
-        there, is valid over the table of the run, and its faces of one
-        orbit have one shape, as the reader asks of a complex it reads.  A
+        there, is valid over the table of the run, its faces of one orbit
+        of one shape included, as the reader asks of a complex it reads.  A
         fresh copy is validated, so that its label check is derived, not
         handed on; what each complex was handed equals a fresh
         derivation."""
@@ -486,9 +486,20 @@ class TestBuiltResolutions:
         for _kind, x, groups in built.complexes:
             validate_complex(dataclasses.replace(x), groups)
             handed_on(x, {"skeleton_blocks"})
-            check_face_shapes(x)
 
     def test_each_track_system_keeps_the_crossing_partition(self, built):
         assert any(ts.tracks for ts in built.track_systems)
         for ts in built.track_systems:
             assert crossing_partition_holds(ts)
+
+
+def test_the_resolution_oracle_refuses_an_orbit_sent_to_two_tree_orbits():
+    """The vertices a and c of orbit o go to x0 and x1: the constructor
+    checks no orbit and builds it, and the oracle refuses it unless x0 and
+    x1 are one tree orbit."""
+    x = make_complex(["a", "b", "c"], {"ab": ("a", "b"), "bc": ("b", "c")}, {}, orbit={"a": "o", "c": "o"})
+    images = {"a": "x0", "b": "x0", "c": "x1"}
+    with pytest.raises(AssertionError, match="vertices of orbit 'o' map to different target orbits"):
+        check_resolution(resolution_from_images(x, line_tree(2), images))
+    one_orbit = make_tree(["x0", "x1"], {"f0": ("x0", "x1")}, orbit={"x0": "t", "x1": "t"})
+    check_resolution(resolution_from_images(x, one_orbit, images))

@@ -810,7 +810,7 @@ class TestRunAnalysisWork:
         analyze = pipeline.analyze_run
         monkeypatch.setattr(pipeline, "analyze_run", lambda name, run: runs.append(run) or analyze(name, run))
         assert main(["--dot", str(tmp_path / "dot"), "pipeline", worked64, "--name", "worked"]) == 0
-        assert sorted(os.listdir(tmp_path / "dot")) == ["w0.a0_o0.t0.bw.dot", "w0.a1_o1.t0.bw.dot"]
+        assert sorted(os.listdir(tmp_path / "dot")) == ["level1.0.bw.dot", "level1.1.bw.dot"]
         n_delta = int(capsys.readouterr().out.split("N_delta=")[1].split()[0])
         (run,) = runs
         self.assert_classes_built_once(calls, run.levels, n_delta)
