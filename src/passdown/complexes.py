@@ -200,9 +200,12 @@ class Complex2:
         field is the same object, and the copy shares the cell data,
         ``first_cell_by_label``, ``cell_labels_reduced`` and ``covolume``,
         so nothing the cells, ``stab`` or ``orbit`` determine is derived
-        again."""
+        again.  ``is_reduced`` reads only the keys of ``stab_plus``, so a
+        derived one is shared too when the new labels have the same keys."""
         out = object.__new__(Complex2)  # every field in one update, not one frozen-dataclass setattr each
-        out.__dict__.update({name: getattr(self, name) for name in _SHARED_BY_RELABEL}, stab_plus=stab_plus)
+        out.__dict__.update(zip(_SHARED_BY_RELABEL, _shared_by_relabel(self)), stab_plus=stab_plus)
+        if "is_reduced" in self.__dict__ and stab_plus.keys() == self.stab_plus.keys():
+            out.__dict__["is_reduced"] = self.is_reduced
         return out
 
     def face_vertices(self, fid):
@@ -272,6 +275,7 @@ _SHARED_BY_RELABEL = (
     "vertices", "edges", "faces", "stab", "orbit", "boundary_marked", "cell_data", "first_cell_by_label",
     "cell_labels_reduced", "covolume",
 )
+_shared_by_relabel = operator.attrgetter(*_SHARED_BY_RELABEL)
 for _name in (
     "edges_by_pair", "triangles_by_vertex", "triangles_by_edge", "triangles_by_triple", "vertex_components", "skeleton_blocks",
     "boundary_rank",

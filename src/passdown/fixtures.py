@@ -245,11 +245,17 @@ def parse_fixtures(paths) -> FixtureSet:
 
 
 def _parse_groups(fx, header, body):
-    for _ln, (_, gid), flags, keys in body:
-        fx.groups.add(GroupRef(
+    """Each group line adds its group; a group declared again with other
+    data is refused at the line of the repeat."""
+    for ln, (_, gid), flags, keys in body:
+        ref = GroupRef(
             gid, is_slender=not flags.isdisjoint({"slender", "finite"}), is_h_elliptic="helliptic" in flags,
             is_finite="finite" in flags, declared_supergroups=_id_set(keys.get("sub-of")),
-        ))
+        )
+        try:
+            fx.groups.add(ref)
+        except FixtureError as exc:
+            raise FixtureError(str(exc), line=ln) from exc
     fx.groups.validate()
 
 

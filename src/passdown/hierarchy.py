@@ -395,6 +395,16 @@ def validate_hstructure(k: HStructure, groups: GroupTable):
             _check_terminal_complex(nid, x, groups)
 
 
+class StalledTerminals(dict):
+    """The terminals an identity step that renames each terminal to itself
+    hands on, with ``step``: (tree level, group table version, the step as
+    ``TreeLevel.identity_steps`` keeps it).  Given them again over that
+    tree level and version, ``passdown_full`` takes the step without
+    reading them."""
+
+    __slots__ = ("step",)
+
+
 @dataclass
 class PassdownResult:
     terminals: dict  # tree vertex orbit id -> {terminal id: (group, complex)}
@@ -437,14 +447,15 @@ class TreeLevel:
     A run keeps one per tree, and with it what passdowns over the tree
     find out about unchanged complexes: the complexes that passed the
     terminal check, by key (see ``_signature``), and per terminal
-    signature, the vertex orbit, ledger and renaming of an identity step."""
+    signature, the vertex orbit, ledger and renaming of an identity step,
+    and whether that renaming keeps each terminal id in order."""
 
     name: str
     tree: TreeHat
     actions: ActionTable
     gog: GraphOfGroups
     checked: dict = field(default_factory=dict, repr=False)  # complex key -> its stab dict
-    identity_steps: dict = field(default_factory=dict, repr=False)  # terminal signature -> (orbit, ledger, renaming)
+    identity_steps: dict = field(default_factory=dict, repr=False)  # terminal signature -> (orbit, ledger, renaming, stalls)
 
 
 def make_tree_level(name, tree, actions) -> TreeLevel:
@@ -646,9 +657,21 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
     stage; the contraction and the collapse need no check of their own
     (the cutpoint split puts each triangle orbit of X_T in one piece).
     Each vertex orbit then receives the terminals it claims.  The input is
-    left as it was; an identity step hands its complexes on as they are.
+    left as it was.
+
+    An identity step hands its complexes on as they are, and its ledger
+    and tau (a renaming) are kept per terminal signature.  A step that
+    renames each terminal to itself, in order, hands on a
+    ``StalledTerminals`` that holds the step: given those very terminals
+    again over ``tl`` and the same group table version, the signature and
+    so the step are the same, and the step hands the same terminals on
+    once more, with no signature read.
     """
     groups = tl.actions.groups
+    if isinstance(terminals, StalledTerminals) and terminals.step[0] is tl and terminals.step[1] == groups.version:
+        # these very terminals, handed on by the step they take again
+        orbit, ledger, tau, _stalls = terminals.step[2]
+        return PassdownResult(terminals={orbit: terminals}, ledger=ledger, tau=tau)
     # an identity step depends on the signature only, so it is kept per signature
     signature = _signature(terminals, tl)
     step = tl.identity_steps.get(signature)
@@ -657,13 +680,18 @@ def passdown_full(terminals, tl: TreeLevel) -> PassdownResult:
         _out, home = _distribute(tl.gog, {nid: (gid, x, orbit) for nid, (gid, x) in terminals.items()}, groups)
         stages = ("input", "contracted", "cutpoint-split", "collapsed", "output")
         ledger = dict.fromkeys(stages, _covolume_sum(terminals))
-        step = tl.identity_steps[signature] = orbit, ledger, TauFragment(renamed=home)
+        stalls = list(home.items()) == [(nid, (orbit, nid)) for nid in terminals]
+        step = tl.identity_steps[signature] = orbit, ledger, TauFragment(renamed=home), stalls
     if step is not None:
         # the one vertex orbit receives every terminal as it is, every
         # stage keeps the covolume and tau renames each terminal; the
         # step's ledger and tau are handed on, not copied
-        orbit, ledger, tau = step
-        received = {tid: terminals[nid] for nid, (_orbit, tid) in tau.renamed.items()}
+        orbit, ledger, tau, stalls = step
+        if stalls:  # tau keeps every terminal id, in order
+            received = StalledTerminals(terminals)
+            received.step = tl, groups.version, step
+        else:
+            received = {tid: terminals[nid] for nid, (_orbit, tid) in tau.renamed.items()}
         return PassdownResult(terminals={orbit: received}, ledger=ledger, tau=tau)
 
     pieces = {nid: (gid, x, None) for nid, (gid, x) in terminals.items()}

@@ -107,19 +107,14 @@ def _children_by_orbit(script: PipelineScript, nid, node, tl, child_ids):
 
 
 def _apply_overrides(terminals, overrides):
-    if not overrides:
-        return terminals
+    """The terminals with every edge of an overridden edge orbit given the
+    override as its oriented label; a complex with no such edge is kept."""
     out = {}
     for tid, (gid, x) in terminals.items():
-        plus = dict(x.stab_plus)
-        touched = False
-        for eid in x.edges:
-            target = overrides.get(x.orbit[eid])
-            if target is not None:
-                plus[eid] = target
-                touched = True
+        orbit = x.orbit
+        touched = {eid: overrides[orbit[eid]] for eid in x.edges if orbit[eid] in overrides}
         if touched:
-            x = x.relabel(stab_plus=plus)
+            x = x.relabel(stab_plus={**x.stab_plus, **touched})
         out[tid] = (gid, x)
     return out
 
@@ -131,7 +126,10 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
     before level 0.  Each script node is derived once, at its first
     expansion, with the checks in level order: its effective node, tree
     level and relative-class check before the passdown, its children by
-    vertex orbit after it.  An identity step's τ is recorded as a renaming."""
+    vertex orbit (with their overrides) after it.  Each complex id is
+    formatted once per instance, where the instance is made; a level's
+    complexes are gathered as its instances are made.  An identity step's
+    τ is recorded as a renaming: it has one vertex orbit, so one child."""
     if name not in fx.pipelines:
         raise FixtureError(f"unknown pipeline {name!r}")
     script = fx.pipelines[name]
@@ -145,15 +143,14 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
     expansions = {}  # script node id -> [effective node, its TreeLevel, its children once derived]
 
     root, terminals = script.root_node, fx.structures[script.root_structure].terminals()
+    cids = {tid: f"{root}/{tid}" for tid in terminals}
     # (instance id, script node id, {terminal id: (group, complex)}, {terminal id: complex id})
-    active = [(root, root, terminals, {tid: f"{root}/{tid}" for tid in terminals})]
-    levels, taus = [], []
-    for n in range(config.horizon + 1):
-        levels.append(LevelData(complexes={cids[tid]: x for *_, terminals, cids in active for tid, (_gid, x) in terminals.items()}))
-        if n == config.horizon:
-            break
+    active = [(root, root, terminals, cids)]
+    levels = [LevelData(complexes={cids[tid]: x for tid, (_gid, x) in terminals.items()})]
+    taus = []
+    for _n in range(config.horizon):
         tau = TauFragment()  # keyed (complex id, face id)
-        next_active = []
+        complexes, next_active = {}, []
         for inst, nid, terminals, cids in active:
             expansion = expansions.get(nid)
             if expansion is None:
@@ -176,20 +173,31 @@ def run_pipeline(fx: FixtureSet, name: str) -> RunReport:
                 expansion = expansions[nid] = [node, tl, None]
             node, tl, by_orbit = expansion
             result = passdown_full(terminals, tl)
+            renamed = result.tau.renamed
             if by_orbit is None:
-                by_orbit = expansion[2] = _children_by_orbit(script, nid, node, tl, children_of.get(node.id, ()))
+                by_orbit = expansion[2] = [
+                    (orbit, cnid, script.nodes[cnid].overrides)
+                    for orbit, cnid in _children_by_orbit(script, nid, node, tl, children_of.get(node.id, ()))
+                ]
             images = {}  # (vertex orbit, terminal id) -> complex id at level n+1
-            for orbit, cnid in by_orbit:
-                received = _apply_overrides(result.terminals[orbit], script.nodes[cnid].overrides)
+            for orbit, cnid, overrides in by_orbit:
+                received = result.terminals[orbit]
+                if overrides:
+                    received = _apply_overrides(received, overrides)
                 inst_id = f"{inst}.{cnid}"
-                child_ids = {tid: f"{inst_id}/{tid}" for tid in received}
-                images.update(((orbit, tid), cid) for tid, cid in child_ids.items())
+                child_ids = {}
+                for tid, (_gid, x) in received.items():
+                    cid = child_ids[tid] = f"{inst_id}/{tid}"
+                    complexes[cid] = x
                 next_active.append((inst_id, cnid, received, child_ids))
-            if result.tau.renamed:  # an identity step renames each terminal
-                tau.renamed.update((cids[tid], images[home]) for tid, home in result.tau.renamed.items())
+                if not renamed:
+                    images.update(((orbit, tid), cid) for tid, cid in child_ids.items())
+            if renamed:  # an identity step: its one child receives the images of ``renamed``, in order
+                tau.renamed.update(zip(map(cids.__getitem__, renamed), child_ids.values()))
             else:
                 tau.update(result.tau.located(cids, images))
         taus.append(tau)
+        levels.append(LevelData(complexes=complexes))
         active = next_active
 
     return analyze_run(name, RunView(levels=levels, taus=taus, groups=groups))

@@ -19,6 +19,17 @@ from dataclasses import dataclass, field
 
 @dataclass
 class TauFragment:
+    """One triangle map, per face or per complex.
+
+    ``triangle_map`` and ``edge_map`` map faces and sides one by one.
+    ``renamed`` maps whole complexes: an identity step of ``passdown_full``
+    yields renamings only, one fragment per terminal signature, shared by
+    every step with that signature, and the run renames each complex into
+    its child's by complex id.  ``stable_classes`` and ``acc_monitor`` read
+    a renaming per complex, not per face.  ``located`` puts the per-face
+    maps of one passdown into the run's complex ids; a renaming is recorded
+    by the run, not located."""
+
     triangle_map: dict = field(default_factory=dict)  # source face -> image face or None
     edge_map: dict = field(default_factory=dict)  # (source face, source edge) -> image edge
     track_point: dict = field(default_factory=dict)  # track id -> new vertex

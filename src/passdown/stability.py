@@ -6,6 +6,7 @@ Everything here is horizon-relative: a finite run can only certify
 "stable up to level m", and every report says which horizon it used.
 """
 
+import operator
 from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ class LevelData:
         return [(cid, fid) for cid in sorted(self.complexes) for fid in sorted(self.complexes[cid].triangles())]
 
     def covolume(self):
-        return sum(covolume(x) for x in self.complexes.values())
+        return sum(map(covolume, self.complexes.values()))
 
 
 @dataclass
@@ -44,13 +45,9 @@ class RunView:
 def detect_n_delta(ledger) -> int:
     """First level after which the covolume ledger is constant (to the
     run horizon).  The ledger must be non-increasing."""
-    for a, b in zip(ledger, ledger[1:]):
-        if b > a:
-            raise EngineError(f"covolume ledger increases: {ledger}")
-    n = len(ledger) - 1
-    while n > 0 and ledger[n - 1] == ledger[-1]:
-        n -= 1
-    return n
+    if any(map(operator.lt, ledger, ledger[1:])):
+        raise EngineError(f"covolume ledger increases: {ledger}")
+    return ledger.index(ledger[-1])  # non-increasing: the last value's first level starts the constant run
 
 
 # ---------------------------------------------------------------------------
@@ -112,55 +109,65 @@ def classes_of_complex(x: Complex2, pairs) -> ComplexClasses:
     )
 
 
-def _check_side_images(tau, source: LevelData, target: LevelData, n: int):
-    """Every side image of tau_n must be a side of the image triangle, and
-    a renamed complex must share its cells and orbits with its image."""
-    for cid, to in tau.renamed.items():
-        x, y = source.complexes.get(cid), target.complexes.get(to)
-        if x is None or y is None or y.cell_data is not x.cell_data or y.orbit is not x.orbit:
-            raise EngineError(f"tau_{n} renames {cid!r} to {to!r}, which does not share its cells")
-    for (key, eid), img_eid in tau.edge_map.items():
-        img = tau.triangle_map.get(key)
-        if img is None:
-            continue
-        x = target.complexes.get(img[0])
-        if x is None or img_eid not in x.faces.get(img[1], ()):
-            raise EngineError(f"tau_{n} sends side {eid!r} of {key!r} to {img_eid!r}, not a side of {img!r}")
-
-
-def stable_classes(run: RunView, start: int) -> dict:
-    """The stable pairs and classes of levels start..horizon, per complex
-    ({level: {complex id: ComplexClasses}}), in one sweep down from the
+def stable_classes(run: RunView, start: int):
+    """The stable pairs and classes of levels start..horizon, per complex,
+    and the levels n whose tau_n renames the whole level: ({level:
+    {complex id: ComplexClasses}}, {n}).  One sweep runs down from the
     horizon, where every pair is stable.  Below it a pair is stable
     exactly when tau_n sends both triangles to distinct triangles of one
     complex and both sides to one edge, and that image pair is stable at
     n+1; this is exact because every side image is a side of the image
-    triangle, which is checked here.  A complex that tau_n renames has the
-    pairs, and so the classes, of its image, whose cells it shares."""
-    horizon = run.horizon
-    out = {horizon: {cid: classes_of_complex(x, pairs_of_complex(x)) for cid, x in run.levels[horizon].complexes.items()}}
+    triangle, which is checked here.
+
+    A complex that tau_n renames must share its cells and orbits with its
+    image, which is checked here too; it has the pairs, and so the
+    classes, of its image.  One pass over the renamings checks them and
+    shares the records, and judges the level: when tau_n renames it
+    bijectively onto level n+1, it is done."""
+    horizon, levels, taus = run.horizon, run.levels, run.taus
+    records = {horizon: {cid: classes_of_complex(x, pairs_of_complex(x)) for cid, x in levels[horizon].complexes.items()}}
+    renamed_whole = set()
+    target, above = levels[horizon].complexes, records[horizon]
     for n in range(horizon - 1, start - 1, -1):
-        tau = run.taus[n]
-        _check_side_images(tau, run.levels[n], run.levels[n + 1], n)
-        above, level = out[n + 1], {}
-        for cid, x in run.levels[n].complexes.items():
-            to = tau.renamed.get(cid)
-            if to is not None:
-                level[cid] = above[to]
+        tau, source, level = taus[n], levels[n].complexes, {}
+        for cid, to in tau.renamed.items():
+            x, y = source.get(cid), target.get(to)
+            if x is None or y is None or y.cell_data is not x.cell_data or y.orbit is not x.orbit:
+                raise EngineError(f"tau_{n} renames {cid!r} to {to!r}, which does not share its cells")
+            level[cid] = above[to]
+        for (key, eid), img_eid in tau.edge_map.items():
+            img = tau.triangle_map.get(key)
+            if img is None:
                 continue
-            stable = []
-            for t1, t2, eid in pairs_of_complex(x):
-                k1, k2 = (cid, t1), (cid, t2)
-                i1, i2 = tau.image(k1), tau.image(k2)
-                if i1 is None or i2 is None or i1 == i2 or i1[0] != i2[0]:
-                    continue
-                e = tau.side_image(k1, eid)
-                if e is not None and e == tau.side_image(k2, eid):
-                    if (min(i1[1], i2[1]), max(i1[1], i2[1]), e) in above[i1[0]].pairs:
-                        stable.append((t1, t2, eid))
-            level[cid] = classes_of_complex(x, stable)
-        out[n] = level
-    return out
+            x = target.get(img[0])
+            if x is None or img_eid not in x.faces.get(img[1], ()):
+                raise EngineError(f"tau_{n} sends side {eid!r} of {key!r} to {img_eid!r}, not a side of {img!r}")
+        records[n] = level
+        if len(level) == len(source) == len(target) == len(set(tau.renamed.values())):
+            renamed_whole.add(n)
+        else:
+            for cid, x in source.items():
+                if cid not in level:
+                    level[cid] = classes_of_complex(x, _stable_pairs(tau, cid, x, above))
+        target, above = source, level
+    return records, renamed_whole
+
+
+def _stable_pairs(tau, cid, x, above):
+    """The pairs of complex ``cid``, ``x``, that tau sends to a stable pair
+    of ``above`` (complex id -> ComplexClasses): both triangles to distinct
+    triangles of one complex, both sides to one edge."""
+    stable = []
+    for t1, t2, eid in pairs_of_complex(x):
+        k1, k2 = (cid, t1), (cid, t2)
+        i1, i2 = tau.image(k1), tau.image(k2)
+        if i1 is None or i2 is None or i1 == i2 or i1[0] != i2[0]:
+            continue
+        e = tau.side_image(k1, eid)
+        if e is not None and e == tau.side_image(k2, eid):
+            if (min(i1[1], i2[1]), max(i1[1], i2[1]), e) in above[i1[0]].pairs:
+                stable.append((t1, t2, eid))
+    return stable
 
 
 def level_classes(n: int, classes_of) -> list:
@@ -175,22 +182,25 @@ def level_classes(n: int, classes_of) -> list:
 
 class LevelClasses(Mapping):
     """Level -> its classes (``level_classes``) for the levels of the
-    ``stable_classes`` records, numbered where first read; no pair is kept."""
+    ``stable_classes`` records.  It keeps the records, and with them their
+    pairs, which a renamed complex shares with its image; it builds
+    nothing for a level until that level is first read, and then numbers
+    it once."""
 
     def __init__(self, records):
-        self.classes_of, self.built = {n: {cid: rec.classes for cid, rec in recs.items()} for n, recs in records.items()}, {}
+        self.records, self.built = records, {}
 
     def __getitem__(self, n):
         out = self.built.get(n)
         if out is None:
-            out = self.built[n] = level_classes(n, self.classes_of[n])
+            out = self.built[n] = level_classes(n, {cid: rec.classes for cid, rec in self.records[n].items()})
         return out
 
     def __iter__(self):
-        return iter(sorted(self.classes_of))
+        return iter(sorted(self.records))
 
     def __len__(self):
-        return len(self.classes_of)
+        return len(self.records)
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +377,6 @@ class StabilizationReport:
     classes: LevelClasses  # level -> equivalence classes, for levels N_delta..horizon
 
 
-def _renames_level(run, n):
-    """Is tau_n a bijective renaming of level n onto level n+1?  Then every
-    class goes to the class of the same triangles in the renamed complex,
-    with the same record, and every stable pair at n+1 has its renamed
-    preimage: sigma and the pullback hold without a walk."""
-    renamed, above = run.taus[n].renamed, run.levels[n + 1].complexes
-    return renamed.keys() == run.levels[n].complexes.keys() and len(renamed) == len(above) and above.keys() == set(renamed.values())
-
-
 def _sigma(run, n, classes_n, classes_n1):
     """Induced map on classes along tau_{n,n+1}; must be well defined."""
     tau = run.taus[n]
@@ -422,30 +423,21 @@ def _pulls_back(run, n, above):
     return True
 
 
-def _first_stable(start, passes):
-    """Lowest n0 >= start with passes[n - start] true for every n >= n0;
-    the horizon, where no step is left, always qualifies."""
-    n0 = start + len(passes)
-    while n0 > start and passes[n0 - 1 - start]:
-        n0 -= 1
-    return n0
-
-
 def stabilization_report(run: RunView) -> StabilizationReport:
     """Horizon-relative N-delta / N' / N'' detection plus the ascending
     chain monitor on oriented-edge labels along class edges.  Pairs and
     classes are computed once per complex, a level's classes are numbered
     only where read, and a step that renames the whole level passes both
-    per-step tests at once."""
+    per-step tests at once.  N' (N'') is one above the last step from
+    N_delta (N') that fails its test, or N_delta (N') when none fails;
+    every other step is tested, in level order."""
     ledger = [lvl.covolume() for lvl in run.levels]
     n_delta = detect_n_delta(ledger)
     horizon = run.horizon
 
-    records = stable_classes(run, n_delta)
+    records, renamed_whole = stable_classes(run, n_delta)
     classes = LevelClasses(records)
-
-    # Claim-1 and Claim-2 bookkeeping plus sigma bijectivity
-    renames = {n: _renames_level(run, n) for n in range(n_delta, horizon)}
+    tested = sorted(set(range(n_delta, horizon)) - renamed_whole)  # the steps a renaming does not pass
 
     def class_data(n):
         """The count of class orbit signatures at level n, and each
@@ -455,8 +447,7 @@ def stabilization_report(run: RunView) -> StabilizationReport:
         return len(signatures), dict(zip((cls.id for cls in classes[n]), (k for rec in recs for k in rec.edge_orbits)))
 
     def class_step(n):
-        if renames[n]:
-            return True
+        """Claim-1 and Claim-2 bookkeeping plus sigma bijectivity."""
         sigma = _sigma(run, n, classes[n], classes[n + 1])
         values = [v for v in sigma.values() if v is not None]
         if not len(classes[n]) == len(values) == len(set(values)) == len(classes[n + 1]):
@@ -464,11 +455,9 @@ def stabilization_report(run: RunView) -> StabilizationReport:
         (count, orbits), (count1, orbits1) = class_data(n), class_data(n + 1)
         return count == count1 and all(orbits[cid] == orbits1[img] for cid, img in sigma.items())
 
-    n_prime = _first_stable(n_delta, [class_step(n) for n in range(n_delta, horizon)])
+    n_prime = max([n + 1 for n in tested if not class_step(n)], default=n_delta)
     # Claim-3 style pullback: stable pairs pull back to pairs
-    n_dprime = _first_stable(
-        n_prime, [renames[n] or _pulls_back(run, n, records[n + 1]) for n in range(n_prime, horizon)]
-    )
+    n_dprime = max([n + 1 for n in tested if n >= n_prime and not _pulls_back(run, n, records[n + 1])], default=n_prime)
 
     alerts = acc_monitor(run, n_delta, classes)
     return StabilizationReport(
@@ -505,8 +494,7 @@ def _grows_into_horizon(run: RunView, start: int) -> bool:
                 img_eid = tau.side_image(key, eid)
                 if img_eid is None:
                     continue
-                a, b = x.edge_stab_plus(eid), above[img[0]].edge_stab_plus(img_eid)
-                if groups.leq(a, b) and not groups.leq(b, a):
+                if _grows(groups, x.edge_stab_plus(eid), above[img[0]].edge_stab_plus(img_eid)):
                     return True
     return False
 
@@ -516,46 +504,80 @@ def acc_monitor(run: RunView, start: int, classes):
     oriented-edge label with the declared subgroup order; a chain still
     strictly growing at the final step is an alert.  ``classes`` maps each
     level from ``start`` to the horizon to its equivalence classes.  The
-    chains are walked only when some last step grows."""
+    chains are walked only when some last step grows.
+
+    A chain starts at each class side of a level from ``start`` below the
+    horizon that no chain from a lower level reached, in class order,
+    from the first triangle holding the side; it is named after its
+    complex, side and level.  The chains step level by level, grouped by
+    the complex they are in.  Those of a complex that tau_m renames step
+    together, to its image with the same faces and sides, by reading
+    ``renamed`` only; every side of that image is then reached, since its
+    cells are those of the source (``stable_classes`` checks it), so no
+    chain starts there.  Only the chains of the other complexes step one
+    by one, through ``TauFragment.image`` and ``side_image``.  At the
+    last step each chain compares the labels of its side before and
+    after; only a chain that grows there builds its label list, by
+    walking again from its start."""
     if not _grows_into_horizon(run, start):
         return []
-    groups = run.groups
-    horizon = run.horizon
-    chains = {}
-    consumed = set()
-    for n in range(start, horizon):
-        for cls in classes[n]:
-            x = run.levels[n].complexes[cls.cid]
-            for fid in sorted(cls.triangles):
-                for eid in x.faces[fid]:
-                    key = (n, cls.cid, eid)
-                    if key in consumed:
-                        continue
-                    chain_levels = [n]
-                    chain_labels = [x.edge_stab_plus(eid)]
-                    cur_key = (cls.cid, fid)
-                    cur_eid = eid
-                    m = n
-                    while m < horizon:
-                        tau = run.taus[m]
-                        img = tau.image(cur_key)
-                        img_eid = tau.side_image(cur_key, cur_eid)
-                        if img is None or img_eid is None:
-                            break
-                        m += 1
-                        xm = run.levels[m].complexes[img[0]]
-                        consumed.add((m, img[0], img_eid))
-                        chain_levels.append(m)
-                        chain_labels.append(xm.edge_stab_plus(img_eid))
-                        cur_key, cur_eid = img, img_eid
-                    consumed.add(key)
-                    if len(chain_levels) > 1:
-                        chains[f"{cls.cid}:{eid}@L{n}"] = (chain_levels, chain_labels)
+    groups, horizon, levels = run.groups, run.horizon, run.levels
+    at = {}  # complex id at level m -> its chains: (start level, start complex, start face, start side, face, side)
+    sides_reached, renamed_into = {}, set()  # per complex, the sides a chain reached; complexes with every side reached
+    grown = []
+    for m in range(start, horizon):
+        complexes, tau = levels[m].complexes, run.taus[m]
+        if len(renamed_into) < len(complexes):  # tau_{m-1} renamed into complexes of level m only
+            for cls in classes[m]:
+                if cls.cid in renamed_into:
+                    continue
+                x, seen = complexes[cls.cid], sides_reached.setdefault(cls.cid, set())
+                chains = at.setdefault(cls.cid, [])
+                for fid in sorted(cls.triangles):
+                    for eid in x.faces[fid]:
+                        if eid not in seen:
+                            seen.add(eid)
+                            chains.append((m, cls.cid, fid, eid, fid, eid))
+        above, last = levels[m + 1].complexes, m + 1 == horizon
+        moved, sides_reached, renamed_into = {}, {}, set(tau.renamed.values())
+        for cid, chains in at.items():
+            x, to = complexes[cid], tau.renamed.get(cid)
+            if to is not None:  # the chains move together, their faces and sides kept
+                if to in moved:
+                    moved[to] += chains
+                else:
+                    moved[to] = chains
+                y = above[to]
+                if last and y is not x:
+                    grown += [c for c in chains if _grows(groups, x.edge_stab_plus(c[5]), y.edge_stab_plus(c[5]))]
+                continue
+            for chain in chains:
+                key, eid = (cid, chain[4]), chain[5]
+                img, img_eid = tau.image(key), tau.side_image(key, eid)
+                if img is None or img_eid is None:
+                    continue  # the chain ends below the horizon
+                sides_reached.setdefault(img[0], set()).add(img_eid)
+                moved.setdefault(img[0], []).append(chain[:4] + (img[1], img_eid))
+                if last and _grows(groups, x.edge_stab_plus(eid), above[img[0]].edge_stab_plus(img_eid)):
+                    grown.append(chain)
+        at = moved
+
     alerts = []
-    for name, (levels, labels) in sorted(chains.items()):
-        if levels[-1] != horizon or len(labels) < 2:
-            continue
-        a, b = labels[-2], labels[-1]
-        if groups.leq(a, b) and not groups.leq(b, a):
-            alerts.append(AccAlert(chain=name, levels=tuple(levels), labels=tuple(labels)))
-    return alerts
+    for n, cid, fid, eid, _fid, _eid in grown:
+        name, labels = f"{cid}:{eid}@L{n}", [levels[n].complexes[cid].edge_stab_plus(eid)]
+        for m in range(n, horizon):
+            tau = run.taus[m]
+            to = tau.renamed.get(cid)
+            if to is None:
+                key = (cid, fid)
+                (cid, fid), eid = tau.image(key), tau.side_image(key, eid)
+            else:
+                cid = to
+            labels.append(levels[m + 1].complexes[cid].edge_stab_plus(eid))
+        alerts.append(AccAlert(chain=name, levels=tuple(range(n, horizon + 1)), labels=tuple(labels)))
+    return sorted(alerts, key=operator.attrgetter("chain"))
+
+
+def _grows(groups, a, b):
+    """Is label ``a`` strictly below label ``b``?"""
+    return groups.leq(a, b) and not groups.leq(b, a)

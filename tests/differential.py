@@ -581,6 +581,12 @@ def relabelled(x, stab_plus):
     assert all(y.face_vertices(fid) is x.face_vertices(fid) for fid in x.faces)
     assert y.cell_data.cutpoints is x.cell_data.cutpoints
     assert y.cell_data.triangles is x.cell_data.triangles
+    # a relabelling of a complex whose reducedness is derived shares it
+    # exactly when the oriented labels keep their keys
+    assert x.is_reduced in (True, False)
+    z = x.relabel(stab_plus=stab_plus)
+    assert ("is_reduced" in z.__dict__) == (stab_plus.keys() == x.stab_plus.keys())
+    assert z.is_reduced == fresh.is_reduced
     return y
 
 
@@ -1264,8 +1270,14 @@ class RunCase:
         return oracles.expand_run(self.run)
 
     @functools.cached_property
-    def sweep(self):
+    def swept(self):
+        """``stable_classes`` from level 0: the records per level, and the
+        levels whose step renames the whole level."""
         return stable_classes(self.run, 0)
+
+    @property
+    def sweep(self):
+        return self.swept[0]
 
     @functools.cached_property
     def pair_sets(self):
@@ -1286,7 +1298,9 @@ def renamings(case):
     counts = Counter()
     for n, tau in enumerate(run.taus):
         if tau.renamed:
-            whole = stability._renames_level(run, n)
+            whole = n in case.swept[1]
+            onto = sorted(tau.renamed.values()) == sorted(run.levels[n + 1].complexes)
+            assert whole == (tau.renamed.keys() == run.levels[n].complexes.keys() and onto)
             counts.update(renamed=1, whole=whole, partial=not whole)
     return counts
 

@@ -5,7 +5,7 @@ reproducible."""
 import random
 
 from passdown.complexes import make_complex
-from passdown.groups import GroupRef, GroupTable
+from passdown.groups import TRIVIAL, GroupRef, GroupTable
 from passdown.provenance import TauFragment
 from passdown.stability import LevelData, RunView, TriangleClass
 from passdown.trees import make_tree
@@ -76,8 +76,9 @@ def triangle_classes(partition):
     return [TriangleClass(id=f"Y{i}", cid="X", triangles=frozenset(p)) for i, p in enumerate(partition)]
 
 
-def random_cell_complex(rng: random.Random, max_vertices=12, allow_bigons=True):
-    """A random triangle/bigon cell complex (multi-edges allowed)."""
+def random_cells(rng: random.Random, max_vertices=12, allow_bigons=True):
+    """The vertices, edges and faces of a random triangle/bigon cell
+    complex (multi-edges allowed)."""
     n = rng.randint(1, max_vertices)
     verts = [f"v{i}" for i in range(n)]
     edges = {}
@@ -100,7 +101,6 @@ def random_cell_complex(rng: random.Random, max_vertices=12, allow_bigons=True):
                 faces[f"b{fid}"] = (es[0], es[1])
                 fid += 1
     # triangles over closing edge triples
-    vlist = list(edges.items())
     for _ in range(rng.randint(0, 2 * n)):
         if len(verts) < 3:
             break
@@ -113,13 +113,20 @@ def random_cell_complex(rng: random.Random, max_vertices=12, allow_bigons=True):
             continue
         faces[f"t{fid}"] = (e1, e2, e3)
         fid += 1
-    orbit = {}
-    # group some triangles into shared orbits to exercise covolume counting
-    tri = [f for f, es in faces.items() if len(es) == 3]
-    for i, f in enumerate(tri):
-        orbit[f] = f"to{rng.randint(0, max(1, len(tri) // 2))}" if rng.random() < 0.4 else f
-    # same-orbit triangles must share labels; default labels make that true
-    return make_complex(verts, edges, faces, orbit=orbit)
+    return verts, edges, faces
+
+
+def random_cell_complex(rng: random.Random, max_vertices=12, allow_bigons=True):
+    """A random triangle/bigon cell complex (multi-edges allowed).  Two in
+    five draws with a face are the picture of a group action
+    (``symmetric_copies``), so that triangles share orbits, with their
+    sides and corners, as the cells of an action do; every other cell is
+    an orbit of its own."""
+    verts, edges, faces = random_cells(rng, max_vertices, allow_bigons)
+    if faces and rng.random() < 0.4:
+        stab = dict.fromkeys([*verts, *edges, *faces], TRIVIAL)
+        return make_complex(*symmetric_copies(rng, verts, edges, faces, stab, {}, (), {}))
+    return make_complex(verts, edges, faces)
 
 
 def random_simplicial_complex(rng: random.Random, max_vertices=8):
@@ -217,7 +224,7 @@ def random_labelled_complex(rng: random.Random, shape="simplicial"):
     )
     shape = {
         "simplicial": lambda: random_simplicial_complex(rng),
-        "cell": lambda: random_cell_complex(rng, allow_bigons=False),
+        "cell": lambda: make_complex(*random_cells(rng, allow_bigons=False)),
         "tree": lambda: random_triangle_tree_complex(rng, n_triangles=rng.randint(1, 9)),
         "glued": lambda: random_edge_glued_complex(rng, n_triangles=rng.randint(1, 9)),
         "strip": lambda: random_strip_chain(rng),

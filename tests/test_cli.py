@@ -72,8 +72,8 @@ end
 
     def test_roundtrip_serialize_parse(self):
         rng = random.Random(5)
-        for _ in range(25):
-            x = random_cell_complex(rng, max_vertices=8)
+        for _ in range(200):
+            x = random_cell_complex(rng)
             text = write(FixtureSet(complexes={"X": x}))
             fx = parse_text(text)
             y = fx.complexes["X"]
@@ -510,6 +510,14 @@ class TestCommands:
         bad.write_text(f"complex X\n  vertex a\nend\nconfig\n  horizon=2\n  {key}=abc\nend\n")
         assert main(["h1", str(bad), "--complex", "X"]) == 2
         assert capsys.readouterr().err == f"error: line 6: config: {key} must be an integer\n"
+
+    def test_a_group_declared_twice_exit_code(self, tmp_path, capsys):
+        """A group id declared again with other data names the line of the
+        repeat, not the block header."""
+        bad = tmp_path / "bad.txt"
+        bad.write_text("groups\n  group A slender\n  group A\nend\ncomplex X\n  vertex a stab=A\nend\n")
+        assert main(["h1", str(bad), "--complex", "X"]) == 2
+        assert capsys.readouterr().err == "error: line 3: group 'A' declared twice with different data\n"
 
     @pytest.mark.parametrize(
         "line, repeat, message",

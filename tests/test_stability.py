@@ -6,6 +6,7 @@ from collections import Counter, defaultdict
 
 import pytest
 
+import cost
 import oracles
 from bench_ops import workloads
 from differential import differential_test, nest, pair_set, record, seed1, spy, worked64
@@ -94,7 +95,7 @@ class TestStablePairs:
         run = identity_run(x, levels=1)
         ps = stable_pairs(run, 0)
         assert len(ps.pairs) == len(pairs_at(run, 0)) == 1
-        assert pair_set(stable_classes(run, 0)[0]) == ps.pairs
+        assert pair_set(stable_classes(run, 0)[0][0]) == ps.pairs
 
     def test_identity_run_pairs_stay(self):
         run = identity_run(strip2(), levels=4)
@@ -117,7 +118,7 @@ class TestStablePairs:
         )
         ps = stable_pairs(run, 0)
         assert ps.pairs == frozenset()
-        records = stable_classes(run, 0)[0]
+        records = stable_classes(run, 0)[0][0]
         assert pair_set(records) == frozenset()
         classes = level_classes(0, {cid: rec.classes for cid, rec in records.items()})
         assert classes == equivalence_classes(run, 0, ps)
@@ -137,7 +138,7 @@ class TestClasses:
             faces[f"t{i}"] = (f"r{i}", f"s{i}", f"r{i+1}")
         x = make_complex(verts, edges, faces)
         run = identity_run(x, levels=2)
-        classes = level_classes(0, {cid: rec.classes for cid, rec in stable_classes(run, 0)[0].items()})
+        classes = level_classes(0, {cid: rec.classes for cid, rec in stable_classes(run, 0)[0][0].items()})
         assert classes == equivalence_classes(run, 0, stable_pairs(run, 0))
         assert len(classes) == 1
         assert classes[0].triangles == frozenset({"t0", "t1", "t2", "t3"})
@@ -539,7 +540,7 @@ class TestRunAnalysisOracles:
         run.taus[0] = tau_from_fragment("X", "X", identity_fragment(x))
         run.taus[0].edge_map[(("X", "t1"), "ca")] = "ab"
         run.taus[0].edge_map[(("X", "t1"), "ab")] = "ca"
-        sweep = stable_classes(run, 0)
+        sweep, _renamed_whole = stable_classes(run, 0)
         assert {(p.t1, p.t2) for p in pair_set(sweep[0])} == {("t1", "t2"), ("t2", "t3")}
         assert len(pair_set(sweep[1])) == 3
         report = stabilization_report(run)
@@ -591,7 +592,7 @@ class TestRunAnalysisOracles:
         run = RunView(
             levels=[LevelData(complexes={"P": x, "Q": x}), LevelData(complexes={"X": x})], taus=[tau], groups=GroupTable()
         )
-        above = stable_classes(run, 0)[1]
+        above = stable_classes(run, 0)[0][1]
         assert pair_set(above) == frozenset({Pair(cid="X", t1="t1", t2="t2", edge="bc")})
         assert stability._pulls_back(run, 0, above) is False
         assert n_dprime_oracle(run, 0) == 1
@@ -607,7 +608,7 @@ class TestRunAnalysisOracles:
             groups=GroupTable(),
         )
         assert stable_pairs(run, 0).pairs == frozenset()
-        assert pair_set(stable_classes(run, 0)[0]) == frozenset()
+        assert pair_set(stable_classes(run, 0)[0][0]) == frozenset()
 
     def test_side_image_off_the_image_triangle_is_an_engine_error(self):
         x = strip2()
@@ -729,6 +730,36 @@ class TestRunAnalysisWork:
         level, so there only ``located`` is pinned."""
         short, long = (self.benchmark_calls(family, h, counted, monkeypatch) for h in (8, 64))
         assert short == long and all(short.values())
+
+    def test_chains_of_a_renamed_complex_step_together(self, monkeypatch):
+        """The chain monitor steps the chains of a renamed complex together,
+        reading ``renamed`` and the image complex's labels: on a chain
+        benchmark run, where every level after the first renames its
+        complex onto a relabelled one and a chain grows into the horizon,
+        ``acc_monitor`` looks up as many images at horizon 64 as at
+        horizon 8, and so does the whole run."""
+        monitor = stability.acc_monitor.__code__
+
+        def image_calls(horizon):
+            op, calls = workloads.chain(random.Random(1), horizon), Counter()
+            with monkeypatch.context() as m:
+                spy(m, calls, TauFragment, "image", image=lambda frame, *args: 1,
+                    monitor=lambda frame, *args: frame.f_code is monitor)
+                rep = run_pipeline(parse_text(op.text), op.pipeline)
+            assert rep.horizon == horizon and len(rep.acc_alerts) == 1 and len(rep.acc_alerts[0].labels) == horizon + 1
+            return calls["monitor"], calls["image"]
+
+        short, long = image_calls(8), image_calls(64)
+        assert short == long and all(short)
+
+    @pytest.mark.parametrize("family", ["worked", "chain"])
+    def test_run_opcodes_grow_at_most_2_2_times_per_doubling_of_the_horizon(self, family):
+        """The opcodes ``run_pipeline`` executes in the engine
+        (``tests/cost.py``) on the seed-1 benchmark op of ``family`` grow at
+        most 2.2 times per doubling of the horizon from 64 to 256.  A ratio,
+        not a count, since counts differ between CPython versions."""
+        counts = [cost.run_opcodes(family, horizon)[1].total() for horizon in (64, 128, 256)]
+        assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
 
     @pytest.mark.parametrize("name", ["leq", "_gf2_rank", "reduced_path"])
     def test_each_distinct_label_pair_rank_and_image_pair_is_worked_once(self, name):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from passdown import complexes, graphs, resolution, tracks
+from passdown import complexes, graphs, hierarchy, resolution, tracks
 from passdown.complexes import Complex2, covolume, cutpoints, h1_z2, is_connected, make_complex, reduce_complex
 from passdown.errors import ConsistencyError, HypothesisError, TruncationError
 from passdown.fixtures import parse_fixtures, parse_text
@@ -316,6 +316,26 @@ class TestIdentityCollapse:
         assert len(tl.identity_steps) == 1
         assert kept.terminals["p"]["p.root"][1] is not y
         assert identity_handed_on(kept, {"r": ("1", y)}) == identity_handed_on(full, {"r": ("1", y)})
+
+    def test_stalled_terminals_take_their_step_again_until_a_group_is_minted(self, monkeypatch):
+        # an identity step that keeps every terminal id hands its
+        # terminals on with the step; given them again over the same tree
+        # level, the step is taken with no signature read, and after a
+        # group is minted the signature is read and checked once more
+        groups = GroupTable()
+        x = reduce_complex(triangle(), groups)
+        tl = point_level(groups)
+        renamed = passdown_full({"r": ("1", x)}, tl).terminals["p"]
+        stalled = passdown_full(renamed, tl)
+        assert stalled.tau.renamed == {"p.root": ("p", "p.root")}
+        read, signature = [], hierarchy._signature
+        monkeypatch.setattr(hierarchy, "_signature", lambda *a: read.append(a) or signature(*a))
+        again = passdown_full(stalled.terminals["p"], tl)
+        assert again.terminals["p"] is stalled.terminals["p"] and again.tau is stalled.tau and not read
+        groups.add(GroupRef("N"))
+        minted = passdown_full(stalled.terminals["p"], tl)
+        assert len(read) == 1 and minted.tau.renamed == stalled.tau.renamed
+        assert minted.terminals["p"]["p.root"][1] is x
 
     def test_an_ideal_vertex_takes_the_full_path(self):
         # a reduced triangle over a point tree with one ideal point: with
