@@ -12,10 +12,9 @@ covolume (triangle-orbit count), cutpoints, and the reduced cutpoint
 tree used to split a complex into cutpoint-free pieces.
 """
 
-import heapq
 import operator
 import warnings
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -31,30 +30,25 @@ class DisconnectedComplexWarning(UserWarning):
 
 class CellData:
     """What the cells of a complex determine, whatever their labels: face
-    corners, the incidence maps, components, 1-skeleton blocks, the
-    cutpoint set, the Z2 boundary rank and whether the cells are stored in
-    canonical order.  Each is derived on first use and kept.  Every
-    relabelling of a complex shares this object, so a label-only change
-    derives none of it again.  Map values are id tuples.  A face's corners
-    are the sorted tuple of its vertices, and a vertex pair or triple is
-    keyed by its sorted id tuple, the key of the quotient step, so that
-    ``reduce_with_map`` hands ``edges_by_pair`` and ``triangles_by_triple``
-    to ``canonical_complex`` as they are.  The cells are
-    valid: each complex is validated once, where it is parsed
-    (``make_complex``), is built valid by construction (by
-    ``canonical_complex``, the quotient step of every reduction, of X_T
-    and of X_C), or is a piece or relabelling of a valid one.
+    corners, the incidence maps (values id tuples, a vertex pair or triple
+    keyed by its sorted id tuple, the key of the quotient step), the
+    components and 1-skeleton blocks (from one search), the cutpoint set,
+    the Z2 boundary rank and whether the cells are stored in canonical
+    order.  Each is derived on first use and kept, and every relabelling of
+    a complex shares this object.  The cells are valid: each complex is
+    validated where it is parsed (``make_complex``), is built valid by
+    ``canonical_complex`` (the quotient step of every reduction, of X_T and
+    of X_C), or is a piece or relabelling of a valid one.
 
-    A complex built from another starts with what its builder knows.
-    ``canonical_complex`` hands on the canonical order, which it builds
-    (so ``is_simplicial`` needs no incidence map);
-    ``reduce_with_map`` the cutpoints and components its input
-    holds, since it joins the same vertex pairs, and the boundary rank of
-    a simplicial input, whose cells it keeps; and
-    ``hierarchy._cutpoint_pieces`` each piece the canonical order of a
-    canonical parent, the parent's blocks that make up the piece, its one
-    component and its boundary rank (the wedge argument is in its
-    docstring)."""
+    A complex built from another starts with what its builder knows:
+    ``canonical_complex`` the canonical order, which it builds (so
+    ``is_simplicial`` needs no incidence map); ``reduce_with_map`` the
+    cutpoints and components its input holds, since it joins the same
+    vertex pairs, and the boundary rank of a simplicial input, whose cells
+    it keeps; and ``hierarchy._cutpoint_pieces`` each piece the canonical
+    order of a canonical parent, the parent's blocks that make up the
+    piece, its one component and its boundary rank (the wedge argument is
+    in its docstring)."""
 
     def __init__(self, vertices, edges, faces):
         self.vertices, self.edges, self.faces = vertices, edges, faces
@@ -108,12 +102,18 @@ class CellData:
     @cached_property
     def vertex_components(self):
         """Vertex sets of the connected components, by least vertex."""
-        return tuple(map(frozenset, graphs.components(self.vertices, self.edges.values())))
+        return self._skeleton_search()[1]
 
     @cached_property
     def skeleton_blocks(self):
         """(vertex set, edge id set) of each block of the 1-skeleton."""
-        return tuple((frozenset(vs), frozenset(es)) for vs, es in graphs.blocks(self.vertices, self.edges))
+        return self._skeleton_search()[0]
+
+    def _skeleton_search(self):
+        """The blocks and the components from one search; held ones kept."""
+        blocks, components = graphs.blocks(self.vertices, self.edges)
+        held = self.__dict__
+        return held.setdefault("skeleton_blocks", tuple(blocks)), held.setdefault("vertex_components", tuple(components))
 
     @cached_property
     def cutpoints(self):
@@ -308,10 +308,13 @@ def filled(labels, cells, default=None):
 def validate_complex(x, groups=None):
     """The one full check of a complex read from a fixture: its cells,
     and over ``groups`` its label references, containments and orbits
-    (label, kind and shape).  Each check decides a valid complex by
+    (label, kind and shape: the sides and corners of a face and the faces
+    on an edge, per orbit).  Each check decides a valid complex by
     whole-set tests, and only when one fails walks the cells in its order,
     so that the error names the first failing cell, as
-    ``FixtureError.cell`` too."""
+    ``FixtureError.cell`` too.  The containment check and
+    ``declare_containments`` walk one order, ``_containments``: each face
+    below its sides and its sorted corners, then each edge below its ends."""
     _validate_cells(x)
     if groups is not None:
         _validate_label_refs(x, groups)
@@ -475,18 +478,25 @@ def check_orbit_shapes(orbit, **cells_by_kind):
 def check_face_shapes(x):
     """Raise naming the first face orbit whose faces differ in their
     multisets of side orbits or of corner orbits, at its first face of the
-    second shape: a group element carries a face's sides and corners onto
-    those of its image (Bridson & Haefliger 1999, III.C).  It is the last
-    check of ``validate_complex``, made when an orbit holds two cells and
-    after ``check_orbit_shapes`` has given each edge orbit one pair of end
-    orbits.  Each corner of a face lies on two of its sides, so its corner
-    orbits are half the end orbits of its side orbits, and only the side
-    orbits are compared, keyed by their sorted tuple."""
-    orbit, shapes = x.orbit, {}
+    second shape, then the first edge orbit whose edges differ in their
+    multisets of face orbits, at its first edge of the second shape: a
+    group element carries a face's sides and corners, and an edge's faces,
+    onto those of its image (Bridson & Haefliger 1999, III.C).  It is the
+    last check of ``validate_complex``, made when an orbit holds two cells
+    and after ``check_orbit_shapes`` has given each edge orbit one pair of
+    end orbits, so a face's corner orbits, half the end orbits of its side
+    orbits, need no check of their own."""
+    orbit, shapes, on = x.orbit, {}, {eid: [] for eid in x.edges}
     for fid, es in x.faces.items():
         shape = tuple(sorted(map(orbit.__getitem__, es)))
         if shapes.setdefault(orbit[fid], shape) != shape:
             raise ConsistencyError(f"faces of orbit {orbit[fid]!r} have mismatched side or corner orbits", cell=fid)
+        for eid in es:
+            on[eid].append(orbit[fid])
+    for eid, face_orbits in on.items():
+        shape = tuple(sorted(face_orbits))
+        if shapes.setdefault(orbit[eid], shape) != shape:
+            raise ConsistencyError(f"edges of orbit {orbit[eid]!r} have mismatched face orbits", cell=eid)
 
 
 def check_orbit_labels(cells, stab, orbit):
@@ -612,45 +622,49 @@ def canonical_complex(vertices, edges_at, faces_at, stab, orbit, stab_plus, boun
 
     The cell data starts with the canonical order, which this builds; the
     incidence maps are derived where read.  Each cell is labelled by its
-    class, so the complex is handed ``cell_labels_reduced`` True."""
-    merged = [ids for at in (edges_at, faces_at) for ids in at.values() if len(ids) > 1]
-    uf = graphs.UnionFind()
-    for ids in merged:
-        for cell in ids[1:]:
-            uf.union(orbit[ids[0]], orbit[cell])
-    class_of = {o: uf.find(o) for o in uf.parent}
-    # the first label met in each class, and the classes that meet another:
-    # on the cells merged away here, on the kept ones as they are labelled
-    first, several = {}, set()
-    for ids in merged:
-        for cell in ids[1:]:
-            cls, label = class_of[orbit[cell]], stab[cell]
-            if first.setdefault(cls, label) != label:
-                several.add(cls)
-    edges, faces, sources = {}, {}, {}
-    for key in sorted(edges_at):
-        ids = edges_at[key]
-        eid = ids[0]
-        edges[eid] = key
-        if len(ids) > 1:
-            sources[eid] = ids
-    for a, b, c in sorted(faces_at):
-        fid = faces_at[(a, b, c)][0]
-        faces[fid] = (edges_at[(a, b)][0], edges_at[(b, c)][0], edges_at[(a, c)][0])
-    out_stab, out_orbit = {}, {}
-    for cell in sorted([*vertices, *edges, *faces]):
-        o, label = orbit[cell], stab[cell]
-        cls = out_orbit[cell] = class_of.get(o, o)
-        out_stab[cell] = label
-        if first.setdefault(cls, label) != label:
-            several.add(cls)
-    out_plus, plus_several = {}, []
-    for eid in sorted(edges):
-        out_plus[eid] = stab_plus.get(eid, stab[eid])
-        if eid in sources:
-            labels = sorted({stab_plus.get(cell, stab[cell]) for cell in sources[eid]})
+    class, so the complex is handed ``cell_labels_reduced`` True.  Only
+    merged pairs and triples are walked one by one, every other cell read
+    through ``map``; merged cells all of distinct orbits, as a collapse's
+    segments are, make one class per pair or triple with no union-find."""
+    edge_keys, face_keys = sorted(edges_at), sorted(faces_at)
+    edge_ids, face_ids = list(map(edges_at.__getitem__, edge_keys)), list(map(faces_at.__getitem__, face_keys))
+    merged_edges, merged_faces = ([ids for ids in at if len(ids) > 1] for at in (edge_ids, face_ids))
+    merged = merged_edges + merged_faces
+    merged_orbits = list(map(orbit.__getitem__, chain.from_iterable(merged)))
+    if len(set(merged_orbits)) == len(merged_orbits):  # every merged cell in its own orbit
+        least = [min(map(orbit.__getitem__, ids)) for ids in merged]
+        class_of = dict(zip(merged_orbits, chain.from_iterable(map(repeat, least, map(len, merged)))))
+    else:
+        uf = graphs.UnionFind()
+        for ids in merged:
+            for cell in ids[1:]:
+                uf.union(orbit[ids[0]], orbit[cell])
+        class_of = {o: uf.find(o) for o in uf.parent}
+    edge_first = list(map(operator.itemgetter(0), edge_ids))
+    edges = dict(zip(edge_first, edge_keys))
+    first_on = dict(zip(edge_keys, edge_first)).__getitem__
+    sides = zip(*(map(first_on, map(operator.itemgetter(*pair), face_keys)) for pair in ((0, 1), (1, 2), (0, 2))))
+    faces = dict(zip(map(operator.itemgetter(0), face_ids), sides))
+    cells = sorted([*vertices, *edges, *faces])
+    origins = list(map(orbit.__getitem__, cells))
+    out_orbit = dict(zip(cells, map(class_of.get, origins, origins)))
+    out_stab = dict(zip(cells, map(stab.__getitem__, cells)))
+    # a class has several labels when a cell's is not the last met on it
+    away = list(chain.from_iterable(map(operator.itemgetter(slice(1, None)), merged)))
+    classes = [*out_orbit.values(), *map(class_of.__getitem__, map(orbit.__getitem__, away))]
+    labels = [*out_stab.values(), *map(stab.__getitem__, away)]
+    last = dict(zip(classes, labels))
+    differ = list(map(last.__getitem__, classes)) != labels
+    several = {cls for cls, label in zip(classes, labels) if last[cls] != label} if differ else set()
+    eids = sorted(edges)
+    out_plus = dict(zip(eids, map(stab_plus.get, eids, map(stab.__getitem__, eids))))
+    # oriented labels differ only where labels do or a cell has its own
+    plus_several = []
+    if several or not stab_plus.keys().isdisjoint(chain.from_iterable(merged_edges)):
+        for ids in sorted(merged_edges, key=operator.itemgetter(0)):
+            labels = set(map(stab_plus.get, ids, map(stab.__getitem__, ids)))
             if len(labels) > 1:
-                plus_several.append((eid, labels))
+                plus_several.append((ids[0], sorted(labels)))
     class_ref = {cls: groups.mint("red").id for cls in sorted(several)}
     if class_ref:
         out_stab.update((cell, class_ref[cls]) for cell, cls in out_orbit.items() if cls in class_ref)
@@ -658,10 +672,7 @@ def canonical_complex(vertices, edges_at, faces_at, stab, orbit, stab_plus, boun
         ref = out_plus[eid] = groups.mint("red.plus").id
         for old in labels:
             groups.declare_leq(old, ref)
-    out = Complex2(
-        vertices=vertices, edges=edges, faces=faces, stab=out_stab, orbit=out_orbit,
-        boundary_marked=boundary_marked, stab_plus=out_plus,
-    )
+    out = Complex2(vertices, edges, faces, out_stab, out_orbit, boundary_marked, out_plus)
     out.cell_data.__dict__["is_canonical"] = True
     out.__dict__["cell_labels_reduced"] = True
     if class_ref:
@@ -671,12 +682,13 @@ def canonical_complex(vertices, edges_at, faces_at, stab, orbit, stab_plus, boun
 
 def fresh_separator(taken, minted, sep):
     """``sep`` with its first character repeated until no id that
-    ``minted(sep)`` yields is in the set ``taken`` (for a surgery step on a
-    complex, its cell and orbit ids), so that the ids a step names with it
-    are new.  Every minted id contains ``sep``, so when no taken id does,
-    ``sep`` is returned without minting any."""
-    if not any(sep in cid for cid in taken):
+    ``minted(sep)`` yields is in the collections ``taken`` (for a surgery
+    step, the cell and orbit ids of its complex), so that the ids a step
+    names with it are new.  Every minted id contains ``sep``, so when no
+    taken id does, ``sep`` is returned without minting or a set union."""
+    if not any(map(operator.contains, chain.from_iterable(taken), repeat(sep))):
         return sep
+    taken = set().union(*taken)
     while not taken.isdisjoint(minted(sep)):
         sep += sep[0]
     return sep
@@ -696,19 +708,17 @@ def cutpoints(x: Complex2):
 
 
 def _block_cells(x: Complex2):
-    """Cell sets of the blocks of the 1-skeleton (maximal cutpoint-free
-    subcomplexes), closed under subcells: each face joins the block of its
-    edges, which a triangle or bigon never straddles."""
-    out, block_of = [], {}
-    for i, (verts, eids) in enumerate(x.skeleton_blocks):
-        out.append(set(verts | eids))
+    """(vertex set, edge id set, face ids) of each block of the 1-skeleton
+    (maximal cutpoint-free subcomplexes), closed under subcells: each face
+    joins the block of its first side, which holds them all, since the
+    sides of a triangle or bigon close up into a cycle."""
+    blocks, block_of = x.skeleton_blocks, {}
+    for i, (_verts, eids) in enumerate(blocks):
         block_of.update(dict.fromkeys(eids, i))
+    faces_of = [[] for _ in blocks]
     for fid, es in x.faces.items():
-        i = block_of[es[0]]
-        if any(block_of[e] != i for e in es[1:]):
-            raise EngineError(f"face {fid!r} straddles blocks")
-        out[i].add(fid)
-    return out
+        faces_of[block_of[es[0]]].append(fid)
+    return [(verts, eids, fids) for (verts, eids), fids in zip(blocks, faces_of)]
 
 
 @dataclass(frozen=True)
@@ -727,12 +737,6 @@ class CutpointTree:
         return graphs.is_tree(self.comp_nodes + self.cut_nodes, self.edges)
 
 
-def _block_orbit_signature(x, cells):
-    """The multiset of (kind, orbit) over ``cells``."""
-    faces, edges, orbit = x.faces, x.edges, x.orbit
-    return frozenset(Counter((c in faces, c in edges, orbit[c]) for c in cells).items())
-
-
 def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
     """B'_X: the bipartite tree of cutpoint-free pieces and cut vertices,
     with every non-slender cut vertex merged into the blocks it joins.
@@ -749,7 +753,8 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
     label, joined to each piece that contains them.  Pieces with one
     multiset of (cell kind, orbit) share an orbit, and the triangles of one
     orbit must lie in pieces of one orbit: anything else is malformed
-    quotient data.
+    quotient data.  A piece's cells, its signature (the sorted orbits of
+    each kind) and its face orbits are gathered from its blocks.
     """
     if not is_connected(x):
         raise FixtureError("cutpoint tree needs a connected complex")
@@ -757,46 +762,43 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
         raise FixtureError("cutpoint tree needs h1_z2 = 0")
     cuts = sorted(x.cell_data.cutpoints)
     slender = {v for v in cuts if groups.slender(x.stab[v])}
-    uf = graphs.UnionFind()
-    blocks, incidences = {}, []
-    ordered = sorted(_block_cells(x), key=lambda c: heapq.nsmallest(2, map(str, c)))
+    uf, blocks, incidences, parts = graphs.UnionFind(), {}, [], _block_cells(x)
+    least = [sorted(map(str, chain(*part)))[:2] for part in parts]
     # blocks and vertices share one node namespace
-    prefix = fresh_separator(x.vertices, lambda p: (f"{p}{i}" for i in range(len(ordered))), "C")
-    for i, cells in enumerate(ordered):
+    prefix = fresh_separator((x.vertices,), lambda p: (f"{p}{i}" for i in range(len(parts))), "C")
+    for i, k in enumerate(sorted(range(len(parts)), key=least.__getitem__)):
         bid = f"{prefix}{i}"
-        blocks[bid] = cells
+        blocks[bid] = parts[k]
         uf.find(bid)
-        for v in cells.intersection(cuts):
+        for v in parts[k][0].intersection(cuts):
             if v in slender:
                 incidences.append((bid, v))
             else:
                 uf.union(bid, v)
-
-    comp_cells, node_stab, node_orbit, sig_orbit = {}, {}, {}, {}
+    comp_cells, node_stab, node_orbit, sig_orbit, face_orbit, piece_faces = {}, {}, {}, {}, {}, []
+    orbit = x.orbit.__getitem__
     for rep, members in uf.classes().items():
         merged = [x.stab[m] for m in members if m not in blocks]
-        comp_cells[rep] = frozenset().union(*(blocks[m] for m in members if m in blocks))
+        verts, eids, fids = (list(chain.from_iterable(blocks[m][k] for m in members if m in blocks)) for k in range(3))
+        comp_cells[rep] = frozenset(chain(verts, eids, fids))
         node_stab[rep] = groups.mint("blk", h_elliptic=bool(merged) and all(map(groups.h_elliptic, merged))).id
-        sig = _block_orbit_signature(x, comp_cells[rep])
+        sig = tuple(tuple(sorted(map(orbit, cells))) for cells in (set(verts), eids, fids))
         node_orbit[rep] = sig_orbit.setdefault(sig, rep)
-    for v in sorted(slender):
-        node_stab[v] = x.stab[v]
-        node_orbit[v] = x.orbit[v]
-    tree = CutpointTree(
-        comp_nodes=tuple(comp_cells),
-        cut_nodes=tuple(sorted(slender)),
-        edges=tuple(sorted({(uf.find(bid), v) for bid, v in incidences})),
-        node_stab=node_stab,
-        node_orbit=node_orbit,
-        comp_cells=comp_cells,
-    )
+        face_orbit.update(zip(map(orbit, fids), repeat(node_orbit[rep])))
+        piece_faces.append((fids, node_orbit[rep]))
+    node_stab.update((v, x.stab[v]) for v in sorted(slender))
+    node_orbit.update((v, x.orbit[v]) for v in sorted(slender))
+    edges = tuple(sorted({(uf.find(bid), v) for bid, v in incidences}))
+    tree = CutpointTree(tuple(comp_cells), tuple(sorted(slender)), edges, node_stab, node_orbit, comp_cells)
     if not tree.is_tree():
         raise EngineError("reduced cutpoint tree failed the tree check")
-    # the split counts a triangle orbit once per orbit of pieces holding it
-    piece_orbit = {fid: node_orbit[rep] for rep, cells in comp_cells.items() for fid in cells if fid in x.faces}
-    held = {}
-    for fid in x.triangles():
-        if held.setdefault(x.orbit[fid], piece_orbit[fid]) != piece_orbit[fid]:
-            raise ConsistencyError(f"triangle orbit {x.orbit[fid]!r} lies in cutpoint-free pieces of different orbits")
+    # the split counts a triangle orbit once per orbit of pieces holding it;
+    # the faces are walked only when some face orbit lies in two
+    if any(set(map(face_orbit.__getitem__, map(orbit, fids))) - {held} for fids, held in piece_faces):
+        piece_orbit = {fid: held for fids, held in piece_faces for fid in fids}
+        held = {}
+        for fid in x.triangles():
+            if held.setdefault(x.orbit[fid], piece_orbit[fid]) != piece_orbit[fid]:
+                raise ConsistencyError(f"triangle orbit {x.orbit[fid]!r} lies in cutpoint-free pieces of different orbits")
     return tree
 

@@ -103,57 +103,63 @@ def is_tree(nodes, edges):
 
 
 def blocks(nodes, edges):
-    """Blocks (maximal biconnected subgraphs) of a multigraph, by one
-    edge-stack lowpoint DFS (Hopcroft-Tarjan 1973).
+    """Blocks (maximal biconnected subgraphs) and connected components of a
+    multigraph, by one vertex-stack lowpoint DFS (Hopcroft-Tarjan 1973)
+    that starts each component at its least node.
 
     ``edges`` maps edge id -> (u, v) with u != v and both ends in
     ``nodes``; parallel edges are distinct and lie in one block.  Returns
-    (vertex set, edge id set) pairs; an isolated node is a block of its
-    own with no edges.
+    (blocks, components): each block a (vertex frozenset, edge id
+    frozenset) pair, an isolated node a block of its own with no edges,
+    and the components as vertex frozensets ordered by their least node.
+    A block is the run of the vertex stack from its first node on, with
+    that node's parent.  Every edge joins a node to an ancestor, and lies
+    in the block of its deeper end, so edges are filed after the search.
     """
     adj = {v: [] for v in nodes}
-    for eid, (u, v) in edges.items():
-        adj[u].append((v, eid))
-        adj[v].append((u, eid))
-    depth, low, used = {}, {}, set()
-    out = []
+    for u, v in edges.values():
+        adj[u].append(v)
+        adj[v].append(u)
+    depth, low, block_of = {}, {}, {}
+    members, comps = [], []
     for root in sorted(adj):
         if root in depth:
             continue
         depth[root] = low[root] = 0
+        comp, below = [root], []
         if not adj[root]:
-            out.append(({root}, set()))
-            continue
-        edge_stack = []
-        stack = [(root, None, iter(adj[root]))]
+            members.append([root])
+        stack = [(root, iter(adj[root]), 0)]
         while stack:
-            v, in_edge, it = stack[-1]
-            for w, eid in it:
-                if eid in used:
-                    continue
-                used.add(eid)
-                edge_stack.append(eid)
-                if w in depth:
-                    low[v] = min(low[v], depth[w])
-                else:
-                    depth[w] = low[w] = depth[v] + 1
-                    stack.append((w, eid, iter(adj[w])))
+            v, it, start = stack[-1]
+            dv = depth[v]
+            for w in it:
+                dw = depth.get(w)
+                if dw is None:
+                    depth[w] = low[w] = dv + 1
+                    comp.append(w)
+                    stack.append((w, iter(adj[w]), len(below)))
+                    below.append(w)
                     break
+                if dw < low[v]:  # the parent's depth, over the tree edge, changes no test
+                    low[v] = dw
             else:
                 stack.pop()
                 if not stack:
                     continue
-                pv = stack[-1][0]
-                low[pv] = min(low[pv], low[v])
-                if low[v] >= depth[pv]:
-                    # everything pushed since the tree edge into v is one block
-                    block_edges = set()
-                    eid = None
-                    while eid != in_edge:
-                        eid = edge_stack.pop()
-                        block_edges.add(eid)
-                    out.append(({w for e in block_edges for w in edges[e]}, block_edges))
-    return out
+                pv, lv = stack[-1][0], low[v]
+                if lv < low[pv]:
+                    low[pv] = lv
+                if lv >= depth[pv]:
+                    block = below[start:]
+                    del below[start:]
+                    block_of.update(dict.fromkeys(block, len(members)))
+                    members.append(block + [pv])
+        comps.append(frozenset(comp))
+    block_edges = [[] for _ in members]
+    for eid, (u, v) in edges.items():
+        block_edges[block_of[v] if depth[v] > depth[u] else block_of[u]].append(eid)
+    return list(zip(map(frozenset, members), map(frozenset, block_edges))), comps
 
 
 def cut_vertices(blks):

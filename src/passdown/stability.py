@@ -339,7 +339,7 @@ def _straddling_cone(x: Complex2, class_of):
         if len({class_of.get(fid) for fid in star}) < 2:
             continue
         link = {fid: tuple(w for w in x.face_vertices(fid) if w != v) for fid in star}
-        for _verts, fids in graphs.blocks({w for ends in link.values() for w in ends}, link):
+        for _verts, fids in graphs.blocks({w for ends in link.values() for w in ends}, link)[0]:
             fids = sorted(fids)
             first = {}  # link vertex -> the first block edge at it
             for f in fids:

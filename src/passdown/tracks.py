@@ -10,6 +10,8 @@ analysis.
 """
 
 from dataclasses import dataclass
+from itertools import filterfalse, repeat
+from operator import attrgetter, itemgetter
 
 from . import graphs
 from .complexes import canonical_complex, declare_pairs, fresh_separator, h1_z2, is_connected, reduce_with_map
@@ -80,10 +82,7 @@ def tracks_from_resolution(res: Resolution) -> TrackSystem:
                 per_f.setdefault(f, []).append(eid)
         for f, crossed in per_f.items():
             if len(crossed) != 2:
-                raise EngineError(
-                    f"tree edge {f!r} crosses {len(crossed)} side(s) of triangle {fid!r}; "
-                    "arcs must close up"
-                )
+                raise EngineError(f"tree edge {f!r} crosses {len(crossed)} side(s) of triangle {fid!r}; arcs must close up")
             e1, e2 = sorted(crossed)
             arcs.append((fid, (f, e1), (f, e2)))
     points = [(f, eid) for eid, fs in crossings.items() for f in fs]
@@ -134,9 +133,7 @@ def essential_tracks(ts: TrackSystem) -> TrackSystem:
     keep = []
     for tr in ts.tracks:
         if not tr.separates:
-            raise EngineError(
-                f"track {tr.id!r} does not split the complex into two parts despite h1 = 0"
-            )
+            raise EngineError(f"track {tr.id!r} does not split the complex into two parts despite h1 = 0")
         if all(tr.side_infinite):
             keep.append(tr)
     return TrackSystem(resolution=ts.resolution, tracks=tuple(keep), crossings=ts.crossings)
@@ -145,18 +142,25 @@ def essential_tracks(ts: TrackSystem) -> TrackSystem:
 # ---------------------------------------------------------------------------
 # the collapse X* / Lambda* and its reduction X_T
 
+# what a truncation error asks for
+_EXTEND = "extend the tree's rays or the boundary marking"
 
-def _corners_and_sides(edges, sides):
-    """The corners a < b < c of a triangle of a simplicial complex and its
-    sides in (ab, bc, ac) order, read from its side tuple ``sides``."""
-    e0, e1, e2 = sides
-    u, v = edges[e0]
-    p, q = edges[e1]
-    w = q if p == u or p == v else p  # the corner off e0
-    # e1 joins w to u or to v, and the one it misses is opposite it
-    opposite = {w: e0, v: e1, u: e2} if u == p or u == q else {w: e0, u: e1, v: e2}
-    a, b, c = sorted(opposite)
-    return (a, b, c), (opposite[c], opposite[a], opposite[b])
+
+def _triangles(x):
+    """(face id, corners a < b < c, sides (ab, bc, ac)) of each triangle
+    of the simplicial complex ``x``, in id order.  A canonical ``x`` stores
+    its sides so, on ends stored low first; any other holds the corners
+    and the edges by vertex pair that its simplicial check derived."""
+    edges, faces = x.edges, x.faces
+    if x.cell_data.__dict__.get("is_canonical"):
+        for fid in sorted(faces):
+            ab, bc, ac = sides = faces[fid]
+            yield fid, (*edges[ab], edges[bc][1]), sides
+        return
+    by_pair, corners = x.edges_by_pair, x.cell_data.face_vertices
+    for fid in sorted(faces):
+        a, b, c = corners[fid]
+        yield fid, (a, b, c), (by_pair[a, b][0], by_pair[b, c][0], by_pair[a, c][0])
 
 
 def _identity_fragment(x):
@@ -164,9 +168,9 @@ def _identity_fragment(x):
     the construction gives it: faces in id order, each with its sides in
     the order of its sorted corners."""
     tri_map, edge_map = {}, {}
-    for fid in sorted(x.triangles()):
+    for fid, _corners, sides in _triangles(x):
         tri_map[fid] = fid
-        edge_map.update(((fid, eid), eid) for eid in _corners_and_sides(x.edges, x.faces[fid])[1])
+        edge_map.update(zip(zip(repeat(fid), sides), sides))
     return TauFragment(triangle_map=tri_map, edge_map=edge_map, track_point={})
 
 
@@ -183,41 +187,40 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     ``<face><sep>mid``, where ``sep`` is the shortest run of dots that
     makes every such id new.
 
-    With no track and no vertex at an ideal point nothing collapses, so
-    ``x`` itself is reduced and not validated again: each complex is
-    validated where it is parsed or built valid, and ``x`` is a parsed
-    terminal, a contraction, or a cutpoint piece, reduction or override
-    relabelling (whose labels are looked up) of a valid complex.  Track
-    extraction checks that ``x`` is simplicial, so the reduction keeps
-    every cell, and the fragment is the identity.
+    With no track and no vertex at an ideal point nothing collapses: ``x``
+    is reduced, not validated again (each complex is validated where it is
+    parsed or built valid), and, simplicial (track extraction checks it),
+    keeps every cell under the identity fragment.
 
-    Otherwise each edge and each triangle of ``x`` is read once: the
-    segments, filed by node pair, and the central triangles, filed by
-    corner triple, go to ``canonical_complex``, the quotient step of every
-    reduction, as in ``resolution.contract``: X_T is the reduction of the
-    collapsed complex built whole (the tests keep that construction as the
-    oracle).  An edge with no track point is its own one segment, and a
-    triangle reads its corners and sides off its own side tuple.  Every
-    containment of the collapsed complex whose upper cell is not a track
-    point is one of ``x`` between the same labels, and holds; only those
-    under a track point are declared here, each distinct pair once.  Of
-    the checks of a built complex only the one that parsed input can fail
-    is made: the segments of a new orbit must join the same pair of vertex
-    orbits.  Face shapes fix the sides of a face, not the faces on an
-    edge, so two edges of one orbit may lie on different faces; the tracks
-    through them then cross edges of different orbits, their points take
-    different orbits, and so may the ends of the edges' segments.  An
-    edge's segments are numbered from its end in the least
-    vertex orbit (from its first stored end when both ends are in one
-    orbit), so that the edges of one orbit number theirs alike however
-    they are stored.  A triangle has at most one image, so X_T does not
-    exceed ``x`` in covolume; ``passdown_full`` checks that once per stage
-    and piece, so it is not checked here.
+    Otherwise X_T is the reduction of the collapsed complex built whole
+    (the tests keep that construction as the oracle), through the quotient
+    step ``canonical_complex``, handed the segments by node pair and the
+    central triangles by corner triple.  Only the edges with a track point
+    are walked, each once, and each triangle once, its corners and sides
+    from ``_triangles``: the arcs the track extraction paired in it cut off
+    its corners, and the innermost arc at each cut corner bounds its
+    central triangle.  Along a side the arcs at one end all come before
+    those at the other (in the tree, the tree edges of the arcs at a
+    corner lie between its image and the median of the three corner
+    images), so each side of a central triangle is a segment of that side.
+    Only the containments under a track point are declared, each distinct
+    pair once; every other one is one of ``x`` between the same labels.
 
-    Every orbit of the collapsed complex has one label (a segment takes
-    its edge's, a central triangle its face's, a track point its orbit's
-    fresh one, and ``x`` is valid), so the quotient step mints a class
-    label only where cells of differently labelled orbits merge.
+    Of the checks of a built complex one is made: the segments of a new
+    orbit must join one pair of vertex orbits.  The edges of one orbit have
+    one pair of end orbits and one multiset of face orbits
+    (``validate_complex``) and one path, since a vertex maps by its label,
+    so two edges of one orbit crossing one and two tree edges cannot parse.
+    But a track is global: two parts of a complex alike cell by cell but of
+    different sizes (the cone-capped annuli of the CLI tests) carry tracks
+    of different lengths, whose points take different orbits.  An edge's
+    segments are numbered from its end in the least vertex orbit (its first
+    stored end when both are in one), so that the edges of one orbit number
+    theirs alike however they are stored.  A triangle has at most one
+    image, so X_T does not exceed ``x`` in covolume (``passdown_full``
+    checks it).  Every orbit of the collapsed complex has one label, so the
+    quotient step mints a class label only where orbits of different labels
+    merge.
     """
     res = ts_star.resolution
     x, tree = res.source, res.target
@@ -227,7 +230,9 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
 
     # per edge carrying points, the tree edges of its points in path order
     # from its first stored end
-    essential = {(eid, tr.tree_edge) for tr in ts_star.tracks for eid in tr.points}
+    essential = set()
+    for tr in ts_star.tracks:
+        essential.update(zip(tr.points, repeat(tr.tree_edge)))
     on_track = {eid: [f for f in ts_star.crossings[eid] if (eid, f) in essential] for eid, _f in essential}
 
     def minted(sep):
@@ -243,125 +248,111 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
             for fid in x.triangles_by_edge.get(eid, ()):
                 yield f"{fid}{sep}mid"
 
-    sep = fresh_separator(x.stab.keys() | x.orbit.values(), minted, ".")
+    sep = fresh_separator((x.stab.keys(), x.orbit.values()), minted, ".")
 
     # one point per track, with one fresh label and orbit per orbit of
     # tracks; a point that faces a truncated end is marked: the complex
     # continues beyond it at full scale.  Every other cell keeps its labels
-    # under its own id, so the labels of x are copied whole
+    # under its own id, so the labels of x are copied whole.  Each arc is
+    # filed under its face with the corner its two sides share
     stab, orbit, plus = dict(x.stab), dict(x.orbit), dict(x.stab_plus)
-    point_vertex, point_of, marked_points, by_sig = {}, {}, set(), {}
-    for tr in sorted(ts_star.tracks, key=lambda t: t.id):
+    point_vertex, point_of, marked_points, by_sig, cut_at, tree_edge_of = {}, {}, set(), {}, {}, {}
+    for tr in sorted(ts_star.tracks, key=attrgetter("id")):
         vid = point_vertex[tr.id] = f"w{sep}{tr.id}"
-        point_of.update(((eid, tr.tree_edge), vid) for eid in tr.points)
-        sig = (tree.orbit[tr.tree_edge], tuple(sorted(x.orbit[e] for e in tr.points)))
+        point_of.update(zip(zip(tr.points, repeat(tr.tree_edge)), repeat(vid)))
+        sig = (tree.orbit[tr.tree_edge], tuple(sorted(map(x.orbit.__getitem__, tr.points))))
         if sig not in by_sig:
             by_sig[sig] = groups.mint("trk", supergroups={tree.stab[tr.tree_edge]}, slender=True).id, vid
         stab[vid], orbit[vid] = by_sig[sig]
+        tree_edge_of[vid] = tr.tree_edge
         if removed and any(w in removed for eid in tr.points for w in x.edges[eid]):
             marked_points.add(vid)
+        for fid, (e1, e2) in tr.arcs.items():
+            u, v = x.edges[e1]
+            cut_at.setdefault(fid, []).append((u if u in x.edges[e2] else v, tr.tree_edge, vid))
     kept = x.vertices - removed
 
-    # segments: an edge with no track point is one, itself; else one per
-    # consecutive pair of nodes along the edge (surviving ends and track
-    # points in path order, from the end in the least vertex orbit).  Each
-    # is filed by sorted node pair; with them, the (label, label above) of
-    # each segment below a track point, and the first new orbit whose
-    # segments do not all join one pair of vertex orbits
-    edges_at, made, edge_pairs = {}, set(), {}
-    shape, bad_orbit = {}, None
-    for eid in sorted(x.edges):
+    # an edge with no track point is its own segment, filed by sorted ends
+    plain = list(filterfalse(on_track.__contains__, x.edges))
+    for eid in sorted(plain) if removed else ():
+        if not removed.isdisjoint(x.edges[eid]):
+            raise TruncationError(f"edge {eid!r} reaches a truncated end without an essential crossing; {_EXTEND}")
+    edges_at = dict(zip(map(tuple, map(sorted, map(x.edges.__getitem__, plain))), zip(plain)))
+
+    # every other edge is cut at its points: one segment per consecutive
+    # pair of nodes along it (surviving ends and track points in path
+    # order, from the end in the least vertex orbit), filed by sorted node
+    # pair; with them, the (label, label above) under each of its points,
+    # and the first new orbit whose segments do not all join one pair of
+    # vertex orbits
+    segments_at, edge_pairs, shape, bad_orbit = {}, {}, {}, None
+    for eid in sorted(on_track):
         u, v = x.edges[eid]
-        fs = on_track.get(eid)
-        if fs is None:
-            if u in removed or v in removed:
-                raise TruncationError(
-                    f"edge {eid!r} reaches a truncated end without an essential crossing; "
-                    "extend the tree's rays or the boundary marking"
-                )
-            edges_at.setdefault((u, v) if u < v else (v, u), []).append(eid)
-            continue
-        nodes = [point_of[(eid, f)] for f in fs]
-        if x.orbit[v] < x.orbit[u]:
+        nodes = [point_of[eid, f] for f in on_track[eid]]
+        if orbit[v] < orbit[u]:
             u, v = v, u
             nodes.reverse()
-        nodes = ([u] if u in kept else []) + nodes + ([v] if v in kept else [])
         label, oriented, base = x.stab[eid], x.stab_plus.get(eid), x.orbit[eid]
-        for k in range(len(nodes) - 1):
-            a, b = nodes[k], nodes[k + 1]
-            sid, oid = f"{eid}{sep}{k}", f"{base}{sep}{k}"
+        for w in nodes:
+            edge_pairs[label, stab[w]] = None
+        nodes = [u] * (u in kept) + nodes + [v] * (v in kept)
+        a, oa = nodes[0], orbit[nodes[0]]
+        for k in range(1, len(nodes)):
+            b = nodes[k]
+            ob = orbit[b]
+            sid, oid = f"{eid}{sep}{k - 1}", f"{base}{sep}{k - 1}"
             stab[sid], orbit[sid] = label, oid
             if oriented is not None:
                 plus[sid] = oriented
-            oa, ob = orbit[a], orbit[b]
             ends = (oa, ob) if oa < ob else (ob, oa)
             if shape.setdefault(oid, ends) != ends and bad_orbit is None:
                 bad_orbit = oid
-            for w in (a, b):
-                if w not in kept:  # a track point
-                    edge_pairs[label, stab[w]] = None
-            key = (a, b) if a < b else (b, a)
-            made.add((eid, key))
-            edges_at.setdefault(key, []).append(sid)
-    for ids in edges_at.values():
-        if len(ids) > 1:
-            ids.sort()
+            segments_at.setdefault((a, b) if a < b else (b, a), []).append(sid)
+            a, oa = b, ob
+    for ids in segments_at.values():
+        ids.sort()
+    edges_at.update(segments_at)
 
-    # central triangle per face, via the tripod of its three branches (the
-    # tree edges whose arcs cut off each corner), filed by sorted corner
-    # triple; with them, the (label, label above) of each face below a track
-    # point.  A tree edge crossing the triangle crosses two of its sides
-    # (track extraction checks it), so the branches partition the crossings
+    # central triangle per face, filed by sorted corner triple: a corner cut
+    # off by arcs goes to the point of the innermost, the last from it along
+    # its first side in (ab, bc, ac) order (the arcs at a corner are nested);
+    # with them, the (label, label above) of each face below a track point
     faces_at, tri_map, edge_map, face_pairs = {}, {}, {}, {}
-    for fid in sorted(x.triangles()):
-        (a, b, c), (ab, bc, ac) = _corners_and_sides(x.edges, x.faces[fid])
-        crossed = {ab: on_track.get(ab, ()), bc: on_track.get(bc, ()), ac: on_track.get(ac, ())}
-        node = {}
-        for corner, eid, other in ((a, ab, ac), (b, ab, bc), (c, ac, bc)):
-            # the branch at the corner, in path order along its side eid;
-            # its innermost arc, the last from the corner, bounds the
-            # central region
-            cut = [f for f in crossed[eid] if f in crossed[other]]
-            if cut:
-                node[corner] = point_of[(eid, cut[-1] if corner == x.edges[eid][0] else cut[0])]
-            elif corner in removed:
-                raise TruncationError(
-                    f"triangle {fid!r} reaches the truncated end at {corner!r} without an "
-                    "essential arc; extend the tree's rays or the boundary marking"
-                )
-            else:
-                node[corner] = corner
-
-        above = sorted({node[a], node[b], node[c]} - {a, b, c})  # the track points among the corners
-        face_pairs.update(((x.stab[fid], stab[w]), None) for w in above)
-        mid_id = f"{fid}{sep}mid" if above else fid
-        for p, q, eid in ((a, b, ab), (b, c, bc), (a, c, ac)):
-            if not crossed[eid]:  # a side with no point is its own segment
-                edge_map[(fid, eid)] = eid
-                continue
-            p, q = node[p], node[q]
-            key = (p, q) if p < q else (q, p)
-            if (eid, key) not in made:
-                raise EngineError(f"central region side missing on triangle {fid!r}")
-            edge_map[(fid, eid)] = edges_at[key][0]
+    for fid, (a, b, c), (ab, bc, ac) in _triangles(x):
+        node = {}  # cut corner -> the point of its innermost arc
+        for corner, f, vid in cut_at.get(fid, ()):
+            if corner in node:
+                side = ac if corner == c else ab
+                fs = on_track[side]
+                if (fs.index(f) > fs.index(tree_edge_of[node[corner]])) != (corner == x.edges[side][0]):
+                    continue
+            node[corner] = vid
+        for w in (a, b, c) if removed else ():
+            if w in removed and w not in node:
+                raise TruncationError(f"triangle {fid!r} reaches the truncated end at {w!r} without an essential arc; {_EXTEND}")
+        if not node:  # no arc, so no side carries a point
+            edge_map[fid, ab], edge_map[fid, bc], edge_map[fid, ac] = ab, bc, ac
+            faces_at[(a, b, c)] = tri_map[fid] = [fid]
+            continue
+        na, nb, nc = node.get(a, a), node.get(b, b), node.get(c, c)
+        for w in sorted(node.values()):
+            face_pairs[x.stab[fid], stab[w]] = None
+        for p, q, eid in ((na, nb, ab), (nb, nc, bc), (na, nc, ac)):
+            edge_map[fid, eid] = segments_at[(p, q) if p < q else (q, p)][0] if eid in on_track else eid
+        mid_id = f"{fid}{sep}mid"
         stab[mid_id], orbit[mid_id] = x.stab[fid], x.orbit[fid]
-        triple = tri_map[fid] = tuple(sorted(node.values()))
-        faces_at.setdefault(triple, []).append(mid_id)
+        tri_map[fid] = faces_at.setdefault(tuple(sorted((na, nb, nc))), [])
+        tri_map[fid].append(mid_id)
     for ids in faces_at.values():
-        if len(ids) > 1:
-            ids.sort()
+        ids.sort()
 
     declare_pairs(groups, {**face_pairs, **edge_pairs})
     if bad_orbit is not None:
         raise ConsistencyError(f"edges of orbit {bad_orbit!r} have mismatched endpoint orbits")
-
     xt = canonical_complex(
         kept.union(point_vertex.values()), edges_at, faces_at, stab, orbit, plus,
         (x.boundary_marked & kept) | marked_points, groups,
     )
-    frag = TauFragment(
-        triangle_map={fid: faces_at[triple][0] for fid, triple in tri_map.items()},
-        edge_map=edge_map,
-        track_point=point_vertex,
-    )
-    return xt, frag
+    tri_map = dict(zip(tri_map, map(itemgetter(0), tri_map.values())))
+    return xt, TauFragment(triangle_map=tri_map, edge_map=edge_map, track_point=point_vertex)
+

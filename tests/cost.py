@@ -6,9 +6,14 @@ events on, and counts the bytecodes executed in frames whose code lies in
 hair and between CPython versions by more, so the tier-1 gates on them
 (``tests/test_stability.py``) compare ratios, never raw counts.
 
+``inclusive`` names functions whose counts also take in every opcode
+run while one of their frames is on the stack.
+
 Run as ``python tests/cost.py`` to print, for the ``worked`` and ``chain``
 benchmark ops, the opcodes of ``run_pipeline`` (parse excluded) at
-horizons 32 and 64 and the cost per level between them, by function.
+horizons 32 and 64 and the cost per level between them, by function;
+then, over the seed-1 ``surgery`` pool (parse plus ``run_pipeline``), the
+inclusive opcodes of the track collapse and its parts, and the total.
 """
 
 import random
@@ -27,14 +32,19 @@ from passdown.fixtures import parse_text  # noqa: E402
 from passdown.pipeline import run_pipeline  # noqa: E402
 
 
-def opcodes(fn, *args):
+def opcodes(fn, *args, inclusive=()):
     """``fn(*args)``'s result and the bytecodes it executed in engine
-    frames, as a Counter keyed by qualified function name."""
+    frames, as a Counter keyed by qualified function name; a name in
+    ``inclusive`` counts every opcode run while a frame of its function is
+    on the stack (none of them recurses)."""
     counts, engine = Counter(), {}  # code object -> whether it lies in the engine
+    opened, spans = {}, Counter()  # open frame of an inclusive name -> the total at its call
 
     def local(frame, event, arg):
         if event == "opcode":
             counts[frame.f_code] += 1
+        elif event == "return" and frame in opened:
+            spans[_name(frame.f_code)] += counts.total() - opened.pop(frame)
         return local
 
     def call(frame, event, arg):
@@ -45,6 +55,8 @@ def opcodes(fn, *args):
         if not inside:
             return None
         frame.f_trace_opcodes = True
+        if inclusive and _name(code) in inclusive:
+            opened[frame] = counts.total()
         return local
 
     previous = sys.gettrace()
@@ -55,8 +67,20 @@ def opcodes(fn, *args):
         sys.settrace(previous)
     by_name = Counter()  # two code objects may share a name, say two generator expressions in one function
     for code, n in counts.items():
-        by_name[getattr(code, "co_qualname", code.co_name)] += n
+        by_name[_name(code)] += n
+    if inclusive:
+        return result, by_name, spans
     return result, by_name
+
+
+def _name(code):
+    return getattr(code, "co_qualname", code.co_name)
+
+
+def pipeline_opcodes(op):
+    """The opcodes of ``run_pipeline`` on the benchmark op ``op``, parse
+    excluded, as a Counter keyed by function."""
+    return opcodes(run_pipeline, parse_text(op.text), op.pipeline)[1]
 
 
 def run_opcodes(family, horizon):
@@ -65,6 +89,24 @@ def run_opcodes(family, horizon):
     op = getattr(workloads, family)(random.Random(1), horizon)
     fx = parse_text(op.text)
     return opcodes(run_pipeline, fx, op.pipeline)
+
+
+COLLAPSE = ("_collapse", "split_collapse", "tracks_from_resolution", "_cutpoint_pieces")
+
+
+def surgery_opcodes(seed=1):
+    """Over the ``surgery`` pool of ``seed``, each op parsed and run: the
+    inclusive opcodes of each function of ``COLLAPSE``, and the total."""
+    spans, total = Counter(), 0
+
+    def parse_and_run(op):
+        return run_pipeline(parse_text(op.text), op.pipeline)
+
+    for op in workloads.generate("surgery", seed):
+        _, by_name, inside = opcodes(parse_and_run, op, inclusive=COLLAPSE)
+        spans.update(inside)
+        total += by_name.total()
+    return spans, total
 
 
 def per_level(family, low=32, high=64):
@@ -82,6 +124,11 @@ def main():
         for name, n in sorted(by_function.items(), key=lambda item: (-item[1], item[0])):
             if abs(n) >= 0.5:
                 print(f"  {n:9,.1f}  {name}")
+    spans, total = surgery_opcodes()
+    print("surgery, seed 1: inclusive opcodes (parse plus run_pipeline)")
+    for name in COLLAPSE:
+        print(f"  {spans[name]:11,}  {name}")
+    print(f"  {total:11,}  all engine opcodes")
 
 
 if __name__ == "__main__":

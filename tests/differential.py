@@ -413,7 +413,7 @@ def parse(text):
     fast = parsed(parse_text, text)
     assert fast == parsed(oracles.parse_by_walk, text)
     if fast[0] == "refused":
-        return Counter(refused=1, face_shapes="faces of orbit" in fast[2])
+        return Counter(refused=1, face_shapes="faces of orbit" in fast[2], edge_faces="have mismatched face orbits" in fast[2])
     handed = [handed_on(x)[0] for x in fast[1][1].values()]
     return Counter(read=1, trees=len(fast[1][2]), labels_handed=sum("cell_labels_reduced" in names for names in handed))
 
@@ -452,6 +452,25 @@ def face_orbit_fixtures(count=200):
 
 # the bowtie is read; faces of one orbit and label but of two shapes are refused
 shape("fixture text", "face orbits", face_orbit_fixtures, lambda c: c["read"] >= 1 and c["face_shapes"] > 100)
+
+
+def twin_edge_fixtures():
+    """Each committed fixture once per edge of a complex block, with a twin
+    of that edge: a parallel edge on no face, in its orbit and with its
+    labels."""
+    for path in sorted(FIXTURES.glob("*.txt")):
+        lines, block = [line.split("#", 1)[0] for line in path.read_text().splitlines()], None
+        for i, line in enumerate(lines):
+            words = line.split()
+            block = words[0] if words and not line.startswith(" ") else block
+            if block == "complex" and words[:1] == ["edge"]:
+                twin = line.replace(f" {words[1]} ", f" {words[1]}twin ", 1)
+                twin += "" if " orbit=" in line else f" orbit={words[1]}"
+                yield "\n".join(lines[: i + 1] + [twin] + lines[i + 1:]) + "\n"
+
+
+# an edge orbit whose edges lie on faces of different orbits is refused
+shape("fixture text", "twin edges", twin_edge_fixtures, lambda c: c["edge_faces"] == c["cases"] > 100)
 
 
 @row(resolution.build_resolution, oracles.resolution_by_cell_classification, "mislabelled complex")
@@ -680,7 +699,7 @@ complex_shapes("identity step", elliptic_labels, ["simplicial", "cell", "tree", 
 @row(complexes.fresh_separator, oracles.separator_by_minting, "taken ids")
 def fresh_separators(case):
     taken, sep = case
-    assert complexes.fresh_separator(taken, minting([]), sep) == oracles.separator_by_minting(taken, minting([]), sep)
+    assert complexes.fresh_separator((taken,), minting([]), sep) == oracles.separator_by_minting(taken, minting([]), sep)
 
 
 def taken_ids(rng, i):

@@ -287,7 +287,7 @@ def straddling_cone_every_vertex(x, class_of):
 
     for v in sorted(x.triangles_by_vertex):
         link = {fid: tuple(sorted(set(x.face_vertices(fid)) - {v})) for fid in x.triangles_by_vertex[v]}
-        for _verts, fids in graphs.blocks({w for ends in link.values() for w in ends}, link):
+        for _verts, fids in graphs.blocks({w for ends in link.values() for w in ends}, link)[0]:
             fids = sorted(fids)
             first = {}  # link vertex -> the first block edge at it
             for f in fids:
@@ -495,7 +495,7 @@ def class_cutpoints(x, triangles):
     from passdown import graphs
 
     edges = {eid: x.edges[eid] for fid in triangles for eid in x.faces[fid]}
-    return frozenset(graphs.cut_vertices(graphs.blocks({w for ends in edges.values() for w in ends}, edges)))
+    return frozenset(graphs.cut_vertices(graphs.blocks({w for ends in edges.values() for w in ends}, edges)[0]))
 
 
 def identity_fragment(x):
@@ -708,7 +708,7 @@ def collapse_by_construction(ts_star, groups):
             for fid in x.triangles_by_edge.get(eid, ()):
                 yield f"{fid}{sep}mid"
 
-    sep = fresh_separator(x.stab.keys() | x.orbit.values(), minted, ".")
+    sep = fresh_separator((x.stab.keys(), x.orbit.values()), minted, ".")
 
     # one point per track, with one fresh label and orbit per orbit of
     # tracks; a point that faces a truncated end is marked: the complex
@@ -1255,7 +1255,7 @@ def contract_by_construction(res, groups):
 
     classes = uf.classes(ideal_verts)
     merged = [rep for rep, members in classes.items() if len(members) > 1]
-    sep = fresh_separator(x.stab.keys() | x.orbit.values(), lambda sep: (f"c{sep}{rep}" for rep in merged), ":")
+    sep = fresh_separator((x.stab.keys(), x.orbit.values()), lambda sep: (f"c{sep}{rep}" for rep in merged), ":")
     comp_vertex = {}
     image_override = {}
     extra_stab = {}
@@ -1430,7 +1430,9 @@ def orbits_by_walk(cells, stab, orbit, edges, **cells_by_kind):
 def face_shapes_by_walk(x):
     """The face-shape check of ``validate_complex``, by a walk of every
     face: the first face orbit whose faces differ in their side orbits or
-    corner orbits, each compared as a multiset."""
+    corner orbits, each compared as a multiset; then, by a walk of every
+    edge over all faces, the first edge orbit whose edges differ in the
+    multiset of the orbits of the faces on them."""
     from passdown.errors import ConsistencyError
 
     shape = {}
@@ -1439,6 +1441,10 @@ def face_shapes_by_walk(x):
         corners = Counter(x.orbit[w] for w in {w for e in es for w in x.edges[e]})
         if shape.setdefault(x.orbit[fid], (sides, corners)) != (sides, corners):
             raise ConsistencyError(f"faces of orbit {x.orbit[fid]!r} have mismatched side or corner orbits")
+    for eid in x.edges:
+        faces = Counter(x.orbit[fid] for fid, es in x.faces.items() if eid in es)
+        if shape.setdefault(x.orbit[eid], faces) != faces:
+            raise ConsistencyError(f"edges of orbit {x.orbit[eid]!r} have mismatched face orbits")
 
 
 def make_complex_by_walk(vertices, edges, faces, stab=None, orbit=None, boundary_marked=(), stab_plus=None, groups=None):

@@ -28,6 +28,25 @@ EDGE_CYCLE = (
     "complex X\n  vertex a\n  vertex b\n  vertex c\n  edge ab a b\n  edge bc b c\n  edge ac a c\nend\n"
     "tree T\n  vertex x0\n  vertex x1\n  edge f x0 x1\nend\n"
 )
+# two edges, each from x0 to x1, and nothing between them
+TWO_COMPONENTS = (
+    "groups\n  group Ga slender helliptic\n  group Gb slender helliptic\nend\n"
+    "complex X\n  vertex a marked stab=Ga\n  vertex b marked stab=Gb\n  vertex c stab=Ga\n  vertex d stab=Gb\n"
+    "  edge ab a b\n  edge cd c d\nend\n"
+    "tree T\n  vertex x0\n  vertex x1\n  edge f x0 x1\nend\nactions T\n  elliptic Ga fix=x0\n  elliptic Gb fix=x1\nend\n"
+)
+# two triangles on the vertex v, whose label P is not slender, so the
+# cutpoint split merges v into one piece, and acts parabolically
+NONELLIPTIC_CUTPOINT = (
+    "groups\n  group P helliptic\n  group G slender helliptic\nend\n"
+    "complex X\n  vertex v stab=P\n  vertex a marked stab=G\n  vertex b stab=G\n  vertex c marked stab=G\n"
+    "  vertex d stab=G\n  edge va v a\n  edge vb v b\n  edge ab a b\n  edge vc v c\n  edge vd v d\n  edge cd c d\n"
+    "  triangle t1 va ab vb\n  triangle t2 vc cd vd\nend\n"
+    "tree T\n  vertex x0\n  vertex x1\n  edge f x0 x1\n  ideal p ray=x1,x0\nend\n"
+    "actions T\n  elliptic G fix=x1\n  parabolic P end=p\nend\n"
+    "hierarchy K\n  node r 1\nend\nstructure S hierarchy=K\n  attach r complex=X\nend\n"
+    "pipeline par root=S\n  node w0 tree=T\nend\n"
+)
 
 
 def fixture(name):
@@ -291,8 +310,10 @@ class TestCommands:
         "argv", [["split", "--complex", "XP", "--tree", "T0"], ["pipeline", "--name", "worked"]], ids=["split", "pipeline"]
     )
     def test_a_collapse_numbers_segments_alike_however_an_edge_is_stored(self, argv, tmp_path, capsys):
-        """Edges ``ac``, ``bc``, ``ad`` and ``bd`` share orbit ``oX``, between
-        vertex orbits ``P`` (a, b) and ``Q`` (c, d).  The collapse numbers an
+        """Edges ``bc`` and ``bd`` share orbit ``oX``, and ``ac`` and ``ad``
+        orbit ``oY``, between vertex orbits ``P`` (a, b) and ``Q`` (c, d),
+        with ``t1`` and ``t2`` in one face orbit, so that the edges of each
+        orbit lie on faces of the same orbits.  The collapse numbers an
         edge's segments from its end in the least vertex orbit, ``P``, so
         segment orbit ``oX.0`` joins ``P`` to a track point whether ``bd``
         is stored from its ``P`` end or from its ``Q`` end: both storages
@@ -304,10 +325,12 @@ class TestCommands:
             ("vertex b stab=Gb", "vertex b stab=Ga orbit=P"),
             ("vertex c marked stab=Gc", "vertex c marked stab=Gc orbit=Q"),
             ("vertex d stab=Gd", "vertex d stab=Gc orbit=Q"),
-            ("edge ac a c stab=Gcr", "edge ac a c stab=Gcr orbit=oX"),
+            ("edge ac a c stab=Gcr", "edge ac a c stab=Gcr orbit=oY"),
             ("edge bc b c stab=Gcr", "edge bc b c stab=Gcr orbit=oX"),
-            ("edge ad a d stab=Gcr", "edge ad a d stab=Gcr orbit=oX"),
+            ("edge ad a d stab=Gcr", "edge ad a d stab=Gcr orbit=oY"),
             ("edge bd b d stab=Gcr", "edge bd b d stab=Gcr orbit=oX"),
+            ("triangle t1 ab bc ac stab=Gf", "triangle t1 ab bc ac stab=Gf orbit=oT"),
+            ("triangle t2 ab bd ad stab=Gf", "triangle t2 ab bd ad stab=Gf orbit=oT"),
         ):
             assert text.count(old + "\n") == 1
             text = text.replace(old + "\n", new + "\n")
@@ -568,13 +591,23 @@ class TestCommands:
                 "script node 'w0': no child declared for vertex orbit 'o1' of tree 'T0'",
             ),
             (lambda text: EDGE_CYCLE, ["tracks", "--complex", "X", "--tree", "T"], 1, "essential-track selection needs h1_z2 = 0"),
+            (
+                lambda text: TWO_COMPONENTS, ["tracks", "--complex", "X", "--tree", "T"], 1,
+                "essential-track selection needs a connected complex",
+            ),
+            (
+                lambda text: NONELLIPTIC_CUTPOINT, ["pipeline", "--name", "par"], 1,
+                "[splitting-resolution] cutpoint 'v' of the complex at 'r' does not act elliptically",
+            ),
         ],
-        ids=["unknown-pipeline", "horizon-0", "no-child", "tracks-on-a-cycle"],
+        ids=["unknown-pipeline", "horizon-0", "no-child", "tracks-on-a-cycle", "tracks-on-two-components", "parabolic-cutpoint"],
     )
     def test_typed_error_exit_code_and_message(self, edit, argv, code, message, tmp_path, capsys):
         """An unknown pipeline, a horizon of 0, a script node with no child
-        for a vertex orbit of its tree, and tracks asked of a complex with
-        h1 != 0 (the worked fixture, edited, or a three-edge cycle)."""
+        for a vertex orbit of its tree, tracks asked of a complex with
+        h1 != 0 or of two components, and a collapse of a complex with a
+        merged cut vertex that does not act elliptically (the worked
+        fixture, edited, or a small fixture of its own)."""
         with open(fixture("worked_terminating.txt")) as fh:
             text = fh.read()
         path = tmp_path / "case.txt"
@@ -874,23 +907,35 @@ end
 
 BOWTIE = """
 complex X
-  vertex a orbit=A
-  vertex b orbit=B
-  vertex c
-  vertex d orbit=A
-  vertex e orbit=B
-  vertex g
-  edge ab a b orbit=eAB
-  edge bc b c orbit=eBC
-  edge ac a c orbit=eAC
-  edge cd c d orbit=eAC
-  edge de d e orbit=eAB
-  edge ce c e orbit=eBC
-  edge ag a g
-  edge bg b g
-  triangle t1 ab bc ac orbit=o
-  triangle t2 cd de ce orbit=o
-  triangle t3 ab bg ag
+  vertex a0 orbit=C
+  vertex a1 orbit=R
+  vertex a2 orbit=R
+  vertex a3 orbit=R
+  vertex b0 orbit=C
+  vertex b2 orbit=R
+  vertex b3 orbit=R
+  vertex b4 orbit=R
+  edge s1 a0 a1 orbit=S
+  edge s2 a0 a2 orbit=S
+  edge s3 a0 a3 orbit=S
+  edge r12 a1 a2 orbit=E
+  edge r23 a2 a3 orbit=E
+  edge r31 a3 a1 orbit=E
+  triangle tA1 s1 r12 s2 orbit=o
+  triangle tA2 s2 r23 s3 orbit=o
+  triangle tA3 s3 r31 s1 orbit=o
+  edge u1 b0 a1 orbit=S
+  edge u2 b0 b2 orbit=S
+  edge u3 b0 b3 orbit=S
+  edge u4 b0 b4 orbit=S
+  edge q12 a1 b2 orbit=E
+  edge q23 b2 b3 orbit=E
+  edge q34 b3 b4 orbit=E
+  edge q41 b4 a1 orbit=E
+  triangle tB1 u1 q12 u2 orbit=o
+  triangle tB2 u2 q23 u3 orbit=o
+  triangle tB3 u3 q34 u4 orbit=o
+  triangle tB4 u4 q41 u1 orbit=o
 end
 tree PT
   vertex p0 orbit=op
@@ -913,10 +958,12 @@ end
 
 @pytest.mark.parametrize("argv", [["pipeline", "--name", "bow"], ["passdown", "--structure", "S", "--tree", "PT"]])
 def test_a_triangle_orbit_in_pieces_of_two_orbits_is_malformed(argv, tmp_path, capsys):
-    """A bowtie: two triangles of one orbit and one shape meeting only at a
-    cut vertex, the first with a third triangle on one side.  Its
-    cutpoint-free pieces lie in different orbits, so the split would
-    count the triangle orbit twice; the quotient data is refused."""
+    """Two cones, on a 3-cycle and on a 4-cycle, wedged at a rim vertex
+    (called the bowtie).  Every orbit rule holds cell by cell: each face
+    has sides S, S, E, each spoke lies on two faces of orbit o and each
+    rim edge on one.  But the cones differ in size, so the cutpoint-free
+    pieces lie in different orbits and the split would count the triangle
+    orbit twice; the quotient data is refused."""
     path = tmp_path / "bowtie.txt"
     path.write_text(BOWTIE)
     assert main(argv[:1] + [str(path)] + argv[1:]) == 2
@@ -958,22 +1005,68 @@ end
 """
 
 
-def test_segments_of_one_edge_orbit_on_two_face_sets_are_refused(tmp_path, capsys):
-    """The face-shape rule fixes the sides of a face, not the faces on an
-    edge: e1 and e2 are one orbit, but only e1 lies on a triangle.  Both
-    run from x0 to x1, and the track through e1 also crosses bz while the
-    one through e2 crosses nothing else, so the two tracks are of
-    different orbits; the first segments of e1 and e2, one orbit e.0, end
-    at points of different orbits, and the collapse refuses them."""
+@pytest.mark.parametrize("command", ["tracks", "split"])
+def test_an_edge_orbit_on_two_face_sets_is_refused_at_parse(command, tmp_path, capsys):
+    """e1 and e2 are one orbit, but only e1 lies on a triangle: a group
+    element carries an edge's faces onto those of its image, so the
+    complex is refused where it is read, at the line of e2, the first edge
+    of the orbit's second shape."""
     path = tmp_path / "orbit.txt"
     path.write_text(EDGE_ORBIT_ON_TWO_FACE_SETS)
+    assert main([command, str(path), "--complex", "X", "--tree", "T"]) == 2
+    assert capsys.readouterr().err == "error: line 15: edges of orbit 'e' have mismatched face orbits\n"
+
+
+def cone_capped_annulus(name, n):
+    """The lines of a sphere: an annulus of n squares between a top cycle
+    (vertex orbit P, label Ga) and a bottom cycle (Q, Gb), each cycle
+    capped by a cone on a marked apex.  Every sphere of it has one orbit
+    per kind of cell, whatever n."""
+    t, b = [f"{name}t{i}" for i in range(n)], [f"{name}b{i}" for i in range(n)]
+    lines = [f"  vertex {name}ct marked stab=Ga orbit=CT", f"  vertex {name}cb marked stab=Gb orbit=CB"]
+    lines += [f"  vertex {w} stab=Ga orbit=P" for w in t] + [f"  vertex {w} stab=Gb orbit=Q" for w in b]
+    for i in range(n):
+        j = (i + 1) % n
+        lines += [
+            f"  edge {name}T{i} {t[i]} {t[j]} orbit=T", f"  edge {name}B{i} {b[i]} {b[j]} orbit=B",
+            f"  edge {name}V{i} {t[i]} {b[i]} orbit=V", f"  edge {name}D{i} {t[i]} {b[j]} orbit=D",
+            f"  edge {name}CT{i} {name}ct {t[i]} orbit=CE", f"  edge {name}CB{i} {name}cb {b[i]} orbit=CF",
+        ]
+    for i in range(n):
+        j = (i + 1) % n
+        lines += [
+            f"  triangle {name}up{i} {name}T{i} {name}V{j} {name}D{i} orbit=U",
+            f"  triangle {name}dn{i} {name}V{i} {name}B{i} {name}D{i} orbit=W",
+            f"  triangle {name}ct{i} {name}CT{i} {name}CT{j} {name}T{i} orbit=K",
+            f"  triangle {name}cb{i} {name}CB{i} {name}CB{j} {name}B{i} orbit=L",
+        ]
+    return lines
+
+
+def test_segments_of_one_edge_orbit_between_point_orbits_of_two_shapes_are_refused(tmp_path, capsys):
+    """Parsing gives the edges of one orbit one pair of end orbits and one
+    multiset of face orbits, and the resolution gives them one path, but a
+    track is global: on two cone-capped annuli of 3 and 6 squares, joined
+    at their top apices, every orbit rule holds, and each annulus carries
+    one essential track, a cycle through all of its vertical and diagonal
+    edges.  The two tracks cross different numbers of edges, so their
+    points take different orbits, and the first segments of the vertical
+    edges, one orbit V.0, join P to points of two orbits: the collapse
+    refuses them."""
+    lines = ["groups", "  group V1", "  group V2", "  group E slender helliptic sub-of=V1,V2"]
+    lines += ["  group Ga slender helliptic", "  group Gb slender helliptic", "end", "complex X"]
+    lines += cone_capped_annulus("a", 3) + cone_capped_annulus("z", 6) + ["  edge j act zct orbit=J", "end"]
+    lines += ["tree T", "  vertex x0 stab=V1", "  vertex x1 stab=V2", "  edge f x0 x1 stab=E", "end"]
+    lines += ["actions T", "  elliptic Ga fix=x0", "  elliptic Gb fix=x1", "end"]
+    path = tmp_path / "annuli.txt"
+    path.write_text("\n".join(lines) + "\n")
     argv = [str(path), "--complex", "X", "--tree", "T"]
     assert main(["tracks", *argv]) == 0
-    assert capsys.readouterr().out == (
-        "track s0 at f [essential] edges=bz,e1 arcs t:bz|e1\ntrack s1 at f [essential] edges=e2\n"
-    )
+    assert [line.split(" edges=")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "track s0 at f [essential]", "track s1 at f [essential]",
+    ]
     assert main(["split", *argv]) == 2
-    assert capsys.readouterr().err == "error: edges of orbit 'e.0' have mismatched endpoint orbits\n"
+    assert capsys.readouterr().err == "error: edges of orbit 'D.0' have mismatched endpoint orbits\n"
 
 
 CYCLE_WITH_TAIL = """\

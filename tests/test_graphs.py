@@ -83,8 +83,11 @@ def test_is_tree_matches_definition():
 
 
 def test_blocks_partition_edges_and_give_cutpoints():
+    """The search's blocks partition the edges and give the cutpoints, and
+    the components it meets are those of their definition, by least node."""
     for nodes, edges in graphs(4):
-        blks = blocks(nodes, edges)
+        blks, comps = blocks(nodes, edges)
+        assert comps == brute_components(nodes, edges.values())
         seen = [e for _verts, eids in blks for e in eids]
         assert sorted(seen) == sorted(edges)
         for verts, eids in blks:
@@ -97,7 +100,7 @@ def test_blocks_partition_edges_and_give_cutpoints():
 
 
 def test_blocks_keep_parallel_edges_together():
-    blks = blocks(["a", "b", "c"], {"e1": ("a", "b"), "e2": ("b", "a"), "e3": ("b", "c")})
+    blks, _comps = blocks(["a", "b", "c"], {"e1": ("a", "b"), "e2": ("b", "a"), "e3": ("b", "c")})
     assert sorted(sorted(eids) for _v, eids in blks) == [["e1", "e2"], ["e3"]]
     assert cut_vertices(blks) == {"b"}
 

@@ -761,6 +761,21 @@ class TestRunAnalysisWork:
         counts = [cost.run_opcodes(family, horizon)[1].total() for horizon in (64, 128, 256)]
         assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
 
+    @pytest.mark.parametrize(
+        "family, sizes",
+        [("grid", [(3, cols, 2) for cols in (4, 8, 16, 32)]), ("beads", [(triangles, 2, 2) for triangles in (16, 32, 64, 128)])],
+        ids=["grid", "beads"],
+    )
+    def test_run_opcodes_grow_at_most_2_2_times_per_doubling_of_the_complex(self, family, sizes):
+        """The opcodes ``run_pipeline`` executes in the engine on the
+        seed-1 benchmark op of ``family`` grow at most 2.2 times per
+        doubling of ``grid`` columns (3 rows) or ``beads`` triangles (2
+        strips), at horizon 2: the passdown, the collapse and the
+        cutpoint split above all, stay near linear in the cells.  A ratio,
+        not a count, since counts differ between CPython versions."""
+        counts = [cost.pipeline_opcodes(getattr(workloads, family)(random.Random(1), *size)).total() for size in sizes]
+        assert all(b <= 2.2 * a for a, b in zip(counts, counts[1:])), counts
+
     @pytest.mark.parametrize("name", ["leq", "_gf2_rank", "reduced_path"])
     def test_each_distinct_label_pair_rank_and_image_pair_is_worked_once(self, name):
         """Containments are checked once per distinct (label, label above)
