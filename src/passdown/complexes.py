@@ -622,49 +622,45 @@ def canonical_complex(vertices, edges_at, faces_at, stab, orbit, stab_plus, boun
 
     The cell data starts with the canonical order, which this builds; the
     incidence maps are derived where read.  Each cell is labelled by its
-    class, so the complex is handed ``cell_labels_reduced`` True.  Only
-    merged pairs and triples are walked one by one, every other cell read
-    through ``map``; merged cells all of distinct orbits, as a collapse's
-    segments are, make one class per pair or triple with no union-find."""
-    edge_keys, face_keys = sorted(edges_at), sorted(faces_at)
-    edge_ids, face_ids = list(map(edges_at.__getitem__, edge_keys)), list(map(faces_at.__getitem__, face_keys))
-    merged_edges, merged_faces = ([ids for ids in at if len(ids) > 1] for at in (edge_ids, face_ids))
-    merged = merged_edges + merged_faces
-    merged_orbits = list(map(orbit.__getitem__, chain.from_iterable(merged)))
-    if len(set(merged_orbits)) == len(merged_orbits):  # every merged cell in its own orbit
-        least = [min(map(orbit.__getitem__, ids)) for ids in merged]
-        class_of = dict(zip(merged_orbits, chain.from_iterable(map(repeat, least, map(len, merged)))))
-    else:
-        uf = graphs.UnionFind()
-        for ids in merged:
-            for cell in ids[1:]:
-                uf.union(orbit[ids[0]], orbit[cell])
-        class_of = {o: uf.find(o) for o in uf.parent}
-    edge_first = list(map(operator.itemgetter(0), edge_ids))
-    edges = dict(zip(edge_first, edge_keys))
-    first_on = dict(zip(edge_keys, edge_first)).__getitem__
-    sides = zip(*(map(first_on, map(operator.itemgetter(*pair), face_keys)) for pair in ((0, 1), (1, 2), (0, 2))))
-    faces = dict(zip(map(operator.itemgetter(0), face_ids), sides))
-    cells = sorted([*vertices, *edges, *faces])
-    origins = list(map(orbit.__getitem__, cells))
-    out_orbit = dict(zip(cells, map(class_of.get, origins, origins)))
-    out_stab = dict(zip(cells, map(stab.__getitem__, cells)))
-    # a class has several labels when a cell's is not the last met on it
-    away = list(chain.from_iterable(map(operator.itemgetter(slice(1, None)), merged)))
-    classes = [*out_orbit.values(), *map(class_of.__getitem__, map(orbit.__getitem__, away))]
-    labels = [*out_stab.values(), *map(stab.__getitem__, away)]
-    last = dict(zip(classes, labels))
-    differ = list(map(last.__getitem__, classes)) != labels
-    several = {cls for cls, label in zip(classes, labels) if last[cls] != label} if differ else set()
-    eids = sorted(edges)
-    out_plus = dict(zip(eids, map(stab_plus.get, eids, map(stab.__getitem__, eids))))
-    # oriented labels differ only where labels do or a cell has its own
-    plus_several = []
-    if several or not stab_plus.keys().isdisjoint(chain.from_iterable(merged_edges)):
-        for ids in sorted(merged_edges, key=operator.itemgetter(0)):
-            labels = set(map(stab_plus.get, ids, map(stab.__getitem__, ids)))
+    class, so the complex is handed ``cell_labels_reduced`` True."""
+    merged = [ids for at in (edges_at, faces_at) for ids in at.values() if len(ids) > 1]
+    uf = graphs.UnionFind()
+    for ids in merged:
+        for cell in ids[1:]:
+            uf.union(orbit[ids[0]], orbit[cell])
+    class_of = {o: uf.find(o) for o in uf.parent}
+    # the first label met in each class, and the classes that meet another:
+    # on the cells merged away here, on the kept ones as they are labelled
+    first, several = {}, set()
+    for ids in merged:
+        for cell in ids[1:]:
+            cls, label = class_of[orbit[cell]], stab[cell]
+            if first.setdefault(cls, label) != label:
+                several.add(cls)
+    edges, faces, sources = {}, {}, {}
+    for key in sorted(edges_at):
+        ids = edges_at[key]
+        eid = ids[0]
+        edges[eid] = key
+        if len(ids) > 1:
+            sources[eid] = ids
+    for a, b, c in sorted(faces_at):
+        fid = faces_at[(a, b, c)][0]
+        faces[fid] = (edges_at[(a, b)][0], edges_at[(b, c)][0], edges_at[(a, c)][0])
+    out_stab, out_orbit = {}, {}
+    for cell in sorted([*vertices, *edges, *faces]):
+        o, label = orbit[cell], stab[cell]
+        cls = out_orbit[cell] = class_of.get(o, o)
+        out_stab[cell] = label
+        if first.setdefault(cls, label) != label:
+            several.add(cls)
+    out_plus, plus_several = {}, []
+    for eid in sorted(edges):
+        out_plus[eid] = stab_plus.get(eid, stab[eid])
+        if eid in sources:
+            labels = sorted({stab_plus.get(cell, stab[cell]) for cell in sources[eid]})
             if len(labels) > 1:
-                plus_several.append((ids[0], sorted(labels)))
+                plus_several.append((eid, labels))
     class_ref = {cls: groups.mint("red").id for cls in sorted(several)}
     if class_ref:
         out_stab.update((cell, class_ref[cls]) for cell, cls in out_orbit.items() if cls in class_ref)
@@ -672,7 +668,10 @@ def canonical_complex(vertices, edges_at, faces_at, stab, orbit, stab_plus, boun
         ref = out_plus[eid] = groups.mint("red.plus").id
         for old in labels:
             groups.declare_leq(old, ref)
-    out = Complex2(vertices, edges, faces, out_stab, out_orbit, boundary_marked, out_plus)
+    out = Complex2(
+        vertices=vertices, edges=edges, faces=faces, stab=out_stab, orbit=out_orbit,
+        boundary_marked=boundary_marked, stab_plus=out_plus,
+    )
     out.cell_data.__dict__["is_canonical"] = True
     out.__dict__["cell_labels_reduced"] = True
     if class_ref:
@@ -686,7 +685,7 @@ def fresh_separator(taken, minted, sep):
     step, the cell and orbit ids of its complex), so that the ids a step
     names with it are new.  Every minted id contains ``sep``, so when no
     taken id does, ``sep`` is returned without minting or a set union."""
-    if not any(map(operator.contains, chain.from_iterable(taken), repeat(sep))):
+    if not any(sep in cid for cid in chain.from_iterable(taken)):
         return sep
     taken = set().union(*taken)
     while not taken.isdisjoint(minted(sep)):
@@ -754,7 +753,7 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
     multiset of (cell kind, orbit) share an orbit, and the triangles of one
     orbit must lie in pieces of one orbit: anything else is malformed
     quotient data.  A piece's cells, its signature (the sorted orbits of
-    each kind) and its face orbits are gathered from its blocks.
+    each kind) and its faces are gathered from its blocks.
     """
     if not is_connected(x):
         raise FixtureError("cutpoint tree needs a connected complex")
@@ -775,30 +774,32 @@ def reduced_cutpoint_tree(x: Complex2, groups: GroupTable) -> CutpointTree:
                 incidences.append((bid, v))
             else:
                 uf.union(bid, v)
-    comp_cells, node_stab, node_orbit, sig_orbit, face_orbit, piece_faces = {}, {}, {}, {}, {}, []
-    orbit = x.orbit.__getitem__
+    comp_cells, node_stab, node_orbit, sig_orbit, piece_orbit = {}, {}, {}, {}, {}
     for rep, members in uf.classes().items():
         merged = [x.stab[m] for m in members if m not in blocks]
         verts, eids, fids = (list(chain.from_iterable(blocks[m][k] for m in members if m in blocks)) for k in range(3))
         comp_cells[rep] = frozenset(chain(verts, eids, fids))
         node_stab[rep] = groups.mint("blk", h_elliptic=bool(merged) and all(map(groups.h_elliptic, merged))).id
-        sig = tuple(tuple(sorted(map(orbit, cells))) for cells in (set(verts), eids, fids))
+        sig = tuple(tuple(sorted(x.orbit[c] for c in cells)) for cells in (set(verts), eids, fids))
         node_orbit[rep] = sig_orbit.setdefault(sig, rep)
-        face_orbit.update(zip(map(orbit, fids), repeat(node_orbit[rep])))
-        piece_faces.append((fids, node_orbit[rep]))
-    node_stab.update((v, x.stab[v]) for v in sorted(slender))
-    node_orbit.update((v, x.orbit[v]) for v in sorted(slender))
-    edges = tuple(sorted({(uf.find(bid), v) for bid, v in incidences}))
-    tree = CutpointTree(tuple(comp_cells), tuple(sorted(slender)), edges, node_stab, node_orbit, comp_cells)
+        piece_orbit.update(dict.fromkeys(fids, node_orbit[rep]))
+    for v in sorted(slender):
+        node_stab[v] = x.stab[v]
+        node_orbit[v] = x.orbit[v]
+    tree = CutpointTree(
+        comp_nodes=tuple(comp_cells),
+        cut_nodes=tuple(sorted(slender)),
+        edges=tuple(sorted({(uf.find(bid), v) for bid, v in incidences})),
+        node_stab=node_stab,
+        node_orbit=node_orbit,
+        comp_cells=comp_cells,
+    )
     if not tree.is_tree():
         raise EngineError("reduced cutpoint tree failed the tree check")
-    # the split counts a triangle orbit once per orbit of pieces holding it;
-    # the faces are walked only when some face orbit lies in two
-    if any(set(map(face_orbit.__getitem__, map(orbit, fids))) - {held} for fids, held in piece_faces):
-        piece_orbit = {fid: held for fids, held in piece_faces for fid in fids}
-        held = {}
-        for fid in x.triangles():
-            if held.setdefault(x.orbit[fid], piece_orbit[fid]) != piece_orbit[fid]:
-                raise ConsistencyError(f"triangle orbit {x.orbit[fid]!r} lies in cutpoint-free pieces of different orbits")
+    # the split counts a triangle orbit once per orbit of pieces holding it
+    held = {}
+    for fid in x.triangles():
+        if held.setdefault(x.orbit[fid], piece_orbit[fid]) != piece_orbit[fid]:
+            raise ConsistencyError(f"triangle orbit {x.orbit[fid]!r} lies in cutpoint-free pieces of different orbits")
     return tree
 

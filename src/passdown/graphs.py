@@ -113,9 +113,8 @@ def blocks(nodes, edges):
     frozenset) pair, an isolated node a block of its own with no edges,
     and the components as vertex frozensets ordered by their least node.
     A block is the run of the vertex stack from its first node on, with
-    that node's parent.  Every edge joins a node to an ancestor, and lies
-    in the block of its deeper end, so edges are filed after the search.
-    """
+    that node's parent; every edge joins a node to an ancestor and is filed
+    after the search, in the block of its deeper end."""
     adj = {v: [] for v in nodes}
     for u, v in edges.values():
         adj[u].append(v)
@@ -159,7 +158,7 @@ def blocks(nodes, edges):
     block_edges = [[] for _ in members]
     for eid, (u, v) in edges.items():
         block_edges[block_of[v] if depth[v] > depth[u] else block_of[u]].append(eid)
-    return list(zip(map(frozenset, members), map(frozenset, block_edges))), comps
+    return [(frozenset(vs), frozenset(es)) for vs, es in zip(members, block_edges)], comps
 
 
 def cut_vertices(blks):

@@ -485,11 +485,11 @@ def _cutpoint_pieces(nid, x, groups, taken):
 
     A piece is the full subcomplex of x on its cells, with their labels,
     in the order of x's cell dicts.  All pieces are built in one pass over
-    the edges, faces and blocks of x, each going to the piece holding it,
-    and their label dicts are read through ``map``.  A piece is handed the
-    blocks of x it is the union of, which are its own; the canonical order
-    of a canonical x, which a subset of its cells in its order keeps; and
-    the label check of x when it holds, as it does on any subset of cells.
+    the edges, faces and blocks of x, each going to the piece holding it.
+    A piece is handed the blocks of x it is the union of, which are its
+    own; the canonical order of a canonical x, which a subset of its cells
+    in its order keeps; and the label check of x when it holds, as it does
+    on any subset of the cells.
 
     Each piece is connected with h1 = 0, so it is handed its one component
     and its boundary rank |E| - |V| + 1.  A piece is a union of blocks
@@ -514,9 +514,9 @@ def _cutpoint_pieces(nid, x, groups, taken):
         piece_of.update(dict.fromkeys(bpx.comp_cells[rep] - x.vertices, k))
     edges, faces, blocks = ([{} for _ in numbered] for _ in range(3))
     for into, cells in ((edges, x.edges), (faces, x.faces)):
-        for cell, k in zip(cells, map(piece_of.get, cells)):
-            if k is not None:
-                into[k][cell] = cells[cell]
+        for cell, value in cells.items():
+            if cell in piece_of:
+                into[piece_of[cell]][cell] = value
     for block in x.skeleton_blocks:
         k = piece_of.get(next(iter(block[1])))  # x has a cutpoint, so each block has an edge
         if k is not None:
@@ -526,9 +526,8 @@ def _cutpoint_pieces(nid, x, groups, taken):
         verts = x.vertices & bpx.comp_cells[rep]
         cells = [*sorted(verts), *edges[k], *faces[k]]
         sub = Complex2(
-            verts, edges[k], faces[k], dict(zip(cells, map(x.stab.__getitem__, cells))),
-            dict(zip(cells, map(x.orbit.__getitem__, cells))), x.boundary_marked & verts,
-            {eid: x.stab_plus[eid] for eid in edges[k] if eid in x.stab_plus},
+            verts, edges[k], faces[k], {c: x.stab[c] for c in cells}, {c: x.orbit[c] for c in cells},
+            x.boundary_marked & verts, {eid: x.stab_plus[eid] for eid in edges[k] if eid in x.stab_plus},
         )
         if x.__dict__.get("cell_labels_reduced"):
             sub.__dict__["cell_labels_reduced"] = True

@@ -10,8 +10,6 @@ analysis.
 """
 
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
-from operator import attrgetter, itemgetter
 
 from . import graphs
 from .complexes import canonical_complex, declare_pairs, fresh_separator, h1_z2, is_connected, reduce_with_map
@@ -82,7 +80,10 @@ def tracks_from_resolution(res: Resolution) -> TrackSystem:
                 per_f.setdefault(f, []).append(eid)
         for f, crossed in per_f.items():
             if len(crossed) != 2:
-                raise EngineError(f"tree edge {f!r} crosses {len(crossed)} side(s) of triangle {fid!r}; arcs must close up")
+                raise EngineError(
+                    f"tree edge {f!r} crosses {len(crossed)} side(s) of triangle {fid!r}; "
+                    "arcs must close up"
+                )
             e1, e2 = sorted(crossed)
             arcs.append((fid, (f, e1), (f, e2)))
     points = [(f, eid) for eid, fs in crossings.items() for f in fs]
@@ -133,7 +134,9 @@ def essential_tracks(ts: TrackSystem) -> TrackSystem:
     keep = []
     for tr in ts.tracks:
         if not tr.separates:
-            raise EngineError(f"track {tr.id!r} does not split the complex into two parts despite h1 = 0")
+            raise EngineError(
+                f"track {tr.id!r} does not split the complex into two parts despite h1 = 0"
+            )
         if all(tr.side_infinite):
             keep.append(tr)
     return TrackSystem(resolution=ts.resolution, tracks=tuple(keep), crossings=ts.crossings)
@@ -148,17 +151,11 @@ _EXTEND = "extend the tree's rays or the boundary marking"
 
 def _triangles(x):
     """(face id, corners a < b < c, sides (ab, bc, ac)) of each triangle
-    of the simplicial complex ``x``, in id order.  A canonical ``x`` stores
-    its sides so, on ends stored low first; any other holds the corners
-    and the edges by vertex pair that its simplicial check derived."""
-    edges, faces = x.edges, x.faces
-    if x.cell_data.__dict__.get("is_canonical"):
-        for fid in sorted(faces):
-            ab, bc, ac = sides = faces[fid]
-            yield fid, (*edges[ab], edges[bc][1]), sides
-        return
+    of the simplicial complex ``x``, in id order, read from its corners
+    and its edges by vertex pair, both cached (a complex not held canonical
+    derived them in its simplicial check)."""
     by_pair, corners = x.edges_by_pair, x.cell_data.face_vertices
-    for fid in sorted(faces):
+    for fid in sorted(x.faces):
         a, b, c = corners[fid]
         yield fid, (a, b, c), (by_pair[a, b][0], by_pair[b, c][0], by_pair[a, c][0])
 
@@ -170,7 +167,7 @@ def _identity_fragment(x):
     tri_map, edge_map = {}, {}
     for fid, _corners, sides in _triangles(x):
         tri_map[fid] = fid
-        edge_map.update(zip(zip(repeat(fid), sides), sides))
+        edge_map.update(((fid, eid), eid) for eid in sides)
     return TauFragment(triangle_map=tri_map, edge_map=edge_map, track_point={})
 
 
@@ -230,9 +227,7 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
 
     # per edge carrying points, the tree edges of its points in path order
     # from its first stored end
-    essential = set()
-    for tr in ts_star.tracks:
-        essential.update(zip(tr.points, repeat(tr.tree_edge)))
+    essential = {(eid, tr.tree_edge) for tr in ts_star.tracks for eid in tr.points}
     on_track = {eid: [f for f in ts_star.crossings[eid] if (eid, f) in essential] for eid, _f in essential}
 
     def minted(sep):
@@ -257,10 +252,10 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     # filed under its face with the corner its two sides share
     stab, orbit, plus = dict(x.stab), dict(x.orbit), dict(x.stab_plus)
     point_vertex, point_of, marked_points, by_sig, cut_at, tree_edge_of = {}, {}, set(), {}, {}, {}
-    for tr in sorted(ts_star.tracks, key=attrgetter("id")):
+    for tr in sorted(ts_star.tracks, key=lambda t: t.id):
         vid = point_vertex[tr.id] = f"w{sep}{tr.id}"
-        point_of.update(zip(zip(tr.points, repeat(tr.tree_edge)), repeat(vid)))
-        sig = (tree.orbit[tr.tree_edge], tuple(sorted(map(x.orbit.__getitem__, tr.points))))
+        point_of.update(((eid, tr.tree_edge), vid) for eid in tr.points)
+        sig = (tree.orbit[tr.tree_edge], tuple(sorted(x.orbit[e] for e in tr.points)))
         if sig not in by_sig:
             by_sig[sig] = groups.mint("trk", supergroups={tree.stab[tr.tree_edge]}, slender=True).id, vid
         stab[vid], orbit[vid] = by_sig[sig]
@@ -273,11 +268,11 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
     kept = x.vertices - removed
 
     # an edge with no track point is its own segment, filed by sorted ends
-    plain = list(filterfalse(on_track.__contains__, x.edges))
+    plain = [eid for eid in x.edges if eid not in on_track]
     for eid in sorted(plain) if removed else ():
         if not removed.isdisjoint(x.edges[eid]):
             raise TruncationError(f"edge {eid!r} reaches a truncated end without an essential crossing; {_EXTEND}")
-    edges_at = dict(zip(map(tuple, map(sorted, map(x.edges.__getitem__, plain))), zip(plain)))
+    edges_at = {tuple(sorted(x.edges[eid])): [eid] for eid in plain}
 
     # every other edge is cut at its points: one segment per consecutive
     # pair of nodes along it (surviving ends and track points in path
@@ -329,7 +324,9 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
             node[corner] = vid
         for w in (a, b, c) if removed else ():
             if w in removed and w not in node:
-                raise TruncationError(f"triangle {fid!r} reaches the truncated end at {w!r} without an essential arc; {_EXTEND}")
+                raise TruncationError(
+                    f"triangle {fid!r} reaches the truncated end at {w!r} without an essential arc; {_EXTEND}"
+                )
         if not node:  # no arc, so no side carries a point
             edge_map[fid, ab], edge_map[fid, bc], edge_map[fid, ac] = ab, bc, ac
             faces_at[(a, b, c)] = tri_map[fid] = [fid]
@@ -353,6 +350,10 @@ def split_collapse(ts_star: TrackSystem, groups: GroupTable):
         kept.union(point_vertex.values()), edges_at, faces_at, stab, orbit, plus,
         (x.boundary_marked & kept) | marked_points, groups,
     )
-    tri_map = dict(zip(tri_map, map(itemgetter(0), tri_map.values())))
-    return xt, TauFragment(triangle_map=tri_map, edge_map=edge_map, track_point=point_vertex)
+    frag = TauFragment(
+        triangle_map={fid: ids[0] for fid, ids in tri_map.items()},
+        edge_map=edge_map,
+        track_point=point_vertex,
+    )
+    return xt, frag
 

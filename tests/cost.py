@@ -6,8 +6,9 @@ events on, and counts the bytecodes executed in frames whose code lies in
 hair and between CPython versions by more, so the tier-1 gates on them
 (``tests/test_stability.py``) compare ratios, never raw counts.
 
-``inclusive`` names functions whose counts also take in every opcode
-run while one of their frames is on the stack.
+It returns ``fn``'s result, the counts and, for each function named in
+``inclusive``, every opcode run while one of its frames is on the stack
+(empty when ``inclusive`` names none).
 
 Run as ``python tests/cost.py`` to print, for the ``worked`` and ``chain``
 benchmark ops, the opcodes of ``run_pipeline`` (parse excluded) at
@@ -33,10 +34,10 @@ from passdown.pipeline import run_pipeline  # noqa: E402
 
 
 def opcodes(fn, *args, inclusive=()):
-    """``fn(*args)``'s result and the bytecodes it executed in engine
-    frames, as a Counter keyed by qualified function name; a name in
-    ``inclusive`` counts every opcode run while a frame of its function is
-    on the stack (none of them recurses)."""
+    """``fn(*args)``'s result, the bytecodes it executed in engine frames,
+    as a Counter keyed by qualified function name, and, as a second such
+    Counter, for each name in ``inclusive`` every opcode run while a frame
+    of its function is on the stack (none of them recurses)."""
     counts, engine = Counter(), {}  # code object -> whether it lies in the engine
     opened, spans = {}, Counter()  # open frame of an inclusive name -> the total at its call
 
@@ -68,9 +69,7 @@ def opcodes(fn, *args, inclusive=()):
     by_name = Counter()  # two code objects may share a name, say two generator expressions in one function
     for code, n in counts.items():
         by_name[_name(code)] += n
-    if inclusive:
-        return result, by_name, spans
-    return result, by_name
+    return result, by_name, spans
 
 
 def _name(code):
@@ -88,7 +87,7 @@ def run_opcodes(family, horizon):
     of ``family`` (``worked`` or ``chain``) at ``horizon``, parse excluded."""
     op = getattr(workloads, family)(random.Random(1), horizon)
     fx = parse_text(op.text)
-    return opcodes(run_pipeline, fx, op.pipeline)
+    return opcodes(run_pipeline, fx, op.pipeline)[:2]
 
 
 COLLAPSE = ("_collapse", "split_collapse", "tracks_from_resolution", "_cutpoint_pieces")
